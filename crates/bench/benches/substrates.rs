@@ -1,9 +1,11 @@
 //! Criterion: substrate micro-benchmarks — list generation, serial
-//! traversal, predecessor building, packed encoding, the cache
-//! simulator and banked memory.
+//! traversal, predecessor building, packed encoding, link validation,
+//! the cache simulator and banked memory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use listkit::gen::Layout;
 use listkit::packed::PackedList;
+use listkit::validate::validate_links;
 use listkit::{gen, serial};
 use std::hint::black_box;
 use vmach::cache::{CacheConfig, CacheSim};
@@ -28,6 +30,22 @@ fn bench_listkit(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("packed_serial_rank", n), |b| {
         b.iter(|| black_box(packed.serial_rank()))
     });
+    g.finish();
+}
+
+/// `validate_links` — what every PUT and inline request pays before a
+/// list exists — on the paper's random layout and a blocked one.
+fn bench_validate(c: &mut Criterion) {
+    let mut g = c.benchmark_group("validate_links");
+    g.sample_size(10);
+    let n = 1usize << 22;
+    g.throughput(Throughput::Elements(n as u64));
+    for (tag, layout) in [("random", Layout::Random), ("blocked4k", Layout::Blocked(4096))] {
+        let list = gen::list_with_layout(n, layout, 42);
+        g.bench_function(BenchmarkId::new(tag, n), |b| {
+            b.iter(|| black_box(validate_links(black_box(list.links()), list.head())))
+        });
+    }
     g.finish();
 }
 
@@ -57,5 +75,5 @@ fn bench_vmach_models(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_listkit, bench_vmach_models);
+criterion_group!(benches, bench_listkit, bench_validate, bench_vmach_models);
 criterion_main!(benches);

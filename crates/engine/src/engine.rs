@@ -531,10 +531,9 @@ fn worker_loop(shared: &Shared) {
                     }
                     match decision {
                         ShardDecision::Monolithic(plan) => {
-                            let mut runner = HostRunner::new(plan.algorithm)
+                            let runner = HostRunner::new(plan.algorithm)
                                 .with_seed(job.opts.seed)
                                 .with_lanes(plan.lanes);
-                            runner.m = plan.m;
                             let output: ErasedOutput = match &job.spec {
                                 JobSpec::Rank { list, .. } => {
                                     let mut out = Vec::new();

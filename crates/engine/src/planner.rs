@@ -1,21 +1,28 @@
 //! Adaptive algorithm selection: model prior + measured history.
 //!
 //! The planner decides, per job, which of the five algorithms to run and
-//! (for Reid-Miller) which split count `m` to use. Its prior is the
-//! paper's cost model ([`rankmodel::predict::predict_best_op`], keyed on
-//! the job's value width); as jobs complete it folds measured
-//! per-element times into per-(size bucket × **op kind**) EWMAs, so the
-//! dispatch threshold migrates to wherever *this* machine's crossover
-//! actually sits **for that operator** — a wide affine-composition scan
-//! moves twice the memory of a ranking and can cross over at a
-//! different size, and their histories must not contaminate each other.
+//! (for Reid-Miller) how many interleaved lanes its walks use. Its prior
+//! is the host cost model ([`rankmodel::predict::predict_best_op_lanes`],
+//! a closed form keyed on the job's value width); as jobs complete it
+//! folds measured per-element times into per-(size bucket × **op kind**)
+//! EWMAs, so the dispatch threshold migrates to wherever *this*
+//! machine's crossover actually sits **for that operator** — a wide
+//! affine-composition scan moves twice the memory of a ranking and can
+//! cross over at a different size, and their histories must not
+//! contaminate each other.
+//!
+//! Every decision is O(1): a few table reads and one closed-form prior,
+//! never a model search. Reid-Miller's split count `m` is not planned
+//! here; the host backend derives it inside the worker's inner pool
+//! ([`listrank::host::ReidMiller::default_m_for`]). Lists at or below
+//! Reid-Miller's serial cutoff always run Serial: Reid-Miller would run
+//! the identical serial walk there, so there is nothing to contest.
 
 use crate::op::OpKind;
 use crate::telemetry::log::Level;
 use crate::telemetry::{AtomicHistogram, Histogram, Ring};
 use listrank::Algorithm;
 use rankmodel::predict::{default_lanes, predict_best_op_lanes, predict_patch, AlgChoice};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -52,8 +59,6 @@ pub(crate) fn alg_index(alg: Algorithm) -> usize {
 pub struct Plan {
     /// The algorithm to run.
     pub algorithm: Algorithm,
-    /// Reid-Miller split-count override (`None` = host heuristic).
-    pub m: Option<usize>,
     /// Interleaved traversal lanes for the multi-chain walks (always
     /// `1` for algorithms without one — a serial chain has a single
     /// cursor, structurally).
@@ -151,6 +156,9 @@ pub struct PlanDecision {
 pub struct Planner {
     /// Parallelism available to a single job.
     p: usize,
+    /// Reid-Miller's serial cutoff: unpinned jobs up to this size run
+    /// Serial without a contest.
+    serial_cutoff: usize,
     /// Pinned lane count (`None` = tune per bucket).
     lanes_override: Option<usize>,
     /// Measured per-element times by (bucket, op kind, algorithm).
@@ -167,8 +175,6 @@ pub struct Planner {
     /// Dispatch counts by (op kind, algorithm) — the op dimension of
     /// the stats surface.
     dispatched_by_op: Vec<[AtomicU64; ALGS]>,
-    /// Cached tuned Reid-Miller `m` per bucket.
-    tuned_m: Mutex<HashMap<usize, usize>>,
     /// Recent dispatch decisions (introspection; `RANKD_LOG=debug`
     /// prints them live).
     decisions: Ring<PlanDecision>,
@@ -198,6 +204,7 @@ impl Planner {
     pub fn new(p: usize) -> Self {
         Planner {
             p: p.max(1),
+            serial_cutoff: listrank::host::ReidMiller::default().serial_cutoff,
             lanes_override: None,
             measured: Mutex::new(vec![[[Ewma::default(); ALGS]; OPS]; BUCKETS]),
             lane_measured: Mutex::new(vec![[Ewma::default(); LANE_SLOTS]; BUCKETS]),
@@ -205,7 +212,6 @@ impl Planner {
             dispatched_by_op: (0..OPS)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
-            tuned_m: Mutex::new(HashMap::new()),
             decisions: Ring::new(DECISION_RING_CAPACITY),
             mispredict: AtomicHistogram::new(),
             maint_measured: Mutex::new(vec![[Ewma::default(); 2]; BUCKETS]),
@@ -221,9 +227,9 @@ impl Planner {
         self
     }
 
-    /// Choose the algorithm (plus `m` and the lane count) for an
-    /// `n`-vertex job computing `op` over `elem_bytes`-byte values.
-    /// `pinned` overrides adaptivity (but still records the dispatch).
+    /// Choose the algorithm (plus the lane count) for an `n`-vertex job
+    /// computing `op` over `elem_bytes`-byte values. `pinned` overrides
+    /// adaptivity (but still records the dispatch).
     pub fn choose(
         &self,
         n: usize,
@@ -234,13 +240,8 @@ impl Planner {
         let algorithm = pinned.unwrap_or_else(|| self.adaptive_choice(n, op, elem_bytes));
         self.dispatched[bucket_of(n)][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
         self.dispatched_by_op[op.index()][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
-        let (m, lanes) = if algorithm == Algorithm::ReidMiller {
-            let lanes = self.tuned_lanes(n);
-            (self.tuned_m(n, lanes), lanes)
-        } else {
-            (None, 1)
-        };
-        let plan = Plan { algorithm, m, lanes };
+        let lanes = if algorithm == Algorithm::ReidMiller { self.tuned_lanes(n) } else { 1 };
+        let plan = Plan { algorithm, lanes };
         self.log_decision(n, op, algorithm, lanes, 0, pinned.is_some());
         plan
     }
@@ -347,6 +348,9 @@ impl Planner {
     }
 
     fn adaptive_choice(&self, n: usize, op: OpKind, elem_bytes: usize) -> Algorithm {
+        if n <= self.serial_cutoff {
+            return Algorithm::Serial;
+        }
         let b = bucket_of(n);
         let prior = self.prior_choice(n, elem_bytes);
         let measured = self.measured.lock().expect("planner poisoned");
@@ -429,28 +433,6 @@ impl Planner {
         // runner; log the shard-local phase (a serial walk per shard).
         self.log_decision(n, op, Algorithm::Serial, lanes, shards, false);
         ShardDecision::Sharded { shard_size, shards, lanes }
-    }
-
-    /// Model-tuned Reid-Miller split count for `n` walked with `lanes`
-    /// interleaved lanes, clamped to the host backend's
-    /// over-decomposition bounds (≥ `8·lanes` tasks per thread — each
-    /// worker needs ≥ `lanes` *live* sublists to keep its lanes full,
-    /// with the 8× on top so work stealing levels the exponential
-    /// sublist skew — and ≤ n/4 so sublists stay non-trivial). Cached
-    /// per size bucket, tuned for the bucket's geometric midpoint
-    /// (`1.5·2^(b-1)`) rather than whichever `n` happens to arrive
-    /// first, so the cached value is equally representative for every
-    /// job the bucket covers.
-    fn tuned_m(&self, n: usize, lanes: usize) -> Option<usize> {
-        let b = bucket_of(n);
-        let rep = if b >= 2 { 3usize << (b - 2) } else { n };
-        let mut cache = self.tuned_m.lock().expect("planner poisoned");
-        let m = *cache.entry(b).or_insert_with(|| listrank::SimParams::tuned_rank(rep, self.p).m);
-        if m < 2 {
-            return None; // model says don't split; host heuristic decides
-        }
-        let floor = self.p * 8 * lanes.max(1);
-        Some(m.clamp(floor.min(n / 4), (n / 4).max(1)).max(2))
     }
 
     /// Fold one completed Reid-Miller job into the (bucket, lane)
@@ -702,9 +684,7 @@ mod tests {
         assert_eq!(choose1(&planner, 100, None).algorithm, Algorithm::Serial);
         let big = choose1(&planner, 2_000_000, None);
         assert_eq!(big.algorithm, Algorithm::ReidMiller);
-        // Tuned m is within the host over-decomposition bounds.
-        let m = big.m.expect("reid-miller gets a tuned m");
-        assert!((2..=500_000).contains(&m), "m = {m}");
+        assert_eq!(big.lanes, default_lanes(2_000_000), "cold bucket takes the lane prior");
     }
 
     #[test]
@@ -765,10 +745,11 @@ mod tests {
     #[test]
     fn ewma_history_overrides_prior_in_both_directions() {
         // The converse of `measurements_override_prior`: a bucket whose
-        // prior is Serial (tiny jobs) must flip to Reid-Miller once
-        // measured history says Reid-Miller is cheaper there.
-        let planner = Planner::new(4);
-        let n = 100;
+        // prior is Serial (above the serial cutoff, on one thread) must
+        // flip to Reid-Miller once measured history says Reid-Miller is
+        // cheaper there.
+        let planner = Planner::new(1);
+        let n = 1 << 14;
         assert_eq!(choose1(&planner, n, None).algorithm, Algorithm::Serial, "prior");
         for _ in 0..8 {
             planner.record(n, RANK, Algorithm::Serial, 1_000_000);
@@ -861,25 +842,6 @@ mod tests {
             ShardDecision::Monolithic(plan) => assert_eq!(plan.algorithm, Algorithm::Wyllie),
             other => panic!("pinned must be monolithic, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tuned_m_scales_with_lanes() {
-        // The m/lanes contract: with K lanes each worker wants ≥ K live
-        // sublists, so the task floor is p·8·K and the planner's chosen
-        // m must clear it (until the n/4 cap binds).
-        let planner = Planner::new(4);
-        let n = 1 << 22;
-        let plan = choose1(&planner, n, None);
-        assert_eq!(plan.algorithm, Algorithm::ReidMiller);
-        let m = plan.m.expect("reid-miller gets a tuned m");
-        assert!(m >= 4 * 8 * plan.lanes, "m = {m} below the 8·K floor for lanes = {}", plan.lanes);
-        assert!(m <= n / 4);
-        // Pinning a taller lane count raises the floor accordingly.
-        let tall = Planner::new(4).with_lanes_override(Some(16));
-        let plan = tall.choose(n, RANK, RB, None);
-        assert_eq!(plan.lanes, 16);
-        assert!(plan.m.expect("tuned m") >= 4 * 8 * 16);
     }
 
     #[test]

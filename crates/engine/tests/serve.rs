@@ -770,6 +770,39 @@ fn malformed_put_and_handle_frames_recover_with_typed_errors() {
 }
 
 #[test]
+fn put_with_a_planted_cycle_is_malformed_and_the_next_put_succeeds() {
+    let server = start("put-cycle", small_engine(), |c| c);
+    let mut stream = UnixStream::connect(&server.path).expect("connect raw");
+    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &protocol::hello_body());
+    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
+
+    // A random 2^16 list whose vertex at position 3n/4 links back to the
+    // one at n/4: the walk from the head circles and never reaches the
+    // tail. PUT body: flags (1) + head (4) + n (4) + n links (4 each).
+    let n = 1 << 16;
+    let list = gen::random_list(n, 0xC1C);
+    let order = list.order();
+    let mut cyclic = protocol::put_body(&list);
+    let at = 9 + 4 * order[3 * n / 4] as usize;
+    cyclic[at..at + 4].copy_from_slice(&order[n / 4].to_le_bytes());
+    let reply = roundtrip(&mut stream, FrameKind::Put as u8, &cyclic);
+    expect_error(&reply, ErrorCode::Malformed);
+
+    // The next valid PUT on the same connection is admitted and served.
+    let reply = roundtrip(&mut stream, FrameKind::Put as u8, &protocol::put_body(&list));
+    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::PutOk));
+    let (handle, _) = protocol::decode_put_ok(&reply.body).expect("put_ok");
+    let reply =
+        roundtrip(&mut stream, FrameKind::RankH as u8, &protocol::rank_h_body(handle, false));
+    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
+    let (_, ranks) = protocol::decode_output::<u64>(&reply.body).expect("output");
+    assert_eq!(ranks, HostRunner::new(Algorithm::Serial).rank(&list));
+
+    let stats = server.stop();
+    assert_eq!(stats.errors_sent, 1);
+}
+
+#[test]
 fn put_past_budget_is_store_full_and_lru_eviction_frees_idle_datasets() {
     // Budget fits two 1000-vertex datasets (4*1000 + 96 = 4096 bytes
     // each) but not three; a dataset bigger than the whole budget can

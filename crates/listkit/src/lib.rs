@@ -37,8 +37,9 @@
 
 // `deny` rather than `forbid`: the [`walk`] module's hot loops opt in
 // to unchecked indexing (justified by `LinkedList`'s
-// validated-at-construction invariants and shadowed by debug asserts);
-// everything else stays unsafe-free.
+// validated-at-construction invariants and shadowed by debug asserts),
+// and [`validate`] drives the same loop over links it has just
+// range-checked; everything else stays unsafe-free.
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 

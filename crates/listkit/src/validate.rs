@@ -6,6 +6,7 @@
 //! API boundary instead of inside the hot loops.
 
 use crate::list::Idx;
+use crate::walk::{self, BitSet, WalkPolicy};
 
 /// Why a link array is not a valid linked list.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,12 +104,27 @@ pub struct ListTopology {
     pub tail: Idx,
 }
 
-/// Validate a link array in `O(n)` time and `O(1)` extra space.
+/// Every `BOUNDARY_STRIDE`-th vertex id (`0`, `stride`, `2·stride`, …)
+/// ends a sublist of the reachability walk in [`validate_links`].
+pub const BOUNDARY_STRIDE: usize = 2048;
+
+/// Interleaved lanes of the reachability walk.
+const LANES: usize = 16;
+
+/// Validate a link array in `O(n)` time and `O(n / BOUNDARY_STRIDE)`
+/// extra words (plus an `n`-bit boundary bitmap).
 ///
 /// Checks, in order: non-emptiness, head range, link ranges, tail
 /// uniqueness, and full reachability of all `n` vertices from `head`
 /// (which also rules out rho-shaped cycles: a walk of `n-1` steps from the
 /// head must land exactly on the tail).
+///
+/// Reachability is checked the way the paper ranks (Phases 0 and 1):
+/// the list is cut into sublists at strided vertex ids, the sublist
+/// lengths are counted with 16 interleaved cursors
+/// ([`crate::walk`]), and the reduced list of sublists must lead from
+/// the head to the tail over exactly `n` vertices. Only a rejected
+/// list is walked again with one cursor, to name the exact error.
 pub fn validate_links(next: &[Idx], head: Idx) -> Result<ListTopology, ListError> {
     let n = next.len();
     if n == 0 {
@@ -130,6 +146,72 @@ pub fn validate_links(next: &[Idx], head: Idx) -> Result<ListTopology, ListError
         }
     }
     let tail = tail.ok_or(ListError::NoTail)?;
+    if !reaches_tail_over_all(next, head, tail) {
+        walk_one_cursor(next, head, tail)?;
+    }
+    Ok(ListTopology { tail })
+}
+
+/// Whether the walk from `head` reaches `tail` after visiting exactly
+/// `n` vertices. Every link must already be range-checked.
+///
+/// The strided ids and the tail are boundaries. Chain 0 starts at the
+/// head, and chain `1 + j` at the successor of the `j`-th strided
+/// boundary that is not the tail. On a valid list the chains partition
+/// the vertices, so their lengths sum to exactly `n`; the walk stops
+/// past that budget, which ends a cycle with no boundary on it. The
+/// chains the head's path runs through are then linked end to start.
+#[allow(unsafe_code)]
+fn reaches_tail_over_all(next: &[Idx], head: Idx, tail: Idx) -> bool {
+    let n = next.len();
+    let tail_ix = tail as usize;
+    let mut boundary = BitSet::new();
+    boundary.reset(n);
+    boundary.set(tail_ix);
+    let mut heads = Vec::with_capacity(n / BOUNDARY_STRIDE + 2);
+    heads.push(head);
+    for b in (0..n).step_by(BOUNDARY_STRIDE) {
+        boundary.set(b);
+        if b != tail_ix {
+            heads.push(next[b]);
+        }
+    }
+    let mut out = vec![(0u64, 0 as Idx); heads.len()];
+    // SAFETY: `validate_links` range-checked every link before calling.
+    let finished = unsafe {
+        walk::count_chains_within(
+            next,
+            &heads,
+            &boundary,
+            WalkPolicy::with_lanes(LANES),
+            n as u64,
+            &mut out,
+        )
+    };
+    if !finished {
+        return false;
+    }
+    // The chain after strided boundary `b` (which is not the tail).
+    let tail_skipped = |b: usize| tail_ix.is_multiple_of(BOUNDARY_STRIDE) && tail_ix < b;
+    let chain_after = |b: usize| 1 + b / BOUNDARY_STRIDE - usize::from(tail_skipped(b));
+    let (mut chain, mut visited) = (0, 0u64);
+    loop {
+        let (len, end) = out[chain];
+        visited += len;
+        if visited > n as u64 {
+            return false;
+        }
+        if end == tail {
+            return visited == n as u64;
+        }
+        chain = chain_after(end as usize);
+    }
+}
+
+/// The one-cursor reachability walk: names the exact error of a list
+/// [`reaches_tail_over_all`] rejected.
+fn walk_one_cursor(next: &[Idx], head: Idx, tail: Idx) -> Result<(), ListError> {
+    let n = next.len();
     // Walk n-1 steps from the head; a single simple path covering all
     // vertices ends exactly at the tail. Any earlier arrival at the tail
     // means unreachable vertices; never arriving means a rho shape, but a
@@ -145,7 +227,7 @@ pub fn validate_links(next: &[Idx], head: Idx) -> Result<ListTopology, ListError
     if cur != tail {
         return Err(ListError::CycleDetected { at: cur });
     }
-    Ok(ListTopology { tail })
+    Ok(())
 }
 
 #[cfg(test)]

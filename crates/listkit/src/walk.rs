@@ -17,7 +17,10 @@
 //! * the shard-local fragment walks of [`crate::sharded`] — the
 //!   *length-terminated* walks ([`reduce_runs`], [`expand_runs`],
 //!   [`expand_rank_runs`]);
-//! * the Phase-0 head gather ([`gather_links`]).
+//! * the Phase-0 head gather ([`gather_links`]);
+//! * structural validation of untrusted link arrays
+//!   ([`crate::validate::validate_links`]), which counts strided
+//!   sublists with the boundary-terminated driver under a step budget.
 //!
 //! Interleaving never changes the order in which any single chain is
 //! visited, so every result is **byte-identical** to the one-cursor
@@ -31,7 +34,9 @@
 //! debug-asserts the same), and because each wrapper asserts up front
 //! that chain heads, value arrays and the boundary bitset cover the
 //! list. A `debug_assert!` shadows every unchecked access, so debug
-//! builds (and the test suite) still bounds-check every step.
+//! builds (and the test suite) still bounds-check every step. The one
+//! entry without a [`LinkedList`], the crate-private validation count,
+//! is an `unsafe fn` whose caller has range-checked every link.
 
 #![allow(unsafe_code)]
 
@@ -282,20 +287,29 @@ struct Lane<S> {
 /// `heads[i]` and ends at the first vertex whose `boundary` bit is set
 /// (inclusive — that vertex is still visited). Lanes refill from the
 /// next unstarted chain the moment one finishes.
+///
+/// `budget` bounds the total vertices visited, checked once per sweep:
+/// past it the walk stops and returns `false`, leaving unfinished
+/// chains unreported. A chain caught in a boundary-free cycle never
+/// ends on its own, so walks over untrusted links pass `n`; walks over
+/// a [`LinkedList`] pass `u64::MAX`.
+///
+/// # Safety
+/// Every entry of `links` must be `< links.len()`.
 #[allow(clippy::too_many_arguments)]
-fn drive_chains<S>(
-    list: &LinkedList,
+unsafe fn drive_chains_raw<S>(
+    links: &[Idx],
     heads: &[Idx],
     boundary: &BitSet,
     policy: WalkPolicy,
+    budget: u64,
     stats: &mut LaneStats,
     mut init: impl FnMut(usize) -> S,
     mut visit: impl FnMut(&mut S, usize),
     mut finish: impl FnMut(usize, S, Idx),
     prefetch_value: impl Fn(usize),
-) {
-    let n = list.len();
-    let links = list.links();
+) -> bool {
+    let n = links.len();
     assert_eq!(boundary.len(), n, "boundary bitset must cover the list");
     for &h in heads {
         assert!((h as usize) < n, "chain head {h} out of bounds for {n} vertices");
@@ -308,7 +322,7 @@ fn drive_chains<S>(
         next += 1;
     }
     let (mut steps, mut sweeps) = (0u64, 0u64);
-    while !lanes.is_empty() {
+    while !lanes.is_empty() && steps <= budget {
         sweeps += 1;
         let mut l = 0;
         while l < lanes.len() {
@@ -317,7 +331,7 @@ fn drive_chains<S>(
             visit(&mut lanes[l].state, cur);
             steps += 1;
             // SAFETY: cur < n == boundary.len() (heads asserted above;
-            // successors stay < n by the LinkedList link invariant).
+            // successors stay < n by the caller's link-range contract).
             if unsafe { boundary.get_unchecked(cur) } {
                 let done = if next < heads.len() {
                     let fresh = Lane { chain: next as u32, cur: heads[next], state: init(next) };
@@ -331,9 +345,9 @@ fn drive_chains<S>(
                 };
                 finish(done.chain as usize, done.state, cur as Idx);
             } else {
-                // SAFETY: cur < n; construction validated links[cur] < n.
+                // SAFETY: cur < n; the caller guarantees links[cur] < n.
                 let nx = unsafe { *links.get_unchecked(cur) };
-                debug_assert!((nx as usize) < n, "validated list keeps links in bounds");
+                debug_assert!((nx as usize) < n, "range-checked links stay in bounds");
                 lanes[l].cur = nx;
                 if policy.prefetch {
                     prefetch_read(links, nx as usize);
@@ -346,6 +360,72 @@ fn drive_chains<S>(
     }
     stats.steps += steps;
     stats.slots += sweeps * k as u64;
+    lanes.is_empty()
+}
+
+/// [`drive_chains_raw`] over a validated list, with no step budget.
+#[allow(clippy::too_many_arguments)]
+fn drive_chains<S>(
+    list: &LinkedList,
+    heads: &[Idx],
+    boundary: &BitSet,
+    policy: WalkPolicy,
+    stats: &mut LaneStats,
+    init: impl FnMut(usize) -> S,
+    visit: impl FnMut(&mut S, usize),
+    finish: impl FnMut(usize, S, Idx),
+    prefetch_value: impl Fn(usize),
+) {
+    // SAFETY: LinkedList construction validated links[v] < n.
+    unsafe {
+        drive_chains_raw(
+            list.links(),
+            heads,
+            boundary,
+            policy,
+            u64::MAX,
+            stats,
+            init,
+            visit,
+            finish,
+            prefetch_value,
+        );
+    }
+}
+
+/// Chain lengths over a bare link array: [`count_chains`] without a
+/// [`LinkedList`], stopping once more than `budget` vertices have been
+/// visited (checked once per sweep). Returns `false` on such an early
+/// stop, with `out` only partly written. Structural validation counts
+/// its chains with this before any list exists.
+///
+/// # Safety
+/// Every entry of `links` must be `< links.len()`.
+pub(crate) unsafe fn count_chains_within(
+    links: &[Idx],
+    heads: &[Idx],
+    boundary: &BitSet,
+    policy: WalkPolicy,
+    budget: u64,
+    out: &mut [(u64, Idx)],
+) -> bool {
+    assert_eq!(out.len(), heads.len(), "one output slot per chain");
+    let mut stats = LaneStats::default();
+    // SAFETY: forwarded from the caller.
+    unsafe {
+        drive_chains_raw(
+            links,
+            heads,
+            boundary,
+            policy,
+            budget,
+            &mut stats,
+            |_| 0u64,
+            |len, _| *len += 1,
+            |i, len, term| out[i] = (len, term),
+            |_| {},
+        )
+    }
 }
 
 /// One in-flight cursor of a length-terminated walk.
