@@ -294,11 +294,22 @@ mod tests {
         let list = gen::random_list(n, 9);
         let funcs: Vec<Affine> =
             (0..n).map(|i| Affine::new((i % 3) as i64 - 1, (i % 7) as i64)).collect();
+        let want = listkit::serial::scan(&list, &funcs, &AffineOp);
         let (got, report) = scan_sharded(&list, &funcs, &AffineOp, 4096, 7);
-        assert_eq!(got, listkit::serial::scan(&list, &funcs, &AffineOp));
+        assert_eq!(got, want);
         assert!(report.fragments > n / 2, "random permutation barely contracts");
-        if rayon::current_num_threads() >= 2 {
-            assert_eq!(report.stitch_algorithm, Algorithm::ReidMiller);
-        }
+        // The stitch follows the model's own pick for the ambient pool
+        // (on few threads that can legitimately be Serial) ...
+        let lanes = listkit::walk::DEFAULT_LANES;
+        assert_eq!(
+            report.stitch_algorithm,
+            stitch_choice(report.fragments, std::mem::size_of::<Affine>(), lanes)
+        );
+        // ... and a wide pool must take the non-commutative Reid-Miller
+        // stitch, which has to stay exact.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("8-thread pool");
+        let (got, report) = pool.install(|| scan_sharded(&list, &funcs, &AffineOp, 4096, 7));
+        assert_eq!(got, want);
+        assert_eq!(report.stitch_algorithm, Algorithm::ReidMiller);
     }
 }

@@ -1,13 +1,30 @@
 //! In-process client for a `rankd serve` daemon.
 //!
 //! [`Client`] speaks the [`crate::protocol`] over a Unix domain
-//! socket: connect (which performs the HELLO handshake), then call the
-//! typed request methods — each writes one frame, blocks for the
-//! reply, and decodes it into a [`ServedOutput`]. A server-side
-//! [`FrameKind::Error`] reply surfaces as [`ClientError::Server`] with
-//! its typed code; the connection stays usable afterwards exactly when
-//! the server kept it open (every code except the handshake failures
-//! and [`ErrorCode::FrameTooLarge`]).
+//! socket: connect (which performs the HELLO handshake), then
+//! [`Client::call`] a [`Call`] — one typed description of any of the
+//! six job frames (rank, scan or segmented scan; inline list or
+//! resident handle; sharded, deadline, batch-class) — which writes one
+//! frame, blocks for the reply, and decodes it into a
+//! [`ServedOutput`]:
+//!
+//! ```no_run
+//! use engine::client::{Call, Client};
+//! use listkit::ops::AddOp;
+//! let mut client = Client::connect("/tmp/rankd.sock")?;
+//! let list = listkit::gen::random_list(1000, 7);
+//! let ranks = client.call(&Call::rank(&list))?.output;
+//! let handle = client.put(&list)?.handle;
+//! let values = vec![1i64; 1000];
+//! let sums = client.call(&Call::scan(handle, &values, AddOp).sharded())?.output;
+//! # let _ = (ranks, sums);
+//! # Ok::<(), engine::ClientError>(())
+//! ```
+//!
+//! A server-side [`FrameKind::Error`] reply surfaces as
+//! [`ClientError::Server`] with its typed code; the connection stays
+//! usable afterwards exactly when the server kept it open (every code
+//! except the handshake failures and [`ErrorCode::FrameTooLarge`]).
 //!
 //! This is the same codec the server uses, so the integration tests
 //! and the `serve_bench` driver exercise the real wire format, not a
@@ -22,17 +39,16 @@
 //! set `TCP_NODELAY` so small pipelined frames are not held back by
 //! Nagle's algorithm.
 //!
-//! ## Pipelining (protocol v6)
+//! ## Pipelining
 //!
-//! The blocking methods above are one-frame-in-flight. Against a v6
-//! server a client may instead tag each job request with a nonzero
-//! `request_id` ([`protocol::ReqFlags::with_request_id`]), write many
-//! frames back to back with [`Client::send_encoded`], and collect the
-//! replies — which arrive in *completion* order, not submission order
-//! — with [`Client::recv_pipelined`]. Pipelined sends are never
-//! retried by the [`RetryPolicy`]: a reconnect would silently drop
-//! every other in-flight request, so any failure mid-pipeline
-//! surfaces immediately and the caller decides what to replay.
+//! [`Client::call`] is one-frame-in-flight. A client may instead tag
+//! each job with a nonzero request id ([`Call::id`]), write many frames
+//! back to back with [`Client::send`], and collect the replies — which
+//! arrive in *completion* order, not submission order — with
+//! [`Client::recv_pipelined`]. Pipelined sends are never retried by
+//! the [`RetryPolicy`]: a reconnect would silently drop every other
+//! in-flight request, so any failure mid-pipeline surfaces immediately
+//! and the caller decides what to replay.
 //!
 //! ## Resilience
 //!
@@ -47,11 +63,11 @@
 
 use crate::protocol::{
     self, read_frame, write_frame, ErrorCode, Frame, FrameKind, OutputMeta, ReadFrameError,
-    WireElem, WireMutateOk, WireOp, WireStats, WireStatsV2, MAX_FRAME_DEFAULT,
+    WireElem, WireMutateOk, WireStats, WireStatsV2, MAX_FRAME_DEFAULT,
 };
+pub use crate::protocol::{Call, Source};
 use crate::store::PutReceipt;
 use listkit::dynamic::Edit;
-use listkit::ops::Affine;
 use listkit::LinkedList;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -400,7 +416,7 @@ impl Client {
     /// reconnect (for transport errors) and resend, with backoff.
     /// MUTATE is never retried — its first attempt may have applied
     /// before the reply was lost, and resending would double-apply.
-    fn call(&mut self, kind: FrameKind, body: &[u8]) -> Result<Frame, ClientError> {
+    fn round_trip(&mut self, kind: FrameKind, body: &[u8]) -> Result<Frame, ClientError> {
         let mut attempt = 0u32;
         loop {
             let err = match self.call_once(kind, body) {
@@ -451,13 +467,12 @@ impl Client {
         Ok(frame)
     }
 
-    /// Write one request frame **without** waiting for its reply —
-    /// the pipelined send half. The body should carry a nonzero
-    /// `request_id` (see [`protocol::ReqFlags::with_request_id`] and
-    /// the `*_body_flags` encoders) so the completion-ordered reply
-    /// can be matched back; collect replies with
-    /// [`Client::recv_pipelined`]. Never retried: a reconnect would
-    /// orphan the rest of the pipeline.
+    /// Write one pre-encoded request frame **without** waiting for its
+    /// reply — the pipelined send half under [`Client::send`]. The
+    /// body should carry a nonzero `request_id` so the
+    /// completion-ordered reply can be matched back; collect replies
+    /// with [`Client::recv_pipelined`]. Never retried: a reconnect
+    /// would orphan the rest of the pipeline.
     pub fn send_encoded(&mut self, kind: FrameKind, body: &[u8]) -> Result<(), ClientError> {
         write_frame(&mut self.stream, kind as u8, body)?;
         Ok(())
@@ -501,12 +516,40 @@ impl Client {
         }
     }
 
-    fn expect_output<T: WireElem>(
+    /// Run one job on the server — any source, operator and flags
+    /// [`Call`] spells — and decode its OUTPUT into the call's element
+    /// type: `u64` ranks byte-identical to a local
+    /// [`listrank::HostRunner`] rank, or the scanned values.
+    pub fn call<T: WireElem>(
+        &mut self,
+        call: &Call<'_, T>,
+    ) -> Result<ServedOutput<T>, ClientError> {
+        let (kind, body) = call.encode();
+        self.request_encoded(kind, &body)
+    }
+
+    /// Pipelined [`Client::call`]: write the request without waiting
+    /// for its reply, and collect the reply with
+    /// [`Client::recv_pipelined`].
+    ///
+    /// # Panics
+    /// Panics if the call carries no request id ([`Call::id`]): without
+    /// one the reply could not be matched back to it.
+    pub fn send<T: WireElem>(&mut self, call: &Call<'_, T>) -> Result<(), ClientError> {
+        assert!(call.flags.request_id.is_some(), "a pipelined send needs Call::id");
+        let (kind, body) = call.encode();
+        self.send_encoded(kind, &body)
+    }
+
+    /// Send a pre-encoded request body for `kind` and decode the
+    /// OUTPUT reply. Benchmark drivers use this to keep the encode
+    /// cost out of their latency measurement.
+    pub fn request_encoded<T: WireElem>(
         &mut self,
         kind: FrameKind,
         body: &[u8],
     ) -> Result<ServedOutput<T>, ClientError> {
-        let reply = self.call(kind, body)?;
+        let reply = self.round_trip(kind, body)?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::Output) => {
                 let (meta, output) = protocol::decode_output::<T>(&reply.body)
@@ -517,185 +560,12 @@ impl Client {
         }
     }
 
-    /// Rank `list` on the server; `output[v]` is the rank of vertex
-    /// `v` — byte-identical to a local
-    /// [`listrank::HostRunner`] rank of the same list.
-    pub fn rank(&mut self, list: &LinkedList) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(FrameKind::Rank, &protocol::rank_body(list, false))
-    }
-
-    /// [`Client::rank`] through the engine's budget-aware
-    /// shard-parallel path.
-    pub fn rank_sharded(&mut self, list: &LinkedList) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(FrameKind::Rank, &protocol::rank_body(list, true))
-    }
-
-    /// [`Client::rank`] with a queue deadline: if the job has not
-    /// started executing within `deadline_ms` of submission, the
-    /// server drops it and answers
-    /// [`ErrorCode::DeadlineExceeded`]. Requires a v5 server.
-    pub fn rank_with_deadline(
-        &mut self,
-        list: &LinkedList,
-        deadline_ms: u64,
-    ) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(
-            FrameKind::Rank,
-            &protocol::rank_body_deadline(list, false, Some(deadline_ms)),
-        )
-    }
-
-    /// [`Client::rank_h`] with a queue deadline (see
-    /// [`Client::rank_with_deadline`]).
-    pub fn rank_h_with_deadline(
-        &mut self,
-        handle: u64,
-        deadline_ms: u64,
-    ) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(
-            FrameKind::RankH,
-            &protocol::rank_h_body_deadline(handle, false, Some(deadline_ms)),
-        )
-    }
-
-    /// Pipelined [`Client::rank`]: send only, tagged `request_id`
-    /// (nonzero). Pair with [`Client::recv_pipelined::<u64>`].
-    pub fn send_rank(&mut self, list: &LinkedList, request_id: u64) -> Result<(), ClientError> {
-        let flags = protocol::ReqFlags::default().with_request_id(request_id);
-        self.send_encoded(FrameKind::Rank, &protocol::rank_body_flags(list, flags))
-    }
-
-    /// Pipelined [`Client::rank_h`]: send only, tagged `request_id`.
-    pub fn send_rank_h(&mut self, handle: u64, request_id: u64) -> Result<(), ClientError> {
-        let flags = protocol::ReqFlags::default().with_request_id(request_id);
-        self.send_encoded(FrameKind::RankH, &protocol::rank_h_body_flags(handle, flags))
-    }
-
-    /// Pipelined [`Client::scan_add`]: send only, tagged `request_id`.
-    pub fn send_scan_add(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-        request_id: u64,
-    ) -> Result<(), ClientError> {
-        let flags = protocol::ReqFlags::default().with_request_id(request_id);
-        self.send_encoded(
-            FrameKind::Scan,
-            &protocol::scan_body_flags(list, values, WireOp::Add, flags),
-        )
-    }
-
-    fn scan_with<T: WireElem>(
-        &mut self,
-        list: &LinkedList,
-        values: &[T],
-        op: WireOp,
-        sharded: bool,
-    ) -> Result<ServedOutput<T>, ClientError> {
-        self.expect_output(FrameKind::Scan, &protocol::scan_body(list, values, op, sharded))
-    }
-
-    /// Exclusive `+`-scan of `values` along `list`.
-    pub fn scan_add(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_with(list, values, WireOp::Add, false)
-    }
-
-    /// Exclusive max-scan of `values` along `list`.
-    pub fn scan_max(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_with(list, values, WireOp::Max, false)
-    }
-
-    /// Exclusive min-scan of `values` along `list`.
-    pub fn scan_min(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_with(list, values, WireOp::Min, false)
-    }
-
-    /// Exclusive xor-scan of `values` along `list`.
-    pub fn scan_xor(
-        &mut self,
-        list: &LinkedList,
-        values: &[u64],
-    ) -> Result<ServedOutput<u64>, ClientError> {
-        self.scan_with(list, values, WireOp::Xor, false)
-    }
-
-    /// Exclusive affine-composition scan (non-commutative) of `values`
-    /// along `list`.
-    pub fn scan_affine(
-        &mut self,
-        list: &LinkedList,
-        values: &[Affine],
-    ) -> Result<ServedOutput<Affine>, ClientError> {
-        self.scan_with(list, values, WireOp::Affine, false)
-    }
-
-    /// [`Client::scan_add`] through the shard-parallel path.
-    pub fn scan_add_sharded(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_with(list, values, WireOp::Add, true)
-    }
-
-    /// Exclusive **segmented** `+`-scan: restarts wherever `starts` is
-    /// set (the head always starts a segment).
-    pub fn segmented_add(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-        starts: &[bool],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.expect_output(
-            FrameKind::SegScan,
-            &protocol::segscan_body(list, starts, values, WireOp::Add, false),
-        )
-    }
-
-    /// Exclusive segmented max-scan.
-    pub fn segmented_max(
-        &mut self,
-        list: &LinkedList,
-        values: &[i64],
-        starts: &[bool],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.expect_output(
-            FrameKind::SegScan,
-            &protocol::segscan_body(list, starts, values, WireOp::Max, false),
-        )
-    }
-
-    /// Send a pre-encoded request body for `kind` and decode the
-    /// OUTPUT reply. Benchmark drivers use this to keep the encode
-    /// cost out of their latency measurement; the typed methods are
-    /// thin wrappers over it.
-    pub fn request_encoded<T: WireElem>(
-        &mut self,
-        kind: FrameKind,
-        body: &[u8],
-    ) -> Result<ServedOutput<T>, ClientError> {
-        self.expect_output(kind, body)
-    }
-
     /// Upload `list` into the server's resident dataset store. The
-    /// returned receipt carries the handle for subsequent
-    /// [`Client::rank_h`]/[`Client::scan_add_h`]/… calls and the bytes
-    /// charged against the store budget. Handles are scoped to this
-    /// connection and die with it.
+    /// returned receipt carries the handle for subsequent by-handle
+    /// [`Call`]s and the bytes charged against the store budget.
+    /// Handles are scoped to this connection and die with it.
     pub fn put(&mut self, list: &LinkedList) -> Result<PutReceipt, ClientError> {
-        let reply = self.call(FrameKind::Put, &protocol::put_body(list))?;
+        let reply = self.round_trip(FrameKind::Put, &protocol::put_body(list))?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::PutOk) => {
                 let (handle, bytes) = protocol::decode_put_ok(&reply.body)
@@ -704,109 +574,6 @@ impl Client {
             }
             other => Err(ClientError::Protocol(format!("expected PUT_OK, got {other:?}"))),
         }
-    }
-
-    /// Rank the resident dataset `handle` — byte-identical to
-    /// [`Client::rank`] of the list that was PUT.
-    pub fn rank_h(&mut self, handle: u64) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(FrameKind::RankH, &protocol::rank_h_body(handle, false))
-    }
-
-    /// [`Client::rank_h`] through the shard-parallel path (reuses the
-    /// store's cached sharded artifact when one exists).
-    pub fn rank_h_sharded(&mut self, handle: u64) -> Result<ServedOutput<u64>, ClientError> {
-        self.expect_output(FrameKind::RankH, &protocol::rank_h_body(handle, true))
-    }
-
-    fn scan_h_with<T: WireElem>(
-        &mut self,
-        handle: u64,
-        values: &[T],
-        op: WireOp,
-        sharded: bool,
-    ) -> Result<ServedOutput<T>, ClientError> {
-        self.expect_output(FrameKind::ScanH, &protocol::scan_h_body(handle, values, op, sharded))
-    }
-
-    /// Exclusive `+`-scan of `values` along the resident dataset.
-    pub fn scan_add_h(
-        &mut self,
-        handle: u64,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_h_with(handle, values, WireOp::Add, false)
-    }
-
-    /// Exclusive max-scan of `values` along the resident dataset.
-    pub fn scan_max_h(
-        &mut self,
-        handle: u64,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_h_with(handle, values, WireOp::Max, false)
-    }
-
-    /// Exclusive min-scan of `values` along the resident dataset.
-    pub fn scan_min_h(
-        &mut self,
-        handle: u64,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_h_with(handle, values, WireOp::Min, false)
-    }
-
-    /// Exclusive xor-scan of `values` along the resident dataset.
-    pub fn scan_xor_h(
-        &mut self,
-        handle: u64,
-        values: &[u64],
-    ) -> Result<ServedOutput<u64>, ClientError> {
-        self.scan_h_with(handle, values, WireOp::Xor, false)
-    }
-
-    /// Exclusive affine-composition scan of `values` along the
-    /// resident dataset.
-    pub fn scan_affine_h(
-        &mut self,
-        handle: u64,
-        values: &[Affine],
-    ) -> Result<ServedOutput<Affine>, ClientError> {
-        self.scan_h_with(handle, values, WireOp::Affine, false)
-    }
-
-    /// [`Client::scan_add_h`] through the shard-parallel path.
-    pub fn scan_add_h_sharded(
-        &mut self,
-        handle: u64,
-        values: &[i64],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.scan_h_with(handle, values, WireOp::Add, true)
-    }
-
-    /// Exclusive segmented `+`-scan along the resident dataset.
-    pub fn segmented_add_h(
-        &mut self,
-        handle: u64,
-        values: &[i64],
-        starts: &[bool],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.expect_output(
-            FrameKind::SegScanH,
-            &protocol::segscan_h_body(handle, starts, values, WireOp::Add, false),
-        )
-    }
-
-    /// Exclusive segmented max-scan along the resident dataset.
-    pub fn segmented_max_h(
-        &mut self,
-        handle: u64,
-        values: &[i64],
-        starts: &[bool],
-    ) -> Result<ServedOutput<i64>, ClientError> {
-        self.expect_output(
-            FrameKind::SegScanH,
-            &protocol::segscan_h_body(handle, starts, values, WireOp::Max, false),
-        )
     }
 
     /// Apply a batch of edits to the resident dataset `handle`. The
@@ -826,7 +593,7 @@ impl Client {
     /// latency measurement, like [`Client::request_encoded`] for
     /// queries.
     pub fn mutate_encoded(&mut self, body: &[u8]) -> Result<WireMutateOk, ClientError> {
-        let reply = self.call(FrameKind::Mutate, body)?;
+        let reply = self.round_trip(FrameKind::Mutate, body)?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::MutateOk) => protocol::decode_mutate_ok(&reply.body)
                 .map_err(|e| ClientError::Protocol(e.to_string())),
@@ -834,41 +601,12 @@ impl Client {
         }
     }
 
-    /// Splice the run `first..=last` (a contiguous chain in successor
-    /// order) out of the resident dataset and reinsert it after
-    /// `after` (`None` = at the head). Single-edit convenience over
-    /// [`Client::mutate`].
-    pub fn splice(
-        &mut self,
-        handle: u64,
-        first: u32,
-        last: u32,
-        after: Option<u32>,
-    ) -> Result<WireMutateOk, ClientError> {
-        self.mutate(handle, &[Edit::Splice { first, last, after }])
-    }
-
-    /// Delete vertex `v` from the resident dataset. The last vertex
-    /// (index `len - 1`) is renamed into the vacated slot, keeping the
-    /// vertex space dense. Single-edit convenience over
-    /// [`Client::mutate`].
-    pub fn delete(&mut self, handle: u64, v: u32) -> Result<WireMutateOk, ClientError> {
-        self.mutate(handle, &[Edit::Delete { v }])
-    }
-
-    /// Append `count` fresh vertices (`len..len + count`, chained in
-    /// index order) at the tail of the resident dataset. Single-edit
-    /// convenience over [`Client::mutate`].
-    pub fn append(&mut self, handle: u64, count: u32) -> Result<WireMutateOk, ClientError> {
-        self.mutate(handle, &[Edit::Append { count }])
-    }
-
     /// Drop the resident dataset `handle`, releasing its store bytes.
     /// A handle the server does not recognise (already dropped, or
     /// owned by another connection) fails with
     /// [`ErrorCode::StaleHandle`]; the connection survives.
     pub fn drop_handle(&mut self, handle: u64) -> Result<(), ClientError> {
-        let reply = self.call(FrameKind::Drop, &protocol::drop_body(handle))?;
+        let reply = self.round_trip(FrameKind::Drop, &protocol::drop_body(handle))?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::DropOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected DROP_OK, got {other:?}"))),
@@ -878,7 +616,7 @@ impl Client {
     /// Fetch the daemon's metrics: engine totals, the serving layer's
     /// connection/frame/byte counters, and the rendered stats report.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        let reply = self.call(FrameKind::Stats, &[])?;
+        let reply = self.round_trip(FrameKind::Stats, &[])?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::StatsOk) => protocol::decode_stats(&reply.body)
                 .map_err(|e| ClientError::Protocol(e.to_string())),
@@ -891,7 +629,7 @@ impl Client {
     /// and dispatch matrix, and the gauge block — everything the
     /// `rankd stats` dashboard renders.
     pub fn stats_v2(&mut self) -> Result<WireStatsV2, ClientError> {
-        let reply = self.call(FrameKind::StatsV2, &[])?;
+        let reply = self.round_trip(FrameKind::StatsV2, &[])?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::StatsV2Ok) => protocol::decode_stats_v2(&reply.body)
                 .map_err(|e| ClientError::Protocol(e.to_string())),
@@ -903,7 +641,7 @@ impl Client {
     /// client — the server closes this connection once it
     /// acknowledges.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
-        let reply = self.call(FrameKind::Shutdown, &[])?;
+        let reply = self.round_trip(FrameKind::Shutdown, &[])?;
         match FrameKind::from_u8(reply.kind) {
             Some(FrameKind::ShutdownOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected SHUTDOWN_OK, got {other:?}"))),

@@ -330,10 +330,10 @@ impl JobSpec {
 /// whose `wait()` returns the concrete payload directly.
 ///
 /// Construct through the builders ([`Request::rank`],
-/// [`Request::scan`], [`Request::segmented_scan`],
-/// [`Request::rank_sharded`], [`Request::scan_sharded`]); requests are
-/// cheap to clone (all payload is shared via `Arc`), so one request can
-/// be submitted many times.
+/// [`Request::scan`], [`Request::segmented_scan`]), optionally routed
+/// through the shard-parallel path with [`Request::sharded`]; requests
+/// are cheap to clone (all payload is shared via `Arc`), so one request
+/// can be submitted many times.
 pub struct Request<R> {
     pub(crate) spec: JobSpec,
     _out: PhantomData<fn() -> R>,
@@ -372,6 +372,18 @@ impl<R> Request<R> {
         self.spec.op_kind()
     }
 
+    /// Route through the budget-aware shard-parallel path: lists above
+    /// `EngineConfig::shard_budget` split into cache-resident shards
+    /// (stitched by the generic scan, which preserves non-commutative
+    /// and segmented operators); smaller ones run monolithically
+    /// exactly like the unsharded request.
+    pub fn sharded(mut self) -> Self {
+        match &mut self.spec {
+            JobSpec::Rank { sharded, .. } | JobSpec::Scan { sharded, .. } => *sharded = true,
+        }
+        self
+    }
+
     /// Attach a resident dataset's [`ArtifactCache`]: if the planner
     /// routes the job to the sharded arm, the worker fetches the built
     /// `ShardedList` from the cache (building and caching it on first
@@ -390,18 +402,13 @@ impl Request<Vec<u64>> {
     pub fn rank(list: Arc<LinkedList>) -> Self {
         Self::new(JobSpec::Rank { list, sharded: false, warm: None })
     }
-
-    /// List ranking through the budget-aware shard-parallel path: lists
-    /// above `EngineConfig::shard_budget` split into cache-resident
-    /// shards, smaller ones run monolithically exactly like
-    /// [`Request::rank`].
-    pub fn rank_sharded(list: Arc<LinkedList>) -> Self {
-        Self::new(JobSpec::Rank { list, sharded: true, warm: None })
-    }
 }
 
 impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
-    fn scan_inner<Op>(list: Arc<LinkedList>, values: Arc<Vec<T>>, op: Op, sharded: bool) -> Self
+    /// Exclusive scan of `values` along `list` under any associative
+    /// operator — the paper's generic list scan, end to end through the
+    /// engine. The handle resolves to the scanned values.
+    pub fn scan<Op>(list: Arc<LinkedList>, values: Arc<Vec<T>>, op: Op) -> Self
     where
         Op: ScanOp<T> + Send + Sync + 'static,
     {
@@ -409,17 +416,26 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         Self::new(JobSpec::Scan {
             list,
             exec: Arc::new(ScanJob { values, op, kind }),
-            sharded,
+            sharded: false,
             warm: None,
         })
     }
 
-    fn segmented_inner<Op>(
+    /// Exclusive **segmented** scan: restarts at every vertex whose
+    /// `starts` flag is set (the head always starts a segment). Values
+    /// are wrapped with their flags once here, scanned under the
+    /// flag-carrying [`SegOp`] transform, and unwrapped back, so the
+    /// handle resolves to plain `Vec<T>`. The transform is associative
+    /// (never commutative), which is exactly what the stitched
+    /// [`Request::sharded`] scan preserves.
+    ///
+    /// A `values`/`starts` length mismatch is caught at submit time
+    /// ([`SubmitError::Invalid`]), like every other malformed spec.
+    pub fn segmented_scan<Op>(
         list: Arc<LinkedList>,
         values: Arc<Vec<T>>,
         starts: Arc<Vec<bool>>,
         op: Op,
-        sharded: bool,
     ) -> Self
     where
         Op: ScanOp<T> + Clone + Send + Sync + 'static,
@@ -434,64 +450,9 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         Self::new(JobSpec::Scan {
             list,
             exec: Arc::new(SegScanJob { wrapped, starts, op }),
-            sharded,
+            sharded: false,
             warm: None,
         })
-    }
-
-    /// Exclusive scan of `values` along `list` under any associative
-    /// operator — the paper's generic list scan, end to end through the
-    /// engine. The handle resolves to the scanned values.
-    pub fn scan<Op>(list: Arc<LinkedList>, values: Arc<Vec<T>>, op: Op) -> Self
-    where
-        Op: ScanOp<T> + Send + Sync + 'static,
-    {
-        Self::scan_inner(list, values, op, false)
-    }
-
-    /// [`Request::scan`] through the budget-aware shard-parallel path
-    /// (generic stitched scan).
-    pub fn scan_sharded<Op>(list: Arc<LinkedList>, values: Arc<Vec<T>>, op: Op) -> Self
-    where
-        Op: ScanOp<T> + Send + Sync + 'static,
-    {
-        Self::scan_inner(list, values, op, true)
-    }
-
-    /// Exclusive **segmented** scan: restarts at every vertex whose
-    /// `starts` flag is set (the head always starts a segment). Values
-    /// are wrapped with their flags once here, scanned under the
-    /// flag-carrying [`SegOp`] transform, and unwrapped back, so the
-    /// handle resolves to plain `Vec<T>`.
-    ///
-    /// A `values`/`starts` length mismatch is caught at submit time
-    /// ([`SubmitError::Invalid`]), like every other malformed spec.
-    pub fn segmented_scan<Op>(
-        list: Arc<LinkedList>,
-        values: Arc<Vec<T>>,
-        starts: Arc<Vec<bool>>,
-        op: Op,
-    ) -> Self
-    where
-        Op: ScanOp<T> + Clone + Send + Sync + 'static,
-    {
-        Self::segmented_inner(list, values, starts, op, false)
-    }
-
-    /// [`Request::segmented_scan`] through the budget-aware
-    /// shard-parallel path: the flag-carrying [`SegOp`] transform is
-    /// associative (never commutative), which is exactly what the
-    /// stitched sharded scan preserves.
-    pub fn segmented_scan_sharded<Op>(
-        list: Arc<LinkedList>,
-        values: Arc<Vec<T>>,
-        starts: Arc<Vec<bool>>,
-        op: Op,
-    ) -> Self
-    where
-        Op: ScanOp<T> + Clone + Send + Sync + 'static,
-    {
-        Self::segmented_inner(list, values, starts, op, true)
     }
 }
 

@@ -84,7 +84,7 @@ pub mod workload;
 
 pub use crate::engine::{Engine, EngineConfig};
 #[cfg(unix)]
-pub use client::{Client, ClientError, RetryPolicy, ServedOutput};
+pub use client::{Call, Client, ClientError, RetryPolicy, ServedOutput};
 pub use dynamic::{MutateError, MutationOutcome};
 pub use fault::{FaultConfig, FaultPlane, FaultSnapshot};
 pub use job::{JobError, JobHandle, JobOptions, JobReport, Request};

@@ -22,8 +22,10 @@
 //! All integers are little-endian. A connection starts with a
 //! [`FrameKind::Hello`] handshake carrying [`MAGIC`] and [`VERSION`];
 //! requests after a successful handshake decode into typed
-//! [`WireRequest`] values that map 1:1 onto the engine's
-//! [`crate::Request`] builders. Malformed bodies produce a typed
+//! [`WireRequest`] values; the six job-bearing kinds (RANK, SCAN,
+//! SEGSCAN and their by-handle `*_H` twins) all decode into one
+//! [`JobFrame`] — a list [`Source`] plus a [`Job`] — and are all
+//! encoded by one typed [`Call`]. Malformed bodies produce a typed
 //! [`WireError`] (which the server answers with a
 //! [`FrameKind::Error`] frame *without* dropping the connection);
 //! only unrecoverable conditions — handshake failure, an oversized
@@ -33,7 +35,7 @@ use crate::op::OpKind;
 use crate::telemetry::hist;
 use crate::telemetry::{Histogram, Phase};
 use listkit::dynamic::Edit;
-use listkit::ops::Affine;
+use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
 use listrank::Algorithm;
 use std::io::{Read, Write};
@@ -48,34 +50,30 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"RNKD");
 /// (histogram blocks) was added. **3** — the resident-dataset plane:
 /// PUT / PUT_OK, RANK_H / SCAN_H / SEGSCAN_H, DROP / DROP_OK, error
 /// codes `stale_handle` and `store_full`, and the STATS_V2 `store`
-/// gauge block. v3 is purely additive over v2 (no existing layout
-/// changed), so servers accept HELLOs from [`MIN_VERSION`] up.
-/// **4** — dynamic lists: MUTATE / MUTATE_OK (batched splice / delete /
-/// append edits against a resident handle), error code `bad_mutation`,
-/// and the STATS_V2 `mutate` gauge block. v4 is again purely additive,
-/// so [`MIN_VERSION`] stays at 2. **5** — resilience: the
-/// [`FLAG_DEADLINE`] request flag (an optional per-request
+/// gauge block. **4** — dynamic lists: MUTATE / MUTATE_OK (batched
+/// splice / delete / append edits against a resident handle), error
+/// code `bad_mutation`, and the STATS_V2 `mutate` gauge block. **5** —
+/// resilience: the [`FLAG_DEADLINE`] request flag (an optional
 /// `deadline_ms: u64` after the flags byte in the six job-bearing
 /// kinds), error codes `internal_error`, `deadline_exceeded`, and
-/// `overloaded`, and the STATS_V2 `fault` gauge block. v5 is purely
-/// additive; a server only honors the deadline flag on connections
-/// that negotiated v5 or newer (from an older client it is malformed),
-/// so [`MIN_VERSION`] stays at 2. **6** — pipelining and QoS: the
-/// [`FLAG_BATCH`] priority flag and the [`FLAG_REQUEST_ID`] flag (an
-/// optional client-chosen `request_id: u64` after the deadline field;
-/// requests carrying it may overlap on one connection and are answered
-/// with [`FrameKind::OutputP`] / [`FrameKind::ErrorP`] frames echoing
-/// the id, in completion order), error code `quota_exceeded`, and the
-/// STATS_V2 `sched` gauge + `pipeline` histogram blocks. v6 is purely
-/// additive; a server only honors the new flags on connections that
-/// negotiated v6 or newer, so [`MIN_VERSION`] stays at 2.
+/// `overloaded`, and the STATS_V2 `fault` gauge block. **6** —
+/// pipelining and QoS: the [`FLAG_BATCH`] priority flag and the
+/// [`FLAG_REQUEST_ID`] flag (an optional client-chosen `request_id:
+/// u64` after the deadline field; requests carrying it may overlap on
+/// one connection and are answered with [`FrameKind::OutputP`] /
+/// [`FrameKind::ErrorP`] frames echoing the id, in completion order),
+/// error code `quota_exceeded`, and the STATS_V2 `sched` gauge +
+/// `pipeline` histogram blocks. Each version was purely additive, and
+/// servers long accepted HELLOs from v2 up, gating each newer flag on
+/// the version the connection negotiated. The floor has since been
+/// raised to v6 ([`MIN_VERSION`]) with no byte of the v6 wire changed:
+/// a server speaks exactly one dialect.
 pub const VERSION: u16 = 6;
 
-/// Oldest HELLO version a server still accepts. v2–v4 clients speak
-/// strict subsets of v5 (they simply never send handle, mutation, or
-/// deadline-flagged frames); v1 is rejected because the OUTPUT layout
-/// changed in v2.
-pub const MIN_VERSION: u16 = 2;
+/// Oldest HELLO version a server accepts: only v6. An older (or newer)
+/// HELLO is answered with [`ErrorCode::VersionMismatch`] and the
+/// connection is closed.
+pub const MIN_VERSION: u16 = 6;
 
 /// Default cap on `len` a peer will accept (256 MiB): large enough for
 /// a 10^7-vertex scan with 16-byte values, small enough that a corrupt
@@ -605,23 +603,20 @@ impl<'a> Dec<'a> {
 }
 
 /// Request flag bit: route through the budget-aware shard-parallel
-/// plan branch ([`crate::Request::rank_sharded`] and friends).
+/// plan branch ([`crate::Request::sharded`]).
 pub const FLAG_SHARDED: u8 = 0b0000_0001;
 
 /// Request flag bit (protocol v5): a `deadline_ms: u64` follows the
 /// flags byte. The deadline is relative — "drop this request if it has
 /// not started executing within this many milliseconds of arrival" —
 /// and is enforced at dequeue with a typed
-/// [`ErrorCode::DeadlineExceeded`] reply. Servers reject the flag as
-/// malformed on connections that negotiated a HELLO version below 5.
+/// [`ErrorCode::DeadlineExceeded`] reply.
 pub const FLAG_DEADLINE: u8 = 0b0000_0010;
 
 /// Request flag bit (protocol v6): schedule this request in the
 /// *batch* QoS class — it dispatches only when no interactive request
 /// is queued, except for the scheduler's periodic anti-starvation
 /// aging tick. No field follows; clear = interactive (the default).
-/// Servers reject the flag as malformed on connections that
-/// negotiated a HELLO version below 6.
 pub const FLAG_BATCH: u8 = 0b0000_0100;
 
 /// Request flag bit (protocol v6): a client-chosen `request_id: u64`
@@ -630,44 +625,26 @@ pub const FLAG_BATCH: u8 = 0b0000_0100;
 /// one connection — and are answered with [`FrameKind::OutputP`] /
 /// [`FrameKind::ErrorP`] frames echoing the id, in completion order.
 /// Id `0` is reserved (malformed); reusing an id while it is still in
-/// flight on the same connection is malformed. Servers reject the
-/// flag on connections that negotiated a HELLO version below 6.
+/// flight on the same connection is malformed.
 pub const FLAG_REQUEST_ID: u8 = 0b0000_1000;
 
 /// The decoded request-flags prefix shared by the six job-bearing
-/// frame kinds (protocol v6 superset): the flags byte plus its
-/// optional trailing fields, in wire order.
+/// frame kinds: the flags byte plus its optional trailing fields, in
+/// wire order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReqFlags {
     /// [`FLAG_SHARDED`]: route through the shard-parallel plan branch.
     pub sharded: bool,
-    /// [`FLAG_DEADLINE`] (v5): queue deadline in ms, if any.
+    /// [`FLAG_DEADLINE`]: queue deadline in ms, if any.
     pub deadline_ms: Option<u64>,
-    /// [`FLAG_BATCH`] (v6): batch QoS class instead of interactive.
+    /// [`FLAG_BATCH`]: batch QoS class instead of interactive.
     pub batch: bool,
-    /// [`FLAG_REQUEST_ID`] (v6): pipelining id, if any (never 0).
+    /// [`FLAG_REQUEST_ID`]: pipelining id, if any (never 0).
     pub request_id: Option<u64>,
 }
 
 impl ReqFlags {
-    /// Flags for a plain (or sharded) request — no v5/v6 fields.
-    pub fn sharded(sharded: bool) -> ReqFlags {
-        ReqFlags { sharded, ..ReqFlags::default() }
-    }
-
-    /// Set the queue deadline (v5).
-    pub fn with_deadline_ms(mut self, ms: u64) -> ReqFlags {
-        self.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Mark the request batch-class (v6).
-    pub fn with_batch(mut self) -> ReqFlags {
-        self.batch = true;
-        self
-    }
-
-    /// Attach a pipelining request id (v6; must be nonzero).
+    /// Attach a pipelining request id (must be nonzero).
     pub fn with_request_id(mut self, id: u64) -> ReqFlags {
         self.request_id = Some(id);
         self
@@ -692,10 +669,99 @@ impl ReqFlags {
     }
 }
 
-/// A decoded client→server request, ready to map onto the engine's
-/// typed [`crate::Request`] builders. The successor array has already
-/// passed [`LinkedList`] construction — a structurally invalid list
-/// never gets past [`decode_request`].
+/// Where a job's list comes from: shipped inline in the frame, or a
+/// resident dataset named by the handle a PUT_OK issued on this
+/// connection. Decoded frames carry an owned [`LinkedList`];
+/// [`Call`]s borrow one (`Source<&LinkedList>`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Source<L = LinkedList> {
+    /// The list itself (validated by [`LinkedList`] construction when
+    /// decoded).
+    Inline(L),
+    /// A resident dataset's handle.
+    Handle(u64),
+}
+
+impl<'a> From<&'a LinkedList> for Source<&'a LinkedList> {
+    fn from(list: &'a LinkedList) -> Self {
+        Source::Inline(list)
+    }
+}
+
+impl From<u64> for Source<&LinkedList> {
+    fn from(handle: u64) -> Self {
+        Source::Handle(handle)
+    }
+}
+
+/// What a job frame computes along its [`Source`]. Ranking is the scan
+/// with no operand; a by-handle frame's value arrays are checked
+/// against the resident list's length at submit, not decode (the
+/// decoder doesn't know the dataset).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Job {
+    /// Rank the list.
+    Rank,
+    /// Exclusive scan of `values` under `op`.
+    Scan {
+        /// The operator (fixes the element type of `values`).
+        op: WireOp,
+        /// One value per vertex.
+        values: WireValues,
+    },
+    /// Exclusive segmented scan: restarts wherever `starts` is set.
+    SegScan {
+        /// The operator (fixes the element type of `values`).
+        op: WireOp,
+        /// Unpacked segment-start flags, one per value.
+        starts: Vec<bool>,
+        /// One value per vertex.
+        values: WireValues,
+    },
+}
+
+/// A decoded job-bearing frame — any of RANK, SCAN, SEGSCAN, RANK_H,
+/// SCAN_H, SEGSCAN_H. The frame kind picks the [`Source`] and the
+/// [`Job`]; [`JobFrame::kind`] maps back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JobFrame {
+    /// Decoded flags prefix (routing, deadline, QoS, pipelining).
+    pub flags: ReqFlags,
+    /// Where the list comes from.
+    pub source: Source,
+    /// What to compute along it.
+    pub job: Job,
+}
+
+/// The frame kind a job travels as: inline or by handle × rank, scan
+/// or segmented scan (a rank has no segments).
+fn job_kind(by_handle: bool, scan: bool, segmented: bool) -> FrameKind {
+    match (by_handle, scan, segmented) {
+        (false, false, _) => FrameKind::Rank,
+        (false, true, false) => FrameKind::Scan,
+        (false, true, true) => FrameKind::SegScan,
+        (true, false, _) => FrameKind::RankH,
+        (true, true, false) => FrameKind::ScanH,
+        (true, true, true) => FrameKind::SegScanH,
+    }
+}
+
+impl JobFrame {
+    /// The frame kind this job travels as.
+    pub fn kind(&self) -> FrameKind {
+        let by_handle = matches!(self.source, Source::Handle(_));
+        match self.job {
+            Job::Rank => job_kind(by_handle, false, false),
+            Job::Scan { .. } => job_kind(by_handle, true, false),
+            Job::SegScan { .. } => job_kind(by_handle, true, true),
+        }
+    }
+}
+
+/// A decoded client→server request. Job-bearing frames arrive as one
+/// [`JobFrame`]; an inline successor array has already passed
+/// [`LinkedList`] construction — a structurally invalid list never
+/// gets past [`decode_request`].
 #[derive(Debug)]
 pub enum WireRequest {
     /// Handshake (magic and version still unchecked — the server
@@ -706,76 +772,12 @@ pub enum WireRequest {
         /// Version the client speaks (must be [`VERSION`]).
         version: u16,
     },
-    /// Rank the list.
-    Rank {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The validated list.
-        list: LinkedList,
-    },
-    /// Scan values along the list under `op`.
-    Scan {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// The validated list.
-        list: LinkedList,
-        /// The value array (same length as the list).
-        values: WireValues,
-    },
-    /// Segmented scan: like [`WireRequest::Scan`] plus segment-start
-    /// flags.
-    SegScan {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// The validated list.
-        list: LinkedList,
-        /// Unpacked segment-start flags, one per vertex.
-        starts: Vec<bool>,
-        /// The value array (same length as the list).
-        values: WireValues,
-    },
+    /// Any of the six job-bearing kinds.
+    Job(JobFrame),
     /// Admit a dataset into the resident store ([`FrameKind::Put`]).
     Put {
         /// The validated list to make resident.
         list: LinkedList,
-    },
-    /// Rank a resident dataset ([`FrameKind::RankH`]).
-    RankH {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// Handle from a PUT_OK on this connection.
-        handle: u64,
-    },
-    /// Scan values along a resident dataset ([`FrameKind::ScanH`]).
-    ScanH {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// Handle from a PUT_OK on this connection.
-        handle: u64,
-        /// The value array (length must match the resident list —
-        /// checked at submit, not decode: the decoder doesn't know
-        /// the dataset).
-        values: WireValues,
-    },
-    /// Segmented scan over a resident dataset ([`FrameKind::SegScanH`]).
-    SegScanH {
-        /// Decoded flags prefix (routing, deadline, QoS, pipelining).
-        flags: ReqFlags,
-        /// The operator (fixes the element type of `values`).
-        op: WireOp,
-        /// Handle from a PUT_OK on this connection.
-        handle: u64,
-        /// Unpacked segment-start flags, one per value.
-        starts: Vec<bool>,
-        /// The value array (length checked against the resident list
-        /// at submit).
-        values: WireValues,
     },
     /// Drop a resident dataset ([`FrameKind::Drop`]).
     Drop {
@@ -829,7 +831,7 @@ fn decode_flags(d: &mut Dec<'_>) -> Result<ReqFlags, WireError> {
     })
 }
 
-fn decode_list(d: &mut Dec<'_>) -> Result<(LinkedList, usize), WireError> {
+fn decode_list(d: &mut Dec<'_>) -> Result<LinkedList, WireError> {
     let head = d.u32("head")?;
     let n = d.u32("vertex count")? as usize;
     let raw = d.take(
@@ -838,14 +840,46 @@ fn decode_list(d: &mut Dec<'_>) -> Result<(LinkedList, usize), WireError> {
     )?;
     let next: Vec<u32> =
         raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect();
-    let list = LinkedList::new(next, head)
-        .map_err(|e| WireError::malformed(format!("invalid list: {e}")))?;
-    Ok((list, n))
+    LinkedList::new(next, head).map_err(|e| WireError::malformed(format!("invalid list: {e}")))
 }
 
 fn decode_starts(n: usize, d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
     let raw = d.take(n.div_ceil(8), "segment-start bitmap")?;
     Ok((0..n).map(|v| raw[v / 8] >> (v % 8) & 1 == 1).collect())
+}
+
+/// Decode the body of any job-bearing kind. Every layout is the same
+/// sequence with optional parts: flags, the operator (scans), the
+/// list or the handle, the value count (by-handle scans; an inline
+/// list's length is the count), the start bitmap (segmented), values.
+fn decode_job(
+    (by_handle, scan, segmented): (bool, bool, bool),
+    d: &mut Dec<'_>,
+) -> Result<JobFrame, WireError> {
+    let flags = decode_flags(d)?;
+    let op = if scan {
+        let op_byte = d.u8("operator")?;
+        Some(WireOp::from_u8(op_byte).ok_or(WireError {
+            code: ErrorCode::UnknownOp,
+            message: format!("operator byte {op_byte:#04x}"),
+        })?)
+    } else {
+        None
+    };
+    let source =
+        if by_handle { Source::Handle(d.u64("handle")?) } else { Source::Inline(decode_list(d)?) };
+    let Some(op) = op else { return Ok(JobFrame { flags, source, job: Job::Rank }) };
+    let n = match &source {
+        Source::Inline(list) => list.len(),
+        Source::Handle(_) => d.u32("value count")? as usize,
+    };
+    let job = if segmented {
+        let starts = decode_starts(n, d)?;
+        Job::SegScan { op, starts, values: decode_values(op, n, d)? }
+    } else {
+        Job::Scan { op, values: decode_values(op, n, d)? }
+    };
+    Ok(JobFrame { flags, source, job })
 }
 
 /// Decode a client→server frame into a typed request. Failures carry
@@ -863,58 +897,18 @@ pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
             let version = d.u16("version")?;
             WireRequest::Hello { magic, version }
         }
-        FrameKind::Rank => {
-            let flags = decode_flags(&mut d)?;
-            let (list, _) = decode_list(&mut d)?;
-            WireRequest::Rank { flags, list }
-        }
-        FrameKind::Scan | FrameKind::SegScan => {
-            let flags = decode_flags(&mut d)?;
-            let op_byte = d.u8("operator")?;
-            let op = WireOp::from_u8(op_byte).ok_or(WireError {
-                code: ErrorCode::UnknownOp,
-                message: format!("operator byte {op_byte:#04x}"),
-            })?;
-            let (list, n) = decode_list(&mut d)?;
-            if kind == FrameKind::SegScan {
-                let starts = decode_starts(n, &mut d)?;
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::SegScan { flags, op, list, starts, values }
-            } else {
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::Scan { flags, op, list, values }
-            }
-        }
+        FrameKind::Rank => WireRequest::Job(decode_job((false, false, false), &mut d)?),
+        FrameKind::Scan => WireRequest::Job(decode_job((false, true, false), &mut d)?),
+        FrameKind::SegScan => WireRequest::Job(decode_job((false, true, true), &mut d)?),
+        FrameKind::RankH => WireRequest::Job(decode_job((true, false, false), &mut d)?),
+        FrameKind::ScanH => WireRequest::Job(decode_job((true, true, false), &mut d)?),
+        FrameKind::SegScanH => WireRequest::Job(decode_job((true, true, true), &mut d)?),
         FrameKind::Put => {
             let flags = d.u8("flags")?;
             if flags != 0 {
                 return Err(WireError::malformed(format!("reserved flag bits set: {flags:#010b}")));
             }
-            let (list, _) = decode_list(&mut d)?;
-            WireRequest::Put { list }
-        }
-        FrameKind::RankH => {
-            let flags = decode_flags(&mut d)?;
-            let handle = d.u64("handle")?;
-            WireRequest::RankH { flags, handle }
-        }
-        FrameKind::ScanH | FrameKind::SegScanH => {
-            let flags = decode_flags(&mut d)?;
-            let op_byte = d.u8("operator")?;
-            let op = WireOp::from_u8(op_byte).ok_or(WireError {
-                code: ErrorCode::UnknownOp,
-                message: format!("operator byte {op_byte:#04x}"),
-            })?;
-            let handle = d.u64("handle")?;
-            let n = d.u32("value count")? as usize;
-            if kind == FrameKind::SegScanH {
-                let starts = decode_starts(n, &mut d)?;
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::SegScanH { flags, op, handle, starts, values }
-            } else {
-                let values = decode_values(op, n, &mut d)?;
-                WireRequest::ScanH { flags, op, handle, values }
-            }
+            WireRequest::Put { list: decode_list(&mut d)? }
         }
         FrameKind::Drop => {
             let handle = d.u64("handle")?;
@@ -974,74 +968,6 @@ fn push_flags(b: &mut Vec<u8>, flags: &ReqFlags) {
     }
 }
 
-/// RANK body: flags + the list's head/length/successor array.
-pub fn rank_body(list: &LinkedList, sharded: bool) -> Vec<u8> {
-    rank_body_flags(list, ReqFlags::sharded(sharded))
-}
-
-/// [`rank_body`] with an optional queue deadline (protocol v5).
-pub fn rank_body_deadline(list: &LinkedList, sharded: bool, deadline_ms: Option<u64>) -> Vec<u8> {
-    rank_body_flags(list, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`rank_body`] with the full v6 flags prefix (QoS class,
-/// pipelining id).
-pub fn rank_body_flags(list: &LinkedList, flags: ReqFlags) -> Vec<u8> {
-    let mut b = Vec::with_capacity(17 + 8 + 4 * list.len());
-    push_flags(&mut b, &flags);
-    put_list(list, &mut b);
-    b
-}
-
-/// SCAN body: flags + operator + list + values.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op` — the typed
-/// [`crate::client::Client`] methods make that impossible.
-pub fn scan_body<T: WireElem>(
-    list: &LinkedList,
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-) -> Vec<u8> {
-    scan_body_flags(list, values, op, ReqFlags::sharded(sharded))
-}
-
-/// [`scan_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`.
-pub fn scan_body_deadline<T: WireElem>(
-    list: &LinkedList,
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    scan_body_flags(list, values, op, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`scan_body`] with the full v6 flags prefix.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`.
-pub fn scan_body_flags<T: WireElem>(
-    list: &LinkedList,
-    values: &[T],
-    op: WireOp,
-    flags: ReqFlags,
-) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    let mut b = Vec::with_capacity(18 + 8 + 4 * list.len() + T::BYTES * values.len());
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    put_list(list, &mut b);
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
-}
-
 /// Pack segment-start flags LSB-first, 8 per byte.
 pub fn pack_starts(starts: &[bool]) -> Vec<u8> {
     let mut raw = vec![0u8; starts.len().div_ceil(8)];
@@ -1053,70 +979,200 @@ pub fn pack_starts(starts: &[bool]) -> Vec<u8> {
     raw
 }
 
-/// SEGSCAN body: flags + operator + list + packed start bitmap +
-/// values.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ (caught here rather than as a server-side
-/// malformed-frame error).
-pub fn segscan_body<T: WireElem>(
-    list: &LinkedList,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-) -> Vec<u8> {
-    segscan_body_flags(list, starts, values, op, ReqFlags::sharded(sharded))
+/// A [`listkit::ScanOp`] the wire carries: it names its operator byte
+/// and its element type, so a [`Call`] whose values do not match the
+/// operator's width does not compile.
+pub trait WireScanOp {
+    /// The element type the operator scans (and the reply carries).
+    type Elem: WireElem;
+    /// The operator byte.
+    const OP: WireOp;
 }
 
-/// [`segscan_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_body_deadline<T: WireElem>(
-    list: &LinkedList,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    segscan_body_flags(
-        list,
-        starts,
-        values,
-        op,
-        ReqFlags { sharded, deadline_ms, ..ReqFlags::default() },
-    )
+impl WireScanOp for AddOp {
+    type Elem = i64;
+    const OP: WireOp = WireOp::Add;
 }
 
-/// [`segscan_body`] with the full v6 flags prefix.
+impl WireScanOp for MaxOp {
+    type Elem = i64;
+    const OP: WireOp = WireOp::Max;
+}
+
+impl WireScanOp for MinOp {
+    type Elem = i64;
+    const OP: WireOp = WireOp::Min;
+}
+
+impl WireScanOp for XorOp {
+    type Elem = u64;
+    const OP: WireOp = WireOp::Xor;
+}
+
+impl WireScanOp for AffineOp {
+    type Elem = Affine;
+    const OP: WireOp = WireOp::Affine;
+}
+
+/// One job request, borrowed and typed: the single encoder for all six
+/// job-bearing frame kinds. `T` is the reply's element type — `u64`
+/// ranks for [`Call::rank`], the operator's element type for scans —
+/// which is what [`crate::client::Client::call`] decodes into.
+///
+/// ```
+/// use engine::protocol::{Call, FrameKind};
+/// use listkit::ops::AddOp;
+/// let list = listkit::LinkedList::new(vec![2, 0, 2], 1).unwrap();
+/// let (kind, _body) = Call::rank(&list).sharded().deadline_ms(1500).encode();
+/// assert_eq!(kind, FrameKind::Rank);
+/// let (kind, _body) = Call::scan(7, &[5i64, 7, 9], AddOp).id(3).encode();
+/// assert_eq!(kind, FrameKind::ScanH);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Call<'a, T> {
+    source: Source<&'a LinkedList>,
+    /// `None` ranks.
+    op: Option<WireOp>,
+    /// One value per vertex (empty for a rank).
+    values: &'a [T],
+    /// Segment-start flags, one per value (segmented scans only).
+    starts: Option<&'a [bool]>,
+    /// The flags prefix the modifiers build up.
+    pub flags: ReqFlags,
+}
+
+impl<'a> Call<'a, u64> {
+    /// Rank the list (`&LinkedList`) or the resident dataset (`u64`
+    /// handle).
+    pub fn rank(source: impl Into<Source<&'a LinkedList>>) -> Self {
+        Call {
+            source: source.into(),
+            op: None,
+            values: &[],
+            starts: None,
+            flags: ReqFlags::default(),
+        }
+    }
+}
+
+impl<'a, T: WireElem> Call<'a, T> {
+    fn with_op(source: Source<&'a LinkedList>, op: WireOp, values: &'a [T]) -> Self {
+        assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
+        Call { source, op: Some(op), values, starts: None, flags: ReqFlags::default() }
+    }
+
+    /// Exclusive scan of `values` along the source under `op`.
+    pub fn scan<Op: WireScanOp<Elem = T>>(
+        source: impl Into<Source<&'a LinkedList>>,
+        values: &'a [T],
+        _op: Op,
+    ) -> Self {
+        Call::with_op(source.into(), Op::OP, values)
+    }
+
+    /// Exclusive segmented scan: restarts wherever `starts` is set (the
+    /// head always starts a segment).
+    ///
+    /// # Panics
+    /// Panics if `starts` and `values` differ in length (caught here
+    /// rather than as a server-side malformed-frame error).
+    pub fn segmented<Op: WireScanOp<Elem = T>>(
+        source: impl Into<Source<&'a LinkedList>>,
+        values: &'a [T],
+        starts: &'a [bool],
+        _op: Op,
+    ) -> Self {
+        assert_eq!(starts.len(), values.len(), "one start flag per value");
+        Call { starts: Some(starts), ..Call::with_op(source.into(), Op::OP, values) }
+    }
+
+    /// Route through the shard-parallel plan branch ([`FLAG_SHARDED`]).
+    pub fn sharded(mut self) -> Self {
+        self.flags.sharded = true;
+        self
+    }
+
+    /// Drop the job unless it starts executing within `ms` of arrival
+    /// ([`FLAG_DEADLINE`]).
+    pub fn deadline_ms(mut self, ms: u64) -> Self {
+        self.flags.deadline_ms = Some(ms);
+        self
+    }
+
+    /// Schedule in the batch QoS class ([`FLAG_BATCH`]).
+    pub fn batch(mut self) -> Self {
+        self.flags.batch = true;
+        self
+    }
+
+    /// Tag with a nonzero pipelining id ([`FLAG_REQUEST_ID`]).
+    pub fn id(mut self, request_id: u64) -> Self {
+        self.flags.request_id = Some(request_id);
+        self
+    }
+
+    /// The frame kind and body: flags prefix, operator (scans), list
+    /// or handle, value count (by-handle scans), start bitmap
+    /// (segmented), values — the layouts `docs/PROTOCOL.md` specifies.
+    pub fn encode(&self) -> (FrameKind, Vec<u8>) {
+        let by_handle = matches!(self.source, Source::Handle(_));
+        let kind = job_kind(by_handle, self.op.is_some(), self.starts.is_some());
+        let list_bytes = match self.source {
+            Source::Inline(list) => 8 + 4 * list.len(),
+            Source::Handle(_) => 12,
+        };
+        let starts_bytes = self.starts.map_or(0, |s| s.len().div_ceil(8));
+        let mut b =
+            Vec::with_capacity(18 + list_bytes + starts_bytes + T::BYTES * self.values.len());
+        push_flags(&mut b, &self.flags);
+        if let Some(op) = self.op {
+            b.push(op as u8);
+        }
+        match self.source {
+            Source::Inline(list) => put_list(list, &mut b),
+            Source::Handle(handle) => {
+                b.extend_from_slice(&handle.to_le_bytes());
+                if self.op.is_some() {
+                    b.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
+                }
+            }
+        }
+        if let Some(starts) = self.starts {
+            b.extend_from_slice(&pack_starts(starts));
+        }
+        for &v in self.values {
+            v.put(&mut b);
+        }
+        (kind, b)
+    }
+}
+
+/// RANK_H body: [`Call::rank`] by handle, optionally sharded.
+pub fn rank_h_body(handle: u64, sharded: bool) -> Vec<u8> {
+    rank_h_body_flags(handle, ReqFlags { sharded, ..ReqFlags::default() })
+}
+
+/// RANK_H body with a full flags prefix.
+pub fn rank_h_body_flags(handle: u64, flags: ReqFlags) -> Vec<u8> {
+    Call { flags, ..Call::rank(handle) }.encode().1
+}
+
+/// SCAN_H body: [`Call::scan`] by handle with a runtime operator.
 ///
 /// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_body_flags<T: WireElem>(
-    list: &LinkedList,
-    starts: &[bool],
+/// Panics if `T`'s width is not `op`'s element width.
+pub fn scan_h_body<T: WireElem>(handle: u64, values: &[T], op: WireOp, sharded: bool) -> Vec<u8> {
+    scan_h_body_flags(handle, values, op, ReqFlags { sharded, ..ReqFlags::default() })
+}
+
+/// SCAN_H body with a full flags prefix (see [`scan_h_body`]).
+pub fn scan_h_body_flags<T: WireElem>(
+    handle: u64,
     values: &[T],
     op: WireOp,
     flags: ReqFlags,
 ) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    assert_eq!(starts.len(), values.len(), "one start flag per value");
-    let mut b = Vec::with_capacity(
-        18 + 8 + 4 * list.len() + starts.len().div_ceil(8) + T::BYTES * values.len(),
-    );
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    put_list(list, &mut b);
-    b.extend_from_slice(&pack_starts(starts));
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
+    Call { flags, ..Call::with_op(Source::Handle(handle), op, values) }.encode().1
 }
 
 /// PUT body: a reserved flags byte (must be zero) + the list's
@@ -1125,134 +1181,6 @@ pub fn put_body(list: &LinkedList) -> Vec<u8> {
     let mut b = Vec::with_capacity(1 + 8 + 4 * list.len());
     b.push(0);
     put_list(list, &mut b);
-    b
-}
-
-/// RANK_H body: flags + dataset handle.
-pub fn rank_h_body(handle: u64, sharded: bool) -> Vec<u8> {
-    rank_h_body_flags(handle, ReqFlags::sharded(sharded))
-}
-
-/// [`rank_h_body`] with an optional queue deadline (protocol v5).
-pub fn rank_h_body_deadline(handle: u64, sharded: bool, deadline_ms: Option<u64>) -> Vec<u8> {
-    rank_h_body_flags(handle, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`rank_h_body`] with the full v6 flags prefix.
-pub fn rank_h_body_flags(handle: u64, flags: ReqFlags) -> Vec<u8> {
-    let mut b = Vec::with_capacity(25);
-    push_flags(&mut b, &flags);
-    b.extend_from_slice(&handle.to_le_bytes());
-    b
-}
-
-/// SCAN_H body: flags + operator + dataset handle + value count +
-/// values.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op` — the typed
-/// [`crate::client::Client`] methods make that impossible.
-pub fn scan_h_body<T: WireElem>(handle: u64, values: &[T], op: WireOp, sharded: bool) -> Vec<u8> {
-    scan_h_body_flags(handle, values, op, ReqFlags::sharded(sharded))
-}
-
-/// [`scan_h_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`.
-pub fn scan_h_body_deadline<T: WireElem>(
-    handle: u64,
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    scan_h_body_flags(handle, values, op, ReqFlags { sharded, deadline_ms, ..ReqFlags::default() })
-}
-
-/// [`scan_h_body`] with the full v6 flags prefix.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`.
-pub fn scan_h_body_flags<T: WireElem>(
-    handle: u64,
-    values: &[T],
-    op: WireOp,
-    flags: ReqFlags,
-) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    let mut b = Vec::with_capacity(30 + T::BYTES * values.len());
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    b.extend_from_slice(&handle.to_le_bytes());
-    b.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        v.put(&mut b);
-    }
-    b
-}
-
-/// SEGSCAN_H body: flags + operator + dataset handle + value count +
-/// packed start bitmap + values.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_h_body<T: WireElem>(
-    handle: u64,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-) -> Vec<u8> {
-    segscan_h_body_flags(handle, starts, values, op, ReqFlags::sharded(sharded))
-}
-
-/// [`segscan_h_body`] with an optional queue deadline (protocol v5).
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_h_body_deadline<T: WireElem>(
-    handle: u64,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    sharded: bool,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    segscan_h_body_flags(
-        handle,
-        starts,
-        values,
-        op,
-        ReqFlags { sharded, deadline_ms, ..ReqFlags::default() },
-    )
-}
-
-/// [`segscan_h_body`] with the full v6 flags prefix.
-///
-/// # Panics
-/// Panics if `T`'s wire width does not match `op`, or if `starts` and
-/// `values` lengths differ.
-pub fn segscan_h_body_flags<T: WireElem>(
-    handle: u64,
-    starts: &[bool],
-    values: &[T],
-    op: WireOp,
-    flags: ReqFlags,
-) -> Vec<u8> {
-    assert_eq!(T::BYTES, op.elem_bytes(), "element width must match the wire operator");
-    assert_eq!(starts.len(), values.len(), "one start flag per value");
-    let mut b = Vec::with_capacity(30 + starts.len().div_ceil(8) + T::BYTES * values.len());
-    push_flags(&mut b, &flags);
-    b.push(op as u8);
-    b.extend_from_slice(&handle.to_le_bytes());
-    b.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    b.extend_from_slice(&pack_starts(starts));
-    for &v in values {
-        v.put(&mut b);
-    }
     b
 }
 

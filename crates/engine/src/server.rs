@@ -17,8 +17,7 @@
 //!   [`FrameKind::OutputP`] / [`FrameKind::ErrorP`] frames echoing the
 //!   id, in *completion* order. Requests without an id keep the
 //!   classic serial contract — they wait for the connection's
-//!   in-flight set to drain and block further parsing until answered,
-//!   so v2–v5 clients observe exactly the old behavior.
+//!   in-flight set to drain and block further parsing until answered.
 //! * **QoS (v6).** [`protocol::FLAG_BATCH`] routes a job to the batch
 //!   class of the two-class scheduler ([`crate::sched`]): interactive
 //!   work dispatches first, deadline-carrying jobs order first within
@@ -53,14 +52,14 @@ use crate::fault::FaultPlane;
 use crate::job::{JobError, JobOptions, JobReport, Request};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
-    self, error_body, pipelined_body, ErrorCode, FaultGauges, Frame, FrameKind, MutGauges,
-    ReqFlags, SchedGauges, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp, WireRequest,
-    WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
+    self, error_body, pipelined_body, ErrorCode, FaultGauges, Frame, FrameKind, Job, JobFrame,
+    MutGauges, SchedGauges, Source, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp,
+    WireRequest, WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
 };
 use crate::queue::SubmitError;
 use crate::rankd_log;
 use crate::sched::{Priority, QuotaTable};
-use crate::store::{ArtifactCache, DatasetRef, DatasetStore, StoreError, DEFAULT_STORE_BUDGET};
+use crate::store::{DatasetRef, DatasetStore, StoreError, DEFAULT_STORE_BUDGET};
 use crate::telemetry::log::Level;
 use crate::telemetry::{self, AtomicHistogram, Phase};
 use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
@@ -566,12 +565,13 @@ enum Stalled {
     /// already held, the typed request is rebuilt and re-offered each
     /// tick (parsing stays paused, so order is preserved).
     Submit { submit: SubmitFn, request_id: Option<u64>, arrival_seq: u64 },
-    /// A frame that must wait for the connection's in-flight set to
-    /// drain before dispatching (a serial job behind pipelined
+    /// A decoded request that must wait for the connection's in-flight
+    /// set to drain before it is served (a serial job behind pipelined
     /// traffic, or MUTATE/DROP whose serial-equivalence contract
-    /// requires no overlapping jobs on this connection). Re-decoded on
-    /// dispatch; no side effects were taken at stall time.
-    Frame(Frame),
+    /// requires no overlapping jobs on this connection). Parked with
+    /// its original decode time, so it is neither decoded nor copied
+    /// again; no side effects were taken at stall time.
+    Request { req: WireRequest, decode_ns: u64 },
 }
 
 /// A settled job's reply, pushed by the worker callback and drained by
@@ -706,130 +706,78 @@ impl ListSource {
         }
     }
 
-    fn warm(&self) -> Option<Arc<ArtifactCache>> {
+    /// Route `req` as the frame asked (sharded or not) and attach a
+    /// resident dataset's artifact cache.
+    fn finish<R>(&self, req: Request<R>, sharded: bool) -> Request<R> {
+        let req = if sharded { req.sharded() } else { req };
         match self {
-            ListSource::Inline(_) => None,
-            ListSource::Resident(e) => Some(e.artifacts()),
+            ListSource::Inline(_) => req,
+            ListSource::Resident(e) => req.with_artifacts(e.artifacts()),
         }
     }
 }
 
-fn rank_sub(
+/// The one typed submit path for every job frame: maps the decoded
+/// [`Job`] onto the engine's typed [`Request`] builders. Scan and
+/// segmented scan share one `(WireOp, WireValues)` table; the returned
+/// closure builds a fresh request each time it is offered.
+fn submit_job(
     src: ListSource,
+    job: Job,
     sharded: bool,
     opts: JobOptions,
     ctx: ReplyCtx,
     hub: Arc<Hub>,
 ) -> SubmitFn {
-    submit_fn(
+    fn scan<T, Op>(
+        src: ListSource,
+        values: Vec<T>,
+        starts: Option<Vec<bool>>,
+        op: Op,
+        sharded: bool,
+    ) -> impl Fn() -> Request<Vec<T>> + 'static
+    where
+        T: Copy + Send + Sync + 'static,
+        Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
+    {
+        let values = Arc::new(values);
+        let starts = starts.map(Arc::new);
         move || {
-            let list = src.list();
-            let req = if sharded { Request::rank_sharded(list) } else { Request::rank(list) };
-            match src.warm() {
-                Some(w) => req.with_artifacts(w),
-                None => req,
-            }
-        },
-        opts,
-        ctx,
-        hub,
-    )
-}
-
-fn scan_sub<T, Op>(
-    src: ListSource,
-    values: Arc<Vec<T>>,
-    op: Op,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn
-where
-    T: WireElem + Copy + Send + Sync + 'static,
-    Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
-{
-    submit_fn(
-        move || {
-            let list = src.list();
-            let values = Arc::clone(&values);
-            let req = if sharded {
-                Request::scan_sharded(list, values, op.clone())
-            } else {
-                Request::scan(list, values, op.clone())
+            let (list, values) = (src.list(), Arc::clone(&values));
+            let req = match &starts {
+                Some(s) => Request::segmented_scan(list, values, Arc::clone(s), op.clone()),
+                None => Request::scan(list, values, op.clone()),
             };
-            match src.warm() {
-                Some(w) => req.with_artifacts(w),
-                None => req,
-            }
-        },
-        opts,
-        ctx,
-        hub,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn seg_sub<T, Op>(
-    src: ListSource,
-    values: Arc<Vec<T>>,
-    starts: Arc<Vec<bool>>,
-    op: Op,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn
-where
-    T: WireElem + Copy + Send + Sync + 'static,
-    Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
-{
-    submit_fn(
-        move || {
-            let list = src.list();
-            let values = Arc::clone(&values);
-            let starts = Arc::clone(&starts);
-            let req = if sharded {
-                Request::segmented_scan_sharded(list, values, starts, op.clone())
-            } else {
-                Request::segmented_scan(list, values, starts, op.clone())
-            };
-            match src.warm() {
-                Some(w) => req.with_artifacts(w),
-                None => req,
-            }
-        },
-        opts,
-        ctx,
-        hub,
-    )
-}
-
-/// Route a SCAN's `(op, values)` pair to the typed submit builder.
-fn scan_any(
-    src: ListSource,
-    op: WireOp,
-    values: WireValues,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn {
+            src.finish(req, sharded)
+        }
+    }
+    let (op, values, starts) = match job {
+        Job::Rank => {
+            return submit_fn(
+                move || src.finish(Request::rank(src.list()), sharded),
+                opts,
+                ctx,
+                hub,
+            )
+        }
+        Job::Scan { op, values } => (op, values, None),
+        Job::SegScan { op, starts, values } => (op, values, Some(starts)),
+    };
     match (op, values) {
         (WireOp::Add, WireValues::I64(v)) => {
-            scan_sub(src, Arc::new(v), AddOp, sharded, opts, ctx, hub)
+            submit_fn(scan(src, v, starts, AddOp, sharded), opts, ctx, hub)
         }
         (WireOp::Max, WireValues::I64(v)) => {
-            scan_sub(src, Arc::new(v), MaxOp, sharded, opts, ctx, hub)
+            submit_fn(scan(src, v, starts, MaxOp, sharded), opts, ctx, hub)
         }
         (WireOp::Min, WireValues::I64(v)) => {
-            scan_sub(src, Arc::new(v), MinOp, sharded, opts, ctx, hub)
+            submit_fn(scan(src, v, starts, MinOp, sharded), opts, ctx, hub)
         }
         (WireOp::Xor, WireValues::U64(v)) => {
-            scan_sub(src, Arc::new(v), XorOp, sharded, opts, ctx, hub)
+            submit_fn(scan(src, v, starts, XorOp, sharded), opts, ctx, hub)
         }
         (WireOp::Affine, WireValues::Affine(v)) => {
-            scan_sub(src, Arc::new(v), AffineOp, sharded, opts, ctx, hub)
+            submit_fn(scan(src, v, starts, AffineOp, sharded), opts, ctx, hub)
         }
         // decode_values types the array by the operator, so a
         // mismatch cannot be constructed.
@@ -837,40 +785,8 @@ fn scan_any(
     }
 }
 
-/// Route a SEG_SCAN's `(op, values)` pair to the typed submit builder.
-#[allow(clippy::too_many_arguments)]
-fn seg_any(
-    src: ListSource,
-    op: WireOp,
-    starts: Arc<Vec<bool>>,
-    values: WireValues,
-    sharded: bool,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> SubmitFn {
-    match (op, values) {
-        (WireOp::Add, WireValues::I64(v)) => {
-            seg_sub(src, Arc::new(v), starts, AddOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Max, WireValues::I64(v)) => {
-            seg_sub(src, Arc::new(v), starts, MaxOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Min, WireValues::I64(v)) => {
-            seg_sub(src, Arc::new(v), starts, MinOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Xor, WireValues::U64(v)) => {
-            seg_sub(src, Arc::new(v), starts, XorOp, sharded, opts, ctx, hub)
-        }
-        (WireOp::Affine, WireValues::Affine(v)) => {
-            seg_sub(src, Arc::new(v), starts, AffineOp, sharded, opts, ctx, hub)
-        }
-        _ => unreachable!("decoder pairs values with their operator"),
-    }
-}
-
 /// One connection's state in the reactor: the socket, partial-frame
-/// read buffer, pending-reply write buffer, negotiated version, and
+/// read buffer, pending-reply write buffer, handshake state, and
 /// the pipelining in-flight set.
 struct Conn {
     id: u64,
@@ -882,15 +798,15 @@ struct Conn {
     /// socket accepted.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// The version the HELLO negotiated (None until then).
-    negotiated: Option<u16>,
+    /// Whether a HELLO has been accepted on this connection.
+    greeted: bool,
     /// In-flight pipelined requests: request id → arrival sequence.
     inflight: HashMap<u64, u64>,
-    /// Whether a serial (no-request-id) job is in flight; parsing
-    /// pauses until its reply is written, preserving the v2–v5
-    /// one-at-a-time contract.
+    /// Whether a job without a `request_id` is in flight; parsing
+    /// pauses until its reply is written, so such requests are
+    /// answered one at a time, in order.
     serial_inflight: bool,
-    /// Parked work (full queue, or a frame waiting for in-flight
+    /// Parked work (full queue, or a request waiting for in-flight
     /// drain); parsing pauses while set.
     stalled: Option<Stalled>,
     /// Next arrival sequence number (orders reorder detection).
@@ -916,7 +832,7 @@ impl Conn {
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
-            negotiated: None,
+            greeted: false,
             inflight: HashMap::new(),
             serial_inflight: false,
             stalled: None,
@@ -1316,7 +1232,7 @@ impl Reactor {
             };
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
             shared.bytes_in.fetch_add(5 + frame.body.len() as u64, Ordering::Relaxed);
-            self.dispatch_guarded(conn_id, &frame);
+            self.guarded(conn_id, |r| r.dispatch(conn_id, &frame));
         }
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             if conn.rpos > 0 {
@@ -1326,14 +1242,12 @@ impl Reactor {
         }
     }
 
-    /// Panic firewall around dispatch: decode and execution are typed,
-    /// so a panic below is a server bug — but it must cost exactly one
-    /// connection (typed reply, then close), never the reactor or the
-    /// daemon.
-    fn dispatch_guarded(&mut self, conn_id: u64, frame: &Frame) {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.dispatch(conn_id, frame)
-        }));
+    /// Panic firewall around request handling: decode and execution
+    /// are typed, so a panic below is a server bug — but it must cost
+    /// exactly one connection (typed reply, then close), never the
+    /// reactor or the daemon.
+    fn guarded(&mut self, conn_id: u64, handle: impl FnOnce(&mut Self)) {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(self)));
         if r.is_err() {
             self.reply_error(conn_id, None, ErrorCode::InternalError, "request handling panicked");
             if let Some(conn) = self.conns.get_mut(&conn_id) {
@@ -1386,62 +1300,28 @@ impl Reactor {
     /// Decode and answer one frame.
     fn dispatch(&mut self, conn_id: u64, frame: &Frame) {
         let t_decode = Instant::now();
-        let req = match protocol::decode_request(frame) {
-            Ok(req) => req,
+        match protocol::decode_request(frame) {
+            Ok(req) => self.serve(conn_id, req, t_decode.elapsed().as_nanos() as u64),
             Err(we) => {
                 // Decode failures consumed the whole body off the
                 // wire, so the stream is still framed correctly:
                 // reply and carry on.
                 rankd_log!(Level::Debug, "server", "decode failed: {we}");
                 self.reply_error(conn_id, None, we.code, &we.message);
-                return;
-            }
-        };
-        let decode_ns = t_decode.elapsed().as_nanos() as u64;
-        let flags = match &req {
-            WireRequest::Rank { flags, .. }
-            | WireRequest::Scan { flags, .. }
-            | WireRequest::SegScan { flags, .. }
-            | WireRequest::RankH { flags, .. }
-            | WireRequest::ScanH { flags, .. }
-            | WireRequest::SegScanH { flags, .. } => Some(*flags),
-            _ => None,
-        };
-        let negotiated = self.conns.get(&conn_id).and_then(|c| c.negotiated);
-        // Versioned request features: a connection that negotiated
-        // lower and sends them anyway is speaking a protocol it did
-        // not agree to, so the frame is malformed (the connection
-        // survives — framing is intact). Pre-HELLO frames fall through
-        // to the EXPECTED_HELLO arm below instead.
-        if let Some(f) = flags {
-            if f.deadline_ms.is_some() && negotiated.is_some_and(|v| v < 5) {
-                self.reply_error(
-                    conn_id,
-                    None,
-                    ErrorCode::Malformed,
-                    "FLAG_DEADLINE requires a v5 handshake",
-                );
-                return;
-            }
-            if f.batch && negotiated.is_some_and(|v| v < 6) {
-                self.reply_error(
-                    conn_id,
-                    None,
-                    ErrorCode::Malformed,
-                    "FLAG_BATCH requires a v6 handshake",
-                );
-                return;
-            }
-            if f.request_id.is_some() && negotiated.is_some_and(|v| v < 6) {
-                self.reply_error(
-                    conn_id,
-                    None,
-                    ErrorCode::Malformed,
-                    "FLAG_REQUEST_ID requires a v6 handshake",
-                );
-                return;
             }
         }
+    }
+
+    /// Whether this connection has a job in flight (pipelined or
+    /// serial).
+    fn busy(&self, conn_id: u64) -> bool {
+        self.conns.get(&conn_id).is_some_and(|c| !c.inflight.is_empty() || c.serial_inflight)
+    }
+
+    /// Answer one decoded request: fresh off the wire, or parked
+    /// earlier with its original decode time.
+    fn serve(&mut self, conn_id: u64, req: WireRequest, decode_ns: u64) {
+        let greeted = self.conns.get(&conn_id).is_some_and(|c| c.greeted);
         match req {
             WireRequest::Hello { magic, version } => {
                 if magic != protocol::MAGIC {
@@ -1453,33 +1333,24 @@ impl Reactor {
                     );
                     return;
                 }
-                // v3..v6 are purely additive over v2, so
-                // older-but-compatible clients are served; they simply
-                // never send handle, mutation, deadline, or pipelining
-                // frames. HELLO_OK still carries the server's version
-                // so a newer client knows what it may use.
                 if !(protocol::MIN_VERSION..=protocol::VERSION).contains(&version) {
                     self.close_after_reply(
                         conn_id,
                         None,
                         ErrorCode::VersionMismatch,
-                        &format!(
-                            "client speaks v{version}, server accepts v{}..=v{}",
-                            protocol::MIN_VERSION,
-                            protocol::VERSION
-                        ),
+                        &format!("client speaks v{version}, server speaks v{}", protocol::VERSION),
                     );
                     return;
                 }
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.negotiated = Some(version);
+                    conn.greeted = true;
                 }
                 // Advertise the cap this server actually enforces
                 // (ServeConfig::max_frame), not the protocol default.
                 let body = protocol::hello_ok_body(protocol::VERSION, self.cfg.max_frame);
                 self.enqueue_reply(conn_id, FrameKind::HelloOk, &body, false);
             }
-            _ if negotiated.is_none() => {
+            _ if !greeted => {
                 self.reply_error(
                     conn_id,
                     None,
@@ -1503,46 +1374,22 @@ impl Reactor {
                 self.shared.begin_shutdown();
             }
             WireRequest::Put { list } => self.do_put(conn_id, list),
-            WireRequest::Mutate { .. } | WireRequest::Drop { .. } => {
-                // Serial equivalence: a mutation must not overlap jobs
-                // already in flight on this connection (they read the
-                // dataset the mutation edits). Park the frame until
-                // the in-flight set drains; no side effects were taken
-                // yet, so re-dispatching later is safe.
-                let busy = self
-                    .conns
-                    .get(&conn_id)
-                    .map(|c| !c.inflight.is_empty() || c.serial_inflight)
-                    .unwrap_or(false);
-                if busy {
-                    if let Some(conn) = self.conns.get_mut(&conn_id) {
-                        conn.stalled = Some(Stalled::Frame(Frame {
-                            kind: frame.kind,
-                            body: frame.body.clone(),
-                        }));
-                    }
-                    return;
-                }
-                match req {
-                    WireRequest::Mutate { handle, edits } => {
-                        self.do_mutate(conn_id, handle, &edits)
-                    }
-                    WireRequest::Drop { handle } => self.do_drop(conn_id, handle),
-                    _ => unreachable!("outer match narrowed to MUTATE/DROP"),
+            WireRequest::Job(job) if job.flags.request_id.is_some() => {
+                self.dispatch_job(conn_id, job, decode_ns)
+            }
+            // Serial equivalence: a job without a request id keeps its
+            // one-at-a-time reply contract, and MUTATE/DROP must not
+            // overlap jobs in flight on this connection (they read the
+            // dataset the mutation edits). Park the request until the
+            // in-flight set drains; no side effects were taken yet.
+            req if self.busy(conn_id) => {
+                if let Some(conn) = self.conns.get_mut(&conn_id) {
+                    conn.stalled = Some(Stalled::Request { req, decode_ns });
                 }
             }
-            WireRequest::Rank { .. }
-            | WireRequest::Scan { .. }
-            | WireRequest::SegScan { .. }
-            | WireRequest::RankH { .. }
-            | WireRequest::ScanH { .. }
-            | WireRequest::SegScanH { .. } => self.dispatch_job(
-                conn_id,
-                frame,
-                req,
-                flags.expect("job frames carry flags"),
-                decode_ns,
-            ),
+            WireRequest::Job(job) => self.dispatch_job(conn_id, job, decode_ns),
+            WireRequest::Mutate { handle, edits } => self.do_mutate(conn_id, handle, &edits),
+            WireRequest::Drop { handle } => self.do_drop(conn_id, handle),
         }
     }
 
@@ -1660,28 +1507,12 @@ impl Reactor {
     }
 
     /// Admission-control and submit one job-bearing request.
-    fn dispatch_job(
-        &mut self,
-        conn_id: u64,
-        frame: &Frame,
-        req: WireRequest,
-        flags: ReqFlags,
-        decode_ns: u64,
-    ) {
-        // Serial jobs behind pipelined traffic wait for the in-flight
-        // set to drain (park the frame — no side effects yet), so
-        // their one-at-a-time reply contract holds. Checked before
-        // anything is counted so the re-dispatch double-records
-        // nothing.
-        let dup = {
-            let Some(conn) = self.conns.get_mut(&conn_id) else { return };
-            if flags.request_id.is_none() && !conn.inflight.is_empty() {
-                conn.stalled =
-                    Some(Stalled::Frame(Frame { kind: frame.kind, body: frame.body.clone() }));
-                return;
-            }
-            flags.request_id.filter(|id| conn.inflight.contains_key(id))
-        };
+    fn dispatch_job(&mut self, conn_id: u64, job: JobFrame, decode_ns: u64) {
+        let kind = job.kind();
+        let JobFrame { flags, source, job } = job;
+        let dup = flags
+            .request_id
+            .filter(|id| self.conns.get(&conn_id).is_some_and(|c| c.inflight.contains_key(id)));
         if let Some(id) = dup {
             self.reply_error(
                 conn_id,
@@ -1723,9 +1554,7 @@ impl Reactor {
         rankd_log!(
             Level::Trace,
             "server",
-            "request trace={trace_id} kind={:#04x} body={}B decode={:.3}ms",
-            frame.kind,
-            frame.body.len(),
+            "request trace={trace_id} kind={kind:?} decode={:.3}ms",
             decode_ns as f64 / 1e6
         );
         let mut opts = JobOptions::default().with_trace_id(trace_id);
@@ -1748,62 +1577,17 @@ impl Reactor {
             trace_id,
             _pin: None,
         };
-        let hub = Arc::clone(&self.hub);
-        let submit: SubmitFn = match req {
-            WireRequest::Rank { list, .. } => {
-                rank_sub(ListSource::Inline(Arc::new(list)), flags.sharded, opts, ctx, hub)
-            }
-            WireRequest::Scan { op, list, values, .. } => scan_any(
-                ListSource::Inline(Arc::new(list)),
-                op,
-                values,
-                flags.sharded,
-                opts,
-                ctx,
-                hub,
-            ),
-            WireRequest::SegScan { op, list, starts, values, .. } => seg_any(
-                ListSource::Inline(Arc::new(list)),
-                op,
-                Arc::new(starts),
-                values,
-                flags.sharded,
-                opts,
-                ctx,
-                hub,
-            ),
-            WireRequest::RankH { handle, .. } => {
+        let src = match source {
+            Source::Inline(list) => ListSource::Inline(Arc::new(list)),
+            Source::Handle(handle) => {
                 let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
                     return;
                 };
                 ctx._pin = Some(Arc::clone(&pin));
-                rank_sub(ListSource::Resident(pin), flags.sharded, opts, ctx, hub)
+                ListSource::Resident(pin)
             }
-            WireRequest::ScanH { op, handle, values, .. } => {
-                let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
-                    return;
-                };
-                ctx._pin = Some(Arc::clone(&pin));
-                scan_any(ListSource::Resident(pin), op, values, flags.sharded, opts, ctx, hub)
-            }
-            WireRequest::SegScanH { op, handle, starts, values, .. } => {
-                let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
-                    return;
-                };
-                ctx._pin = Some(Arc::clone(&pin));
-                seg_any(
-                    ListSource::Resident(pin),
-                    op,
-                    Arc::new(starts),
-                    values,
-                    flags.sharded,
-                    opts,
-                    ctx,
-                    hub,
-                )
-            }
-            _ => unreachable!("dispatch routes only job-bearing frames here"),
         };
+        let submit = submit_job(src, job, flags.sharded, opts, ctx, Arc::clone(&self.hub));
         self.attempt_submit(conn_id, submit, flags.request_id, arrival_seq);
     }
 
@@ -1928,7 +1712,7 @@ impl Reactor {
         self.parse_conn(c.conn);
     }
 
-    /// Re-offer parked submits and re-dispatch parked frames whose
+    /// Re-offer parked submits and re-serve parked requests whose
     /// blocking condition cleared.
     fn retry_stalled(&mut self) {
         let ids: Vec<u64> = self
@@ -1942,27 +1726,16 @@ impl Reactor {
                 continue;
             };
             match stalled {
+                // Both re-park themselves while still blocked.
                 Stalled::Submit { submit, request_id, arrival_seq } => {
-                    // Re-stalls itself on Full; parses buffered frames
-                    // on success.
-                    self.attempt_submit(id, submit, request_id, arrival_seq);
-                    if self.conns.get(&id).is_some_and(|c| c.stalled.is_none()) {
-                        self.parse_conn(id);
-                    }
+                    self.attempt_submit(id, submit, request_id, arrival_seq)
                 }
-                Stalled::Frame(frame) => {
-                    let ready = self
-                        .conns
-                        .get(&id)
-                        .map(|c| c.inflight.is_empty() && !c.serial_inflight)
-                        .unwrap_or(false);
-                    if ready {
-                        self.dispatch_guarded(id, &frame);
-                        self.parse_conn(id);
-                    } else if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.stalled = Some(Stalled::Frame(frame));
-                    }
+                Stalled::Request { req, decode_ns } => {
+                    self.guarded(id, |r| r.serve(id, req, decode_ns))
                 }
+            }
+            if self.conns.get(&id).is_some_and(|c| c.stalled.is_none()) {
+                self.parse_conn(id);
             }
         }
     }

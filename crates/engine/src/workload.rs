@@ -421,7 +421,7 @@ impl Default for HugeListConfig {
 /// each other.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedComparison {
-    /// The shard-parallel pass ([`Request::rank_sharded`]).
+    /// The shard-parallel pass ([`Request::sharded`]).
     pub sharded: RunResult,
     /// The monolithic pass ([`Request::rank`], planner-dispatched).
     pub monolithic: RunResult,
@@ -462,7 +462,7 @@ pub fn run_sharded_scenario(engine: &Engine, cfg: &HugeListConfig) -> ShardedCom
             checksum,
         }
     };
-    let sharded = pass(&|| Request::rank_sharded(Arc::clone(&list)));
+    let sharded = pass(&|| Request::rank(Arc::clone(&list)).sharded());
     let monolithic = pass(&|| Request::rank(Arc::clone(&list)));
     assert_eq!(
         sharded.checksum, monolithic.checksum,

@@ -342,7 +342,7 @@ fn rank_sharded_matches_serial_across_topologies() {
             ("blocked", gen::list_with_layout(n, gen::Layout::Blocked(64), n as u64)),
         ] {
             expected.push((n, kind, listkit::serial::rank(&list)));
-            handles.push(engine.submit(Request::rank_sharded(Arc::new(list))).expect("submit"));
+            handles.push(engine.submit(Request::rank(Arc::new(list)).sharded()).expect("submit"));
         }
     }
     for (h, (n, kind, want)) in handles.into_iter().zip(&expected) {
@@ -374,19 +374,23 @@ fn scan_sharded_stitches_generic_ops() {
     let i64s = values_for(n);
     let affs: Arc<Vec<Affine>> =
         Arc::new((0..n as i64).map(|i| Affine::new((i % 3) - 1, i % 5)).collect());
-    let max =
-        engine.submit(Request::scan_sharded(Arc::clone(&list), Arc::clone(&i64s), MaxOp)).unwrap();
+    let max = engine
+        .submit(Request::scan(Arc::clone(&list), Arc::clone(&i64s), MaxOp).sharded())
+        .unwrap();
     let aff = engine
-        .submit(Request::scan_sharded(Arc::clone(&list), Arc::clone(&affs), AffineOp))
+        .submit(Request::scan(Arc::clone(&list), Arc::clone(&affs), AffineOp).sharded())
         .unwrap();
     let starts: Arc<Vec<bool>> = Arc::new((0..n).map(|v| v % 97 == 0).collect());
     let seg = engine
-        .submit(Request::segmented_scan_sharded(
-            Arc::clone(&list),
-            Arc::clone(&i64s),
-            Arc::clone(&starts),
-            AddOp,
-        ))
+        .submit(
+            Request::segmented_scan(
+                Arc::clone(&list),
+                Arc::clone(&i64s),
+                Arc::clone(&starts),
+                AddOp,
+            )
+            .sharded(),
+        )
         .unwrap();
     let max_report = max.wait().expect("completes");
     assert!(max_report.shards >= 2, "budget 2048 must shard n=40k");
@@ -408,7 +412,7 @@ fn rank_sharded_pinned_algorithm_forces_monolithic() {
     let list = Arc::new(gen::random_list(50_000, 21));
     let opts =
         JobOptions { seed: 0x1994, algorithm: Some(Algorithm::ReidMiller), ..Default::default() };
-    let h = engine.submit_with(Request::rank_sharded(Arc::clone(&list)), opts).unwrap();
+    let h = engine.submit_with(Request::rank(Arc::clone(&list)).sharded(), opts).unwrap();
     let report = h.wait().expect("completes");
     assert_eq!(report.shards, 0, "pinning selects the monolithic backend");
     assert_eq!(report.algorithm, Algorithm::ReidMiller);

@@ -5,18 +5,20 @@
 //!
 //! Also pinned here: the adversarial client that stops reading replies
 //! mid-pipeline (write backpressure must stall that one connection,
-//! never the reactor), duplicate / zero request ids rejected as typed
-//! malformed, v6 flags refused on v5 handshakes, and both per-tenant
-//! quotas (in-flight jobs, resident store bytes) answering typed
-//! `quota_exceeded`.
+//! never the reactor), a serial request parked behind a pipelined
+//! window, duplicate / zero request ids rejected as typed malformed,
+//! and both per-tenant quotas (in-flight jobs, resident store bytes)
+//! answering typed `quota_exceeded`.
 #![cfg(unix)]
 
-use engine::client::Client;
-use engine::protocol::{self, ErrorCode, Frame, FrameKind, ReqFlags, WireOp, MAX_FRAME_DEFAULT};
+use engine::client::{Call, Client};
+use engine::protocol::{self, ErrorCode, Frame, FrameKind, MAX_FRAME_DEFAULT};
 use engine::server::{ServeConfig, Server, ServerControl, ServerStats};
 use engine::{Engine, EngineConfig};
 use listkit::gen;
+use listkit::ops::AddOp;
 use listkit::LinkedList;
+use listrank::{Algorithm, HostRunner};
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -95,37 +97,6 @@ fn payload(body: &[u8]) -> &[u8] {
     &body[OUTPUT_META_LEN..]
 }
 
-/// One logical request of the differential mix, encodable with any
-/// flag set (serial for the oracle, request-id-tagged for the
-/// pipelined connection).
-enum Op {
-    Rank(LinkedList),
-    Scan(LinkedList, Vec<i64>),
-    RankH,
-    ScanH(Vec<i64>),
-    SegScanH(Vec<bool>, Vec<i64>),
-}
-
-impl Op {
-    fn encode(&self, handle: u64, flags: ReqFlags) -> (u8, Vec<u8>) {
-        match self {
-            Op::Rank(list) => (FrameKind::Rank as u8, protocol::rank_body_flags(list, flags)),
-            Op::Scan(list, vals) => {
-                (FrameKind::Scan as u8, protocol::scan_body_flags(list, vals, WireOp::Add, flags))
-            }
-            Op::RankH => (FrameKind::RankH as u8, protocol::rank_h_body_flags(handle, flags)),
-            Op::ScanH(vals) => (
-                FrameKind::ScanH as u8,
-                protocol::scan_h_body_flags(handle, vals, WireOp::Add, flags),
-            ),
-            Op::SegScanH(starts, vals) => (
-                FrameKind::SegScanH as u8,
-                protocol::segscan_h_body_flags(handle, starts, vals, WireOp::Add, flags),
-            ),
-        }
-    }
-}
-
 /// PUT `list` on a raw stream, returning the connection-scoped handle.
 fn put(stream: &mut UnixStream, list: &LinkedList) -> u64 {
     protocol::write_frame(stream, FrameKind::Put as u8, &protocol::put_body(list)).expect("PUT");
@@ -152,44 +123,10 @@ fn pipelined_mix_is_byte_identical_to_serial_oracle() {
         splitmix64(rng_state)
     };
 
-    // The request mix, shared by both connections.
-    let ops: Vec<Op> = (0..N)
-        .map(|_| {
-            let n = 40 + (rng() % 400) as usize;
-            let vals = |n: usize, r: &mut dyn FnMut() -> u64| -> Vec<i64> {
-                (0..n).map(|_| (r() % 97) as i64 - 48).collect()
-            };
-            match rng() % 5 {
-                0 => Op::Rank(gen::random_list(n, rng())),
-                1 => {
-                    let list = gen::random_list(n, rng());
-                    let v = vals(n, &mut rng);
-                    Op::Scan(list, v)
-                }
-                2 => Op::RankH,
-                3 => Op::ScanH(vals(resident.len(), &mut rng)),
-                _ => {
-                    let starts: Vec<bool> = (0..resident.len()).map(|_| rng() % 4 == 0).collect();
-                    Op::SegScanH(starts, vals(resident.len(), &mut rng))
-                }
-            }
-        })
-        .collect();
-
     // Serial oracle: same daemon, separate connection, no request ids.
     let mut oracle = UnixStream::connect(&server.path).expect("oracle connect");
     handshake(&mut oracle);
     let oracle_handle = put(&mut oracle, &resident);
-    let mut expected: Vec<Vec<u8>> = Vec::with_capacity(N);
-    for op in &ops {
-        let (kind, body) = op.encode(oracle_handle, ReqFlags::default());
-        protocol::write_frame(&mut oracle, kind, &body).expect("oracle request");
-        let f = read_one(&mut oracle);
-        assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output), "oracle reply");
-        expected.push(f.body);
-    }
-
-    // Pipelined connection: shuffled ids, everything written up front.
     let mut piped = UnixStream::connect(&server.path).expect("pipelined connect");
     handshake(&mut piped);
     let piped_handle = put(&mut piped, &resident);
@@ -197,11 +134,61 @@ fn pipelined_mix_is_byte_identical_to_serial_oracle() {
     for i in (1..ids.len()).rev() {
         ids.swap(i, (rng() % (i as u64 + 1)) as usize);
     }
+
+    // The request mix, each request encoded twice: for the oracle (its
+    // handle, no id) and for the pipelined connection (its handle, a
+    // shuffled id).
+    let mut serial_frames = Vec::with_capacity(N);
+    let mut piped_frames = Vec::with_capacity(N);
+    for &id in &ids {
+        let n = 40 + (rng() % 400) as usize;
+        let vals = |n: usize, r: &mut dyn FnMut() -> u64| -> Vec<i64> {
+            (0..n).map(|_| (r() % 97) as i64 - 48).collect()
+        };
+        let (serial_frame, piped_frame) = match rng() % 5 {
+            0 => {
+                let list = gen::random_list(n, rng());
+                (Call::rank(&list).encode(), Call::rank(&list).id(id).encode())
+            }
+            1 => {
+                let list = gen::random_list(n, rng());
+                let v = vals(n, &mut rng);
+                let call = Call::scan(&list, &v, AddOp);
+                (call.encode(), call.id(id).encode())
+            }
+            2 => (Call::rank(oracle_handle).encode(), Call::rank(piped_handle).id(id).encode()),
+            3 => {
+                let v = vals(resident.len(), &mut rng);
+                (
+                    Call::scan(oracle_handle, &v, AddOp).encode(),
+                    Call::scan(piped_handle, &v, AddOp).id(id).encode(),
+                )
+            }
+            _ => {
+                let starts: Vec<bool> = (0..resident.len()).map(|_| rng() % 4 == 0).collect();
+                let v = vals(resident.len(), &mut rng);
+                (
+                    Call::segmented(oracle_handle, &v, &starts, AddOp).encode(),
+                    Call::segmented(piped_handle, &v, &starts, AddOp).id(id).encode(),
+                )
+            }
+        };
+        serial_frames.push(serial_frame);
+        piped_frames.push(piped_frame);
+    }
+
+    let mut expected: Vec<Vec<u8>> = Vec::with_capacity(N);
+    for (kind, body) in &serial_frames {
+        protocol::write_frame(&mut oracle, *kind as u8, body).expect("oracle request");
+        let f = read_one(&mut oracle);
+        assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output), "oracle reply");
+        expected.push(f.body);
+    }
+
+    // Pipelined connection: everything written up front.
     let mut wire = Vec::new();
-    for (idx, op) in ops.iter().enumerate() {
-        let flags = ReqFlags::default().with_request_id(ids[idx]);
-        let (kind, body) = op.encode(piped_handle, flags);
-        protocol::write_frame(&mut wire, kind, &body).expect("encode to Vec");
+    for (kind, body) in &piped_frames {
+        protocol::write_frame(&mut wire, *kind as u8, body).expect("encode to Vec");
     }
     piped.write_all(&wire).expect("write pipeline burst");
 
@@ -257,13 +244,8 @@ fn non_reading_pipeline_client_stalls_only_itself() {
     handshake(&mut adversary);
     let mut wire = Vec::new();
     for id in 1..=BURST {
-        let flags = ReqFlags::default().with_request_id(id);
-        protocol::write_frame(
-            &mut wire,
-            FrameKind::Rank as u8,
-            &protocol::rank_body_flags(&list, flags),
-        )
-        .expect("encode");
+        let (kind, body) = Call::rank(&list).id(id).encode();
+        protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
     }
     adversary.write_all(&wire).expect("write burst");
 
@@ -273,7 +255,7 @@ fn non_reading_pipeline_client_stalls_only_itself() {
     // The reactor is still alive for everyone else.
     let mut bystander = Client::connect(&server.path).expect("bystander connect");
     let small = gen::random_list(64, 7);
-    let served = bystander.rank(&small).expect("bystander served mid-stall");
+    let served = bystander.call(&Call::rank(&small)).expect("bystander served mid-stall");
     assert_eq!(served.output.len(), 64);
 
     // Now drain: all BURST replies, each id exactly once, each intact.
@@ -293,6 +275,54 @@ fn non_reading_pipeline_client_stalls_only_itself() {
     server.stop();
 }
 
+/// A serial request (no id) that arrives while a pipelined window of 8
+/// is in flight is parked as the decoded request — not copied and
+/// decoded again — and served once the window drains: its plain OUTPUT
+/// comes after all 8 OUTPUT_P replies and matches the serial oracle.
+#[test]
+fn serial_rank_parked_behind_a_pipelined_window_is_answered_after_it() {
+    let server = start("park", small_engine(), |c| c);
+    let mut stream = UnixStream::connect(&server.path).expect("connect");
+    handshake(&mut stream);
+
+    // The window: 8 by-handle ranks of a 2^17 list — milliseconds of
+    // work each, behind 17-byte frames — then the 2^16 inline rank.
+    let resident = gen::random_list(1 << 17, 0x9A4C);
+    let handle = put(&mut stream, &resident);
+    let list = gen::random_list(1 << 16, 0x5E41);
+    let mut wire = Vec::new();
+    for id in 1..=8 {
+        let (kind, body) = Call::rank(handle).id(id).encode();
+        protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    }
+    let (kind, body) = Call::rank(&list).encode();
+    protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    // Write from a second thread so the megabytes of replies can be
+    // drained while the serial frame is still going out.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || writer.write_all(&wire));
+
+    let oracle = HostRunner::new(Algorithm::Serial);
+    let want = oracle.rank(&resident);
+    let mut seen = std::collections::HashSet::new();
+    for _ in 0..8 {
+        let f = read_one(&mut stream);
+        assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::OutputP), "window answered first");
+        let (id, inner) = protocol::decode_pipelined(&f.body).expect("pipelined body");
+        assert!(seen.insert(id), "id {id} answered twice");
+        let (_, ranks) = protocol::decode_output::<u64>(inner).expect("OUTPUT decodes");
+        assert_eq!(ranks, want, "pipelined id {id} diverged from the oracle");
+    }
+    let f = read_one(&mut stream);
+    assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output), "serial reply comes last");
+    let (_, ranks) = protocol::decode_output::<u64>(&f.body).expect("OUTPUT decodes");
+    assert_eq!(ranks, oracle.rank(&list), "parked serial rank diverged from the oracle");
+    sender.join().expect("writer thread").expect("write window");
+
+    drop(stream);
+    server.stop();
+}
+
 /// Reusing a request id while it is still in flight is typed
 /// malformed (answered on the pipelined path so the client can match
 /// it), and the original request still completes.
@@ -305,20 +335,11 @@ fn duplicate_request_id_is_typed_malformed() {
     // Big rank (stays in flight) + tiny rank reusing its id, one write.
     let big = gen::random_list(200_000, 1);
     let tiny = gen::random_list(8, 2);
-    let flags = ReqFlags::default().with_request_id(7);
     let mut wire = Vec::new();
-    protocol::write_frame(
-        &mut wire,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_flags(&big, flags),
-    )
-    .expect("encode");
-    protocol::write_frame(
-        &mut wire,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_flags(&tiny, flags),
-    )
-    .expect("encode");
+    for list in [&big, &tiny] {
+        let (kind, body) = Call::rank(list).id(7).encode();
+        protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    }
     stream.write_all(&wire).expect("write");
 
     // First reply: the duplicate, refused without waiting for the job.
@@ -352,7 +373,7 @@ fn request_id_zero_is_reserved() {
     handshake(&mut stream);
 
     let list = gen::random_list(16, 3);
-    let mut body = protocol::rank_body_flags(&list, ReqFlags::default().with_request_id(1));
+    let (_, mut body) = Call::rank(&list).id(1).encode();
     body[1..9].fill(0); // stamp the id field (right after the flags byte) to 0
     protocol::write_frame(&mut stream, FrameKind::Rank as u8, &body).expect("write");
     let f = read_one(&mut stream);
@@ -362,53 +383,8 @@ fn request_id_zero_is_reserved() {
     assert!(msg.contains("reserved"), "unexpected message: {msg}");
 
     // Connection survives; a well-formed request still works.
-    protocol::write_frame(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false))
+    protocol::write_frame(&mut stream, FrameKind::Rank as u8, &Call::rank(&list).encode().1)
         .expect("write");
-    let f = read_one(&mut stream);
-    assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output));
-
-    drop(stream);
-    server.stop();
-}
-
-/// The v6 flag bits are version-gated: a connection that negotiated a
-/// v5 HELLO gets typed malformed for FLAG_BATCH and FLAG_REQUEST_ID,
-/// and keeps serving v5 traffic afterwards.
-#[test]
-fn v6_flags_require_a_v6_handshake() {
-    let server = start("gate", small_engine(), |c| c);
-    let mut stream = UnixStream::connect(&server.path).expect("connect");
-
-    // Handshake as a v5 client.
-    let mut hello = Vec::new();
-    hello.extend_from_slice(&protocol::MAGIC.to_le_bytes());
-    hello.extend_from_slice(&5u16.to_le_bytes());
-    protocol::write_frame(&mut stream, FrameKind::Hello as u8, &hello).expect("hello v5");
-    let f = read_one(&mut stream);
-    assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::HelloOk));
-
-    let list = gen::random_list(16, 4);
-    for (flags, what) in [
-        (ReqFlags::default().with_batch(), "FLAG_BATCH"),
-        (ReqFlags::default().with_request_id(3), "FLAG_REQUEST_ID"),
-    ] {
-        let body = protocol::rank_body_flags(&list, flags);
-        protocol::write_frame(&mut stream, FrameKind::Rank as u8, &body).expect("write");
-        let f = read_one(&mut stream);
-        assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Error), "{what} must be refused");
-        let (_, code, msg) = protocol::decode_error(&f.body).expect("error decodes");
-        assert_eq!(code, Some(ErrorCode::Malformed), "{what}: {msg}");
-        assert!(msg.contains(what), "unexpected message: {msg}");
-        assert!(msg.contains("v6 handshake"), "unexpected message: {msg}");
-    }
-
-    // Still a working v5 connection (deadline flag is v5-legal).
-    protocol::write_frame(
-        &mut stream,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_deadline(&list, false, Some(60_000)),
-    )
-    .expect("write");
     let f = read_one(&mut stream);
     assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output));
 
@@ -428,18 +404,10 @@ fn inflight_quota_answers_typed_quota_exceeded() {
     let big = gen::random_list(300_000, 5);
     let tiny = gen::random_list(8, 6);
     let mut wire = Vec::new();
-    protocol::write_frame(
-        &mut wire,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_flags(&big, ReqFlags::default().with_request_id(1)),
-    )
-    .expect("encode");
-    protocol::write_frame(
-        &mut wire,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_flags(&tiny, ReqFlags::default().with_request_id(2)),
-    )
-    .expect("encode");
+    for (id, list) in [(1, &big), (2, &tiny)] {
+        let (kind, body) = Call::rank(list).id(id).encode();
+        protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    }
     stream.write_all(&wire).expect("write");
 
     // The refusal (id 2) outruns the big job (id 1).
@@ -456,12 +424,8 @@ fn inflight_quota_answers_typed_quota_exceeded() {
     assert_eq!(id, 1);
 
     // The slot is free again: a fresh pipelined request is admitted.
-    protocol::write_frame(
-        &mut stream,
-        FrameKind::Rank as u8,
-        &protocol::rank_body_flags(&tiny, ReqFlags::default().with_request_id(3)),
-    )
-    .expect("write");
+    let (kind, body) = Call::rank(&tiny).id(3).encode();
+    protocol::write_frame(&mut stream, kind as u8, &body).expect("write");
     let f = read_one(&mut stream);
     assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::OutputP));
 
@@ -533,11 +497,11 @@ fn client_pipeline_api_over_tcp_matches_unix_serial() {
 
     let mut serial = Client::connect(&path).expect("unix connect");
     let want: Vec<Vec<u64>> =
-        lists.iter().map(|l| serial.rank(l).expect("serial rank").output).collect();
+        lists.iter().map(|l| serial.call(&Call::rank(l)).expect("serial rank").output).collect();
 
     let mut tcp = Client::connect_tcp(addr.to_string()).expect("tcp connect");
     for (i, list) in lists.iter().enumerate() {
-        tcp.send_rank(list, i as u64 + 1).expect("pipelined send");
+        tcp.send(&Call::rank(list).id(i as u64 + 1)).expect("pipelined send");
     }
     let mut got: HashMap<u64, Vec<u64>> = HashMap::new();
     for _ in 0..lists.len() {

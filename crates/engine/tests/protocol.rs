@@ -5,12 +5,13 @@
 //! document is updated to match.
 
 use engine::protocol::{
-    self, ErrorCode, Frame, FrameKind, OutputMeta, WireOp, WireRequest, WireValues, MAGIC,
-    MAX_FRAME_DEFAULT, VERSION,
+    self, Call, ErrorCode, Frame, FrameKind, Job, JobFrame, OutputMeta, ReqFlags, Source, WireElem,
+    WireOp, WireRequest, WireValues, MAGIC, MAX_FRAME_DEFAULT, VERSION,
 };
-use listkit::ops::Affine;
+use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
 use listrank::Algorithm;
+use proptest::prelude::*;
 
 /// The worked example list from PROTOCOL.md: traversal order
 /// `1 → 0 → 2`, i.e. `next = [2, 0, 2]` (vertex 2 is the self-loop
@@ -266,6 +267,20 @@ fn framed(kind: FrameKind, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Frame a [`Call`] the way the client puts it on the wire.
+fn framed_call<T: WireElem>(call: &Call<'_, T>) -> Vec<u8> {
+    let (kind, body) = call.encode();
+    framed(kind, &body)
+}
+
+/// Decode a job-bearing frame, failing the test on any other request.
+fn job_of(frame: &Frame) -> JobFrame {
+    match protocol::decode_request(frame).expect("decodes") {
+        WireRequest::Job(job) => job,
+        other => panic!("want a job frame, got {other:?}"),
+    }
+}
+
 /// Read exactly one frame out of a documented byte string.
 fn parse(mut bytes: &[u8]) -> Frame {
     let frame = protocol::read_frame(&mut bytes, MAX_FRAME_DEFAULT)
@@ -304,36 +319,26 @@ fn documented_hello_ok_bytes_match_the_codec() {
 fn documented_rank_bytes_decode_to_the_example_list() {
     // Encoder side: the documented bytes are exactly what the client
     // produces for the example list.
-    assert_eq!(framed(FrameKind::Rank, &protocol::rank_body(&example_list(), false)), DOC_RANK);
+    assert_eq!(framed_call(&Call::rank(&example_list())), DOC_RANK);
     // Decoder side: replaying the documented bytes yields the list.
-    let frame = parse(DOC_RANK);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::Rank { list, flags } => {
-            assert_eq!(flags, protocol::ReqFlags::default());
-            assert_eq!(list.head(), 1);
-            assert_eq!(list.links(), &[2, 0, 2]);
+    let job = job_of(&parse(DOC_RANK));
+    assert_eq!(job.kind(), FrameKind::Rank);
+    assert_eq!(
+        job,
+        JobFrame {
+            flags: ReqFlags::default(),
+            source: Source::Inline(example_list()),
+            job: Job::Rank
         }
-        other => panic!("want Rank, got {other:?}"),
-    }
+    );
 }
 
 #[test]
 fn documented_deadline_rank_bytes_round_trip() {
-    assert_eq!(
-        framed(FrameKind::Rank, &protocol::rank_body_deadline(&example_list(), false, Some(1500))),
-        DOC_RANK_DEADLINE
-    );
-    let frame = parse(DOC_RANK_DEADLINE);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::Rank { list, flags } => {
-            assert!(!flags.sharded);
-            assert_eq!(flags.deadline_ms, Some(1500));
-            assert_eq!(flags.request_id, None);
-            assert_eq!(list.head(), 1);
-            assert_eq!(list.links(), &[2, 0, 2]);
-        }
-        other => panic!("want Rank, got {other:?}"),
-    }
+    assert_eq!(framed_call(&Call::rank(&example_list()).deadline_ms(1500)), DOC_RANK_DEADLINE);
+    let job = job_of(&parse(DOC_RANK_DEADLINE));
+    let flags = ReqFlags { deadline_ms: Some(1500), ..ReqFlags::default() };
+    assert_eq!(job, JobFrame { flags, source: Source::Inline(example_list()), job: Job::Rank });
 }
 
 #[test]
@@ -471,49 +476,27 @@ fn documented_put_bytes_round_trip() {
 
 #[test]
 fn documented_handle_query_bytes_round_trip() {
-    assert_eq!(framed(FrameKind::RankH, &protocol::rank_h_body(1, false)), DOC_RANK_H);
-    let frame = parse(DOC_RANK_H);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::RankH { handle, flags } => {
-            assert_eq!(handle, 1);
-            assert_eq!(flags, protocol::ReqFlags::default());
-        }
-        other => panic!("want RankH, got {other:?}"),
-    }
+    let by_handle = |job| JobFrame { flags: ReqFlags::default(), source: Source::Handle(1), job };
+    assert_eq!(framed_call(&Call::rank(1)), DOC_RANK_H);
+    assert_eq!(job_of(&parse(DOC_RANK_H)), by_handle(Job::Rank));
 
+    let values = [5i64, 7, 9];
+    assert_eq!(framed_call(&Call::scan(1, &values, AddOp)), DOC_SCAN_H);
     assert_eq!(
-        framed(FrameKind::ScanH, &protocol::scan_h_body(1, &[5i64, 7, 9], WireOp::Add, false)),
-        DOC_SCAN_H
+        job_of(&parse(DOC_SCAN_H)),
+        by_handle(Job::Scan { op: WireOp::Add, values: WireValues::I64(values.to_vec()) })
     );
-    let frame = parse(DOC_SCAN_H);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::ScanH { op, handle, values, flags } => {
-            assert_eq!(flags, protocol::ReqFlags::default());
-            assert_eq!(op, WireOp::Add);
-            assert_eq!(handle, 1);
-            assert_eq!(values, WireValues::I64(vec![5, 7, 9]));
-        }
-        other => panic!("want ScanH, got {other:?}"),
-    }
 
+    let starts = [false, false, true];
+    assert_eq!(framed_call(&Call::segmented(1, &values, &starts, AddOp)), DOC_SEGSCAN_H);
     assert_eq!(
-        framed(
-            FrameKind::SegScanH,
-            &protocol::segscan_h_body(1, &[false, false, true], &[5i64, 7, 9], WireOp::Add, false)
-        ),
-        DOC_SEGSCAN_H
+        job_of(&parse(DOC_SEGSCAN_H)),
+        by_handle(Job::SegScan {
+            op: WireOp::Add,
+            starts: starts.to_vec(),
+            values: WireValues::I64(values.to_vec())
+        })
     );
-    let frame = parse(DOC_SEGSCAN_H);
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::SegScanH { op, handle, starts, values, flags } => {
-            assert_eq!(flags, protocol::ReqFlags::default());
-            assert_eq!(op, WireOp::Add);
-            assert_eq!(handle, 1);
-            assert_eq!(starts, vec![false, false, true]);
-            assert_eq!(values, WireValues::I64(vec![5, 7, 9]));
-        }
-        other => panic!("want SegScanH, got {other:?}"),
-    }
 }
 
 #[test]
@@ -934,41 +917,18 @@ const DOC_ERROR_P_QUOTA: &[u8] = &[
 
 #[test]
 fn documented_pipelined_bytes_round_trip() {
-    // Encoder side: the client's flagged rank bodies produce the
+    // Encoder side: the client's flagged rank calls produce the
     // documented request frames byte-for-byte.
-    assert_eq!(
-        framed(
-            FrameKind::Rank,
-            &protocol::rank_body_flags(
-                &example_list(),
-                protocol::ReqFlags::default().with_request_id(1)
-            )
-        ),
-        DOC_RANK_P1
-    );
-    assert_eq!(
-        framed(
-            FrameKind::Rank,
-            &protocol::rank_body_flags(
-                &example_list(),
-                protocol::ReqFlags::default().with_batch().with_request_id(2)
-            )
-        ),
-        DOC_RANK_P2_BATCH
-    );
+    let list = example_list();
+    assert_eq!(framed_call(&Call::rank(&list).id(1)), DOC_RANK_P1);
+    assert_eq!(framed_call(&Call::rank(&list).batch().id(2)), DOC_RANK_P2_BATCH);
 
     // Decoder side: flags survive the trip.
     for (bytes, want_id, want_batch) in [(DOC_RANK_P1, 1u64, false), (DOC_RANK_P2_BATCH, 2, true)] {
-        let frame = parse(bytes);
-        match protocol::decode_request(&frame).expect("decodes") {
-            WireRequest::Rank { list, flags } => {
-                assert_eq!(flags.request_id, Some(want_id));
-                assert_eq!(flags.batch, want_batch);
-                assert_eq!(flags.deadline_ms, None);
-                assert_eq!(list.links(), &[2, 0, 2]);
-            }
-            other => panic!("want Rank, got {other:?}"),
-        }
+        let flags =
+            ReqFlags { batch: want_batch, request_id: Some(want_id), ..ReqFlags::default() };
+        let want = JobFrame { flags, source: Source::Inline(example_list()), job: Job::Rank };
+        assert_eq!(job_of(&parse(bytes)), want);
     }
 
     // OUTPUT_P: the server-side composer (id + OUTPUT body) produces
@@ -994,6 +954,7 @@ fn documented_pipelined_bytes_round_trip() {
     // The id-0 refusal: decoding the documented request fails with the
     // documented message, and the documented ERROR frame is exactly
     // what the error composer emits for it.
+    assert_eq!(framed_call(&Call::rank(&list).id(0)), DOC_RANK_P0);
     let frame = parse(DOC_RANK_P0);
     let err = protocol::decode_request(&frame).expect_err("id 0 is refused at decode");
     assert_eq!(err.message, "request_id 0 is reserved");
@@ -1176,59 +1137,84 @@ fn documented_quota_refusal_against_a_live_server() {
 // Codec round trips beyond the documented example
 // ------------------------------------------------------------------
 
-#[test]
-fn scan_and_segscan_bodies_round_trip_for_every_operator() {
-    let list = LinkedList::new(vec![1, 2, 3, 3], 0).expect("chain");
-    let starts = vec![true, false, true, false];
-    for op in WireOp::ALL {
-        let frame_body = match op {
-            WireOp::Add | WireOp::Max | WireOp::Min => {
-                protocol::scan_body(&list, &[-1i64, 2, -3, 4], op, false)
-            }
-            WireOp::Xor => protocol::scan_body(&list, &[1u64, 2, 3, 4], op, true),
-            WireOp::Affine => protocol::scan_body(
-                &list,
-                &[Affine::new(1, 2), Affine::new(-1, 0), Affine::new(2, 2), Affine::new(0, 7)],
-                op,
-                false,
-            ),
-        };
-        let frame = Frame { kind: FrameKind::Scan as u8, body: frame_body };
-        match protocol::decode_request(&frame).expect("scan decodes") {
-            WireRequest::Scan { op: got, list: l, values, flags } => {
-                assert_eq!(got, op);
-                assert_eq!(l.links(), list.links());
-                assert_eq!(flags.deadline_ms, None);
-                assert_eq!(flags.sharded, op == WireOp::Xor);
-                match (op, values) {
-                    (WireOp::Add | WireOp::Max | WireOp::Min, WireValues::I64(v)) => {
-                        assert_eq!(v, vec![-1, 2, -3, 4])
-                    }
-                    (WireOp::Xor, WireValues::U64(v)) => assert_eq!(v, vec![1, 2, 3, 4]),
-                    (WireOp::Affine, WireValues::Affine(v)) => assert_eq!(v.len(), 4),
-                    (op, v) => panic!("mispaired {op:?} / {v:?}"),
+/// Apply the flag subset `bits` through the four [`Call`] modifiers.
+fn with_flags<T: WireElem>(call: Call<'_, T>, bits: u8, deadline: u64, id: u64) -> Call<'_, T> {
+    let call = if bits & protocol::FLAG_SHARDED != 0 { call.sharded() } else { call };
+    let call = if bits & protocol::FLAG_DEADLINE != 0 { call.deadline_ms(deadline) } else { call };
+    let call = if bits & protocol::FLAG_BATCH != 0 { call.batch() } else { call };
+    if bits & protocol::FLAG_REQUEST_ID != 0 {
+        call.id(id)
+    } else {
+        call
+    }
+}
+
+/// Encode through [`Call`], decode through [`protocol::decode_request`],
+/// and demand the same source, job and flags back.
+fn assert_round_trip<T: WireElem>(call: Call<'_, T>, source: &Source, job: Job) {
+    let (kind, body) = call.encode();
+    let got = job_of(&Frame { kind: kind as u8, body });
+    assert_eq!(got.kind(), kind);
+    assert_eq!(got, JobFrame { flags: call.flags, source: source.clone(), job });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The wire-freeze matrix: {inline, handle} × {rank, then add, max,
+    /// min, xor and affine, each as a scan and as a segmented scan} ×
+    /// all 16 flag subsets round-trip through the one encoder and the
+    /// one decoder.
+    #[test]
+    fn every_call_round_trips_through_decode(
+        n in 1usize..200,
+        seed in any::<u64>(),
+        handle in any::<u64>(),
+        deadline in any::<u64>(),
+        id in 1u64..u64::MAX,
+    ) {
+        let list = listkit::gen::random_list(n, seed);
+        let i64s: Vec<i64> = (0..n as u64).map(|i| (seed ^ i.wrapping_mul(0x9E37)) as i64).collect();
+        let u64s: Vec<u64> = i64s.iter().map(|&v| v as u64 ^ seed).collect();
+        let affs: Vec<Affine> = i64s.iter().map(|&v| Affine::new(v, v.rotate_left(7))).collect();
+        let starts: Vec<bool> = (0..n).map(|v| (seed >> (v % 64)) & 1 == 1).collect();
+        let i = || WireValues::I64(i64s.clone());
+        let scan = |op, values| Job::Scan { op, values };
+        let seg = |op, values| Job::SegScan { op, starts: starts.clone(), values };
+        for bits in 0..16u8 {
+            for source in [Source::Inline(list.clone()), Source::Handle(handle)] {
+                let src = match &source {
+                    Source::Inline(l) => Source::Inline(l),
+                    Source::Handle(h) => Source::Handle(*h),
+                };
+                let cases: [(Call<'_, i64>, Job); 6] = [
+                    (Call::scan(src, &i64s, AddOp), scan(WireOp::Add, i())),
+                    (Call::scan(src, &i64s, MaxOp), scan(WireOp::Max, i())),
+                    (Call::scan(src, &i64s, MinOp), scan(WireOp::Min, i())),
+                    (Call::segmented(src, &i64s, &starts, AddOp), seg(WireOp::Add, i())),
+                    (Call::segmented(src, &i64s, &starts, MaxOp), seg(WireOp::Max, i())),
+                    (Call::segmented(src, &i64s, &starts, MinOp), seg(WireOp::Min, i())),
+                ];
+                for (call, job) in cases {
+                    assert_round_trip(with_flags(call, bits, deadline, id), &source, job);
+                }
+                let flagged = |call| with_flags(call, bits, deadline, id);
+                assert_round_trip(flagged(Call::rank(src)), &source, Job::Rank);
+                let u = || WireValues::U64(u64s.clone());
+                for (call, job) in [
+                    (Call::scan(src, &u64s, XorOp), scan(WireOp::Xor, u())),
+                    (Call::segmented(src, &u64s, &starts, XorOp), seg(WireOp::Xor, u())),
+                ] {
+                    assert_round_trip(with_flags(call, bits, deadline, id), &source, job);
+                }
+                let a = || WireValues::Affine(affs.clone());
+                for (call, job) in [
+                    (Call::scan(src, &affs, AffineOp), scan(WireOp::Affine, a())),
+                    (Call::segmented(src, &affs, &starts, AffineOp), seg(WireOp::Affine, a())),
+                ] {
+                    assert_round_trip(with_flags(call, bits, deadline, id), &source, job);
                 }
             }
-            other => panic!("want Scan, got {other:?}"),
-        }
-
-        let seg_body = match op {
-            WireOp::Add | WireOp::Max | WireOp::Min => {
-                protocol::segscan_body(&list, &starts, &[-1i64, 2, -3, 4], op, false)
-            }
-            WireOp::Xor => protocol::segscan_body(&list, &starts, &[1u64, 2, 3, 4], op, false),
-            WireOp::Affine => protocol::segscan_body(
-                &list,
-                &starts,
-                &[Affine::new(1, 2), Affine::new(-1, 0), Affine::new(2, 2), Affine::new(0, 7)],
-                op,
-                false,
-            ),
-        };
-        let frame = Frame { kind: FrameKind::SegScan as u8, body: seg_body };
-        match protocol::decode_request(&frame).expect("segscan decodes") {
-            WireRequest::SegScan { starts: got, .. } => assert_eq!(got, starts),
-            other => panic!("want SegScan, got {other:?}"),
         }
     }
 }
@@ -1240,10 +1226,9 @@ fn start_bitmap_packs_lsb_first_with_partial_final_byte() {
     let packed = protocol::pack_starts(&starts);
     assert_eq!(packed, vec![0b0000_1001, 0b0000_0001]);
     let list = LinkedList::from_order(&[0, 1, 2, 3, 4, 5, 6, 7, 8]).expect("chain");
-    let body = protocol::segscan_body(&list, &starts, &[0i64; 9], WireOp::Add, false);
-    let frame = Frame { kind: FrameKind::SegScan as u8, body };
-    match protocol::decode_request(&frame).expect("decodes") {
-        WireRequest::SegScan { starts: got, .. } => assert_eq!(got, starts),
+    let (kind, body) = Call::segmented(&list, &[0i64; 9], &starts, AddOp).encode();
+    match job_of(&Frame { kind: kind as u8, body }).job {
+        Job::SegScan { starts: got, .. } => assert_eq!(got, starts),
         other => panic!("want SegScan, got {other:?}"),
     }
 }
@@ -1309,22 +1294,50 @@ fn reserved_flag_bits_are_rejected_not_silently_dropped() {
     // unknown flag must fail typed, never execute with the flag
     // ignored.
     let list = LinkedList::new(vec![1, 1], 0).expect("chain");
-    for frame_kind in [FrameKind::Rank, FrameKind::Scan] {
-        let mut body = match frame_kind {
-            FrameKind::Rank => protocol::rank_body(&list, false),
-            _ => protocol::scan_body(&list, &[1i64, 2], WireOp::Add, false),
-        };
+    for (kind, mut body) in
+        [Call::rank(&list).encode(), Call::scan(&list, &[1i64, 2], AddOp).encode()]
+    {
         body[0] |= 0x10; // a reserved bit (0x01..0x08 are all assigned as of v6)
-        let frame = Frame { kind: frame_kind as u8, body };
+        let frame = Frame { kind: kind as u8, body };
         let err = protocol::decode_request(&frame).expect_err("reserved bit must not decode");
         assert_eq!(err.code, ErrorCode::Malformed, "{err}");
     }
     // The sharded bit itself stays fine.
-    let frame = Frame { kind: FrameKind::Rank as u8, body: protocol::rank_body(&list, true) };
-    assert!(matches!(
-        protocol::decode_request(&frame),
-        Ok(WireRequest::Rank { flags: protocol::ReqFlags { sharded: true, .. }, .. })
-    ));
+    let (kind, body) = Call::rank(&list).sharded().encode();
+    assert!(job_of(&Frame { kind: kind as u8, body }).flags.sharded);
+}
+
+/// The exact request bodies the `perfbench` harness builds with the
+/// four benchmark-pinned encoders, as literal bytes: a refactor of the
+/// encoder may not move a single one of them.
+#[test]
+fn benchmark_frames_are_frozen() {
+    let id3 = protocol::ReqFlags::default().with_request_id(3);
+    let cases: [(Vec<u8>, &[u8]); 5] = [
+        (protocol::rank_h_body(7, false), &[0x00, 7, 0, 0, 0, 0, 0, 0, 0]),
+        (protocol::rank_h_body(7, true), &[0x01, 7, 0, 0, 0, 0, 0, 0, 0]),
+        (
+            protocol::rank_h_body_flags(7, id3),
+            &[0x08, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            protocol::scan_h_body(7, &[1i64, -2], WireOp::Add, false),
+            &[
+                0x00, 0x01, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xFE, 0xFF,
+                0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            ],
+        ),
+        (
+            protocol::scan_h_body_flags(7, &[1i64, -2], WireOp::Add, id3),
+            &[
+                0x08, 3, 0, 0, 0, 0, 0, 0, 0, 0x01, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0,
+                0, 0, 0, 0, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+            ],
+        ),
+    ];
+    for (i, (got, want)) in cases.iter().enumerate() {
+        assert_eq!(got.as_slice(), *want, "benchmark frame {i} moved");
+    }
 }
 
 #[test]
@@ -1333,45 +1346,20 @@ fn deadline_flag_round_trips_and_truncation_fails_typed() {
     // between the flags byte and the rest of the body, on both the
     // inline and the by-handle request layouts.
     let list = LinkedList::new(vec![1, 1], 0).expect("chain");
-    let frame = Frame {
-        kind: FrameKind::Rank as u8,
-        body: protocol::rank_body_deadline(&list, false, Some(1500)),
-    };
-    assert!(matches!(
-        protocol::decode_request(&frame).expect("decodes"),
-        WireRequest::Rank {
-            flags: protocol::ReqFlags { sharded: false, deadline_ms: Some(1500), .. },
-            ..
-        }
-    ));
-    let frame = Frame {
-        kind: FrameKind::RankH as u8,
-        body: protocol::rank_h_body_deadline(7, true, Some(u64::MAX)),
-    };
-    assert!(matches!(
-        protocol::decode_request(&frame).expect("decodes"),
-        WireRequest::RankH {
-            handle: 7,
-            flags: protocol::ReqFlags { sharded: true, deadline_ms: Some(u64::MAX), .. },
-        }
-    ));
-    let frame = Frame {
-        kind: FrameKind::ScanH as u8,
-        body: protocol::scan_h_body_deadline(3, &[1i64, 2], WireOp::Add, false, Some(250)),
-    };
-    assert!(matches!(
-        protocol::decode_request(&frame).expect("decodes"),
-        WireRequest::ScanH {
-            handle: 3,
-            flags: protocol::ReqFlags { deadline_ms: Some(250), .. },
-            ..
-        }
-    ));
+    let flags_of =
+        |(kind, body): (FrameKind, Vec<u8>)| job_of(&Frame { kind: kind as u8, body }).flags;
+    let deadline = |ms| ReqFlags { deadline_ms: Some(ms), ..ReqFlags::default() };
+    assert_eq!(flags_of(Call::rank(&list).deadline_ms(1500).encode()), deadline(1500));
+    assert_eq!(
+        flags_of(Call::rank(7).sharded().deadline_ms(u64::MAX).encode()),
+        ReqFlags { sharded: true, ..deadline(u64::MAX) }
+    );
+    assert_eq!(flags_of(Call::scan(3, &[1i64, 2], AddOp).deadline_ms(250).encode()), deadline(250));
 
     // A deadline-flagged body truncated at ANY byte — inside the
     // links, the list header, or the deadline field itself — is
     // Malformed, never a misdecode.
-    let full = protocol::rank_body_deadline(&list, false, Some(1500));
+    let (_, full) = Call::rank(&list).deadline_ms(1500).encode();
     for cut in 1..full.len() {
         let frame = Frame { kind: FrameKind::Rank as u8, body: full[..full.len() - cut].to_vec() };
         let err = protocol::decode_request(&frame).expect_err("truncated must not decode");

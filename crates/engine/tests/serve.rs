@@ -3,7 +3,7 @@
 //! queue's backpressure as admission control, and graceful shutdown.
 #![cfg(unix)]
 
-use engine::client::{Client, ClientError};
+use engine::client::{Call, Client, ClientError};
 use engine::protocol::{self, ErrorCode, FrameKind, ReadFrameError, WireOp, MAX_FRAME_DEFAULT};
 use engine::server::{ServeConfig, Server, ServerControl, ServerStats};
 use engine::{Engine, EngineConfig};
@@ -83,25 +83,25 @@ fn every_operator_parity_with_host_runner() {
             (0..n as i64).map(|i| Affine::new((i % 5) - 2, (i % 7) - 3)).collect();
         let starts: Vec<bool> = (0..n).map(|v| v % 7 == 0).collect();
 
-        assert_eq!(client.rank(&list).expect("rank").output, runner.rank(&list));
+        assert_eq!(client.call(&Call::rank(&list)).expect("rank").output, runner.rank(&list));
         assert_eq!(
-            client.scan_add(&list, &i64s).expect("add").output,
+            client.call(&Call::scan(&list, &i64s, AddOp)).expect("add").output,
             runner.scan(&list, &i64s, &AddOp)
         );
         assert_eq!(
-            client.scan_max(&list, &i64s).expect("max").output,
+            client.call(&Call::scan(&list, &i64s, MaxOp)).expect("max").output,
             runner.scan(&list, &i64s, &MaxOp)
         );
         assert_eq!(
-            client.scan_min(&list, &i64s).expect("min").output,
+            client.call(&Call::scan(&list, &i64s, MinOp)).expect("min").output,
             runner.scan(&list, &i64s, &MinOp)
         );
         assert_eq!(
-            client.scan_xor(&list, &u64s).expect("xor").output,
+            client.call(&Call::scan(&list, &u64s, XorOp)).expect("xor").output,
             runner.scan(&list, &u64s, &XorOp)
         );
         assert_eq!(
-            client.scan_affine(&list, &affs).expect("affine").output,
+            client.call(&Call::scan(&list, &affs, AffineOp)).expect("affine").output,
             runner.scan(&list, &affs, &AffineOp)
         );
         let wrapped = segmented::wrap(&i64s, &starts);
@@ -111,7 +111,7 @@ fn every_operator_parity_with_host_runner() {
             &AddOp,
         );
         assert_eq!(
-            client.segmented_add(&list, &i64s, &starts).expect("seg add").output,
+            client.call(&Call::segmented(&list, &i64s, &starts, AddOp)).expect("seg add").output,
             seg_expected
         );
         let wrapped_max = segmented::wrap(&i64s, &starts);
@@ -121,16 +121,19 @@ fn every_operator_parity_with_host_runner() {
             &MaxOp,
         );
         assert_eq!(
-            client.segmented_max(&list, &i64s, &starts).expect("seg max").output,
+            client.call(&Call::segmented(&list, &i64s, &starts, MaxOp)).expect("seg max").output,
             seg_max_expected
         );
     }
     // Sharded-path routing over the wire agrees too.
     let big = gen::random_list(50_000, 7);
-    assert_eq!(client.rank_sharded(&big).expect("rank sharded").output, runner.rank(&big));
+    assert_eq!(
+        client.call(&Call::rank(&big).sharded()).expect("rank sharded").output,
+        runner.rank(&big)
+    );
     let vals: Vec<i64> = (0..50_000).map(|i| (i % 13) - 6).collect();
     assert_eq!(
-        client.scan_add_sharded(&big, &vals).expect("scan sharded").output,
+        client.call(&Call::scan(&big, &vals, AddOp).sharded()).expect("scan sharded").output,
         runner.scan(&big, &vals, &AddOp)
     );
     drop(client);
@@ -151,9 +154,12 @@ fn multiple_concurrent_clients_all_get_correct_answers() {
                     let n = 500 + 700 * t + 113 * j;
                     let list = gen::random_list(n, (t * 31 + j) as u64);
                     let vals: Vec<i64> = (0..n as i64).map(|i| (i % 19) - 9).collect();
-                    assert_eq!(client.rank(&list).expect("rank").output, runner.rank(&list));
                     assert_eq!(
-                        client.scan_add(&list, &vals).expect("scan").output,
+                        client.call(&Call::rank(&list)).expect("rank").output,
+                        runner.rank(&list)
+                    );
+                    assert_eq!(
+                        client.call(&Call::scan(&list, &vals, AddOp)).expect("scan").output,
                         runner.scan(&list, &vals, &AddOp)
                     );
                 }
@@ -204,19 +210,19 @@ fn malformed_frames_get_error_replies_without_killing_the_connection() {
 
     // Unknown operator byte.
     let list = gen::random_list(4, 1);
-    let mut unknown_op = protocol::scan_body(&list, &[1i64, 2, 3, 4], WireOp::Add, false);
+    let (_, mut unknown_op) = Call::scan(&list, &[1i64, 2, 3, 4], AddOp).encode();
     unknown_op[1] = 0x63;
     let reply = roundtrip(&mut stream, FrameKind::Scan as u8, &unknown_op);
     expect_error(&reply, ErrorCode::UnknownOp);
 
     // Trailing garbage after a well-formed body.
-    let mut trailing = protocol::rank_body(&list, false);
+    let mut trailing = Call::rank(&list).encode().1;
     trailing.extend_from_slice(&[0xAA, 0xBB]);
     let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &trailing);
     expect_error(&reply, ErrorCode::Malformed);
 
     // After all of that abuse, a valid request still works.
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false));
+    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &Call::rank(&list).encode().1);
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
     let (_, ranks) = protocol::decode_output::<u64>(&reply.body).expect("output");
     assert_eq!(ranks, HostRunner::new(Algorithm::Serial).rank(&list));
@@ -346,7 +352,10 @@ fn backpressure_blocks_flooding_clients_instead_of_failing_them() {
                 for j in 0..6 {
                     let n = 5_000 + 997 * t + j;
                     let list = gen::random_list(n, (t * 7 + j) as u64);
-                    assert_eq!(client.rank(&list).expect("rank").output, runner.rank(&list));
+                    assert_eq!(
+                        client.call(&Call::rank(&list)).expect("rank").output,
+                        runner.rank(&list)
+                    );
                 }
             })
         })
@@ -371,7 +380,7 @@ fn shutdown_drains_in_flight_jobs() {
     let worker = std::thread::spawn(move || {
         let mut client = Client::connect(&path_b).expect("connect B");
         let list = gen::random_list(400_000, 0xD12A);
-        let ranks = client.rank(&list).expect("in-flight job must complete").output;
+        let ranks = client.call(&Call::rank(&list)).expect("in-flight job must complete").output;
         assert_eq!(ranks, HostRunner::new(Algorithm::ReidMiller).rank(&list));
     });
     // …while client A asks the daemon to shut down.
@@ -407,8 +416,8 @@ fn stats_frame_reports_engine_and_serving_counters() {
     let server = start("stats", small_engine(), |c| c);
     let mut client = Client::connect(&server.path).expect("connect");
     let list = gen::random_list(1000, 3);
-    client.rank(&list).expect("rank");
-    client.scan_add(&list, &vec![1i64; 1000]).expect("scan");
+    client.call(&Call::rank(&list)).expect("rank");
+    client.call(&Call::scan(&list, &vec![1i64; 1000], AddOp)).expect("scan");
     let stats = client.stats().expect("stats");
     assert!(stats.engine_completed >= 2);
     assert!(stats.engine_elements >= 2000);
@@ -524,7 +533,7 @@ fn client_that_never_reads_its_reply_cannot_block_shutdown() {
         .expect("hello");
     let _ = protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT).expect("hello ok");
     let list = gen::random_list(300_000, 0xBAD);
-    protocol::write_frame(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false))
+    protocol::write_frame(&mut stream, FrameKind::Rank as u8, &Call::rank(&list).encode().1)
         .expect("rank request");
     // Give the job time to execute and the reply write time to fill
     // the socket buffer and stall… then never read.
@@ -584,43 +593,49 @@ fn handle_queries_are_byte_identical_to_inline_for_every_op() {
             assert!(receipt.bytes >= 4 * n as u64, "receipt charges at least the links");
 
             assert_eq!(
-                client.rank_h(h).expect("rank_h").output,
-                client.rank(&list).expect("rank").output,
+                client.call(&Call::rank(h)).expect("rank_h").output,
+                client.call(&Call::rank(&list)).expect("rank").output,
                 "rank diverged on {name} n={n}"
             );
             assert_eq!(
-                client.scan_add_h(h, &i64s).expect("add_h").output,
-                client.scan_add(&list, &i64s).expect("add").output,
+                client.call(&Call::scan(h, &i64s, AddOp)).expect("add_h").output,
+                client.call(&Call::scan(&list, &i64s, AddOp)).expect("add").output,
                 "add diverged on {name} n={n}"
             );
             assert_eq!(
-                client.scan_max_h(h, &i64s).expect("max_h").output,
-                client.scan_max(&list, &i64s).expect("max").output,
+                client.call(&Call::scan(h, &i64s, MaxOp)).expect("max_h").output,
+                client.call(&Call::scan(&list, &i64s, MaxOp)).expect("max").output,
                 "max diverged on {name} n={n}"
             );
             assert_eq!(
-                client.scan_min_h(h, &i64s).expect("min_h").output,
-                client.scan_min(&list, &i64s).expect("min").output,
+                client.call(&Call::scan(h, &i64s, MinOp)).expect("min_h").output,
+                client.call(&Call::scan(&list, &i64s, MinOp)).expect("min").output,
                 "min diverged on {name} n={n}"
             );
             assert_eq!(
-                client.scan_xor_h(h, &u64s).expect("xor_h").output,
-                client.scan_xor(&list, &u64s).expect("xor").output,
+                client.call(&Call::scan(h, &u64s, XorOp)).expect("xor_h").output,
+                client.call(&Call::scan(&list, &u64s, XorOp)).expect("xor").output,
                 "xor diverged on {name} n={n}"
             );
             assert_eq!(
-                client.scan_affine_h(h, &affs).expect("affine_h").output,
-                client.scan_affine(&list, &affs).expect("affine").output,
+                client.call(&Call::scan(h, &affs, AffineOp)).expect("affine_h").output,
+                client.call(&Call::scan(&list, &affs, AffineOp)).expect("affine").output,
                 "affine diverged on {name} n={n}"
             );
             assert_eq!(
-                client.segmented_add_h(h, &i64s, &starts).expect("seg_add_h").output,
-                client.segmented_add(&list, &i64s, &starts).expect("seg_add").output,
+                client.call(&Call::segmented(h, &i64s, &starts, AddOp)).expect("seg_add_h").output,
+                client
+                    .call(&Call::segmented(&list, &i64s, &starts, AddOp))
+                    .expect("seg_add")
+                    .output,
                 "segmented add diverged on {name} n={n}"
             );
             assert_eq!(
-                client.segmented_max_h(h, &i64s, &starts).expect("seg_max_h").output,
-                client.segmented_max(&list, &i64s, &starts).expect("seg_max").output,
+                client.call(&Call::segmented(h, &i64s, &starts, MaxOp)).expect("seg_max_h").output,
+                client
+                    .call(&Call::segmented(&list, &i64s, &starts, MaxOp))
+                    .expect("seg_max")
+                    .output,
                 "segmented max diverged on {name} n={n}"
             );
             client.drop_handle(h).expect("drop");
@@ -630,13 +645,13 @@ fn handle_queries_are_byte_identical_to_inline_for_every_op() {
     let big = gen::random_list(50_000, 7);
     let h = client.put(&big).expect("put big").handle;
     assert_eq!(
-        client.rank_h_sharded(h).expect("rank_h sharded").output,
-        client.rank_sharded(&big).expect("rank sharded").output
+        client.call(&Call::rank(h).sharded()).expect("rank_h sharded").output,
+        client.call(&Call::rank(&big).sharded()).expect("rank sharded").output
     );
     let vals: Vec<i64> = (0..50_000).map(|i| (i % 13) - 6).collect();
     assert_eq!(
-        client.scan_add_h_sharded(h, &vals).expect("scan_h sharded").output,
-        client.scan_add_sharded(&big, &vals).expect("scan sharded").output
+        client.call(&Call::scan(h, &vals, AddOp).sharded()).expect("scan_h sharded").output,
+        client.call(&Call::scan(&big, &vals, AddOp).sharded()).expect("scan sharded").output
     );
 
     // The store counters saw all of it: every handle query was a hit.
@@ -659,36 +674,36 @@ fn stale_and_foreign_handles_fail_typed_on_a_surviving_connection() {
     // Another connection cannot see (or drop) a's handle.
     let mut b = Client::connect(&server.path).expect("connect b");
     assert_eq!(
-        b.rank_h(h).expect_err("foreign handle").server_code(),
+        b.call(&Call::rank(h)).expect_err("foreign handle").server_code(),
         Some(ErrorCode::StaleHandle)
     );
     assert_eq!(
         b.drop_handle(h).expect_err("foreign drop").server_code(),
         Some(ErrorCode::StaleHandle)
     );
-    b.rank(&list).expect("b's connection survives the stale handle");
+    b.call(&Call::rank(&list)).expect("b's connection survives the stale handle");
 
     // A handle that was never issued.
     assert_eq!(
-        a.rank_h(0xDEAD_BEEF).expect_err("unknown handle").server_code(),
+        a.call(&Call::rank(0xDEAD_BEEF)).expect_err("unknown handle").server_code(),
         Some(ErrorCode::StaleHandle)
     );
 
     // Use-after-DROP and double-DROP.
     a.drop_handle(h).expect("first drop succeeds");
     assert_eq!(
-        a.rank_h(h).expect_err("use after drop").server_code(),
+        a.call(&Call::rank(h)).expect_err("use after drop").server_code(),
         Some(ErrorCode::StaleHandle)
     );
     assert_eq!(
-        a.scan_add_h(h, &[1i64; 64]).expect_err("scan after drop").server_code(),
+        a.call(&Call::scan(h, &[1i64; 64], AddOp)).expect_err("scan after drop").server_code(),
         Some(ErrorCode::StaleHandle)
     );
     assert_eq!(
         a.drop_handle(h).expect_err("double drop").server_code(),
         Some(ErrorCode::StaleHandle)
     );
-    a.rank(&list).expect("a's connection survives all of it");
+    a.call(&Call::rank(&list)).expect("a's connection survives all of it");
 
     // Connection teardown reaps b's datasets — and only b's.
     let ha = a.put(&list).expect("fresh put on a").handle;
@@ -696,10 +711,10 @@ fn stale_and_foreign_handles_fail_typed_on_a_surviving_connection() {
     drop(b);
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(
-        a.rank_h(hb).expect_err("handle died with b").server_code(),
+        a.call(&Call::rank(hb)).expect_err("handle died with b").server_code(),
         Some(ErrorCode::StaleHandle)
     );
-    a.rank_h(ha).expect("a's dataset survived b's teardown");
+    a.call(&Call::rank(ha)).expect("a's dataset survived b's teardown");
     let v2 = a.stats_v2().expect("stats_v2");
     assert_eq!(v2.store.resident_count, 1, "only b's dataset was reaped");
     drop(a);
@@ -754,13 +769,12 @@ fn malformed_put_and_handle_frames_recover_with_typed_errors() {
 
     // …a SCAN_H whose value count disagrees with the resident dataset
     // fails submit validation, typed, without killing the connection…
-    let body = protocol::scan_h_body(handle, &[1i64, 2, 3], protocol::WireOp::Add, false);
+    let (_, body) = Call::scan(handle, &[1i64, 2, 3], AddOp).encode();
     let reply = roundtrip(&mut stream, FrameKind::ScanH as u8, &body);
     expect_error(&reply, ErrorCode::InvalidRequest);
 
     // …and the handle still resolves afterwards.
-    let reply =
-        roundtrip(&mut stream, FrameKind::RankH as u8, &protocol::rank_h_body(handle, false));
+    let reply = roundtrip(&mut stream, FrameKind::RankH as u8, &Call::rank(handle).encode().1);
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
     let (_, ranks) = protocol::decode_output::<u64>(&reply.body).expect("output");
     assert_eq!(ranks, HostRunner::new(Algorithm::Serial).rank(&list));
@@ -792,8 +806,7 @@ fn put_with_a_planted_cycle_is_malformed_and_the_next_put_succeeds() {
     let reply = roundtrip(&mut stream, FrameKind::Put as u8, &protocol::put_body(&list));
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::PutOk));
     let (handle, _) = protocol::decode_put_ok(&reply.body).expect("put_ok");
-    let reply =
-        roundtrip(&mut stream, FrameKind::RankH as u8, &protocol::rank_h_body(handle, false));
+    let reply = roundtrip(&mut stream, FrameKind::RankH as u8, &Call::rank(handle).encode().1);
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
     let (_, ranks) = protocol::decode_output::<u64>(&reply.body).expect("output");
     assert_eq!(ranks, HostRunner::new(Algorithm::Serial).rank(&list));
@@ -815,7 +828,7 @@ fn put_past_budget_is_store_full_and_lru_eviction_frees_idle_datasets() {
         client.put(&big).expect_err("exceeds whole budget").server_code(),
         Some(ErrorCode::StoreFull)
     );
-    client.rank(&big).expect("connection survives StoreFull");
+    client.call(&Call::rank(&big)).expect("connection survives StoreFull");
 
     let h1 = client.put(&gen::random_list(1_000, 1)).expect("first fits").handle;
     let h2 = client.put(&gen::random_list(1_000, 2)).expect("second fits").handle;
@@ -823,11 +836,11 @@ fn put_past_budget_is_store_full_and_lru_eviction_frees_idle_datasets() {
 
     // h1 was least recently used and idle → evicted; h2 and h3 live.
     assert_eq!(
-        client.rank_h(h1).expect_err("evicted handle").server_code(),
+        client.call(&Call::rank(h1)).expect_err("evicted handle").server_code(),
         Some(ErrorCode::StaleHandle)
     );
-    client.rank_h(h2).expect("h2 still resident");
-    client.rank_h(h3).expect("h3 still resident");
+    client.call(&Call::rank(h2)).expect("h2 still resident");
+    client.call(&Call::rank(h3)).expect("h3 still resident");
 
     let v2 = client.stats_v2().expect("stats_v2");
     assert_eq!(v2.store.evictions, 1);
@@ -839,47 +852,33 @@ fn put_past_budget_is_store_full_and_lru_eviction_frees_idle_datasets() {
 }
 
 #[test]
-fn v2_handshake_is_accepted_and_v1_rejected() {
-    // Protocol v3 and v4 are purely additive over v2, so a v2 client
-    // must still connect and use the v2 surface; v1 predates the
-    // OUTPUT metadata change and stays rejected.
+fn only_v6_handshakes_are_accepted() {
+    // The server speaks one dialect: MIN_VERSION = VERSION = 6. Every
+    // other HELLO version — the older v1–v5 and a future v7 — is
+    // answered with VERSION_MISMATCH and the connection is closed.
+    assert_eq!((protocol::MIN_VERSION, protocol::VERSION), (6, 6));
     let server = start("versions", small_engine(), |c| c);
-
-    let mut stream = UnixStream::connect(&server.path).expect("connect v2");
-    let mut hello = protocol::hello_body();
-    hello[4] = 2; // version = 2
-    hello[5] = 0;
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
-    let (version, _) = protocol::decode_hello_ok(&reply.body).expect("hello_ok");
-    assert_eq!(version, protocol::VERSION, "server advertises its own version");
-    let list = gen::random_list(8, 3);
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false));
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
-
-    // A v3 client (handles but no mutation plane) is accepted too: the
-    // v4 additions never moved MIN_VERSION, which stays at 2.
-    assert_eq!(protocol::MIN_VERSION, 2, "v4 did not raise the compatibility floor");
-    let mut stream = UnixStream::connect(&server.path).expect("connect v3");
-    let mut hello = protocol::hello_body();
-    hello[4] = 3; // version = 3
-    hello[5] = 0;
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
-    let list3 = gen::random_list(6, 4);
-    let reply = roundtrip(&mut stream, FrameKind::Put as u8, &protocol::put_body(&list3));
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::PutOk), "v3 surface still works");
-
-    let mut stream = UnixStream::connect(&server.path).expect("connect v1");
-    let mut hello = protocol::hello_body();
-    hello[4] = 1; // version = 1
-    hello[5] = 0;
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    expect_error(&reply, ErrorCode::VersionMismatch);
-    assert!(
-        matches!(protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT), Ok(None)),
-        "v1 connection is closed"
-    );
+    for version in [1u16, 2, 3, 4, 5, 6, 7] {
+        let mut stream = UnixStream::connect(&server.path).expect("connect");
+        let mut hello = protocol::hello_body();
+        hello[4..6].copy_from_slice(&version.to_le_bytes());
+        let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
+        if version == 6 {
+            assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
+            let (v, _) = protocol::decode_hello_ok(&reply.body).expect("hello_ok");
+            assert_eq!(v, 6);
+            let list = gen::random_list(8, 3);
+            let reply =
+                roundtrip(&mut stream, FrameKind::Rank as u8, &Call::rank(&list).encode().1);
+            assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
+        } else {
+            expect_error(&reply, ErrorCode::VersionMismatch);
+            assert!(
+                matches!(protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT), Ok(None)),
+                "v{version} connection is closed"
+            );
+        }
+    }
     server.stop();
 }
 
@@ -926,13 +925,13 @@ fn mutations_then_handle_queries_are_byte_identical_to_serial() {
 
                 let snapshot = mirror.snapshot();
                 assert_eq!(
-                    client.rank_h(handle).expect("rank_h").output,
+                    client.call(&Call::rank(handle)).expect("rank_h").output,
                     serial.rank(&snapshot),
                     "rank diverged after mutation on {name} n={n}"
                 );
                 let vals: Vec<i64> = (0..mirror.len() as i64).map(|i| (i % 17) - 8).collect();
                 assert_eq!(
-                    client.scan_add_h(handle, &vals).expect("scan_h").output,
+                    client.call(&Call::scan(handle, &vals, AddOp)).expect("scan_h").output,
                     serial.scan(&snapshot, &vals, &AddOp),
                     "scan diverged after mutation on {name} n={n}"
                 );
@@ -961,19 +960,21 @@ fn adversarial_mutations_fail_typed_on_a_surviving_connection() {
     let mut a = Client::connect(&server.path).expect("connect a");
     let list = gen::random_list(64, 9);
     let h = a.put(&list).expect("put").handle;
-    let baseline = a.rank_h(h).expect("baseline rank").output;
+    let baseline = a.call(&Call::rank(h)).expect("baseline rank").output;
 
     // Foreign handle: another connection cannot mutate a's dataset.
     let mut b = Client::connect(&server.path).expect("connect b");
     assert_eq!(
-        b.delete(h, 0).expect_err("foreign mutate").server_code(),
+        b.mutate(h, &[Edit::Delete { v: 0 }]).expect_err("foreign mutate").server_code(),
         Some(ErrorCode::StaleHandle)
     );
-    b.rank(&list).expect("b survives the foreign mutation attempt");
+    b.call(&Call::rank(&list)).expect("b survives the foreign mutation attempt");
 
     // A handle that was never issued.
     assert_eq!(
-        a.append(0xDEAD_BEEF, 1).expect_err("unknown handle").server_code(),
+        a.mutate(0xDEAD_BEEF, &[Edit::Append { count: 1 }])
+            .expect_err("unknown handle")
+            .server_code(),
         Some(ErrorCode::StaleHandle)
     );
 
@@ -985,17 +986,21 @@ fn adversarial_mutations_fail_typed_on_a_surviving_connection() {
 
     // Out-of-range splice target and out-of-range delete.
     assert_eq!(
-        a.splice(h, 999, 999, None).expect_err("splice out of range").server_code(),
+        a.mutate(h, &[Edit::Splice { first: 999, last: 999, after: None }])
+            .expect_err("splice out of range")
+            .server_code(),
         Some(ErrorCode::BadMutation)
     );
     assert_eq!(
-        a.delete(h, 10_000).expect_err("delete out of range").server_code(),
+        a.mutate(h, &[Edit::Delete { v: 10_000 }]).expect_err("delete out of range").server_code(),
         Some(ErrorCode::BadMutation)
     );
 
     // Splicing a run in front of a vertex inside that run.
     assert_eq!(
-        a.splice(h, 5, 5, Some(5)).expect_err("target in run").server_code(),
+        a.mutate(h, &[Edit::Splice { first: 5, last: 5, after: Some(5) }])
+            .expect_err("target in run")
+            .server_code(),
         Some(ErrorCode::BadMutation)
     );
 
@@ -1007,7 +1012,7 @@ fn adversarial_mutations_fail_typed_on_a_surviving_connection() {
         Some(ErrorCode::BadMutation)
     );
     assert_eq!(
-        a.rank_h(h).expect("handle still serves").output,
+        a.call(&Call::rank(h)).expect("handle still serves").output,
         baseline,
         "rejected batch must not change the dataset"
     );
@@ -1023,13 +1028,13 @@ fn adversarial_mutations_fail_typed_on_a_surviving_connection() {
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::StatsOk));
 
     // Mutate-after-drop (and a valid mutation on a live handle works).
-    a.append(h, 2).expect("valid mutation on the abused connection");
+    a.mutate(h, &[Edit::Append { count: 2 }]).expect("valid mutation on the abused connection");
     a.drop_handle(h).expect("drop");
     assert_eq!(
-        a.delete(h, 0).expect_err("mutate after drop").server_code(),
+        a.mutate(h, &[Edit::Delete { v: 0 }]).expect_err("mutate after drop").server_code(),
         Some(ErrorCode::StaleHandle)
     );
-    a.rank(&list).expect("a's connection survives everything");
+    a.call(&Call::rank(&list)).expect("a's connection survives everything");
     drop(a);
     drop(b);
     server.stop();
@@ -1064,13 +1069,13 @@ fn zero_deadline_expires_typed_and_connection_survives() {
 
     // deadline_ms = 0 has always "waited too long" by the time the
     // worker dequeues it — a deterministic expiry.
-    match client.rank_with_deadline(&list, 0) {
+    match client.call(&Call::rank(&list).deadline_ms(0)) {
         Err(e) => assert_eq!(e.server_code(), Some(ErrorCode::DeadlineExceeded), "got {e}"),
         Ok(_) => panic!("a zero deadline must expire in the queue"),
     }
     // A generous deadline sails through, byte-identical, on the SAME
     // connection — the expiry was a typed reply, not a hangup.
-    let served = client.rank_with_deadline(&list, 60_000).expect("generous deadline");
+    let served = client.call(&Call::rank(&list).deadline_ms(60_000)).expect("generous deadline");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
     // The expiry is visible in the resilience gauges.
     let v2 = client.stats_v2().expect("stats_v2");
@@ -1085,42 +1090,16 @@ fn deadline_by_handle_and_mixed_flag_bits_decode_correctly() {
     let mut client = Client::connect(&server.path).expect("connect");
     let list = gen::random_list(3000, 0xD11);
     let handle = client.put(&list).expect("put").handle;
-    let served = client.rank_h_with_deadline(handle, 60_000).expect("rank_h + deadline");
+    let served = client.call(&Call::rank(handle).deadline_ms(60_000)).expect("rank_h + deadline");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
 
     // FLAG_SHARDED | FLAG_DEADLINE together: both decode, answer is
     // still byte-identical.
-    let body = protocol::rank_h_body_deadline(handle, true, Some(60_000));
-    let served = client.request_encoded::<u64>(FrameKind::RankH, &body).expect("both flags");
+    let served =
+        client.call(&Call::rank(handle).sharded().deadline_ms(60_000)).expect("both flags");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
     client.drop_handle(handle).expect("drop");
     drop(client);
-    server.stop();
-}
-
-#[test]
-fn deadline_flag_requires_v5_handshake() {
-    let server = start("deadline-v4", small_engine(), |c| c);
-    let mut stream = UnixStream::connect(&server.path).expect("raw connect");
-
-    // Handshake as a v4 client (the newest version before deadlines).
-    let mut hello = Vec::new();
-    hello.extend_from_slice(&protocol::MAGIC.to_le_bytes());
-    hello.extend_from_slice(&4u16.to_le_bytes());
-    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &hello);
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
-
-    // A deadline-flagged request on a v4-negotiated connection is
-    // Malformed — the flag bit is a v5 construct.
-    let list = gen::random_list(64, 1);
-    let body = protocol::rank_body_deadline(&list, false, Some(1000));
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &body);
-    expect_error(&reply, ErrorCode::Malformed);
-
-    // The connection survives, and the un-flagged path still works.
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false));
-    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
-    drop(stream);
     server.stop();
 }
 
@@ -1145,7 +1124,7 @@ fn queue_shedding_returns_overloaded_under_flood() {
                 let mut shed = 0u64;
                 for j in 0..40 {
                     let list = gen::random_list(20_000, (t * 13 + j) as u64);
-                    match client.rank(&list) {
+                    match client.call(&Call::rank(&list)) {
                         Ok(served) => assert_eq!(served.output, runner.rank(&list)),
                         Err(e) => {
                             assert_eq!(
@@ -1167,7 +1146,7 @@ fn queue_shedding_returns_overloaded_under_flood() {
     let mut probe = Client::connect(&server.path).expect("probe");
     let list = gen::random_list(500, 9);
     assert_eq!(
-        probe.rank(&list).expect("post-flood rank").output,
+        probe.call(&Call::rank(&list)).expect("post-flood rank").output,
         HostRunner::new(Algorithm::ReidMiller).rank(&list)
     );
     let v2 = probe.stats_v2().expect("stats_v2");
@@ -1194,7 +1173,7 @@ fn store_shedding_returns_overloaded_before_admission() {
     }
     // Same connection: resident queries still work, and dropping the
     // dataset re-opens admission.
-    let served = client.rank_h(handle).expect("resident query during pressure");
+    let served = client.call(&Call::rank(handle)).expect("resident query during pressure");
     assert_eq!(served.output, HostRunner::new(Algorithm::ReidMiller).rank(&list));
     client.drop_handle(handle).expect("drop");
     let handle = client.put(&list).expect("admission re-opens once pressure clears").handle;
@@ -1220,7 +1199,7 @@ fn panicking_job_is_isolated_to_a_typed_error() {
     let mut client = Client::connect(&server.path).expect("connect");
     let list = gen::random_list(500, 5);
     for _ in 0..3 {
-        match client.rank(&list) {
+        match client.call(&Call::rank(&list)) {
             Err(e) => assert_eq!(e.server_code(), Some(ErrorCode::InternalError), "got {e}"),
             Ok(_) => panic!("every job must panic at exec_panic=1.0"),
         }
@@ -1250,7 +1229,10 @@ fn worker_panics_respawn_and_jobs_keep_completing() {
     let runner = HostRunner::new(Algorithm::ReidMiller);
     for i in 0..4 {
         let list = gen::random_list(1000 + i * 37, i as u64);
-        assert_eq!(client.rank(&list).expect("rank across respawns").output, runner.rank(&list));
+        assert_eq!(
+            client.call(&Call::rank(&list)).expect("rank across respawns").output,
+            runner.rank(&list)
+        );
     }
     let v2 = client.stats_v2().expect("stats_v2");
     assert!(v2.fault.workers_respawned >= 1, "respawns counted: {:?}", v2.fault);
@@ -1270,12 +1252,8 @@ fn client_killed_mid_reply_leaves_daemon_serving() {
         let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &protocol::hello_body());
         assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
         let list = gen::random_list(200_000, i);
-        protocol::write_frame(
-            &mut stream,
-            FrameKind::Rank as u8,
-            &protocol::rank_body(&list, false),
-        )
-        .expect("send request");
+        protocol::write_frame(&mut stream, FrameKind::Rank as u8, &Call::rank(&list).encode().1)
+            .expect("send request");
         // Hang up without reading the (large) reply.
         drop(stream);
     }
@@ -1283,7 +1261,7 @@ fn client_killed_mid_reply_leaves_daemon_serving() {
     let mut client = Client::connect(&server.path).expect("daemon still accepting");
     let list = gen::random_list(1500, 77);
     assert_eq!(
-        client.rank(&list).expect("daemon still serving").output,
+        client.call(&Call::rank(&list)).expect("daemon still serving").output,
         HostRunner::new(Algorithm::ReidMiller).rank(&list)
     );
     drop(client);
@@ -1315,7 +1293,7 @@ fn sigterm_drains_the_rankd_daemon_gracefully() {
     let mut client = client.expect("daemon came up within 5s");
     let list = gen::random_list(1000, 11);
     assert_eq!(
-        client.rank(&list).expect("pre-TERM rank").output,
+        client.call(&Call::rank(&list)).expect("pre-TERM rank").output,
         HostRunner::new(Algorithm::ReidMiller).rank(&list)
     );
     drop(client);
@@ -1369,7 +1347,7 @@ fn adversarial_lengths_fail_typed_without_allocation() {
 
     // After the whole gauntlet the same connection still ranks.
     let list = gen::random_list(300, 3);
-    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &protocol::rank_body(&list, false));
+    let reply = roundtrip(&mut stream, FrameKind::Rank as u8, &Call::rank(&list).encode().1);
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::Output));
     drop(stream);
     server.stop();

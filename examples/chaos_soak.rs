@@ -49,8 +49,8 @@ fn main() {
 
 #[cfg(unix)]
 fn main() {
-    use engine::client::{Client, ClientError, RetryPolicy};
-    use engine::protocol::{self, ErrorCode, FrameKind, ReqFlags};
+    use engine::client::{Call, Client, ClientError, RetryPolicy};
+    use engine::protocol::{self, ErrorCode, FrameKind};
     use engine::server::{ServeConfig, Server};
     use engine::{Engine, EngineConfig, FaultConfig, FaultPlane};
     use listkit::dynamic::{Edit, MutableList};
@@ -225,12 +225,11 @@ fn main() {
                     while received < requests {
                         let mut broke = false;
                         while sent - received < DEPTH && sent < requests {
-                            let mut flags = ReqFlags::default().with_request_id(next_id);
+                            let mut call = Call::rank(handle).id(next_id);
                             if sent.is_multiple_of(3) {
-                                flags = flags.with_deadline_ms(30_000);
+                                call = call.deadline_ms(30_000);
                             }
-                            let body = protocol::rank_h_body_flags(handle, flags);
-                            match client.send_encoded(FrameKind::RankH, &body) {
+                            match client.send(&call) {
                                 Ok(()) => {
                                     sent += 1;
                                     next_id += 1;
@@ -326,7 +325,7 @@ fn main() {
                         // Rank by handle; every third request carries
                         // a deadline to exercise the v5 path.
                         let reply = if r % 3 == 0 {
-                            client.rank_h_with_deadline(handle, 30_000)
+                            client.call(&Call::rank(handle).deadline_ms(30_000))
                         } else {
                             let body = protocol::rank_h_body(handle, false);
                             client.request_encoded::<u64>(FrameKind::RankH, &body)

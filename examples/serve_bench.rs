@@ -58,8 +58,8 @@ fn main() {
 
 #[cfg(unix)]
 fn main() {
-    use engine::client::Client;
-    use engine::protocol::{self, FrameKind, WireOp};
+    use engine::client::{Call, Client};
+    use engine::protocol::{self, FrameKind};
     use engine::server::{ServeConfig, Server};
     use engine::{Engine, EngineConfig};
     use listkit::dynamic::{Edit, MutableList};
@@ -219,7 +219,9 @@ fn main() {
                         let mut done = 0usize;
                         while done < requests {
                             while inflight < depth && next_id as usize <= requests {
-                                client.send_rank_h(handle, next_id).expect("pipelined send");
+                                client
+                                    .send(&Call::rank(handle).id(next_id))
+                                    .expect("pipelined send");
                                 next_id += 1;
                                 inflight += 1;
                             }
@@ -366,22 +368,14 @@ fn main() {
                     Mode::Handle => Some(client.put(&fixed).expect("put").handle),
                     _ => None,
                 };
-                let (rank_kind, scan_kind, rank_body, scan_body) = match mode {
-                    Mode::Oneshot => (FrameKind::Rank, FrameKind::Scan, Vec::new(), Vec::new()),
-                    Mode::Inline => (
-                        FrameKind::Rank,
-                        FrameKind::Scan,
-                        protocol::rank_body(&fixed, false),
-                        protocol::scan_body(&fixed, &values, WireOp::Add, false),
-                    ),
+                let ((rank_kind, rank_body), (scan_kind, scan_body)) = match mode {
+                    Mode::Oneshot => ((FrameKind::Rank, Vec::new()), (FrameKind::Scan, Vec::new())),
+                    Mode::Inline => {
+                        (Call::rank(&fixed).encode(), Call::scan(&fixed, &values, AddOp).encode())
+                    }
                     Mode::Handle => {
                         let h = handle.expect("put issued a handle");
-                        (
-                            FrameKind::RankH,
-                            FrameKind::ScanH,
-                            protocol::rank_h_body(h, false),
-                            protocol::scan_h_body(h, &values, WireOp::Add, false),
-                        )
+                        (Call::rank(h).encode(), Call::scan(h, &values, AddOp).encode())
                     }
                     Mode::Mutate | Mode::Pipeline => {
                         unreachable!("mutate/pipeline modes returned above")
@@ -392,19 +386,15 @@ fn main() {
                     if mode == Mode::Oneshot {
                         let list = gen::random_list(n, (c * 1009 + r) as u64);
                         if r % 2 == 0 {
-                            let body = protocol::rank_body(&list, false);
+                            let (kind, body) = Call::rank(&list).encode();
                             let t_req = Instant::now();
-                            let served = client
-                                .request_encoded::<u64>(FrameKind::Rank, &body)
-                                .expect("rank");
+                            let served = client.request_encoded::<u64>(kind, &body).expect("rank");
                             rank_lat.record(t_req.elapsed().as_nanos() as u64);
                             assert_eq!(served.output, runner.rank(&list), "rank parity");
                         } else {
-                            let body = protocol::scan_body(&list, &values, WireOp::Add, false);
+                            let (kind, body) = Call::scan(&list, &values, AddOp).encode();
                             let t_req = Instant::now();
-                            let served = client
-                                .request_encoded::<i64>(FrameKind::Scan, &body)
-                                .expect("scan");
+                            let served = client.request_encoded::<i64>(kind, &body).expect("scan");
                             scan_lat.record(t_req.elapsed().as_nanos() as u64);
                             assert_eq!(
                                 served.output,

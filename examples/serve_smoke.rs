@@ -1,13 +1,18 @@
-//! Smoke-test client for a running `rankd serve` daemon (used by CI).
+//! Wire-matrix smoke client for a running `rankd serve` daemon (used by
+//! CI).
 //!
 //! ```sh
 //! cargo run --release -p engine --bin rankd -- serve --socket /tmp/rankd.sock &
 //! cargo run --release --example serve_smoke -- /tmp/rankd.sock
 //! ```
 //!
-//! Connects over the Unix socket, runs one ranking and one scan,
-//! asserts byte parity against a local [`listrank::HostRunner`] on the
-//! same inputs, prints the daemon's STATS report, and sends SHUTDOWN.
+//! Connects over the Unix socket and drives every job frame through
+//! [`engine::Client::call`]: {inline list, resident handle} × {rank,
+//! add/max/min/xor/affine scan, segmented add}, then one pipelined
+//! window of 4 through `send` / `recv_pipelined`. Every reply is
+//! checked byte for byte against a local [`listrank::HostRunner`] on
+//! the same inputs. Finally it prints the daemon's STATS report and
+//! sends SHUTDOWN.
 
 #[cfg(not(unix))]
 fn main() {
@@ -17,9 +22,10 @@ fn main() {
 
 #[cfg(unix)]
 fn main() {
-    use engine::client::Client;
+    use engine::client::{Call, Client, Source};
     use listkit::gen;
-    use listkit::ops::AddOp;
+    use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
+    use listkit::segmented::{self, SegOp};
     use listrank::{Algorithm, HostRunner};
 
     let socket = std::env::args().nth(1).unwrap_or_else(|| "/tmp/rankd.sock".to_string());
@@ -40,25 +46,64 @@ fn main() {
     });
     println!("connected to {socket} (server protocol v{})", client.server_version());
 
-    let n = 100_000;
+    let n = 50_000;
     let list = gen::random_list(n, 0xC90);
-    let values: Vec<i64> = (0..n as i64).map(|i| (i % 23) - 11).collect();
+    let i64s: Vec<i64> = (0..n as i64).map(|i| (i % 23) - 11).collect();
+    let u64s: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let affs: Vec<Affine> = (0..n as i64).map(|i| Affine::new((i % 5) - 2, (i % 7) - 3)).collect();
+    let starts: Vec<bool> = (0..n).map(|v| v % 97 == 0).collect();
     let runner = HostRunner::new(Algorithm::ReidMiller);
-
-    let served = client.rank(&list).expect("served rank");
-    assert_eq!(served.output, runner.rank(&list), "served ranks must be byte-identical");
-    assert_ne!(served.meta.trace_id, 0, "server must echo a nonzero trace id");
-    println!(
-        "rank({n}): parity OK  [trace {}, algorithm {}, exec {:.3} ms, queued {:.3} ms]",
-        served.meta.trace_id,
-        served.meta.algorithm.name(),
-        served.meta.exec_ns as f64 / 1e6,
-        served.meta.queued_ns as f64 / 1e6
+    let ranks = runner.rank(&list);
+    let seg_add = segmented::unwrap_exclusive(
+        &runner.scan(&list, &segmented::wrap(&i64s, &starts), &SegOp(AddOp)),
+        &starts,
+        &AddOp,
     );
 
-    let scanned = client.scan_add(&list, &values).expect("served scan");
-    assert_eq!(scanned.output, runner.scan(&list, &values, &AddOp), "served scan must match");
-    println!("scan_add({n}): parity OK  [algorithm {}]", scanned.meta.algorithm.name());
+    let handle = client.put(&list).expect("PUT").handle;
+    for (name, src) in [("inline", Source::Inline(&list)), ("handle", Source::Handle(handle))] {
+        let served = client.call(&Call::rank(src)).expect("rank");
+        assert_eq!(served.output, ranks, "{name} rank must be byte-identical");
+        assert_ne!(served.meta.trace_id, 0, "server must echo a nonzero trace id");
+        println!(
+            "{name} rank({n}): parity OK  [trace {}, algorithm {}, exec {:.3} ms]",
+            served.meta.trace_id,
+            served.meta.algorithm.name(),
+            served.meta.exec_ns as f64 / 1e6
+        );
+        let check = |what: &str, ok: bool| {
+            assert!(ok, "{name} {what} must be byte-identical");
+            println!("{name} {what}({n}): parity OK");
+        };
+        let got = client.call(&Call::scan(src, &i64s, AddOp)).expect("add").output;
+        check("add", got == runner.scan(&list, &i64s, &AddOp));
+        let got = client.call(&Call::scan(src, &i64s, MaxOp)).expect("max").output;
+        check("max", got == runner.scan(&list, &i64s, &MaxOp));
+        let got = client.call(&Call::scan(src, &i64s, MinOp)).expect("min").output;
+        check("min", got == runner.scan(&list, &i64s, &MinOp));
+        let got = client.call(&Call::scan(src, &u64s, XorOp)).expect("xor").output;
+        check("xor", got == runner.scan(&list, &u64s, &XorOp));
+        let got = client.call(&Call::scan(src, &affs, AffineOp)).expect("affine").output;
+        check("affine", got == runner.scan(&list, &affs, &AffineOp));
+        let got = client.call(&Call::segmented(src, &i64s, &starts, AddOp)).expect("seg").output;
+        check("segmented add", got == seg_add);
+    }
+
+    // One pipelined window of 4, alternating inline and by-handle
+    // ranks; replies come back in completion order, matched by id.
+    for id in 1..=4u64 {
+        let src = if id % 2 == 0 { Source::Handle(handle) } else { Source::Inline(&list) };
+        client.send(&Call::rank(src).id(id)).expect("pipelined send");
+    }
+    let mut seen = [false; 4];
+    for _ in 0..4 {
+        let (id, reply) = client.recv_pipelined::<u64>().expect("pipelined recv");
+        assert_eq!(reply.expect("pipelined rank").output, ranks, "pipelined id {id} parity");
+        seen[(id - 1) as usize] = true;
+    }
+    assert_eq!(seen, [true; 4], "every pipelined id answered once");
+    println!("pipelined window of 4: parity OK");
+    client.drop_handle(handle).expect("DROP");
 
     let stats = client.stats().expect("stats");
     println!("\n-- daemon stats --\n{}", stats.text);

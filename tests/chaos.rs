@@ -22,8 +22,8 @@
 //! and picked up by the nightly `--include-ignored` pass.
 #![cfg(unix)]
 
-use engine::client::{Client, ClientError, RetryPolicy};
-use engine::protocol::{self, ErrorCode, FrameKind, ReqFlags};
+use engine::client::{Call, Client, ClientError, RetryPolicy};
+use engine::protocol::{self, ErrorCode, FrameKind};
 use engine::server::{ServeConfig, Server};
 use engine::{Engine, EngineConfig, FaultConfig, FaultPlane};
 use listkit::dynamic::{Edit, MutableList};
@@ -145,7 +145,7 @@ fn soak(tag: &str, clients: usize, requests: usize, n: usize, spec: &str) -> u64
                         }
                     } else {
                         let reply = if r % 3 == 0 {
-                            client.rank_h_with_deadline(handle, 30_000)
+                            client.call(&Call::rank(handle).deadline_ms(30_000))
                         } else {
                             let body = protocol::rank_h_body(handle, false);
                             client.request_encoded::<u64>(FrameKind::RankH, &body)
@@ -257,12 +257,11 @@ fn pipelined_soak(
                     // whole outstanding window is forfeit.
                     let mut broke = false;
                     while sent - received < depth && sent < requests {
-                        let mut flags = ReqFlags::default().with_request_id(next_id);
+                        let mut call = Call::rank(handle).id(next_id);
                         if sent.is_multiple_of(3) {
-                            flags = flags.with_deadline_ms(30_000);
+                            call = call.deadline_ms(30_000);
                         }
-                        let body = protocol::rank_h_body_flags(handle, flags);
-                        match client.send_encoded(FrameKind::RankH, &body) {
+                        match client.send(&call) {
                             Ok(()) => {
                                 sent += 1;
                                 next_id += 1;
@@ -411,7 +410,7 @@ fn client_killed_with_eight_frames_in_flight_settles_accounting() {
     let fixed = gen::random_list(60_000, 9);
     let handle = client.put(&fixed).expect("put").handle;
     for id in 1..=8u64 {
-        client.send_rank_h(handle, id).expect("pipelined send");
+        client.send(&Call::rank(handle).id(id)).expect("pipelined send");
     }
     // Kill the connection with the full window outstanding.
     drop(client);

@@ -140,7 +140,7 @@ fn engine_sharded_jobs_match_serial_on_every_topology() {
     for n in SIZES {
         for (name, list) in topologies(n) {
             let oracle = listkit::serial::rank(&list);
-            let req = Request::rank_sharded(Arc::new(list));
+            let req = Request::rank(Arc::new(list)).sharded();
             let opts = JobOptions { seed: SEED ^ n as u64, algorithm: None, ..Default::default() };
             let handle = engine.submit_with(req, opts).expect("submit");
             pending.push((n, name, oracle, handle));
@@ -310,7 +310,7 @@ fn resident_dataset_rank_matches_serial_on_every_topology() {
             let receipt = store.put(1, Arc::new(list)).expect("put fits the budget");
             let entry = store.get(receipt.handle, 1).expect("resident");
             for pass in 0..2 {
-                let req = Request::rank_sharded(entry.list()).with_artifacts(entry.artifacts());
+                let req = Request::rank(entry.list()).sharded().with_artifacts(entry.artifacts());
                 let opts =
                     JobOptions { seed: SEED ^ n as u64, algorithm: None, ..Default::default() };
                 let report = engine.submit_with(req, opts).expect("submit").wait().expect("job");
