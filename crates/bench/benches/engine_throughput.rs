@@ -1,6 +1,5 @@
-//! Criterion: `rankd` engine throughput on the mixed workload —
-//! engine-with-buffer-pool vs engine-without-pool vs the naive
-//! sequential-submit baseline (one-shot `HostRunner` per job, fresh
+//! Criterion: `rankd` engine throughput on the mixed workload — the
+//! pooled engine vs the naive sequential-submit baseline (one-shot `HostRunner` per job, fresh
 //! allocations). The same scenario is the `rankd` CLI's default shape,
 //! scaled down so the benchmark converges quickly.
 
@@ -34,12 +33,6 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| black_box(run_engine(&pooled, &workload).checksum))
     });
 
-    let unpooled = Engine::new(EngineConfig::default().with_pooling(false));
-    run_engine(&unpooled, &workload);
-    g.bench_function("engine_no_pool", |b| {
-        b.iter(|| black_box(run_engine(&unpooled, &workload).checksum))
-    });
-
     g.bench_function("naive_sequential", |b| {
         b.iter(|| black_box(run_baseline(&workload).checksum))
     });
@@ -47,7 +40,6 @@ fn bench_engine(c: &mut Criterion) {
 
     println!("\npooled engine stats after benchmark:\n{}", pooled.stats());
     pooled.shutdown();
-    unpooled.shutdown();
 }
 
 criterion_group!(benches, bench_engine);

@@ -8,6 +8,7 @@
 //! cargo run --release -p engine --bin rankd -- serve --socket /tmp/rankd.sock
 //! ```
 
+use engine::stats::format_count;
 use engine::workload::{
     run_baseline, run_engine, run_sharded_scenario, HugeListConfig, OpSelect, Workload,
     WorkloadConfig,
@@ -90,13 +91,11 @@ Engine:
   --queue-cap Q          queue capacity (backpressure)  [default 1024]
   --small-cutoff N       batch jobs up to N vertices    [default 4096]
   --batch-max B          max jobs per batch             [default 64]
-  --no-pool              disable scratch-buffer pooling
   --lanes K              interleaved traversal lanes per worker for the
                          multi-chain walks; 0 = let the planner tune K
                          per size bucket                    [default 0]
   --shard-budget N       per-worker vertex budget: RankSharded jobs
                          above N split into shards    [default 2097152]
-  --no-telemetry         disable latency histograms / span recording
   --slow-ms MS           slow-request warn threshold in ms (also
                          RANKD_SLOW_MS)                  [default 250]
   --skip-baseline        skip the naive sequential-submit baseline
@@ -131,13 +130,11 @@ fn parse_engine_flag(
         "--queue-cap" => engine.queue_capacity = num(val("--queue-cap"))?,
         "--small-cutoff" => engine.small_cutoff = num(val("--small-cutoff"))?,
         "--batch-max" => engine.batch_max = num(val("--batch-max"))?,
-        "--no-pool" => engine.pool_scratch = false,
         "--lanes" => {
             let k: usize = num(val("--lanes"))?;
             engine.lanes = (k > 0).then_some(k);
         }
         "--shard-budget" => engine.shard_budget = num(val("--shard-budget"))?,
-        "--no-telemetry" => engine.telemetry = false,
         "--slow-ms" => engine.slow_request_ms = Some(num(val("--slow-ms"))?),
         _ => return Ok(false),
     }
@@ -266,8 +263,7 @@ QoS (protocol v6):
 
 Engine (as in plain rankd):
   --workers W --inner-threads T --queue-cap Q --small-cutoff N
-  --batch-max B --no-pool --lanes K --shard-budget N
-  --no-telemetry --slow-ms MS
+  --batch-max B --lanes K --shard-budget N --slow-ms MS
 
 Signals: SIGTERM drains gracefully (in-flight replies complete, socket
 file removed, stats printed); SIGPIPE is ignored (dead clients surface
@@ -476,23 +472,10 @@ fn parse_stats_args(mut it: impl Iterator<Item = String>) -> (String, Option<u64
     (socket, watch)
 }
 
-/// One `samples p50 p95 p99 max` dashboard row (milliseconds).
-#[cfg(unix)]
-fn hist_row(h: &engine::Histogram) -> String {
-    format!(
-        "{:>9} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-        h.count(),
-        h.percentile(50.0) as f64 / 1e6,
-        h.percentile(95.0) as f64 / 1e6,
-        h.percentile(99.0) as f64 / 1e6,
-        h.max() as f64 / 1e6
-    )
-}
-
 /// Render one STATS_V2 snapshot as the top-style dashboard.
 #[cfg(unix)]
 fn render_dashboard(socket: &str, v2: &engine::protocol::WireStatsV2) -> String {
-    use listrank::Algorithm;
+    use engine::stats::{write_dispatch_table, write_latency_tables, write_mispredict};
     use std::fmt::Write;
 
     let g = &v2.gauges;
@@ -514,8 +497,8 @@ fn render_dashboard(socket: &str, v2: &engine::protocol::WireStatsV2) -> String 
     let _ = writeln!(
         out,
         "throughput: {} jobs/s, {} elems/s   queue: {} (peak {})   lanes: {} occupancy   conns: {} open / {} total",
-        fmt_rate(jobs_per_sec),
-        fmt_rate(elems_per_sec),
+        format_count(jobs_per_sec),
+        format_count(elems_per_sec),
         g.queue_depth,
         g.peak_queue_depth,
         occupancy,
@@ -631,60 +614,12 @@ fn render_dashboard(socket: &str, v2: &engine::protocol::WireStatsV2) -> String 
             d.count()
         );
     }
-    if v2.per_op.iter().any(|h| !h.is_empty()) {
-        let _ = writeln!(out, "\nexec latency by op (ms):");
-        let _ = writeln!(
-            out,
-            "  {:>11} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "op", "samples", "p50", "p95", "p99", "max"
-        );
-        for op in engine::OpKind::ALL {
-            let h = &v2.per_op[op.index()];
-            if !h.is_empty() {
-                let _ = writeln!(out, "  {:>11} {}", op.name(), hist_row(h));
-            }
-        }
-    }
-    if v2.phase.iter().any(|h| !h.is_empty()) {
-        let _ = writeln!(out, "\nlatency by phase (ms):");
-        let _ = writeln!(
-            out,
-            "  {:>11} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "phase", "samples", "p50", "p95", "p99", "max"
-        );
-        for phase in engine::Phase::ALL {
-            let h = &v2.phase[phase.index()];
-            if !h.is_empty() {
-                let _ = writeln!(out, "  {:>11} {}", phase.name(), hist_row(h));
-            }
-        }
-    }
-    if !v2.dispatch_by_op.is_empty() {
-        let _ = writeln!(out, "\nplanner dispatch (completions per algorithm):");
-        let _ = write!(out, "  {:>11}", "op");
-        for alg in Algorithm::ALL {
-            let _ = write!(out, " {:>12}", alg.name());
-        }
-        let _ = writeln!(out);
-        for (op, row) in &v2.dispatch_by_op {
-            let _ = write!(out, "  {:>11}", op.name());
-            for c in row {
-                let _ = write!(out, " {c:>12}");
-            }
-            let _ = writeln!(out);
-        }
-    }
-    if !v2.mispredict.is_empty() {
-        let scale = engine::planner::MISPREDICT_SCALE as f64;
-        let _ = writeln!(
-            out,
-            "\nplanner mispredict (measured/predicted): p50 {:.2}x  p95 {:.2}x  p99 {:.2}x  over {} scored",
-            v2.mispredict.percentile(50.0) as f64 / scale,
-            v2.mispredict.percentile(95.0) as f64 / scale,
-            v2.mispredict.percentile(99.0) as f64 / scale,
-            v2.mispredict.count()
-        );
-    }
+    let _ = writeln!(out);
+    let _ = write_latency_tables(&mut out, &v2.phase, &v2.per_op);
+    let rows = v2.dispatch_by_op.iter().map(|(op, row)| (op.name().to_string(), &row[..]));
+    let _ =
+        write_dispatch_table(&mut out, "planner dispatch (completions per algorithm):", "op", rows);
+    let _ = write_mispredict(&mut out, &v2.mispredict);
     out
 }
 
@@ -736,16 +671,6 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-fn fmt_rate(x: f64) -> String {
-    if x >= 1e6 {
-        format!("{:.2}M", x / 1e6)
-    } else if x >= 1e3 {
-        format!("{:.2}k", x / 1e3)
-    } else {
-        format!("{x:.1}")
-    }
-}
-
 /// The huge-list scenario: job-level parallelism is pointless when one
 /// job saturates the machine, so *unless overridden on the command
 /// line* run one worker with the full thread budget inside it, and
@@ -777,7 +702,7 @@ fn run_sharded_cli(args: &Args) {
         "sharded:    {} jobs in {:.3}s  ({} elems/s)  [{} jobs over {} shards, stitch {:.3} ms]",
         cmp.sharded.jobs,
         cmp.sharded.elapsed.as_secs_f64(),
-        fmt_rate(cmp.sharded.elements_per_sec()),
+        format_count(cmp.sharded.elements_per_sec()),
         stats.sharded_jobs,
         stats.shards_ranked,
         stats.stitch_ns as f64 / 1e6,
@@ -786,7 +711,7 @@ fn run_sharded_cli(args: &Args) {
         "monolithic: {} jobs in {:.3}s  ({} elems/s)",
         cmp.monolithic.jobs,
         cmp.monolithic.elapsed.as_secs_f64(),
-        fmt_rate(cmp.monolithic.elements_per_sec()),
+        format_count(cmp.monolithic.elements_per_sec()),
     );
     println!("\nsharded vs monolithic: {:.2}× throughput", cmp.speedup());
     println!("\n-- engine stats --\n{}", engine.stats());
@@ -855,13 +780,12 @@ fn main() {
 
     let engine = Engine::new(args.engine.clone());
     println!(
-        "engine: {} workers × {} inner threads, queue {} (batch ≤{} jobs ≤{} vertices, pool {}, lanes {})",
+        "engine: {} workers × {} inner threads, queue {} (batch ≤{} jobs ≤{} vertices, lanes {})",
         engine.config().workers,
         engine.config().inner_threads,
         engine.config().queue_capacity,
         engine.config().batch_max,
         engine.config().small_cutoff,
-        if engine.config().pool_scratch { "on" } else { "off" },
         match engine.config().lanes {
             Some(k) => k.to_string(),
             None => "auto".to_string(),
@@ -876,8 +800,8 @@ fn main() {
             r + 1,
             res.jobs,
             res.elapsed.as_secs_f64(),
-            fmt_rate(res.jobs_per_sec()),
-            fmt_rate(res.elements_per_sec()),
+            format_count(res.jobs_per_sec()),
+            format_count(res.elements_per_sec()),
         );
         engine_result = Some(res);
     }
@@ -894,15 +818,15 @@ fn main() {
             "baseline: {} jobs in {:.3}s  ({} jobs/s, {} elems/s)",
             base.jobs,
             base.elapsed.as_secs_f64(),
-            fmt_rate(base.jobs_per_sec()),
-            fmt_rate(base.elements_per_sec()),
+            format_count(base.jobs_per_sec()),
+            format_count(base.elements_per_sec()),
         );
         assert_eq!(base.checksum, engine_result.checksum, "engine and baseline outputs diverged");
         let speedup = base.elapsed.as_secs_f64() / engine_result.elapsed.as_secs_f64();
         println!(
             "\nengine vs baseline: {speedup:.2}× throughput ({} vs {} elems/s)",
-            fmt_rate(engine_result.elements_per_sec()),
-            fmt_rate(base.elements_per_sec()),
+            format_count(engine_result.elements_per_sec()),
+            format_count(base.elements_per_sec()),
         );
     }
 

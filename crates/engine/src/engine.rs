@@ -8,7 +8,6 @@ use crate::job::{
 use crate::planner::{Planner, ShardDecision};
 use crate::pool::ScratchPool;
 use crate::queue::{JobQueue, SubmitError};
-use crate::sched::SchedSnapshot;
 use crate::stats::{Counters, EngineStats};
 use crate::telemetry::{self, Phase, Span, Telemetry};
 use listrank::HostRunner;
@@ -18,7 +17,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Engine sizing and policy.
+/// Engine sizing and policy. Telemetry has no switch: the phase and op
+/// histograms are the engine's only record of completions and their
+/// timings, and scratch buffers are always pooled.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads draining the queue (job-level parallelism).
@@ -32,9 +33,6 @@ pub struct EngineConfig {
     pub small_cutoff: usize,
     /// Maximum jobs per small-job batch.
     pub batch_max: usize,
-    /// Reuse scratch buffers across jobs (`false` = allocate fresh per
-    /// batch; exists so benchmarks can measure the pool's effect).
-    pub pool_scratch: bool,
     /// Per-worker vertex budget for `JobSpec::RankSharded`: lists of at
     /// most this many vertices run monolithically, larger ones split
     /// into shards of at most this size (≈ the vertex count whose
@@ -44,10 +42,6 @@ pub struct EngineConfig {
     /// the planner tunes the count per size bucket with its EWMA probe
     /// machinery; `Some(k)` pins it — `rankd --lanes`).
     pub lanes: Option<usize>,
-    /// Record latency histograms, request spans, and slow-request log
-    /// lines (`rankd --no-telemetry` clears it; exists so the <3%
-    /// recording overhead can be measured against a true baseline).
-    pub telemetry: bool,
     /// Slow-request log threshold in milliseconds (total phase time).
     /// `None` = the `RANKD_SLOW_MS` environment variable, defaulting to
     /// [`crate::telemetry::DEFAULT_SLOW_MS`].
@@ -69,10 +63,8 @@ impl Default for EngineConfig {
             inner_threads: (avail / workers).max(1),
             small_cutoff: 4096,
             batch_max: 64,
-            pool_scratch: true,
             shard_budget: 1 << 21,
             lanes: None,
-            telemetry: true,
             slow_request_ms: None,
             fault: Arc::new(FaultPlane::disabled()),
         }
@@ -105,12 +97,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enable or disable scratch-buffer pooling.
-    pub fn with_pooling(mut self, pool: bool) -> Self {
-        self.pool_scratch = pool;
-        self
-    }
-
     /// Override the per-worker sharding budget.
     pub fn with_shard_budget(mut self, budget: usize) -> Self {
         self.shard_budget = budget.max(1);
@@ -121,13 +107,6 @@ impl EngineConfig {
     /// tuning).
     pub fn with_lanes(mut self, lanes: Option<usize>) -> Self {
         self.lanes = lanes.map(|k| k.max(1));
-        self
-    }
-
-    /// Enable or disable telemetry recording (histograms, spans,
-    /// slow-request lines).
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
 
@@ -177,8 +156,8 @@ impl Engine {
             queue: JobQueue::new(cfg.queue_capacity),
             planner: Planner::new(cfg.inner_threads).with_lanes_override(cfg.lanes),
             pool: ScratchPool::new(cfg.workers),
-            counters: Counters::new(),
-            telemetry: Telemetry::new(cfg.telemetry, cfg.slow_request_ms),
+            counters: Counters::default(),
+            telemetry: Telemetry::new(cfg.slow_request_ms),
             started: Instant::now(),
             cfg,
         });
@@ -383,14 +362,6 @@ impl Engine {
         self.shared.queue.depth()
     }
 
-    /// Point-in-time scheduler counters (per-class queued / dispatched
-    /// / finished, aging-valve fires) — cheaper than a full
-    /// [`Engine::stats`] gather; the server's STATS_V2 scheduler-gauge
-    /// block reads this per request.
-    pub fn sched_snapshot(&self) -> SchedSnapshot {
-        self.shared.queue.sched_snapshot()
-    }
-
     /// A point-in-time metrics snapshot.
     pub fn stats(&self) -> EngineStats {
         EngineStats::gather(
@@ -468,11 +439,7 @@ fn worker_loop(shared: &Shared) {
         }
         let batched = batch.len() > 1;
 
-        let mut scratch = if shared.cfg.pool_scratch {
-            shared.pool.acquire()
-        } else {
-            listrank::host::RankScratch::new()
-        };
+        let mut scratch = shared.pool.acquire();
         inner_pool.install(|| {
             for mut job in batch {
                 if job.responder.is_settled() {
@@ -482,8 +449,7 @@ fn worker_loop(shared: &Shared) {
                 }
                 // Deadline enforcement happens here, at dequeue and
                 // before any execution or queue accounting: an expired
-                // job's wait never pollutes the queued_ns counters or
-                // the QueueWait histogram the planner reads.
+                // job's wait never pollutes the QueueWait histogram.
                 if let Some(deadline_ms) = job.opts.deadline_ms {
                     if crate::fault::deadline_expired(job.enqueued.elapsed(), deadline_ms) {
                         shared.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
@@ -640,58 +606,43 @@ fn worker_loop(shared: &Shared) {
                 }));
                 shared.queue.note_finished(job.opts.priority);
                 if landed {
-                    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
                     shared.counters.elements.fetch_add(n as u64, Ordering::Relaxed);
-                    shared.counters.exec_ns.fetch_add(exec_ns, Ordering::Relaxed);
-                    shared.counters.queued_ns.fetch_add(queued_ns, Ordering::Relaxed);
-                    let per_op = &shared.counters.per_op[op.index()];
-                    per_op.completed.fetch_add(1, Ordering::Relaxed);
-                    per_op.elements.fetch_add(n as u64, Ordering::Relaxed);
-                    per_op.exec_ns.fetch_add(exec_ns, Ordering::Relaxed);
+                    shared.counters.op_elements[op.index()].fetch_add(n as u64, Ordering::Relaxed);
+                    shared.telemetry.record_phase(Phase::QueueWait, queued_ns);
+                    shared.telemetry.record_phase(Phase::Plan, plan_ns);
                     if done.shards > 0 {
-                        shared.counters.sharded_jobs.fetch_add(1, Ordering::Relaxed);
                         shared
                             .counters
                             .shards_ranked
                             .fetch_add(done.shards as u64, Ordering::Relaxed);
-                        shared.counters.stitch_ns.fetch_add(done.stitch_ns, Ordering::Relaxed);
+                        shared.telemetry.record_phase(Phase::Stitch, done.stitch_ns);
                     }
-                    if shared.telemetry.enabled() {
-                        // Sum-consistency invariant (pinned by tests):
-                        // these histograms record exactly the values
-                        // the counters above accumulate, so e.g.
-                        // phase[Exec].sum() == counters.exec_ns.
-                        shared.telemetry.record_phase(Phase::QueueWait, queued_ns);
-                        shared.telemetry.record_phase(Phase::Plan, plan_ns);
-                        shared.telemetry.record_phase(Phase::Exec, exec_ns);
-                        if done.shards > 0 {
-                            shared.telemetry.record_phase(Phase::Stitch, done.stitch_ns);
-                        }
-                        shared.telemetry.record_op(op, exec_ns);
-                        let mut phase_ns = [0u64; Phase::ALL.len()];
-                        phase_ns[Phase::Decode.index()] = job.opts.decode_ns;
-                        phase_ns[Phase::QueueWait.index()] = queued_ns;
-                        phase_ns[Phase::Plan.index()] = plan_ns;
-                        phase_ns[Phase::Exec.index()] = exec_ns;
-                        phase_ns[Phase::Stitch.index()] = done.stitch_ns;
-                        shared.telemetry.record_span(Span {
-                            trace_id,
-                            op,
-                            n,
-                            algorithm: done.algorithm,
-                            shards: done.shards,
-                            phase_ns,
-                        });
-                    }
+                    shared.telemetry.record_op(op, exec_ns);
+                    let mut phase_ns = [0u64; Phase::ALL.len()];
+                    phase_ns[Phase::Decode.index()] = job.opts.decode_ns;
+                    phase_ns[Phase::QueueWait.index()] = queued_ns;
+                    phase_ns[Phase::Plan.index()] = plan_ns;
+                    phase_ns[Phase::Exec.index()] = exec_ns;
+                    phase_ns[Phase::Stitch.index()] = done.stitch_ns;
+                    shared.telemetry.record_span(Span {
+                        trace_id,
+                        op,
+                        n,
+                        algorithm: done.algorithm,
+                        shards: done.shards,
+                        phase_ns,
+                    });
+                    // Last: `EngineStats::completed` is the Exec count,
+                    // so a reader that sees this job complete also sees
+                    // every sample recorded above.
+                    shared.telemetry.record_phase(Phase::Exec, exec_ns);
                 } else {
                     // Cancelled while executing: result discarded.
                     shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
                 }
             }
         });
-        if shared.cfg.pool_scratch {
-            shared.pool.release(scratch);
-        }
+        shared.pool.release(scratch);
         // The worker-panic injection point sits *between* batches: every
         // popped job has already settled, so the unwind (caught by the
         // respawn wrapper around this loop) strands no waiter.

@@ -13,8 +13,7 @@
 //!
 //! The plane is **off by default and zero-cost when disabled**: every
 //! decision method starts with one branch on a plain `bool` and touches
-//! no atomics when the plane is disabled — the same pattern the
-//! telemetry plane uses for `--no-telemetry`.
+//! no atomics when the plane is disabled.
 //!
 //! Specs are parsed from the `--fault` CLI flag / `RANKD_FAULT`
 //! environment variable:

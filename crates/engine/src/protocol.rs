@@ -1551,328 +1551,200 @@ pub const TAG_SCHED: u8 = 9;
 /// tag.
 pub const TAG_PIPELINE: u8 = 10;
 
-/// The fixed gauge block of a STATS_V2_OK frame: point-in-time scalars
-/// the `rankd stats` dashboard needs alongside the histograms. Encoded
-/// with a leading count so future versions can append gauges without
-/// breaking older readers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsGauges {
-    /// Engine uptime in nanoseconds.
-    pub uptime_ns: u64,
-    /// Jobs accepted into the queue.
-    pub submitted: u64,
-    /// Jobs completed successfully.
-    pub completed: u64,
-    /// Jobs cancelled before execution.
-    pub cancelled: u64,
-    /// Jobs whose execution panicked.
-    pub failed: u64,
-    /// Submissions rejected because the queue was full.
-    pub rejected_full: u64,
-    /// Total vertices processed by completed jobs.
-    pub elements: u64,
-    /// Current queue depth.
-    pub queue_depth: u64,
-    /// Highest queue depth observed.
-    pub peak_queue_depth: u64,
-    /// Vertices visited by K-lane interleaved walks.
-    pub lane_steps: u64,
-    /// Lane slots offered while those walks ran (`lane_steps /
-    /// lane_slots` is the occupancy).
-    pub lane_slots: u64,
-    /// Server connections currently open.
-    pub connections_active: u64,
-    /// Server connections accepted since start.
-    pub connections_total: u64,
+/// A STATS_V2 gauge block: a fixed run of `u64` gauges, encoded as
+/// `count: u8` followed by `count` LE `u64`s in field order. The count
+/// prefix keeps older readers working: a newer peer appends gauges, and
+/// a reader skips the ones past its own [`GaugeBlock::COUNT`].
+trait GaugeBlock: Sized {
+    const COUNT: usize;
+    const TAG: u8;
+    /// What the block holds, for decode errors.
+    const WHAT: &'static str;
+    /// The gauges in wire order.
+    fn gauges(&self) -> Vec<u64>;
+    /// Rebuild from wire gauges (at least [`GaugeBlock::COUNT`]).
+    fn from_gauges(g: &[u64]) -> Self;
 }
 
-impl StatsGauges {
-    /// Number of gauges this version defines.
-    pub const COUNT: usize = 13;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.uptime_ns,
-            self.submitted,
-            self.completed,
-            self.cancelled,
-            self.failed,
-            self.rejected_full,
-            self.elements,
-            self.queue_depth,
-            self.peak_queue_depth,
-            self.lane_steps,
-            self.lane_slots,
-            self.connections_active,
-            self.connections_total,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> StatsGauges {
-        StatsGauges {
-            uptime_ns: c[0],
-            submitted: c[1],
-            completed: c[2],
-            cancelled: c[3],
-            failed: c[4],
-            rejected_full: c[5],
-            elements: c[6],
-            queue_depth: c[7],
-            peak_queue_depth: c[8],
-            lane_steps: c[9],
-            lane_slots: c[10],
-            connections_active: c[11],
-            connections_total: c[12],
+/// Declares one gauge block: a struct of documented `u64` fields in
+/// wire order, its tag and `COUNT`, and its [`GaugeBlock`] view for
+/// the one codec ([`put_gauges`] / [`parse_gauges`]). Adding a gauge
+/// means appending one documented field to the declaration.
+macro_rules! gauge_block {
+    (
+        $(#[$doc:meta])*
+        pub struct $name:ident: $tag:ident, $what:literal {
+            $( $(#[$fdoc:meta])* pub $field:ident, )+
         }
-    }
-}
-
-/// The resident-dataset store's gauge block of a STATS_V2_OK frame
-/// (mirrors [`crate::store::StoreStats`]). Encoded with a leading
-/// count so future versions can append gauges without breaking older
-/// readers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreGauges {
-    /// Configured byte budget.
-    pub budget_bytes: u64,
-    /// Bytes currently resident (lists + cached artifacts).
-    pub resident_bytes: u64,
-    /// Datasets currently resident.
-    pub resident_count: u64,
-    /// Successful PUTs.
-    pub puts: u64,
-    /// Datasets removed by DROP or connection teardown.
-    pub drops: u64,
-    /// Handle resolution attempts.
-    pub lookups: u64,
-    /// Lookups that resolved to a resident dataset.
-    pub hits: u64,
-    /// Lookups that found no dataset for the (handle, connection).
-    pub misses: u64,
-    /// Datasets evicted by LRU pressure.
-    pub evictions: u64,
-    /// PUTs refused because the budget could not be met.
-    pub put_rejected: u64,
-    /// Sharded artifacts built.
-    pub artifacts_built: u64,
-    /// Sharded artifacts served from the cache.
-    pub artifacts_reused: u64,
-}
-
-impl StoreGauges {
-    /// Number of store gauges this version defines.
-    pub const COUNT: usize = 12;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.budget_bytes,
-            self.resident_bytes,
-            self.resident_count,
-            self.puts,
-            self.drops,
-            self.lookups,
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.put_rejected,
-            self.artifacts_built,
-            self.artifacts_reused,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> StoreGauges {
-        StoreGauges {
-            budget_bytes: c[0],
-            resident_bytes: c[1],
-            resident_count: c[2],
-            puts: c[3],
-            drops: c[4],
-            lookups: c[5],
-            hits: c[6],
-            misses: c[7],
-            evictions: c[8],
-            put_rejected: c[9],
-            artifacts_built: c[10],
-            artifacts_reused: c[11],
+    ) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$fdoc])* pub $field: u64, )+
         }
-    }
-}
 
-/// The mutation plane's gauge block of a STATS_V2_OK frame (mirrors
-/// [`crate::store::MutationStats`]). Encoded with a leading count so
-/// future versions can append gauges without breaking older readers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MutGauges {
-    /// Mutation batches applied.
-    pub mutations: u64,
-    /// Individual edits applied.
-    pub edits: u64,
-    /// Maintenance passes that patched dirty shards in place.
-    pub incremental: u64,
-    /// Maintenance passes that rebuilt from scratch.
-    pub full: u64,
-    /// Dirty shards patched by incremental passes.
-    pub dirty_shards_patched: u64,
-    /// Cached artifacts brought up to date.
-    pub artifacts_patched: u64,
-}
-
-impl MutGauges {
-    /// Number of mutation gauges this version defines.
-    pub const COUNT: usize = 6;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.mutations,
-            self.edits,
-            self.incremental,
-            self.full,
-            self.dirty_shards_patched,
-            self.artifacts_patched,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> MutGauges {
-        MutGauges {
-            mutations: c[0],
-            edits: c[1],
-            incremental: c[2],
-            full: c[3],
-            dirty_shards_patched: c[4],
-            artifacts_patched: c[5],
+        impl $name {
+            /// Number of gauges this version defines.
+            pub const COUNT: usize = [$(stringify!($field)),+].len();
         }
-    }
-}
 
-/// The fault/resilience gauge block of a STATS_V2_OK frame: what the
-/// fault-injection plane ([`crate::fault::FaultPlane`]) injected, and
-/// what the resilience machinery absorbed (panics isolated, workers
-/// respawned, deadlines expired, requests shed). Encoded with a
-/// leading count so future versions can append gauges without breaking
-/// older readers. Added in protocol v5.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultGauges {
-    /// Socket reads/writes failed by injection.
-    pub injected_io_errors: u64,
-    /// Artificial socket delays injected.
-    pub injected_delays: u64,
-    /// Reply writes cut short by injection.
-    pub injected_short_writes: u64,
-    /// Worker executions panicked by injection.
-    pub injected_exec_panics: u64,
-    /// Store admissions rejected by injection.
-    pub injected_store_errors: u64,
-    /// Worker panics caught and converted to typed `internal_error`
-    /// replies (injected or genuine).
-    pub panics_recovered: u64,
-    /// Worker threads that re-entered their loop after an unexpected
-    /// panic outside job execution.
-    pub workers_respawned: u64,
-    /// Jobs dropped at dequeue because their deadline expired.
-    pub deadline_expired: u64,
-    /// Requests shed at the queue-depth watermark.
-    pub shed_queue: u64,
-    /// PUTs shed at the store-pressure watermark.
-    pub shed_store: u64,
-}
-
-impl FaultGauges {
-    /// Number of fault gauges this version defines.
-    pub const COUNT: usize = 10;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.injected_io_errors,
-            self.injected_delays,
-            self.injected_short_writes,
-            self.injected_exec_panics,
-            self.injected_store_errors,
-            self.panics_recovered,
-            self.workers_respawned,
-            self.deadline_expired,
-            self.shed_queue,
-            self.shed_store,
-        ]
-    }
-
-    fn from_array(c: [u64; Self::COUNT]) -> FaultGauges {
-        FaultGauges {
-            injected_io_errors: c[0],
-            injected_delays: c[1],
-            injected_short_writes: c[2],
-            injected_exec_panics: c[3],
-            injected_store_errors: c[4],
-            panics_recovered: c[5],
-            workers_respawned: c[6],
-            deadline_expired: c[7],
-            shed_queue: c[8],
-            shed_store: c[9],
+        impl GaugeBlock for $name {
+            const COUNT: usize = $name::COUNT;
+            const TAG: u8 = $tag;
+            const WHAT: &'static str = $what;
+            fn gauges(&self) -> Vec<u64> {
+                vec![$(self.$field),+]
+            }
+            fn from_gauges(g: &[u64]) -> Self {
+                let mut g = g.iter().copied();
+                $name { $($field: g.next().unwrap_or_default(),)+ }
+            }
         }
+    };
+}
+
+gauge_block! {
+    /// The fixed gauge block of a STATS_V2_OK frame: point-in-time
+    /// scalars the `rankd stats` dashboard needs alongside the histograms.
+    pub struct StatsGauges: TAG_GAUGES, "gauge" {
+        /// Engine uptime in nanoseconds.
+        pub uptime_ns,
+        /// Jobs accepted into the queue.
+        pub submitted,
+        /// Jobs completed successfully.
+        pub completed,
+        /// Jobs cancelled before execution.
+        pub cancelled,
+        /// Jobs whose execution panicked.
+        pub failed,
+        /// Submissions rejected because the queue was full.
+        pub rejected_full,
+        /// Total vertices processed by completed jobs.
+        pub elements,
+        /// Current queue depth.
+        pub queue_depth,
+        /// Highest queue depth observed.
+        pub peak_queue_depth,
+        /// Vertices visited by K-lane interleaved walks.
+        pub lane_steps,
+        /// Lane slots offered while those walks ran (`lane_steps /
+        /// lane_slots` is the occupancy).
+        pub lane_slots,
+        /// Server connections currently open.
+        pub connections_active,
+        /// Server connections accepted since start.
+        pub connections_total,
     }
 }
 
-/// The scheduler/QoS gauge block of a STATS_V2_OK frame: what the
-/// two-class scheduler dispatched and holds in flight, what the
-/// per-tenant quotas rejected, and how the pipelining plane behaved.
-/// Encoded with a leading count so future versions can append gauges
-/// without breaking older readers. Added in protocol v6.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedGauges {
-    /// Interactive-class requests admitted and not yet finished.
-    pub inflight_interactive: u64,
-    /// Batch-class requests admitted and not yet finished.
-    pub inflight_batch: u64,
-    /// Interactive-class dispatches since start.
-    pub dispatched_interactive: u64,
-    /// Batch-class dispatches since start.
-    pub dispatched_batch: u64,
-    /// Dispatches where the anti-starvation aging valve bypassed
-    /// strict class order.
-    pub aged_dispatches: u64,
-    /// Requests refused because the tenant's in-flight quota was full.
-    pub quota_rejected_inflight: u64,
-    /// PUTs refused because the tenant's resident-byte quota was full.
-    pub quota_rejected_store: u64,
-    /// Pipelined replies delivered out of arrival order.
-    pub reply_reorders: u64,
-    /// Requests that carried a [`FLAG_REQUEST_ID`] pipelining id.
-    pub pipelined_requests: u64,
-    /// Deepest in-flight set observed on any one connection.
-    pub max_pipeline_depth: u64,
+gauge_block! {
+    /// The resident-dataset store's gauge block of a STATS_V2_OK frame
+    /// (mirrors [`crate::store::StoreStats`]). Added in protocol v3.
+    pub struct StoreGauges: TAG_STORE, "store gauge" {
+        /// Configured byte budget.
+        pub budget_bytes,
+        /// Bytes currently resident (lists + cached artifacts).
+        pub resident_bytes,
+        /// Datasets currently resident.
+        pub resident_count,
+        /// Successful PUTs.
+        pub puts,
+        /// Datasets removed by DROP or connection teardown.
+        pub drops,
+        /// Handle resolution attempts.
+        pub lookups,
+        /// Lookups that resolved to a resident dataset.
+        pub hits,
+        /// Lookups that found no dataset for the (handle, connection).
+        pub misses,
+        /// Datasets evicted by LRU pressure.
+        pub evictions,
+        /// PUTs refused because the budget could not be met.
+        pub put_rejected,
+        /// Sharded artifacts built.
+        pub artifacts_built,
+        /// Sharded artifacts served from the cache.
+        pub artifacts_reused,
+    }
 }
 
-impl SchedGauges {
-    /// Number of scheduler gauges this version defines.
-    pub const COUNT: usize = 10;
-
-    fn to_array(self) -> [u64; Self::COUNT] {
-        [
-            self.inflight_interactive,
-            self.inflight_batch,
-            self.dispatched_interactive,
-            self.dispatched_batch,
-            self.aged_dispatches,
-            self.quota_rejected_inflight,
-            self.quota_rejected_store,
-            self.reply_reorders,
-            self.pipelined_requests,
-            self.max_pipeline_depth,
-        ]
+gauge_block! {
+    /// The mutation plane's gauge block of a STATS_V2_OK frame (mirrors
+    /// [`crate::store::MutationStats`]). Added in protocol v4.
+    pub struct MutGauges: TAG_MUTATE, "mutate gauge" {
+        /// Mutation batches applied.
+        pub mutations,
+        /// Individual edits applied.
+        pub edits,
+        /// Maintenance passes that patched dirty shards in place.
+        pub incremental,
+        /// Maintenance passes that rebuilt from scratch.
+        pub full,
+        /// Dirty shards patched by incremental passes.
+        pub dirty_shards_patched,
+        /// Cached artifacts brought up to date.
+        pub artifacts_patched,
     }
+}
 
-    fn from_array(c: [u64; Self::COUNT]) -> SchedGauges {
-        SchedGauges {
-            inflight_interactive: c[0],
-            inflight_batch: c[1],
-            dispatched_interactive: c[2],
-            dispatched_batch: c[3],
-            aged_dispatches: c[4],
-            quota_rejected_inflight: c[5],
-            quota_rejected_store: c[6],
-            reply_reorders: c[7],
-            pipelined_requests: c[8],
-            max_pipeline_depth: c[9],
-        }
+gauge_block! {
+    /// The fault/resilience gauge block of a STATS_V2_OK frame: what the
+    /// fault-injection plane ([`crate::fault::FaultPlane`]) injected, and
+    /// what the resilience machinery absorbed (panics isolated, workers
+    /// respawned, deadlines expired, requests shed). Added in protocol v5.
+    pub struct FaultGauges: TAG_FAULT, "fault gauge" {
+        /// Socket reads/writes failed by injection.
+        pub injected_io_errors,
+        /// Artificial socket delays injected.
+        pub injected_delays,
+        /// Reply writes cut short by injection.
+        pub injected_short_writes,
+        /// Worker executions panicked by injection.
+        pub injected_exec_panics,
+        /// Store admissions rejected by injection.
+        pub injected_store_errors,
+        /// Worker panics caught and converted to typed `internal_error`
+        /// replies (injected or genuine).
+        pub panics_recovered,
+        /// Worker threads that re-entered their loop after an unexpected
+        /// panic outside job execution.
+        pub workers_respawned,
+        /// Jobs dropped at dequeue because their deadline expired.
+        pub deadline_expired,
+        /// Requests shed at the queue-depth watermark.
+        pub shed_queue,
+        /// PUTs shed at the store-pressure watermark.
+        pub shed_store,
+    }
+}
+
+gauge_block! {
+    /// The scheduler/QoS gauge block of a STATS_V2_OK frame: what the
+    /// two-class scheduler dispatched and holds in flight, what the
+    /// per-tenant quotas rejected, and how the pipelining plane behaved.
+    /// Added in protocol v6.
+    pub struct SchedGauges: TAG_SCHED, "sched gauge" {
+        /// Interactive-class requests admitted and not yet finished.
+        pub inflight_interactive,
+        /// Batch-class requests admitted and not yet finished.
+        pub inflight_batch,
+        /// Interactive-class dispatches since start.
+        pub dispatched_interactive,
+        /// Batch-class dispatches since start.
+        pub dispatched_batch,
+        /// Dispatches where the anti-starvation aging valve bypassed
+        /// strict class order.
+        pub aged_dispatches,
+        /// Requests refused because the tenant's in-flight quota was full.
+        pub quota_rejected_inflight,
+        /// PUTs refused because the tenant's resident-byte quota was full.
+        pub quota_rejected_store,
+        /// Pipelined replies delivered out of arrival order.
+        pub reply_reorders,
+        /// Requests that carried a [`FLAG_REQUEST_ID`] pipelining id.
+        pub pipelined_requests,
+        /// Deepest in-flight set observed on any one connection.
+        pub max_pipeline_depth,
     }
 }
 
@@ -1949,11 +1821,69 @@ fn parse_hist(d: &mut Dec<'_>) -> Result<Histogram, WireError> {
         .ok_or_else(|| WireError::malformed("histogram bucket index out of range"))
 }
 
-fn put_block(tag: u8, id: u8, payload: &[u8], out: &mut Vec<u8>) {
-    out.push(tag);
-    out.push(id);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+/// `count: u8` followed by `count` LE `u64`s: the payload of a gauge
+/// block and of a dispatch row.
+fn put_u64s(values: &[u64], out: &mut Vec<u8>) {
+    out.push(values.len() as u8);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn parse_u64s(p: &mut Dec<'_>, what: &str) -> Result<Vec<u64>, WireError> {
+    let count = p.u8(what)? as usize;
+    (0..count).map(|_| p.u64(what)).collect()
+}
+
+/// Append one gauge block's payload (see [`GaugeBlock`]).
+fn put_gauges<G: GaugeBlock>(block: &G, out: &mut Vec<u8>) {
+    put_u64s(&block.gauges(), out);
+}
+
+/// Parse one gauge block's payload: a block shorter than
+/// [`GaugeBlock::COUNT`] is malformed; gauges past it are skipped.
+fn parse_gauges<G: GaugeBlock>(p: &mut Dec<'_>) -> Result<G, WireError> {
+    let gauges = parse_u64s(p, G::WHAT)?;
+    if gauges.len() < G::COUNT {
+        return Err(WireError::malformed(format!(
+            "{} block has {} entries, need {}",
+            G::WHAT,
+            gauges.len(),
+            G::COUNT
+        )));
+    }
+    Ok(G::from_gauges(&gauges))
+}
+
+/// A STATS_V2_OK body under construction: the encoded blocks and how
+/// many there are.
+#[derive(Default)]
+struct Blocks {
+    count: u16,
+    bytes: Vec<u8>,
+}
+
+impl Blocks {
+    /// Append one `(tag, id, len, payload)` block.
+    fn put(&mut self, tag: u8, id: usize, payload: impl FnOnce(&mut Vec<u8>)) {
+        let mut p = Vec::new();
+        payload(&mut p);
+        self.bytes.extend_from_slice(&[tag, id as u8]);
+        self.bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        self.bytes.extend_from_slice(&p);
+        self.count += 1;
+    }
+
+    /// Append a histogram block; empty histograms are left out.
+    fn hist(&mut self, tag: u8, id: usize, h: &Histogram) {
+        if !h.is_empty() {
+            self.put(tag, id, |p| put_hist(h, p));
+        }
+    }
+
+    fn gauges<G: GaugeBlock>(&mut self, block: &G) {
+        self.put(G::TAG, 0, |p| put_gauges(block, p));
+    }
 }
 
 /// STATS_V2_OK body: `block_count: u16` followed by that many
@@ -1962,89 +1892,27 @@ fn put_block(tag: u8, id: u8, payload: &[u8], out: &mut Vec<u8>) {
 /// (their `len` makes that possible), which is the forward-compat
 /// contract: new telemetry = new tags, never a relayout.
 pub fn stats_v2_body(stats: &WireStatsV2) -> Vec<u8> {
-    let mut blocks: Vec<u8> = Vec::new();
-    let mut block_count: u16 = 0;
-    let mut payload = Vec::new();
+    let mut b = Blocks::default();
     for phase in Phase::ALL {
-        let h = &stats.phase[phase.index()];
-        if h.is_empty() {
-            continue;
-        }
-        payload.clear();
-        put_hist(h, &mut payload);
-        put_block(TAG_PHASE_HIST, phase.index() as u8, &payload, &mut blocks);
-        block_count += 1;
+        b.hist(TAG_PHASE_HIST, phase.index(), &stats.phase[phase.index()]);
     }
     for op in OpKind::ALL {
-        let h = &stats.per_op[op.index()];
-        if h.is_empty() {
-            continue;
-        }
-        payload.clear();
-        put_hist(h, &mut payload);
-        put_block(TAG_OP_HIST, op.index() as u8, &payload, &mut blocks);
-        block_count += 1;
+        b.hist(TAG_OP_HIST, op.index(), &stats.per_op[op.index()]);
     }
-    if !stats.mispredict.is_empty() {
-        payload.clear();
-        put_hist(&stats.mispredict, &mut payload);
-        put_block(TAG_MISPREDICT, 0, &payload, &mut blocks);
-        block_count += 1;
-    }
-    payload.clear();
-    payload.push(StatsGauges::COUNT as u8);
-    for g in stats.gauges.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_GAUGES, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(StoreGauges::COUNT as u8);
-    for g in stats.store.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_STORE, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(MutGauges::COUNT as u8);
-    for g in stats.mutate.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_MUTATE, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(FaultGauges::COUNT as u8);
-    for g in stats.fault.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_FAULT, 0, &payload, &mut blocks);
-    block_count += 1;
-    payload.clear();
-    payload.push(SchedGauges::COUNT as u8);
-    for g in stats.sched.to_array() {
-        payload.extend_from_slice(&g.to_le_bytes());
-    }
-    put_block(TAG_SCHED, 0, &payload, &mut blocks);
-    block_count += 1;
-    if !stats.pipeline_depth.is_empty() {
-        payload.clear();
-        put_hist(&stats.pipeline_depth, &mut payload);
-        put_block(TAG_PIPELINE, 0, &payload, &mut blocks);
-        block_count += 1;
-    }
+    b.hist(TAG_MISPREDICT, 0, &stats.mispredict);
+    b.gauges(&stats.gauges);
+    b.gauges(&stats.store);
+    b.gauges(&stats.mutate);
+    b.gauges(&stats.fault);
+    b.gauges(&stats.sched);
+    b.hist(TAG_PIPELINE, 0, &stats.pipeline_depth);
     for (op, row) in &stats.dispatch_by_op {
-        payload.clear();
-        payload.push(row.len() as u8);
-        for c in row {
-            payload.extend_from_slice(&c.to_le_bytes());
-        }
-        put_block(TAG_DISPATCH_OP, op.index() as u8, &payload, &mut blocks);
-        block_count += 1;
+        b.put(TAG_DISPATCH_OP, op.index(), |p| put_u64s(row, p));
     }
-    let mut b = Vec::with_capacity(2 + blocks.len());
-    b.extend_from_slice(&block_count.to_le_bytes());
-    b.extend_from_slice(&blocks);
-    b
+    let mut out = Vec::with_capacity(2 + b.bytes.len());
+    out.extend_from_slice(&b.count.to_le_bytes());
+    out.extend_from_slice(&b.bytes);
+    out
 }
 
 /// Decode a STATS_V2_OK body. Blocks with unknown tags are skipped;
@@ -2053,138 +1921,37 @@ pub fn decode_stats_v2(body: &[u8]) -> Result<WireStatsV2, WireError> {
     let mut d = Dec::new(body);
     let block_count = d.u16("block count")?;
     let mut out = WireStatsV2::default();
+    let op_of = |id: u8| {
+        OpKind::from_index(id as usize).ok_or_else(|| WireError::malformed(format!("op id {id}")))
+    };
     for _ in 0..block_count {
         let tag = d.u8("block tag")?;
         let id = d.u8("block id")?;
         let len = d.u32("block length")? as usize;
-        let payload = d.take(len, "block payload")?;
-        let mut p = Dec::new(payload);
+        let mut p = Dec::new(d.take(len, "block payload")?);
         match tag {
             TAG_PHASE_HIST => {
                 let phase = Phase::from_index(id as usize)
                     .ok_or_else(|| WireError::malformed(format!("phase id {id}")))?;
                 out.phase[phase.index()] = parse_hist(&mut p)?;
-                p.finish()?;
             }
-            TAG_OP_HIST => {
-                let op = OpKind::from_index(id as usize)
-                    .ok_or_else(|| WireError::malformed(format!("op id {id}")))?;
-                out.per_op[op.index()] = parse_hist(&mut p)?;
-                p.finish()?;
-            }
-            TAG_MISPREDICT => {
-                out.mispredict = parse_hist(&mut p)?;
-                p.finish()?;
-            }
-            TAG_GAUGES => {
-                let count = p.u8("gauge count")? as usize;
-                if count < StatsGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "gauge block has {count} entries, need {}",
-                        StatsGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; StatsGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("gauge")?;
-                }
-                for _ in StatsGauges::COUNT..count {
-                    p.u64("extra gauge")?;
-                }
-                p.finish()?;
-                out.gauges = StatsGauges::from_array(c);
-            }
-            TAG_STORE => {
-                let count = p.u8("store gauge count")? as usize;
-                if count < StoreGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "store gauge block has {count} entries, need {}",
-                        StoreGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; StoreGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("store gauge")?;
-                }
-                for _ in StoreGauges::COUNT..count {
-                    p.u64("extra store gauge")?;
-                }
-                p.finish()?;
-                out.store = StoreGauges::from_array(c);
-            }
-            TAG_MUTATE => {
-                let count = p.u8("mutate gauge count")? as usize;
-                if count < MutGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "mutate gauge block has {count} entries, need {}",
-                        MutGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; MutGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("mutate gauge")?;
-                }
-                for _ in MutGauges::COUNT..count {
-                    p.u64("extra mutate gauge")?;
-                }
-                p.finish()?;
-                out.mutate = MutGauges::from_array(c);
-            }
-            TAG_FAULT => {
-                let count = p.u8("fault gauge count")? as usize;
-                if count < FaultGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "fault gauge block has {count} entries, need {}",
-                        FaultGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; FaultGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("fault gauge")?;
-                }
-                for _ in FaultGauges::COUNT..count {
-                    p.u64("extra fault gauge")?;
-                }
-                p.finish()?;
-                out.fault = FaultGauges::from_array(c);
-            }
-            TAG_SCHED => {
-                let count = p.u8("sched gauge count")? as usize;
-                if count < SchedGauges::COUNT {
-                    return Err(WireError::malformed(format!(
-                        "sched gauge block has {count} entries, need {}",
-                        SchedGauges::COUNT
-                    )));
-                }
-                let mut c = [0u64; SchedGauges::COUNT];
-                for slot in &mut c {
-                    *slot = p.u64("sched gauge")?;
-                }
-                for _ in SchedGauges::COUNT..count {
-                    p.u64("extra sched gauge")?;
-                }
-                p.finish()?;
-                out.sched = SchedGauges::from_array(c);
-            }
-            TAG_PIPELINE => {
-                out.pipeline_depth = parse_hist(&mut p)?;
-                p.finish()?;
-            }
+            TAG_OP_HIST => out.per_op[op_of(id)?.index()] = parse_hist(&mut p)?,
+            TAG_MISPREDICT => out.mispredict = parse_hist(&mut p)?,
+            TAG_GAUGES => out.gauges = parse_gauges(&mut p)?,
+            TAG_STORE => out.store = parse_gauges(&mut p)?,
+            TAG_MUTATE => out.mutate = parse_gauges(&mut p)?,
+            TAG_FAULT => out.fault = parse_gauges(&mut p)?,
+            TAG_SCHED => out.sched = parse_gauges(&mut p)?,
+            TAG_PIPELINE => out.pipeline_depth = parse_hist(&mut p)?,
             TAG_DISPATCH_OP => {
-                let op = OpKind::from_index(id as usize)
-                    .ok_or_else(|| WireError::malformed(format!("op id {id}")))?;
-                let count = p.u8("dispatch row length")? as usize;
-                let mut row = Vec::with_capacity(count);
-                for _ in 0..count {
-                    row.push(p.u64("dispatch count")?);
-                }
-                p.finish()?;
-                out.dispatch_by_op.push((op, row));
+                let op = op_of(id)?;
+                out.dispatch_by_op.push((op, parse_u64s(&mut p, "dispatch count")?));
             }
             // Unknown tag from a newer peer: the whole payload was
             // already consumed via `len`, so just move on.
-            _ => {}
+            _ => continue,
         }
+        p.finish()?;
     }
     d.finish()?;
     Ok(out)

@@ -296,11 +296,8 @@ struct Shared {
     quota_rejected_store: AtomicU64,
     /// Pipelined replies delivered out of arrival order.
     reply_reorders: AtomicU64,
-    /// Requests that carried a pipelining request id.
-    pipelined_requests: AtomicU64,
-    /// Deepest in-flight set observed on any one connection.
-    max_pipeline_depth: AtomicU64,
-    /// In-flight depth observed at each pipelined admission.
+    /// In-flight depth observed at each pipelined admission (its count
+    /// is the pipelined-request total, its max the deepest set).
     pipeline_depth: AtomicHistogram,
 }
 
@@ -435,8 +432,6 @@ impl Server {
             store_quota: cfg.store_quota,
             quota_rejected_store: AtomicU64::new(0),
             reply_reorders: AtomicU64::new(0),
-            pipelined_requests: AtomicU64::new(0),
-            max_pipeline_depth: AtomicU64::new(0),
             pipeline_depth: AtomicHistogram::new(),
         });
         Ok(Server { engine, cfg, listener, tcp, shared })
@@ -1662,10 +1657,7 @@ impl Reactor {
         match request_id {
             Some(id) => {
                 conn.inflight.insert(id, arrival_seq);
-                let depth = conn.inflight.len() as u64;
-                self.shared.pipelined_requests.fetch_add(1, Ordering::Relaxed);
-                self.shared.pipeline_depth.record(depth);
-                self.shared.max_pipeline_depth.fetch_max(depth, Ordering::Relaxed);
+                self.shared.pipeline_depth.record(conn.inflight.len() as u64);
             }
             None => conn.serial_inflight = true,
         }
@@ -1785,7 +1777,8 @@ impl Reactor {
         let ss = self.shared.stats();
         let st = self.shared.store.stats();
         let ms = self.shared.store.mutation_stats();
-        let sn = self.engine.sched_snapshot();
+        let sn = &es.sched;
+        let pipeline_depth = self.shared.pipeline_depth.snapshot();
         WireStatsV2 {
             phase: es.phase_hist,
             per_op: es.op_hist,
@@ -1851,10 +1844,10 @@ impl Reactor {
                 quota_rejected_inflight: self.shared.quota.rejected(),
                 quota_rejected_store: self.shared.quota_rejected_store.load(Ordering::Relaxed),
                 reply_reorders: self.shared.reply_reorders.load(Ordering::Relaxed),
-                pipelined_requests: self.shared.pipelined_requests.load(Ordering::Relaxed),
-                max_pipeline_depth: self.shared.max_pipeline_depth.load(Ordering::Relaxed),
+                pipelined_requests: pipeline_depth.count(),
+                max_pipeline_depth: pipeline_depth.max(),
             },
-            pipeline_depth: self.shared.pipeline_depth.snapshot(),
+            pipeline_depth,
             dispatch_by_op: es.dispatch_by_op.iter().map(|(op, row)| (*op, row.to_vec())).collect(),
         }
     }

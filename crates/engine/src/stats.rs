@@ -1,4 +1,5 @@
-//! Engine metrics: counters, snapshot, and the printable report.
+//! Engine metrics: counters, snapshot, the printable report, and the
+//! table renderers it shares with the `rankd stats` dashboard.
 
 use crate::op::OpKind;
 use crate::planner::{Planner, MISPREDICT_SCALE};
@@ -6,68 +7,30 @@ use crate::pool::PoolStats;
 use crate::sched::SchedSnapshot;
 use crate::telemetry::{Histogram, Phase, Telemetry};
 use listrank::Algorithm;
+use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-const OPS: usize = OpKind::ALL.len();
-
-/// Per-op-kind live counters.
+/// Live counters (atomics; updated by workers and submitters). Only
+/// values no histogram holds live here: completions, exec, queue and
+/// stitch time are read from the telemetry histograms instead.
 #[derive(Debug, Default)]
-pub(crate) struct OpCounters {
-    pub(crate) completed: AtomicU64,
-    pub(crate) elements: AtomicU64,
-    pub(crate) exec_ns: AtomicU64,
-}
-
-/// Live counters (atomics; updated by workers and submitters).
-#[derive(Debug)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
     pub(crate) cancelled: AtomicU64,
     pub(crate) failed: AtomicU64,
     pub(crate) rejected_full: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batched_jobs: AtomicU64,
     pub(crate) elements: AtomicU64,
-    pub(crate) exec_ns: AtomicU64,
-    pub(crate) queued_ns: AtomicU64,
-    pub(crate) sharded_jobs: AtomicU64,
     pub(crate) shards_ranked: AtomicU64,
-    pub(crate) stitch_ns: AtomicU64,
     pub(crate) lane_steps: AtomicU64,
     pub(crate) lane_slots: AtomicU64,
     pub(crate) deadline_expired: AtomicU64,
     pub(crate) panics_recovered: AtomicU64,
     pub(crate) workers_respawned: AtomicU64,
-    /// Indexed by [`OpKind::ALL`] order.
-    pub(crate) per_op: [OpCounters; OPS],
-}
-
-impl Counters {
-    pub(crate) fn new() -> Self {
-        Counters {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            rejected_full: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
-            elements: AtomicU64::new(0),
-            exec_ns: AtomicU64::new(0),
-            queued_ns: AtomicU64::new(0),
-            sharded_jobs: AtomicU64::new(0),
-            shards_ranked: AtomicU64::new(0),
-            stitch_ns: AtomicU64::new(0),
-            lane_steps: AtomicU64::new(0),
-            lane_slots: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            panics_recovered: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
-            per_op: Default::default(),
-        }
-    }
+    /// Vertices processed per op kind, indexed by [`OpKind::ALL`] order.
+    pub(crate) op_elements: [AtomicU64; OpKind::ALL.len()],
 }
 
 /// Per-op-kind throughput snapshot (one row of the stats surface's op
@@ -171,9 +134,10 @@ pub struct EngineStats {
     /// Scratch-pool statistics.
     pub pool: PoolStats,
     /// Latency histogram per request phase, indexed by
-    /// [`Phase::index`]. Sum-consistent with the counters: the
-    /// queue-wait histogram's `sum()` equals `queued_ns`, the exec
-    /// histogram's equals `exec_ns` (empty when telemetry is off).
+    /// [`Phase::index`]. The job totals above are read from these:
+    /// `completed`/`exec_ns` are the exec histogram's count/sum,
+    /// `queued_ns` the queue-wait sum, `sharded_jobs`/`stitch_ns` the
+    /// stitch count/sum.
     pub phase_hist: [Histogram; Phase::ALL.len()],
     /// Exec-latency histogram per op kind, indexed by [`OpKind::ALL`]
     /// order (empty histograms for kinds that never ran).
@@ -199,40 +163,43 @@ impl EngineStats {
         peak_queue_depth: usize,
         sched: SchedSnapshot,
     ) -> Self {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let phase_hist = telemetry.phase_snapshots();
+        let op_hist = telemetry.op_snapshots();
         let per_op = OpKind::ALL
             .iter()
-            .enumerate()
-            .filter_map(|(i, &op)| {
-                let c = &counters.per_op[i];
-                let row = OpThroughput {
-                    op,
-                    completed: c.completed.load(Ordering::Relaxed),
-                    elements: c.elements.load(Ordering::Relaxed),
-                    exec_ns: c.exec_ns.load(Ordering::Relaxed),
-                };
-                (row.completed > 0).then_some(row)
+            .zip(&op_hist)
+            .zip(&counters.op_elements)
+            .filter(|((_, h), _)| !h.is_empty())
+            .map(|((&op, h), elements)| OpThroughput {
+                op,
+                completed: h.count(),
+                elements: load(elements),
+                exec_ns: h.sum(),
             })
             .collect();
+        let exec = &phase_hist[Phase::Exec.index()];
+        let stitch = &phase_hist[Phase::Stitch.index()];
         EngineStats {
             uptime_s: started.elapsed().as_secs_f64(),
-            submitted: counters.submitted.load(Ordering::Relaxed),
-            completed: counters.completed.load(Ordering::Relaxed),
-            cancelled: counters.cancelled.load(Ordering::Relaxed),
-            failed: counters.failed.load(Ordering::Relaxed),
-            rejected_full: counters.rejected_full.load(Ordering::Relaxed),
-            batches: counters.batches.load(Ordering::Relaxed),
-            batched_jobs: counters.batched_jobs.load(Ordering::Relaxed),
-            elements: counters.elements.load(Ordering::Relaxed),
-            exec_ns: counters.exec_ns.load(Ordering::Relaxed),
-            queued_ns: counters.queued_ns.load(Ordering::Relaxed),
-            sharded_jobs: counters.sharded_jobs.load(Ordering::Relaxed),
-            shards_ranked: counters.shards_ranked.load(Ordering::Relaxed),
-            stitch_ns: counters.stitch_ns.load(Ordering::Relaxed),
-            lane_steps: counters.lane_steps.load(Ordering::Relaxed),
-            lane_slots: counters.lane_slots.load(Ordering::Relaxed),
-            deadline_expired: counters.deadline_expired.load(Ordering::Relaxed),
-            panics_recovered: counters.panics_recovered.load(Ordering::Relaxed),
-            workers_respawned: counters.workers_respawned.load(Ordering::Relaxed),
+            submitted: load(&counters.submitted),
+            completed: exec.count(),
+            cancelled: load(&counters.cancelled),
+            failed: load(&counters.failed),
+            rejected_full: load(&counters.rejected_full),
+            batches: load(&counters.batches),
+            batched_jobs: load(&counters.batched_jobs),
+            elements: load(&counters.elements),
+            exec_ns: exec.sum(),
+            queued_ns: phase_hist[Phase::QueueWait.index()].sum(),
+            sharded_jobs: stitch.count(),
+            shards_ranked: load(&counters.shards_ranked),
+            stitch_ns: stitch.sum(),
+            lane_steps: load(&counters.lane_steps),
+            lane_slots: load(&counters.lane_slots),
+            deadline_expired: load(&counters.deadline_expired),
+            panics_recovered: load(&counters.panics_recovered),
+            workers_respawned: load(&counters.workers_respawned),
             queue_depth,
             peak_queue_depth,
             dispatch: planner.dispatch_totals(),
@@ -240,8 +207,8 @@ impl EngineStats {
             dispatch_by_op: planner.dispatch_by_op(),
             per_op,
             pool,
-            phase_hist: telemetry.phase_snapshots(),
-            op_hist: telemetry.op_snapshots(),
+            phase_hist,
+            op_hist,
             mispredict: planner.mispredict_histogram(),
             sched,
         }
@@ -296,7 +263,9 @@ impl EngineStats {
     }
 }
 
-fn format_count(x: f64) -> String {
+/// A compact count or rate: `1.23G`, `4.56M`, `7.89k`, or a whole
+/// number. Shared by every stats surface.
+pub fn format_count(x: f64) -> String {
     if x >= 1e9 {
         format!("{:.2}G", x / 1e9)
     } else if x >= 1e6 {
@@ -308,8 +277,101 @@ fn format_count(x: f64) -> String {
     }
 }
 
-impl std::fmt::Display for EngineStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// One `samples p50 p95 p99 max` row (milliseconds) for a histogram of
+/// nanosecond samples.
+pub fn hist_row(h: &Histogram) -> String {
+    format!(
+        "{:>10} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+        h.count(),
+        h.percentile(50.0) as f64 / 1e6,
+        h.percentile(95.0) as f64 / 1e6,
+        h.percentile(99.0) as f64 / 1e6,
+        h.max() as f64 / 1e6
+    )
+}
+
+fn latency_table<'a>(
+    w: &mut impl Write,
+    heading: &str,
+    key: &str,
+    rows: impl Iterator<Item = (&'a str, &'a Histogram)>,
+) -> fmt::Result {
+    let rows: Vec<_> = rows.filter(|(_, h)| !h.is_empty()).collect();
+    if rows.is_empty() {
+        return Ok(());
+    }
+    writeln!(w, "{heading}")?;
+    writeln!(
+        w,
+        "  {key:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "samples", "p50", "p95", "p99", "max"
+    )?;
+    for (name, h) in rows {
+        writeln!(w, "  {name:>12} {}", hist_row(h))?;
+    }
+    Ok(())
+}
+
+/// The per-phase and per-op latency tables (milliseconds); empty
+/// histograms get no row and an all-empty table is left out.
+pub fn write_latency_tables(
+    w: &mut impl Write,
+    phase: &[Histogram; Phase::ALL.len()],
+    per_op: &[Histogram; OpKind::ALL.len()],
+) -> fmt::Result {
+    let phases = Phase::ALL.iter().map(|p| (p.name(), &phase[p.index()]));
+    latency_table(w, "latency by phase (ms):", "phase", phases)?;
+    let ops = OpKind::ALL.iter().map(|op| (op.name(), &per_op[op.index()]));
+    latency_table(w, "exec latency by op (ms):", "op", ops)
+}
+
+/// A planner dispatch matrix: a heading, a header row of algorithm
+/// names, then one `label count…` row per entry ([`Algorithm::ALL`]
+/// order). Left out when there are no rows.
+pub fn write_dispatch_table<'a>(
+    w: &mut impl Write,
+    heading: &str,
+    key: &str,
+    rows: impl IntoIterator<Item = (String, &'a [u64])>,
+) -> fmt::Result {
+    let mut rows = rows.into_iter().peekable();
+    if rows.peek().is_none() {
+        return Ok(());
+    }
+    writeln!(w, "{heading}")?;
+    write!(w, "  {key:>12}")?;
+    for alg in Algorithm::ALL {
+        write!(w, " {:>15}", alg.name())?;
+    }
+    writeln!(w)?;
+    for (label, counts) in rows {
+        write!(w, "  {label:>12}")?;
+        for c in counts {
+            write!(w, " {c:>15}")?;
+        }
+        writeln!(w)?;
+    }
+    Ok(())
+}
+
+/// The planner's mispredict line (left out while nothing was scored).
+pub fn write_mispredict(w: &mut impl Write, mispredict: &Histogram) -> fmt::Result {
+    if mispredict.is_empty() {
+        return Ok(());
+    }
+    let ratio = |p: f64| mispredict.percentile(p) as f64 / MISPREDICT_SCALE as f64;
+    writeln!(
+        w,
+        "planner mispredict (measured/predicted): p50 {:.2}x, p95 {:.2}x, p99 {:.2}x over {} scored",
+        ratio(50.0),
+        ratio(95.0),
+        ratio(99.0),
+        mispredict.count()
+    )
+}
+
+impl fmt::Display for EngineStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
             "jobs: {} completed / {} submitted ({} cancelled, {} failed, {} rejected) in {:.2}s",
@@ -391,87 +453,17 @@ impl std::fmt::Display for EngineStats {
                 )?;
             }
         }
-        writeln!(f, "dispatch by size (rows are job-size upper bounds):")?;
-        write!(f, "  {:>12}", "n <")?;
-        for alg in Algorithm::ALL {
-            write!(f, " {:>15}", alg.name())?;
-        }
-        writeln!(f)?;
-        for (hi, counts) in &self.dispatch_by_bucket {
-            write!(f, "  {:>12}", format_count(*hi as f64))?;
-            for c in counts {
-                write!(f, " {c:>15}")?;
-            }
-            writeln!(f)?;
-        }
-        write!(f, "  {:>12}", "total")?;
-        for c in &self.dispatch {
-            write!(f, " {c:>15}")?;
-        }
-        writeln!(f)?;
-        if !self.dispatch_by_op.is_empty() {
-            writeln!(f, "dispatch by op:")?;
-            for (op, counts) in &self.dispatch_by_op {
-                write!(f, "  {:>12}", op.name())?;
-                for c in counts {
-                    write!(f, " {c:>15}")?;
-                }
-                writeln!(f)?;
-            }
-        }
-        if self.phase_hist.iter().any(|h| !h.is_empty()) {
-            writeln!(f, "latency by phase (ms):")?;
-            writeln!(
-                f,
-                "  {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "phase", "samples", "p50", "p95", "p99", "max"
-            )?;
-            for phase in Phase::ALL {
-                let h = &self.phase_hist[phase.index()];
-                if h.is_empty() {
-                    continue;
-                }
-                writeln!(f, "  {:>12} {}", phase.name(), hist_row(h))?;
-            }
-        }
-        if self.op_hist.iter().any(|h| !h.is_empty()) {
-            writeln!(f, "exec latency by op (ms):")?;
-            writeln!(
-                f,
-                "  {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "op", "samples", "p50", "p95", "p99", "max"
-            )?;
-            for op in OpKind::ALL {
-                let h = &self.op_hist[op.index()];
-                if h.is_empty() {
-                    continue;
-                }
-                writeln!(f, "  {:>12} {}", op.name(), hist_row(h))?;
-            }
-        }
-        if !self.mispredict.is_empty() {
-            writeln!(
-                f,
-                "planner mispredict (measured/predicted): p50 {:.2}x, p95 {:.2}x, p99 {:.2}x over {} scored",
-                self.mispredict.percentile(50.0) as f64 / MISPREDICT_SCALE as f64,
-                self.mispredict.percentile(95.0) as f64 / MISPREDICT_SCALE as f64,
-                self.mispredict.percentile(99.0) as f64 / MISPREDICT_SCALE as f64,
-                self.mispredict.count()
-            )?;
-        }
-        Ok(())
+        let by_size =
+            self.dispatch_by_bucket.iter().map(|(hi, c)| (format_count(*hi as f64), &c[..]));
+        write_dispatch_table(
+            f,
+            "dispatch by size (rows are job-size upper bounds):",
+            "n <",
+            by_size.chain([("total".to_string(), &self.dispatch[..])]),
+        )?;
+        let by_op = self.dispatch_by_op.iter().map(|(op, c)| (op.name().to_string(), &c[..]));
+        write_dispatch_table(f, "dispatch by op:", "op", by_op)?;
+        write_latency_tables(f, &self.phase_hist, &self.op_hist)?;
+        write_mispredict(f, &self.mispredict)
     }
-}
-
-/// One `samples p50 p95 p99 max` row (milliseconds) for a non-empty
-/// histogram of nanosecond samples.
-fn hist_row(h: &Histogram) -> String {
-    format!(
-        "{:>10} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-        h.count(),
-        h.percentile(50.0) as f64 / 1e6,
-        h.percentile(95.0) as f64 / 1e6,
-        h.percentile(99.0) as f64 / 1e6,
-        h.max() as f64 / 1e6
-    )
 }

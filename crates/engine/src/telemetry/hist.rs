@@ -20,7 +20,7 @@
 //!   workers don't serialize on one cache line. `snapshot()` collapses
 //!   it into a [`Histogram`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 /// log₂ of the sub-bucket count: each power-of-two range is split into
 /// `2^SUB_BITS` sub-buckets.
@@ -303,12 +303,18 @@ impl AtomicHistogram {
 
     /// Record one sample. Lock-free and O(1): one indexed saturating
     /// add on the bucket, two striped adds, one `fetch_max`.
+    ///
+    /// The count is published last, behind a release fence, and
+    /// [`snapshot`](Self::snapshot) reads it first: a reader that sees
+    /// `count == k` also sees every write this thread made before its
+    /// k-th sample, including the sample's own bucket, sum and max.
     #[inline]
     pub fn record(&self, v: u64) {
         saturating_fetch_add(&self.counts[index_of(v)], 1);
-        self.count.add(1);
         self.sum.add(v);
         self.max.fetch_max(v, Ordering::Relaxed);
+        fence(Ordering::Release);
+        self.count.add(1);
     }
 
     /// Total recorded samples.
@@ -319,10 +325,11 @@ impl AtomicHistogram {
     /// Collapse into a plain [`Histogram`] for math/merge/encode.
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
+        h.count = self.count.get();
+        fence(Ordering::Acquire);
         for (dst, src) in h.counts.iter_mut().zip(self.counts.iter()) {
             *dst = src.load(Ordering::Relaxed);
         }
-        h.count = self.count.get();
         h.sum = self.sum.get();
         h.max = self.max.load(Ordering::Relaxed);
         h

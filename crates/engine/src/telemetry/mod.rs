@@ -40,11 +40,10 @@ pub const DEFAULT_SLOW_MS: u64 = 250;
 /// The per-engine telemetry registry: per-phase and per-op latency
 /// histograms, the span ring, and the slow-request policy.
 ///
-/// Recording is lock-free and O(1) (see [`AtomicHistogram`]); with
-/// `enabled == false` every record call is a branch and nothing else,
-/// which is the baseline the <3% overhead budget is measured against.
+/// Recording is lock-free and O(1) (see [`AtomicHistogram`]) and
+/// always on: these histograms are the only record of completions,
+/// exec and queue time (see [`crate::EngineStats`]).
 pub struct Telemetry {
-    enabled: bool,
     slow_ns: u64,
     phase: [AtomicHistogram; Phase::ALL.len()],
     per_op: [AtomicHistogram; OpKind::ALL.len()],
@@ -54,7 +53,7 @@ pub struct Telemetry {
 impl Telemetry {
     /// A registry. `slow_ms` is the slow-request log threshold; pass
     /// `None` to take `RANKD_SLOW_MS` (or [`DEFAULT_SLOW_MS`]).
-    pub fn new(enabled: bool, slow_ms: Option<u64>) -> Self {
+    pub fn new(slow_ms: Option<u64>) -> Self {
         let slow_ms = slow_ms.unwrap_or_else(|| {
             std::env::var("RANKD_SLOW_MS")
                 .ok()
@@ -62,17 +61,11 @@ impl Telemetry {
                 .unwrap_or(DEFAULT_SLOW_MS)
         });
         Telemetry {
-            enabled,
             slow_ns: slow_ms.saturating_mul(1_000_000),
             phase: std::array::from_fn(|_| AtomicHistogram::new()),
             per_op: std::array::from_fn(|_| AtomicHistogram::new()),
             spans: Ring::new(SPAN_RING_CAPACITY),
         }
-    }
-
-    /// Whether recording is active (`EngineConfig::telemetry`).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The slow-request threshold in nanoseconds.
@@ -83,26 +76,19 @@ impl Telemetry {
     /// Record one phase duration.
     #[inline]
     pub fn record_phase(&self, phase: Phase, ns: u64) {
-        if self.enabled {
-            self.phase[phase.index()].record(ns);
-        }
+        self.phase[phase.index()].record(ns);
     }
 
     /// Record one completed job's execution time under its op kind.
     #[inline]
     pub fn record_op(&self, op: OpKind, exec_ns: u64) {
-        if self.enabled {
-            self.per_op[op.index()].record(exec_ns);
-        }
+        self.per_op[op.index()].record(exec_ns);
     }
 
     /// Record a completed request's span: pushes it on the ring and
     /// emits the slow-request warning line when the total phase time
     /// crosses the threshold.
     pub fn record_span(&self, span: Span) {
-        if !self.enabled {
-            return;
-        }
         let total = span.total_ns();
         if total >= self.slow_ns && log::enabled(Level::Warn) {
             log::write(
@@ -142,8 +128,20 @@ impl Telemetry {
     }
 
     /// Snapshot every phase histogram, indexed by [`Phase::index`].
+    /// Exec is read first: the engine records it last for each job, so
+    /// every job it counts has its other phase samples in this snapshot.
     pub fn phase_snapshots(&self) -> [Histogram; Phase::ALL.len()] {
-        std::array::from_fn(|i| self.phase[i].snapshot())
+        let exec = Phase::Exec.index();
+        let first = self.phase[exec].snapshot();
+        let mut out: [Histogram; Phase::ALL.len()] = std::array::from_fn(|i| {
+            if i == exec {
+                Histogram::new()
+            } else {
+                self.phase[i].snapshot()
+            }
+        });
+        out[exec] = first;
+        out
     }
 
     /// Snapshot every per-op exec-latency histogram, indexed by
@@ -163,26 +161,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let t = Telemetry::new(false, Some(10));
-        t.record_phase(Phase::Exec, 1000);
-        t.record_op(OpKind::Rank, 1000);
-        t.record_span(Span {
-            trace_id: 1,
-            op: OpKind::Rank,
-            n: 10,
-            algorithm: listrank::Algorithm::Serial,
-            shards: 0,
-            phase_ns: [1; 6],
-        });
-        assert!(t.phase_snapshot(Phase::Exec).is_empty());
-        assert!(t.op_snapshots()[OpKind::Rank.index()].is_empty());
-        assert!(t.recent_spans(8).is_empty());
-    }
-
-    #[test]
-    fn enabled_registry_accumulates() {
-        let t = Telemetry::new(true, Some(1_000_000)); // high threshold: no log spam
+    fn registry_accumulates() {
+        let t = Telemetry::new(Some(1_000_000)); // high threshold: no log spam
         t.record_phase(Phase::QueueWait, 500);
         t.record_phase(Phase::QueueWait, 1500);
         t.record_op(OpKind::Add, 2500);
@@ -207,7 +187,7 @@ mod tests {
 
     #[test]
     fn slow_threshold_from_explicit_config() {
-        let t = Telemetry::new(true, Some(7));
+        let t = Telemetry::new(Some(7));
         assert_eq!(t.slow_threshold_ns(), 7_000_000);
     }
 }

@@ -260,6 +260,174 @@ fn documented_stats_v2_bytes_match_the_codec() {
     assert_eq!(exec.max(), 2000);
 }
 
+/// A STATS_V2_OK body in which every gauge of all five gauge blocks
+/// holds a distinct value (block × 100 + position), plus a
+/// pipeline-depth histogram and one dispatch row. Captured from the
+/// codec before the gauge blocks shared one declaration: a swapped or
+/// dropped gauge anywhere moves these bytes. Whitespace is cosmetic.
+const EVERY_GAUGE_HEX: &[&str] = &[
+    "0700",                                                                // block_count = 7
+    "040069000000 0d", // tag 4 (gauges), id 0, len 105, count 13
+    "6400000000000000 6500000000000000 6600000000000000 6700000000000000", // 100, 101, 102, 103
+    "6800000000000000 6900000000000000 6a00000000000000 6b00000000000000", // 104, 105, 106, 107
+    "6c00000000000000 6d00000000000000 6e00000000000000 6f00000000000000", // 108, 109, 110, 111
+    "7000000000000000", // 112
+    "060061000000 0c", // tag 6 (store), id 0, len 97, count 12
+    "c800000000000000 c900000000000000 ca00000000000000 cb00000000000000", // 200, 201, 202, 203
+    "cc00000000000000 cd00000000000000 ce00000000000000 cf00000000000000", // 204, 205, 206, 207
+    "d000000000000000 d100000000000000 d200000000000000 d300000000000000", // 208, 209, 210, 211
+    "070031000000 06", // tag 7 (mutate), id 0, len 49, count 6
+    "2c01000000000000 2d01000000000000 2e01000000000000 2f01000000000000", // 300, 301, 302, 303
+    "3001000000000000 3101000000000000", // 304, 305
+    "080051000000 0a", // tag 8 (fault), id 0, len 81, count 10
+    "9001000000000000 9101000000000000 9201000000000000 9301000000000000", // 400, 401, 402, 403
+    "9401000000000000 9501000000000000 9601000000000000 9701000000000000", // 404, 405, 406, 407
+    "9801000000000000 9901000000000000", // 408, 409
+    "090051000000 0a", // tag 9 (sched), id 0, len 81, count 10
+    "f401000000000000 f501000000000000 f601000000000000 f701000000000000", // 500, 501, 502, 503
+    "f801000000000000 f901000000000000 fa01000000000000 fb01000000000000", // 504, 505, 506, 507
+    "fc01000000000000 fd01000000000000", // 508, 509
+    "0a0031000000",    // tag 10 (pipeline depth), id 0, len 49
+    "04 0200000000000000 0900000000000000 0800000000000000 02000000", // sub_bits 4, count 2, sum 9, max 8, 2 buckets
+    "0100 0100000000000000 0800 0100000000000000", // buckets 1 and 8: one sample each
+    "050129000000 05", // tag 5 (dispatch row), id 1 (add), len 41, count 5
+    "5802000000000000 5902000000000000 5a02000000000000 5b02000000000000", // 600, 601, 602, 603
+    "5c02000000000000", // 604
+];
+
+fn unhex(parts: &[&str]) -> Vec<u8> {
+    let digits: Vec<u8> = parts.concat().bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// The semantic content of [`EVERY_GAUGE_HEX`], every field spelled
+/// out so the struct literal pins names as well as positions.
+fn every_gauge_stats() -> protocol::WireStatsV2 {
+    let mut v2 = protocol::WireStatsV2 {
+        gauges: protocol::StatsGauges {
+            uptime_ns: 100,
+            submitted: 101,
+            completed: 102,
+            cancelled: 103,
+            failed: 104,
+            rejected_full: 105,
+            elements: 106,
+            queue_depth: 107,
+            peak_queue_depth: 108,
+            lane_steps: 109,
+            lane_slots: 110,
+            connections_active: 111,
+            connections_total: 112,
+        },
+        store: protocol::StoreGauges {
+            budget_bytes: 200,
+            resident_bytes: 201,
+            resident_count: 202,
+            puts: 203,
+            drops: 204,
+            lookups: 205,
+            hits: 206,
+            misses: 207,
+            evictions: 208,
+            put_rejected: 209,
+            artifacts_built: 210,
+            artifacts_reused: 211,
+        },
+        mutate: protocol::MutGauges {
+            mutations: 300,
+            edits: 301,
+            incremental: 302,
+            full: 303,
+            dirty_shards_patched: 304,
+            artifacts_patched: 305,
+        },
+        fault: protocol::FaultGauges {
+            injected_io_errors: 400,
+            injected_delays: 401,
+            injected_short_writes: 402,
+            injected_exec_panics: 403,
+            injected_store_errors: 404,
+            panics_recovered: 405,
+            workers_respawned: 406,
+            deadline_expired: 407,
+            shed_queue: 408,
+            shed_store: 409,
+        },
+        sched: protocol::SchedGauges {
+            inflight_interactive: 500,
+            inflight_batch: 501,
+            dispatched_interactive: 502,
+            dispatched_batch: 503,
+            aged_dispatches: 504,
+            quota_rejected_inflight: 505,
+            quota_rejected_store: 506,
+            reply_reorders: 507,
+            pipelined_requests: 508,
+            max_pipeline_depth: 509,
+        },
+        dispatch_by_op: vec![(engine::OpKind::Add, vec![600, 601, 602, 603, 604])],
+        ..Default::default()
+    };
+    v2.pipeline_depth.record(1);
+    v2.pipeline_depth.record(8);
+    v2
+}
+
+#[test]
+fn every_gauge_position_is_frozen() {
+    let bytes = unhex(EVERY_GAUGE_HEX);
+    let v2 = every_gauge_stats();
+    assert_eq!(protocol::stats_v2_body(&v2), bytes, "a gauge moved on the wire");
+    assert_eq!(protocol::decode_stats_v2(&bytes).expect("decodes"), v2);
+}
+
+/// One gauge block's rules, block by block: extra trailing gauges from
+/// a newer peer are skipped, a short block is `malformed`, and a block
+/// under a tag this reader does not know is skipped whole.
+#[test]
+fn gauge_blocks_skip_extras_and_unknown_tags_and_reject_short_blocks() {
+    type Take = fn(&mut protocol::WireStatsV2, &protocol::WireStatsV2);
+    let blocks: [(u8, usize, u64, Take); 5] = [
+        (protocol::TAG_GAUGES, protocol::StatsGauges::COUNT, 100, |d, s| d.gauges = s.gauges),
+        (protocol::TAG_STORE, protocol::StoreGauges::COUNT, 200, |d, s| d.store = s.store),
+        (protocol::TAG_MUTATE, protocol::MutGauges::COUNT, 300, |d, s| d.mutate = s.mutate),
+        (protocol::TAG_FAULT, protocol::FaultGauges::COUNT, 400, |d, s| d.fault = s.fault),
+        (protocol::TAG_SCHED, protocol::SchedGauges::COUNT, 500, |d, s| d.sched = s.sched),
+    ];
+    // `(tag, gauges)` blocks → a STATS_V2_OK body.
+    let body = |blocks: &[(u8, Vec<u64>)]| {
+        let mut b = (blocks.len() as u16).to_le_bytes().to_vec();
+        for (tag, gauges) in blocks {
+            b.extend_from_slice(&[*tag, 0]);
+            b.extend_from_slice(&(1 + 8 * gauges.len() as u32).to_le_bytes());
+            b.push(gauges.len() as u8);
+            for g in gauges {
+                b.extend_from_slice(&g.to_le_bytes());
+            }
+        }
+        b
+    };
+    let all = every_gauge_stats();
+    for (tag, count, base, take) in blocks {
+        let gauges = |n: usize| (0..n as u64).map(|i| base + i).collect::<Vec<_>>();
+        let mut want = protocol::WireStatsV2::default();
+        take(&mut want, &all);
+
+        let extra = protocol::decode_stats_v2(&body(&[(tag, gauges(count + 2))]));
+        assert_eq!(extra.expect("extra gauges are skipped"), want, "tag {tag}");
+
+        let err = protocol::decode_stats_v2(&body(&[(tag, gauges(count - 1))]))
+            .expect_err("a short gauge block must not decode");
+        assert_eq!(err.code, ErrorCode::Malformed, "tag {tag}: {err}");
+
+        let unknown = protocol::decode_stats_v2(&body(&[(0xEE, gauges(3)), (tag, gauges(count))]));
+        assert_eq!(unknown.expect("unknown tags are skipped"), want, "tag {tag}");
+    }
+}
+
 /// Frame a body the way the wire does.
 fn framed(kind: FrameKind, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
