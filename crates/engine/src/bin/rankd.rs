@@ -91,14 +91,12 @@ Engine:
   --queue-cap Q          queue capacity (backpressure)  [default 1024]
   --small-cutoff N       batch jobs up to N vertices    [default 4096]
   --batch-max B          max jobs per batch             [default 64]
-  --lanes K              interleaved traversal lanes per worker for the
-                         multi-chain walks; 0 = let the planner tune K
-                         per size bucket                    [default 0]
   --shard-budget N       per-worker vertex budget: RankSharded jobs
                          above N split into shards    [default 2097152]
   --slow-ms MS           slow-request warn threshold in ms (also
                          RANKD_SLOW_MS)                  [default 250]
   --skip-baseline        skip the naive sequential-submit baseline
+  (walk lanes follow the cost model: 1 up to 2^16 vertices, 8 above)
 
 Logging: set RANKD_LOG=error|warn|info|debug|trace   [default warn]
 
@@ -130,10 +128,6 @@ fn parse_engine_flag(
         "--queue-cap" => engine.queue_capacity = num(val("--queue-cap"))?,
         "--small-cutoff" => engine.small_cutoff = num(val("--small-cutoff"))?,
         "--batch-max" => engine.batch_max = num(val("--batch-max"))?,
-        "--lanes" => {
-            let k: usize = num(val("--lanes"))?;
-            engine.lanes = (k > 0).then_some(k);
-        }
         "--shard-budget" => engine.shard_budget = num(val("--shard-budget"))?,
         "--slow-ms" => engine.slow_request_ms = Some(num(val("--slow-ms"))?),
         _ => return Ok(false),
@@ -263,7 +257,7 @@ QoS (protocol v6):
 
 Engine (as in plain rankd):
   --workers W --inner-threads T --queue-cap Q --small-cutoff N
-  --batch-max B --lanes K --shard-budget N --slow-ms MS
+  --batch-max B --shard-budget N --slow-ms MS
 
 Signals: SIGTERM drains gracefully (in-flight replies complete, socket
 file removed, stats printed); SIGPIPE is ignored (dead clients surface
@@ -780,16 +774,12 @@ fn main() {
 
     let engine = Engine::new(args.engine.clone());
     println!(
-        "engine: {} workers × {} inner threads, queue {} (batch ≤{} jobs ≤{} vertices, lanes {})",
+        "engine: {} workers × {} inner threads, queue {} (batch ≤{} jobs ≤{} vertices)",
         engine.config().workers,
         engine.config().inner_threads,
         engine.config().queue_capacity,
         engine.config().batch_max,
         engine.config().small_cutoff,
-        match engine.config().lanes {
-            Some(k) => k.to_string(),
-            None => "auto".to_string(),
-        }
     );
 
     let mut engine_result = None;

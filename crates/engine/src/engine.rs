@@ -10,6 +10,7 @@ use crate::pool::ScratchPool;
 use crate::queue::{JobQueue, SubmitError};
 use crate::stats::{Counters, EngineStats};
 use crate::telemetry::{self, Phase, Span, Telemetry};
+use listkit::sharded::ShardedList;
 use listrank::HostRunner;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,10 +39,6 @@ pub struct EngineConfig {
     /// into shards of at most this size (≈ the vertex count whose
     /// working set a worker can keep cache-resident).
     pub shard_budget: usize,
-    /// Interleaved traversal lanes for the multi-chain walks (`None` =
-    /// the planner tunes the count per size bucket with its EWMA probe
-    /// machinery; `Some(k)` pins it — `rankd --lanes`).
-    pub lanes: Option<usize>,
     /// Slow-request log threshold in milliseconds (total phase time).
     /// `None` = the `RANKD_SLOW_MS` environment variable, defaulting to
     /// [`crate::telemetry::DEFAULT_SLOW_MS`].
@@ -64,7 +61,6 @@ impl Default for EngineConfig {
             small_cutoff: 4096,
             batch_max: 64,
             shard_budget: 1 << 21,
-            lanes: None,
             slow_request_ms: None,
             fault: Arc::new(FaultPlane::disabled()),
         }
@@ -100,13 +96,6 @@ impl EngineConfig {
     /// Override the per-worker sharding budget.
     pub fn with_shard_budget(mut self, budget: usize) -> Self {
         self.shard_budget = budget.max(1);
-        self
-    }
-
-    /// Pin the interleaved-lane count (`None` restores per-bucket
-    /// tuning).
-    pub fn with_lanes(mut self, lanes: Option<usize>) -> Self {
-        self.lanes = lanes.map(|k| k.max(1));
         self
     }
 
@@ -154,7 +143,7 @@ impl Engine {
         cfg.batch_max = cfg.batch_max.max(1);
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.queue_capacity),
-            planner: Planner::new(cfg.inner_threads).with_lanes_override(cfg.lanes),
+            planner: Planner::new(cfg.inner_threads),
             pool: ScratchPool::new(cfg.workers),
             counters: Counters::default(),
             telemetry: Telemetry::new(cfg.slow_request_ms),
@@ -215,11 +204,7 @@ impl Engine {
         req: Request<R>,
         opts: JobOptions,
     ) -> Result<JobHandle<R>, SubmitError> {
-        req.spec.validate()?;
-        let (job, handle) = self.make_job(req, opts);
-        self.shared.queue.push(job)?;
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(handle)
+        self.submit_cell(req, opts, true)
     }
 
     /// Submit without blocking; fails with [`SubmitError::Full`] when
@@ -237,109 +222,85 @@ impl Engine {
         req: Request<R>,
         opts: JobOptions,
     ) -> Result<JobHandle<R>, SubmitError> {
-        req.spec.validate()?;
-        let (job, handle) = self.make_job(req, opts);
-        match self.shared.queue.try_push(job) {
-            Ok(()) => {
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(handle)
-            }
-            Err((e, _job)) => {
-                if e == SubmitError::Full {
-                    self.shared.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
+        self.submit_cell(req, opts, false)
     }
 
-    /// Submit with explicit options and a one-shot completion callback
-    /// instead of a waitable handle, blocking while the queue is full.
-    /// The callback runs on the worker thread that settles the job —
-    /// it should hand off promptly (the event-driven server encodes
-    /// the reply and wakes its reactor). Returns the job id.
-    pub fn submit_callback<R: Send + 'static>(
-        &self,
-        req: Request<R>,
-        opts: JobOptions,
-        on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
-    ) -> Result<u64, SubmitError> {
-        req.spec.validate()?;
-        let job = self.make_callback_job(req, opts, on_done);
-        let id = job.id;
-        self.shared.queue.push(job)?;
-        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Ok(id)
-    }
-
-    /// Non-blocking [`Engine::submit_callback`]. On any error the
-    /// callback is dropped *unfired* — the caller still owns the
-    /// request context and can retry with a fresh closure (the
-    /// reactor's parked-submit path). [`SubmitError::Full`] here is
-    /// not counted as a client-visible rejection, precisely because
-    /// the caller is expected to retry rather than fail the request.
+    /// Submit without blocking, with a one-shot completion callback
+    /// instead of a waitable handle. The callback runs on the worker
+    /// thread that settles the job — it should hand off promptly (the
+    /// event-driven server encodes the reply and wakes its reactor).
+    /// Returns the job id. On any error the callback is dropped
+    /// *unfired* — the caller still owns the request context and can
+    /// retry with a fresh closure (the reactor's parked-submit path).
+    /// [`SubmitError::Full`] here is not counted as a client-visible
+    /// rejection, precisely because the caller is expected to retry
+    /// rather than fail the request.
     pub fn try_submit_callback<R: Send + 'static>(
         &self,
         req: Request<R>,
         opts: JobOptions,
         on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
     ) -> Result<u64, SubmitError> {
-        req.spec.validate()?;
-        let job = self.make_callback_job(req, opts, on_done);
-        let id = job.id;
-        match self.shared.queue.try_push(job) {
-            Ok(()) => {
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(id)
-            }
-            Err((e, _job)) => Err(e),
-        }
-    }
-
-    fn assign_trace_id(opts: &mut JobOptions) -> u64 {
-        // Trace ids are assigned at the earliest observation point:
-        // the server sets one at frame decode; in-process requests get
-        // theirs here, at submit.
-        match opts.trace_id {
-            Some(t) => t,
-            None => {
-                let t = telemetry::next_trace_id();
-                opts.trace_id = Some(t);
-                t
-            }
-        }
-    }
-
-    fn make_job<R>(&self, req: Request<R>, mut opts: JobOptions) -> (QueuedJob, JobHandle<R>) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let trace_id = Self::assign_trace_id(&mut opts);
-        let cell = JobCell::new();
-        let handle = JobHandle { id, trace_id, cell: Arc::clone(&cell), _out: PhantomData };
-        let job = QueuedJob {
-            id,
-            spec: req.spec,
-            opts,
-            responder: Responder::Cell(cell),
-            enqueued: Instant::now(),
-            seq: 0,
-        };
-        (job, handle)
-    }
-
-    fn make_callback_job<R: Send + 'static>(
-        &self,
-        req: Request<R>,
-        mut opts: JobOptions,
-        on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
-    ) -> QueuedJob {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        Self::assign_trace_id(&mut opts);
         let responder = Responder::Callback(Some(Box::new(
             move |res: Result<JobReport<ErasedOutput>, JobError>| {
                 on_done(res.map(JobReport::downcast::<R>))
             },
         )));
-        QueuedJob { id, spec: req.spec, opts, responder, enqueued: Instant::now(), seq: 0 }
+        let job = self.make_job(req, opts, responder)?;
+        let id = job.id;
+        self.shared.queue.try_push(job).map_err(|(e, _job)| e)?;
+        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(id)
+    }
+
+    /// The handle submit paths: queue the job (blocking for room when
+    /// `block`) and hand back a handle on its cell.
+    fn submit_cell<R: Send + 'static>(
+        &self,
+        req: Request<R>,
+        opts: JobOptions,
+        block: bool,
+    ) -> Result<JobHandle<R>, SubmitError> {
+        let cell = JobCell::new();
+        let job = self.make_job(req, opts, Responder::Cell(Arc::clone(&cell)))?;
+        let handle = JobHandle {
+            id: job.id,
+            trace_id: job.opts.trace_id.unwrap_or(0),
+            cell,
+            _out: PhantomData,
+        };
+        if block {
+            self.shared.queue.push(job)?;
+        } else if let Err((e, _job)) = self.shared.queue.try_push(job) {
+            if e == SubmitError::Full {
+                self.shared.counters.rejected_full.fetch_add(1, Ordering::Relaxed);
+            }
+            return Err(e);
+        }
+        self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        Ok(handle)
+    }
+
+    /// Validate `req` and build its queued job, delivering the result
+    /// through `responder`. Trace ids are assigned at the earliest
+    /// observation point: the server sets one at frame decode;
+    /// in-process requests get theirs here, at submit.
+    fn make_job<R>(
+        &self,
+        req: Request<R>,
+        mut opts: JobOptions,
+        responder: Responder,
+    ) -> Result<QueuedJob, SubmitError> {
+        req.spec.validate()?;
+        opts.trace_id.get_or_insert_with(telemetry::next_trace_id);
+        Ok(QueuedJob {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            spec: req.spec,
+            opts,
+            responder,
+            enqueued: Instant::now(),
+            seq: 0,
+        })
     }
 
     /// The engine's telemetry registry (histograms, span ring) — the
@@ -515,44 +476,29 @@ fn worker_loop(shared: &Shared) {
                         ShardDecision::Sharded { shard_size, lanes, .. } => {
                             // Resident-dataset fast path: fetch (or
                             // build and cache) the sharded artifact for
-                            // this plan instead of rebuilding per job.
-                            let prebuilt = job
-                                .spec
-                                .warm()
-                                .map(|c| c.get_or_build(job.spec.list(), shard_size, lanes));
-                            let (output, report): (ErasedOutput, _) = match (&job.spec, &prebuilt) {
-                                (JobSpec::Rank { .. }, Some(sharded)) => {
+                            // this plan instead of rebuilding per job;
+                            // inline jobs build their own.
+                            let list = job.spec.list();
+                            let sharded = match job.spec.warm() {
+                                Some(cache) => cache.get_or_build(list, shard_size, lanes),
+                                None => {
+                                    Arc::new(ShardedList::build(list, shard_size).with_lanes(lanes))
+                                }
+                            };
+                            let (output, report): (ErasedOutput, _) = match &job.spec {
+                                JobSpec::Rank { .. } => {
                                     let mut out = Vec::new();
                                     let report = listrank::host::rank_sharded_prebuilt_into(
-                                        sharded,
+                                        &sharded,
                                         job.opts.seed,
                                         &mut scratch,
                                         &mut out,
                                     );
                                     (Box::new(out), report)
                                 }
-                                (JobSpec::Scan { exec, .. }, Some(sharded)) => {
-                                    exec.run_sharded_prebuilt(sharded, job.opts.seed, &mut scratch)
+                                JobSpec::Scan { exec, .. } => {
+                                    exec.run_sharded_prebuilt(&sharded, job.opts.seed, &mut scratch)
                                 }
-                                (JobSpec::Rank { list, .. }, None) => {
-                                    let mut out = Vec::new();
-                                    let report = listrank::host::rank_sharded_into(
-                                        list,
-                                        shard_size,
-                                        lanes,
-                                        job.opts.seed,
-                                        &mut scratch,
-                                        &mut out,
-                                    );
-                                    (Box::new(out), report)
-                                }
-                                (JobSpec::Scan { list, exec, .. }, None) => exec.run_sharded(
-                                    list,
-                                    shard_size,
-                                    lanes,
-                                    job.opts.seed,
-                                    &mut scratch,
-                                ),
                             };
                             Executed {
                                 output,
@@ -583,11 +529,6 @@ fn worker_loop(shared: &Shared) {
                 // into one algorithm's EWMA would poison the bucket).
                 if done.shards == 0 {
                     shared.planner.record(n, op, done.algorithm, exec_ns);
-                    if let ShardDecision::Monolithic(plan) = decision {
-                        if plan.algorithm == listrank::Algorithm::ReidMiller {
-                            shared.planner.record_lanes(n, plan.lanes, exec_ns);
-                        }
-                    }
                 }
                 let trace_id = job.opts.trace_id.unwrap_or(0);
                 let landed = job.responder.settle(Ok(JobReport {

@@ -44,18 +44,9 @@ pub(crate) trait ScanExec: Send + Sync {
         list: &LinkedList,
         scratch: &mut RankScratch,
     ) -> ErasedOutput;
-    /// Shard-parallel execution (generic stitched scan) with `lanes`
-    /// interleaved cursors per shard-local walk.
-    fn run_sharded(
-        &self,
-        list: &LinkedList,
-        shard_size: usize,
-        lanes: usize,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport);
-    /// Shard-parallel execution against an already-built sharded
-    /// representation (the resident-dataset artifact fast path).
+    /// Shard-parallel execution (generic stitched scan) against a
+    /// built sharded representation: the resident dataset's cached
+    /// artifact, or one the worker built for this job.
     fn run_sharded_prebuilt(
         &self,
         sharded: &ShardedList,
@@ -97,28 +88,6 @@ where
         let mut out = Vec::new();
         runner.scan_into(list, &self.values, &self.op, scratch, &mut out);
         Box::new(out)
-    }
-
-    fn run_sharded(
-        &self,
-        list: &LinkedList,
-        shard_size: usize,
-        lanes: usize,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let mut out = Vec::new();
-        let report = listrank::host::scan_sharded_into(
-            list,
-            &self.values,
-            &self.op,
-            shard_size,
-            lanes,
-            seed,
-            scratch,
-            &mut out,
-        );
-        (Box::new(out), report)
     }
 
     fn run_sharded_prebuilt(
@@ -177,29 +146,6 @@ where
         let mut scanned = Vec::new();
         runner.scan_into(list, &self.wrapped, &seg, scratch, &mut scanned);
         Box::new(segmented::unwrap_exclusive(&scanned, &self.starts, &self.op))
-    }
-
-    fn run_sharded(
-        &self,
-        list: &LinkedList,
-        shard_size: usize,
-        lanes: usize,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let seg = SegOp(self.op.clone());
-        let mut scanned = Vec::new();
-        let report = listrank::host::scan_sharded_into(
-            list,
-            &self.wrapped,
-            &seg,
-            shard_size,
-            lanes,
-            seed,
-            scratch,
-            &mut scanned,
-        );
-        (Box::new(segmented::unwrap_exclusive(&scanned, &self.starts, &self.op)), report)
     }
 
     fn run_sharded_prebuilt(
@@ -733,7 +679,7 @@ pub(crate) type CompletionFn = Box<dyn FnOnce(Result<JobReport<ErasedOutput>, Jo
 pub(crate) enum Responder {
     /// Settle a waitable cell (the `submit` / `JobHandle` path).
     Cell(Arc<JobCell>),
-    /// Invoke a one-shot callback (the `submit_callback` path). `None`
+    /// Invoke a one-shot callback (the `try_submit_callback` path). `None`
     /// after the callback has fired.
     Callback(Option<CompletionFn>),
 }

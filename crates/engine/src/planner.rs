@@ -1,19 +1,23 @@
 //! Adaptive algorithm selection: model prior + measured history.
 //!
-//! The planner decides, per job, which of the five algorithms to run and
-//! (for Reid-Miller) how many interleaved lanes its walks use. Its prior
-//! is the host cost model ([`rankmodel::predict::predict_best_op_lanes`],
-//! a closed form keyed on the job's value width); as jobs complete it
-//! folds measured per-element times into per-(size bucket × **op kind**)
-//! EWMAs, so the dispatch threshold migrates to wherever *this*
-//! machine's crossover actually sits **for that operator** — a wide
-//! affine-composition scan moves twice the memory of a ranking and can
-//! cross over at a different size, and their histories must not
-//! contaminate each other.
+//! The planner makes two decisions, each a `Contest` between two
+//! candidates: Serial vs Reid-Miller for every query, keyed by (size
+//! bucket × **op kind**), and rebuild vs patch for every mutated
+//! sharded artifact, keyed by size bucket. A closed-form cost model is
+//! each contest's prior ([`rankmodel::predict::predict_best_op_lanes`],
+//! keyed on the job's value width, and
+//! [`rankmodel::predict::predict_patch`]); as jobs complete the planner
+//! folds measured costs into per-key EWMAs, so the dispatch threshold
+//! migrates to wherever *this* machine's crossover actually sits **for
+//! that operator** — a wide affine-composition scan moves twice the
+//! memory of a ranking and can cross over at a different size, and
+//! their histories must not contaminate each other.
 //!
 //! Every decision is O(1): a few table reads and one closed-form prior,
-//! never a model search. Reid-Miller's split count `m` is not planned
-//! here; the host backend derives it inside the worker's inner pool
+//! never a model search. Reid-Miller's parameters are not tuned by
+//! trial runs: its lane count is [`rankmodel::predict::default_lanes`]
+//! of the size being walked, and its split count `m` is derived inside
+//! the worker's inner pool
 //! ([`listrank::host::ReidMiller::default_m_for`]). Lists at or below
 //! Reid-Miller's serial cutoff always run Serial: Reid-Miller would run
 //! the identical serial walk there, so there is nothing to contest.
@@ -38,20 +42,41 @@ const ALPHA: f64 = 0.25;
 /// bucket, so measured history covers both candidates.
 const PROBE_EVERY: u64 = 16;
 
-/// Lane counts the per-bucket lane tuner picks between. The model's
-/// prior seeds the choice; measured Reid-Miller completions at each
-/// candidate migrate it to wherever *this* machine's miss-buffer depth
-/// and cache sizes actually put the optimum.
-pub const LANE_CANDIDATES: [usize; 5] = [1, 2, 4, 8, 16];
+/// The algorithm contest's slots. Only these two keep history: above
+/// the cutoff, Reid-Miller is the host's only work-efficient parallel
+/// algorithm, so a pinned run of any other algorithm is not recorded.
+const CONTENDERS: [Algorithm; 2] = [Algorithm::Serial, Algorithm::ReidMiller];
 
-const LANE_SLOTS: usize = LANE_CANDIDATES.len();
+/// The maintenance contest's slots: rebuild the decomposition from
+/// scratch, or patch the dirty shards in place.
+const REBUILD: usize = 0;
+const PATCH: usize = 1;
 
-pub(crate) fn bucket_of(n: usize) -> usize {
+fn bucket_of(n: usize) -> usize {
     (usize::BITS - n.leading_zeros()) as usize
 }
 
-pub(crate) fn alg_index(alg: Algorithm) -> usize {
+fn alg_index(alg: Algorithm) -> usize {
     Algorithm::ALL.iter().position(|&a| a == alg).expect("algorithm in ALL")
+}
+
+/// `alg`'s slot in the algorithm contest, if it is a contender.
+fn contender_slot(alg: Algorithm) -> Option<usize> {
+    CONTENDERS.iter().position(|&c| c == alg)
+}
+
+/// The algorithm contest's key: (size bucket, op kind).
+fn alg_key(n: usize, op: OpKind) -> usize {
+    bucket_of(n) * OPS + op.index()
+}
+
+/// The work-unit count a maintenance EWMA normalizes by: the vertices
+/// actually re-derived plus the contracted rows re-assembled. Using
+/// per-unit times (rather than per-job) lets one bucket's history
+/// predict across different dirty fractions.
+fn maint_units(n: usize, shard_size: usize, fragments: usize, dirty: usize, slot: usize) -> f64 {
+    let touched = if slot == PATCH { (dirty * shard_size.max(1)).min(n) } else { n };
+    (touched + fragments).max(1) as f64
 }
 
 /// One dispatch decision.
@@ -59,9 +84,10 @@ pub(crate) fn alg_index(alg: Algorithm) -> usize {
 pub struct Plan {
     /// The algorithm to run.
     pub algorithm: Algorithm,
-    /// Interleaved traversal lanes for the multi-chain walks (always
-    /// `1` for algorithms without one — a serial chain has a single
-    /// cursor, structurally).
+    /// Interleaved traversal lanes for the multi-chain walks:
+    /// [`default_lanes`] of the job size for Reid-Miller, `1` for
+    /// algorithms without one (a serial chain has a single cursor,
+    /// structurally).
     pub lanes: usize,
 }
 
@@ -80,15 +106,10 @@ pub enum ShardDecision {
         shard_size: usize,
         /// Number of shards the list will split into.
         shards: usize,
-        /// Interleaved lanes for the shard-local fragment walks.
+        /// Interleaved lanes for the shard-local fragment walks
+        /// ([`default_lanes`] of the shard size).
         lanes: usize,
     },
-}
-
-#[derive(Clone, Copy, Default)]
-struct Ewma {
-    ns_per_elem: f64,
-    samples: u64,
 }
 
 /// The maintenance decision for one mutated artifact: patch the dirty
@@ -108,17 +129,77 @@ pub struct MutateDecision {
     pub predicted_ns: f64,
 }
 
-/// Maintenance-strategy slots in the mutate EWMA table.
-const MAINT_INCREMENTAL: usize = 0;
-const MAINT_REBUILD: usize = 1;
+/// A measured per-unit cost; `cost` is `0.0` until the first sample.
+#[derive(Clone, Copy, Default)]
+struct Ewma {
+    cost: f64,
+    samples: u64,
+}
 
-/// The work-unit count a maintenance EWMA normalizes by: the vertices
-/// actually re-derived plus the contracted rows re-assembled. Using
-/// per-unit times (rather than per-job) lets one bucket's history
-/// predict across different dirty fractions.
-fn maint_units(n: usize, shard_size: usize, fragments: usize, dirty: usize, kind: usize) -> u64 {
-    let touched = if kind == MAINT_REBUILD { n } else { (dirty * shard_size.max(1)).min(n) };
-    (touched + fragments).max(1) as u64
+/// One contest key's history: the two candidates' measured per-unit
+/// costs and the number of picks made for the key.
+#[derive(Clone, Copy, Default)]
+struct Row {
+    ewma: [Ewma; 2],
+    picks: u64,
+}
+
+/// A two-candidate cost contest per key: measured per-unit costs
+/// behind one lock, and the pick rule both planner decisions share.
+/// Callers evaluate the cost-model prior before they call in, so no
+/// model ever runs under the lock.
+struct Contest {
+    rows: Mutex<Vec<Row>>,
+}
+
+impl Contest {
+    fn new(keys: usize) -> Self {
+        Contest { rows: Mutex::new(vec![Row::default(); keys]) }
+    }
+
+    /// Pick a slot for `key`: the `prior` while the prior is
+    /// unmeasured; the unmeasured slot when `tick` (default: the key's
+    /// own pick count) lands on the probe cadence; otherwise the
+    /// cheaper measured slot, slot 0 winning ties. `units` scales each
+    /// slot's per-unit cost to this decision. Returns the slot and its
+    /// predicted cost, `0.0` while that slot is unmeasured.
+    fn pick(&self, key: usize, prior: usize, tick: Option<u64>, units: [f64; 2]) -> (usize, f64) {
+        let mut rows = self.rows.lock().expect("planner poisoned");
+        let row = &mut rows[key];
+        let tick = tick.unwrap_or(row.picks);
+        row.picks += 1;
+        let [a, b] = row.ewma;
+        let slot = if row.ewma[prior].samples == 0 {
+            prior
+        } else if a.samples == 0 || b.samples == 0 {
+            if tick % PROBE_EVERY == PROBE_EVERY - 1 {
+                1 - prior
+            } else {
+                prior
+            }
+        } else {
+            usize::from(a.cost * units[0] > b.cost * units[1])
+        };
+        (slot, row.ewma[slot].cost * units[slot])
+    }
+
+    /// Fold one measured per-unit cost into `(key, slot)`. Returns the
+    /// measured/predicted ratio when the slot already held a
+    /// prediction.
+    fn fold(&self, key: usize, slot: usize, cost: f64) -> Option<f64> {
+        let mut rows = self.rows.lock().expect("planner poisoned");
+        let e = &mut rows[key].ewma[slot];
+        let ratio = (e.samples > 0 && e.cost > 0.0).then(|| cost / e.cost);
+        e.cost = if e.samples == 0 { cost } else { (1.0 - ALPHA) * e.cost + ALPHA * cost };
+        e.samples += 1;
+        ratio
+    }
+
+    /// The measured per-unit cost of `(key, slot)`, `0.0` while
+    /// unmeasured.
+    fn estimate(&self, key: usize, slot: usize) -> f64 {
+        self.rows.lock().expect("planner poisoned")[key].ewma[slot].cost
+    }
 }
 
 /// How many recent dispatch decisions the introspection ring keeps.
@@ -146,7 +227,7 @@ pub struct PlanDecision {
     pub shards: usize,
     /// The EWMA's predicted ns/element for the chosen algorithm at
     /// decision time, or `0.0` when the bucket had no measurement yet
-    /// (prior-driven dispatch).
+    /// (prior-driven dispatch) or the dispatch is sharded.
     pub predicted_ns_per_elem: f64,
     /// Whether the caller pinned the algorithm.
     pub pinned: bool,
@@ -159,18 +240,12 @@ pub struct Planner {
     /// Reid-Miller's serial cutoff: unpinned jobs up to this size run
     /// Serial without a contest.
     serial_cutoff: usize,
-    /// Pinned lane count (`None` = tune per bucket).
-    lanes_override: Option<usize>,
-    /// Measured per-element times by (bucket, op kind, algorithm).
-    measured: Mutex<Vec<[[Ewma; ALGS]; OPS]>>,
-    /// Measured per-element times of Reid-Miller jobs by (bucket, lane
-    /// candidate) — the lane tuner's history. Kept separate from the
-    /// algorithm EWMAs: lane counts only vary *within* the Reid-Miller
-    /// dispatch, and mixing lane experiments into the serial/RM contest
-    /// would double-count them.
-    lane_measured: Mutex<Vec<[Ewma; LANE_SLOTS]>>,
+    /// Serial vs Reid-Miller, keyed by (bucket, op kind), in ns per
+    /// element.
+    algorithms: Contest,
     /// Dispatch counts by (bucket, algorithm) — the stats surface that
-    /// makes "different algorithms by job size" visible.
+    /// makes "different algorithms by job size" visible, and the
+    /// algorithm contest's probe clock.
     dispatched: Vec<[AtomicU64; ALGS]>,
     /// Dispatch counts by (op kind, algorithm) — the op dimension of
     /// the stats surface.
@@ -183,53 +258,46 @@ pub struct Planner {
     /// [`MISPREDICT_SCALE`]. A tight mode at the scale value means the
     /// EWMA layer predicts well; heavy tails mean it is being surprised.
     mispredict: AtomicHistogram,
-    /// Measured per-unit maintenance times by (size bucket × strategy):
-    /// slot [`MAINT_INCREMENTAL`] holds dirty-shard patching, slot
-    /// [`MAINT_REBUILD`] holds from-scratch decomposition. Kept apart
-    /// from the query EWMAs — maintenance touches different code (shard
-    /// builds and boundary stitching, no ranking) and its history must
-    /// not contaminate dispatch.
-    maint_measured: Mutex<Vec<[Ewma; 2]>>,
-    /// Maintenance dispatch counts: `[incremental, rebuild]`.
-    maint_dispatched: [AtomicU64; 2],
-    /// Mispredict ratios for maintenance decisions, same scale and
-    /// scoring rule as [`Planner::mispredict`] but fed by
-    /// [`Planner::record_maintenance`].
-    maint_mispredict: AtomicHistogram,
+    /// Rebuild vs patch, keyed by bucket, in ns per maintenance unit
+    /// (see `maint_units`). Kept apart from the query contest —
+    /// maintenance touches different code (shard builds and boundary
+    /// stitching, no ranking) and its history must not contaminate
+    /// dispatch.
+    maintenance: Contest,
 }
 
 impl Planner {
-    /// A planner for jobs that may use up to `p` threads each, tuning
-    /// the lane count per size bucket.
+    /// A planner for jobs that may use up to `p` threads each.
     pub fn new(p: usize) -> Self {
         Planner {
             p: p.max(1),
             serial_cutoff: listrank::host::ReidMiller::default().serial_cutoff,
-            lanes_override: None,
-            measured: Mutex::new(vec![[[Ewma::default(); ALGS]; OPS]; BUCKETS]),
-            lane_measured: Mutex::new(vec![[Ewma::default(); LANE_SLOTS]; BUCKETS]),
+            algorithms: Contest::new(BUCKETS * OPS),
             dispatched: (0..BUCKETS).map(|_| std::array::from_fn(|_| AtomicU64::new(0))).collect(),
             dispatched_by_op: (0..OPS)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
             decisions: Ring::new(DECISION_RING_CAPACITY),
             mispredict: AtomicHistogram::new(),
-            maint_measured: Mutex::new(vec![[Ewma::default(); 2]; BUCKETS]),
-            maint_dispatched: std::array::from_fn(|_| AtomicU64::new(0)),
-            maint_mispredict: AtomicHistogram::new(),
+            maintenance: Contest::new(BUCKETS),
         }
-    }
-
-    /// Pin the lane count instead of tuning it (`None` restores
-    /// tuning). The engine threads `EngineConfig::lanes` through here.
-    pub fn with_lanes_override(mut self, lanes: Option<usize>) -> Self {
-        self.lanes_override = lanes.map(|k| k.max(1));
-        self
     }
 
     /// Choose the algorithm (plus the lane count) for an `n`-vertex job
     /// computing `op` over `elem_bytes`-byte values. `pinned` overrides
     /// adaptivity (but still records the dispatch).
+    ///
+    /// The contest's cold-start prior is the `rankmodel` prediction at
+    /// the lane count the job will run with: it locates the size below
+    /// which startup costs dominate (→ Serial) for the job's value
+    /// width; above it, the host's only *work-efficient* parallel
+    /// algorithm is Reid-Miller, so every parallel pick maps there.
+    /// (The C90 model can prefer the random-mate algorithms because
+    /// vector hardware runs them wide even at `p = 1`; a multicore host
+    /// has no such discount.) With the K-lane walker the model crosses
+    /// over to Reid-Miller even on one thread for large lists —
+    /// interleaved chains are the single-core parallelism the paper's
+    /// vector pipeline provided.
     pub fn choose(
         &self,
         n: usize,
@@ -237,36 +305,42 @@ impl Planner {
         elem_bytes: usize,
         pinned: Option<Algorithm>,
     ) -> Plan {
-        let algorithm = pinned.unwrap_or_else(|| self.adaptive_choice(n, op, elem_bytes));
-        self.dispatched[bucket_of(n)][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
+        let b = bucket_of(n);
+        let key = alg_key(n, op);
+        let (algorithm, predicted_ns_per_elem) = match pinned {
+            None if n > self.serial_cutoff => {
+                let prior = match predict_best_op_lanes(n, self.p, elem_bytes, default_lanes(n)) {
+                    AlgChoice::Serial => 0,
+                    _ => 1,
+                };
+                let tick = self.dispatched[b].iter().map(|c| c.load(Ordering::Relaxed)).sum();
+                let (slot, predicted) = self.algorithms.pick(key, prior, Some(tick), [1.0; 2]);
+                (CONTENDERS[slot], predicted)
+            }
+            _ => {
+                let algorithm = pinned.unwrap_or(Algorithm::Serial);
+                let predicted = contender_slot(algorithm).map(|s| self.algorithms.estimate(key, s));
+                (algorithm, predicted.unwrap_or(0.0))
+            }
+        };
+        self.dispatched[b][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
         self.dispatched_by_op[op.index()][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
-        let lanes = if algorithm == Algorithm::ReidMiller { self.tuned_lanes(n) } else { 1 };
-        let plan = Plan { algorithm, lanes };
-        self.log_decision(n, op, algorithm, lanes, 0, pinned.is_some());
-        plan
+        let lanes = if algorithm == Algorithm::ReidMiller { default_lanes(n) } else { 1 };
+        self.log_decision(PlanDecision {
+            n,
+            op,
+            algorithm,
+            lanes,
+            shards: 0,
+            predicted_ns_per_elem,
+            pinned: pinned.is_some(),
+        });
+        Plan { algorithm, lanes }
     }
 
     /// Record one decision in the introspection ring (and at
     /// `RANKD_LOG=debug`, on stderr).
-    fn log_decision(
-        &self,
-        n: usize,
-        op: OpKind,
-        algorithm: Algorithm,
-        lanes: usize,
-        shards: usize,
-        pinned: bool,
-    ) {
-        let predicted_ns_per_elem = {
-            let measured = self.measured.lock().expect("planner poisoned");
-            let e = measured[bucket_of(n)][op.index()][alg_index(algorithm)];
-            if e.samples > 0 {
-                e.ns_per_elem
-            } else {
-                0.0
-            }
-        };
-        let d = PlanDecision { n, op, algorithm, lanes, shards, predicted_ns_per_elem, pinned };
+    fn log_decision(&self, d: PlanDecision) {
         if crate::telemetry::log::enabled(Level::Debug) {
             crate::telemetry::log::write(
                 Level::Debug,
@@ -284,123 +358,6 @@ impl Planner {
             );
         }
         self.decisions.push(d);
-    }
-
-    /// Cold-start prior. The `rankmodel` prediction locates the size
-    /// threshold below which startup costs dominate (→ Serial) for the
-    /// job's value width; above it, the host's only *work-efficient*
-    /// parallel algorithm is Reid-Miller, so every parallel pick maps
-    /// there. (The C90 model can prefer the random-mate algorithms
-    /// because vector hardware runs them wide even at `p = 1`; a
-    /// multicore host has no such discount.) With the K-lane walker the
-    /// model crosses over to Reid-Miller even on one thread for large
-    /// lists — interleaved chains are the single-core parallelism the
-    /// paper's vector pipeline provided. The prior is keyed on the
-    /// lane count the job would actually run with (override included),
-    /// so pinning `--lanes 1` restores the old serial-on-one-thread
-    /// rule instead of promising a discount the walker won't deliver.
-    fn prior_choice(&self, n: usize, elem_bytes: usize) -> Algorithm {
-        let lanes = self.lanes_override.unwrap_or_else(|| default_lanes(n));
-        match predict_best_op_lanes(n, self.p, elem_bytes, lanes) {
-            AlgChoice::Serial => Algorithm::Serial,
-            _ => Algorithm::ReidMiller,
-        }
-    }
-
-    /// The lane count for an `n`-vertex Reid-Miller job: the override
-    /// if pinned, else the bucket's best measured candidate, probing
-    /// unmeasured candidates on the probe cadence, seeded by the
-    /// model's prior.
-    fn tuned_lanes(&self, n: usize) -> usize {
-        if let Some(k) = self.lanes_override {
-            return k;
-        }
-        let b = bucket_of(n);
-        let row = { self.lane_measured.lock().expect("planner poisoned")[b] };
-        let measured_any = row.iter().any(|e| e.samples > 0);
-        let unmeasured_any = row.iter().any(|e| e.samples == 0);
-        if measured_any && unmeasured_any {
-            // Probe the least-sampled candidate periodically so the
-            // bucket's history eventually covers the whole ladder.
-            let rm = self.dispatched[b][alg_index(Algorithm::ReidMiller)].load(Ordering::Relaxed);
-            if rm % PROBE_EVERY == PROBE_EVERY - 1 {
-                let (i, _) = row
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.samples)
-                    .expect("candidate ladder is non-empty");
-                return LANE_CANDIDATES[i];
-            }
-        }
-        if measured_any {
-            let (i, _) = row
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.samples > 0)
-                .min_by(|(_, a), (_, b)| {
-                    a.ns_per_elem.partial_cmp(&b.ns_per_elem).expect("EWMAs are finite")
-                })
-                .expect("measured_any");
-            LANE_CANDIDATES[i]
-        } else {
-            default_lanes(n)
-        }
-    }
-
-    fn adaptive_choice(&self, n: usize, op: OpKind, elem_bytes: usize) -> Algorithm {
-        if n <= self.serial_cutoff {
-            return Algorithm::Serial;
-        }
-        let b = bucket_of(n);
-        let prior = self.prior_choice(n, elem_bytes);
-        let measured = self.measured.lock().expect("planner poisoned");
-        let serial = measured[b][op.index()][alg_index(Algorithm::Serial)];
-        let rm = measured[b][op.index()][alg_index(Algorithm::ReidMiller)];
-        drop(measured);
-        match (serial.samples, rm.samples) {
-            // Nothing measured for this (bucket, op) yet: trust the
-            // model.
-            (0, 0) => prior,
-            // One contender unmeasured. If it is the *prior* that lacks
-            // a sample (e.g. the measured one arrived via a pinned
-            // job), dispatch the prior so it gets measured — otherwise a
-            // single pinned job would poison the bucket onto the
-            // non-prior contender. If the prior is the measured one,
-            // keep it and probe the other periodically (Reid-Miller
-            // only where it could plausibly win: p ≥ 2).
-            (0, _) | (_, 0) => {
-                let prior_measured = match prior {
-                    Algorithm::Serial => serial.samples > 0,
-                    _ => rm.samples > 0,
-                };
-                if !prior_measured {
-                    return prior;
-                }
-                let other = if prior == Algorithm::Serial {
-                    Algorithm::ReidMiller
-                } else {
-                    Algorithm::Serial
-                };
-                let count: u64 = self.dispatched[b].iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                let probe = count % PROBE_EVERY == PROBE_EVERY - 1;
-                // Reid-Miller is a plausible winner even at p = 1 now
-                // (lanes hide latency without threads), so both
-                // contenders are probe-worthy everywhere.
-                if probe {
-                    other
-                } else {
-                    prior
-                }
-            }
-            // Both measured: cheapest expected time wins.
-            _ => {
-                if serial.ns_per_elem <= rm.ns_per_elem {
-                    Algorithm::Serial
-                } else {
-                    Algorithm::ReidMiller
-                }
-            }
-        }
     }
 
     /// The plan branch for sharded requests. Budget-aware: a list of at
@@ -422,64 +379,40 @@ impl Planner {
         }
         let shard_size = rankmodel::predict::shard_size_for(n, budget, self.p);
         // The shard-local fragment walks interleave like Reid-Miller's
-        // phases; key the lane choice on the shard size (the walk's
-        // working set), overridable like everything else.
-        let lanes = self.lanes_override.unwrap_or_else(|| default_lanes(shard_size));
+        // phases; key the lane count on the shard size (the walk's
+        // working set).
+        let lanes = default_lanes(shard_size);
         // Sharded executions are counted at completion time by the
         // engine's `Counters` (the stats surface); the planner keeps no
         // duplicate tally.
         let shards = n.div_ceil(shard_size);
         // The stitch algorithm is chosen downstream by the sharded
         // runner; log the shard-local phase (a serial walk per shard).
-        self.log_decision(n, op, Algorithm::Serial, lanes, shards, false);
+        self.log_decision(PlanDecision {
+            n,
+            op,
+            algorithm: Algorithm::Serial,
+            lanes,
+            shards,
+            predicted_ns_per_elem: 0.0,
+            pinned: false,
+        });
         ShardDecision::Sharded { shard_size, shards, lanes }
-    }
-
-    /// Fold one completed Reid-Miller job into the (bucket, lane)
-    /// history. `lanes` snaps to the nearest candidate rung.
-    pub fn record_lanes(&self, n: usize, lanes: usize, exec_ns: u64) {
-        if n == 0 {
-            return;
-        }
-        let slot = LANE_CANDIDATES
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &c)| c.abs_diff(lanes))
-            .map(|(i, _)| i)
-            .expect("candidate ladder is non-empty");
-        let per_elem = exec_ns as f64 / n as f64;
-        let mut measured = self.lane_measured.lock().expect("planner poisoned");
-        let e = &mut measured[bucket_of(n)][slot];
-        e.ns_per_elem = if e.samples == 0 {
-            per_elem
-        } else {
-            (1.0 - ALPHA) * e.ns_per_elem + ALPHA * per_elem
-        };
-        e.samples += 1;
     }
 
     /// Fold one completed job into the (bucket, op) history, scoring
     /// the EWMA's prediction against the measurement on the way in.
+    /// Runs of algorithms outside the contest are not recorded.
     pub fn record(&self, n: usize, op: OpKind, alg: Algorithm, exec_ns: u64) {
+        let Some(slot) = contender_slot(alg) else { return };
         if n == 0 {
             return;
         }
         let per_elem = exec_ns as f64 / n as f64;
-        let mut measured = self.measured.lock().expect("planner poisoned");
-        let e = &mut measured[bucket_of(n)][op.index()][alg_index(alg)];
-        if e.samples > 0 && e.ns_per_elem > 0.0 {
-            // The pre-update EWMA is what `choose` would have predicted
-            // for this job; its measured/predicted ratio (scaled by
-            // MISPREDICT_SCALE) is the planner's self-assessment.
-            let ratio = (per_elem / e.ns_per_elem) * MISPREDICT_SCALE as f64;
-            self.mispredict.record(ratio.clamp(0.0, u64::MAX as f64) as u64);
+        if let Some(ratio) = self.algorithms.fold(alg_key(n, op), slot, per_elem) {
+            let scaled = ratio * MISPREDICT_SCALE as f64;
+            self.mispredict.record(scaled.clamp(0.0, u64::MAX as f64) as u64);
         }
-        e.ns_per_elem = if e.samples == 0 {
-            per_elem
-        } else {
-            (1.0 - ALPHA) * e.ns_per_elem + ALPHA * per_elem
-        };
-        e.samples += 1;
     }
 
     /// Choose how to bring an `n`-vertex sharded decomposition
@@ -487,13 +420,13 @@ impl Planner {
     /// up to date after a mutation batch dirtied `dirty` shards: patch
     /// the dirty shards in place, or rebuild from scratch.
     ///
-    /// Same layering as [`Self::choose`]: the cost model
+    /// Same contest as [`Self::choose`]: the cost model
     /// ([`rankmodel::predict::predict_patch`]) is the cold-start prior;
     /// once the size bucket has measured history for both strategies,
     /// the cheaper expected time wins; with one strategy unmeasured,
     /// the measured one runs but the other is probed on the
-    /// `PROBE_EVERY` cadence so history covers both sides of the
-    /// crossover.
+    /// `PROBE_EVERY` cadence of the bucket's own decisions so history
+    /// covers both sides of the crossover.
     pub fn choose_maintenance(
         &self,
         n: usize,
@@ -504,49 +437,18 @@ impl Planner {
         let shards = n.div_ceil(shard_size.max(1)).max(1);
         let dirty = dirty.min(shards);
         let b = bucket_of(n);
-        let lanes = self.lanes_override.unwrap_or_else(|| default_lanes(shard_size.min(n)));
-        let prior = dirty < shards && predict_patch(n, shard_size, fragments, dirty, self.p, lanes);
-        let row = { self.maint_measured.lock().expect("planner poisoned")[b] };
-        let incr = row[MAINT_INCREMENTAL];
-        let reb = row[MAINT_REBUILD];
-        // A fully-dirty batch has nothing clean to reuse: patching is a
-        // rebuild with extra bookkeeping, so never "probe" it.
-        let incremental = if dirty >= shards {
-            false
+        let units = [REBUILD, PATCH].map(|s| maint_units(n, shard_size, fragments, dirty, s));
+        let (slot, predicted_ns) = if dirty >= shards {
+            // A fully-dirty batch has nothing clean to reuse: patching
+            // is a rebuild with extra bookkeeping, so there is no
+            // contest.
+            (REBUILD, self.maintenance.estimate(b, REBUILD) * units[REBUILD])
         } else {
-            match (incr.samples, reb.samples) {
-                (0, 0) => prior,
-                (0, _) | (_, 0) => {
-                    let prior_measured = if prior { incr.samples > 0 } else { reb.samples > 0 };
-                    if !prior_measured {
-                        prior
-                    } else {
-                        let count: u64 =
-                            self.maint_dispatched.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                        if count % PROBE_EVERY == PROBE_EVERY - 1 {
-                            !prior
-                        } else {
-                            prior
-                        }
-                    }
-                }
-                _ => {
-                    let incr_ns = incr.ns_per_elem
-                        * maint_units(n, shard_size, fragments, dirty, MAINT_INCREMENTAL) as f64;
-                    let reb_ns = reb.ns_per_elem
-                        * maint_units(n, shard_size, fragments, dirty, MAINT_REBUILD) as f64;
-                    incr_ns < reb_ns
-                }
-            }
+            let lanes = default_lanes(shard_size.min(n));
+            let patch = predict_patch(n, shard_size, fragments, dirty, self.p, lanes);
+            self.maintenance.pick(b, usize::from(patch), None, units)
         };
-        let kind = if incremental { MAINT_INCREMENTAL } else { MAINT_REBUILD };
-        self.maint_dispatched[kind].fetch_add(1, Ordering::Relaxed);
-        let chosen = row[kind];
-        let predicted_ns = if chosen.samples > 0 {
-            chosen.ns_per_elem * maint_units(n, shard_size, fragments, dirty, kind) as f64
-        } else {
-            0.0
-        };
+        let incremental = slot == PATCH;
         if crate::telemetry::log::enabled(Level::Debug) {
             crate::telemetry::log::write(
                 Level::Debug,
@@ -562,9 +464,7 @@ impl Planner {
     }
 
     /// Fold one completed maintenance pass into the (bucket, strategy)
-    /// history, scoring the EWMA's prediction against the measurement
-    /// on the way in (same rule as [`Self::record`], into the separate
-    /// maintenance mispredict histogram).
+    /// history.
     pub fn record_maintenance(
         &self,
         n: usize,
@@ -577,34 +477,9 @@ impl Planner {
         if n == 0 {
             return;
         }
-        let kind = if incremental { MAINT_INCREMENTAL } else { MAINT_REBUILD };
-        let per_unit = exec_ns as f64 / maint_units(n, shard_size, fragments, dirty, kind) as f64;
-        let mut measured = self.maint_measured.lock().expect("planner poisoned");
-        let e = &mut measured[bucket_of(n)][kind];
-        if e.samples > 0 && e.ns_per_elem > 0.0 {
-            let ratio = (per_unit / e.ns_per_elem) * MISPREDICT_SCALE as f64;
-            self.maint_mispredict.record(ratio.clamp(0.0, u64::MAX as f64) as u64);
-        }
-        e.ns_per_elem = if e.samples == 0 {
-            per_unit
-        } else {
-            (1.0 - ALPHA) * e.ns_per_elem + ALPHA * per_unit
-        };
-        e.samples += 1;
-    }
-
-    /// Maintenance dispatch counts: `(incremental, rebuild)`.
-    pub fn maintenance_dispatches(&self) -> (u64, u64) {
-        (
-            self.maint_dispatched[MAINT_INCREMENTAL].load(Ordering::Relaxed),
-            self.maint_dispatched[MAINT_REBUILD].load(Ordering::Relaxed),
-        )
-    }
-
-    /// Snapshot of the maintenance mispredict-ratio histogram (same
-    /// scale as [`Self::mispredict_histogram`]).
-    pub fn maint_mispredict_histogram(&self) -> Histogram {
-        self.maint_mispredict.snapshot()
+        let slot = usize::from(incremental);
+        let units = maint_units(n, shard_size, fragments, dirty, slot);
+        self.maintenance.fold(bucket_of(n), slot, exec_ns as f64 / units);
     }
 
     /// Dispatch counts per algorithm, summed over all size buckets
@@ -833,7 +708,7 @@ mod tests {
             ShardDecision::Sharded { shard_size, shards, lanes } => {
                 assert!(shard_size <= budget);
                 assert_eq!(shards, (10 * budget + 17usize).div_ceil(shard_size));
-                assert!(lanes >= 1);
+                assert_eq!(lanes, default_lanes(shard_size));
             }
             other => panic!("expected sharded dispatch, got {other:?}"),
         }
@@ -842,47 +717,6 @@ mod tests {
             ShardDecision::Monolithic(plan) => assert_eq!(plan.algorithm, Algorithm::Wyllie),
             other => panic!("pinned must be monolithic, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn lane_override_pins_every_bucket() {
-        let planner = Planner::new(2).with_lanes_override(Some(4));
-        for n in [100usize, 1 << 18, 1 << 24] {
-            let plan = planner.choose(n, RANK, RB, None);
-            if plan.algorithm == Algorithm::ReidMiller {
-                assert_eq!(plan.lanes, 4);
-            }
-        }
-        match planner.choose_sharded(1 << 24, 1 << 20, RANK, RB, None) {
-            ShardDecision::Sharded { lanes, .. } => assert_eq!(lanes, 4),
-            other => panic!("expected sharded dispatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn lane_history_overrides_prior_and_probes_the_ladder() {
-        let planner = Planner::new(4);
-        let n = 1 << 22;
-        // Cold start: the model's prior (default lanes above the
-        // cache-resident threshold).
-        assert_eq!(choose1(&planner, n, None).lanes, rankmodel::predict::default_lanes(n), "prior");
-        // Feed history claiming 2 lanes beat the default in this
-        // bucket: the tuner must follow the measurement.
-        for _ in 0..8 {
-            planner.record_lanes(n, 2, 1_000_000);
-            planner.record_lanes(n, rankmodel::predict::default_lanes(n), 64_000_000);
-        }
-        let picks: Vec<usize> =
-            (0..2 * PROBE_EVERY).map(|_| choose1(&planner, n, None).lanes).collect();
-        assert!(
-            picks.iter().filter(|&&k| k == 2).count() >= picks.len() / 2,
-            "measured best must dominate: {picks:?}"
-        );
-        // The unmeasured rungs (1, 4, 16) still get probed.
-        assert!(
-            picks.iter().any(|&k| k != 2 && k != rankmodel::predict::default_lanes(n)),
-            "no probe of unmeasured lane candidates in {picks:?}"
-        );
     }
 
     #[test]
@@ -956,22 +790,27 @@ mod tests {
         let planner = Planner::new(8);
         let shards = MAINT_N / MAINT_SHARD;
         // ≤ 5% dirty: patch in place.
+        let mut decisions = Vec::new();
         let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, shards / 20);
         assert!(d.incremental, "low dirty fraction must go incremental: {d:?}");
         assert_eq!((d.dirty, d.shards), (shards / 20, shards));
         assert_eq!(d.predicted_ns, 0.0, "cold bucket has no EWMA prediction");
+        decisions.push(d);
         // Most shards dirty: fall back to a from-scratch build.
         let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, (9 * shards) / 10);
         assert!(!d.incremental, "high dirty fraction must rebuild: {d:?}");
+        decisions.push(d);
         // Fully dirty short-circuits (nothing clean to reuse).
         let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, shards);
         assert!(!d.incremental);
+        decisions.push(d);
         // Fragment-heavy topologies pay the serial re-assembly: rebuild
         // even at one dirty shard.
         let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_N, 1);
         assert!(!d.incremental, "fragment-heavy must rebuild: {d:?}");
-        let (incr, reb) = planner.maintenance_dispatches();
-        assert_eq!((incr, reb), (1, 3));
+        decisions.push(d);
+        let incr = decisions.iter().filter(|d| d.incremental).count();
+        assert_eq!((incr, decisions.len() - incr), (1, 3));
     }
 
     #[test]
@@ -1023,22 +862,14 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_mispredict_histogram_scores_predictions() {
-        let planner = Planner::new(8);
-        // First sample seeds the EWMA — nothing to score yet.
-        planner.record_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 3, true, 1_000_000);
-        assert!(planner.maint_mispredict_histogram().is_empty());
-        // Second sample runs 2× the prediction: ratio ≈ 2 × SCALE.
-        planner.record_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 3, true, 2_000_000);
-        let h = planner.maint_mispredict_histogram();
-        assert_eq!(h.count(), 1);
-        let (lo, hi) = h.percentile_bounds(50.0);
-        assert!(
-            lo <= 2 * MISPREDICT_SCALE && 2 * MISPREDICT_SCALE <= hi,
-            "2× mispredict outside [{lo}, {hi}]"
-        );
-        // The query-plane histogram is untouched.
-        assert!(planner.mispredict_histogram().is_empty());
+    fn contest_ties_go_to_slot_zero() {
+        // Equal measured costs pick slot 0 (Serial, Rebuild) whatever
+        // the prior; unequal units break the tie.
+        let contest = Contest::new(1);
+        contest.fold(0, 0, 2.0);
+        contest.fold(0, 1, 2.0);
+        assert_eq!(contest.pick(0, 1, None, [1.0; 2]), (0, 2.0));
+        assert_eq!(contest.pick(0, 0, None, [3.0, 1.0]), (1, 2.0));
     }
 
     #[test]

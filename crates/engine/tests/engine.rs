@@ -509,13 +509,11 @@ fn engine_beats_naive_sequential_baseline() {
 }
 
 #[test]
-fn lane_stats_and_pinned_lanes_flow_through_the_engine() {
-    // A pinned lane count must (a) produce byte-identical results to a
-    // direct HostRunner call with the same pinning, and (b) surface
-    // lane occupancy in the stats once a Reid-Miller job has run.
-    let engine = Engine::new(
-        EngineConfig::default().with_workers(1).with_inner_threads(2).with_lanes(Some(4)),
-    );
+fn lane_stats_and_model_lanes_flow_through_the_engine() {
+    // Reid-Miller runs at the cost model's lane count, so it must (a)
+    // produce byte-identical results to a direct HostRunner call at
+    // `default_lanes(n)`, and (b) surface lane occupancy in the stats.
+    let engine = Engine::new(EngineConfig::default().with_workers(1).with_inner_threads(2));
     let list = Arc::new(gen::random_list(200_000, 0xAB));
     let opts =
         JobOptions { seed: 0x1994, algorithm: Some(Algorithm::ReidMiller), ..Default::default() };
@@ -524,10 +522,11 @@ fn lane_stats_and_pinned_lanes_flow_through_the_engine() {
         .expect("submit")
         .wait()
         .expect("job completes");
+    let lanes = rankmodel::predict::default_lanes(200_000);
     assert_eq!(
         report.output,
-        HostRunner::new(Algorithm::ReidMiller).with_seed(0x1994).with_lanes(4).rank(&list),
-        "engine with pinned lanes must match the equally-pinned runner byte for byte"
+        HostRunner::new(Algorithm::ReidMiller).with_seed(0x1994).with_lanes(lanes).rank(&list),
+        "engine must match the runner at the model's lane count byte for byte"
     );
     let stats = engine.shutdown();
     assert!(stats.lane_steps >= 2 * 200_000, "phases 1+3 both walk: {}", stats.lane_steps);

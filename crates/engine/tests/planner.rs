@@ -1,11 +1,14 @@
-//! Latency-shape and split-count invariants of the planner: every
+//! Latency-shape and parameter invariants of the planner: every
 //! decision is O(1) with no model search, lists at or below
 //! Reid-Miller's serial cutoff never enter the serial/Reid-Miller
-//! contest, and Reid-Miller's `m` is the host closed form, pinned here.
+//! contest, Reid-Miller's `m` and lane count are the host closed
+//! forms, pinned here, and a replay of a closed-loop benchmark's
+//! dispatch sequence pins the contest's decisions.
 
 use engine::{OpKind, Planner};
 use listrank::host::ReidMiller;
 use listrank::Algorithm;
+use rankmodel::predict::default_lanes;
 use std::time::{Duration, Instant};
 
 /// Value width of a ranking job.
@@ -93,10 +96,45 @@ fn default_m_scales_with_planned_lanes() {
     let m = m_in_pool(4, n, plan.lanes);
     assert!(m >= 4 * 8 * plan.lanes, "m = {m} below the 8·K floor for lanes = {}", plan.lanes);
     assert!(m <= n / 4);
-    // Pinning a taller lane count raises the floor accordingly.
-    let plan = Planner::new(4).with_lanes_override(Some(16)).choose(n, OpKind::Rank, RB, None);
-    assert_eq!(plan.lanes, 16);
-    assert!(m_in_pool(4, n, plan.lanes) >= 4 * 8 * 16);
+    assert_eq!(plan.lanes, default_lanes(n));
+    // A taller lane count raises the floor accordingly.
+    assert!(m_in_pool(4, n, 16) >= 4 * 8 * 16);
     // The n/4 cap binds on lists too short for the floor.
     assert_eq!(m_in_pool(4, 1024, 16), 256);
+}
+
+/// Fixed exec times for the replay: Reid-Miller at 8 lanes ranks a
+/// random 2^22 list in about 145 ms and add-scans it in about 245 ms;
+/// one-cursor Serial walks are several times slower.
+fn replay_exec_ns(op: OpKind, alg: Algorithm) -> u64 {
+    match (op, alg) {
+        (OpKind::Rank, Algorithm::ReidMiller) => 145_000_000,
+        (_, Algorithm::ReidMiller) => 245_000_000,
+        (OpKind::Rank, _) => 520_000_000,
+        _ => 610_000_000,
+    }
+}
+
+#[test]
+fn resident_big_replay_probes_serial_once_and_runs_model_lanes() {
+    // The `resident_big` closed loop: one client alternating RANK_H and
+    // an add SCAN_H on a resident 2^22 list, one thread per job. The
+    // contest probes Serial once, on the add at the bucket's 16th
+    // dispatch (no rank lands on the probe tick), measures it slower
+    // and stays on Reid-Miller; every Reid-Miller walk uses the model's
+    // lane count, with no lane probes.
+    let n = 1usize << 22;
+    let planner = Planner::new(1);
+    let mut serial = Vec::new();
+    for i in 0..128 {
+        let op = if i % 2 == 0 { OpKind::Rank } else { OpKind::Add };
+        let plan = planner.choose(n, op, RB, None);
+        match plan.algorithm {
+            Algorithm::ReidMiller => assert_eq!(plan.lanes, default_lanes(n), "dispatch {i}"),
+            Algorithm::Serial => serial.push(i),
+            other => panic!("dispatch {i} ran {other:?}"),
+        }
+        planner.record(n, op, plan.algorithm, replay_exec_ns(op, plan.algorithm));
+    }
+    assert_eq!(serial, [15], "one Serial probe, on an add");
 }

@@ -278,10 +278,14 @@ fn oversized_frames_are_rejected_and_fatal() {
     assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
 
     // Claim a 2 MiB frame against a 1 KiB cap: the server answers with
-    // FrameTooLarge and closes (framing is no longer trustworthy).
+    // FrameTooLarge and closes (framing is no longer trustworthy). The
+    // prefix and kind go out in one write: the server may close as
+    // soon as it has read the prefix, and a second write would race
+    // that close.
     use std::io::Write as _;
-    stream.write_all(&(2u32 << 20).to_le_bytes()).expect("write oversized prefix");
-    stream.write_all(&[FrameKind::Rank as u8]).expect("write kind");
+    let mut head = (2u32 << 20).to_le_bytes().to_vec();
+    head.push(FrameKind::Rank as u8);
+    stream.write_all(&head).expect("write oversized prefix and kind");
     stream.flush().expect("flush");
     let reply = protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT).expect("read").expect("reply");
     expect_error(&reply, ErrorCode::FrameTooLarge);

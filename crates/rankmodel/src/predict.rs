@@ -354,9 +354,9 @@ pub fn predict_best_op(n: usize, p: usize, elem_bytes: usize) -> AlgChoice {
 }
 
 /// [`predict_best_op`] with an explicit lane count, so a caller that
-/// pins the walker to `lanes` (e.g. `rankd --lanes`) gets a prior
-/// consistent with how the job will actually run — a single-lane pin
-/// restores the old "Serial always wins on one thread" rule.
+/// pins the walker to `lanes` gets a prior consistent with how the job
+/// will actually run — a single-lane pin restores the old "Serial
+/// always wins on one thread" rule.
 pub fn predict_best_op_lanes(n: usize, p: usize, elem_bytes: usize, lanes: usize) -> AlgChoice {
     let mut best = AlgChoice::Serial;
     let mut best_cost = f64::INFINITY;
