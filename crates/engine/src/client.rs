@@ -577,8 +577,8 @@ impl Client {
     }
 
     /// Apply a batch of edits to the resident dataset `handle`. The
-    /// batch is atomic: either every edit applies (and every cached
-    /// sharded artifact is brought up to date, incrementally or by
+    /// batch is atomic: either every edit applies (and the dataset's
+    /// cached sharded artifact is brought up to date, incrementally or by
     /// rebuild per the server's planner) or the whole batch is refused
     /// — [`ErrorCode::BadMutation`] for a structurally invalid batch,
     /// [`ErrorCode::StaleHandle`] for a handle this connection does

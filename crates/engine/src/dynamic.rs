@@ -2,15 +2,17 @@
 //!
 //! A resident dataset ([`crate::DatasetStore`]) is no longer frozen at
 //! PUT time: clients send batches of splice / delete / append edits
-//! against a handle and keep querying, and the store's cached sharded
-//! artifacts are brought up to date *incrementally* — only the shards a
-//! batch dirtied are re-derived
+//! against a handle and keep querying, and the dataset's one cached
+//! sharded artifact is brought up to date *incrementally*, at its own
+//! shard size — only the shards a batch dirtied are re-derived
 //! ([`ShardedList::rebuild_dirty`]), the clean ones are shared with the
-//! pre-mutation artifact by `Arc`. That is the paper's economics transplanted to a
-//! dynamic setting: Reid-Miller's three-phase decomposition localizes
-//! all per-shard state, so an edit that touches few shards invalidates
-//! few shards, and the stitch over the contracted list is the only
-//! global work left.
+//! pre-mutation artifact by `Arc`. Shards are positional, so a batch
+//! that changes the length dirties only the shards it reaches and the
+//! next sharded query reuses the maintained artifact. That is the
+//! paper's economics transplanted to a dynamic setting: Reid-Miller's
+//! three-phase decomposition localizes all per-shard state, so an edit
+//! that touches few shards invalidates few shards, and the stitch over
+//! the contracted list is the only global work left.
 //!
 //! Incremental is not always cheaper. A batch that dirties most shards
 //! pays nearly the full build *plus* the serial boundary re-assembly,
@@ -89,25 +91,27 @@ pub struct MutationOutcome {
     pub applied: u32,
     /// Post-mutation dataset length.
     pub len: u64,
-    /// `true` when every cached artifact was patched in place (also
-    /// when there was nothing cached to maintain); `false` when at
-    /// least one artifact took the full-recompute fallback.
+    /// `true` when the dataset's artifact was patched in place (also
+    /// when there was none to maintain); `false` when it took the
+    /// full-recompute fallback.
     pub incremental: bool,
-    /// Dirty shards patched across all incremental maintenance passes.
+    /// Dirty shards patched by the incremental pass.
     pub dirty_shards: u32,
-    /// Cached artifacts brought up to date (patched or rebuilt).
+    /// Artifacts brought up to date: 1 when the dataset held an
+    /// artifact of the pre-batch snapshot, else 0.
     pub artifacts: u32,
     /// Wall-clock of apply + maintenance, in nanoseconds.
     pub exec_ns: u64,
 }
 
 /// Apply one batch of edits to the dataset `handle` owned by
-/// connection `conn`, then bring every cached sharded artifact up to
+/// connection `conn`, then bring its cached sharded artifact up to
 /// date under planner control (patch dirty shards or rebuild, per
-/// [`Planner::choose_maintenance`]).
+/// [`Planner::choose_maintenance`]). The result is cached only if the
+/// batch's snapshot is still current.
 ///
 /// The batch is atomic: any invalid edit rejects the whole batch with
-/// the dataset, its artifacts, and its budget charges untouched.
+/// the dataset, its artifact, and its budget charges untouched.
 /// Queries racing the mutation are linearized by the snapshot swap —
 /// each one ranks either the full pre-batch or the full post-batch
 /// list, never a half-applied state.
@@ -120,18 +124,14 @@ pub fn mutate(
 ) -> Result<MutationOutcome, MutateError> {
     let started = Instant::now();
     let dataset = store.get(handle, conn)?;
-    let (report, snapshot) = dataset.apply_edits(edits)?;
+    let (report, snapshot, old) = dataset.apply_edits(edits)?;
     let n = snapshot.len();
 
-    // Maintenance sweep: every cached artifact is brought up to date
-    // now, not lazily — a stale artifact serving a post-mutation query
-    // would break the byte-identical contract, and the handle's next
-    // query should pay stitch + walk, not a surprise rebuild.
-    let cache = dataset.artifacts();
-    let mut incremental_passes = 0u64;
-    let mut full_passes = 0u64;
-    let mut dirty_patched = 0u64;
-    for ((shard_size, lanes), old) in cache.entries() {
+    // Maintenance now, not lazily: the handle's next sharded query
+    // should pay stitch + walk, not a surprise rebuild.
+    let (mut incremental, mut dirty_patched) = (true, 0);
+    if let Some(old) = &old {
+        let shard_size = old.shard_size();
         let dirty = report.dirty_shards(shard_size);
         let fragments = old.fragment_count();
         let decision = planner.choose_maintenance(n, shard_size, fragments, dirty.len());
@@ -139,7 +139,7 @@ pub fn mutate(
         let rebuilt = if decision.incremental {
             old.rebuild_dirty(&snapshot, &dirty)
         } else {
-            ShardedList::build(&snapshot, shard_size).with_lanes(lanes)
+            ShardedList::build(&snapshot, shard_size).with_lanes(old.policy().lanes)
         };
         planner.record_maintenance(
             n,
@@ -149,22 +149,22 @@ pub fn mutate(
             decision.incremental,
             pass.elapsed().as_nanos() as u64,
         );
-        if decision.incremental {
-            incremental_passes += 1;
-            dirty_patched += decision.dirty as u64;
-        } else {
-            full_passes += 1;
+        incremental = decision.incremental;
+        if incremental {
+            dirty_patched = decision.dirty;
         }
-        cache.replace((shard_size, lanes), Arc::new(rebuilt));
+        dataset.artifacts().install(&snapshot, &Arc::new(rebuilt));
     }
-    store.note_mutation(report.applied as u64, incremental_passes, full_passes, dirty_patched);
+    let artifacts = u64::from(old.is_some());
+    let full = u64::from(!incremental);
+    store.note_mutation(report.applied as u64, artifacts - full, full, dirty_patched as u64);
 
     Ok(MutationOutcome {
         applied: report.applied as u32,
         len: n as u64,
-        incremental: full_passes == 0,
-        dirty_shards: dirty_patched.min(u32::MAX as u64) as u32,
-        artifacts: (incremental_passes + full_passes).min(u32::MAX as u64) as u32,
+        incremental,
+        dirty_shards: dirty_patched.min(u32::MAX as usize) as u32,
+        artifacts: artifacts as u32,
         exec_ns: started.elapsed().as_nanos() as u64,
     })
 }

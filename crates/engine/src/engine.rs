@@ -474,10 +474,10 @@ fn worker_loop(shared: &Shared) {
                             Executed { output, algorithm: plan.algorithm, shards: 0, stitch_ns: 0 }
                         }
                         ShardDecision::Sharded { shard_size, lanes, .. } => {
-                            // Resident-dataset fast path: fetch (or
-                            // build and cache) the sharded artifact for
-                            // this plan instead of rebuilding per job;
-                            // inline jobs build their own.
+                            // Resident-dataset fast path: reuse (or
+                            // build and cache) the dataset's artifact
+                            // instead of rebuilding per job; inline
+                            // jobs build their own.
                             let list = job.spec.list();
                             let sharded = match job.spec.warm() {
                                 Some(cache) => cache.get_or_build(list, shard_size, lanes),

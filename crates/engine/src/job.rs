@@ -180,9 +180,9 @@ pub(crate) enum JobSpec {
         list: Arc<LinkedList>,
         /// Route through the budget-aware shard-parallel plan branch.
         sharded: bool,
-        /// Resident-dataset artifact cache: the sharded arm fetches
-        /// (or builds and caches) the `ShardedList` here instead of
-        /// rebuilding per job. `None` for inline requests.
+        /// Resident-dataset artifact slot: the sharded arm reuses (or
+        /// builds and caches) the dataset's `ShardedList` here instead
+        /// of rebuilding per job. `None` for inline requests.
         warm: Option<Arc<ArtifactCache>>,
     },
     /// Generic-operator scan along `list`.
@@ -193,7 +193,7 @@ pub(crate) enum JobSpec {
         exec: Arc<dyn ScanExec>,
         /// Route through the budget-aware shard-parallel plan branch.
         sharded: bool,
-        /// Resident-dataset artifact cache (see [`JobSpec::Rank`]).
+        /// Resident-dataset artifact slot (see [`JobSpec::Rank`]).
         warm: Option<Arc<ArtifactCache>>,
     },
 }
@@ -225,7 +225,7 @@ impl JobSpec {
         }
     }
 
-    /// The resident-dataset artifact cache, if this job runs against a
+    /// The resident-dataset artifact slot, if this job runs against a
     /// stored dataset.
     pub(crate) fn warm(&self) -> Option<&Arc<ArtifactCache>> {
         match self {
@@ -331,9 +331,10 @@ impl<R> Request<R> {
     }
 
     /// Attach a resident dataset's [`ArtifactCache`]: if the planner
-    /// routes the job to the sharded arm, the worker fetches the built
-    /// `ShardedList` from the cache (building and caching it on first
-    /// use) instead of rebuilding it per job. Used by the server for
+    /// routes the job to the sharded arm, the worker reuses the
+    /// dataset's `ShardedList` when it was built from this request's
+    /// list (building and caching it on first use) instead of
+    /// rebuilding it per job. Used by the server for
     /// handle-routed queries ([`crate::DatasetRef::artifacts`]).
     pub fn with_artifacts(mut self, cache: Arc<ArtifactCache>) -> Self {
         match &mut self.spec {

@@ -1259,12 +1259,12 @@ pub struct WireMutateOk {
     pub applied: u32,
     /// Post-mutation dataset length.
     pub len: u64,
-    /// `true` when every cached artifact was patched incrementally
-    /// (mode byte `0` on the wire; `1` = at least one full recompute).
+    /// `true` when the cached artifact was patched incrementally or
+    /// there was none (mode byte `0` on the wire; `1` = full recompute).
     pub incremental: bool,
-    /// Dirty shards patched across incremental maintenance passes.
+    /// Dirty shards patched by the incremental pass.
     pub dirty_shards: u32,
-    /// Cached artifacts brought up to date.
+    /// Cached artifacts brought up to date (0 or 1).
     pub artifacts: u32,
     /// Server-side wall-clock of apply + maintenance, nanoseconds.
     pub exec_ns: u64,
@@ -1682,7 +1682,7 @@ gauge_block! {
         pub full,
         /// Dirty shards patched by incremental passes.
         pub dirty_shards_patched,
-        /// Cached artifacts brought up to date.
+        /// Cached artifacts brought up to date (`incremental + full`).
         pub artifacts_patched,
     }
 }

@@ -702,7 +702,7 @@ impl ListSource {
     }
 
     /// Route `req` as the frame asked (sharded or not) and attach a
-    /// resident dataset's artifact cache.
+    /// resident dataset's artifact slot.
     fn finish<R>(&self, req: Request<R>, sharded: bool) -> Request<R> {
         let req = if sharded { req.sharded() } else { req };
         match self {
@@ -1818,7 +1818,7 @@ impl Reactor {
                 incremental: ms.incremental,
                 full: ms.full,
                 dirty_shards_patched: ms.dirty_shards_patched,
-                artifacts_patched: ms.artifacts_patched,
+                artifacts_patched: ms.incremental + ms.full,
             },
             fault: {
                 let fs = self.shared.fault.snapshot();

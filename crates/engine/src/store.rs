@@ -11,10 +11,12 @@
 //! * **Validated once** — the O(n) structural validation in
 //!   [`LinkedList::new`] runs at PUT; handle queries skip decode and
 //!   validation entirely.
-//! * **Artifact cache** — the first sharded query against a dataset
-//!   builds a [`ShardedList`] (shard decomposition + boundary table +
-//!   lane policy) and caches it keyed by `(shard_size, lanes)`; later
-//!   queries with the same plan reuse it and pay only stitch + walk.
+//! * **One artifact per dataset** — the first sharded query against a
+//!   dataset builds a [`ShardedList`] (shard decomposition + boundary
+//!   table + lane policy) and caches it in the dataset's one slot,
+//!   bound to the snapshot it was built from ([`ArtifactCache`]);
+//!   later sharded queries on that snapshot reuse it, whatever shard
+//!   size they ask for, and pay only stitch + walk.
 //! * **Byte-budgeted LRU** — resident bytes (lists + cached artifacts)
 //!   never exceed the configured budget. PUT evicts idle
 //!   least-recently-used datasets to make room and fails with
@@ -36,8 +38,10 @@
 //!   the entry keeps an editable next+prev mirror, the query-visible
 //!   list is an atomically swapped snapshot (in-flight queries finish
 //!   on the pre-mutation `Arc`), and footprint deltas are re-charged
-//!   against the budget. The incremental artifact maintenance built on
-//!   top lives in [`crate::dynamic`].
+//!   against the budget. The snapshot and its artifact share one lock,
+//!   so publishing a snapshot takes the old artifact out with it. The
+//!   incremental artifact maintenance built on top lives in
+//!   [`crate::dynamic`].
 //!
 //! The store is transport-agnostic (no sockets here); `engine::server`
 //! shares one instance across client handlers, and `tests/store.rs`
@@ -122,9 +126,11 @@ pub struct StoreStats {
     pub evictions: u64,
     /// PUTs refused because the budget could not be met.
     pub put_rejected: u64,
-    /// Sharded artifacts built (cache misses on a plan key).
+    /// Sharded artifacts built by queries whose snapshot had none
+    /// cached. Maintenance after a mutation is counted in
+    /// [`MutationStats`], not here.
     pub artifacts_built: u64,
-    /// Sharded artifacts served from the cache.
+    /// Sharded queries served the artifact cached for their snapshot.
     pub artifacts_reused: u64,
 }
 
@@ -142,8 +148,6 @@ pub struct MutationStats {
     pub full: u64,
     /// Dirty shards patched by incremental passes.
     pub dirty_shards_patched: u64,
-    /// Cached artifacts brought up to date (patched or rebuilt).
-    pub artifacts_patched: u64,
 }
 
 /// Estimated resident footprint of a validated list: the `u32`
@@ -167,10 +171,6 @@ pub fn artifact_footprint(sharded: &ShardedList) -> u64 {
 struct DatasetEntry {
     handle: u64,
     owner: u64,
-    /// The query-visible list. Swapped wholesale by the mutation plane;
-    /// queries clone the `Arc` once at resolution time and keep ranking
-    /// their snapshot even across a concurrent mutation.
-    list: Mutex<Arc<LinkedList>>,
     /// Footprint currently charged for the list (tracks length changes
     /// from mutations). Mutated only under the store lock.
     list_bytes: AtomicU64,
@@ -190,6 +190,7 @@ struct DatasetEntry {
     /// the lock) skips any entry it observes in use, so the race only
     /// ever delays an eviction, never frees a dataset mid-query.
     in_use: AtomicU64,
+    /// The query-visible snapshot and the artifact built from it.
     artifacts: Arc<ArtifactCache>,
 }
 
@@ -229,7 +230,6 @@ pub struct DatasetStore {
     mutate_incremental: AtomicU64,
     mutate_full: AtomicU64,
     dirty_shards_patched: AtomicU64,
-    artifacts_patched: AtomicU64,
 }
 
 impl fmt::Debug for DatasetStore {
@@ -268,7 +268,6 @@ impl DatasetStore {
             mutate_incremental: AtomicU64::new(0),
             mutate_full: AtomicU64::new(0),
             dirty_shards_patched: AtomicU64::new(0),
-            artifacts_patched: AtomicU64::new(0),
         }
     }
 
@@ -296,7 +295,6 @@ impl DatasetStore {
         let entry = Arc::new(DatasetEntry {
             handle,
             owner: conn,
-            list: Mutex::new(list),
             list_bytes: AtomicU64::new(bytes),
             artifact_bytes: AtomicU64::new(0),
             dynamic_bytes: AtomicU64::new(0),
@@ -305,7 +303,7 @@ impl DatasetStore {
             artifacts: Arc::new(ArtifactCache {
                 handle,
                 store: Arc::downgrade(self),
-                map: Mutex::new(HashMap::new()),
+                slot: Mutex::new(Slot { list, artifact: None }),
             }),
         });
         inner.entries.insert(handle, entry);
@@ -420,7 +418,6 @@ impl DatasetStore {
             incremental: self.mutate_incremental.load(Ordering::Relaxed),
             full: self.mutate_full.load(Ordering::Relaxed),
             dirty_shards_patched: self.dirty_shards_patched.load(Ordering::Relaxed),
-            artifacts_patched: self.artifacts_patched.load(Ordering::Relaxed),
         }
     }
 
@@ -438,7 +435,6 @@ impl DatasetStore {
         self.mutate_incremental.fetch_add(incremental_passes, Ordering::Relaxed);
         self.mutate_full.fetch_add(full_passes, Ordering::Relaxed);
         self.dirty_shards_patched.fetch_add(dirty_shards, Ordering::Relaxed);
-        self.artifacts_patched.fetch_add(incremental_passes + full_passes, Ordering::Relaxed);
     }
 
     /// Evict idle LRU entries (skipping `exclude`) until `need` more
@@ -476,34 +472,19 @@ impl DatasetStore {
         true
     }
 
-    /// Return `bytes` previously charged to `handle` (a racing build
-    /// lost the insert).
-    ///
-    /// Skipping when the entry is absent is load-bearing, not an
-    /// oversight: a DROP (or eviction) that lands between the charge
-    /// and this uncharge subtracts the entry's *current*
-    /// `total_bytes()` — which still includes every in-flight charge,
-    /// because `try_charge` bumps `artifact_bytes` under the same lock
-    /// that removal holds. The drop therefore already returned this
-    /// charge; uncharging again would double-credit the budget.
-    /// `tests/store.rs` races drops against mid-build charges to pin
-    /// the end-state invariant (all handles dropped ⇒ zero resident
-    /// bytes).
-    fn uncharge(&self, handle: u64, bytes: u64) {
-        let mut inner = lock_unpoisoned(&self.inner);
-        if let Some(entry) = inner.entries.get(&handle).map(Arc::clone) {
-            inner.resident_bytes = inner.resident_bytes.saturating_sub(bytes);
-            entry.artifact_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        }
-    }
-
     /// Move one of `handle`'s charged-byte accounts (list, mirror, or
     /// artifact — chosen by `account`) from `old` to `new` bytes,
     /// evicting idle entries on growth. Mutations are applied in
     /// place, so unlike PUT this never fails: if nothing idle can be
     /// evicted the store runs transiently over budget and the next PUT
-    /// sheds the pressure. No-op when the entry is already gone
-    /// (dropped mid-mutation) — removal subtracted its whole footprint.
+    /// sheds the pressure.
+    ///
+    /// No-op when the entry is already gone, and that is load-bearing:
+    /// a DROP (or eviction) subtracts the entry's *current*
+    /// `total_bytes()`, which includes every charge made so far, so
+    /// re-charging a removed entry would double-count. `tests/store.rs`
+    /// races drops against artifact builds to pin the end state (all
+    /// handles dropped ⇒ zero resident bytes).
     fn recharge(
         &self,
         handle: u64,
@@ -544,7 +525,7 @@ impl DatasetRef {
     /// Clones the `Arc` under a brief lock; a concurrent mutation swaps
     /// the entry's snapshot but never this clone.
     pub fn list(&self) -> Arc<LinkedList> {
-        Arc::clone(&lock_unpoisoned(&self.entry.list))
+        Arc::clone(&lock_unpoisoned(&self.entry.artifacts.slot).list)
     }
 
     /// Vertices in the dataset (its current snapshot).
@@ -557,7 +538,7 @@ impl DatasetRef {
         false
     }
 
-    /// The dataset's artifact cache, to thread into a
+    /// The dataset's artifact slot, to thread into a
     /// [`Request`](crate::Request) via
     /// [`with_artifacts`](crate::Request::with_artifacts).
     pub fn artifacts(&self) -> Arc<ArtifactCache> {
@@ -567,17 +548,19 @@ impl DatasetRef {
     /// Apply one atomic batch of edits to the resident dataset:
     /// materialize the editable next+prev mirror on first use, apply
     /// the batch (all-or-nothing — a rejected edit leaves the dataset
-    /// untouched), swap the query-visible list to the post-edit
-    /// snapshot, and re-charge footprint deltas against the budget.
-    /// Returns the edit report and the new snapshot.
+    /// untouched), publish the post-edit snapshot, and re-charge
+    /// footprint deltas against the budget. Publishing takes the
+    /// pre-edit snapshot's artifact out of the slot and uncharges it in
+    /// the same critical section, so no artifact outlives its list.
+    /// Returns the edit report, the new snapshot and the old artifact.
     ///
     /// Concurrent batches against the same handle serialize on the
     /// mirror lock; queries resolved before the swap complete on their
     /// pre-mutation snapshot (`Arc` semantics, same rule as DROP).
-    /// Bringing cached artifacts up to date is the caller's job — see
+    /// Bringing the old artifact up to date is the caller's job — see
     /// [`crate::dynamic`], which patches dirty shards or rebuilds under
     /// planner control.
-    pub fn apply_edits(&self, edits: &[Edit]) -> Result<(EditReport, Arc<LinkedList>), EditError> {
+    pub fn apply_edits(&self, edits: &[Edit]) -> Result<Published, EditError> {
         let entry = &self.entry;
         let mut dynamic = lock_unpoisoned(&entry.dynamic);
         let store = entry.artifacts.store.upgrade();
@@ -593,7 +576,15 @@ impl DatasetRef {
         let report = mirror.apply(edits)?;
         let snapshot = Arc::new(mirror.snapshot());
         let old_list_bytes = entry.list_bytes.load(Ordering::Relaxed);
-        *lock_unpoisoned(&entry.list) = Arc::clone(&snapshot);
+        let old_artifact = {
+            let mut slot = lock_unpoisoned(&entry.artifacts.slot);
+            slot.list = Arc::clone(&snapshot);
+            let old = slot.artifact.take();
+            if let (Some(store), Some(old)) = (&store, &old) {
+                store.recharge(entry.handle, |e| &e.artifact_bytes, artifact_footprint(old), 0);
+            }
+            old
+        };
         if let Some(store) = &store {
             store.recharge(
                 entry.handle,
@@ -608,7 +599,7 @@ impl DatasetRef {
                 mirror.footprint(),
             );
         }
-        Ok((report, snapshot))
+        Ok((report, snapshot, old_artifact))
     }
 }
 
@@ -627,85 +618,74 @@ impl fmt::Debug for DatasetRef {
     }
 }
 
-/// Per-dataset cache of built [`ShardedList`] artifacts keyed by the
-/// planner's `(shard_size, lanes)` decision. Workers call
+/// What [`DatasetRef::apply_edits`] returns: the edit report, the new
+/// snapshot, and the artifact the slot held for the old one.
+pub type Published = (EditReport, Arc<LinkedList>, Option<Arc<ShardedList>>);
+
+/// A dataset's query-visible snapshot and the one artifact built from
+/// it, under one lock so the two always change together.
+struct Slot {
+    list: Arc<LinkedList>,
+    artifact: Option<Arc<ShardedList>>,
+}
+
+/// A resident dataset's current snapshot and its one cached
+/// [`ShardedList`] artifact. Workers call
 /// [`get_or_build`](ArtifactCache::get_or_build) from the engine's
-/// sharded execution arm; bytes are charged through the owning store
-/// so cached artifacts compete for the same budget as the lists.
+/// sharded execution arm; the artifact's bytes are charged through the
+/// owning store, so it competes for the same budget as the lists. The
+/// artifact is bound to its snapshot: a job pinned to an older
+/// snapshot can neither reuse nor cache an artifact for the dataset.
 pub struct ArtifactCache {
     handle: u64,
     store: Weak<DatasetStore>,
-    map: Mutex<HashMap<(usize, usize), Arc<ShardedList>>>,
+    slot: Mutex<Slot>,
 }
 
 impl ArtifactCache {
-    /// Fetch the artifact for `(shard_size, lanes)`, building it from
-    /// `list` on a miss. A freshly built artifact that cannot be
-    /// charged within the budget is returned uncached; builds race
-    /// optimistically (the map lock is not held across the O(n)
-    /// build), and a losing build is uncharged and discarded.
+    /// The sharded artifact of `list`: the cached one when `list` is
+    /// the dataset's current snapshot and has one, else a fresh build.
+    /// `shard_size` and `lanes` shape only a fresh build. The build is
+    /// cached if `list` is still current, the slot is still empty and
+    /// the budget can be met; otherwise it serves this query uncached.
     pub fn get_or_build(
         &self,
-        list: &LinkedList,
+        list: &Arc<LinkedList>,
         shard_size: usize,
         lanes: usize,
     ) -> Arc<ShardedList> {
-        let key = (shard_size, lanes);
-        if let Some(hit) = lock_unpoisoned(&self.map).get(&key) {
-            if let Some(store) = self.store.upgrade() {
+        let store = self.store.upgrade();
+        let hit = {
+            let slot = lock_unpoisoned(&self.slot);
+            slot.artifact.clone().filter(|_| Arc::ptr_eq(&slot.list, list))
+        };
+        if let Some(hit) = hit {
+            if let Some(store) = &store {
                 store.artifacts_reused.fetch_add(1, Ordering::Relaxed);
             }
-            return Arc::clone(hit);
+            return hit;
         }
         let built = Arc::new(ShardedList::build(list, shard_size).with_lanes(lanes));
-        let Some(store) = self.store.upgrade() else {
-            return built;
-        };
-        store.artifacts_built.fetch_add(1, Ordering::Relaxed);
-        let bytes = artifact_footprint(&built);
-        if store.try_charge(self.handle, bytes) {
-            let mut map = lock_unpoisoned(&self.map);
-            if let Some(winner) = map.get(&key) {
-                let winner = Arc::clone(winner);
-                drop(map);
-                store.uncharge(self.handle, bytes);
-                return winner;
-            }
-            map.insert(key, Arc::clone(&built));
+        if let Some(store) = &store {
+            store.artifacts_built.fetch_add(1, Ordering::Relaxed);
         }
+        self.install(list, &built);
         built
     }
 
-    /// Snapshot of every cached artifact with its plan key, for the
-    /// mutation plane's maintenance sweep.
-    pub(crate) fn entries(&self) -> Vec<((usize, usize), Arc<ShardedList>)> {
-        let map = lock_unpoisoned(&self.map);
-        let mut all: Vec<_> = map.iter().map(|(k, v)| (*k, Arc::clone(v))).collect();
-        all.sort_unstable_by_key(|(k, _)| *k);
-        all
-    }
-
-    /// Swap the artifact cached under `key` for an up-to-date build,
-    /// moving the budget charge from the old footprint to the new one.
-    /// Patched artifacts share clean shards with their predecessor by
-    /// `Arc`, so the charge delta is the accounting truth even though
-    /// physical memory is mostly shared. Entry already dropped ⇒ the
-    /// drop subtracted the old charge and the new artifact is orphaned
-    /// with its cache — nothing to account.
-    pub(crate) fn replace(&self, key: (usize, usize), artifact: Arc<ShardedList>) {
-        let new_bytes = artifact_footprint(&artifact);
-        let old = lock_unpoisoned(&self.map).insert(key, artifact);
-        let old_bytes = old.map(|a| artifact_footprint(&a)).unwrap_or(0);
-        if let Some(store) = self.store.upgrade() {
-            store.recharge(self.handle, |e| &e.artifact_bytes, old_bytes, new_bytes);
+    /// Cache `artifact`, built from `list`, if `list` is still the
+    /// current snapshot, the slot is empty, and its bytes can be
+    /// charged. The charge happens under the slot lock, so a lost race
+    /// never charges at all.
+    pub(crate) fn install(&self, list: &Arc<LinkedList>, artifact: &Arc<ShardedList>) {
+        let Some(store) = self.store.upgrade() else { return };
+        let mut slot = lock_unpoisoned(&self.slot);
+        if Arc::ptr_eq(&slot.list, list)
+            && slot.artifact.is_none()
+            && store.try_charge(self.handle, artifact_footprint(artifact))
+        {
+            slot.artifact = Some(Arc::clone(artifact));
         }
-    }
-
-    /// Cached plan keys, for tests.
-    pub fn cached_plans(&self) -> Vec<(usize, usize)> {
-        let mut keys: Vec<_> = lock_unpoisoned(&self.map).keys().copied().collect();
-        keys.sort_unstable();
-        keys
     }
 }
 
@@ -713,7 +693,7 @@ impl fmt::Debug for ArtifactCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ArtifactCache")
             .field("handle", &self.handle)
-            .field("plans", &self.cached_plans())
+            .field("cached", &lock_unpoisoned(&self.slot).artifact.is_some())
             .finish()
     }
 }

@@ -9,11 +9,15 @@
 //! divergence in recency order, resident bytes, or counters fails with
 //! the tape visible. `store_model_deep` re-runs the same check over a
 //! much larger tape population and is `#[ignore]`d for nightly CI
-//! (`--include-ignored`).
+//! (`--include-ignored`). The artifact tests pin the one snapshot-bound
+//! artifact slot per dataset, two of them end to end through `Engine`
+//! and MUTATE.
 
-use engine::store::{list_footprint, DatasetStore, StoreError};
-use listkit::gen;
-use listkit::LinkedList;
+use engine::dynamic::mutate;
+use engine::store::{artifact_footprint, list_footprint, DatasetStore, StoreError};
+use engine::{Engine, EngineConfig, Planner, Request};
+use listkit::dynamic::Edit;
+use listkit::{gen, serial, LinkedList};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -275,18 +279,22 @@ fn artifact_cache_builds_once_reuses_and_charges_the_budget() {
     let base = store.stats().resident_bytes;
     let a1 = entry.artifacts().get_or_build(&list, 64, 2);
     let st = store.stats();
-    assert_eq!(st.artifacts_built, 1);
-    assert!(st.resident_bytes > base, "cached artifact bytes are charged");
+    assert_eq!((st.artifacts_built, st.artifacts_reused), (1, 0));
+    assert_eq!(st.resident_bytes, base + artifact_footprint(&a1), "cached artifact is charged");
 
     let a2 = entry.artifacts().get_or_build(&list, 64, 2);
-    assert!(Arc::ptr_eq(&a1, &a2), "same plan key returns the cached artifact");
+    assert!(Arc::ptr_eq(&a1, &a2), "same snapshot returns the cached artifact");
     assert_eq!(store.stats().artifacts_reused, 1);
 
-    let _a3 = entry.artifacts().get_or_build(&list, 128, 2);
-    assert_eq!(store.stats().artifacts_built, 2, "a different plan key is a separate build");
-    assert_eq!(entry.artifacts().cached_plans(), vec![(64, 2), (128, 2)]);
+    // One artifact per dataset: a second shard size asked for the same
+    // snapshot reuses the slot instead of building and charging again.
+    let a3 = entry.artifacts().get_or_build(&list, 128, 2);
+    assert!(Arc::ptr_eq(&a1, &a3), "the shard size shapes only a cold build");
+    let st = store.stats();
+    assert_eq!((st.artifacts_built, st.artifacts_reused), (1, 2));
+    assert_eq!(st.resident_bytes, base + artifact_footprint(&a1), "charged once");
 
-    // Dropping the dataset releases the list *and* its artifacts.
+    // Dropping the dataset releases the list *and* its artifact.
     drop(entry);
     store.drop_dataset(receipt.handle, 1).expect("drop");
     assert_eq!(store.stats().resident_bytes, 0);
@@ -305,8 +313,74 @@ fn artifact_that_cannot_be_charged_is_used_uncached() {
 
     let built = entry.artifacts().get_or_build(&list, 64, 2);
     assert_eq!(built.len(), 1_000, "uncacheable artifact still serves the query");
-    assert!(entry.artifacts().cached_plans().is_empty(), "nothing was cached");
-    assert!(store.stats().resident_bytes <= budget, "budget never exceeded");
+    assert_eq!(store.stats().resident_bytes, list_footprint(&list), "nothing was charged");
+
+    // Nothing was cached, so the next query builds again.
+    let again = entry.artifacts().get_or_build(&list, 64, 2);
+    assert!(!Arc::ptr_eq(&built, &again), "an uncached build is never reused");
+    let st = store.stats();
+    assert_eq!((st.artifacts_built, st.artifacts_reused), (2, 0));
+    assert_eq!(st.resident_bytes, list_footprint(&list), "budget never exceeded");
+}
+
+#[test]
+fn sharded_rank_resolved_before_a_splice_never_poisons_the_artifact() {
+    // A job resolved before a length-preserving splice but run after
+    // it ranks its own (pre-splice) snapshot. Its build must not be
+    // cached for the dataset: the next sharded rank resolves the
+    // post-splice list and must match the serial oracle over it.
+    const CONN: u64 = 3;
+    let engine = Engine::new(EngineConfig::default().with_workers(1).with_shard_budget(1024));
+    let planner = Planner::new(1);
+    let store = Arc::new(DatasetStore::new(1 << 30));
+    let list = Arc::new(gen::random_list(20_000, 5));
+    let receipt = store.put(CONN, Arc::clone(&list)).expect("put");
+    let entry = store.get(receipt.handle, CONN).expect("get");
+
+    let stale = Request::rank(entry.list()).sharded().with_artifacts(entry.artifacts());
+    let order = list.order();
+    let splice = Edit::Splice { first: order[1], last: order[2], after: Some(order[15_000]) };
+    let out = mutate(&store, &planner, receipt.handle, CONN, &[splice]).expect("splice");
+    assert_eq!(out.len, 20_000, "the splice preserves the length");
+
+    let ranked = engine.submit(stale).expect("submit").wait().expect("stale rank");
+    assert_eq!(ranked.output, serial::rank(&list), "the stale job ranks its own snapshot");
+
+    let current = entry.list();
+    assert!(!Arc::ptr_eq(&current, &list), "the splice published a new snapshot");
+    let fresh = Request::rank(Arc::clone(&current)).sharded().with_artifacts(entry.artifacts());
+    let ranked = engine.submit(fresh).expect("submit").wait().expect("fresh rank");
+    assert_eq!(ranked.output, serial::rank(&current), "next rank must see the splice");
+    engine.shutdown();
+}
+
+#[test]
+fn length_changing_mutations_keep_the_one_artifact_reusable() {
+    // Shard sizes follow `n`, so an append asks for a different shard
+    // size than the artifact was built with. The maintained artifact
+    // must still serve the next sharded rank: one build, then reuse.
+    const CONN: u64 = 4;
+    let engine = Engine::new(EngineConfig::default().with_workers(1).with_shard_budget(1 << 16));
+    let planner = Planner::new(1);
+    let store = Arc::new(DatasetStore::new(1 << 30));
+    let receipt = store.put(CONN, Arc::new(gen::random_list(1 << 20, 6))).expect("put");
+    let entry = store.get(receipt.handle, CONN).expect("get");
+    let rank = || {
+        let req = Request::rank(entry.list()).sharded().with_artifacts(entry.artifacts());
+        engine.submit(req).expect("submit").wait().expect("rank").output
+    };
+    rank();
+    assert_eq!(store.stats().artifacts_built, 1);
+    for append in 1..=3u64 {
+        let out = mutate(&store, &planner, receipt.handle, CONN, &[Edit::Append { count: 1 }])
+            .expect("append");
+        assert_eq!(out.artifacts, 1, "append {append}: the one artifact is maintained");
+        assert_eq!(rank(), serial::rank(&entry.list()), "append {append}: rank diverged");
+        let st = store.stats();
+        assert_eq!(st.artifacts_built, 1, "append {append}: the next rank rebuilt");
+        assert_eq!(st.artifacts_reused, append, "append {append}: the next rank reused");
+    }
+    engine.shutdown();
 }
 
 #[test]

@@ -298,24 +298,35 @@ fn resident_dataset_rank_matches_serial_on_every_topology() {
     // `DatasetStore`, ranked through the prebuilt-artifact fast path
     // (`Request::with_artifacts`), byte-compared with the serial
     // oracle. Each dataset is ranked twice so both halves of the
-    // artifact cache — the build and the reuse — face the zoo.
-    use engine::DatasetStore;
+    // artifact cache — the build and the reuse — face the zoo, then a
+    // third time after a length-changing MUTATE, which must rank the
+    // maintained artifact of the post-mutation list.
+    use engine::{DatasetStore, Planner};
+    use listkit::dynamic::Edit;
     let engine = Engine::new(
         EngineConfig::default().with_workers(2).with_shard_budget(512).with_queue_capacity(128),
     );
+    let planner = Planner::new(2);
     let store = Arc::new(DatasetStore::new(1 << 30));
     for n in [127usize, 1025, 20_000] {
         for (name, list) in topologies(n) {
-            let oracle = listkit::serial::rank(&list);
             let receipt = store.put(1, Arc::new(list)).expect("put fits the budget");
             let entry = store.get(receipt.handle, 1).expect("resident");
-            for pass in 0..2 {
-                let req = Request::rank(entry.list()).sharded().with_artifacts(entry.artifacts());
+            for pass in 0..3 {
+                if pass == 2 {
+                    let append = [Edit::Append { count: 3 }];
+                    engine::dynamic::mutate(&store, &planner, receipt.handle, 1, &append)
+                        .expect("append");
+                }
+                let list = entry.list();
+                let req =
+                    Request::rank(Arc::clone(&list)).sharded().with_artifacts(entry.artifacts());
                 let opts =
                     JobOptions { seed: SEED ^ n as u64, algorithm: None, ..Default::default() };
                 let report = engine.submit_with(req, opts).expect("submit").wait().expect("job");
                 assert_eq!(
-                    report.output, oracle,
+                    report.output,
+                    listkit::serial::rank(&list),
                     "prebuilt rank diverged on {name} n={n} pass={pass}"
                 );
             }
@@ -473,13 +484,13 @@ fn random_edit_batch(
     edits
 }
 
-/// The dynamic-lists oracle: apply `batches` random mutation batches
-/// to a resident copy of `list` and, after every batch, byte-compare
-/// every cached sharded artifact's rank *and* add-scan against a
-/// from-scratch serial pass over the post-mutation list. All
-/// `shard_sizes` × `lanes_set` artifacts are primed up front, so each
-/// batch maintains each of them (incrementally or by rebuild, per the
-/// planner) and each must stay byte-identical.
+/// The dynamic-lists oracle: one resident copy of `list` per
+/// `shard_sizes` × `lanes_set` plan, each primed with that plan's
+/// artifact, all fed the same `batches` random mutation batches. After
+/// every batch each dataset's maintained artifact (patched or rebuilt,
+/// per the planner) must be the one the next query reuses, and its rank
+/// *and* add-scan must byte-match a from-scratch serial pass over the
+/// post-mutation list.
 fn check_mutation_sequences(
     name: &str,
     list: LinkedList,
@@ -495,11 +506,14 @@ fn check_mutation_sequences(
     let store = Arc::new(DatasetStore::new(1 << 30));
     let planner = Planner::new(4);
     let mut mirror = MutableList::from_list(&list);
-    let receipt = store.put(CONN, Arc::new(list)).expect("put fits");
-    let entry = store.get(receipt.handle, CONN).expect("resident");
+    let list = Arc::new(list);
+    let mut datasets = Vec::new();
     for &shard in shard_sizes {
         for &lanes in lanes_set {
+            let receipt = store.put(CONN, Arc::clone(&list)).expect("put fits");
+            let entry = store.get(receipt.handle, CONN).expect("resident");
             entry.artifacts().get_or_build(&entry.list(), shard, lanes);
+            datasets.push((shard, lanes, entry));
         }
     }
     let mut state = seed | 1;
@@ -510,45 +524,38 @@ fn check_mutation_sequences(
         state
     };
     for batch in 0..batches {
-        let edits = random_edit_batch(&entry.list(), &mut rng);
+        let edits = random_edit_batch(&mirror.snapshot(), &mut rng);
         mirror.apply(&edits).expect("mirror accepts the batch");
-        let out = engine::dynamic::mutate(&store, &planner, receipt.handle, CONN, &edits)
-            .expect("store accepts the batch");
-        assert_eq!(out.len as usize, mirror.len(), "{name} batch {batch}: length drift");
-        assert_eq!(
-            out.artifacts as usize,
-            shard_sizes.len() * lanes_set.len(),
-            "{name} batch {batch}: every primed artifact is maintained"
-        );
-        let snapshot = entry.list();
-        assert_eq!(
-            snapshot.links(),
-            mirror.snapshot().links(),
-            "{name} batch {batch}: server and mirror applied different lists"
-        );
-        let oracle = listkit::serial::rank(&snapshot);
-        let values: Vec<i64> = (0..snapshot.len() as i64).map(|i| (i % 29) - 14).collect();
-        let scan_oracle = listkit::serial::scan(&snapshot, &values, &AddOp);
-        for &shard in shard_sizes {
-            for &lanes in lanes_set {
-                let a = entry.artifacts().get_or_build(&snapshot, shard, lanes);
-                assert_eq!(
-                    a.rank(),
-                    oracle,
-                    "{name} batch {batch}: rank diverged shard={shard} lanes={lanes}"
-                );
-                assert_eq!(
-                    a.scan(&values, &AddOp),
-                    scan_oracle,
-                    "{name} batch {batch}: scan diverged shard={shard} lanes={lanes}"
-                );
-            }
+        let expected = mirror.snapshot();
+        let oracle = listkit::serial::rank(&expected);
+        let values: Vec<i64> = (0..expected.len() as i64).map(|i| (i % 29) - 14).collect();
+        let scan_oracle = listkit::serial::scan(&expected, &values, &AddOp);
+        for (shard, lanes, entry) in &datasets {
+            let ctx = format!("{name} batch {batch} shard={shard} lanes={lanes}");
+            let out = engine::dynamic::mutate(&store, &planner, entry.handle(), CONN, &edits)
+                .expect("store accepts the batch");
+            assert_eq!(out.len as usize, expected.len(), "{ctx}: length drift");
+            assert_eq!(out.artifacts, 1, "{ctx}: the primed artifact is maintained");
+            let snapshot = entry.list();
+            assert_eq!(
+                snapshot.links(),
+                expected.links(),
+                "{ctx}: server and mirror applied different lists"
+            );
+            let built = store.stats().artifacts_built;
+            let a = entry.artifacts().get_or_build(&snapshot, *shard, *lanes);
+            assert_eq!(store.stats().artifacts_built, built, "{ctx}: maintained artifact unused");
+            assert_eq!(a.rank(), oracle, "{ctx}: rank diverged");
+            assert_eq!(a.scan(&values, &AddOp), scan_oracle, "{ctx}: scan diverged");
         }
     }
-    assert_eq!(store.mutation_stats().mutations, batches as u64);
-    drop(entry);
-    store.drop_dataset(receipt.handle, CONN).expect("drop");
-    assert_eq!(store.stats().resident_bytes, 0, "drop released list, mirror, and artifacts");
+    assert_eq!(store.mutation_stats().mutations, (batches * datasets.len()) as u64);
+    for (_, _, entry) in datasets {
+        let handle = entry.handle();
+        drop(entry);
+        store.drop_dataset(handle, CONN).expect("drop");
+    }
+    assert_eq!(store.stats().resident_bytes, 0, "drop released lists, mirrors, and artifacts");
 }
 
 #[test]
