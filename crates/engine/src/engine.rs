@@ -230,11 +230,11 @@ impl Engine {
     /// thread that settles the job — it should hand off promptly (the
     /// event-driven server encodes the reply and wakes its reactor).
     /// Returns the job id. On any error the callback is dropped
-    /// *unfired* — the caller still owns the request context and can
-    /// retry with a fresh closure (the reactor's parked-submit path).
+    /// *unfired* and the caller answers the request itself.
     /// [`SubmitError::Full`] here is not counted as a client-visible
-    /// rejection, precisely because the caller is expected to retry
-    /// rather than fail the request.
+    /// rejection: the server holds a job frame undecoded while the
+    /// queue is full, so it meets `Full` only when another in-process
+    /// submitter raced it, and answers that with a typed refusal.
     pub fn try_submit_callback<R: Send + 'static>(
         &self,
         req: Request<R>,

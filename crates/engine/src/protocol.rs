@@ -628,6 +628,17 @@ pub const FLAG_BATCH: u8 = 0b0000_0100;
 /// flight on the same connection is malformed.
 pub const FLAG_REQUEST_ID: u8 = 0b0000_1000;
 
+/// Read an undecoded request frame's header: `None` when its kind
+/// carries no job, else whether the job's flags byte (the first body
+/// byte) sets [`FLAG_REQUEST_ID`]. The server schedules frames from
+/// this alone and decodes a frame only once it may be served.
+pub fn job_header(kind: u8, body: &[u8]) -> Option<bool> {
+    use FrameKind::{Rank, RankH, Scan, ScanH, SegScan, SegScanH};
+    let job =
+        matches!(FrameKind::from_u8(kind), Some(Rank | Scan | SegScan | RankH | ScanH | SegScanH));
+    job.then(|| body.first().is_some_and(|flags| flags & FLAG_REQUEST_ID != 0))
+}
+
 /// The decoded request-flags prefix shared by the six job-bearing
 /// frame kinds: the flags byte plus its optional trailing fields, in
 /// wire order.

@@ -15,9 +15,20 @@
 //!   [`protocol::FLAG_REQUEST_ID`] does not serialize the connection:
 //!   many ids may be in flight at once, and replies come back as
 //!   [`FrameKind::OutputP`] / [`FrameKind::ErrorP`] frames echoing the
-//!   id, in *completion* order. Requests without an id keep the
-//!   classic serial contract — they wait for the connection's
-//!   in-flight set to drain and block further parsing until answered.
+//!   id, in *completion* order. Frames without an id (PUT, MUTATE,
+//!   DROP, STATS and id-less jobs alike) keep the classic serial
+//!   contract, enforced by the wait rule below.
+//! * **One wait rule.** A frame that cannot be served yet stays
+//!   undecoded in the connection's read buffer; the rule reads only
+//!   its header ([`protocol::job_header`]). An id-less frame waits
+//!   while anything is in flight on its connection, and any frame
+//!   waits behind an id-less job in flight. A job frame waits while
+//!   the engine queue is full — unless the shed watermark is armed at
+//!   or below the current depth, when it goes through to be refused
+//!   with [`ErrorCode::Overloaded`]. A waiting connection is not read,
+//!   so its socket backpressures, and the rule is re-run after every
+//!   completion and every tick; a frame still waiting past the drain
+//!   grace is abandoned like a partial one.
 //! * **QoS (v6).** [`protocol::FLAG_BATCH`] routes a job to the batch
 //!   class of the two-class scheduler ([`crate::sched`]): interactive
 //!   work dispatches first, deadline-carrying jobs order first within
@@ -52,9 +63,9 @@ use crate::fault::FaultPlane;
 use crate::job::{JobError, JobOptions, JobReport, Request};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
-    self, error_body, pipelined_body, ErrorCode, FaultGauges, Frame, FrameKind, Job, JobFrame,
-    MutGauges, SchedGauges, Source, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp,
-    WireRequest, WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
+    self, error_body, ErrorCode, FaultGauges, Frame, FrameKind, Job, JobFrame, MutGauges,
+    SchedGauges, Source, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp, WireRequest,
+    WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
 };
 use crate::queue::SubmitError;
 use crate::rankd_log;
@@ -479,7 +490,7 @@ impl Server {
 }
 
 /// Reactor poll timeout: the cadence for deadline/drain checks and
-/// parked-submit retries when no fd is ready (completions and socket
+/// re-running the wait rule on blocked connections when no fd is ready (completions and socket
 /// readiness wake it immediately).
 const TICK_MS: i32 = 25;
 
@@ -553,31 +564,15 @@ impl Write for Transport {
     }
 }
 
-/// Work parked on a connection until the blocking condition clears
-/// (retried every reactor tick).
-enum Stalled {
-    /// The engine queue was full at submit time: quota admission is
-    /// already held, the typed request is rebuilt and re-offered each
-    /// tick (parsing stays paused, so order is preserved).
-    Submit { submit: SubmitFn, request_id: Option<u64>, arrival_seq: u64 },
-    /// A decoded request that must wait for the connection's in-flight
-    /// set to drain before it is served (a serial job behind pipelined
-    /// traffic, or MUTATE/DROP whose serial-equivalence contract
-    /// requires no overlapping jobs on this connection). Parked with
-    /// its original decode time, so it is neither decoded nor copied
-    /// again; no side effects were taken at stall time.
-    Request { req: WireRequest, decode_ns: u64 },
-}
-
 /// A settled job's reply, pushed by the worker callback and drained by
-/// the reactor.
+/// the reactor. `kind` is OUTPUT or ERROR; [`Conn::enqueue`] wraps it
+/// in the pipelined envelope when `request_id` is set.
 struct Completion {
     conn: u64,
     request_id: Option<u64>,
     arrival_seq: u64,
     kind: FrameKind,
     body: Vec<u8>,
-    is_error: bool,
     trace_id: u64,
 }
 
@@ -589,11 +584,20 @@ struct Hub {
 }
 
 impl Hub {
+    /// Queue one reply. Only the push that finds the hub empty writes a
+    /// wake byte: the reactor drains the pipe before the hub, so every
+    /// later push rides the wake already pending.
     fn push(&self, c: Completion) {
-        self.queue.lock().expect("completion hub poisoned").push(c);
-        // A full pipe means a wake-up is already pending — exactly
-        // what we need, so the result is ignorable.
-        let _ = (&self.wake_tx).write(&[1u8]);
+        let was_empty = {
+            let mut queue = self.queue.lock().expect("completion hub poisoned");
+            queue.push(c);
+            queue.len() == 1
+        };
+        if was_empty {
+            // A full pipe means a wake-up is already pending — exactly
+            // what we need, so the result is ignorable.
+            let _ = (&self.wake_tx).write(&[1u8]);
+        }
     }
 
     fn drain(&self) -> Vec<Completion> {
@@ -602,32 +606,20 @@ impl Hub {
 }
 
 /// Everything a worker completion callback needs to route its reply.
-#[derive(Clone)]
 struct ReplyCtx {
     conn: u64,
     request_id: Option<u64>,
     arrival_seq: u64,
     trace_id: u64,
-    /// Eviction pin for handle-routed jobs: every callback clone holds
-    /// it, so the resident dataset cannot be evicted before the reply
-    /// is encoded. Never read — its `Drop` is the point.
+    /// Eviction pin for handle-routed jobs: the callback holds it, so
+    /// the resident dataset cannot be evicted before the reply is
+    /// encoded. Never read — its `Drop` is the point.
     _pin: Option<Arc<DatasetRef>>,
 }
 
-/// A re-offerable submit closure: each call builds a fresh typed
-/// [`Request`] plus completion callback and offers it to the engine's
-/// non-blocking path (which drops the callback unfired on error, so
-/// retrying after [`SubmitError::Full`] is safe).
-type SubmitFn = Box<dyn FnMut(&Engine) -> Result<u64, SubmitError>>;
-
-/// Encode a settled job as its wire reply. With a `request_id` the
-/// body is wrapped in the pipelined envelope and the kind switches to
-/// the `*P` variants.
-fn job_reply<T: WireElem>(
-    res: Result<JobReport<Vec<T>>, JobError>,
-    request_id: Option<u64>,
-) -> (FrameKind, Vec<u8>, bool) {
-    let (kind, body, is_error) = match res {
+/// Encode a settled job as its OUTPUT or ERROR reply.
+fn job_reply<T: WireElem>(res: Result<JobReport<Vec<T>>, JobError>) -> (FrameKind, Vec<u8>) {
+    match res {
         Ok(report) => {
             let meta = protocol::OutputMeta {
                 algorithm: report.algorithm,
@@ -636,7 +628,7 @@ fn job_reply<T: WireElem>(
                 exec_ns: report.exec_ns,
                 trace_id: report.trace_id,
             };
-            (FrameKind::Output, protocol::output_body(&meta, &report.output), false)
+            (FrameKind::Output, protocol::output_body(&meta, &report.output))
         }
         Err(e) => {
             let (code, msg) = match e {
@@ -649,45 +641,35 @@ fn job_reply<T: WireElem>(
                     (ErrorCode::DeadlineExceeded, "request deadline exceeded in queue")
                 }
             };
-            (FrameKind::Error, error_body(code, msg), true)
+            (FrameKind::Error, error_body(code, msg))
         }
-    };
-    match request_id {
-        Some(id) => {
-            let pk = if is_error { FrameKind::ErrorP } else { FrameKind::OutputP };
-            (pk, pipelined_body(id, &body), is_error)
-        }
-        None => (kind, body, is_error),
     }
 }
 
-/// Wrap a request builder into a [`SubmitFn`].
-fn submit_fn<T, F>(build: F, opts: JobOptions, ctx: ReplyCtx, hub: Arc<Hub>) -> SubmitFn
-where
-    T: WireElem + Send + Sync + 'static,
-    F: Fn() -> Request<Vec<T>> + 'static,
-{
-    Box::new(move |engine: &Engine| {
-        let ctx = ctx.clone();
-        let hub = Arc::clone(&hub);
-        engine.try_submit_callback(build(), opts, move |res| {
-            let (kind, body, is_error) = job_reply::<T>(res, ctx.request_id);
-            hub.push(Completion {
-                conn: ctx.conn,
-                request_id: ctx.request_id,
-                arrival_seq: ctx.arrival_seq,
-                kind,
-                body,
-                is_error,
-                trace_id: ctx.trace_id,
-            });
-        })
+/// Offer one typed request to the engine's non-blocking path; its
+/// completion callback encodes the reply and pushes it to the hub.
+fn submit<T: WireElem + Send + Sync + 'static>(
+    engine: &Engine,
+    req: Request<Vec<T>>,
+    opts: JobOptions,
+    ctx: ReplyCtx,
+    hub: Arc<Hub>,
+) -> Result<u64, SubmitError> {
+    engine.try_submit_callback(req, opts, move |res| {
+        let (kind, body) = job_reply::<T>(res);
+        hub.push(Completion {
+            conn: ctx.conn,
+            request_id: ctx.request_id,
+            arrival_seq: ctx.arrival_seq,
+            kind,
+            body,
+            trace_id: ctx.trace_id,
+        });
     })
 }
 
 /// Where a job's list comes from: decoded inline off the frame, or a
 /// pinned resident dataset (whose artifacts warm the sharded arm).
-#[derive(Clone)]
 enum ListSource {
     Inline(Arc<LinkedList>),
     Resident(Arc<DatasetRef>),
@@ -713,66 +695,60 @@ impl ListSource {
 }
 
 /// The one typed submit path for every job frame: maps the decoded
-/// [`Job`] onto the engine's typed [`Request`] builders. Scan and
-/// segmented scan share one `(WireOp, WireValues)` table; the returned
-/// closure builds a fresh request each time it is offered.
+/// [`Job`] onto the engine's typed [`Request`] builders, built once and
+/// offered once. Scan and segmented scan share one
+/// `(WireOp, WireValues)` table.
 fn submit_job(
+    engine: &Engine,
     src: ListSource,
     job: Job,
     sharded: bool,
     opts: JobOptions,
     ctx: ReplyCtx,
     hub: Arc<Hub>,
-) -> SubmitFn {
+) -> Result<u64, SubmitError> {
     fn scan<T, Op>(
-        src: ListSource,
+        src: &ListSource,
         values: Vec<T>,
         starts: Option<Vec<bool>>,
         op: Op,
         sharded: bool,
-    ) -> impl Fn() -> Request<Vec<T>> + 'static
+    ) -> Request<Vec<T>>
     where
         T: Copy + Send + Sync + 'static,
         Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
     {
-        let values = Arc::new(values);
-        let starts = starts.map(Arc::new);
-        move || {
-            let (list, values) = (src.list(), Arc::clone(&values));
-            let req = match &starts {
-                Some(s) => Request::segmented_scan(list, values, Arc::clone(s), op.clone()),
-                None => Request::scan(list, values, op.clone()),
-            };
-            src.finish(req, sharded)
-        }
+        let (list, values) = (src.list(), Arc::new(values));
+        let req = match starts {
+            Some(s) => Request::segmented_scan(list, values, Arc::new(s), op),
+            None => Request::scan(list, values, op),
+        };
+        src.finish(req, sharded)
     }
     let (op, values, starts) = match job {
         Job::Rank => {
-            return submit_fn(
-                move || src.finish(Request::rank(src.list()), sharded),
-                opts,
-                ctx,
-                hub,
-            )
+            let req = src.finish(Request::rank(src.list()), sharded);
+            return submit(engine, req, opts, ctx, hub);
         }
         Job::Scan { op, values } => (op, values, None),
         Job::SegScan { op, starts, values } => (op, values, Some(starts)),
     };
+    let src = &src;
     match (op, values) {
         (WireOp::Add, WireValues::I64(v)) => {
-            submit_fn(scan(src, v, starts, AddOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, AddOp, sharded), opts, ctx, hub)
         }
         (WireOp::Max, WireValues::I64(v)) => {
-            submit_fn(scan(src, v, starts, MaxOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, MaxOp, sharded), opts, ctx, hub)
         }
         (WireOp::Min, WireValues::I64(v)) => {
-            submit_fn(scan(src, v, starts, MinOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, MinOp, sharded), opts, ctx, hub)
         }
         (WireOp::Xor, WireValues::U64(v)) => {
-            submit_fn(scan(src, v, starts, XorOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, XorOp, sharded), opts, ctx, hub)
         }
         (WireOp::Affine, WireValues::Affine(v)) => {
-            submit_fn(scan(src, v, starts, AffineOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, AffineOp, sharded), opts, ctx, hub)
         }
         // decode_values types the array by the operator, so a
         // mismatch cannot be constructed.
@@ -780,9 +756,9 @@ fn submit_job(
     }
 }
 
-/// One connection's state in the reactor: the socket, partial-frame
-/// read buffer, pending-reply write buffer, handshake state, and
-/// the pipelining in-flight set.
+/// One connection's state in the reactor: the socket, read buffer
+/// (partial and waiting frames), pending-reply write buffer,
+/// handshake state, and the in-flight set.
 struct Conn {
     id: u64,
     sock: Transport,
@@ -795,15 +771,13 @@ struct Conn {
     wpos: usize,
     /// Whether a HELLO has been accepted on this connection.
     greeted: bool,
-    /// In-flight pipelined requests: request id → arrival sequence.
-    inflight: HashMap<u64, u64>,
-    /// Whether a job without a `request_id` is in flight; parsing
-    /// pauses until its reply is written, so such requests are
-    /// answered one at a time, in order.
-    serial_inflight: bool,
-    /// Parked work (full queue, or a request waiting for in-flight
-    /// drain); parsing pauses while set.
-    stalled: Option<Stalled>,
+    /// In-flight jobs: request id → arrival sequence, with `None` for
+    /// the connection's one id-less (serial) job. The wait rule keeps
+    /// the two kinds from ever being in flight together.
+    inflight: HashMap<Option<u64>, u64>,
+    /// A complete frame waits undecoded at `rpos` under the wait rule;
+    /// the connection is not read until it goes through.
+    blocked: bool,
     /// Next arrival sequence number (orders reorder detection).
     next_arrival: u64,
     /// Close once `wbuf` fully drains (goodbye frame already queued).
@@ -829,8 +803,7 @@ impl Conn {
             wpos: 0,
             greeted: false,
             inflight: HashMap::new(),
-            serial_inflight: false,
-            stalled: None,
+            blocked: false,
             next_arrival: 0,
             close_after_flush: false,
             eof: false,
@@ -849,27 +822,34 @@ impl Conn {
             && !self.eof
             && !self.close_after_flush
             && !drained
-            && self.stalled.is_none()
-            && !self.serial_inflight
+            && !self.blocked
             && (self.wbuf.len() - self.wpos) < WBUF_HIGH_WATERMARK
     }
 
-    /// No request in any stage of processing on this connection.
+    /// No job in flight and no reply owed. A waiting or partial frame
+    /// does not count: past the drain grace it is abandoned.
     fn idle(&self) -> bool {
-        self.inflight.is_empty()
-            && !self.serial_inflight
-            && self.stalled.is_none()
-            && !self.pending_write()
+        self.inflight.is_empty() && !self.pending_write()
     }
 
-    /// Append one frame to the write buffer and account it.
-    fn enqueue(&mut self, shared: &Shared, kind: FrameKind, body: &[u8], is_error: bool) {
+    /// Append one reply frame to the write buffer and account it. With
+    /// a `request_id`, an OUTPUT or ERROR goes out in the pipelined
+    /// envelope: kind OUTPUT_P / ERROR_P, the id ahead of `body`.
+    fn enqueue(&mut self, shared: &Shared, kind: FrameKind, request_id: Option<u64>, body: &[u8]) {
         if self.dead {
             return;
         }
-        let Ok(len) = u32::try_from(1 + body.len()) else {
+        let id = request_id.map(u64::to_le_bytes);
+        let id: &[u8] = id.as_ref().map_or(&[], |b| b);
+        let Ok(len) = u32::try_from(1 + id.len() + body.len()) else {
             self.dead = true;
             return;
+        };
+        let is_error = kind == FrameKind::Error;
+        let kind = match (request_id, kind) {
+            (None, kind) => kind,
+            (Some(_), FrameKind::Error) => FrameKind::ErrorP,
+            (Some(_), _) => FrameKind::OutputP,
         };
         if !self.pending_write() {
             self.wbuf.clear();
@@ -878,9 +858,10 @@ impl Conn {
         }
         self.wbuf.extend_from_slice(&len.to_le_bytes());
         self.wbuf.push(kind as u8);
+        self.wbuf.extend_from_slice(id);
         self.wbuf.extend_from_slice(body);
         shared.frames_out.fetch_add(1, Ordering::Relaxed);
-        shared.bytes_out.fetch_add(5 + body.len() as u64, Ordering::Relaxed);
+        shared.bytes_out.fetch_add(4 + len as u64, Ordering::Relaxed);
         if is_error {
             shared.errors_sent.fetch_add(1, Ordering::Relaxed);
         }
@@ -944,6 +925,25 @@ impl Conn {
         if self.close_after_flush {
             self.dead = true;
         }
+    }
+}
+
+/// The wait rule, read off a complete frame's header
+/// ([`protocol::job_header`]): whether the frame stays undecoded in
+/// the read buffer for now.
+fn waits(conn: &Conn, header: Option<bool>, engine: &Engine, shed_queue_depth: usize) -> bool {
+    // Serial contract: nothing passes an id-less job in flight, and an
+    // id-less frame waits for everything in flight.
+    let pipelined = header == Some(true);
+    if conn.inflight.contains_key(&None) || (!pipelined && !conn.inflight.is_empty()) {
+        return true;
+    }
+    // Backpressure: a job waits for queue room, unless an armed shed
+    // watermark at or below the depth will refuse it anyway.
+    header.is_some() && {
+        let depth = engine.queue_depth();
+        depth >= engine.config().queue_capacity
+            && (shed_queue_depth == 0 || depth < shed_queue_depth)
     }
 }
 
@@ -1018,7 +1018,7 @@ impl Reactor {
             }
 
             // Completions first: they free in-flight slots, which
-            // unblocks parsing and parked frames below.
+            // lets waiting frames through below.
             for c in self.hub.drain() {
                 self.handle_completion(c);
             }
@@ -1046,8 +1046,8 @@ impl Reactor {
                 }
             }
 
-            // Retry parked submits / parked frames.
-            self.retry_stalled();
+            // Re-run the wait rule where a frame waits on a full queue.
+            self.retry_blocked();
 
             // Flush pending replies, enforce the write-stall limit,
             // and settle EOF/drain closes.
@@ -1070,7 +1070,9 @@ impl Reactor {
                         conn.dead = true;
                     }
                 }
-                if !conn.dead && (now_drained || conn.eof) && conn.idle() {
+                // A waiting frame keeps an EOF'd connection open until
+                // it is served, but not past the drain grace.
+                if !conn.dead && (now_drained || (conn.eof && !conn.blocked)) && conn.idle() {
                     conn.dead = true;
                 }
             }
@@ -1155,8 +1157,14 @@ impl Reactor {
             match conn.sock.read(&mut buf) {
                 // EOF: no more requests will arrive, but frames
                 // already buffered still parse and their replies
-                // still flush before the connection closes.
+                // still flush before the connection closes. A peer
+                // that hung up with a reply unread reads as
+                // ECONNRESET once its last bytes are in: the same EOF.
                 Ok(0) => {
+                    conn.eof = true;
+                    return;
+                }
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
                     conn.eof = true;
                     return;
                 }
@@ -1172,8 +1180,9 @@ impl Reactor {
     }
 
     /// Extract and dispatch every complete frame in the read buffer,
-    /// stopping at a partial frame or whenever the connection's state
-    /// forbids further parsing (stall, serial job in flight, closing).
+    /// stopping at a partial frame, at a frame the wait rule holds
+    /// back (left undecoded, `blocked` set), or once the connection is
+    /// closing.
     fn parse_conn(&mut self, conn_id: u64) {
         let max_frame = self.cfg.max_frame;
         let shared = Arc::clone(&self.shared);
@@ -1183,11 +1192,8 @@ impl Reactor {
             }
             let frame = {
                 let Some(conn) = self.conns.get_mut(&conn_id) else { return };
-                if conn.dead
-                    || conn.close_after_flush
-                    || conn.stalled.is_some()
-                    || conn.serial_inflight
-                {
+                conn.blocked = false;
+                if conn.dead || conn.close_after_flush {
                     break;
                 }
                 let avail = conn.rbuf.len() - conn.rpos;
@@ -1207,11 +1213,11 @@ impl Reactor {
                     conn.enqueue(
                         &shared,
                         FrameKind::Error,
+                        None,
                         &error_body(
                             ErrorCode::FrameTooLarge,
                             &format!("frame length {len} exceeds cap {max_frame}"),
                         ),
-                        true,
                     );
                     conn.close_after_flush = true;
                     break;
@@ -1221,7 +1227,13 @@ impl Reactor {
                     break;
                 }
                 let kind = conn.rbuf[conn.rpos + 4];
-                let body = conn.rbuf[conn.rpos + 5..conn.rpos + 4 + len].to_vec();
+                let body = &conn.rbuf[conn.rpos + 5..conn.rpos + 4 + len];
+                let header = protocol::job_header(kind, body);
+                if waits(conn, header, &self.engine, shared.shed_queue_depth) {
+                    conn.blocked = true;
+                    break;
+                }
+                let body = body.to_vec();
                 conn.rpos += 4 + len;
                 Frame { kind, body }
             };
@@ -1244,23 +1256,27 @@ impl Reactor {
     fn guarded(&mut self, conn_id: u64, handle: impl FnOnce(&mut Self)) {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(self)));
         if r.is_err() {
-            self.reply_error(conn_id, None, ErrorCode::InternalError, "request handling panicked");
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.close_after_flush = true;
-            }
-            let shared = Arc::clone(&self.shared);
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.flush(&shared);
-            }
+            self.close_after_reply(
+                conn_id,
+                None,
+                ErrorCode::InternalError,
+                "request handling panicked",
+            );
         }
     }
 
-    /// Queue one reply frame on a connection and flush
-    /// opportunistically.
-    fn enqueue_reply(&mut self, conn_id: u64, kind: FrameKind, body: &[u8], is_error: bool) {
+    /// Queue one reply frame on a connection (pipelined when
+    /// `request_id` is set) and flush opportunistically.
+    fn enqueue_reply(
+        &mut self,
+        conn_id: u64,
+        kind: FrameKind,
+        request_id: Option<u64>,
+        body: &[u8],
+    ) {
         let shared = Arc::clone(&self.shared);
         if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.enqueue(&shared, kind, body, is_error);
+            conn.enqueue(&shared, kind, request_id, body);
             conn.flush(&shared);
         }
     }
@@ -1268,13 +1284,7 @@ impl Reactor {
     /// Queue a typed error reply; with a `request_id` it goes out as a
     /// pipelined [`FrameKind::ErrorP`] echoing the id.
     fn reply_error(&mut self, conn_id: u64, request_id: Option<u64>, code: ErrorCode, msg: &str) {
-        let body = error_body(code, msg);
-        match request_id {
-            Some(id) => {
-                self.enqueue_reply(conn_id, FrameKind::ErrorP, &pipelined_body(id, &body), true)
-            }
-            None => self.enqueue_reply(conn_id, FrameKind::Error, &body, true),
-        }
+        self.enqueue_reply(conn_id, FrameKind::Error, request_id, &error_body(code, msg));
     }
 
     /// Error reply followed by connection close (handshake failures,
@@ -1292,30 +1302,21 @@ impl Reactor {
         self.reply_error(conn_id, request_id, code, msg);
     }
 
-    /// Decode and answer one frame.
+    /// Decode and answer one frame the wait rule let through.
     fn dispatch(&mut self, conn_id: u64, frame: &Frame) {
         let t_decode = Instant::now();
-        match protocol::decode_request(frame) {
-            Ok(req) => self.serve(conn_id, req, t_decode.elapsed().as_nanos() as u64),
+        let req = match protocol::decode_request(frame) {
+            Ok(req) => req,
             Err(we) => {
                 // Decode failures consumed the whole body off the
                 // wire, so the stream is still framed correctly:
                 // reply and carry on.
                 rankd_log!(Level::Debug, "server", "decode failed: {we}");
                 self.reply_error(conn_id, None, we.code, &we.message);
+                return;
             }
-        }
-    }
-
-    /// Whether this connection has a job in flight (pipelined or
-    /// serial).
-    fn busy(&self, conn_id: u64) -> bool {
-        self.conns.get(&conn_id).is_some_and(|c| !c.inflight.is_empty() || c.serial_inflight)
-    }
-
-    /// Answer one decoded request: fresh off the wire, or parked
-    /// earlier with its original decode time.
-    fn serve(&mut self, conn_id: u64, req: WireRequest, decode_ns: u64) {
+        };
+        let decode_ns = t_decode.elapsed().as_nanos() as u64;
         let greeted = self.conns.get(&conn_id).is_some_and(|c| c.greeted);
         match req {
             WireRequest::Hello { magic, version } => {
@@ -1343,7 +1344,7 @@ impl Reactor {
                 // Advertise the cap this server actually enforces
                 // (ServeConfig::max_frame), not the protocol default.
                 let body = protocol::hello_ok_body(protocol::VERSION, self.cfg.max_frame);
-                self.enqueue_reply(conn_id, FrameKind::HelloOk, &body, false);
+                self.enqueue_reply(conn_id, FrameKind::HelloOk, None, &body);
             }
             _ if !greeted => {
                 self.reply_error(
@@ -1355,33 +1356,20 @@ impl Reactor {
             }
             WireRequest::Stats => {
                 let body = protocol::stats_body(&self.stats_v1());
-                self.enqueue_reply(conn_id, FrameKind::StatsOk, &body, false);
+                self.enqueue_reply(conn_id, FrameKind::StatsOk, None, &body);
             }
             WireRequest::StatsV2 => {
                 let body = protocol::stats_v2_body(&self.stats_v2());
-                self.enqueue_reply(conn_id, FrameKind::StatsV2Ok, &body, false);
+                self.enqueue_reply(conn_id, FrameKind::StatsV2Ok, None, &body);
             }
             WireRequest::Shutdown => {
                 if let Some(conn) = self.conns.get_mut(&conn_id) {
                     conn.close_after_flush = true;
                 }
-                self.enqueue_reply(conn_id, FrameKind::ShutdownOk, &[], false);
+                self.enqueue_reply(conn_id, FrameKind::ShutdownOk, None, &[]);
                 self.shared.begin_shutdown();
             }
             WireRequest::Put { list } => self.do_put(conn_id, list),
-            WireRequest::Job(job) if job.flags.request_id.is_some() => {
-                self.dispatch_job(conn_id, job, decode_ns)
-            }
-            // Serial equivalence: a job without a request id keeps its
-            // one-at-a-time reply contract, and MUTATE/DROP must not
-            // overlap jobs in flight on this connection (they read the
-            // dataset the mutation edits). Park the request until the
-            // in-flight set drains; no side effects were taken yet.
-            req if self.busy(conn_id) => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.stalled = Some(Stalled::Request { req, decode_ns });
-                }
-            }
             WireRequest::Job(job) => self.dispatch_job(conn_id, job, decode_ns),
             WireRequest::Mutate { handle, edits } => self.do_mutate(conn_id, handle, &edits),
             WireRequest::Drop { handle } => self.do_drop(conn_id, handle),
@@ -1437,7 +1425,7 @@ impl Reactor {
                     receipt.bytes
                 );
                 let body = protocol::put_ok_body(receipt.handle, receipt.bytes);
-                self.enqueue_reply(conn_id, FrameKind::PutOk, &body, false);
+                self.enqueue_reply(conn_id, FrameKind::PutOk, None, &body);
             }
             Err(e) => self.reply_error(conn_id, None, store_error_code(e), &e.to_string()),
         }
@@ -1477,7 +1465,7 @@ impl Reactor {
                     artifacts: out.artifacts,
                     exec_ns: out.exec_ns,
                 });
-                self.enqueue_reply(conn_id, FrameKind::MutateOk, &body, false);
+                self.enqueue_reply(conn_id, FrameKind::MutateOk, None, &body);
             }
             Err(e) => {
                 let code = match e {
@@ -1491,7 +1479,7 @@ impl Reactor {
 
     fn do_drop(&mut self, conn_id: u64, handle: u64) {
         match self.shared.store.drop_dataset(handle, conn_id) {
-            Ok(()) => self.enqueue_reply(conn_id, FrameKind::DropOk, &[], false),
+            Ok(()) => self.enqueue_reply(conn_id, FrameKind::DropOk, None, &[]),
             Err(e) => self.reply_error(
                 conn_id,
                 None,
@@ -1505,9 +1493,9 @@ impl Reactor {
     fn dispatch_job(&mut self, conn_id: u64, job: JobFrame, decode_ns: u64) {
         let kind = job.kind();
         let JobFrame { flags, source, job } = job;
-        let dup = flags
-            .request_id
-            .filter(|id| self.conns.get(&conn_id).is_some_and(|c| c.inflight.contains_key(id)));
+        let dup = flags.request_id.filter(|&id| {
+            self.conns.get(&conn_id).is_some_and(|c| c.inflight.contains_key(&Some(id)))
+        });
         if let Some(id) = dup {
             self.reply_error(
                 conn_id,
@@ -1582,8 +1570,42 @@ impl Reactor {
                 ListSource::Resident(pin)
             }
         };
-        let submit = submit_job(src, job, flags.sharded, opts, ctx, Arc::clone(&self.hub));
-        self.attempt_submit(conn_id, submit, flags.request_id, arrival_seq);
+        let request_id = flags.request_id;
+        let hub = Arc::clone(&self.hub);
+        let err = match submit_job(&self.engine, src, job, flags.sharded, opts, ctx, hub) {
+            Ok(_job_id) => {
+                let Some(conn) = self.conns.get_mut(&conn_id) else { return };
+                conn.inflight.insert(request_id, arrival_seq);
+                if request_id.is_some() {
+                    self.shared.pipeline_depth.record(conn.inflight.len() as u64);
+                }
+                return;
+            }
+            Err(e) => e,
+        };
+        self.shared.quota.complete(conn_id);
+        match err {
+            // The wait rule holds job frames while the queue is full,
+            // so only another in-process submitter can race us here.
+            SubmitError::Full => self.reply_error(
+                conn_id,
+                request_id,
+                ErrorCode::Overloaded,
+                "queue full, retry_after_ms=25",
+            ),
+            SubmitError::Shutdown => self.close_after_reply(
+                conn_id,
+                request_id,
+                ErrorCode::EngineShutdown,
+                "engine shut down",
+            ),
+            SubmitError::Invalid => self.reply_error(
+                conn_id,
+                request_id,
+                ErrorCode::InvalidRequest,
+                "request failed submit validation",
+            ),
+        }
     }
 
     /// Pin a resident dataset for a handle-routed job; on failure the
@@ -1609,64 +1631,9 @@ impl Reactor {
         }
     }
 
-    /// Offer a job to the engine's non-blocking path. A full queue
-    /// parks the submit closure (quota admission stays held — parsing
-    /// is paused, so no competing admission can occur on this
-    /// connection, and a disconnect settles via `drop_tenant`).
-    fn attempt_submit(
-        &mut self,
-        conn_id: u64,
-        mut submit: SubmitFn,
-        request_id: Option<u64>,
-        arrival_seq: u64,
-    ) {
-        match submit(&self.engine) {
-            Ok(_job_id) => self.note_submitted(conn_id, request_id, arrival_seq),
-            Err(SubmitError::Full) => {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.stalled = Some(Stalled::Submit { submit, request_id, arrival_seq });
-                } else {
-                    self.shared.quota.complete(conn_id);
-                }
-            }
-            Err(SubmitError::Shutdown) => {
-                self.shared.quota.complete(conn_id);
-                self.close_after_reply(
-                    conn_id,
-                    request_id,
-                    ErrorCode::EngineShutdown,
-                    "engine shut down",
-                );
-            }
-            Err(SubmitError::Invalid) => {
-                self.shared.quota.complete(conn_id);
-                self.reply_error(
-                    conn_id,
-                    request_id,
-                    ErrorCode::InvalidRequest,
-                    "request failed submit validation",
-                );
-            }
-        }
-    }
-
-    /// Record a successful submit in the connection's in-flight state
-    /// and the pipelining gauges.
-    fn note_submitted(&mut self, conn_id: u64, request_id: Option<u64>, arrival_seq: u64) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else { return };
-        match request_id {
-            Some(id) => {
-                conn.inflight.insert(id, arrival_seq);
-                self.shared.pipeline_depth.record(conn.inflight.len() as u64);
-            }
-            None => conn.serial_inflight = true,
-        }
-    }
-
     /// Deliver one settled job's reply: settle the quota and in-flight
     /// ledgers, queue the frame, and resume parsing (the completion
-    /// may have unblocked a serial connection or freed read
-    /// backpressure).
+    /// may let a waiting frame through).
     fn handle_completion(&mut self, c: Completion) {
         // A completion for a reaped connection is discarded: its
         // `drop_tenant` already settled the quota ledger, and the
@@ -1674,22 +1641,17 @@ impl Reactor {
         self.shared.quota.complete(c.conn);
         let shared = Arc::clone(&self.shared);
         let Some(conn) = self.conns.get_mut(&c.conn) else { return };
-        match c.request_id {
-            Some(id) => {
-                conn.inflight.remove(&id);
-                // A reply overtaking an earlier-arrived in-flight
-                // request is a reorder — the pipelining contract
-                // clients must handle (and STATS_V2 counts).
-                if conn.inflight.values().any(|&seq| seq < c.arrival_seq) {
-                    shared.reply_reorders.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => conn.serial_inflight = false,
+        conn.inflight.remove(&c.request_id);
+        // A reply overtaking an earlier-arrived in-flight request is a
+        // reorder — the pipelining contract clients must handle (and
+        // STATS_V2 counts).
+        if conn.inflight.values().any(|&seq| seq < c.arrival_seq) {
+            shared.reply_reorders.fetch_add(1, Ordering::Relaxed);
         }
         let t_reply = Instant::now();
-        conn.enqueue(&shared, c.kind, &c.body, c.is_error);
+        conn.enqueue(&shared, c.kind, c.request_id, &c.body);
         conn.flush(&shared);
-        if !c.is_error {
+        if c.kind != FrameKind::Error {
             let reply_ns = t_reply.elapsed().as_nanos() as u64;
             self.engine.telemetry().record_phase(Phase::ReplyWrite, reply_ns);
             rankd_log!(
@@ -1704,31 +1666,13 @@ impl Reactor {
         self.parse_conn(c.conn);
     }
 
-    /// Re-offer parked submits and re-serve parked requests whose
-    /// blocking condition cleared.
-    fn retry_stalled(&mut self) {
-        let ids: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.stalled.is_some() && !c.dead)
-            .map(|(&id, _)| id)
-            .collect();
+    /// Re-run the wait rule on every blocked connection: a frame held
+    /// on a full queue goes through once a worker has taken a job.
+    fn retry_blocked(&mut self) {
+        let ids: Vec<u64> =
+            self.conns.iter().filter(|(_, c)| c.blocked && !c.dead).map(|(&id, _)| id).collect();
         for id in ids {
-            let Some(stalled) = self.conns.get_mut(&id).and_then(|c| c.stalled.take()) else {
-                continue;
-            };
-            match stalled {
-                // Both re-park themselves while still blocked.
-                Stalled::Submit { submit, request_id, arrival_seq } => {
-                    self.attempt_submit(id, submit, request_id, arrival_seq)
-                }
-                Stalled::Request { req, decode_ns } => {
-                    self.guarded(id, |r| r.serve(id, req, decode_ns))
-                }
-            }
-            if self.conns.get(&id).is_some_and(|c| c.stalled.is_none()) {
-                self.parse_conn(id);
-            }
+            self.parse_conn(id);
         }
     }
 
@@ -1858,5 +1802,46 @@ fn store_error_code(e: StoreError) -> ErrorCode {
     match e {
         StoreError::StaleHandle => ErrorCode::StaleHandle,
         StoreError::StoreFull => ErrorCode::StoreFull,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn completion() -> Completion {
+        Completion {
+            conn: 1,
+            request_id: None,
+            arrival_seq: 0,
+            kind: FrameKind::Output,
+            body: Vec::new(),
+            trace_id: 0,
+        }
+    }
+
+    /// Read every byte waiting in the self-pipe; returns the count.
+    fn take_wakes(rx: &UnixStream) -> usize {
+        let mut buf = [0u8; 64];
+        let mut n = 0;
+        while let Ok(k @ 1..) = (&*rx).read(&mut buf) {
+            n += k;
+        }
+        n
+    }
+
+    #[test]
+    fn hub_writes_a_wake_byte_only_when_it_goes_from_empty_to_non_empty() {
+        let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair");
+        wake_tx.set_nonblocking(true).expect("nonblocking tx");
+        wake_rx.set_nonblocking(true).expect("nonblocking rx");
+        let hub = Hub { queue: Mutex::new(Vec::new()), wake_tx };
+        for _ in 0..8 {
+            hub.push(completion());
+        }
+        assert_eq!(take_wakes(&wake_rx), 1, "eight pushes ride one wake");
+        assert_eq!(hub.drain().len(), 8);
+        hub.push(completion());
+        assert_eq!(take_wakes(&wake_rx), 1, "the first push after a drain wakes again");
     }
 }

@@ -15,6 +15,7 @@ use engine::client::{Call, Client};
 use engine::protocol::{self, ErrorCode, Frame, FrameKind, MAX_FRAME_DEFAULT};
 use engine::server::{ServeConfig, Server, ServerControl, ServerStats};
 use engine::{Engine, EngineConfig};
+use listkit::dynamic::Edit;
 use listkit::gen;
 use listkit::ops::AddOp;
 use listkit::LinkedList;
@@ -25,7 +26,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -275,10 +276,12 @@ fn non_reading_pipeline_client_stalls_only_itself() {
     server.stop();
 }
 
-/// A serial request (no id) that arrives while a pipelined window of 8
-/// is in flight is parked as the decoded request — not copied and
-/// decoded again — and served once the window drains: its plain OUTPUT
-/// comes after all 8 OUTPUT_P replies and matches the serial oracle.
+/// Frames without an id — PUT, STATS, MUTATE, DROP and an id-less
+/// rank — that arrive while a pipelined window of 8 is in flight wait
+/// undecoded in the read buffer and are decoded once, when the window
+/// has drained: every one of their replies comes after the window's
+/// last OUTPUT_P, in send order. The window reads the list as it was
+/// before the MUTATE, and the rank matches the serial oracle.
 #[test]
 fn serial_rank_parked_behind_a_pipelined_window_is_answered_after_it() {
     let server = start("park", small_engine(), |c| c);
@@ -286,7 +289,7 @@ fn serial_rank_parked_behind_a_pipelined_window_is_answered_after_it() {
     handshake(&mut stream);
 
     // The window: 8 by-handle ranks of a 2^17 list — milliseconds of
-    // work each, behind 17-byte frames — then the 2^16 inline rank.
+    // work each, behind 17-byte frames — then the id-less frames.
     let resident = gen::random_list(1 << 17, 0x9A4C);
     let handle = put(&mut stream, &resident);
     let list = gen::random_list(1 << 16, 0x5E41);
@@ -295,10 +298,20 @@ fn serial_rank_parked_behind_a_pipelined_window_is_answered_after_it() {
         let (kind, body) = Call::rank(handle).id(id).encode();
         protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
     }
-    let (kind, body) = Call::rank(&list).encode();
-    protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    let small = gen::random_list(64, 0x5A11);
+    let edits = [Edit::Append { count: 3 }];
+    let serial = [
+        (FrameKind::Put, protocol::put_body(&small)),
+        (FrameKind::Stats, Vec::new()),
+        (FrameKind::Mutate, protocol::mutate_body(handle, &edits)),
+        (FrameKind::Drop, protocol::drop_body(handle)),
+        Call::rank(&list).encode(),
+    ];
+    for (kind, body) in &serial {
+        protocol::write_frame(&mut wire, *kind as u8, body).expect("encode");
+    }
     // Write from a second thread so the megabytes of replies can be
-    // drained while the serial frame is still going out.
+    // drained while the serial frames are still going out.
     let mut writer = stream.try_clone().expect("clone stream");
     let sender = std::thread::spawn(move || writer.write_all(&wire));
 
@@ -313,14 +326,70 @@ fn serial_rank_parked_behind_a_pipelined_window_is_answered_after_it() {
         let (_, ranks) = protocol::decode_output::<u64>(inner).expect("OUTPUT decodes");
         assert_eq!(ranks, want, "pipelined id {id} diverged from the oracle");
     }
-    let f = read_one(&mut stream);
-    assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::Output), "serial reply comes last");
-    let (_, ranks) = protocol::decode_output::<u64>(&f.body).expect("OUTPUT decodes");
+    let replies: Vec<Frame> = serial.iter().map(|_| read_one(&mut stream)).collect();
+    let kinds: Vec<_> = replies.iter().map(|f| FrameKind::from_u8(f.kind)).collect();
+    let want_kinds = [
+        FrameKind::PutOk,
+        FrameKind::StatsOk,
+        FrameKind::MutateOk,
+        FrameKind::DropOk,
+        FrameKind::Output,
+    ];
+    assert_eq!(kinds, want_kinds.map(Some), "id-less replies follow the window, in order");
+    let ok = protocol::decode_mutate_ok(&replies[2].body).expect("MUTATE_OK decodes");
+    assert_eq!((ok.applied, ok.len), (1, (1 << 17) + 3), "MUTATE applied after the window");
+    let (_, ranks) = protocol::decode_output::<u64>(&replies[4].body).expect("OUTPUT decodes");
     assert_eq!(ranks, oracle.rank(&list), "parked serial rank diverged from the oracle");
     sender.join().expect("writer thread").expect("write window");
 
     drop(stream);
     server.stop();
+}
+
+/// SHUTDOWN while an id-less frame waits behind a window of 8 ranks of
+/// 2^20 vertices, with a 50 ms drain grace: the window still completes
+/// and its replies arrive, and the waiting frame — abandoned past the
+/// grace like a partial frame — cannot keep the daemon from exiting.
+#[test]
+fn shutdown_abandons_a_frame_waiting_behind_a_window() {
+    let server =
+        start("drain-wait", small_engine(), |c| c.with_drain_grace(Duration::from_millis(50)));
+    let mut stream = UnixStream::connect(&server.path).expect("connect");
+    handshake(&mut stream);
+    let resident = gen::random_list(1 << 20, 0xD7A1);
+    let handle = put(&mut stream, &resident);
+    let mut wire = Vec::new();
+    for id in 1..=8 {
+        let (kind, body) = Call::rank(handle).id(id).encode();
+        protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    }
+    let (kind, body) = Call::rank(handle).encode();
+    protocol::write_frame(&mut wire, kind as u8, &body).expect("encode");
+    stream.write_all(&wire).expect("write window");
+
+    // HELLO, PUT and the 8 ranks decoded: the window is submitted and
+    // the id-less rank waits behind it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.control.stats().frames_in < 10 {
+        assert!(Instant::now() < deadline, "the window was never decoded");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    Client::connect(&server.path).expect("connect").shutdown().expect("SHUTDOWN acknowledged");
+
+    let want = HostRunner::new(Algorithm::Serial).rank(&resident);
+    for _ in 0..8 {
+        let f = read_one(&mut stream);
+        assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::OutputP), "window answered");
+        let (id, inner) = protocol::decode_pipelined(&f.body).expect("pipelined body");
+        let (_, ranks) = protocol::decode_output::<u64>(inner).expect("OUTPUT decodes");
+        assert_eq!(ranks, want, "pipelined id {id} diverged from the oracle");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !server.join.is_finished() {
+        assert!(Instant::now() < deadline, "Server::run must return within 10 s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.join.join().expect("server thread").expect("server run");
 }
 
 /// Reusing a request id while it is still in flight is typed

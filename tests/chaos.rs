@@ -440,6 +440,76 @@ fn client_killed_with_eight_frames_in_flight_settles_accounting() {
     drop(engine);
 }
 
+/// The deterministic form of the kill above: a peer that hangs up with
+/// a reply unread makes the server's next read fail with ECONNRESET
+/// once the frames it sent are in. That must read as EOF — the eight
+/// frames already buffered are still admitted — not as a dead
+/// connection. A 300 ms delay on every socket read and write makes
+/// sure the hang-up lands before the server reads the window.
+#[test]
+fn peer_reset_with_a_reply_unread_still_admits_its_buffered_frames() {
+    use engine::poll::{poll, PollFd, POLLIN};
+    use std::io::Write;
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
+
+    let path = std::env::temp_dir()
+        .join(format!("rankd-chaos-reset-{}.sock", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let plane = Arc::new(FaultPlane::new(FaultConfig::parse("delay=300ms@1.0").expect("spec")));
+    let engine = Arc::new(Engine::new(
+        EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane)),
+    ));
+    let cfg = ServeConfig::new(&path).with_inflight_quota(8).with_fault(plane);
+    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
+    let control = server.control();
+    let join = std::thread::spawn(move || server.run());
+
+    let mut stream = UnixStream::connect(&path).expect("connect");
+    let mut wire = Vec::new();
+    protocol::write_frame(&mut wire, FrameKind::Hello as u8, &protocol::hello_body()).unwrap();
+    let list = gen::random_list(60_000, 9);
+    protocol::write_frame(&mut wire, FrameKind::Put as u8, &protocol::put_body(&list)).unwrap();
+    stream.write_all(&wire).expect("HELLO + PUT");
+    let hello = protocol::read_frame(&mut stream, u32::MAX).expect("read").expect("HELLO_OK");
+    assert_eq!(FrameKind::from_u8(hello.kind), Some(FrameKind::HelloOk));
+    let put = protocol::read_frame(&mut stream, u32::MAX).expect("read").expect("PUT_OK");
+    let (handle, _) = protocol::decode_put_ok(&put.body).expect("PUT_OK decodes");
+
+    // Leave a STATS reply unread: wait until it has arrived.
+    protocol::write_frame(&mut stream, FrameKind::Stats as u8, &[]).expect("STATS");
+    let mut fds = [PollFd::new(stream.as_raw_fd(), POLLIN)];
+    while !fds[0].readable() {
+        poll(&mut fds, 10_000).expect("poll");
+    }
+    let mut window = Vec::new();
+    for id in 1..=8u64 {
+        let (kind, body) = Call::rank(handle).id(id).encode();
+        protocol::write_frame(&mut window, kind as u8, &body).expect("encode");
+    }
+    stream.write_all(&window).expect("write the window");
+    drop(stream);
+
+    let mut probe = Client::connect(&path).expect("probe");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let v2 = loop {
+        let v2 = probe.stats_v2().expect("stats_v2");
+        let settled = v2.sched.pipelined_requests == 8 && v2.store.resident_count == 0;
+        if settled || Instant::now() >= deadline {
+            break v2;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(v2.sched.pipelined_requests, 8, "all eight buffered frames were admitted");
+    assert_eq!(v2.store.resident_count, 0, "the hung-up peer's handle must be released");
+    drop(probe);
+
+    control.request_shutdown();
+    join.join().expect("server thread").expect("server run");
+    drop(engine);
+}
+
 /// The nightly long soak (`cargo test -- --include-ignored`): a
 /// sustained storm at elevated rates, large enough that every fault
 /// kind fires many times.
