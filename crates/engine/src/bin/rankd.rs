@@ -59,10 +59,9 @@ struct Args {
     repeats: u32,
     sharded_scenario: bool,
     huge: HugeListConfig,
-    /// Whether --workers / --inner-threads were given explicitly (the
-    /// sharded scenario picks its own defaults otherwise).
+    /// Whether --workers was given explicitly (the sharded scenario
+    /// runs one worker otherwise).
     workers_set: bool,
-    inner_threads_set: bool,
 }
 
 fn usage() -> ! {
@@ -87,7 +86,7 @@ Workload:
 
 Engine:
   --workers W            worker threads                 [default: cores/2, 2..8]
-  --inner-threads T      threads per job                [default: cores/workers]
+  --inner-threads T      thread budget busy workers split [default: cores]
   --queue-cap Q          queue capacity (backpressure)  [default 1024]
   --small-cutoff N       batch jobs up to N vertices    [default 4096]
   --batch-max B          max jobs per batch             [default 64]
@@ -144,7 +143,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
         sharded_scenario: false,
         huge: HugeListConfig::default(),
         workers_set: false,
-        inner_threads_set: false,
     };
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> String {
@@ -190,11 +188,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Args {
             "--skip-baseline" => args.skip_baseline = true,
             "--help" | "-h" => usage(),
             other => match parse_engine_flag(other, &mut args.engine, &mut val) {
-                Ok(true) => match other {
-                    "--workers" => args.workers_set = true,
-                    "--inner-threads" => args.inner_threads_set = true,
-                    _ => {}
-                },
+                Ok(true) => args.workers_set |= other == "--workers",
                 Ok(false) => {
                     eprintln!("unknown flag {other}");
                     usage()
@@ -258,6 +252,8 @@ QoS (protocol v6):
 Engine (as in plain rankd):
   --workers W --inner-threads T --queue-cap Q --small-cutoff N
   --batch-max B --shard-budget N --slow-ms MS
+  (--inner-threads T is the thread budget the busy workers split,
+  default: cores)
 
 Signals: SIGTERM drains gracefully (in-flight replies complete, socket
 file removed, stats printed); SIGPIPE is ignored (dead clients surface
@@ -387,7 +383,7 @@ fn run_serve(cfg: ServeConfig, engine_cfg: EngineConfig) {
         println!("rankd serve: tcp listening on {addr}");
     }
     println!(
-        "rankd serve: listening on {} ({} workers × {} inner threads, queue {}, ≤{} clients, store {}, {}{})",
+        "rankd serve: listening on {} ({} workers sharing {} threads, queue {}, ≤{} clients, store {}, {}{})",
         server.socket_path().display(),
         engine.config().workers,
         engine.config().inner_threads,
@@ -667,17 +663,13 @@ fn fmt_bytes(b: u64) -> String {
 
 /// The huge-list scenario: job-level parallelism is pointless when one
 /// job saturates the machine, so *unless overridden on the command
-/// line* run one worker with the full thread budget inside it, and
+/// line* run one worker (which gets the whole thread budget), and
 /// compare the shard-parallel path against the monolithic fallback on
 /// the same engine.
 fn run_sharded_cli(args: &Args) {
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let mut cfg = args.engine.clone();
     if !args.workers_set {
         cfg = cfg.with_workers(1);
-    }
-    if !args.inner_threads_set {
-        cfg = cfg.with_inner_threads(avail);
     }
     eprintln!(
         "generating huge list: {} vertices, block {}, seed {:#x} ...",
@@ -685,7 +677,7 @@ fn run_sharded_cli(args: &Args) {
     );
     let engine = Engine::new(cfg);
     println!(
-        "engine: {} worker(s) × {} inner threads, shard budget {} vertices",
+        "engine: {} worker(s) sharing {} threads, shard budget {} vertices",
         engine.config().workers,
         engine.config().inner_threads,
         engine.config().shard_budget
@@ -774,7 +766,7 @@ fn main() {
 
     let engine = Engine::new(args.engine.clone());
     println!(
-        "engine: {} workers × {} inner threads, queue {} (batch ≤{} jobs ≤{} vertices)",
+        "engine: {} workers sharing {} threads, queue {} (batch ≤{} jobs ≤{} vertices)",
         engine.config().workers,
         engine.config().inner_threads,
         engine.config().queue_capacity,

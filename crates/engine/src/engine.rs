@@ -13,7 +13,7 @@ use crate::telemetry::{self, Phase, Span, Telemetry};
 use listkit::sharded::ShardedList;
 use listrank::HostRunner;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -27,8 +27,13 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Queue capacity; blocking `submit` applies backpressure here.
     pub queue_capacity: usize,
-    /// Thread budget *inside* one job (data-parallel phases). The
-    /// planner predicts costs for this parallelism.
+    /// Thread budget for the data-parallel phases inside jobs, shared by
+    /// the workers that are running a batch: each batch is granted
+    /// `inner_threads / busy` threads (at least 1), where `busy` counts
+    /// the workers running a batch, its own included. A lone job gets
+    /// the whole budget; under full load each worker gets
+    /// `inner_threads / workers`. The planner's cold prior assumes the
+    /// lone-job budget.
     pub inner_threads: usize,
     /// Jobs of at most this many vertices are batched together.
     pub small_cutoff: usize,
@@ -57,7 +62,7 @@ impl Default for EngineConfig {
         EngineConfig {
             workers,
             queue_capacity: 1024,
-            inner_threads: (avail / workers).max(1),
+            inner_threads: avail,
             small_cutoff: 4096,
             batch_max: 64,
             shard_budget: 1 << 21,
@@ -80,7 +85,8 @@ impl EngineConfig {
         self
     }
 
-    /// Override the per-job thread budget.
+    /// Override the thread budget the busy workers share (`1` gives
+    /// every job one thread).
     pub fn with_inner_threads(mut self, t: usize) -> Self {
         self.inner_threads = t.max(1);
         self
@@ -121,6 +127,9 @@ struct Shared {
     counters: Counters,
     telemetry: Telemetry,
     started: Instant,
+    /// Workers currently running a batch; they split `inner_threads`.
+    /// Relaxed: the count publishes no other data.
+    busy: AtomicUsize,
 }
 
 /// The `rankd` batch execution engine: submit many ranking/scan jobs,
@@ -148,6 +157,7 @@ impl Engine {
             counters: Counters::default(),
             telemetry: Telemetry::new(cfg.slow_request_ms),
             started: Instant::now(),
+            busy: AtomicUsize::new(0),
             cfg,
         });
         let workers = (0..shared.cfg.workers)
@@ -366,14 +376,34 @@ struct Executed {
     stitch_ns: u64,
 }
 
-fn worker_loop(shared: &Shared) {
-    // Each worker owns a thread budget for the data-parallel phases of
-    // the jobs it executes; the shim's `install` scopes it per batch.
-    let inner_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(shared.cfg.inner_threads)
-        .build()
-        .expect("engine inner pool");
+/// One worker's share of a `budget` of threads while `busy` workers
+/// (its own included) run a batch.
+fn split(budget: usize, busy: usize) -> usize {
+    (budget / busy.max(1)).max(1)
+}
 
+/// A worker's busy slot for one batch, holding the batch's thread
+/// grant. Dropping it frees the slot, on unwind too, so a panicking
+/// batch cannot leave later batches a smaller share.
+struct Grant<'a> {
+    busy: &'a AtomicUsize,
+    threads: usize,
+}
+
+impl<'a> Grant<'a> {
+    fn take(shared: &'a Shared) -> Self {
+        let busy = shared.busy.fetch_add(1, Ordering::Relaxed) + 1;
+        Grant { busy: &shared.busy, threads: split(shared.cfg.inner_threads, busy) }
+    }
+}
+
+impl Drop for Grant<'_> {
+    fn drop(&mut self) {
+        self.busy.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         if job.responder.is_settled() {
             // Cancelled while queued.
@@ -400,6 +430,17 @@ fn worker_loop(shared: &Shared) {
         }
         let batched = batch.len() > 1;
 
+        // The busy workers split the thread budget: this batch's share
+        // is fixed now and held until the batch ends, so a lone job
+        // gets the whole budget. The shim's pool is only a budget (it
+        // spawns threads per parallel operation), so one per batch is
+        // free.
+        let grant = Grant::take(shared);
+        let threads = grant.threads;
+        let inner_pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("engine inner pool");
         let mut scratch = shared.pool.acquire();
         inner_pool.install(|| {
             for mut job in batch {
@@ -540,6 +581,7 @@ fn worker_loop(shared: &Shared) {
                     shards: done.shards,
                     stitch_ns: done.stitch_ns,
                     batched,
+                    threads,
                     queued_ns,
                     plan_ns,
                     exec_ns,
@@ -586,9 +628,23 @@ fn worker_loop(shared: &Shared) {
         shared.pool.release(scratch);
         // The worker-panic injection point sits *between* batches: every
         // popped job has already settled, so the unwind (caught by the
-        // respawn wrapper around this loop) strands no waiter.
+        // respawn wrapper around this loop) strands no waiter. The grant
+        // is still held here; its drop frees the busy slot.
         if shared.cfg.fault.worker_panic() {
             panic!("injected worker panic (fault plane)");
         }
+        drop(grant);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::split;
+
+    #[test]
+    fn busy_workers_split_the_budget() {
+        let grants: Vec<usize> = (1..=9).map(|busy| split(8, busy)).collect();
+        assert_eq!(grants, [8, 4, 2, 2, 1, 1, 1, 1, 1]);
+        assert!((1..=4).all(|busy| split(1, busy) == 1), "a budget of 1 grants 1");
     }
 }

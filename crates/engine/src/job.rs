@@ -495,6 +495,9 @@ pub struct JobReport<R> {
     pub stitch_ns: u64,
     /// Whether the job was executed as part of a small-job batch.
     pub batched: bool,
+    /// Threads the job's batch was granted from the shared budget
+    /// (`EngineConfig::inner_threads` split over the busy workers).
+    pub threads: usize,
     /// Nanoseconds spent queued before a worker picked the job up.
     pub queued_ns: u64,
     /// Nanoseconds the planner spent choosing algorithm/lanes/shards.
@@ -520,6 +523,7 @@ impl JobReport<ErasedOutput> {
             shards,
             stitch_ns,
             batched,
+            threads,
             queued_ns,
             plan_ns,
             exec_ns,
@@ -535,6 +539,7 @@ impl JobReport<ErasedOutput> {
             shards,
             stitch_ns,
             batched,
+            threads,
             queued_ns,
             plan_ns,
             exec_ns,

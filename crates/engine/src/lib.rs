@@ -15,8 +15,8 @@
 //!   handle of a `Request<Vec<i64>>` returns `JobReport<Vec<i64>>`
 //!   directly.
 //! * **[`Engine`]** — a bounded job queue with blocking backpressure,
-//!   drained by a worker pool; each worker scopes an inner thread budget
-//!   for its jobs' data-parallel phases.
+//!   drained by a worker pool; the busy workers split one thread budget
+//!   for their jobs' data-parallel phases, so a lone job gets all of it.
 //! * **[`Planner`]** — adaptive algorithm selection keyed on job size
 //!   *and* operation kind ([`OpKind`]): the paper's cost model as prior
 //!   (op-width aware), refined by measured per-(size, op) execution

@@ -267,7 +267,9 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// A planner for jobs that may use up to `p` threads each.
+    /// A planner whose cold prior assumes `p` threads per job: the
+    /// engine passes its whole shared budget (`inner_threads`), the
+    /// share a lone job gets. Measured history overrides the prior.
     pub fn new(p: usize) -> Self {
         Planner {
             p: p.max(1),

@@ -533,3 +533,54 @@ fn lane_stats_and_model_lanes_flow_through_the_engine() {
     let occ = stats.lane_occupancy();
     assert!(occ > 0.0 && occ <= 1.0, "occupancy in (0, 1]: {occ}");
 }
+
+/// Run one Reid-Miller rank of a 2^16-vertex list on `engine` and check
+/// it against the serial oracle; returns the batch's thread grant.
+fn lone_reid_miller_grant(engine: &Engine, seed: u64) -> usize {
+    let list = Arc::new(gen::random_list(1 << 16, seed));
+    let opts = JobOptions { seed, algorithm: Some(Algorithm::ReidMiller), ..Default::default() };
+    let report = engine
+        .submit_with(Request::rank(Arc::clone(&list)), opts)
+        .expect("submit")
+        .wait()
+        .expect("job completes");
+    assert_eq!(report.algorithm, Algorithm::ReidMiller);
+    assert_eq!(report.output, listkit::serial::rank(&list), "parity at {} threads", report.threads);
+    report.threads
+}
+
+#[test]
+fn a_lone_job_gets_the_whole_thread_budget() {
+    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    assert_eq!(EngineConfig::default().inner_threads, avail, "the default budget is every core");
+    let engine = Engine::new(EngineConfig::default().with_workers(2).with_inner_threads(2));
+    assert_eq!(lone_reid_miller_grant(&engine, 0x10E), 2, "a lone job is granted the budget");
+    engine.shutdown();
+    let engine = Engine::new(EngineConfig::default().with_workers(2).with_inner_threads(1));
+    assert_eq!(lone_reid_miller_grant(&engine, 0x10F), 1, "a budget of 1 grants 1");
+    engine.shutdown();
+}
+
+#[test]
+fn a_worker_panic_frees_its_busy_slot() {
+    // Every batch ends in an injected worker panic while it still holds
+    // its grant. Each job is submitted only after the previous worker
+    // has unwound and respawned, so it is alone: if an unwind leaked
+    // its busy slot, the next lone job would be granted 1 thread.
+    let fault = Arc::new(engine::FaultPlane::new(engine::FaultConfig {
+        worker_panic: 1.0,
+        ..engine::FaultConfig::default()
+    }));
+    let engine = Engine::new(
+        EngineConfig::default().with_workers(2).with_inner_threads(2).with_fault(fault),
+    );
+    for i in 1..=5u64 {
+        assert_eq!(lone_reid_miller_grant(&engine, 0x9A1 ^ i), 2, "lone job {i}");
+        let t0 = std::time::Instant::now();
+        while engine.stats().workers_respawned < i {
+            assert!(t0.elapsed().as_secs() < 30, "worker {i} never respawned");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+    assert!(engine.shutdown().workers_respawned >= 5);
+}

@@ -261,6 +261,76 @@ fn every_op_through_engine_matches_serial_on_every_topology() {
     }
 }
 
+#[test]
+fn jobs_under_mixed_thread_grants_match_serial() {
+    // Two workers share a budget of 2 threads, so each Reid-Miller job
+    // runs at 2 threads when it is alone and at 1 while the other worker
+    // is busy. Two submitters keep both cases coming; every output must
+    // still be byte-identical to the serial oracle. Which grant a job
+    // gets is a race, so the mix is printed, not asserted.
+    use listkit::ops::{AddOp, Affine, AffineOp};
+    let engine = Engine::new(EngineConfig::default().with_workers(2).with_inner_threads(2));
+    let grants: Vec<Vec<usize>> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..2u64)
+            .map(|t| {
+                let engine = &engine;
+                scope.spawn(move || {
+                    let mut grants = Vec::new();
+                    for k in 0..3u64 {
+                        let seed = SEED ^ (t << 8 | k);
+                        let n = (1 << 16) + (seed.wrapping_mul(0x9e37_79b9) % (3 << 16)) as usize;
+                        let list = Arc::new(gen::list_with_layout(n, Layout::Random, seed));
+                        let i64s: Arc<Vec<i64>> =
+                            Arc::new((0..n as i64).map(|i| (i % 37) - 18).collect());
+                        let affs: Arc<Vec<Affine>> = Arc::new(
+                            (0..n as i64).map(|i| Affine::new((i % 5) - 2, (i % 11) - 5)).collect(),
+                        );
+                        let opts = JobOptions {
+                            seed,
+                            algorithm: Some(Algorithm::ReidMiller),
+                            ..Default::default()
+                        };
+                        let rank =
+                            engine.submit_with(Request::rank(Arc::clone(&list)), opts).unwrap();
+                        let add = engine
+                            .submit_with(
+                                Request::scan(Arc::clone(&list), Arc::clone(&i64s), AddOp),
+                                opts,
+                            )
+                            .unwrap();
+                        let aff = engine
+                            .submit_with(
+                                Request::scan(Arc::clone(&list), Arc::clone(&affs), AffineOp),
+                                opts,
+                            )
+                            .unwrap();
+                        let rank = rank.wait().unwrap();
+                        assert_eq!(rank.output, listkit::serial::rank(&list), "rank n={n}");
+                        let add = add.wait().unwrap();
+                        assert_eq!(
+                            add.output,
+                            listkit::serial::scan(&list, &i64s, &AddOp),
+                            "add n={n}"
+                        );
+                        let aff = aff.wait().unwrap();
+                        assert_eq!(
+                            aff.output,
+                            listkit::serial::scan(&list, &affs, &AffineOp),
+                            "affine n={n}"
+                        );
+                        grants.extend([rank.threads, add.threads, aff.threads]);
+                    }
+                    grants
+                })
+            })
+            .collect();
+        submitters.into_iter().map(|s| s.join().expect("submitter")).collect()
+    });
+    println!("thread grants per submitter: {grants:?}");
+    assert!(grants.iter().flatten().all(|&t| t == 1 || t == 2), "grants within the budget");
+    engine.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
