@@ -8,7 +8,6 @@
 //! the same ones the paper implements in §2.
 
 pub mod anderson_miller;
-pub mod instrument;
 pub mod miller_reif;
 pub mod prev;
 pub mod reid_miller;
@@ -22,7 +21,7 @@ pub use miller_reif::MillerReif;
 pub use reid_miller::ReidMiller;
 pub use scratch::RankScratch;
 pub use sharded::{
-    rank_sharded, rank_sharded_into, rank_sharded_prebuilt_into, scan_sharded, scan_sharded_into,
-    scan_sharded_prebuilt_into, ShardedReport,
+    rank_sharded, rank_sharded_prebuilt_into, scan_sharded, scan_sharded_prebuilt_into,
+    ShardedReport,
 };
 pub use wyllie::Wyllie;

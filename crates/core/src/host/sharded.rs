@@ -1,14 +1,18 @@
-//! Shard-parallel huge-list ranking with a model-dispatched stitch.
+//! Shard-parallel huge-list ranking and scan with a model-dispatched
+//! stitch.
 //!
 //! The representation and the parallel shard-local/broadcast phases
 //! live in [`listkit::sharded`]; this module supplies the policy the
-//! substrate deliberately leaves open: **how to rank the contracted
-//! boundary list**. The stitch is itself a list-ranking problem — a
+//! substrate deliberately leaves open: **how to scan the contracted
+//! boundary list**. The stitch is itself a list-scan problem — a
 //! weighted scan over one vertex per fragment — so it is dispatched
 //! through the paper's cost model ([`rankmodel::predict::predict_best`])
 //! exactly like a top-level job: a serial walk when the contracted list
 //! is small, Reid-Miller when a fragment-heavy topology leaves it long
-//! enough to amortize a parallel pass.
+//! enough to amortize a parallel pass. Ranking and generic scans share
+//! that dispatch, its timing and its telemetry; they differ only in the
+//! stitch values (fragment lengths vs. fragment operator totals) and
+//! in the final expand walk.
 
 use crate::api::Algorithm;
 use crate::host::RankScratch;
@@ -16,10 +20,10 @@ use listkit::ops::AddOp;
 use listkit::sharded::ShardedList;
 use listkit::walk::LaneStats;
 use listkit::{LinkedList, ScanOp};
-use rankmodel::predict::{predict_best_op_lanes, AlgChoice};
+use rankmodel::predict::{predict_best, AlgChoice};
 use std::time::Instant;
 
-/// Execution metadata of one sharded ranking run.
+/// Execution metadata of one sharded rank or scan run.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedReport {
     /// Shards the list was split into.
@@ -32,120 +36,60 @@ pub struct ShardedReport {
     pub stitch_ns: u64,
 }
 
-/// Rank `list` through the shard-parallel path with shards of at most
-/// `shard_size` vertices, walking each shard's fragments with `lanes`
-/// interleaved cursors, writing the ranks into `out` (byte-identical
-/// to [`listkit::serial::rank`] at every lane count). `scratch` serves
-/// the stitch phase — its dedicated prefix buffer when the contracted
-/// list ranks serially (no per-call allocation), its working arrays
-/// when the contracted list is long enough to rank in parallel — and
-/// accumulates the walkers' lane-occupancy telemetry.
-pub fn rank_sharded_into(
-    list: &LinkedList,
-    shard_size: usize,
-    lanes: usize,
-    seed: u64,
-    scratch: &mut RankScratch,
-    out: &mut Vec<u64>,
-) -> ShardedReport {
-    let sharded = ShardedList::build(list, shard_size).with_lanes(lanes);
-    rank_sharded_prebuilt_into(&sharded, seed, scratch, out)
-}
-
-/// Rank through an **already-built** [`ShardedList`] — the resident-
+/// Rank through an **already-built** [`ShardedList`] (byte-identical
+/// to [`listkit::serial::rank`] at every lane count) — the resident-
 /// dataset fast path: the shard decomposition, boundary table, and lane
 /// policy were fixed at build time (or fetched from an artifact cache),
-/// so this run pays only the stitch and the final prefix walk. The
-/// sharded representation's lane telemetry is cumulative across runs;
-/// only this call's delta is folded into `scratch.telemetry` so shared
-/// artifacts don't double-count (concurrent runs over the same artifact
-/// may attribute each other's steps — the counters are advisory).
+/// so this run pays only the stitch and the final prefix walk.
+/// `scratch` serves the stitch phase — its dedicated prefix buffer when
+/// the contracted list ranks serially (no per-call allocation), its
+/// working arrays when the contracted list is long enough to rank in
+/// parallel — and accumulates the walkers' lane-occupancy telemetry.
 pub fn rank_sharded_prebuilt_into(
     sharded: &ShardedList,
     seed: u64,
     scratch: &mut RankScratch,
     out: &mut Vec<u64>,
 ) -> ShardedReport {
-    let lanes = sharded.policy().lanes;
-    let before = sharded.lane_stats();
-    let bt = sharded.boundary();
-    let choice = stitch_choice(bt.fragment_count(), std::mem::size_of::<u64>(), lanes);
-    let t0 = Instant::now();
-    match choice {
-        Algorithm::Serial => bt.serial_prefix_into(&mut scratch.stitch_pre),
-        _ => {
-            let contracted = bt.to_list();
-            let lens: Vec<i64> = bt.lens().iter().map(|&l| l as i64).collect();
-            let mut rm = crate::host::ReidMiller::new(seed).with_lanes(lanes);
-            rm.m = None;
-            let mut scanned = Vec::new();
-            rm.scan_into(&contracted, &lens, &AddOp, scratch, &mut scanned);
-            scratch.stitch_pre.clear();
-            scratch.stitch_pre.extend(scanned.iter().map(|&x| x as u64));
-        }
-    }
-    let stitch_ns = t0.elapsed().as_nanos() as u64;
-    sharded.rank_into_with_prefix(&scratch.stitch_pre, out);
-    let after = sharded.lane_stats();
-    scratch.telemetry.add(&LaneStats {
-        steps: after.steps.saturating_sub(before.steps),
-        slots: after.slots.saturating_sub(before.slots),
-    });
-    ShardedReport {
-        shards: sharded.shard_count(),
-        fragments: sharded.fragment_count(),
-        stitch_algorithm: choice,
-        stitch_ns,
-    }
+    // The stitch values, the fragment lengths, were reduced at build
+    // time; the prefix lands in the scratch's dedicated buffer.
+    stitched(
+        sharded,
+        std::mem::size_of::<u64>(),
+        scratch,
+        || (),
+        |choice, (), scratch| match choice {
+            Algorithm::Serial => sharded.boundary().serial_prefix_into(&mut scratch.stitch_pre),
+            _ => {
+                let lens: Vec<i64> = sharded.boundary().lens().iter().map(|&l| l as i64).collect();
+                let scanned = parallel_stitch(sharded, &lens, &AddOp, seed, scratch);
+                scratch.stitch_pre.clear();
+                scratch.stitch_pre.extend(scanned.iter().map(|&x| x as u64));
+            }
+        },
+        |(), scratch| sharded.rank_into_with_prefix(&scratch.stitch_pre, out),
+    )
 }
 
-/// Convenience wrapper allocating fresh buffers at the default lane
-/// count.
+/// Convenience wrapper: build the sharded list (default lanes) and
+/// rank it into fresh buffers.
 pub fn rank_sharded(list: &LinkedList, shard_size: usize, seed: u64) -> (Vec<u64>, ShardedReport) {
+    let sharded = ShardedList::build(list, shard_size);
     let mut out = Vec::new();
-    let mut scratch = RankScratch::new();
-    let report = rank_sharded_into(
-        list,
-        shard_size,
-        listkit::walk::DEFAULT_LANES,
-        seed,
-        &mut scratch,
-        &mut out,
-    );
+    let report = rank_sharded_prebuilt_into(&sharded, seed, &mut RankScratch::new(), &mut out);
     (out, report)
 }
 
-/// Exclusive **generic-operator scan** through the shard-parallel path:
-/// per-fragment operator totals are computed shard-locally in parallel
-/// (the generic analogue of the boundary table's fragment lengths), the
-/// contracted list of totals is op-scanned as the stitch — dispatched
-/// through the op- and lane-aware cost model ([`predict_best_op_lanes`],
-/// which accounts for the value width) — and every fragment is re-walked seeded with
-/// its global prefix. Byte-identical to [`listkit::serial::scan`] for
-/// any associative operator, commutative or not: fragment order along
-/// the contracted list *is* global list order.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_sharded_into<T, Op>(
-    list: &LinkedList,
-    values: &[T],
-    op: &Op,
-    shard_size: usize,
-    lanes: usize,
-    seed: u64,
-    scratch: &mut RankScratch,
-    out: &mut Vec<T>,
-) -> ShardedReport
-where
-    T: Copy + Send + Sync,
-    Op: ScanOp<T>,
-{
-    let sharded = ShardedList::build(list, shard_size).with_lanes(lanes);
-    scan_sharded_prebuilt_into(&sharded, values, op, seed, scratch, out)
-}
-
-/// Generic-operator scan through an **already-built** [`ShardedList`]
-/// — the scan analogue of [`rank_sharded_prebuilt_into`], with the same
-/// telemetry-delta contract.
+/// Exclusive **generic-operator scan** through an already-built
+/// [`ShardedList`]: per-fragment operator totals are computed
+/// shard-locally in parallel (the generic analogue of the boundary
+/// table's fragment lengths), the contracted list of totals is
+/// op-scanned as the stitch — dispatched by the value width like the
+/// rank's — and every fragment is re-walked seeded with its global
+/// prefix. Byte-identical to [`listkit::serial::scan`] for any
+/// associative operator, commutative or not: fragment order along the
+/// contracted list *is* global list order. Same scratch and telemetry
+/// contract as [`rank_sharded_prebuilt_into`].
 pub fn scan_sharded_prebuilt_into<T, Op>(
     sharded: &ShardedList,
     values: &[T],
@@ -158,41 +102,21 @@ where
     T: Copy + Send + Sync,
     Op: ScanOp<T>,
 {
-    let lanes = sharded.policy().lanes;
-    let before = sharded.lane_stats();
-    let totals = sharded.fragment_totals(values, op);
-    let bt = sharded.boundary();
-    let k = bt.fragment_count();
-    let choice = stitch_choice(k, std::mem::size_of::<T>(), lanes);
-    let t0 = Instant::now();
-    let prefix = match choice {
-        Algorithm::Serial => bt.serial_exclusive(&totals, op),
-        _ => {
-            let contracted = bt.to_list();
-            let mut rm = crate::host::ReidMiller::new(seed).with_lanes(lanes);
-            rm.m = None;
-            let mut scanned = Vec::new();
-            rm.scan_into(&contracted, &totals, op, scratch, &mut scanned);
-            scanned
-        }
-    };
-    let stitch_ns = t0.elapsed().as_nanos() as u64;
-    sharded.scan_into_with_prefix(values, op, &prefix, out);
-    let after = sharded.lane_stats();
-    scratch.telemetry.add(&LaneStats {
-        steps: after.steps.saturating_sub(before.steps),
-        slots: after.slots.saturating_sub(before.slots),
-    });
-    ShardedReport {
-        shards: sharded.shard_count(),
-        fragments: k,
-        stitch_algorithm: choice,
-        stitch_ns,
-    }
+    stitched(
+        sharded,
+        std::mem::size_of::<T>(),
+        scratch,
+        || sharded.fragment_totals(values, op),
+        |choice, totals, scratch| match choice {
+            Algorithm::Serial => sharded.boundary().serial_exclusive(&totals, op),
+            _ => parallel_stitch(sharded, &totals, op, seed, scratch),
+        },
+        |prefix, _| sharded.scan_into_with_prefix(values, op, &prefix, out),
+    )
 }
 
-/// Convenience wrapper for [`scan_sharded_into`] allocating fresh
-/// buffers at the default lane count.
+/// Convenience wrapper: build the sharded list (default lanes) and
+/// scan it into fresh buffers.
 pub fn scan_sharded<T, Op>(
     list: &LinkedList,
     values: &[T],
@@ -204,19 +128,66 @@ where
     T: Copy + Send + Sync,
     Op: ScanOp<T>,
 {
+    let sharded = ShardedList::build(list, shard_size);
     let mut out = Vec::new();
-    let mut scratch = RankScratch::new();
-    let report = scan_sharded_into(
-        list,
-        values,
-        op,
-        shard_size,
-        listkit::walk::DEFAULT_LANES,
-        seed,
-        &mut scratch,
-        &mut out,
-    );
+    let report =
+        scan_sharded_prebuilt_into(&sharded, values, op, seed, &mut RankScratch::new(), &mut out);
     (out, report)
+}
+
+/// The three phases every sharded run shares, with only their bodies
+/// supplied by the caller: `reduce` the per-fragment stitch values
+/// shard-locally, `stitch` them along the contracted list with the
+/// backend [`stitch_choice`] picks for `elem_bytes`-wide values (the
+/// only timed step), and `expand` the stitched prefixes back over every
+/// shard. The sharded representation's lane telemetry is cumulative
+/// across runs; only this run's delta is folded into
+/// `scratch.telemetry` so shared artifacts don't double-count
+/// (concurrent runs over the same artifact may attribute each other's
+/// steps — the counters are advisory).
+fn stitched<V, P>(
+    sharded: &ShardedList,
+    elem_bytes: usize,
+    scratch: &mut RankScratch,
+    reduce: impl FnOnce() -> V,
+    stitch: impl FnOnce(Algorithm, V, &mut RankScratch) -> P,
+    expand: impl FnOnce(P, &mut RankScratch),
+) -> ShardedReport {
+    let before = sharded.lane_stats();
+    let values = reduce();
+    let fragments = sharded.fragment_count();
+    let choice = stitch_choice(fragments, elem_bytes, sharded.policy().lanes);
+    let t0 = Instant::now();
+    let prefix = stitch(choice, values, scratch);
+    let stitch_ns = t0.elapsed().as_nanos() as u64;
+    expand(prefix, scratch);
+    let after = sharded.lane_stats();
+    scratch.telemetry.add(&LaneStats {
+        steps: after.steps.saturating_sub(before.steps),
+        slots: after.slots.saturating_sub(before.slots),
+    });
+    ShardedReport { shards: sharded.shard_count(), fragments, stitch_algorithm: choice, stitch_ns }
+}
+
+/// Exclusive Reid-Miller scan of per-fragment `values` along the
+/// contracted boundary list, at the artifact's lane count.
+fn parallel_stitch<T, Op>(
+    sharded: &ShardedList,
+    values: &[T],
+    op: &Op,
+    seed: u64,
+    scratch: &mut RankScratch,
+) -> Vec<T>
+where
+    T: Copy + Send + Sync,
+    Op: ScanOp<T>,
+{
+    let contracted = sharded.boundary().to_list();
+    let mut rm = crate::host::ReidMiller::new(seed).with_lanes(sharded.policy().lanes);
+    rm.m = None;
+    let mut scanned = Vec::new();
+    rm.scan_into(&contracted, values, op, scratch, &mut scanned);
+    scanned
 }
 
 /// One dispatch rule for every stitch (rank and generic scan): the
@@ -227,7 +198,7 @@ where
 /// parallel algorithm, so every parallel pick maps there (same
 /// reasoning as the engine planner's prior).
 fn stitch_choice(fragments: usize, elem_bytes: usize, lanes: usize) -> Algorithm {
-    match predict_best_op_lanes(fragments, rayon::current_num_threads(), elem_bytes, lanes) {
+    match predict_best(fragments, rayon::current_num_threads(), elem_bytes, lanes) {
         AlgChoice::Serial => Algorithm::Serial,
         _ => Algorithm::ReidMiller,
     }

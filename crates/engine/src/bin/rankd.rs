@@ -90,7 +90,7 @@ Engine:
   --queue-cap Q          queue capacity (backpressure)  [default 1024]
   --small-cutoff N       batch jobs up to N vertices    [default 4096]
   --batch-max B          max jobs per batch             [default 64]
-  --shard-budget N       per-worker vertex budget: RankSharded jobs
+  --shard-budget N       per-worker vertex budget: sharded requests
                          above N split into shards    [default 2097152]
   --slow-ms MS           slow-request warn threshold in ms (also
                          RANKD_SLOW_MS)                  [default 250]

@@ -2,7 +2,7 @@
 
 use crate::fault::FaultPlane;
 use crate::job::{
-    ErasedOutput, JobCell, JobError, JobHandle, JobOptions, JobReport, JobSpec, QueuedJob, Request,
+    ErasedOutput, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob, Request,
     Responder,
 };
 use crate::planner::{Planner, ShardDecision};
@@ -39,10 +39,11 @@ pub struct EngineConfig {
     pub small_cutoff: usize,
     /// Maximum jobs per small-job batch.
     pub batch_max: usize,
-    /// Per-worker vertex budget for `JobSpec::RankSharded`: lists of at
-    /// most this many vertices run monolithically, larger ones split
-    /// into shards of at most this size (≈ the vertex count whose
-    /// working set a worker can keep cache-resident).
+    /// Per-worker vertex budget for sharded requests
+    /// ([`Request::sharded`]): lists of at most this many vertices run
+    /// monolithically, larger ones split into shards of at most this
+    /// size (≈ the vertex count whose working set a worker can keep
+    /// cache-resident).
     pub shard_budget: usize,
     /// Slow-request log threshold in milliseconds (total phase time).
     /// `None` = the `RANKD_SLOW_MS` environment variable, defaulting to
@@ -460,29 +461,20 @@ fn worker_loop(shared: &Shared) {
                         continue;
                     }
                 }
-                let n = job.spec.len();
-                let op = job.spec.op_kind();
+                let (list, exec, seed) = (&job.spec.list, &job.spec.exec, job.opts.seed);
+                let n = list.len();
+                let op = exec.op_kind();
                 let queued_ns = job.enqueued.elapsed().as_nanos() as u64;
                 // Sharded requests get the budget-aware plan branch;
                 // all others (and sharded requests that fit the budget)
                 // take the ordinary monolithic dispatch. Both are keyed
                 // on the op kind and value width.
                 let t_plan = Instant::now();
-                let decision = if job.spec.sharded() {
-                    shared.planner.choose_sharded(
-                        n,
-                        shared.cfg.shard_budget,
-                        op,
-                        job.spec.elem_bytes(),
-                        job.opts.algorithm,
-                    )
+                let (bytes, pinned) = (exec.elem_bytes(), job.opts.algorithm);
+                let decision = if job.spec.sharded {
+                    shared.planner.choose_sharded(n, shared.cfg.shard_budget, op, bytes, pinned)
                 } else {
-                    ShardDecision::Monolithic(shared.planner.choose(
-                        n,
-                        op,
-                        job.spec.elem_bytes(),
-                        job.opts.algorithm,
-                    ))
+                    ShardDecision::Monolithic(shared.planner.choose(n, op, bytes, pinned))
                 };
                 let plan_ns = t_plan.elapsed().as_nanos() as u64;
                 let t0 = Instant::now();
@@ -500,18 +492,9 @@ fn worker_loop(shared: &Shared) {
                     match decision {
                         ShardDecision::Monolithic(plan) => {
                             let runner = HostRunner::new(plan.algorithm)
-                                .with_seed(job.opts.seed)
+                                .with_seed(seed)
                                 .with_lanes(plan.lanes);
-                            let output: ErasedOutput = match &job.spec {
-                                JobSpec::Rank { list, .. } => {
-                                    let mut out = Vec::new();
-                                    runner.rank_into(list, &mut scratch, &mut out);
-                                    Box::new(out)
-                                }
-                                JobSpec::Scan { list, exec, .. } => {
-                                    exec.run(&runner, list, &mut scratch)
-                                }
-                            };
+                            let output = exec.run(&runner, list, &mut scratch);
                             Executed { output, algorithm: plan.algorithm, shards: 0, stitch_ns: 0 }
                         }
                         ShardDecision::Sharded { shard_size, lanes, .. } => {
@@ -519,28 +502,14 @@ fn worker_loop(shared: &Shared) {
                             // build and cache) the dataset's artifact
                             // instead of rebuilding per job; inline
                             // jobs build their own.
-                            let list = job.spec.list();
-                            let sharded = match job.spec.warm() {
+                            let sharded = match &job.spec.warm {
                                 Some(cache) => cache.get_or_build(list, shard_size, lanes),
                                 None => {
                                     Arc::new(ShardedList::build(list, shard_size).with_lanes(lanes))
                                 }
                             };
-                            let (output, report): (ErasedOutput, _) = match &job.spec {
-                                JobSpec::Rank { .. } => {
-                                    let mut out = Vec::new();
-                                    let report = listrank::host::rank_sharded_prebuilt_into(
-                                        &sharded,
-                                        job.opts.seed,
-                                        &mut scratch,
-                                        &mut out,
-                                    );
-                                    (Box::new(out), report)
-                                }
-                                JobSpec::Scan { exec, .. } => {
-                                    exec.run_sharded_prebuilt(&sharded, job.opts.seed, &mut scratch)
-                                }
-                            };
+                            let (output, report) =
+                                exec.run_sharded_prebuilt(&sharded, seed, &mut scratch);
                             Executed {
                                 output,
                                 algorithm: report.stitch_algorithm,

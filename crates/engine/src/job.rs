@@ -4,11 +4,13 @@
 //! a **typed handle** ([`JobHandle<R>`]): callers say
 //! `engine.submit(Request::scan(list, values, MaxOp))` and `wait()`
 //! hands back the concrete `Vec<i64>` — no closed output enum to
-//! match, no `Option` to unwrap. Internally the generic
-//! [`listkit::ScanOp`] is erased behind the `ScanExec` object so the
-//! queue, planner and workers stay monomorphic; the handle re-types the
-//! erased output on the way out (guaranteed to succeed because only the
-//! typed builders can construct a request).
+//! match, no `Option` to unwrap. Internally what a job computes is
+//! erased behind the `JobExec` object — a ranking, a generic
+//! [`listkit::ScanOp`] scan or a segmented scan are its three
+//! implementors — so the queue, planner and workers stay monomorphic
+//! and carry one job spec; the handle re-types the erased output on
+//! the way out (guaranteed to succeed because only the typed builders
+//! can construct a request).
 
 use crate::op::{classify_op, OpKind};
 use crate::queue::SubmitError;
@@ -27,13 +29,13 @@ use std::sync::{Arc, Condvar, Mutex};
 /// it.
 pub(crate) type ErasedOutput = Box<dyn Any + Send>;
 
-/// The executable body of a scan job with its operator and value types
-/// erased: the worker hands it a configured runner (or the sharded
-/// plan) and gets the erased output back.
-pub(crate) trait ScanExec: Send + Sync {
-    /// Stats/dispatch classification of the operator.
+/// The executable body of a job with its output, operator and value
+/// types erased: the worker hands it a configured runner (or the
+/// sharded plan) and gets the erased output back.
+pub(crate) trait JobExec: Send + Sync {
+    /// Stats/dispatch classification of the job.
     fn op_kind(&self) -> OpKind;
-    /// Bytes per scanned value (the op-aware cost model's width input).
+    /// Bytes per produced element (the cost model's width input).
     fn elem_bytes(&self) -> usize;
     /// Submit-time cross-field validation against the job's list.
     fn check(&self, list: &LinkedList) -> bool;
@@ -44,7 +46,7 @@ pub(crate) trait ScanExec: Send + Sync {
         list: &LinkedList,
         scratch: &mut RankScratch,
     ) -> ErasedOutput;
-    /// Shard-parallel execution (generic stitched scan) against a
+    /// Shard-parallel execution (stitched rank or scan) against a
     /// built sharded representation: the resident dataset's cached
     /// artifact, or one the worker built for this job.
     fn run_sharded_prebuilt(
@@ -55,6 +57,46 @@ pub(crate) trait ScanExec: Send + Sync {
     ) -> (ErasedOutput, ShardedReport);
 }
 
+/// List ranking: the scan of all-ones under `+`, run by the dedicated
+/// rank kernels, which need no values array.
+struct RankJob;
+
+impl JobExec for RankJob {
+    fn op_kind(&self) -> OpKind {
+        OpKind::Rank
+    }
+
+    fn elem_bytes(&self) -> usize {
+        std::mem::size_of::<u64>()
+    }
+
+    fn check(&self, _list: &LinkedList) -> bool {
+        true
+    }
+
+    fn run(
+        &self,
+        runner: &HostRunner,
+        list: &LinkedList,
+        scratch: &mut RankScratch,
+    ) -> ErasedOutput {
+        let mut out = Vec::new();
+        runner.rank_into(list, scratch, &mut out);
+        Box::new(out)
+    }
+
+    fn run_sharded_prebuilt(
+        &self,
+        sharded: &ShardedList,
+        seed: u64,
+        scratch: &mut RankScratch,
+    ) -> (ErasedOutput, ShardedReport) {
+        let mut out = Vec::new();
+        let report = listrank::host::rank_sharded_prebuilt_into(sharded, seed, scratch, &mut out);
+        (Box::new(out), report)
+    }
+}
+
 /// A plain generic scan job: values + operator.
 struct ScanJob<T, Op> {
     values: Arc<Vec<T>>,
@@ -62,7 +104,7 @@ struct ScanJob<T, Op> {
     kind: OpKind,
 }
 
-impl<T, Op> ScanExec for ScanJob<T, Op>
+impl<T, Op> JobExec for ScanJob<T, Op>
 where
     T: Copy + Send + Sync + 'static,
     Op: ScanOp<T> + Send + Sync + 'static,
@@ -119,7 +161,7 @@ struct SegScanJob<T, Op> {
     op: Op,
 }
 
-impl<T, Op> ScanExec for SegScanJob<T, Op>
+impl<T, Op> JobExec for SegScanJob<T, Op>
 where
     T: Copy + Send + Sync + 'static,
     Op: ScanOp<T> + Clone + Send + Sync + 'static,
@@ -172,101 +214,47 @@ where
 /// through the typed [`Request`] builders, which is what guarantees the
 /// handle's downcast always succeeds.
 #[derive(Clone)]
-pub(crate) enum JobSpec {
-    /// List ranking of `list`.
-    Rank {
-        /// The list to rank (shared so many jobs can reference one
-        /// workload list without copying).
-        list: Arc<LinkedList>,
-        /// Route through the budget-aware shard-parallel plan branch.
-        sharded: bool,
-        /// Resident-dataset artifact slot: the sharded arm reuses (or
-        /// builds and caches) the dataset's `ShardedList` here instead
-        /// of rebuilding per job. `None` for inline requests.
-        warm: Option<Arc<ArtifactCache>>,
-    },
-    /// Generic-operator scan along `list`.
-    Scan {
-        /// The list to scan along.
-        list: Arc<LinkedList>,
-        /// The erased operator + values + output conversion.
-        exec: Arc<dyn ScanExec>,
-        /// Route through the budget-aware shard-parallel plan branch.
-        sharded: bool,
-        /// Resident-dataset artifact slot (see [`JobSpec::Rank`]).
-        warm: Option<Arc<ArtifactCache>>,
-    },
+pub(crate) struct JobSpec {
+    /// The list to rank or scan along (shared so many jobs can
+    /// reference one workload list without copying).
+    pub(crate) list: Arc<LinkedList>,
+    /// The erased computation: rank, or operator + values + output
+    /// conversion.
+    pub(crate) exec: Arc<dyn JobExec>,
+    /// Route through the budget-aware shard-parallel plan branch.
+    pub(crate) sharded: bool,
+    /// Resident-dataset artifact slot: the sharded arm reuses (or
+    /// builds and caches) the dataset's `ShardedList` here instead of
+    /// rebuilding per job. `None` for inline requests.
+    pub(crate) warm: Option<Arc<ArtifactCache>>,
 }
 
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JobSpec::{}(n = {}, sharded = {})", self.op_kind(), self.len(), self.sharded())
+        let kind = self.exec.op_kind();
+        write!(f, "JobSpec({kind}, n = {}, sharded = {})", self.len(), self.sharded)
     }
 }
 
 impl JobSpec {
-    /// The list this job ranks or scans.
-    pub(crate) fn list(&self) -> &Arc<LinkedList> {
-        match self {
-            JobSpec::Rank { list, .. } | JobSpec::Scan { list, .. } => list,
-        }
-    }
-
     /// Number of vertices this job touches (≥ 1: `listkit` lists cannot
     /// be empty, so there is no empty-list branch anywhere downstream).
     pub(crate) fn len(&self) -> usize {
-        self.list().len()
-    }
-
-    /// Whether this job takes the budget-aware sharded plan branch.
-    pub(crate) fn sharded(&self) -> bool {
-        match self {
-            JobSpec::Rank { sharded, .. } | JobSpec::Scan { sharded, .. } => *sharded,
-        }
-    }
-
-    /// The resident-dataset artifact slot, if this job runs against a
-    /// stored dataset.
-    pub(crate) fn warm(&self) -> Option<&Arc<ArtifactCache>> {
-        match self {
-            JobSpec::Rank { warm, .. } | JobSpec::Scan { warm, .. } => warm.as_ref(),
-        }
-    }
-
-    /// The op-kind dimension for the planner and stats.
-    pub(crate) fn op_kind(&self) -> OpKind {
-        match self {
-            JobSpec::Rank { .. } => OpKind::Rank,
-            JobSpec::Scan { exec, .. } => exec.op_kind(),
-        }
-    }
-
-    /// Bytes per produced element (the cost model's width input).
-    pub(crate) fn elem_bytes(&self) -> usize {
-        match self {
-            JobSpec::Rank { .. } => std::mem::size_of::<u64>(),
-            JobSpec::Scan { exec, .. } => exec.elem_bytes(),
-        }
+        self.list.len()
     }
 
     /// Submit-time validation, shared by every submit path (blocking
-    /// and non-blocking) and exhaustive over the variants, so a new
-    /// request kind cannot bypass it: a malformed spec is rejected
-    /// here, where the caller can handle the error, instead of
-    /// panicking in a worker far from the bug. Structural list
-    /// invariants are already enforced by `LinkedList` construction;
-    /// what remains is the cross-field consistency a spec can get
-    /// wrong.
+    /// and non-blocking) and by every request kind, so none can bypass
+    /// it: a malformed spec is rejected here, where the caller can
+    /// handle the error, instead of panicking in a worker far from the
+    /// bug. Structural list invariants are already enforced by
+    /// `LinkedList` construction; what remains is the cross-field
+    /// consistency a spec can get wrong.
     pub(crate) fn validate(&self) -> Result<(), SubmitError> {
-        match self {
-            JobSpec::Rank { .. } => Ok(()),
-            JobSpec::Scan { list, exec, .. } => {
-                if exec.check(list) {
-                    Ok(())
-                } else {
-                    Err(SubmitError::Invalid)
-                }
-            }
+        if self.exec.check(&self.list) {
+            Ok(())
+        } else {
+            Err(SubmitError::Invalid)
         }
     }
 }
@@ -298,8 +286,8 @@ impl<R> std::fmt::Debug for Request<R> {
 }
 
 impl<R> Request<R> {
-    fn new(spec: JobSpec) -> Self {
-        Request { spec, _out: PhantomData }
+    fn new(list: Arc<LinkedList>, exec: Arc<dyn JobExec>) -> Self {
+        Request { spec: JobSpec { list, exec, sharded: false, warm: None }, _out: PhantomData }
     }
 
     /// Number of vertices the request touches.
@@ -315,7 +303,7 @@ impl<R> Request<R> {
     /// The op-kind classification this request will be dispatched and
     /// accounted under.
     pub fn op_kind(&self) -> OpKind {
-        self.spec.op_kind()
+        self.spec.exec.op_kind()
     }
 
     /// Route through the budget-aware shard-parallel path: lists above
@@ -324,9 +312,7 @@ impl<R> Request<R> {
     /// and segmented operators); smaller ones run monolithically
     /// exactly like the unsharded request.
     pub fn sharded(mut self) -> Self {
-        match &mut self.spec {
-            JobSpec::Rank { sharded, .. } | JobSpec::Scan { sharded, .. } => *sharded = true,
-        }
+        self.spec.sharded = true;
         self
     }
 
@@ -337,9 +323,7 @@ impl<R> Request<R> {
     /// rebuilding it per job. Used by the server for
     /// handle-routed queries ([`crate::DatasetRef::artifacts`]).
     pub fn with_artifacts(mut self, cache: Arc<ArtifactCache>) -> Self {
-        match &mut self.spec {
-            JobSpec::Rank { warm, .. } | JobSpec::Scan { warm, .. } => *warm = Some(cache),
-        }
+        self.spec.warm = Some(cache);
         self
     }
 }
@@ -347,7 +331,7 @@ impl<R> Request<R> {
 impl Request<Vec<u64>> {
     /// List ranking of `list`; the handle resolves to the rank vector.
     pub fn rank(list: Arc<LinkedList>) -> Self {
-        Self::new(JobSpec::Rank { list, sharded: false, warm: None })
+        Self::new(list, Arc::new(RankJob))
     }
 }
 
@@ -360,12 +344,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         Op: ScanOp<T> + Send + Sync + 'static,
     {
         let kind = classify_op::<Op>();
-        Self::new(JobSpec::Scan {
-            list,
-            exec: Arc::new(ScanJob { values, op, kind }),
-            sharded: false,
-            warm: None,
-        })
+        Self::new(list, Arc::new(ScanJob { values, op, kind }))
     }
 
     /// Exclusive **segmented** scan: restarts at every vertex whose
@@ -394,12 +373,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         } else {
             Arc::new(Vec::new())
         };
-        Self::new(JobSpec::Scan {
-            list,
-            exec: Arc::new(SegScanJob { wrapped, starts, op }),
-            sharded: false,
-            warm: None,
-        })
+        Self::new(list, Arc::new(SegScanJob { wrapped, starts, op }))
     }
 }
 
@@ -726,4 +700,40 @@ pub(crate) struct QueuedJob {
     /// Arrival sequence number, assigned by the queue at push; the
     /// scheduler's FIFO tiebreaker and aging key.
     pub(crate) seq: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
+
+    #[test]
+    fn every_request_kind_pins_its_planner_keys() {
+        let list = Arc::new(listkit::gen::random_list(5, 1));
+        let l = || Arc::clone(&list);
+        let i64s = Arc::new(vec![1i64; 5]);
+        let v = || Arc::clone(&i64s);
+        let u64s = Arc::new(vec![1u64; 5]);
+        let affs = Arc::new(vec![Affine::new(1, 0); 5]);
+        let starts = Arc::new(vec![true, false, false, true, false]);
+        let short = Arc::new(vec![true; 4]);
+        let seg_add = |starts| Request::segmented_scan(l(), v(), starts, AddOp).spec;
+        let seg = std::mem::size_of::<Segmented<i64>>();
+        let (ok, bad) = (Ok(()), Err(SubmitError::Invalid));
+        let cases = [
+            ("rank", Request::rank(l()).spec, OpKind::Rank, 8, ok),
+            ("add", Request::scan(l(), v(), AddOp).spec, OpKind::Add, 8, ok),
+            ("max", Request::scan(l(), v(), MaxOp).spec, OpKind::Max, 8, ok),
+            ("min", Request::scan(l(), v(), MinOp).spec, OpKind::Min, 8, ok),
+            ("xor", Request::scan(l(), u64s, XorOp).spec, OpKind::Xor, 8, ok),
+            ("affine", Request::scan(l(), affs, AffineOp).spec, OpKind::Affine, 16, ok),
+            ("seg", seg_add(starts), OpKind::Segmented, seg, ok),
+            ("seg mismatch", seg_add(short), OpKind::Segmented, seg, bad),
+        ];
+        for (name, spec, kind, bytes, valid) in cases {
+            assert_eq!(spec.exec.op_kind(), kind, "{name}: op kind");
+            assert_eq!(spec.exec.elem_bytes(), bytes, "{name}: element width");
+            assert_eq!(spec.validate(), valid, "{name}: validation");
+        }
+    }
 }

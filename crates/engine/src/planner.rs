@@ -4,7 +4,7 @@
 //! candidates: Serial vs Reid-Miller for every query, keyed by (size
 //! bucket × **op kind**), and rebuild vs patch for every mutated
 //! sharded artifact, keyed by size bucket. A closed-form cost model is
-//! each contest's prior ([`rankmodel::predict::predict_best_op_lanes`],
+//! each contest's prior ([`rankmodel::predict::predict_best`],
 //! keyed on the job's value width, and
 //! [`rankmodel::predict::predict_patch`]); as jobs complete the planner
 //! folds measured costs into per-key EWMAs, so the dispatch threshold
@@ -26,7 +26,7 @@ use crate::op::OpKind;
 use crate::telemetry::log::Level;
 use crate::telemetry::{AtomicHistogram, Histogram, Ring};
 use listrank::Algorithm;
-use rankmodel::predict::{default_lanes, predict_best_op_lanes, predict_patch, AlgChoice};
+use rankmodel::predict::{default_lanes, predict_best, predict_patch, AlgChoice};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -311,7 +311,7 @@ impl Planner {
         let key = alg_key(n, op);
         let (algorithm, predicted_ns_per_elem) = match pinned {
             None if n > self.serial_cutoff => {
-                let prior = match predict_best_op_lanes(n, self.p, elem_bytes, default_lanes(n)) {
+                let prior = match predict_best(n, self.p, elem_bytes, default_lanes(n)) {
                     AlgChoice::Serial => 0,
                     _ => 1,
                 };

@@ -877,8 +877,8 @@ mod tests {
     fn external_generic_stitch_matches_builtin() {
         // Stitch the generic scan through an external backend path
         // (scan fragment totals along the contracted list) and feed the
-        // prefix back — the route `listrank::host::scan_sharded_into`
-        // takes.
+        // prefix back — the route
+        // `listrank::host::scan_sharded_prebuilt_into` takes.
         use crate::ops::AddOp;
         let list = gen::list_with_layout(4000, Layout::Blocked(50), 21);
         let values: Vec<i64> = (0..4000).map(|i| (i % 13) as i64).collect();

@@ -244,12 +244,21 @@ const HOST_JOB_OVERHEAD: f64 = 16_384.0;
 /// Per-round fixed overhead of the round-based algorithms.
 const HOST_ROUND_OVERHEAD: f64 = 2_048.0;
 
-/// Coarse predicted cost of ranking an `n`-vertex list with `alg` on a
-/// `p`-thread **scalar multicore host**, in *serial-element units* (one
-/// unit = one pointer-chase visit of the serial ranker). This is the
-/// dispatch model for the host backend, where — unlike on the paper's
-/// vector machine, whose faithful model lives in
-/// [`predict_with_phase2`] — there is no vectorization discount:
+/// Element width of a ranking job's payload (the `u64` rank), the unit
+/// the serial-element coefficients were fitted at. Scan jobs over wider
+/// operator carriers (affine maps, segmented pairs) scale the
+/// per-element terms up from here.
+pub const RANK_ELEM_BYTES: usize = 8;
+
+/// Coarse predicted cost of scanning an `n`-vertex list of
+/// `elem_bytes`-byte values (a ranking is the [`RANK_ELEM_BYTES`]
+/// case) with `alg` on a `p`-thread **scalar multicore host** whose
+/// multi-chain walks keep `lanes` interleaved cursors, in
+/// *serial-element units* (one unit = one pointer-chase visit of the
+/// serial ranker). This is the dispatch model for the host backend,
+/// where — unlike on the paper's vector machine, whose faithful model
+/// lives in [`predict_with_phase2`] — there is no vectorization
+/// discount:
 ///
 /// * Serial visits each vertex once on one thread: `n`.
 /// * Reid-Miller is work-efficient but touches every vertex twice
@@ -259,47 +268,25 @@ const HOST_ROUND_OVERHEAD: f64 = 2_048.0;
 ///   ≈ `2.7n`) with heavier per-touch costs — so none of the three ever
 ///   beats both Serial and Reid-Miller, matching the paper's Fig. 1
 ///   ordering.
-pub fn predicted_cost(alg: AlgChoice, n: usize, p: usize) -> f64 {
-    predicted_cost_op(alg, n, p, RANK_ELEM_BYTES)
-}
-
-/// Element width of a ranking job's payload (the `u64` rank), the unit
-/// the serial-element coefficients were fitted at. Scan jobs over wider
-/// operator carriers (affine maps, segmented pairs) scale the
-/// per-element terms up from here.
-pub const RANK_ELEM_BYTES: usize = 8;
-
-/// [`predicted_cost`] for a *scan* job whose per-vertex value occupies
-/// `elem_bytes` bytes — the op-kind dimension of the dispatch model.
-/// Every visit moves the 8-byte link plus the value, so the
+///
+/// **Width.** Every visit moves the 8-byte link plus the value, so the
 /// `n`-proportional terms scale by `(8 + elem_bytes) / 16` relative to
 /// the rank baseline; fixed per-job/per-round overheads do not. Wider
 /// operators therefore shift the serial/parallel crossover slightly
 /// *down* (more memory traffic to amortize the parallel startup
-/// against), which is exactly the measured direction. Assumes the
-/// walker's default lane count; see [`predicted_cost_op_lanes`].
-pub fn predicted_cost_op(alg: AlgChoice, n: usize, p: usize, elem_bytes: usize) -> f64 {
-    predicted_cost_op_lanes(alg, n, p, elem_bytes, DEFAULT_LANES)
-}
-
-/// [`predicted_cost_op`] with an explicit interleaved-lane count — the
-/// latency-hiding dimension of the dispatch model. Only Reid-Miller's
-/// traversal term earns the [`lane_discount`]: its Phases 1 and 3 walk
-/// many independent sublists, so a worker can keep `lanes` misses in
-/// flight, while Serial chases a single chain (one outstanding miss,
-/// structurally — no lane can help it) and the round-based algorithms
-/// are already array-parallel passes the hardware pipelines on its
-/// own. This is what moves the serial/Reid-Miller crossover *down* —
-/// including onto one thread, where interleaving is the only
-/// parallelism there is (the paper's actual C-90 insight: 2× work
-/// beats 1× work when the traversal hides memory latency).
-pub fn predicted_cost_op_lanes(
-    alg: AlgChoice,
-    n: usize,
-    p: usize,
-    elem_bytes: usize,
-    lanes: usize,
-) -> f64 {
+/// against), which is exactly the measured direction.
+///
+/// **Lanes.** Only Reid-Miller's traversal term earns the
+/// [`lane_discount`]: its Phases 1 and 3 walk many independent
+/// sublists, so a worker can keep `lanes` misses in flight, while
+/// Serial chases a single chain (one outstanding miss, structurally —
+/// no lane can help it) and the round-based algorithms are already
+/// array-parallel passes the hardware pipelines on its own. This is
+/// what moves the serial/Reid-Miller crossover *down* — including onto
+/// one thread, where interleaving is the only parallelism there is (the
+/// paper's actual C-90 insight: 2× work beats 1× work when the
+/// traversal hides memory latency).
+pub fn predicted_cost(alg: AlgChoice, n: usize, p: usize, elem_bytes: usize, lanes: usize) -> f64 {
     let nf = n as f64 * traffic_factor(elem_bytes);
     let pf = p.max(1) as f64;
     let rounds = if n > 2 { ((n - 1) as f64).log2().ceil().max(1.0) } else { 1.0 };
@@ -332,36 +319,21 @@ fn traffic_factor(elem_bytes: usize) -> f64 {
     (8.0 + elem_bytes.max(1) as f64) / (8.0 + RANK_ELEM_BYTES as f64)
 }
 
-/// The cheapest algorithm for an `n`-vertex ranking job on a `p`-thread
-/// host, by [`predicted_cost`]: Serial below the break-even point,
-/// Reid-Miller above it. With the walker's default lanes the break-even
-/// exists even at `p = 1`: on large random-layout lists the K-lane
-/// interleaved traversal hides enough DRAM latency that Reid-Miller's
-/// 2× work beats the serial chain's one-outstanding-miss walk — the
-/// paper's C-90 insight transplanted to memory-level parallelism.
-/// Wyllie and the random-mate algorithms are work-inefficient and
-/// never win, mirroring Fig. 1.
-pub fn predict_best(n: usize, p: usize) -> AlgChoice {
-    predict_best_op(n, p, RANK_ELEM_BYTES)
-}
-
-/// The cheapest algorithm for an `n`-vertex **scan** job carrying
-/// `elem_bytes`-byte values on a `p`-thread host, by
-/// [`predicted_cost_op`] — the op-aware entry the engine planner's
-/// prior keys on. Assumes the walker's default lane count.
-pub fn predict_best_op(n: usize, p: usize, elem_bytes: usize) -> AlgChoice {
-    predict_best_op_lanes(n, p, elem_bytes, DEFAULT_LANES)
-}
-
-/// [`predict_best_op`] with an explicit lane count, so a caller that
-/// pins the walker to `lanes` gets a prior consistent with how the job
-/// will actually run — a single-lane pin restores the old "Serial
-/// always wins on one thread" rule.
-pub fn predict_best_op_lanes(n: usize, p: usize, elem_bytes: usize, lanes: usize) -> AlgChoice {
+/// The cheapest algorithm for an `n`-vertex job carrying
+/// `elem_bytes`-byte values, walked with `lanes` interleaved cursors on
+/// a `p`-thread host, by [`predicted_cost`] — the prior of the engine
+/// planner and of the sharded stitch. Serial below the break-even
+/// point, Reid-Miller above it; with the walker's default lanes the
+/// break-even exists even at `p = 1` (the paper's C-90 insight
+/// transplanted to memory-level parallelism), and a single-lane pin
+/// restores "Serial always wins on one thread". Wyllie and the
+/// random-mate algorithms are work-inefficient and never win,
+/// mirroring Fig. 1.
+pub fn predict_best(n: usize, p: usize, elem_bytes: usize, lanes: usize) -> AlgChoice {
     let mut best = AlgChoice::Serial;
     let mut best_cost = f64::INFINITY;
     for alg in AlgChoice::ALL {
-        let cost = predicted_cost_op_lanes(alg, n, p, elem_bytes, lanes);
+        let cost = predicted_cost(alg, n, p, elem_bytes, lanes);
         if cost < best_cost {
             best = alg;
             best_cost = cost;
@@ -402,23 +374,15 @@ const SHARD_LOCAL_VISIT: f64 = 0.6;
 ///   (sequential memory order — cheaper per element than a gather),
 ///   spread over `p` threads;
 /// * shard-local rank: one pointer-chase pass confined to a
-///   cache-resident shard (discounted accordingly);
+///   cache-resident shard (discounted accordingly). It is a multi-chain
+///   chase (one chain per fragment) walked with `lanes` cursors, so it
+///   earns the [`lane_discount`] — keyed on the *shard* size, not `n`,
+///   because that is the walk's working set (a shard sized under the
+///   cache budget was already cheap; lanes help the bigger-than-cache
+///   shards);
 /// * stitch: a serial scan of the contracted list — the term that
 ///   makes fragment-heavy topologies expensive, exactly as measured.
-///
-/// Assumes the walker's default lane count for the shard-local walk;
-/// see [`predicted_sharded_cost_lanes`].
-pub fn predicted_sharded_cost(n: usize, shard_size: usize, fragments: usize, p: usize) -> f64 {
-    predicted_sharded_cost_lanes(n, shard_size, fragments, p, DEFAULT_LANES)
-}
-
-/// [`predicted_sharded_cost`] with an explicit lane count: the
-/// shard-local fragment walk is a multi-chain chase (one chain per
-/// fragment), so it earns the [`lane_discount`] — keyed on the *shard*
-/// size, not `n`, because that is the walk's working set (a shard
-/// sized under the cache budget was already cheap; lanes help the
-/// bigger-than-cache shards).
-pub fn predicted_sharded_cost_lanes(
+pub fn predicted_sharded_cost(
     n: usize,
     shard_size: usize,
     fragments: usize,
@@ -607,28 +571,29 @@ mod tests {
 
     #[test]
     fn predict_best_dispatches_by_size() {
+        let best = |n, p| predict_best(n, p, RANK_ELEM_BYTES, DEFAULT_LANES);
         // Tiny lists: serial wins (no startup costs to amortize).
-        assert_eq!(predict_best(100, 4), AlgChoice::Serial);
-        assert_eq!(predict_best(1000, 4), AlgChoice::Serial);
+        assert_eq!(best(100, 4), AlgChoice::Serial);
+        assert_eq!(best(1000, 4), AlgChoice::Serial);
         // Large lists on a parallel machine: Reid-Miller wins.
-        assert_eq!(predict_best(1_000_000, 4), AlgChoice::ReidMiller);
-        assert_eq!(predict_best(10_000_000, 8), AlgChoice::ReidMiller);
+        assert_eq!(best(1_000_000, 4), AlgChoice::ReidMiller);
+        assert_eq!(best(10_000_000, 8), AlgChoice::ReidMiller);
         // On one thread, small lists stay serial (cache-resident, no
         // latency for lanes to hide, and nothing amortizes Reid-
         // Miller's 2× work)...
         for n in [100usize, 10_000, LANE_EFFECTIVE_MIN] {
-            assert_eq!(predict_best(n, 1), AlgChoice::Serial, "n = {n}");
+            assert_eq!(best(n, 1), AlgChoice::Serial, "n = {n}");
         }
         // ...but large lists flip to Reid-Miller even at p = 1: the
         // K-lane interleaved traversal hides DRAM latency the serial
         // chain structurally cannot (the paper's C-90 story).
         for n in [1_000_000usize, 100_000_000] {
-            assert_eq!(predict_best(n, 1), AlgChoice::ReidMiller, "n = {n}");
+            assert_eq!(best(n, 1), AlgChoice::ReidMiller, "n = {n}");
         }
         // With lanes forced to 1 the old single-thread rule returns.
         for n in [1_000_000usize, 100_000_000] {
-            let serial = predicted_cost_op_lanes(AlgChoice::Serial, n, 1, 8, 1);
-            let rm = predicted_cost_op_lanes(AlgChoice::ReidMiller, n, 1, 8, 1);
+            let serial = predicted_cost(AlgChoice::Serial, n, 1, RANK_ELEM_BYTES, 1);
+            let rm = predicted_cost(AlgChoice::ReidMiller, n, 1, RANK_ELEM_BYTES, 1);
             assert!(serial < rm, "n = {n}: single-lane RM must not beat serial on one thread");
         }
     }
@@ -653,50 +618,44 @@ mod tests {
 
     #[test]
     fn op_width_scales_cost_but_keeps_ordering() {
-        // An 8-byte scan is exactly the rank baseline.
-        for alg in AlgChoice::ALL {
-            assert_eq!(predicted_cost_op(alg, 50_000, 4, 8), predicted_cost(alg, 50_000, 4));
-        }
         // Wider values (16-byte affine maps, 24-byte segmented pairs)
         // cost strictly more, and the crossover moves down, never up:
         // any n the 8-byte model sends to Reid-Miller, the wider model
         // must too.
         let n = 2_000_000;
         assert!(
-            predicted_cost_op(AlgChoice::Serial, n, 4, 16)
-                > predicted_cost_op(AlgChoice::Serial, n, 4, 8)
+            predicted_cost(AlgChoice::Serial, n, 4, 16, DEFAULT_LANES)
+                > predicted_cost(AlgChoice::Serial, n, 4, 8, DEFAULT_LANES)
         );
         for n in [1000usize, 100_000, 1_000_000] {
-            if predict_best_op(n, 4, 8) == AlgChoice::ReidMiller {
-                assert_eq!(predict_best_op(n, 4, 16), AlgChoice::ReidMiller, "n = {n}");
+            if predict_best(n, 4, 8, DEFAULT_LANES) == AlgChoice::ReidMiller {
+                assert_eq!(predict_best(n, 4, 16, DEFAULT_LANES), AlgChoice::ReidMiller, "n = {n}");
             }
         }
         // One thread, big list: Reid-Miller wins at every width (the
         // lane discount applies to the traversal term regardless of
         // how wide the values are).
         for bytes in [8usize, 16, 24] {
-            assert_eq!(predict_best_op(10_000_000, 1, bytes), AlgChoice::ReidMiller);
+            assert_eq!(predict_best(10_000_000, 1, bytes, DEFAULT_LANES), AlgChoice::ReidMiller);
         }
     }
 
     #[test]
     fn predicted_cost_sane() {
+        let cost = |alg, n, p| predicted_cost(alg, n, p, RANK_ELEM_BYTES, DEFAULT_LANES);
         // Work-inefficient algorithms cost more than Reid-Miller at scale.
         let n = 1_000_000;
-        let rm = predicted_cost(AlgChoice::ReidMiller, n, 4);
-        assert!(predicted_cost(AlgChoice::Wyllie, n, 4) > rm);
-        assert!(predicted_cost(AlgChoice::MillerReif, n, 4) > rm);
-        assert!(predicted_cost(AlgChoice::AndersonMiller, n, 4) > rm);
+        let rm = cost(AlgChoice::ReidMiller, n, 4);
+        assert!(cost(AlgChoice::Wyllie, n, 4) > rm);
+        assert!(cost(AlgChoice::MillerReif, n, 4) > rm);
+        assert!(cost(AlgChoice::AndersonMiller, n, 4) > rm);
         // Costs are positive and monotone in n.
         for alg in AlgChoice::ALL {
-            assert!(predicted_cost(alg, 1000, 1) > 0.0);
-            assert!(predicted_cost(alg, 100_000, 1) > predicted_cost(alg, 1000, 1));
+            assert!(cost(alg, 1000, 1) > 0.0);
+            assert!(cost(alg, 100_000, 1) > cost(alg, 1000, 1));
         }
         // More threads help every parallel algorithm.
-        assert!(
-            predicted_cost(AlgChoice::ReidMiller, n, 8)
-                < predicted_cost(AlgChoice::ReidMiller, n, 2)
-        );
+        assert!(cost(AlgChoice::ReidMiller, n, 8) < cost(AlgChoice::ReidMiller, n, 2));
     }
 
     #[test]
@@ -706,9 +665,9 @@ mod tests {
         // (≈ n fragments) pays a linear serial stitch and should not.
         let (n, p) = (100_000_000usize, 8usize);
         let shard = 1 << 21;
-        let mono = predicted_cost(AlgChoice::ReidMiller, n, p);
-        let local = predicted_sharded_cost(n, shard, n / 4096, p);
-        let scattered = predicted_sharded_cost(n, shard, n, p);
+        let mono = predicted_cost(AlgChoice::ReidMiller, n, p, RANK_ELEM_BYTES, DEFAULT_LANES);
+        let local = predicted_sharded_cost(n, shard, n / 4096, p, DEFAULT_LANES);
+        let scattered = predicted_sharded_cost(n, shard, n, p, DEFAULT_LANES);
         assert!(local < mono, "local: sharded {local:.0} vs monolithic {mono:.0}");
         assert!(scattered > local, "fragment count must drive the stitch term");
     }
@@ -768,7 +727,7 @@ mod tests {
         // Building is strictly cheaper than building-and-querying.
         let (n, shard, p) = (1usize << 22, 1usize << 16, 8usize);
         let build = predicted_rebuild_cost_lanes(n, shard, p, DEFAULT_LANES);
-        let full = predicted_sharded_cost(n, shard, n / 4096, p);
+        let full = predicted_sharded_cost(n, shard, n / 4096, p, DEFAULT_LANES);
         assert!(build > 0.0 && build < full);
     }
 

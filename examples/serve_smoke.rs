@@ -8,8 +8,10 @@
 //!
 //! Connects over the Unix socket and drives every job frame through
 //! [`engine::Client::call`]: {inline list, resident handle} × {rank,
-//! add/max/min/xor/affine scan, segmented add}, then one pipelined
-//! window of 4 through `send` / `recv_pipelined`. Every reply is
+//! add/max/min/xor/affine scan, segmented add}, each once as sent and
+//! once routed through the shard-parallel path (`Call::sharded`; the
+//! reply's shard count is printed), then one pipelined window of 4
+//! through `send` / `recv_pipelined`. Every reply is
 //! checked byte for byte against a local [`listrank::HostRunner`] on
 //! the same inputs. Finally it prints the daemon's STATS report and
 //! sends SHUTDOWN.
@@ -23,10 +25,20 @@ fn main() {
 #[cfg(unix)]
 fn main() {
     use engine::client::{Call, Client, Source};
+    use engine::protocol::{OutputMeta, WireElem};
     use listkit::gen;
     use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
     use listkit::segmented::{self, SegOp};
     use listrank::{Algorithm, HostRunner};
+
+    /// `call` as sent, or routed through the shard-parallel path.
+    fn route<T: WireElem>(call: Call<'_, T>, sharded: bool) -> Call<'_, T> {
+        if sharded {
+            call.sharded()
+        } else {
+            call
+        }
+    }
 
     let socket = std::env::args().nth(1).unwrap_or_else(|| "/tmp/rankd.sock".to_string());
     // The daemon may still be binding; retry briefly before giving up.
@@ -62,31 +74,35 @@ fn main() {
 
     let handle = client.put(&list).expect("PUT").handle;
     for (name, src) in [("inline", Source::Inline(&list)), ("handle", Source::Handle(handle))] {
-        let served = client.call(&Call::rank(src)).expect("rank");
-        assert_eq!(served.output, ranks, "{name} rank must be byte-identical");
-        assert_ne!(served.meta.trace_id, 0, "server must echo a nonzero trace id");
-        println!(
-            "{name} rank({n}): parity OK  [trace {}, algorithm {}, exec {:.3} ms]",
-            served.meta.trace_id,
-            served.meta.algorithm.name(),
-            served.meta.exec_ns as f64 / 1e6
-        );
-        let check = |what: &str, ok: bool| {
-            assert!(ok, "{name} {what} must be byte-identical");
-            println!("{name} {what}({n}): parity OK");
-        };
-        let got = client.call(&Call::scan(src, &i64s, AddOp)).expect("add").output;
-        check("add", got == runner.scan(&list, &i64s, &AddOp));
-        let got = client.call(&Call::scan(src, &i64s, MaxOp)).expect("max").output;
-        check("max", got == runner.scan(&list, &i64s, &MaxOp));
-        let got = client.call(&Call::scan(src, &i64s, MinOp)).expect("min").output;
-        check("min", got == runner.scan(&list, &i64s, &MinOp));
-        let got = client.call(&Call::scan(src, &u64s, XorOp)).expect("xor").output;
-        check("xor", got == runner.scan(&list, &u64s, &XorOp));
-        let got = client.call(&Call::scan(src, &affs, AffineOp)).expect("affine").output;
-        check("affine", got == runner.scan(&list, &affs, &AffineOp));
-        let got = client.call(&Call::segmented(src, &i64s, &starts, AddOp)).expect("seg").output;
-        check("segmented add", got == seg_add);
+        // Every kind as sent, then through the shard-parallel branch.
+        for sharded in [false, true] {
+            let check = |what: &str, ok: bool, meta: &OutputMeta| {
+                assert!(ok, "{name} {what} (sharded: {sharded}) must be byte-identical");
+                assert_ne!(meta.trace_id, 0, "server must echo a nonzero trace id");
+                if sharded {
+                    println!("{name} sharded {what}({n}): parity OK [shards {}]", meta.shards);
+                } else {
+                    let (alg, ms) = (meta.algorithm.name(), meta.exec_ns as f64 / 1e6);
+                    println!("{name} {what}({n}): parity OK  [algorithm {alg}, exec {ms:.3} ms]");
+                }
+            };
+            let got = client.call(&route(Call::rank(src), sharded)).expect("rank");
+            check("rank", got.output == ranks, &got.meta);
+            let got = client.call(&route(Call::scan(src, &i64s, AddOp), sharded)).expect("add");
+            check("add", got.output == runner.scan(&list, &i64s, &AddOp), &got.meta);
+            let got = client.call(&route(Call::scan(src, &i64s, MaxOp), sharded)).expect("max");
+            check("max", got.output == runner.scan(&list, &i64s, &MaxOp), &got.meta);
+            let got = client.call(&route(Call::scan(src, &i64s, MinOp), sharded)).expect("min");
+            check("min", got.output == runner.scan(&list, &i64s, &MinOp), &got.meta);
+            let got = client.call(&route(Call::scan(src, &u64s, XorOp), sharded)).expect("xor");
+            check("xor", got.output == runner.scan(&list, &u64s, &XorOp), &got.meta);
+            let got =
+                client.call(&route(Call::scan(src, &affs, AffineOp), sharded)).expect("affine");
+            check("affine", got.output == runner.scan(&list, &affs, &AffineOp), &got.meta);
+            let seg = route(Call::segmented(src, &i64s, &starts, AddOp), sharded);
+            let got = client.call(&seg).expect("seg");
+            check("segmented add", got.output == seg_add, &got.meta);
+        }
     }
 
     // One pipelined window of 4, alternating inline and by-handle

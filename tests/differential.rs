@@ -124,33 +124,71 @@ fn sharded_path_matches_serial_on_every_topology() {
     }
 }
 
+/// The shard budget of [`engine_sharded_jobs_match_serial_on_every_topology`].
+const SHARD_BUDGET: usize = 512;
+
+/// Submit `req` through the sharded path; the returned check waits for
+/// it, byte-compares it with `oracle` and asserts that it sharded
+/// exactly when it exceeds [`SHARD_BUDGET`].
+fn submit_sharded<T: PartialEq + Send + 'static>(
+    engine: &Engine,
+    req: Request<Vec<T>>,
+    opts: JobOptions,
+    oracle: Vec<T>,
+    what: String,
+) -> Box<dyn FnOnce()> {
+    let n = req.len();
+    let handle = engine.submit_with(req.sharded(), opts).expect("submit");
+    Box::new(move || {
+        let report = handle.wait().expect("job completes");
+        assert!(report.output == oracle, "engine sharded {what} diverged");
+        assert_eq!(report.shards > 0, n > SHARD_BUDGET, "budget decides sharding for {what}");
+    })
+}
+
 #[test]
 fn engine_sharded_jobs_match_serial_on_every_topology() {
-    // The same zoo through the engine's RankSharded path, with a budget
-    // small enough that the larger sizes genuinely shard. One engine
-    // serves every job (exactly the serving-system configuration).
+    // The same zoo through the engine's sharded path — a rank, a
+    // non-commutative affine scan and a segmented add scan per list —
+    // with a budget small enough that the larger sizes genuinely shard.
+    // One engine serves every job (exactly the serving-system
+    // configuration).
+    use listkit::ops::{AddOp, Affine, AffineOp};
+    use listkit::segmented::serial_segmented_scan;
     let engine = Engine::new(
         EngineConfig::default()
             .with_workers(2)
             .with_inner_threads(2)
-            .with_shard_budget(512)
+            .with_shard_budget(SHARD_BUDGET)
             .with_queue_capacity(128),
     );
-    let mut pending = Vec::new();
+    let mut checks = Vec::new();
     for n in SIZES {
         for (name, list) in topologies(n) {
-            let oracle = listkit::serial::rank(&list);
-            let req = Request::rank(Arc::new(list)).sharded();
+            let list = Arc::new(list);
             let opts = JobOptions { seed: SEED ^ n as u64, algorithm: None, ..Default::default() };
-            let handle = engine.submit_with(req, opts).expect("submit");
-            pending.push((n, name, oracle, handle));
+            let what = |kind: &str| format!("{kind} on {name} n={n}");
+            let affs: Arc<Vec<Affine>> =
+                Arc::new((0..n as i64).map(|i| Affine::new((i % 5) - 2, (i % 11) - 5)).collect());
+            let i64s: Arc<Vec<i64>> = Arc::new((0..n as i64).map(|i| i * 3 - 7).collect());
+            let starts: Arc<Vec<bool>> = Arc::new((0..n).map(|v| v % 13 == 0).collect());
+            let rank = Request::rank(Arc::clone(&list));
+            let oracle = listkit::serial::rank(&list);
+            checks.push(submit_sharded(&engine, rank, opts, oracle, what("rank")));
+            let affine = Request::scan(Arc::clone(&list), Arc::clone(&affs), AffineOp);
+            let oracle = listkit::serial::scan(&list, &affs, &AffineOp);
+            checks.push(submit_sharded(&engine, affine, opts, oracle, what("affine")));
+            let seg = Request::segmented_scan(
+                Arc::clone(&list),
+                Arc::clone(&i64s),
+                Arc::clone(&starts),
+                AddOp,
+            );
+            let oracle = serial_segmented_scan(&list, &i64s, &starts, &AddOp);
+            checks.push(submit_sharded(&engine, seg, opts, oracle, what("segmented add")));
         }
     }
-    for (n, name, oracle, handle) in pending {
-        let report = handle.wait().expect("job completes");
-        assert_eq!(report.output, oracle, "engine sharded diverged on {name} n={n}");
-        assert_eq!(report.shards > 0, n > 512, "budget decides sharding for {name} n={n}");
-    }
+    checks.into_iter().for_each(|check| check());
     let stats = engine.shutdown();
     assert!(stats.sharded_jobs > 0, "the zoo exercised the sharded path");
 }
