@@ -62,8 +62,8 @@
 //! surfaced to the caller on the first failure.
 
 use crate::protocol::{
-    self, read_frame, write_frame, ErrorCode, Frame, FrameKind, OutputMeta, ReadFrameError,
-    WireElem, WireMutateOk, WireStats, WireStatsV2, MAX_FRAME_DEFAULT,
+    self, read_frame_into, write_frame, ErrorCode, FrameKind, OutputMeta, ReadFrameError, WireElem,
+    WireError, WireMutateOk, WireStats, WireStatsV2, MAX_FRAME_DEFAULT,
 };
 pub use crate::protocol::{Call, Source};
 use crate::store::PutReceipt;
@@ -295,6 +295,16 @@ pub struct Client {
     retry: RetryPolicy,
     server_version: u16,
     server_max_frame: u32,
+    /// The last reply's body. Its capacity is kept across replies, so
+    /// reading a reply touches no fresh memory once one as large has
+    /// been read.
+    reply: Vec<u8>,
+}
+
+/// A reply body that failed to decode is the server breaking the
+/// protocol.
+fn protocol_error(e: WireError) -> ClientError {
+    ClientError::Protocol(e.to_string())
 }
 
 impl Client {
@@ -306,6 +316,7 @@ impl Client {
             retry: RetryPolicy::none(),
             server_version: 0,
             server_max_frame: MAX_FRAME_DEFAULT,
+            reply: Vec::new(),
         };
         client.handshake()?;
         Ok(client)
@@ -370,11 +381,11 @@ impl Client {
 
     /// Perform the HELLO handshake on the current stream.
     fn handshake(&mut self) -> Result<(), ClientError> {
-        let reply = self.call_once(FrameKind::Hello, &protocol::hello_body())?;
-        match FrameKind::from_u8(reply.kind) {
+        let kind = self.call_once(FrameKind::Hello, &protocol::hello_body())?;
+        match FrameKind::from_u8(kind) {
             Some(FrameKind::HelloOk) => {
-                let (version, max_frame) = protocol::decode_hello_ok(&reply.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
+                let (version, max_frame) =
+                    protocol::decode_hello_ok(&self.reply).map_err(protocol_error)?;
                 self.server_version = version;
                 self.server_max_frame = max_frame;
                 Ok(())
@@ -416,11 +427,12 @@ impl Client {
     /// reconnect (for transport errors) and resend, with backoff.
     /// MUTATE is never retried — its first attempt may have applied
     /// before the reply was lost, and resending would double-apply.
-    fn round_trip(&mut self, kind: FrameKind, body: &[u8]) -> Result<Frame, ClientError> {
+    /// Returns the reply's kind byte; its body is in `self.reply`.
+    fn round_trip(&mut self, kind: FrameKind, body: &[u8]) -> Result<u8, ClientError> {
         let mut attempt = 0u32;
         loop {
             let err = match self.call_once(kind, body) {
-                Ok(frame) => return Ok(frame),
+                Ok(reply_kind) => return Ok(reply_kind),
                 Err(e) => e,
             };
             if kind == FrameKind::Mutate
@@ -439,12 +451,13 @@ impl Client {
         }
     }
 
-    /// Read one reply frame off the stream (no error-frame
-    /// conversion; EOF and oversized replies surface as errors).
-    fn read_reply_frame(&mut self) -> Result<Frame, ClientError> {
+    /// Read one reply frame off the stream into `self.reply` and return
+    /// its kind byte (no error-frame conversion; EOF and oversized
+    /// replies surface as errors).
+    fn read_reply_frame(&mut self) -> Result<u8, ClientError> {
         let reply_cap = self.reply_cap();
-        match read_frame(&mut self.stream, reply_cap) {
-            Ok(Some(f)) => Ok(f),
+        match read_frame_into(&mut self.stream, reply_cap, &mut self.reply) {
+            Ok(Some(kind)) => Ok(kind),
             Ok(None) => Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
@@ -456,15 +469,13 @@ impl Client {
 
     /// One round trip: write a frame, read the reply, surface error
     /// frames as [`ClientError::Server`].
-    fn call_once(&mut self, kind: FrameKind, body: &[u8]) -> Result<Frame, ClientError> {
+    fn call_once(&mut self, kind: FrameKind, body: &[u8]) -> Result<u8, ClientError> {
         write_frame(&mut self.stream, kind as u8, body)?;
-        let frame = self.read_reply_frame()?;
-        if FrameKind::from_u8(frame.kind) == Some(FrameKind::Error) {
-            let (code, kind, message) = protocol::decode_error(&frame.body)
-                .map_err(|e| ClientError::Protocol(e.to_string()))?;
-            return Err(ClientError::Server { code, kind, message });
+        let reply_kind = self.read_reply_frame()?;
+        if FrameKind::from_u8(reply_kind) == Some(FrameKind::Error) {
+            return Err(server_error(&self.reply)?);
         }
-        Ok(frame)
+        Ok(reply_kind)
     }
 
     /// Write one pre-encoded request frame **without** waiting for its
@@ -489,27 +500,19 @@ impl Client {
     pub fn recv_pipelined<T: WireElem>(
         &mut self,
     ) -> Result<(u64, Result<ServedOutput<T>, ClientError>), ClientError> {
-        let frame = self.read_reply_frame()?;
-        match FrameKind::from_u8(frame.kind) {
+        let kind = self.read_reply_frame()?;
+        match FrameKind::from_u8(kind) {
             Some(FrameKind::OutputP) => {
-                let (id, inner) = protocol::decode_pipelined(&frame.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                let (meta, output) = protocol::decode_output::<T>(inner)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                Ok((id, Ok(ServedOutput { output, meta })))
+                let (id, inner) =
+                    protocol::decode_pipelined(&self.reply).map_err(protocol_error)?;
+                Ok((id, Ok(served_output(inner)?)))
             }
             Some(FrameKind::ErrorP) => {
-                let (id, inner) = protocol::decode_pipelined(&frame.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                let (code, kind, message) = protocol::decode_error(inner)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                Ok((id, Err(ClientError::Server { code, kind, message })))
+                let (id, inner) =
+                    protocol::decode_pipelined(&self.reply).map_err(protocol_error)?;
+                Ok((id, Err(server_error(inner)?)))
             }
-            Some(FrameKind::Error) => {
-                let (code, kind, message) = protocol::decode_error(&frame.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                Err(ClientError::Server { code, kind, message })
-            }
+            Some(FrameKind::Error) => Err(server_error(&self.reply)?),
             other => Err(ClientError::Protocol(format!(
                 "expected pipelined OUTPUT/ERROR, got {other:?}"
             ))),
@@ -549,13 +552,8 @@ impl Client {
         kind: FrameKind,
         body: &[u8],
     ) -> Result<ServedOutput<T>, ClientError> {
-        let reply = self.round_trip(kind, body)?;
-        match FrameKind::from_u8(reply.kind) {
-            Some(FrameKind::Output) => {
-                let (meta, output) = protocol::decode_output::<T>(&reply.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                Ok(ServedOutput { output, meta })
-            }
+        match FrameKind::from_u8(self.round_trip(kind, body)?) {
+            Some(FrameKind::Output) => served_output(&self.reply),
             other => Err(ClientError::Protocol(format!("expected OUTPUT, got {other:?}"))),
         }
     }
@@ -565,11 +563,10 @@ impl Client {
     /// [`Call`]s and the bytes charged against the store budget.
     /// Handles are scoped to this connection and die with it.
     pub fn put(&mut self, list: &LinkedList) -> Result<PutReceipt, ClientError> {
-        let reply = self.round_trip(FrameKind::Put, &protocol::put_body(list))?;
-        match FrameKind::from_u8(reply.kind) {
+        match FrameKind::from_u8(self.round_trip(FrameKind::Put, &protocol::put_body(list))?) {
             Some(FrameKind::PutOk) => {
-                let (handle, bytes) = protocol::decode_put_ok(&reply.body)
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
+                let (handle, bytes) =
+                    protocol::decode_put_ok(&self.reply).map_err(protocol_error)?;
                 Ok(PutReceipt { handle, bytes })
             }
             other => Err(ClientError::Protocol(format!("expected PUT_OK, got {other:?}"))),
@@ -593,10 +590,10 @@ impl Client {
     /// latency measurement, like [`Client::request_encoded`] for
     /// queries.
     pub fn mutate_encoded(&mut self, body: &[u8]) -> Result<WireMutateOk, ClientError> {
-        let reply = self.round_trip(FrameKind::Mutate, body)?;
-        match FrameKind::from_u8(reply.kind) {
-            Some(FrameKind::MutateOk) => protocol::decode_mutate_ok(&reply.body)
-                .map_err(|e| ClientError::Protocol(e.to_string())),
+        match FrameKind::from_u8(self.round_trip(FrameKind::Mutate, body)?) {
+            Some(FrameKind::MutateOk) => {
+                protocol::decode_mutate_ok(&self.reply).map_err(protocol_error)
+            }
             other => Err(ClientError::Protocol(format!("expected MUTATE_OK, got {other:?}"))),
         }
     }
@@ -606,8 +603,7 @@ impl Client {
     /// owned by another connection) fails with
     /// [`ErrorCode::StaleHandle`]; the connection survives.
     pub fn drop_handle(&mut self, handle: u64) -> Result<(), ClientError> {
-        let reply = self.round_trip(FrameKind::Drop, &protocol::drop_body(handle))?;
-        match FrameKind::from_u8(reply.kind) {
+        match FrameKind::from_u8(self.round_trip(FrameKind::Drop, &protocol::drop_body(handle))?) {
             Some(FrameKind::DropOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected DROP_OK, got {other:?}"))),
         }
@@ -616,10 +612,8 @@ impl Client {
     /// Fetch the daemon's metrics: engine totals, the serving layer's
     /// connection/frame/byte counters, and the rendered stats report.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        let reply = self.round_trip(FrameKind::Stats, &[])?;
-        match FrameKind::from_u8(reply.kind) {
-            Some(FrameKind::StatsOk) => protocol::decode_stats(&reply.body)
-                .map_err(|e| ClientError::Protocol(e.to_string())),
+        match FrameKind::from_u8(self.round_trip(FrameKind::Stats, &[])?) {
+            Some(FrameKind::StatsOk) => protocol::decode_stats(&self.reply).map_err(protocol_error),
             other => Err(ClientError::Protocol(format!("expected STATS_OK, got {other:?}"))),
         }
     }
@@ -629,10 +623,10 @@ impl Client {
     /// and dispatch matrix, and the gauge block — everything the
     /// `rankd stats` dashboard renders.
     pub fn stats_v2(&mut self) -> Result<WireStatsV2, ClientError> {
-        let reply = self.round_trip(FrameKind::StatsV2, &[])?;
-        match FrameKind::from_u8(reply.kind) {
-            Some(FrameKind::StatsV2Ok) => protocol::decode_stats_v2(&reply.body)
-                .map_err(|e| ClientError::Protocol(e.to_string())),
+        match FrameKind::from_u8(self.round_trip(FrameKind::StatsV2, &[])?) {
+            Some(FrameKind::StatsV2Ok) => {
+                protocol::decode_stats_v2(&self.reply).map_err(protocol_error)
+            }
             other => Err(ClientError::Protocol(format!("expected STATS_V2_OK, got {other:?}"))),
         }
     }
@@ -641,10 +635,23 @@ impl Client {
     /// client — the server closes this connection once it
     /// acknowledges.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
-        let reply = self.round_trip(FrameKind::Shutdown, &[])?;
-        match FrameKind::from_u8(reply.kind) {
+        match FrameKind::from_u8(self.round_trip(FrameKind::Shutdown, &[])?) {
             Some(FrameKind::ShutdownOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected SHUTDOWN_OK, got {other:?}"))),
         }
     }
+}
+
+/// Decode an OUTPUT body into a [`ServedOutput`]; its `output` is the
+/// one fresh allocation a reply costs.
+fn served_output<T: WireElem>(body: &[u8]) -> Result<ServedOutput<T>, ClientError> {
+    let (meta, output) = protocol::decode_output::<T>(body).map_err(protocol_error)?;
+    Ok(ServedOutput { output, meta })
+}
+
+/// Decode an ERROR body into the [`ClientError::Server`] it reports;
+/// the outer `Err` is an undecodable body.
+fn server_error(body: &[u8]) -> Result<ClientError, ClientError> {
+    let (code, kind, message) = protocol::decode_error(body).map_err(protocol_error)?;
+    Ok(ClientError::Server { code, kind, message })
 }

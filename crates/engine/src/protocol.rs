@@ -414,29 +414,98 @@ impl From<std::io::Error> for ReadFrameError {
     }
 }
 
-/// Write one frame; returns the total bytes put on the wire
-/// (`4 + 1 + body.len()`). A body whose length cannot be represented
-/// in the `u32` prefix is an [`std::io::ErrorKind::InvalidInput`]
-/// error at the sender — never a silently wrapped prefix that would
-/// desync the peer.
-pub fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<u64> {
-    let len = u32::try_from(1 + body.len() as u64).map_err(|_| {
+/// The longest frame header: the `u32` length prefix, the kind byte
+/// and a pipelined `request_id: u64`.
+pub(crate) const FRAME_HEADER_MAX: usize = 4 + 1 + 8;
+
+/// Append one frame header to `out` — the one writer of frame headers:
+/// the `u32` length prefix covering the kind byte, the echoed
+/// `request_id` (OUTPUT_P / ERROR_P only) and `body_len` body bytes,
+/// then the kind byte and the id. The body follows in the caller's
+/// hands. A length that cannot be represented in the prefix is an
+/// [`std::io::ErrorKind::InvalidInput`] error and appends nothing —
+/// never a silently wrapped prefix that would desync the peer.
+fn put_frame_header(
+    out: &mut Vec<u8>,
+    kind: u8,
+    request_id: Option<u64>,
+    body_len: usize,
+) -> std::io::Result<()> {
+    let id_len = if request_id.is_some() { 8 } else { 0 };
+    let len = u32::try_from(1 + id_len + body_len as u64).map_err(|_| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!("frame body of {} bytes exceeds the u32 length prefix", body.len()),
+            format!("frame body of {body_len} bytes exceeds the u32 length prefix"),
         )
     })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[kind])?;
+    out.extend_from_slice(&len.to_le_bytes());
+    out.push(kind);
+    if let Some(id) = request_id {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// Append one whole reply frame to `out`: the header — in the
+/// pipelined envelope when `request_id` is set, so OUTPUT goes out as
+/// OUTPUT_P and ERROR as ERROR_P, the echoed id ahead of the body —
+/// then the `body_len` bytes `put_body` appends. A body the `u32`
+/// length prefix cannot cover is an
+/// [`std::io::ErrorKind::InvalidInput`] error, before `put_body` runs.
+///
+/// # Panics
+/// Panics if `put_body` appends other than `body_len` bytes: the
+/// length prefix would no longer frame the stream.
+pub fn reply_frame_into(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    request_id: Option<u64>,
+    body_len: usize,
+    put_body: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let kind = match (request_id, kind) {
+        (None, kind) => kind,
+        (Some(_), FrameKind::Error) => FrameKind::ErrorP,
+        (Some(_), _) => FrameKind::OutputP,
+    };
+    put_frame_header(out, kind as u8, request_id, body_len)?;
+    let start = out.len();
+    put_body(out);
+    assert_eq!(out.len() - start, body_len, "reply body length disagrees with its header");
+    Ok(())
+}
+
+/// Write one frame; returns the total bytes put on the wire
+/// (`4 + 1 + body.len()`). The body is written from the caller's slice,
+/// never copied. A body whose length cannot be represented in the `u32`
+/// prefix is an [`std::io::ErrorKind::InvalidInput`] error at the
+/// sender — never a silently wrapped prefix that would desync the peer.
+pub fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<u64> {
+    let mut header = Vec::with_capacity(FRAME_HEADER_MAX);
+    put_frame_header(&mut header, kind, None, body.len())?;
+    w.write_all(&header)?;
     w.write_all(body)?;
     w.flush()?;
-    Ok(4 + 1 + body.len() as u64)
+    Ok((header.len() + body.len()) as u64)
 }
 
 /// Read one frame. `Ok(None)` means the peer closed the stream cleanly
 /// (EOF before any byte of the next frame); EOF *inside* a frame is an
 /// [`ReadFrameError::Io`] error.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Frame>, ReadFrameError> {
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, max_frame, &mut body)?.map(|kind| Frame { kind, body }))
+}
+
+/// [`read_frame`] into a caller-owned buffer: on `Ok(Some(kind))`
+/// `body` holds exactly the frame's body. The buffer's capacity is
+/// reused across calls, so a reader that keeps one buffer touches no
+/// fresh memory for replies no larger than the ones before.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_frame: u32,
+    body: &mut Vec<u8>,
+) -> Result<Option<u8>, ReadFrameError> {
     let mut len_buf = [0u8; 4];
     // Hand-rolled first read so a clean close is distinguishable from a
     // truncated frame.
@@ -467,9 +536,10 @@ pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Frame>, Re
     }
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    let mut body = vec![0u8; len as usize - 1];
-    r.read_exact(&mut body)?;
-    Ok(Some(Frame { kind: kind[0], body }))
+    // Every byte is overwritten below, so only growth is zero-filled.
+    body.resize(len as usize - 1, 0);
+    r.read_exact(body)?;
+    Ok(Some(kind[0]))
 }
 
 // ---------------------------------------------------------------------
@@ -897,11 +967,17 @@ fn decode_job(
 /// the [`ErrorCode`] the server should answer with; none of them are
 /// connection-fatal (the whole body was already consumed off the wire).
 pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
-    let kind = FrameKind::from_u8(frame.kind).ok_or(WireError {
+    decode_request_parts(frame.kind, &frame.body)
+}
+
+/// [`decode_request`] of a frame's kind byte and a borrowed body, so a
+/// reader decodes straight out of its read buffer.
+pub fn decode_request_parts(kind: u8, body: &[u8]) -> Result<WireRequest, WireError> {
+    let kind = FrameKind::from_u8(kind).ok_or(WireError {
         code: ErrorCode::UnknownKind,
-        message: format!("frame kind {:#04x}", frame.kind),
+        message: format!("frame kind {kind:#04x}"),
     })?;
-    let mut d = Dec::new(&frame.body);
+    let mut d = Dec::new(body);
     let req = match kind {
         FrameKind::Hello => {
             let magic = d.u32("magic")?;
@@ -1363,20 +1439,37 @@ pub struct OutputMeta {
     pub trace_id: u64,
 }
 
+/// OUTPUT body bytes ahead of the payload: algorithm, shards, queued
+/// and exec nanoseconds, trace id, element count.
+const OUTPUT_META_BYTES: usize = 1 + 4 + 8 + 8 + 8 + 4;
+
+/// The length of the OUTPUT body [`output_body`] writes for `n`
+/// elements of `T`.
+pub fn output_body_len<T: WireElem>(n: usize) -> usize {
+    OUTPUT_META_BYTES + T::BYTES * n
+}
+
 /// OUTPUT body: metadata + the typed payload.
 pub fn output_body<T: WireElem>(meta: &OutputMeta, values: &[T]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(1 + 4 + 8 + 8 + 8 + 4 + T::BYTES * values.len());
-    let code = Algorithm::ALL.iter().position(|a| *a == meta.algorithm).expect("known algorithm");
-    b.push(code as u8);
-    b.extend_from_slice(&meta.shards.to_le_bytes());
-    b.extend_from_slice(&meta.queued_ns.to_le_bytes());
-    b.extend_from_slice(&meta.exec_ns.to_le_bytes());
-    b.extend_from_slice(&meta.trace_id.to_le_bytes());
-    b.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        v.put(&mut b);
-    }
+    let mut b = Vec::new();
+    output_body_into(meta, values, &mut b);
     b
+}
+
+/// Append the OUTPUT body of [`output_body`] to `out`, so a reply can
+/// be framed into a reused buffer behind its header.
+pub fn output_body_into<T: WireElem>(meta: &OutputMeta, values: &[T], out: &mut Vec<u8>) {
+    out.reserve(output_body_len::<T>(values.len()));
+    let code = Algorithm::ALL.iter().position(|a| *a == meta.algorithm).expect("known algorithm");
+    out.push(code as u8);
+    out.extend_from_slice(&meta.shards.to_le_bytes());
+    out.extend_from_slice(&meta.queued_ns.to_le_bytes());
+    out.extend_from_slice(&meta.exec_ns.to_le_bytes());
+    out.extend_from_slice(&meta.trace_id.to_le_bytes());
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for &v in values {
+        v.put(out);
+    }
 }
 
 /// Decode an OUTPUT body; the caller supplies the element type it

@@ -4,12 +4,13 @@
 //! owns every connection fd (Unix domain socket, and optionally TCP
 //! via [`ServeConfig::with_tcp`]), multiplexes readiness with
 //! `poll(2)` ([`crate::poll`]), and decodes [`crate::protocol`] frames
-//! out of per-connection read buffers. Job-bearing frames are
+//! in place in per-connection read buffers. Job-bearing frames are
 //! submitted through the engine's *non-blocking* callback path; the
-//! worker that settles a job pushes the encoded reply into a
-//! completion hub and wakes the reactor over a self-pipe. No thread
-//! is parked per in-flight request, which is what makes pipelining
-//! scale:
+//! worker that settles a job frames the whole reply once, into a
+//! recycled buffer, pushes it into a completion hub and wakes the
+//! reactor over a self-pipe; the reactor queues that buffer on the
+//! connection and writes it as it is. No thread is parked per
+//! in-flight request, which is what makes pipelining scale:
 //!
 //! * **Pipelining (v6).** A request carrying
 //!   [`protocol::FLAG_REQUEST_ID`] does not serialize the connection:
@@ -63,9 +64,9 @@ use crate::fault::FaultPlane;
 use crate::job::{JobError, JobOptions, JobReport, Request};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
-    self, error_body, ErrorCode, FaultGauges, Frame, FrameKind, Job, JobFrame, MutGauges,
-    SchedGauges, Source, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp, WireRequest,
-    WireStats, WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
+    self, error_body, ErrorCode, FaultGauges, FrameKind, Job, JobFrame, MutGauges, SchedGauges,
+    Source, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp, WireRequest, WireStats,
+    WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
 };
 use crate::queue::SubmitError;
 use crate::rankd_log;
@@ -75,9 +76,10 @@ use crate::telemetry::log::Level;
 use crate::telemetry::{self, AtomicHistogram, Phase};
 use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -313,6 +315,34 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: &ServeConfig) -> Shared {
+        Shared {
+            shutdown: AtomicBool::new(false),
+            drain_deadline: Mutex::new(None),
+            drain_grace: cfg.drain_grace,
+            connections_total: AtomicU64::new(0),
+            connections_active: AtomicU64::new(0),
+            peak_connections: AtomicU64::new(0),
+            frames_in: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            bytes_in: AtomicU64::new(0),
+            bytes_out: AtomicU64::new(0),
+            errors_sent: AtomicU64::new(0),
+            busy_rejected: AtomicU64::new(0),
+            store: Arc::new(DatasetStore::new(cfg.store_budget)),
+            fault: Arc::clone(&cfg.fault),
+            shed_queue_depth: cfg.shed_queue_depth,
+            shed_store_bytes: cfg.shed_store_bytes,
+            shed_queue: AtomicU64::new(0),
+            shed_store: AtomicU64::new(0),
+            quota: QuotaTable::new(cfg.inflight_quota),
+            store_quota: cfg.store_quota,
+            quota_rejected_store: AtomicU64::new(0),
+            reply_reorders: AtomicU64::new(0),
+            pipeline_depth: AtomicHistogram::new(),
+        }
+    }
+
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let mut d = self.drain_deadline.lock().expect("drain deadline poisoned");
@@ -420,31 +450,7 @@ impl Server {
             }
             None => None,
         };
-        let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            drain_deadline: Mutex::new(None),
-            drain_grace: cfg.drain_grace,
-            connections_total: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            peak_connections: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            errors_sent: AtomicU64::new(0),
-            busy_rejected: AtomicU64::new(0),
-            store: Arc::new(DatasetStore::new(cfg.store_budget)),
-            fault: Arc::clone(&cfg.fault),
-            shed_queue_depth: cfg.shed_queue_depth,
-            shed_store_bytes: cfg.shed_store_bytes,
-            shed_queue: AtomicU64::new(0),
-            shed_store: AtomicU64::new(0),
-            quota: QuotaTable::new(cfg.inflight_quota),
-            store_quota: cfg.store_quota,
-            quota_rejected_store: AtomicU64::new(0),
-            reply_reorders: AtomicU64::new(0),
-            pipeline_depth: AtomicHistogram::new(),
-        });
+        let shared = Arc::new(Shared::new(&cfg));
         Ok(Server { engine, cfg, listener, tcp, shared })
     }
 
@@ -472,7 +478,7 @@ impl Server {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let hub = Arc::new(Hub { queue: Mutex::new(Vec::new()), wake_tx });
+        let hub = Arc::new(Hub::new(wake_tx));
         let mut reactor = Reactor {
             engine: self.engine,
             cfg: self.cfg,
@@ -497,10 +503,21 @@ const TICK_MS: i32 = 25;
 /// Read chunk size per `read(2)` call.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Per-connection write-buffer high watermark: past it the reactor
+/// Most queued reply frames one vectored write hands the socket.
+const MAX_IOV: usize = 32;
+
+/// Most reply buffers the [`BufPool`] keeps.
+const POOL_MAX_BUFS: usize = 8;
+
+/// Most bytes of capacity the [`BufPool`] keeps: one 2²²-element
+/// reply (32 MiB of `u64` ranks plus its header) fits, a second does
+/// not, so a closed-loop client at that size reuses one buffer.
+const POOL_MAX_BYTES: usize = 64 << 20;
+
+/// Per-connection pending-reply high watermark: past it the reactor
 /// stops *reading* the connection (natural pipelining backpressure —
 /// the client must drain replies before submitting more).
-const WBUF_HIGH_WATERMARK: usize = 1 << 20;
+const PENDING_HIGH_WATERMARK: usize = 1 << 20;
 
 /// How long a connection's pending reply bytes may sit with zero write
 /// progress before the reactor gives the client up for dead. Bounds
@@ -556,6 +573,13 @@ impl Write for Transport {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Transport::Unix(s) => s.write_vectored(bufs),
+            Transport::Tcp(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Transport::Unix(s) => s.flush(),
@@ -564,26 +588,82 @@ impl Write for Transport {
     }
 }
 
-/// A settled job's reply, pushed by the worker callback and drained by
-/// the reactor. `kind` is OUTPUT or ERROR; [`Conn::enqueue`] wraps it
-/// in the pipelined envelope when `request_id` is set.
+/// Reply buffers recycled between the workers that frame replies and
+/// the reactor that writes them. A reused buffer keeps its pages
+/// mapped, so a large reply touches no fresh memory; the pool holds at
+/// most [`POOL_MAX_BUFS`] buffers and [`POOL_MAX_BYTES`] of capacity.
+#[derive(Default)]
+struct BufPool {
+    bufs: Mutex<Vec<Vec<u8>>>,
+}
+
+impl BufPool {
+    /// An empty buffer with room for `need` bytes: the smallest pooled
+    /// one that fits, else a fresh one.
+    fn take(&self, need: usize) -> Vec<u8> {
+        let pooled = {
+            let mut bufs = self.bufs.lock().expect("reply pool poisoned");
+            let best = (0..bufs.len())
+                .filter(|&i| bufs[i].capacity() >= need)
+                .min_by_key(|&i| bufs[i].capacity());
+            best.map(|i| bufs.swap_remove(i))
+        };
+        pooled.unwrap_or_else(|| Vec::with_capacity(need))
+    }
+
+    /// Return a written buffer; it is dropped instead when keeping it
+    /// would pass the pool's bound.
+    fn give(&self, mut buf: Vec<u8>) {
+        buf.clear();
+        let mut bufs = self.bufs.lock().expect("reply pool poisoned");
+        let held: usize = bufs.iter().map(Vec::capacity).sum();
+        if bufs.len() < POOL_MAX_BUFS && held + buf.capacity() <= POOL_MAX_BYTES {
+            bufs.push(buf);
+        }
+    }
+}
+
+/// Frame one reply into a pooled buffer with
+/// [`protocol::reply_frame_into`]. `None` when the body overflows the
+/// `u32` length prefix.
+fn frame_reply(
+    pool: &BufPool,
+    kind: FrameKind,
+    request_id: Option<u64>,
+    body_len: usize,
+    put_body: impl FnOnce(&mut Vec<u8>),
+) -> Option<Vec<u8>> {
+    let mut frame = pool.take(protocol::FRAME_HEADER_MAX + body_len);
+    protocol::reply_frame_into(&mut frame, kind, request_id, body_len, put_body).ok()?;
+    Some(frame)
+}
+
+/// A settled job's reply, framed by the worker callback and drained by
+/// the reactor, which queues `frame` on the connection as it is.
+/// `kind` is OUTPUT or ERROR, whether or not the frame is pipelined.
 struct Completion {
     conn: u64,
     request_id: Option<u64>,
     arrival_seq: u64,
     kind: FrameKind,
-    body: Vec<u8>,
+    frame: Vec<u8>,
     trace_id: u64,
 }
 
-/// The completion hub: worker callbacks push encoded replies here and
-/// wake the reactor over the self-pipe.
+/// The completion hub: worker callbacks frame replies into buffers
+/// from its pool, push them here and wake the reactor over the
+/// self-pipe.
 struct Hub {
     queue: Mutex<Vec<Completion>>,
     wake_tx: UnixStream,
+    pool: BufPool,
 }
 
 impl Hub {
+    fn new(wake_tx: UnixStream) -> Hub {
+        Hub { queue: Mutex::new(Vec::new()), wake_tx, pool: BufPool::default() }
+    }
+
     /// Queue one reply. Only the push that finds the hub empty writes a
     /// wake byte: the reactor drains the pipe before the hub, so every
     /// later push rides the wake already pending.
@@ -617,9 +697,14 @@ struct ReplyCtx {
     _pin: Option<Arc<DatasetRef>>,
 }
 
-/// Encode a settled job as its OUTPUT or ERROR reply.
-fn job_reply<T: WireElem>(res: Result<JobReport<Vec<T>>, JobError>) -> (FrameKind, Vec<u8>) {
-    match res {
+/// Frame a settled job as its whole OUTPUT or ERROR reply frame (the
+/// pipelined kind when `request_id` is set), in a buffer from `pool`.
+fn job_reply<T: WireElem>(
+    res: Result<JobReport<Vec<T>>, JobError>,
+    request_id: Option<u64>,
+    pool: &BufPool,
+) -> (FrameKind, Vec<u8>) {
+    let (code, msg) = match res {
         Ok(report) => {
             let meta = protocol::OutputMeta {
                 algorithm: report.algorithm,
@@ -628,26 +713,32 @@ fn job_reply<T: WireElem>(res: Result<JobReport<Vec<T>>, JobError>) -> (FrameKin
                 exec_ns: report.exec_ns,
                 trace_id: report.trace_id,
             };
-            (FrameKind::Output, protocol::output_body(&meta, &report.output))
+            let values = &report.output;
+            let len = protocol::output_body_len::<T>(values.len());
+            let put = |frame: &mut Vec<u8>| protocol::output_body_into(&meta, values, frame);
+            if let Some(frame) = frame_reply(pool, FrameKind::Output, request_id, len, put) {
+                return (FrameKind::Output, frame);
+            }
+            (ErrorCode::InternalError, "reply exceeds the u32 frame length")
         }
-        Err(e) => {
-            let (code, msg) = match e {
-                // The worker caught the panic; only this request is
-                // lost and the connection keeps being served.
-                JobError::Failed => (ErrorCode::InternalError, "job execution panicked"),
-                // The server never cancels its own jobs; defensive arm.
-                JobError::Cancelled => (ErrorCode::JobFailed, "job cancelled"),
-                JobError::DeadlineExceeded => {
-                    (ErrorCode::DeadlineExceeded, "request deadline exceeded in queue")
-                }
-            };
-            (FrameKind::Error, error_body(code, msg))
+        // The worker caught the panic; only this request is lost and
+        // the connection keeps being served.
+        Err(JobError::Failed) => (ErrorCode::InternalError, "job execution panicked"),
+        // The server never cancels its own jobs; defensive arm.
+        Err(JobError::Cancelled) => (ErrorCode::JobFailed, "job cancelled"),
+        Err(JobError::DeadlineExceeded) => {
+            (ErrorCode::DeadlineExceeded, "request deadline exceeded in queue")
         }
-    }
+    };
+    let body = error_body(code, msg);
+    let frame =
+        frame_reply(pool, FrameKind::Error, request_id, body.len(), |f| f.extend_from_slice(&body))
+            .expect("a short error body fits the length prefix");
+    (FrameKind::Error, frame)
 }
 
 /// Offer one typed request to the engine's non-blocking path; its
-/// completion callback encodes the reply and pushes it to the hub.
+/// completion callback frames the reply and pushes it to the hub.
 fn submit<T: WireElem + Send + Sync + 'static>(
     engine: &Engine,
     req: Request<Vec<T>>,
@@ -656,13 +747,13 @@ fn submit<T: WireElem + Send + Sync + 'static>(
     hub: Arc<Hub>,
 ) -> Result<u64, SubmitError> {
     engine.try_submit_callback(req, opts, move |res| {
-        let (kind, body) = job_reply::<T>(res);
+        let (kind, frame) = job_reply::<T>(res, ctx.request_id, &hub.pool);
         hub.push(Completion {
             conn: ctx.conn,
             request_id: ctx.request_id,
             arrival_seq: ctx.arrival_seq,
             kind,
-            body,
+            frame,
             trace_id: ctx.trace_id,
         });
     })
@@ -757,7 +848,7 @@ fn submit_job(
 }
 
 /// One connection's state in the reactor: the socket, read buffer
-/// (partial and waiting frames), pending-reply write buffer,
+/// (partial and waiting frames), pending-reply frame queue,
 /// handshake state, and the in-flight set.
 struct Conn {
     id: u64,
@@ -765,9 +856,9 @@ struct Conn {
     /// Unparsed inbound bytes; `rpos` marks how far parsing consumed.
     rbuf: Vec<u8>,
     rpos: usize,
-    /// Encoded-but-unflushed reply bytes; `wpos` marks how far the
-    /// socket accepted.
-    wbuf: Vec<u8>,
+    /// Whole reply frames not yet fully written, oldest first; `wpos`
+    /// marks how far the socket accepted the front one.
+    wq: VecDeque<Vec<u8>>,
     wpos: usize,
     /// Whether a HELLO has been accepted on this connection.
     greeted: bool,
@@ -780,7 +871,7 @@ struct Conn {
     blocked: bool,
     /// Next arrival sequence number (orders reorder detection).
     next_arrival: u64,
-    /// Close once `wbuf` fully drains (goodbye frame already queued).
+    /// Close once `wq` fully drains (goodbye frame already queued).
     close_after_flush: bool,
     /// Peer sent EOF: parse what's buffered, flush what's owed, then
     /// close.
@@ -799,7 +890,7 @@ impl Conn {
             sock,
             rbuf: Vec::new(),
             rpos: 0,
-            wbuf: Vec::new(),
+            wq: VecDeque::new(),
             wpos: 0,
             greeted: false,
             inflight: HashMap::new(),
@@ -813,7 +904,11 @@ impl Conn {
     }
 
     fn pending_write(&self) -> bool {
-        self.wbuf.len() > self.wpos
+        !self.wq.is_empty()
+    }
+
+    fn pending_bytes(&self) -> usize {
+        self.wq.iter().map(Vec::len).sum::<usize>() - self.wpos
     }
 
     /// Whether the reactor should poll this connection for input.
@@ -823,7 +918,7 @@ impl Conn {
             && !self.close_after_flush
             && !drained
             && !self.blocked
-            && (self.wbuf.len() - self.wpos) < WBUF_HIGH_WATERMARK
+            && self.pending_bytes() < PENDING_HIGH_WATERMARK
     }
 
     /// No job in flight and no reply owed. A waiting or partial frame
@@ -832,45 +927,49 @@ impl Conn {
         self.inflight.is_empty() && !self.pending_write()
     }
 
-    /// Append one reply frame to the write buffer and account it. With
-    /// a `request_id`, an OUTPUT or ERROR goes out in the pipelined
-    /// envelope: kind OUTPUT_P / ERROR_P, the id ahead of `body`.
-    fn enqueue(&mut self, shared: &Shared, kind: FrameKind, request_id: Option<u64>, body: &[u8]) {
+    /// Queue one whole reply frame behind any pending bytes and account
+    /// it. The buffer is moved, never copied, and goes back to the pool
+    /// once written.
+    fn push_frame(&mut self, shared: &Shared, frame: Vec<u8>, is_error: bool) {
         if self.dead {
             return;
         }
-        let id = request_id.map(u64::to_le_bytes);
-        let id: &[u8] = id.as_ref().map_or(&[], |b| b);
-        let Ok(len) = u32::try_from(1 + id.len() + body.len()) else {
-            self.dead = true;
-            return;
-        };
-        let is_error = kind == FrameKind::Error;
-        let kind = match (request_id, kind) {
-            (None, kind) => kind,
-            (Some(_), FrameKind::Error) => FrameKind::ErrorP,
-            (Some(_), _) => FrameKind::OutputP,
-        };
         if !self.pending_write() {
-            self.wbuf.clear();
-            self.wpos = 0;
             self.write_progress = Instant::now();
         }
-        self.wbuf.extend_from_slice(&len.to_le_bytes());
-        self.wbuf.push(kind as u8);
-        self.wbuf.extend_from_slice(id);
-        self.wbuf.extend_from_slice(body);
         shared.frames_out.fetch_add(1, Ordering::Relaxed);
-        shared.bytes_out.fetch_add(4 + len as u64, Ordering::Relaxed);
+        shared.bytes_out.fetch_add(frame.len() as u64, Ordering::Relaxed);
         if is_error {
             shared.errors_sent.fetch_add(1, Ordering::Relaxed);
         }
+        self.wq.push_back(frame);
     }
 
-    /// Push pending reply bytes at the socket until it would block.
-    /// Fault injection happens once per attempt, before any bytes
-    /// move: a disabled plane is a single branch.
-    fn flush(&mut self, shared: &Shared) {
+    /// Frame a reply the reactor answers itself (handshake, store,
+    /// stats and refusals) into a pooled buffer and queue it, in the
+    /// pipelined envelope when `request_id` is set.
+    fn enqueue(
+        &mut self,
+        shared: &Shared,
+        pool: &BufPool,
+        kind: FrameKind,
+        request_id: Option<u64>,
+        body: &[u8],
+    ) {
+        if self.dead {
+            return;
+        }
+        match frame_reply(pool, kind, request_id, body.len(), |f| f.extend_from_slice(body)) {
+            Some(frame) => self.push_frame(shared, frame, kind == FrameKind::Error),
+            None => self.dead = true,
+        }
+    }
+
+    /// Push queued reply frames at the socket until it would block,
+    /// many frames per vectored write. Fault injection happens once per
+    /// attempt, before any bytes move: a disabled plane is a single
+    /// branch.
+    fn flush(&mut self, shared: &Shared, pool: &BufPool) {
         if self.dead {
             return;
         }
@@ -888,28 +987,30 @@ impl Conn {
                 self.dead = true;
                 return;
             }
-            let pending = self.wbuf.len() - self.wpos;
-            if pending > 1 && shared.fault.short_write() {
-                // Leak a prefix onto the wire, then fail: the frame is
-                // truncated mid-body exactly as a dying peer would
-                // leave it, and the connection closes.
-                let _ = self.sock.write(&self.wbuf[self.wpos..self.wpos + pending / 2]);
+            let front = &self.wq[0][self.wpos..];
+            if front.len() > 1 && shared.fault.short_write() {
+                // Leak a prefix of the front frame onto the wire, then
+                // fail: the frame is truncated mid-body exactly as a
+                // dying peer would leave it, and the connection closes.
+                let _ = self.sock.write(&front[..front.len() / 2]);
                 self.dead = true;
                 return;
             }
         }
-        loop {
-            let pending = &self.wbuf[self.wpos..];
-            if pending.is_empty() {
-                break;
+        while !self.wq.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOV];
+            let mut n = 0;
+            for (slot, frame) in iov.iter_mut().zip(&self.wq) {
+                *slot = IoSlice::new(if n == 0 { &frame[self.wpos..] } else { frame });
+                n += 1;
             }
-            match self.sock.write(pending) {
+            match self.sock.write_vectored(&iov[..n]) {
                 Ok(0) => {
                     self.dead = true;
                     return;
                 }
                 Ok(k) => {
-                    self.wpos += k;
+                    self.retire(k, pool);
                     self.write_progress = Instant::now();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -920,10 +1021,23 @@ impl Conn {
                 }
             }
         }
-        self.wbuf.clear();
-        self.wpos = 0;
         if self.close_after_flush {
             self.dead = true;
+        }
+    }
+
+    /// Account `k` bytes the socket accepted from the front of the
+    /// queue; every frame now fully written goes back to the pool.
+    fn retire(&mut self, mut k: usize, pool: &BufPool) {
+        while let Some(front) = self.wq.front() {
+            let rest = front.len() - self.wpos;
+            if k < rest {
+                self.wpos += k;
+                return;
+            }
+            k -= rest;
+            self.wpos = 0;
+            pool.give(self.wq.pop_front().expect("front frame"));
         }
     }
 }
@@ -1055,7 +1169,7 @@ impl Reactor {
             let now_drained = shared.drain_expired();
             for conn in self.conns.values_mut() {
                 if !conn.dead && conn.pending_write() {
-                    conn.flush(&shared);
+                    conn.flush(&shared, &self.hub.pool);
                 }
                 if !conn.dead && conn.pending_write() {
                     let limit =
@@ -1110,15 +1224,16 @@ impl Reactor {
             self.shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
             self.shared.errors_sent.fetch_add(1, Ordering::Relaxed);
             let body = error_body(ErrorCode::Busy, "server at max clients");
-            let mut frame = Vec::with_capacity(5 + body.len());
-            frame.extend_from_slice(&(1 + body.len() as u32).to_le_bytes());
-            frame.push(FrameKind::Error as u8);
-            frame.extend_from_slice(&body);
+            let frame = frame_reply(&self.hub.pool, FrameKind::Error, None, body.len(), |f| {
+                f.extend_from_slice(&body)
+            })
+            .expect("a short error body fits the length prefix");
             let _ = sock.set_nonblocking(false);
             if sock.write_all(&frame).is_ok() {
                 self.shared.frames_out.fetch_add(1, Ordering::Relaxed);
                 self.shared.bytes_out.fetch_add(frame.len() as u64, Ordering::Relaxed);
             }
+            self.hub.pool.give(frame);
             return;
         }
         // The connection id doubles as the dataset-store ownership key
@@ -1179,10 +1294,11 @@ impl Reactor {
         }
     }
 
-    /// Extract and dispatch every complete frame in the read buffer,
-    /// stopping at a partial frame, at a frame the wait rule holds
-    /// back (left undecoded, `blocked` set), or once the connection is
-    /// closing.
+    /// Dispatch every complete frame in the read buffer, stopping at a
+    /// partial frame, at a frame the wait rule holds back (left
+    /// undecoded, `blocked` set), or once the connection is closing.
+    /// Frames are decoded where they lie; the consumed prefix is
+    /// dropped from the buffer at the end.
     fn parse_conn(&mut self, conn_id: u64) {
         let max_frame = self.cfg.max_frame;
         let shared = Arc::clone(&self.shared);
@@ -1190,7 +1306,7 @@ impl Reactor {
             if shared.drain_expired() {
                 break;
             }
-            let frame = {
+            let (kind, body) = {
                 let Some(conn) = self.conns.get_mut(&conn_id) else { return };
                 conn.blocked = false;
                 if conn.dead || conn.close_after_flush {
@@ -1212,6 +1328,7 @@ impl Reactor {
                 if len > max_frame {
                     conn.enqueue(
                         &shared,
+                        &self.hub.pool,
                         FrameKind::Error,
                         None,
                         &error_body(
@@ -1227,19 +1344,18 @@ impl Reactor {
                     break;
                 }
                 let kind = conn.rbuf[conn.rpos + 4];
-                let body = &conn.rbuf[conn.rpos + 5..conn.rpos + 4 + len];
-                let header = protocol::job_header(kind, body);
+                let body = conn.rpos + 5..conn.rpos + 4 + len;
+                let header = protocol::job_header(kind, &conn.rbuf[body.clone()]);
                 if waits(conn, header, &self.engine, shared.shed_queue_depth) {
                     conn.blocked = true;
                     break;
                 }
-                let body = body.to_vec();
                 conn.rpos += 4 + len;
-                Frame { kind, body }
+                (kind, body)
             };
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
-            shared.bytes_in.fetch_add(5 + frame.body.len() as u64, Ordering::Relaxed);
-            self.guarded(conn_id, |r| r.dispatch(conn_id, &frame));
+            shared.bytes_in.fetch_add(4 + 1 + body.len() as u64, Ordering::Relaxed);
+            self.guarded(conn_id, |r| r.dispatch(conn_id, kind, body));
         }
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             if conn.rpos > 0 {
@@ -1276,8 +1392,8 @@ impl Reactor {
     ) {
         let shared = Arc::clone(&self.shared);
         if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.enqueue(&shared, kind, request_id, body);
-            conn.flush(&shared);
+            conn.enqueue(&shared, &self.hub.pool, kind, request_id, body);
+            conn.flush(&shared, &self.hub.pool);
         }
     }
 
@@ -1302,10 +1418,12 @@ impl Reactor {
         self.reply_error(conn_id, request_id, code, msg);
     }
 
-    /// Decode and answer one frame the wait rule let through.
-    fn dispatch(&mut self, conn_id: u64, frame: &Frame) {
+    /// Decode and answer one frame the wait rule let through, borrowing
+    /// its `body` bytes from the connection's read buffer.
+    fn dispatch(&mut self, conn_id: u64, kind: u8, body: Range<usize>) {
         let t_decode = Instant::now();
-        let req = match protocol::decode_request(frame) {
+        let Some(conn) = self.conns.get(&conn_id) else { return };
+        let req = match protocol::decode_request_parts(kind, &conn.rbuf[body]) {
             Ok(req) => req,
             Err(we) => {
                 // Decode failures consumed the whole body off the
@@ -1649,17 +1767,17 @@ impl Reactor {
             shared.reply_reorders.fetch_add(1, Ordering::Relaxed);
         }
         let t_reply = Instant::now();
-        conn.enqueue(&shared, c.kind, c.request_id, &c.body);
-        conn.flush(&shared);
+        let bytes = c.frame.len();
+        conn.push_frame(&shared, c.frame, c.kind == FrameKind::Error);
+        conn.flush(&shared, &self.hub.pool);
         if c.kind != FrameKind::Error {
             let reply_ns = t_reply.elapsed().as_nanos() as u64;
             self.engine.telemetry().record_phase(Phase::ReplyWrite, reply_ns);
             rankd_log!(
                 Level::Trace,
                 "server",
-                "reply trace={} bytes={} reply-write={:.3}ms",
+                "reply trace={} bytes={bytes} reply-write={:.3}ms",
                 c.trace_id,
-                c.body.len() + 5,
                 reply_ns as f64 / 1e6
             );
         }
@@ -1815,7 +1933,7 @@ mod tests {
             request_id: None,
             arrival_seq: 0,
             kind: FrameKind::Output,
-            body: Vec::new(),
+            frame: Vec::new(),
             trace_id: 0,
         }
     }
@@ -1835,7 +1953,7 @@ mod tests {
         let (wake_tx, wake_rx) = UnixStream::pair().expect("socket pair");
         wake_tx.set_nonblocking(true).expect("nonblocking tx");
         wake_rx.set_nonblocking(true).expect("nonblocking rx");
-        let hub = Hub { queue: Mutex::new(Vec::new()), wake_tx };
+        let hub = Hub::new(wake_tx);
         for _ in 0..8 {
             hub.push(completion());
         }
@@ -1843,5 +1961,79 @@ mod tests {
         assert_eq!(hub.drain().len(), 8);
         hub.push(completion());
         assert_eq!(take_wakes(&wake_rx), 1, "the first push after a drain wakes again");
+    }
+
+    /// A whole frame of `len` bytes whose every byte is `fill`.
+    fn frame_of(pool: &BufPool, len: usize, fill: u8) -> Vec<u8> {
+        let mut frame = pool.take(len);
+        frame.resize(len, fill);
+        frame
+    }
+
+    fn held(pool: &BufPool) -> (usize, usize) {
+        let bufs = pool.bufs.lock().expect("reply pool");
+        (bufs.len(), bufs.iter().map(Vec::capacity).sum())
+    }
+
+    #[test]
+    fn queued_reply_frames_are_written_from_their_own_buffers() {
+        let (server_end, mut peer) = UnixStream::pair().expect("socket pair");
+        server_end.set_nonblocking(true).expect("nonblocking");
+        let shared = Shared::new(&ServeConfig::new("/nonexistent/unused.sock"));
+        let pool = BufPool::default();
+        let mut conn = Conn::new(1, Transport::Unix(server_end));
+
+        // Large enough that the socket takes the first frame only in
+        // part, so the second lands behind pending bytes.
+        let first = frame_of(&pool, 4 << 20, 0xA1);
+        let second = frame_of(&pool, 3 << 20, 0xB2);
+        let ptrs = [first.as_ptr(), second.as_ptr()];
+        conn.push_frame(&shared, first, false);
+        assert_eq!(conn.wq[0].as_ptr(), ptrs[0], "queued on an idle connection, not copied");
+        conn.flush(&shared, &pool);
+        assert!(conn.wpos > 0 && conn.wq.len() == 1, "the socket took part of the first frame");
+        conn.push_frame(&shared, second, false);
+        assert_eq!(conn.wq[1].as_ptr(), ptrs[1], "queued behind pending bytes, not copied");
+
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; 7 << 20];
+            peer.read_exact(&mut got).expect("both frames arrive");
+            got
+        });
+        while conn.pending_write() {
+            // Each frame is written from the buffer it was queued in.
+            let front = conn.wq.len();
+            assert_eq!(conn.wq[0].as_ptr(), ptrs[2 - front]);
+            conn.flush(&shared, &pool);
+            assert!(!conn.dead, "the peer is reading");
+            let (count, bytes) = held(&pool);
+            assert!(count <= POOL_MAX_BUFS && bytes <= POOL_MAX_BYTES);
+        }
+        let got = reader.join().expect("reader thread");
+        assert!(got[..4 << 20].iter().all(|&b| b == 0xA1), "first frame intact");
+        assert!(got[4 << 20..].iter().all(|&b| b == 0xB2), "second frame intact, in order");
+        assert_eq!(held(&pool).0, 2, "both written buffers went back to the pool");
+        assert_eq!(shared.stats().bytes_out, 7 << 20);
+
+        // The pool keeps at most its bound, in count and in bytes.
+        for _ in 0..2 * POOL_MAX_BUFS {
+            pool.give(Vec::with_capacity(1024));
+            pool.give(Vec::with_capacity(POOL_MAX_BYTES / 3));
+        }
+        let (count, bytes) = held(&pool);
+        assert!(count <= POOL_MAX_BUFS, "{count} buffers pooled");
+        assert!(bytes <= POOL_MAX_BYTES, "{bytes} bytes pooled");
+    }
+
+    #[test]
+    fn pool_hands_out_the_smallest_buffer_that_fits() {
+        let pool = BufPool::default();
+        for cap in [64usize, 4096, 1 << 20] {
+            pool.give(Vec::with_capacity(cap));
+        }
+        assert_eq!(pool.take(100).capacity(), 4096);
+        assert_eq!(pool.take(1 << 20).capacity(), 1 << 20);
+        assert!(pool.take(2 << 20).capacity() >= 2 << 20, "nothing fits: a fresh buffer");
+        assert_eq!(held(&pool).0, 1, "the 64-byte buffer stays pooled");
     }
 }

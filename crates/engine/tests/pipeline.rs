@@ -586,3 +586,72 @@ fn client_pipeline_api_over_tcp_matches_unix_serial() {
     control.request_shutdown();
     join.join().expect("server thread").expect("server run");
 }
+
+/// Four pipelined 2¹⁸-vertex requests — add-scans and ranks of one
+/// resident list — in flight on one connection whose client reads
+/// nothing until all four have completed, so their 2 MiB reply frames
+/// queue behind one another on the server. Every reply must match the
+/// serial oracle byte for byte, and every id must come back once.
+#[test]
+fn large_pipelined_replies_queue_behind_one_another_intact() {
+    const N: usize = 1 << 18;
+    let path = sock_path("large");
+    let engine = Arc::new(Engine::new(small_engine()));
+    let cfg = ServeConfig::new(&path).with_drain_grace(Duration::from_secs(10));
+    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind");
+    let control = server.control();
+    let join = std::thread::spawn(move || server.run());
+
+    let list = gen::random_list(N, 0x1A26E);
+    let values: Vec<i64> = (0..N as i64).map(|i| (i * 7919) % 1001 - 500).collect();
+    let want_ranks = listkit::serial::rank(&list);
+    let want_sums = listkit::serial::scan(&list, &values, &AddOp);
+
+    let mut stream = UnixStream::connect(&path).expect("connect");
+    handshake(&mut stream);
+    let handle = put(&mut stream, &list);
+    // Odd ids scan, even ids rank; the scans' 2 MiB request bodies go
+    // first so all four are read before the first job can finish.
+    let frames: Vec<(FrameKind, Vec<u8>)> = (1..=4u64)
+        .map(|id| match id % 2 {
+            1 => Call::scan(handle, &values, AddOp).id(id).encode(),
+            _ => Call::rank(handle).id(id).encode(),
+        })
+        .collect();
+    let done_before = engine.stats().completed;
+    let mut writer = stream.try_clone().expect("clone stream");
+    // A separate writer: the reactor stops reading a connection whose
+    // pending replies pass its watermark, so a writer that also had to
+    // read could deadlock against it.
+    let sender = std::thread::spawn(move || {
+        for (kind, body) in &frames {
+            protocol::write_frame(&mut writer, *kind as u8, body).expect("pipelined send");
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while engine.stats().completed < done_before + 4 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut seen = Vec::new();
+    for _ in 0..4 {
+        let reply = read_one(&mut stream);
+        assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::OutputP), "reply kind");
+        let (id, inner) = protocol::decode_pipelined(&reply.body).expect("envelope decodes");
+        if id % 2 == 1 {
+            let (_, sums) = protocol::decode_output::<i64>(inner).expect("scan OUTPUT decodes");
+            assert!(sums == want_sums, "scan {id} diverged from the serial oracle");
+        } else {
+            let (_, ranks) = protocol::decode_output::<u64>(inner).expect("rank OUTPUT decodes");
+            assert!(ranks == want_ranks, "rank {id} diverged from the serial oracle");
+        }
+        seen.push(id);
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, vec![1, 2, 3, 4], "every id answered exactly once");
+    sender.join().expect("writer thread");
+
+    drop(stream);
+    control.request_shutdown();
+    join.join().expect("server thread").expect("server run");
+}

@@ -5,8 +5,8 @@
 //! document is updated to match.
 
 use engine::protocol::{
-    self, Call, ErrorCode, Frame, FrameKind, Job, JobFrame, OutputMeta, ReqFlags, Source, WireElem,
-    WireOp, WireRequest, WireValues, MAGIC, MAX_FRAME_DEFAULT, VERSION,
+    self, Call, ErrorCode, Frame, FrameKind, Job, JobFrame, OutputMeta, ReadFrameError, ReqFlags,
+    Source, WireElem, WireOp, WireRequest, WireValues, MAGIC, MAX_FRAME_DEFAULT, VERSION,
 };
 use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
@@ -1145,6 +1145,89 @@ fn documented_pipelined_bytes_round_trip() {
     assert_eq!(raw, ErrorCode::QuotaExceeded as u16);
     assert_eq!(code, Some(ErrorCode::QuotaExceeded));
     assert_eq!(message, "tenant in-flight quota (1) exceeded");
+}
+
+/// The reply frames a worker writes — header and body into one buffer
+/// through `reply_frame_into` and `output_body_into` — are the
+/// documented bytes with and without the pipelined envelope, and a
+/// reused buffer frames each reply exactly as a fresh one would.
+#[test]
+fn worker_framed_replies_match_the_documented_bytes() {
+    let meta = OutputMeta {
+        algorithm: Algorithm::Serial,
+        shards: 0,
+        queued_ns: 1000,
+        exec_ns: 2000,
+        trace_id: 1,
+    };
+    let ranks = [1u64, 0, 2];
+    let mut frame = Vec::new();
+    for (request_id, want) in [(None, DOC_OUTPUT), (Some(1), DOC_OUTPUT_P1), (None, DOC_OUTPUT)] {
+        frame.clear();
+        let len = protocol::output_body_len::<u64>(ranks.len());
+        protocol::reply_frame_into(&mut frame, FrameKind::Output, request_id, len, |f| {
+            protocol::output_body_into(&meta, &ranks, f)
+        })
+        .expect("frames");
+        assert_eq!(frame, want, "request id {request_id:?}");
+    }
+    assert_eq!(protocol::output_body(&meta, &ranks), DOC_OUTPUT[5..], "the wrapper agrees");
+
+    let refusal =
+        protocol::error_body(ErrorCode::QuotaExceeded, "tenant in-flight quota (1) exceeded");
+    frame.clear();
+    protocol::reply_frame_into(&mut frame, FrameKind::Error, Some(2), refusal.len(), |f| {
+        f.extend_from_slice(&refusal)
+    })
+    .expect("frames");
+    assert_eq!(frame, DOC_ERROR_P_QUOTA);
+
+    // A body the u32 prefix cannot frame is refused before any byte
+    // is written.
+    frame.clear();
+    let err =
+        protocol::reply_frame_into(&mut frame, FrameKind::Output, None, u32::MAX as usize, |_| {
+            unreachable!("no body is written for an unframeable length")
+        })
+        .expect_err("too long to frame");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(frame.is_empty());
+}
+
+/// `read_frame_into` reads back-to-back frames of different sizes into
+/// one buffer and keeps `read_frame`'s edge cases: `Ok(None)` on a
+/// clean close, an error on a zero length, on EOF inside a frame and
+/// on a length above the cap.
+#[test]
+fn read_frame_into_reuses_one_buffer_across_frames() {
+    let big = vec![0x5Au8; 3000];
+    let mut wire = framed(FrameKind::Output, &big);
+    wire.extend_from_slice(DOC_HELLO_OK);
+    let mut r = &wire[..];
+    let mut body = Vec::new();
+    let kind = protocol::read_frame_into(&mut r, MAX_FRAME_DEFAULT, &mut body).expect("reads");
+    assert_eq!(kind, Some(FrameKind::Output as u8));
+    assert_eq!(body, big);
+    let buffer = body.as_ptr();
+    let kind = protocol::read_frame_into(&mut r, MAX_FRAME_DEFAULT, &mut body).expect("reads");
+    assert_eq!(kind, Some(FrameKind::HelloOk as u8));
+    assert_eq!(body, DOC_HELLO_OK[5..]);
+    assert_eq!(body.as_ptr(), buffer, "the smaller frame reuses the buffer");
+    let eof = protocol::read_frame_into(&mut r, MAX_FRAME_DEFAULT, &mut body);
+    assert!(matches!(eof, Ok(None)), "clean close: {eof:?}");
+
+    let mut io_kind =
+        |bytes: &[u8]| match protocol::read_frame_into(&mut &bytes[..], 1024, &mut body) {
+            Err(ReadFrameError::Io(e)) => e.kind(),
+            other => panic!("want an I/O error, got {other:?}"),
+        };
+    assert_eq!(io_kind(&[0, 0, 0, 0]), std::io::ErrorKind::InvalidData, "zero length");
+    assert_eq!(io_kind(&DOC_OUTPUT[..20]), std::io::ErrorKind::UnexpectedEof, "truncated body");
+    assert_eq!(io_kind(&[3, 0]), std::io::ErrorKind::UnexpectedEof, "truncated length");
+    match protocol::read_frame_into(&mut &[0x01, 0x04, 0, 0, 0x02][..], 1024, &mut body) {
+        Err(ReadFrameError::TooLarge { len, max }) => assert_eq!((len, max), (0x401, 1024)),
+        other => panic!("want TooLarge, got {other:?}"),
+    }
 }
 
 /// The documented pipelined conversation against a live daemon

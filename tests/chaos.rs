@@ -510,6 +510,109 @@ fn peer_reset_with_a_reply_unread_still_admits_its_buffered_frames() {
     drop(engine);
 }
 
+/// A short write that lands while a connection's queue holds large
+/// pipelined replies truncates the front frame and closes the
+/// connection. Each attempt sends four 2¹⁸-vertex inline requests
+/// (add-scans and ranks, 2 MiB replies) after a handshake; the client
+/// must read only whole, oracle-exact OUTPUT_P frames and then a frame
+/// cut short or a close — never a frame out of step with the stream.
+#[test]
+fn short_write_behind_large_pipelined_replies_truncates_and_closes() {
+    use engine::protocol::ReadFrameError;
+    use std::os::unix::net::UnixStream;
+    const N: usize = 1 << 18;
+
+    let path = std::env::temp_dir()
+        .join(format!("rankd-chaos-shortbig-{}.sock", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let plane = Arc::new(FaultPlane::new(
+        FaultConfig::parse("short_write=0.3,seed=23").expect("fault spec"),
+    ));
+    let engine = Arc::new(Engine::new(
+        EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane)),
+    ));
+    let cfg = ServeConfig::new(&path).with_fault(Arc::clone(&plane));
+    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
+    let control = server.control();
+    let join = std::thread::spawn(move || server.run());
+
+    let list = gen::random_list(N, 0x5407);
+    let values: Vec<i64> = (0..N as i64).map(|i| i % 97 - 48).collect();
+    let want_ranks = listkit::serial::rank(&list);
+    let want_sums = listkit::serial::scan(&list, &values, &listkit::ops::AddOp);
+    let mut window = Vec::new();
+    for id in 1..=4u64 {
+        let (kind, body) = match id % 2 {
+            1 => Call::scan(&list, &values, listkit::ops::AddOp).id(id).encode(),
+            _ => Call::rank(&list).id(id).encode(),
+        };
+        protocol::write_frame(&mut window, kind as u8, &body).expect("encode");
+    }
+    let window = Arc::new(window);
+
+    let mut truncated = 0;
+    for _attempt in 0..64 {
+        if truncated == 3 {
+            break;
+        }
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        protocol::write_frame(&mut stream, FrameKind::Hello as u8, &protocol::hello_body())
+            .expect("HELLO");
+        match protocol::read_frame(&mut stream, u32::MAX) {
+            Ok(Some(f)) => assert_eq!(FrameKind::from_u8(f.kind), Some(FrameKind::HelloOk)),
+            // The HELLO_OK itself was cut short: try a fresh connection.
+            Ok(None) | Err(ReadFrameError::Io(_)) => continue,
+            Err(e) => panic!("handshake reply out of step: {e}"),
+        }
+        // From here on only the four large replies are ever queued.
+        let mut writer = stream.try_clone().expect("clone stream");
+        let frames = Arc::clone(&window);
+        // The server closing mid-send is the expected outcome.
+        let sender = std::thread::spawn(move || {
+            let _ = std::io::Write::write_all(&mut writer, &frames);
+        });
+        let mut seen = Vec::new();
+        loop {
+            let frame = match protocol::read_frame(&mut stream, u32::MAX) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(ReadFrameError::Io(e)) => {
+                    assert!(
+                        matches!(
+                            e.kind(),
+                            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+                        ),
+                        "a truncated frame reads as EOF, got {e}"
+                    );
+                    truncated += 1;
+                    break;
+                }
+                Err(e) => panic!("reply stream out of step: {e}"),
+            };
+            assert_eq!(FrameKind::from_u8(frame.kind), Some(FrameKind::OutputP), "reply kind");
+            let (id, inner) = protocol::decode_pipelined(&frame.body).expect("envelope decodes");
+            assert!((1..=4).contains(&id) && !seen.contains(&id), "id {id} out of step");
+            seen.push(id);
+            if id % 2 == 1 {
+                let (_, sums) = protocol::decode_output::<i64>(inner).expect("scan decodes");
+                assert!(sums == want_sums, "scan {id} diverged from the serial oracle");
+            } else {
+                let (_, ranks) = protocol::decode_output::<u64>(inner).expect("rank decodes");
+                assert!(ranks == want_ranks, "rank {id} diverged from the serial oracle");
+            }
+        }
+        drop(stream);
+        sender.join().expect("writer thread");
+    }
+    assert_eq!(truncated, 3, "short writes must have cut large replies short");
+    assert!(plane.snapshot().short_writes >= 3);
+
+    control.request_shutdown();
+    join.join().expect("server thread").expect("server run");
+    drop(engine);
+}
+
 /// The nightly long soak (`cargo test -- --include-ignored`): a
 /// sustained storm at elevated rates, large enough that every fault
 /// kind fires many times.
