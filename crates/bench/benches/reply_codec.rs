@@ -3,27 +3,70 @@
 //!
 //! A buffer of 32 MiB or more is a fresh mapping from the allocator on
 //! every allocation, so encoding into a fresh `Vec` pays a page fault
-//! per 4 KiB touched; a reused buffer keeps its pages. Two pairs:
+//! per 4 KiB touched; a reused buffer keeps its pages. Three groups:
 //!
+//! * `exec/*`: a served rank on a random 2²² list (Reid-Miller, 2
+//!   threads) — `exec_then_encode` ranks into a fresh `Vec` and then
+//!   encodes it into a reused frame buffer (the served path before
+//!   exec wrote the frame); `exec_into_frame` has the Phase-3 expand
+//!   write each rank's little-endian bytes straight into the reused
+//!   frame's 8-aligned payload (`HostRunner::rank_mapped`), as a
+//!   worker does now;
 //! * `encode/*`: the server side — `output_body` into a fresh `Vec`
-//!   against `output_body_into` a reused one (what a worker does with
-//!   its pooled reply buffer);
+//!   against `output_body_into` a reused one;
 //! * `decode/*`: the client side — read the frame off the wire into a
 //!   fresh buffer (`read_frame`) or a reused one (`read_frame_into`),
-//!   then `decode_output` the ranks.
+//!   then `decode_output` the ranks; and the payload decode alone, the
+//!   per-element `chunks_exact` loop the slice codec replaced against
+//!   `protocol::decode_slice`.
 //!
 //! `CRITERION_QUICK=1` shortens runs; `cargo bench -p repro --bench
 //! reply_codec` runs the full pass.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use engine::protocol::{self, FrameKind, OutputMeta};
-use listrank::Algorithm;
+use engine::protocol::{self, FrameKind, OutputMeta, WireElem};
+use listrank::host::RankScratch;
+use listrank::{Algorithm, HostRunner};
 use std::hint::black_box;
 
 const N: usize = 1 << 22;
 
 fn meta() -> OutputMeta {
     OutputMeta { algorithm: Algorithm::Serial, shards: 0, queued_ns: 1, exec_ns: 2, trace_id: 3 }
+}
+
+fn bench_exec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reply_codec/exec");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(N as u64));
+    let list = listkit::gen::random_list(N, 0x2222);
+    let runner = HostRunner::new(Algorithm::ReidMiller).with_threads(2);
+    let meta = meta();
+    let mut scratch = RankScratch::new();
+    let mut frame = Vec::new();
+    g.bench_function("exec_then_encode", |b| {
+        b.iter(|| {
+            let mut ranks = Vec::new();
+            runner.rank_into(&list, &mut scratch, &mut ranks);
+            frame.clear();
+            protocol::output_body_into(&meta, &ranks, &mut frame);
+            black_box(&frame).len()
+        })
+    });
+    // The frame header plus metadata is 38 bytes; skip ahead so the
+    // payload starts on an 8-byte boundary, as a worker's frame does.
+    let head = 38;
+    frame.resize(8 + head + 8 * N, 0);
+    let lead = (frame.as_ptr() as usize + head).wrapping_neg() % 8;
+    let payload = &mut frame[lead + head..lead + head + 8 * N];
+    g.bench_function("exec_into_frame", |b| {
+        b.iter(|| {
+            let words = u64::le_chunks_mut(payload);
+            runner.rank_mapped(&list, &mut scratch, words, u64::to_wire);
+            black_box(&payload[..8]);
+        })
+    });
+    g.finish();
 }
 
 fn bench_encode(c: &mut Criterion) {
@@ -72,8 +115,21 @@ fn bench_decode(c: &mut Criterion) {
             protocol::decode_output::<u64>(&reused).expect("decodes").1.len()
         })
     });
+    let payload = &body[body.len() - 8 * N..];
+    g.bench_function("payload_per_element", |b| {
+        b.iter(|| {
+            let words: Vec<u64> = black_box(payload)
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                .collect();
+            black_box(words).len()
+        })
+    });
+    g.bench_function("payload_decode_slice", |b| {
+        b.iter(|| black_box(protocol::decode_slice::<u64>(black_box(payload))).len())
+    });
     g.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode);
+criterion_group!(benches, bench_exec, bench_encode, bench_decode);
 criterion_main!(benches);

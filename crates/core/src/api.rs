@@ -142,12 +142,35 @@ impl HostRunner {
         scratch: &mut host::RankScratch,
         out: &mut Vec<u64>,
     ) {
+        out.clear();
+        out.resize(list.len(), 0);
+        self.rank_mapped(list, scratch, out, |r| r);
+    }
+
+    /// List ranking through an output sink: `out[v] = map(rank of v)`
+    /// for every vertex, `out` holding one initialized slot per vertex.
+    /// Serial and Reid-Miller write each slot once, straight from their
+    /// final pass — into a reply frame's payload viewed as
+    /// little-endian words, say; the other algorithms compute their
+    /// result and map it over.
+    pub fn rank_mapped<O: Send>(
+        &self,
+        list: &LinkedList,
+        scratch: &mut host::RankScratch,
+        out: &mut [O],
+        map: impl Fn(u64) -> O + Sync,
+    ) {
+        let map = &map;
         self.install(|| match self.algorithm {
-            Algorithm::Serial => listkit::serial::rank_into(list, out),
-            Algorithm::ReidMiller => self.reid_miller().rank_into(list, scratch, out),
-            Algorithm::Wyllie => *out = host::Wyllie.rank(list),
-            Algorithm::MillerReif => *out = host::MillerReif::new(self.seed).rank(list),
-            Algorithm::AndersonMiller => *out = host::AndersonMiller::new(self.seed).rank(list),
+            Algorithm::Serial => listkit::serial::rank_mapped(list, out, map),
+            Algorithm::ReidMiller => self.reid_miller().rank_mapped(list, scratch, out, map),
+            Algorithm::Wyllie => map_over(host::Wyllie.rank(list), out, map),
+            Algorithm::MillerReif => {
+                map_over(host::MillerReif::new(self.seed).rank(list), out, map)
+            }
+            Algorithm::AndersonMiller => {
+                map_over(host::AndersonMiller::new(self.seed).rank(list), out, map)
+            }
         })
     }
 
@@ -164,13 +187,38 @@ impl HostRunner {
         T: Copy + Send + Sync,
         Op: ScanOp<T>,
     {
+        out.clear();
+        out.resize(list.len(), op.identity());
+        self.scan_mapped(list, values, op, scratch, out, |x| x);
+    }
+
+    /// Exclusive list scan through an output sink (see
+    /// [`Self::rank_mapped`]).
+    pub fn scan_mapped<T, Op, O>(
+        &self,
+        list: &LinkedList,
+        values: &[T],
+        op: &Op,
+        scratch: &mut host::RankScratch,
+        out: &mut [O],
+        map: impl Fn(T) -> O + Sync,
+    ) where
+        T: Copy + Send + Sync,
+        Op: ScanOp<T>,
+        O: Send,
+    {
+        let map = &map;
         self.install(|| match self.algorithm {
-            Algorithm::Serial => listkit::serial::scan_into(list, values, op, out),
-            Algorithm::ReidMiller => self.reid_miller().scan_into(list, values, op, scratch, out),
-            Algorithm::Wyllie => *out = host::Wyllie.scan(list, values, op),
-            Algorithm::MillerReif => *out = host::MillerReif::new(self.seed).scan(list, values, op),
+            Algorithm::Serial => listkit::serial::scan_mapped(list, values, op, out, map),
+            Algorithm::ReidMiller => {
+                self.reid_miller().scan_mapped(list, values, op, scratch, out, map)
+            }
+            Algorithm::Wyllie => map_over(host::Wyllie.scan(list, values, op), out, map),
+            Algorithm::MillerReif => {
+                map_over(host::MillerReif::new(self.seed).scan(list, values, op), out, map)
+            }
             Algorithm::AndersonMiller => {
-                *out = host::AndersonMiller::new(self.seed).scan(list, values, op)
+                map_over(host::AndersonMiller::new(self.seed).scan(list, values, op), out, map)
             }
         })
     }
@@ -190,6 +238,14 @@ impl HostRunner {
             }
             Algorithm::ReidMiller => self.reid_miller().scan(list, values, op),
         })
+    }
+}
+
+/// Map a computed result into an output sink, slot for slot.
+fn map_over<T, O>(result: Vec<T>, out: &mut [O], map: impl Fn(T) -> O) {
+    assert_eq!(out.len(), result.len(), "output length mismatch");
+    for (o, x) in out.iter_mut().zip(result) {
+        *o = map(x);
     }
 }
 
@@ -315,6 +371,27 @@ mod tests {
         for alg in Algorithm::ALL {
             assert_eq!(HostRunner::new(alg).scan(&list, &vals, &AddOp), reference, "{alg}");
             assert_eq!(SimRunner::new(alg, 1).scan(&list, &vals, &AddOp).out, reference, "{alg}");
+        }
+    }
+
+    #[test]
+    fn mapped_sinks_match_the_vec_entries_for_every_algorithm() {
+        // The wire sink: little-endian words written straight into a
+        // byte region, byte-identical to encoding the typed result.
+        let list = gen::random_list(12_000, 21);
+        let vals: Vec<i64> = (0..12_000).map(|i| (i as i64 % 29) - 14).collect();
+        let ranks: Vec<[u8; 8]> =
+            listkit::serial::rank(&list).into_iter().map(u64::to_le_bytes).collect();
+        let scans: Vec<[u8; 8]> =
+            listkit::serial::scan(&list, &vals, &AddOp).into_iter().map(i64::to_le_bytes).collect();
+        let mut scratch = host::RankScratch::new();
+        for alg in Algorithm::ALL {
+            let runner = HostRunner::new(alg).with_threads(2);
+            let mut out = vec![[0u8; 8]; list.len()];
+            runner.rank_mapped(&list, &mut scratch, &mut out, u64::to_le_bytes);
+            assert_eq!(out, ranks, "{alg} rank");
+            runner.scan_mapped(&list, &vals, &AddOp, &mut scratch, &mut out, i64::to_le_bytes);
+            assert_eq!(out, scans, "{alg} scan");
         }
     }
 

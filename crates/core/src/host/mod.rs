@@ -21,7 +21,7 @@ pub use miller_reif::MillerReif;
 pub use reid_miller::ReidMiller;
 pub use scratch::RankScratch;
 pub use sharded::{
-    rank_sharded, rank_sharded_prebuilt_into, scan_sharded, scan_sharded_prebuilt_into,
+    rank_sharded, rank_sharded_prebuilt_mapped, scan_sharded, scan_sharded_prebuilt_mapped,
     ShardedReport,
 };
 pub use wyllie::Wyllie;

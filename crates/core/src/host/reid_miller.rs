@@ -142,11 +142,34 @@ impl ReidMiller {
         T: Copy + Send + Sync,
         Op: ScanOp<T>,
     {
+        out.clear();
+        out.resize(list.len(), op.identity());
+        self.scan_mapped(list, values, op, scratch, out, |x| x);
+    }
+
+    /// [`Self::scan_into`] through an output sink: Phase 3 writes
+    /// `out[v] = map(prefix at v)` for every vertex, exactly once, so
+    /// `out` may be any initialized region of one slot per vertex — a
+    /// reply frame's payload viewed as little-endian words included.
+    pub fn scan_mapped<T, Op, O>(
+        &self,
+        list: &LinkedList,
+        values: &[T],
+        op: &Op,
+        scratch: &mut RankScratch,
+        out: &mut [O],
+        map: impl Fn(T) -> O + Sync,
+    ) where
+        T: Copy + Send + Sync,
+        Op: ScanOp<T>,
+        O: Send,
+    {
         assert_eq!(values.len(), list.len());
+        assert_eq!(out.len(), list.len(), "output length mismatch");
         let n = list.len();
         let m_req = self.m.unwrap_or_else(|| Self::default_m_for(n, self.lanes));
         if n <= self.serial_cutoff.max(4) || m_req < 2 || !self.phase0_split(list, m_req, scratch) {
-            listkit::serial::scan_into(list, values, op, out);
+            listkit::serial::scan_mapped(list, values, op, out, map);
             return;
         }
         let links = list.links();
@@ -182,10 +205,8 @@ impl ReidMiller {
         // ---- Phase 3: expand prefixes over the sublists (parallel
         // disjoint writes: sublists partition the vertex set), again
         // K-lane interleaved per worker.
-        out.clear();
-        out.resize(n, op.identity());
         {
-            let writer = DisjointWriter::new(out);
+            let (writer, map) = (DisjointWriter::new(out), &map);
             let work: Vec<(&[Idx], &[T])> = heads.chunks(chunk).zip(pre.chunks(chunk)).collect();
             work.into_par_iter().with_min_len(1).for_each(|(hs, seeds)| {
                 let mut stats = LaneStats::default();
@@ -200,7 +221,7 @@ impl ReidMiller {
                     // SAFETY: each vertex belongs to exactly one
                     // sublist, and exactly one chunk's walker visits
                     // that sublist.
-                    |v, val| unsafe { writer.write(v, val) },
+                    |v, val| unsafe { writer.write(v, map(val)) },
                     &mut stats,
                 );
                 telemetry.add(&stats);
@@ -305,10 +326,26 @@ impl ReidMiller {
     /// across calls without reallocating once grown. Identical output
     /// to [`Self::rank`] for the same seed.
     pub fn rank_into(&self, list: &LinkedList, scratch: &mut RankScratch, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(list.len(), 0);
+        self.rank_mapped(list, scratch, out, |r| r);
+    }
+
+    /// [`Self::rank_into`] through an output sink: Phase 3 writes
+    /// `out[v] = map(rank of v)` for every vertex, exactly once (see
+    /// [`Self::scan_mapped`]).
+    pub fn rank_mapped<O: Send>(
+        &self,
+        list: &LinkedList,
+        scratch: &mut RankScratch,
+        out: &mut [O],
+        map: impl Fn(u64) -> O + Sync,
+    ) {
+        assert_eq!(out.len(), list.len(), "output length mismatch");
         let n = list.len();
         let m_req = self.m.unwrap_or_else(|| Self::default_m_for(n, self.lanes));
         if n <= self.serial_cutoff.max(4) || m_req < 2 || !self.phase0_split(list, m_req, scratch) {
-            listkit::serial::rank_into(list, out);
+            listkit::serial::rank_mapped(list, out, map);
             return;
         }
         let links = list.links();
@@ -352,10 +389,8 @@ impl ReidMiller {
         let pre = &*pre;
 
         // Phase 3: write ranks, K-lane interleaved per worker.
-        out.clear();
-        out.resize(n, 0);
         {
-            let writer = DisjointWriter::new(out);
+            let (writer, map) = (DisjointWriter::new(out), &map);
             let work: Vec<(&[Idx], &[u64])> = heads.chunks(chunk).zip(pre.chunks(chunk)).collect();
             work.into_par_iter().with_min_len(1).for_each(|(hs, seeds)| {
                 let mut stats = LaneStats::default();
@@ -366,7 +401,7 @@ impl ReidMiller {
                     boundary,
                     policy,
                     // SAFETY: sublists partition the vertex set.
-                    |v, r| unsafe { writer.write(v, r) },
+                    |v, r| unsafe { writer.write(v, map(r)) },
                     &mut stats,
                 );
                 telemetry.add(&stats);

@@ -45,11 +45,14 @@ pub struct ShardedReport {
 /// the contracted list ranks serially (no per-call allocation), its
 /// working arrays when the contracted list is long enough to rank in
 /// parallel — and accumulates the walkers' lane-occupancy telemetry.
-pub fn rank_sharded_prebuilt_into(
+/// The final expand writes `out[v] = map(rank of v)` for every vertex,
+/// so `out` may be any initialized region of one slot per vertex.
+pub fn rank_sharded_prebuilt_mapped<O: Send>(
     sharded: &ShardedList,
     seed: u64,
     scratch: &mut RankScratch,
-    out: &mut Vec<u64>,
+    out: &mut [O],
+    map: impl Fn(u64) -> O + Sync,
 ) -> ShardedReport {
     // The stitch values, the fragment lengths, were reduced at build
     // time; the prefix lands in the scratch's dedicated buffer.
@@ -67,7 +70,7 @@ pub fn rank_sharded_prebuilt_into(
                 scratch.stitch_pre.extend(scanned.iter().map(|&x| x as u64));
             }
         },
-        |(), scratch| sharded.rank_into_with_prefix(&scratch.stitch_pre, out),
+        |(), scratch| sharded.rank_mapped_with_prefix(&scratch.stitch_pre, out, map),
     )
 }
 
@@ -75,8 +78,9 @@ pub fn rank_sharded_prebuilt_into(
 /// rank it into fresh buffers.
 pub fn rank_sharded(list: &LinkedList, shard_size: usize, seed: u64) -> (Vec<u64>, ShardedReport) {
     let sharded = ShardedList::build(list, shard_size);
-    let mut out = Vec::new();
-    let report = rank_sharded_prebuilt_into(&sharded, seed, &mut RankScratch::new(), &mut out);
+    let mut out = vec![0; list.len()];
+    let report =
+        rank_sharded_prebuilt_mapped(&sharded, seed, &mut RankScratch::new(), &mut out, |r| r);
     (out, report)
 }
 
@@ -89,18 +93,21 @@ pub fn rank_sharded(list: &LinkedList, shard_size: usize, seed: u64) -> (Vec<u64
 /// prefix. Byte-identical to [`listkit::serial::scan`] for any
 /// associative operator, commutative or not: fragment order along the
 /// contracted list *is* global list order. Same scratch and telemetry
-/// contract as [`rank_sharded_prebuilt_into`].
-pub fn scan_sharded_prebuilt_into<T, Op>(
+/// contract as [`rank_sharded_prebuilt_mapped`], whose output sink this
+/// shares.
+pub fn scan_sharded_prebuilt_mapped<T, Op, O>(
     sharded: &ShardedList,
     values: &[T],
     op: &Op,
     seed: u64,
     scratch: &mut RankScratch,
-    out: &mut Vec<T>,
+    out: &mut [O],
+    map: impl Fn(T) -> O + Sync,
 ) -> ShardedReport
 where
     T: Copy + Send + Sync,
     Op: ScanOp<T>,
+    O: Send,
 {
     stitched(
         sharded,
@@ -111,7 +118,7 @@ where
             Algorithm::Serial => sharded.boundary().serial_exclusive(&totals, op),
             _ => parallel_stitch(sharded, &totals, op, seed, scratch),
         },
-        |prefix, _| sharded.scan_into_with_prefix(values, op, &prefix, out),
+        |prefix, _| sharded.scan_mapped_with_prefix(values, op, &prefix, out, map),
     )
 }
 
@@ -129,9 +136,10 @@ where
     Op: ScanOp<T>,
 {
     let sharded = ShardedList::build(list, shard_size);
-    let mut out = Vec::new();
+    let mut out = vec![op.identity(); list.len()];
+    let mut scratch = RankScratch::new();
     let report =
-        scan_sharded_prebuilt_into(&sharded, values, op, seed, &mut RankScratch::new(), &mut out);
+        scan_sharded_prebuilt_mapped(&sharded, values, op, seed, &mut scratch, &mut out, |x| x);
     (out, report)
 }
 

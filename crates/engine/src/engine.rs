@@ -2,8 +2,8 @@
 
 use crate::fault::FaultPlane;
 use crate::job::{
-    ErasedOutput, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob, Request,
-    Responder,
+    FrameReply, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob, Request, Responder,
+    Run,
 };
 use crate::planner::{Planner, ShardDecision};
 use crate::pool::ScratchPool;
@@ -236,28 +236,24 @@ impl Engine {
         self.submit_cell(req, opts, false)
     }
 
-    /// Submit without blocking, with a one-shot completion callback
-    /// instead of a waitable handle. The callback runs on the worker
-    /// thread that settles the job — it should hand off promptly (the
-    /// event-driven server encodes the reply and wakes its reactor).
-    /// Returns the job id. On any error the callback is dropped
-    /// *unfired* and the caller answers the request itself.
-    /// [`SubmitError::Full`] here is not counted as a client-visible
-    /// rejection: the server holds a job frame undecoded while the
-    /// queue is full, so it meets `Full` only when another in-process
-    /// submitter raced it, and answers that with a typed refusal.
-    pub fn try_submit_callback<R: Send + 'static>(
+    /// Submit without blocking, answered through `reply`: the worker
+    /// opens the reply frame when the job starts executing, the job
+    /// writes its elements straight into the frame's payload, and the
+    /// settled frame is handed back through [`FrameReply::settle`] on
+    /// the worker thread (the server wakes its reactor there). Returns
+    /// the job id. On any error `reply` is dropped *unopened* and the
+    /// caller answers the request itself. [`SubmitError::Full`] here is
+    /// not counted as a client-visible rejection: the server holds a
+    /// job frame undecoded while the queue is full, so it meets `Full`
+    /// only when another in-process submitter raced it, and answers
+    /// that with a typed refusal.
+    pub(crate) fn try_submit_frame<R>(
         &self,
         req: Request<R>,
         opts: JobOptions,
-        on_done: impl FnOnce(Result<JobReport<R>, JobError>) + Send + 'static,
+        reply: Box<dyn FrameReply>,
     ) -> Result<u64, SubmitError> {
-        let responder = Responder::Callback(Some(Box::new(
-            move |res: Result<JobReport<ErasedOutput>, JobError>| {
-                on_done(res.map(JobReport::downcast::<R>))
-            },
-        )));
-        let job = self.make_job(req, opts, responder)?;
+        let job = self.make_job(req, opts, Responder::Frame(Some(reply)))?;
         let id = job.id;
         self.shared.queue.try_push(job).map_err(|(e, _job)| e)?;
         self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -371,7 +367,6 @@ impl Drop for Engine {
 /// Outcome of one job execution (either path), fed into the report and
 /// the counters.
 struct Executed {
-    output: ErasedOutput,
     algorithm: listrank::Algorithm,
     shards: usize,
     stitch_ns: u64,
@@ -485,7 +480,12 @@ fn worker_loop(shared: &Shared) {
                 // worker (stranding every later waiter) — it completes
                 // its cell with `Failed` instead. The scratch is safe
                 // to reuse afterwards: every entry point re-clears it.
+                // A served job's reply frame is opened first, so an
+                // exec that dies mid-write leaves a half-written frame
+                // for its `FrameReply` to turn into an ERROR.
+                let mut typed = None;
                 let exec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let out = job.responder.out(&mut typed);
                     if shared.cfg.fault.exec_panic() {
                         panic!("injected exec panic (fault plane)");
                     }
@@ -494,8 +494,8 @@ fn worker_loop(shared: &Shared) {
                             let runner = HostRunner::new(plan.algorithm)
                                 .with_seed(seed)
                                 .with_lanes(plan.lanes);
-                            let output = exec.run(&runner, list, &mut scratch);
-                            Executed { output, algorithm: plan.algorithm, shards: 0, stitch_ns: 0 }
+                            exec.run(Run::Monolithic { runner: &runner, list }, &mut scratch, out);
+                            Executed { algorithm: plan.algorithm, shards: 0, stitch_ns: 0 }
                         }
                         ShardDecision::Sharded { shard_size, lanes, .. } => {
                             // Resident-dataset fast path: reuse (or
@@ -508,10 +508,11 @@ fn worker_loop(shared: &Shared) {
                                     Arc::new(ShardedList::build(list, shard_size).with_lanes(lanes))
                                 }
                             };
-                            let (output, report) =
-                                exec.run_sharded_prebuilt(&sharded, seed, &mut scratch);
+                            let how = Run::Sharded { sharded: &sharded, seed };
+                            let report = exec
+                                .run(how, &mut scratch, out)
+                                .expect("a sharded run reports its stitch");
                             Executed {
-                                output,
                                 algorithm: report.stitch_algorithm,
                                 shards: report.shards,
                                 stitch_ns: report.stitch_ns,
@@ -554,7 +555,8 @@ fn worker_loop(shared: &Shared) {
                     queued_ns,
                     plan_ns,
                     exec_ns,
-                    output: done.output,
+                    // A served job's elements are in its reply frame.
+                    output: typed.unwrap_or_else(|| Box::new(())),
                 }));
                 shared.queue.note_finished(job.opts.priority);
                 if landed {

@@ -13,6 +13,7 @@
 //! can construct a request).
 
 use crate::op::{classify_op, OpKind};
+use crate::protocol::WireElem;
 use crate::queue::SubmitError;
 use crate::sched::Priority;
 use crate::store::ArtifactCache;
@@ -29,9 +30,47 @@ use std::sync::{Arc, Condvar, Mutex};
 /// it.
 pub(crate) type ErasedOutput = Box<dyn Any + Send>;
 
+/// How a job runs: the planner's monolithic pick, or the stitched
+/// shard-parallel path.
+#[derive(Clone, Copy)]
+pub(crate) enum Run<'a> {
+    /// Through the planner-configured runner.
+    Monolithic { runner: &'a HostRunner, list: &'a LinkedList },
+    /// Against a built sharded representation: the resident dataset's
+    /// cached artifact, or one the worker built for this job.
+    Sharded { sharded: &'a ShardedList, seed: u64 },
+}
+
+impl Run<'_> {
+    /// Elements the job writes.
+    fn len(&self) -> usize {
+        match self {
+            Run::Monolithic { list, .. } => list.len(),
+            Run::Sharded { sharded, .. } => sharded.len(),
+        }
+    }
+}
+
+/// Where a job writes its elements. Every kernel writes each slot
+/// exactly once through its output sink (`listrank`'s `*_mapped`
+/// entries), so both destinations take the result straight from the
+/// final pass.
+pub(crate) enum Out<'a> {
+    /// A fresh typed `Vec`, erased, for [`JobHandle::wait`].
+    Typed(&'a mut Option<ErasedOutput>),
+    /// Each element's little-endian wire encoding, in place: the
+    /// payload of the reply frame a [`FrameReply`] opened.
+    Wire(&'a mut [u8]),
+}
+
+/// A job's body with its element type's wire encoding fixed, so it can
+/// fill a reply frame's payload. Captured by the builders that know the
+/// element type is a [`WireElem`]; the erased job calls it.
+type WireFill<J> = fn(&J, Run<'_>, &mut RankScratch, &mut [u8]) -> Option<ShardedReport>;
+
 /// The executable body of a job with its output, operator and value
-/// types erased: the worker hands it a configured runner (or the
-/// sharded plan) and gets the erased output back.
+/// types erased: the worker hands it the planner's [`Run`] and an
+/// [`Out`], and gets the stitch report of a sharded run back.
 pub(crate) trait JobExec: Send + Sync {
     /// Stats/dispatch classification of the job.
     fn op_kind(&self) -> OpKind;
@@ -39,27 +78,72 @@ pub(crate) trait JobExec: Send + Sync {
     fn elem_bytes(&self) -> usize;
     /// Submit-time cross-field validation against the job's list.
     fn check(&self, list: &LinkedList) -> bool;
-    /// Monolithic execution through the planner-configured runner.
-    fn run(
-        &self,
-        runner: &HostRunner,
-        list: &LinkedList,
-        scratch: &mut RankScratch,
-    ) -> ErasedOutput;
-    /// Shard-parallel execution (stitched rank or scan) against a
-    /// built sharded representation: the resident dataset's cached
-    /// artifact, or one the worker built for this job.
-    fn run_sharded_prebuilt(
-        &self,
-        sharded: &ShardedList,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport);
+    /// Execute, writing every element into `out`.
+    fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport>;
+}
+
+/// Fill a fresh `Vec` that starts as `n` copies of `init` and park it,
+/// erased, in `slot`.
+fn typed<T: Clone + Send + 'static>(
+    slot: &mut Option<ErasedOutput>,
+    n: usize,
+    init: T,
+    fill: impl FnOnce(&mut [T]) -> Option<ShardedReport>,
+) -> Option<ShardedReport> {
+    let mut out = vec![init; n];
+    let report = fill(&mut out);
+    *slot = Some(Box::new(out));
+    report
+}
+
+/// The one scan body every scan job shares: `values` scanned under
+/// `op` along the run's list, `out[v] = map(prefix at v)`.
+fn scan_run<T, Op, O>(
+    how: Run<'_>,
+    values: &[T],
+    op: &Op,
+    scratch: &mut RankScratch,
+    out: &mut [O],
+    map: impl Fn(T) -> O + Sync,
+) -> Option<ShardedReport>
+where
+    T: Copy + Send + Sync,
+    Op: ScanOp<T>,
+    O: Send,
+{
+    match how {
+        Run::Monolithic { runner, list } => {
+            runner.scan_mapped(list, values, op, scratch, out, map);
+            None
+        }
+        Run::Sharded { sharded, seed } => Some(listrank::host::scan_sharded_prebuilt_mapped(
+            sharded, values, op, seed, scratch, out, map,
+        )),
+    }
 }
 
 /// List ranking: the scan of all-ones under `+`, run by the dedicated
 /// rank kernels, which need no values array.
 struct RankJob;
+
+impl RankJob {
+    fn fill<O: Send>(
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        out: &mut [O],
+        map: impl Fn(u64) -> O + Sync,
+    ) -> Option<ShardedReport> {
+        match how {
+            Run::Monolithic { runner, list } => {
+                runner.rank_mapped(list, scratch, out, map);
+                None
+            }
+            Run::Sharded { sharded, seed } => {
+                Some(listrank::host::rank_sharded_prebuilt_mapped(sharded, seed, scratch, out, map))
+            }
+        }
+    }
+}
 
 impl JobExec for RankJob {
     fn op_kind(&self) -> OpKind {
@@ -74,26 +158,13 @@ impl JobExec for RankJob {
         true
     }
 
-    fn run(
-        &self,
-        runner: &HostRunner,
-        list: &LinkedList,
-        scratch: &mut RankScratch,
-    ) -> ErasedOutput {
-        let mut out = Vec::new();
-        runner.rank_into(list, scratch, &mut out);
-        Box::new(out)
-    }
-
-    fn run_sharded_prebuilt(
-        &self,
-        sharded: &ShardedList,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let mut out = Vec::new();
-        let report = listrank::host::rank_sharded_prebuilt_into(sharded, seed, scratch, &mut out);
-        (Box::new(out), report)
+    fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport> {
+        match out {
+            Out::Typed(slot) => {
+                typed(slot, how.len(), 0u64, |v| Self::fill(how, scratch, v, |r| r))
+            }
+            Out::Wire(bytes) => Self::fill(how, scratch, u64::le_chunks_mut(bytes), u64::to_wire),
+        }
     }
 }
 
@@ -102,6 +173,23 @@ struct ScanJob<T, Op> {
     values: Arc<Vec<T>>,
     op: Op,
     kind: OpKind,
+    /// The wire body, when the builder knew `T` is a [`WireElem`].
+    wire: Option<WireFill<Self>>,
+}
+
+impl<T, Op> ScanJob<T, Op>
+where
+    T: WireElem + Send + Sync,
+    Op: ScanOp<T>,
+{
+    fn fill_wire(
+        &self,
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        bytes: &mut [u8],
+    ) -> Option<ShardedReport> {
+        scan_run(how, &self.values, &self.op, scratch, T::le_chunks_mut(bytes), T::to_wire)
+    }
 }
 
 impl<T, Op> JobExec for ScanJob<T, Op>
@@ -121,44 +209,60 @@ where
         self.values.len() == list.len()
     }
 
-    fn run(
-        &self,
-        runner: &HostRunner,
-        list: &LinkedList,
-        scratch: &mut RankScratch,
-    ) -> ErasedOutput {
-        let mut out = Vec::new();
-        runner.scan_into(list, &self.values, &self.op, scratch, &mut out);
-        Box::new(out)
-    }
-
-    fn run_sharded_prebuilt(
-        &self,
-        sharded: &ShardedList,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let mut out = Vec::new();
-        let report = listrank::host::scan_sharded_prebuilt_into(
-            sharded,
-            &self.values,
-            &self.op,
-            seed,
-            scratch,
-            &mut out,
-        );
-        (Box::new(out), report)
+    fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport> {
+        match out {
+            Out::Typed(slot) => typed(slot, how.len(), self.op.identity(), |v| {
+                scan_run(how, &self.values, &self.op, scratch, v, |x| x)
+            }),
+            Out::Wire(bytes) => wire_fill(self.wire)(self, how, scratch, bytes),
+        }
     }
 }
 
 /// A segmented scan job: values are pre-wrapped with their segment
 /// flags (once, at request construction), scanned under the
-/// [`SegOp`] transform, and unwrapped back to plain values on the way
-/// out — so the caller's output type is `Vec<T>`, not an engine detail.
+/// [`SegOp`] transform, and unwrapped on the way out — each element
+/// mapped from its wrapped prefix's value, then every segment start
+/// restarted at the identity ([`segmented::restart_segments`]) — so the
+/// caller's output type is `Vec<T>`, not an engine detail, and no
+/// wrapped output array is ever built.
 struct SegScanJob<T, Op> {
     wrapped: Arc<Vec<Segmented<T>>>,
     starts: Arc<Vec<bool>>,
     op: Op,
+    /// The wire body, when the builder knew `T` is a [`WireElem`].
+    wire: Option<WireFill<Self>>,
+}
+
+impl<T, Op> SegScanJob<T, Op>
+where
+    T: Copy + Send + Sync,
+    Op: ScanOp<T> + Clone,
+{
+    fn fill<O: Copy + Send>(
+        &self,
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        out: &mut [O],
+        map: impl Fn(T) -> O + Sync,
+    ) -> Option<ShardedReport> {
+        let seg = SegOp(self.op.clone());
+        let report = scan_run(how, &self.wrapped, &seg, scratch, out, |s| map(s.value));
+        segmented::restart_segments(out, &self.starts, map(self.op.identity()));
+        report
+    }
+
+    fn fill_wire(
+        &self,
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        bytes: &mut [u8],
+    ) -> Option<ShardedReport>
+    where
+        T: WireElem,
+    {
+        self.fill(how, scratch, T::le_chunks_mut(bytes), T::to_wire)
+    }
 }
 
 impl<T, Op> JobExec for SegScanJob<T, Op>
@@ -178,36 +282,20 @@ where
         self.wrapped.len() == list.len() && self.starts.len() == list.len()
     }
 
-    fn run(
-        &self,
-        runner: &HostRunner,
-        list: &LinkedList,
-        scratch: &mut RankScratch,
-    ) -> ErasedOutput {
-        let seg = SegOp(self.op.clone());
-        let mut scanned = Vec::new();
-        runner.scan_into(list, &self.wrapped, &seg, scratch, &mut scanned);
-        Box::new(segmented::unwrap_exclusive(&scanned, &self.starts, &self.op))
+    fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport> {
+        match out {
+            Out::Typed(slot) => {
+                typed(slot, how.len(), self.op.identity(), |v| self.fill(how, scratch, v, |x| x))
+            }
+            Out::Wire(bytes) => wire_fill(self.wire)(self, how, scratch, bytes),
+        }
     }
+}
 
-    fn run_sharded_prebuilt(
-        &self,
-        sharded: &ShardedList,
-        seed: u64,
-        scratch: &mut RankScratch,
-    ) -> (ErasedOutput, ShardedReport) {
-        let seg = SegOp(self.op.clone());
-        let mut scanned = Vec::new();
-        let report = listrank::host::scan_sharded_prebuilt_into(
-            sharded,
-            &self.wrapped,
-            &seg,
-            seed,
-            scratch,
-            &mut scanned,
-        );
-        (Box::new(segmented::unwrap_exclusive(&scanned, &self.starts, &self.op)), report)
-    }
+/// A job's wire body. Only the server asks for wire output, and it
+/// builds every job with [`Request::wire_scan`] or [`Request::rank`].
+fn wire_fill<J>(wire: Option<WireFill<J>>) -> WireFill<J> {
+    wire.expect("wire output is only requested of jobs built with a wire encoding")
 }
 
 /// What a job computes (internal, type-erased). Constructed only
@@ -343,8 +431,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
     where
         Op: ScanOp<T> + Send + Sync + 'static,
     {
-        let kind = classify_op::<Op>();
-        Self::new(list, Arc::new(ScanJob { values, op, kind }))
+        Self::scan_job(list, values, op, None)
     }
 
     /// Exclusive **segmented** scan: restarts at every vertex whose
@@ -366,6 +453,32 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
     where
         Op: ScanOp<T> + Clone + Send + Sync + 'static,
     {
+        Self::segmented_job(list, values, starts, op, None)
+    }
+
+    fn scan_job<Op>(
+        list: Arc<LinkedList>,
+        values: Arc<Vec<T>>,
+        op: Op,
+        wire: Option<WireFill<ScanJob<T, Op>>>,
+    ) -> Self
+    where
+        Op: ScanOp<T> + Send + Sync + 'static,
+    {
+        let kind = classify_op::<Op>();
+        Self::new(list, Arc::new(ScanJob { values, op, kind, wire }))
+    }
+
+    fn segmented_job<Op>(
+        list: Arc<LinkedList>,
+        values: Arc<Vec<T>>,
+        starts: Arc<Vec<bool>>,
+        op: Op,
+        wire: Option<WireFill<SegScanJob<T, Op>>>,
+    ) -> Self
+    where
+        Op: ScanOp<T> + Clone + Send + Sync + 'static,
+    {
         // A length mismatch cannot be wrapped; an empty wrapped array
         // can never match a (≥ 1 vertex) list, so `validate` rejects it.
         let wrapped = if values.len() == starts.len() {
@@ -373,7 +486,33 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         } else {
             Arc::new(Vec::new())
         };
-        Self::new(list, Arc::new(SegScanJob { wrapped, starts, op }))
+        Self::new(list, Arc::new(SegScanJob { wrapped, starts, op, wire }))
+    }
+}
+
+impl<T: WireElem + Send + Sync + 'static> Request<Vec<T>> {
+    /// The server's scan builder: [`Request::scan`], or with `starts`
+    /// [`Request::segmented_scan`], whose job can also write its
+    /// elements straight into a reply frame as wire encodings.
+    pub(crate) fn wire_scan<Op>(
+        list: Arc<LinkedList>,
+        values: Arc<Vec<T>>,
+        starts: Option<Arc<Vec<bool>>>,
+        op: Op,
+    ) -> Self
+    where
+        Op: ScanOp<T> + Clone + Send + Sync + 'static,
+    {
+        match starts {
+            Some(starts) => {
+                let wire: WireFill<SegScanJob<T, Op>> = SegScanJob::fill_wire;
+                Self::segmented_job(list, values, starts, op, Some(wire))
+            }
+            None => {
+                let wire: WireFill<ScanJob<T, Op>> = ScanJob::fill_wire;
+                Self::scan_job(list, values, op, Some(wire))
+            }
+        }
     }
 }
 
@@ -649,30 +788,52 @@ impl<R: 'static> JobHandle<R> {
     }
 }
 
+/// A reply frame a served job writes its result into in place — the
+/// server's pooled OUTPUT frame. The worker opens it when the job
+/// starts executing and settles it exactly once.
+pub(crate) trait FrameReply: Send {
+    /// Take the reply buffer, lay the frame out in it and hand back
+    /// the payload: one little-endian element per list vertex, each
+    /// for the job to overwrite.
+    fn payload(&mut self) -> &mut [u8];
+    /// Finish the reply: seal the frame with the report's metadata, or
+    /// on `Err` reuse the buffer for the ERROR reply, so a job that
+    /// failed mid-write never sends a half-written OUTPUT.
+    fn settle(self: Box<Self>, result: Result<JobReport<ErasedOutput>, JobError>);
+}
+
 /// How a worker delivers a job's settled result (internal). Handle
 /// submissions settle a shared [`JobCell`] the caller waits on; the
-/// event-driven server instead registers a one-shot callback that
-/// encodes the reply and wakes the reactor — no parked thread per
-/// in-flight request, which is what makes pipelining scale.
-pub(crate) type CompletionFn = Box<dyn FnOnce(Result<JobReport<ErasedOutput>, JobError>) + Send>;
-
+/// event-driven server instead hands over a [`FrameReply`] that the
+/// job writes its elements into and that wakes the reactor when
+/// settled — no parked thread per in-flight request, which is what
+/// makes pipelining scale.
 pub(crate) enum Responder {
     /// Settle a waitable cell (the `submit` / `JobHandle` path).
     Cell(Arc<JobCell>),
-    /// Invoke a one-shot callback (the `try_submit_callback` path). `None`
-    /// after the callback has fired.
-    Callback(Option<CompletionFn>),
+    /// Write and send a reply frame (the server's path). `None` once
+    /// settled.
+    Frame(Option<Box<dyn FrameReply>>),
 }
 
 impl Responder {
+    /// Where the executing job writes its elements: the reply frame's
+    /// payload, or a typed `Vec` parked in `typed`.
+    pub(crate) fn out<'a>(&'a mut self, typed: &'a mut Option<ErasedOutput>) -> Out<'a> {
+        match self {
+            Responder::Frame(Some(frame)) => Out::Wire(frame.payload()),
+            _ => Out::Typed(typed),
+        }
+    }
+
     /// Deliver the result. First settle wins (a cancelled cell drops
     /// later results); returns whether this call's result landed.
     pub(crate) fn settle(&mut self, result: Result<JobReport<ErasedOutput>, JobError>) -> bool {
         match self {
             Responder::Cell(cell) => cell.complete(result),
-            Responder::Callback(f) => match f.take() {
-                Some(f) => {
-                    f(result);
+            Responder::Frame(frame) => match frame.take() {
+                Some(frame) => {
+                    frame.settle(result);
                     true
                 }
                 None => false,
@@ -681,11 +842,11 @@ impl Responder {
     }
 
     /// Whether the job has already settled (e.g. cancelled while
-    /// queued). Callback responders settle exactly once, at delivery.
+    /// queued). Frame responders settle exactly once, at delivery.
     pub(crate) fn is_settled(&self) -> bool {
         match self {
             Responder::Cell(cell) => cell.is_settled(),
-            Responder::Callback(f) => f.is_none(),
+            Responder::Frame(frame) => frame.is_none(),
         }
     }
 }

@@ -39,6 +39,7 @@ use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
 use listrank::Algorithm;
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// Handshake magic: the bytes `"RNKD"` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"RNKD");
@@ -431,6 +432,18 @@ fn put_frame_header(
     request_id: Option<u64>,
     body_len: usize,
 ) -> std::io::Result<()> {
+    let (header, len) = frame_header(kind, request_id, body_len)?;
+    out.extend_from_slice(&header[..len]);
+    Ok(())
+}
+
+/// The frame header [`put_frame_header`] appends, as bytes and their
+/// count.
+fn frame_header(
+    kind: u8,
+    request_id: Option<u64>,
+    body_len: usize,
+) -> std::io::Result<([u8; FRAME_HEADER_MAX], usize)> {
     let id_len = if request_id.is_some() { 8 } else { 0 };
     let len = u32::try_from(1 + id_len + body_len as u64).map_err(|_| {
         std::io::Error::new(
@@ -438,12 +451,23 @@ fn put_frame_header(
             format!("frame body of {body_len} bytes exceeds the u32 length prefix"),
         )
     })?;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(kind);
+    let mut header = [0u8; FRAME_HEADER_MAX];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4] = kind;
     if let Some(id) = request_id {
-        out.extend_from_slice(&id.to_le_bytes());
+        header[5..].copy_from_slice(&id.to_le_bytes());
     }
-    Ok(())
+    Ok((header, 5 + id_len as usize))
+}
+
+/// The pipelined twin of a reply kind when `request_id` is set: OUTPUT
+/// goes out as OUTPUT_P and ERROR as ERROR_P.
+fn reply_kind(kind: FrameKind, request_id: Option<u64>) -> FrameKind {
+    match (request_id, kind) {
+        (None, kind) => kind,
+        (Some(_), FrameKind::Error) => FrameKind::ErrorP,
+        (Some(_), _) => FrameKind::OutputP,
+    }
 }
 
 /// Append one whole reply frame to `out`: the header — in the
@@ -463,12 +487,7 @@ pub fn reply_frame_into(
     body_len: usize,
     put_body: impl FnOnce(&mut Vec<u8>),
 ) -> std::io::Result<()> {
-    let kind = match (request_id, kind) {
-        (None, kind) => kind,
-        (Some(_), FrameKind::Error) => FrameKind::ErrorP,
-        (Some(_), _) => FrameKind::OutputP,
-    };
-    put_frame_header(out, kind as u8, request_id, body_len)?;
+    put_frame_header(out, reply_kind(kind, request_id) as u8, request_id, body_len)?;
     let start = out.len();
     put_body(out);
     assert_eq!(out.len() - start, body_len, "reply body length disagrees with its header");
@@ -546,50 +565,104 @@ pub fn read_frame_into(
 // Element encoding
 // ---------------------------------------------------------------------
 
-/// A value type with a fixed wire encoding. Sealed in practice to the
-/// element types the wire operators use (`i64`, `u64`,
-/// [`listkit::ops::Affine`]).
+/// A value type with a fixed little-endian wire encoding. Sealed in
+/// practice to the element types the wire carries: `u32` list links,
+/// the operators' `i64` and `u64`, and [`listkit::ops::Affine`].
+///
+/// Bulk arrays never go element by element through a growing buffer:
+/// the codec's slice encoders and [`decode_slice`] view the bytes as
+/// `[u8; BYTES]` chunks ([`WireElem::le_chunks`]) and move whole
+/// arrays, and a served job writes [`WireElem::to_wire`] straight into
+/// its reply frame through the same view.
 pub trait WireElem: Copy {
     /// Encoded size in bytes.
     const BYTES: usize;
-    /// Append the little-endian encoding.
-    fn put(self, out: &mut Vec<u8>);
-    /// Decode from exactly [`Self::BYTES`] bytes.
-    fn get(b: &[u8]) -> Self;
+    /// The encoding, `[u8; BYTES]`.
+    type Le: Copy + Send + Sync + 'static;
+    /// The little-endian encoding.
+    fn to_wire(self) -> Self::Le;
+    /// Decode one encoding.
+    fn from_wire(le: Self::Le) -> Self;
+    /// View `bytes`, exactly a whole number of encodings long, as
+    /// encoded elements.
+    fn le_chunks(bytes: &[u8]) -> &[Self::Le];
+    /// The mutable twin of [`Self::le_chunks`].
+    fn le_chunks_mut(bytes: &mut [u8]) -> &mut [Self::Le];
 }
 
-impl WireElem for i64 {
-    const BYTES: usize = 8;
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn get(b: &[u8]) -> Self {
-        i64::from_le_bytes(b.try_into().expect("8-byte i64"))
-    }
+/// `WireElem` for a primitive integer: its own `to_le_bytes`.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl WireElem for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            type Le = [u8; std::mem::size_of::<$t>()];
+            fn to_wire(self) -> Self::Le {
+                self.to_le_bytes()
+            }
+            fn from_wire(le: Self::Le) -> Self {
+                <$t>::from_le_bytes(le)
+            }
+            fn le_chunks(bytes: &[u8]) -> &[Self::Le] {
+                whole(bytes.as_chunks())
+            }
+            fn le_chunks_mut(bytes: &mut [u8]) -> &mut [Self::Le] {
+                whole(bytes.as_chunks_mut())
+            }
+        }
+    )*};
 }
 
-impl WireElem for u64 {
-    const BYTES: usize = 8;
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn get(b: &[u8]) -> Self {
-        u64::from_le_bytes(b.try_into().expect("8-byte u64"))
-    }
-}
+wire_int!(u32, i64, u64);
 
 impl WireElem for Affine {
     const BYTES: usize = 16;
-    fn put(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.a.to_le_bytes());
-        out.extend_from_slice(&self.b.to_le_bytes());
+    type Le = [u8; 16];
+    fn to_wire(self) -> Self::Le {
+        let mut le = [0u8; 16];
+        le[..8].copy_from_slice(&self.a.to_le_bytes());
+        le[8..].copy_from_slice(&self.b.to_le_bytes());
+        le
     }
-    fn get(b: &[u8]) -> Self {
+    fn from_wire(le: Self::Le) -> Self {
+        let (a, b) = le.split_at(8);
         Affine::new(
-            i64::from_le_bytes(b[..8].try_into().expect("8-byte a")),
-            i64::from_le_bytes(b[8..16].try_into().expect("8-byte b")),
+            i64::from_le_bytes(a.try_into().expect("8-byte a")),
+            i64::from_le_bytes(b.try_into().expect("8-byte b")),
         )
     }
+    fn le_chunks(bytes: &[u8]) -> &[Self::Le] {
+        whole(bytes.as_chunks())
+    }
+    fn le_chunks_mut(bytes: &mut [u8]) -> &mut [Self::Le] {
+        whole(bytes.as_chunks_mut())
+    }
+}
+
+/// The chunks of an `as_chunks` split that must leave no remainder.
+fn whole<C, R: AsRef<[u8]>>((chunks, rest): (C, R)) -> C {
+    assert!(rest.as_ref().is_empty(), "byte length is not a whole number of elements");
+    chunks
+}
+
+/// Encode `values` into `out`, exactly `values.len() * T::BYTES` bytes.
+pub(crate) fn encode_slice<T: WireElem>(values: &[T], out: &mut [u8]) {
+    let out = T::le_chunks_mut(out);
+    assert_eq!(out.len(), values.len(), "encoded length mismatch");
+    for (o, &v) in out.iter_mut().zip(values) {
+        *o = v.to_wire();
+    }
+}
+
+/// Append the encoding of `values` to `out`.
+pub(crate) fn put_slice<T: WireElem>(values: &[T], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + values.len() * T::BYTES, 0);
+    encode_slice(values, &mut out[start..]);
+}
+
+/// Decode a whole number of encodings into a fresh `Vec`.
+pub fn decode_slice<T: WireElem>(raw: &[u8]) -> Vec<T> {
+    T::le_chunks(raw).iter().map(|&le| T::from_wire(le)).collect()
 }
 
 /// A decoded value array, typed by the operator that owns it: `i64` for
@@ -610,11 +683,9 @@ fn decode_values(op: WireOp, n: usize, d: &mut Dec<'_>) -> Result<WireValues, Wi
         .ok_or_else(|| WireError::malformed("value array length overflows"))?;
     let raw = d.take(total, "value array")?;
     Ok(match op {
-        WireOp::Add | WireOp::Max | WireOp::Min => {
-            WireValues::I64(raw.chunks_exact(8).map(i64::get).collect())
-        }
-        WireOp::Xor => WireValues::U64(raw.chunks_exact(8).map(u64::get).collect()),
-        WireOp::Affine => WireValues::Affine(raw.chunks_exact(16).map(Affine::get).collect()),
+        WireOp::Add | WireOp::Max | WireOp::Min => WireValues::I64(decode_slice(raw)),
+        WireOp::Xor => WireValues::U64(decode_slice(raw)),
+        WireOp::Affine => WireValues::Affine(decode_slice(raw)),
     })
 }
 
@@ -919,9 +990,8 @@ fn decode_list(d: &mut Dec<'_>) -> Result<LinkedList, WireError> {
         n.checked_mul(4).ok_or_else(|| WireError::malformed("successor array overflows"))?,
         "successor array",
     )?;
-    let next: Vec<u32> =
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect();
-    LinkedList::new(next, head).map_err(|e| WireError::malformed(format!("invalid list: {e}")))
+    LinkedList::new(decode_slice(raw), head)
+        .map_err(|e| WireError::malformed(format!("invalid list: {e}")))
 }
 
 fn decode_starts(n: usize, d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
@@ -1036,9 +1106,7 @@ pub fn hello_body() -> Vec<u8> {
 fn put_list(list: &LinkedList, out: &mut Vec<u8>) {
     out.extend_from_slice(&list.head().to_le_bytes());
     out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-    for &s in list.links() {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
+    put_slice(list.links(), out);
 }
 
 /// Append the request-flags prefix: the flags byte, then `deadline_ms`
@@ -1227,9 +1295,7 @@ impl<'a, T: WireElem> Call<'a, T> {
         if let Some(starts) = self.starts {
             b.extend_from_slice(&pack_starts(starts));
         }
-        for &v in self.values {
-            v.put(&mut b);
-        }
+        put_slice(self.values, &mut b);
         (kind, b)
     }
 }
@@ -1441,7 +1507,7 @@ pub struct OutputMeta {
 
 /// OUTPUT body bytes ahead of the payload: algorithm, shards, queued
 /// and exec nanoseconds, trace id, element count.
-const OUTPUT_META_BYTES: usize = 1 + 4 + 8 + 8 + 8 + 4;
+pub(crate) const OUTPUT_META_BYTES: usize = 1 + 4 + 8 + 8 + 8 + 4;
 
 /// The length of the OUTPUT body [`output_body`] writes for `n`
 /// elements of `T`.
@@ -1459,17 +1525,90 @@ pub fn output_body<T: WireElem>(meta: &OutputMeta, values: &[T]) -> Vec<u8> {
 /// Append the OUTPUT body of [`output_body`] to `out`, so a reply can
 /// be framed into a reused buffer behind its header.
 pub fn output_body_into<T: WireElem>(meta: &OutputMeta, values: &[T], out: &mut Vec<u8>) {
-    out.reserve(output_body_len::<T>(values.len()));
+    let start = out.len();
+    out.resize(start + output_body_len::<T>(values.len()), 0);
+    let (head, payload) = out[start..].split_at_mut(OUTPUT_META_BYTES);
+    write_output_meta(meta, values.len(), head);
+    encode_slice(values, payload);
+}
+
+/// Write the OUTPUT metadata for `n` payload elements into `out`,
+/// exactly [`OUTPUT_META_BYTES`] long.
+fn write_output_meta(meta: &OutputMeta, n: usize, out: &mut [u8]) {
     let code = Algorithm::ALL.iter().position(|a| *a == meta.algorithm).expect("known algorithm");
-    out.push(code as u8);
-    out.extend_from_slice(&meta.shards.to_le_bytes());
-    out.extend_from_slice(&meta.queued_ns.to_le_bytes());
-    out.extend_from_slice(&meta.exec_ns.to_le_bytes());
-    out.extend_from_slice(&meta.trace_id.to_le_bytes());
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        v.put(out);
+    out[0] = code as u8;
+    out[1..5].copy_from_slice(&meta.shards.to_le_bytes());
+    out[5..13].copy_from_slice(&meta.queued_ns.to_le_bytes());
+    out[13..21].copy_from_slice(&meta.exec_ns.to_le_bytes());
+    out[21..29].copy_from_slice(&meta.trace_id.to_le_bytes());
+    out[29..OUTPUT_META_BYTES].copy_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// Boundary an [`open_output_frame`] payload starts on: the widest
+/// element word, so a job's little-endian stores never split a word
+/// across cache lines.
+pub(crate) const PAYLOAD_ALIGN: usize = 8;
+
+/// An OUTPUT frame laid out in a buffer by [`open_output_frame`]: the
+/// payload is the job's to write, the metadata is written last by
+/// [`seal_output_frame`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OutputFrame {
+    /// Bytes skipped ahead of the frame to put its payload on a
+    /// [`PAYLOAD_ALIGN`] boundary; the frame's wire bytes are
+    /// `buf[lead..]`.
+    pub(crate) lead: usize,
+    /// Offset of the OUTPUT metadata in the buffer.
+    meta_at: usize,
+    /// Payload elements.
+    n: usize,
+}
+
+impl OutputFrame {
+    /// The payload's byte range in the buffer.
+    pub(crate) fn payload(&self, buf_len: usize) -> Range<usize> {
+        self.meta_at + OUTPUT_META_BYTES..buf_len
     }
+}
+
+/// Lay out the whole OUTPUT frame (OUTPUT_P with a `request_id`) for
+/// `n` elements of `elem_bytes` in `buf`: a lead skip that puts the
+/// payload on a [`PAYLOAD_ALIGN`] boundary of `buf`'s memory, the
+/// frame header, room for the metadata and the payload itself. The
+/// bytes past the header are whatever `buf` held — the job overwrites
+/// every payload element and [`seal_output_frame`] the metadata — so a
+/// recycled buffer is never cleared. A body the `u32` length prefix
+/// cannot cover is an [`std::io::ErrorKind::InvalidInput`] error.
+pub(crate) fn open_output_frame(
+    buf: &mut Vec<u8>,
+    request_id: Option<u64>,
+    n: usize,
+    elem_bytes: usize,
+) -> std::io::Result<OutputFrame> {
+    let body_len = n
+        .checked_mul(elem_bytes)
+        .and_then(|p| p.checked_add(OUTPUT_META_BYTES))
+        .ok_or_else(|| std::io::Error::other("OUTPUT body length overflows"))?;
+    let kind = reply_kind(FrameKind::Output, request_id) as u8;
+    let (header, header_len) = frame_header(kind, request_id, body_len)?;
+    let frame_len = header_len + body_len;
+    buf.reserve((PAYLOAD_ALIGN - 1 + frame_len).saturating_sub(buf.len()));
+    let meta_end = buf.as_ptr() as usize + header_len + OUTPUT_META_BYTES;
+    let lead = meta_end.wrapping_neg() % PAYLOAD_ALIGN;
+    if buf.len() < lead + frame_len {
+        buf.resize(lead + frame_len, 0);
+    } else {
+        buf.truncate(lead + frame_len);
+    }
+    buf[lead..lead + header_len].copy_from_slice(&header[..header_len]);
+    Ok(OutputFrame { lead, meta_at: lead + header_len, n })
+}
+
+/// Write an opened frame's metadata, once the job has filled its
+/// payload.
+pub(crate) fn seal_output_frame(buf: &mut [u8], frame: &OutputFrame, meta: &OutputMeta) {
+    let at = frame.meta_at;
+    write_output_meta(meta, frame.n, &mut buf[at..at + OUTPUT_META_BYTES]);
 }
 
 /// Decode an OUTPUT body; the caller supplies the element type it
@@ -1490,7 +1629,7 @@ pub fn decode_output<T: WireElem>(body: &[u8]) -> Result<(OutputMeta, Vec<T>), W
         "payload",
     )?;
     d.finish()?;
-    let values = raw.chunks_exact(T::BYTES).map(T::get).collect();
+    let values = decode_slice(raw);
     Ok((OutputMeta { algorithm, shards, queued_ns, exec_ns, trace_id }, values))
 }
 

@@ -5,11 +5,13 @@
 //! via [`ServeConfig::with_tcp`]), multiplexes readiness with
 //! `poll(2)` ([`crate::poll`]), and decodes [`crate::protocol`] frames
 //! in place in per-connection read buffers. Job-bearing frames are
-//! submitted through the engine's *non-blocking* callback path; the
-//! worker that settles a job frames the whole reply once, into a
-//! recycled buffer, pushes it into a completion hub and wakes the
-//! reactor over a self-pipe; the reactor queues that buffer on the
-//! connection and writes it as it is. No thread is parked per
+//! submitted through the engine's *non-blocking* frame path: the
+//! worker that runs a job takes a recycled buffer when execution
+//! starts, lays the whole OUTPUT frame out in it and has the job write
+//! its little-endian elements straight into the payload; it then
+//! writes the metadata, pushes the frame into a completion hub and
+//! wakes the reactor over a self-pipe; the reactor queues that buffer
+//! on the connection and writes it as it is. No thread is parked per
 //! in-flight request, which is what makes pipelining scale:
 //!
 //! * **Pipelining (v6).** A request carrying
@@ -61,7 +63,7 @@
 use crate::dynamic::MutateError;
 use crate::engine::Engine;
 use crate::fault::FaultPlane;
-use crate::job::{JobError, JobOptions, JobReport, Request};
+use crate::job::{ErasedOutput, FrameReply, JobError, JobOptions, JobReport, Request};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
     self, error_body, ErrorCode, FaultGauges, FrameKind, Job, JobFrame, MutGauges, SchedGauges,
@@ -251,6 +253,12 @@ pub struct ServerStats {
     pub errors_sent: u64,
     /// Connections turned away at [`ServeConfig::max_clients`].
     pub busy_rejected: u64,
+    /// Reply buffers the reply pool holds for reuse. A served job's
+    /// frame comes from the pool and goes back once written — or, for
+    /// a job that failed mid-write, as soon as it fails.
+    pub reply_bufs_pooled: u64,
+    /// Bytes of capacity those pooled buffers hold.
+    pub reply_bytes_pooled: u64,
 }
 
 impl std::fmt::Display for ServerStats {
@@ -271,7 +279,7 @@ impl std::fmt::Display for ServerStats {
     }
 }
 
-/// State shared between the reactor, the worker completion callbacks,
+/// State shared between the reactor, the workers writing reply frames,
 /// and [`ServerControl`].
 struct Shared {
     shutdown: AtomicBool,
@@ -312,6 +320,9 @@ struct Shared {
     /// In-flight depth observed at each pipelined admission (its count
     /// is the pipelined-request total, its max the deepest set).
     pipeline_depth: AtomicHistogram,
+    /// Reply buffers recycled between the workers that write replies
+    /// and the reactor that sends them.
+    pool: BufPool,
 }
 
 impl Shared {
@@ -340,6 +351,7 @@ impl Shared {
             quota_rejected_store: AtomicU64::new(0),
             reply_reorders: AtomicU64::new(0),
             pipeline_depth: AtomicHistogram::new(),
+            pool: BufPool::default(),
         }
     }
 
@@ -364,6 +376,7 @@ impl Shared {
     }
 
     fn stats(&self) -> ServerStats {
+        let held = self.pool.held();
         ServerStats {
             connections_total: self.connections_total.load(Ordering::Relaxed),
             connections_active: self.connections_active.load(Ordering::Relaxed),
@@ -374,6 +387,8 @@ impl Shared {
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             errors_sent: self.errors_sent.load(Ordering::Relaxed),
             busy_rejected: self.busy_rejected.load(Ordering::Relaxed),
+            reply_bufs_pooled: held.0 as u64,
+            reply_bytes_pooled: held.1 as u64,
         }
     }
 }
@@ -588,18 +603,20 @@ impl Write for Transport {
     }
 }
 
-/// Reply buffers recycled between the workers that frame replies and
-/// the reactor that writes them. A reused buffer keeps its pages
-/// mapped, so a large reply touches no fresh memory; the pool holds at
-/// most [`POOL_MAX_BUFS`] buffers and [`POOL_MAX_BYTES`] of capacity.
+/// Reply buffers recycled between the workers that write replies and
+/// the reactor that sends them. A reused buffer keeps its pages mapped,
+/// so a large reply touches no fresh memory; the pool holds at most
+/// [`POOL_MAX_BUFS`] buffers and [`POOL_MAX_BYTES`] of capacity.
+/// Buffers keep their old bytes: a job's frame overwrites every byte it
+/// sends, so a 32 MiB reply is not cleared first.
 #[derive(Default)]
 struct BufPool {
     bufs: Mutex<Vec<Vec<u8>>>,
 }
 
 impl BufPool {
-    /// An empty buffer with room for `need` bytes: the smallest pooled
-    /// one that fits, else a fresh one.
+    /// A buffer with room for `need` bytes, holding stale bytes: the
+    /// smallest pooled one that fits, else a fresh one.
     fn take(&self, need: usize) -> Vec<u8> {
         let pooled = {
             let mut bufs = self.bufs.lock().expect("reply pool poisoned");
@@ -613,13 +630,33 @@ impl BufPool {
 
     /// Return a written buffer; it is dropped instead when keeping it
     /// would pass the pool's bound.
-    fn give(&self, mut buf: Vec<u8>) {
-        buf.clear();
+    fn give(&self, buf: Vec<u8>) {
         let mut bufs = self.bufs.lock().expect("reply pool poisoned");
         let held: usize = bufs.iter().map(Vec::capacity).sum();
         if bufs.len() < POOL_MAX_BUFS && held + buf.capacity() <= POOL_MAX_BYTES {
             bufs.push(buf);
         }
+    }
+
+    /// Buffers held for reuse, and their bytes of capacity.
+    fn held(&self) -> (usize, usize) {
+        let bufs = self.bufs.lock().expect("reply pool poisoned");
+        (bufs.len(), bufs.iter().map(Vec::capacity).sum())
+    }
+}
+
+/// One whole reply frame queued for the socket. Its wire bytes are
+/// `buf[lead..]`: a job's OUTPUT frame starts a few bytes into its
+/// buffer so that the payload the job wrote sits on an 8-byte boundary
+/// ([`protocol::open_output_frame`]); every other frame has no lead.
+struct OutFrame {
+    buf: Vec<u8>,
+    lead: usize,
+}
+
+impl OutFrame {
+    fn wire(&self) -> &[u8] {
+        &self.buf[self.lead..]
     }
 }
 
@@ -630,38 +667,39 @@ fn frame_reply(
     pool: &BufPool,
     kind: FrameKind,
     request_id: Option<u64>,
-    body_len: usize,
-    put_body: impl FnOnce(&mut Vec<u8>),
-) -> Option<Vec<u8>> {
-    let mut frame = pool.take(protocol::FRAME_HEADER_MAX + body_len);
-    protocol::reply_frame_into(&mut frame, kind, request_id, body_len, put_body).ok()?;
-    Some(frame)
+    body: &[u8],
+) -> Option<OutFrame> {
+    let mut buf = pool.take(protocol::FRAME_HEADER_MAX + body.len());
+    buf.clear();
+    protocol::reply_frame_into(&mut buf, kind, request_id, body.len(), |f| {
+        f.extend_from_slice(body)
+    })
+    .ok()?;
+    Some(OutFrame { buf, lead: 0 })
 }
 
-/// A settled job's reply, framed by the worker callback and drained by
-/// the reactor, which queues `frame` on the connection as it is.
-/// `kind` is OUTPUT or ERROR, whether or not the frame is pipelined.
+/// A settled job's reply, written by its worker and drained by the
+/// reactor, which queues `frame` on the connection as it is. `kind` is
+/// OUTPUT or ERROR, whether or not the frame is pipelined.
 struct Completion {
     conn: u64,
     request_id: Option<u64>,
     arrival_seq: u64,
     kind: FrameKind,
-    frame: Vec<u8>,
+    frame: OutFrame,
     trace_id: u64,
 }
 
-/// The completion hub: worker callbacks frame replies into buffers
-/// from its pool, push them here and wake the reactor over the
-/// self-pipe.
+/// The completion hub: workers push settled reply frames here and wake
+/// the reactor over the self-pipe.
 struct Hub {
     queue: Mutex<Vec<Completion>>,
     wake_tx: UnixStream,
-    pool: BufPool,
 }
 
 impl Hub {
     fn new(wake_tx: UnixStream) -> Hub {
-        Hub { queue: Mutex::new(Vec::new()), wake_tx, pool: BufPool::default() }
+        Hub { queue: Mutex::new(Vec::new()), wake_tx }
     }
 
     /// Queue one reply. Only the push that finds the hub empty writes a
@@ -685,70 +723,47 @@ impl Hub {
     }
 }
 
-/// Everything a worker completion callback needs to route its reply.
+/// Everything a served job's reply needs to be routed.
 struct ReplyCtx {
+    shared: Arc<Shared>,
+    hub: Arc<Hub>,
     conn: u64,
     request_id: Option<u64>,
     arrival_seq: u64,
     trace_id: u64,
-    /// Eviction pin for handle-routed jobs: the callback holds it, so
-    /// the resident dataset cannot be evicted before the reply is
-    /// encoded. Never read — its `Drop` is the point.
+    /// Eviction pin for handle-routed jobs: the reply holds it, so
+    /// the resident dataset cannot be evicted before the job has run.
+    /// Never read — its `Drop` is the point.
     _pin: Option<Arc<DatasetRef>>,
 }
 
-/// Frame a settled job as its whole OUTPUT or ERROR reply frame (the
-/// pipelined kind when `request_id` is set), in a buffer from `pool`.
-fn job_reply<T: WireElem>(
-    res: Result<JobReport<Vec<T>>, JobError>,
-    request_id: Option<u64>,
-    pool: &BufPool,
-) -> (FrameKind, Vec<u8>) {
-    let (code, msg) = match res {
-        Ok(report) => {
-            let meta = protocol::OutputMeta {
-                algorithm: report.algorithm,
-                shards: report.shards as u32,
-                queued_ns: report.queued_ns,
-                exec_ns: report.exec_ns,
-                trace_id: report.trace_id,
-            };
-            let values = &report.output;
-            let len = protocol::output_body_len::<T>(values.len());
-            let put = |frame: &mut Vec<u8>| protocol::output_body_into(&meta, values, frame);
-            if let Some(frame) = frame_reply(pool, FrameKind::Output, request_id, len, put) {
-                return (FrameKind::Output, frame);
-            }
-            (ErrorCode::InternalError, "reply exceeds the u32 frame length")
-        }
-        // The worker caught the panic; only this request is lost and
-        // the connection keeps being served.
-        Err(JobError::Failed) => (ErrorCode::InternalError, "job execution panicked"),
-        // The server never cancels its own jobs; defensive arm.
-        Err(JobError::Cancelled) => (ErrorCode::JobFailed, "job cancelled"),
-        Err(JobError::DeadlineExceeded) => {
-            (ErrorCode::DeadlineExceeded, "request deadline exceeded in queue")
-        }
-    };
-    let body = error_body(code, msg);
-    let frame =
-        frame_reply(pool, FrameKind::Error, request_id, body.len(), |f| f.extend_from_slice(&body))
-            .expect("a short error body fits the length prefix");
-    (FrameKind::Error, frame)
+/// A served job's OUTPUT frame, written in place by the worker that
+/// runs it ([`FrameReply`]): the buffer is taken from the pool when
+/// execution starts, the job writes its `n` elements of `elem_bytes`
+/// each straight into the payload, and settling writes the metadata —
+/// or, for a failed job, reframes the same buffer as its ERROR reply —
+/// and pushes the frame to the hub.
+struct ReplyFrame {
+    ctx: ReplyCtx,
+    n: usize,
+    elem_bytes: usize,
+    open: Option<(Vec<u8>, protocol::OutputFrame)>,
 }
 
-/// Offer one typed request to the engine's non-blocking path; its
-/// completion callback frames the reply and pushes it to the hub.
-fn submit<T: WireElem + Send + Sync + 'static>(
-    engine: &Engine,
-    req: Request<Vec<T>>,
-    opts: JobOptions,
-    ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> Result<u64, SubmitError> {
-    engine.try_submit_callback(req, opts, move |res| {
-        let (kind, frame) = job_reply::<T>(res, ctx.request_id, &hub.pool);
-        hub.push(Completion {
+impl ReplyFrame {
+    /// Answer with an ERROR frame in a pooled buffer.
+    fn refuse(self, code: ErrorCode, msg: &str) {
+        let body = error_body(code, msg);
+        let frame =
+            frame_reply(&self.ctx.shared.pool, FrameKind::Error, self.ctx.request_id, &body)
+                .expect("a short error body fits the length prefix");
+        self.send(FrameKind::Error, frame);
+    }
+
+    /// Hand a settled frame to the reactor.
+    fn send(self, kind: FrameKind, frame: OutFrame) {
+        let ctx = self.ctx;
+        ctx.hub.push(Completion {
             conn: ctx.conn,
             request_id: ctx.request_id,
             arrival_seq: ctx.arrival_seq,
@@ -756,7 +771,80 @@ fn submit<T: WireElem + Send + Sync + 'static>(
             frame,
             trace_id: ctx.trace_id,
         });
-    })
+    }
+}
+
+impl FrameReply for ReplyFrame {
+    fn payload(&mut self) -> &mut [u8] {
+        let need = protocol::PAYLOAD_ALIGN
+            + protocol::FRAME_HEADER_MAX
+            + protocol::OUTPUT_META_BYTES
+            + self.n * self.elem_bytes;
+        let mut buf = self.ctx.shared.pool.take(need);
+        let frame =
+            protocol::open_output_frame(&mut buf, self.ctx.request_id, self.n, self.elem_bytes)
+                .expect("submit checked that the reply fits its length prefix");
+        let (buf, frame) = self.open.insert((buf, frame));
+        let payload = frame.payload(buf.len());
+        &mut buf[payload]
+    }
+
+    fn settle(self: Box<Self>, result: Result<JobReport<ErasedOutput>, JobError>) {
+        let mut this = *self;
+        let (code, msg) = match (result, this.open.take()) {
+            (Ok(report), Some((mut buf, frame))) => {
+                let meta = protocol::OutputMeta {
+                    algorithm: report.algorithm,
+                    shards: report.shards as u32,
+                    queued_ns: report.queued_ns,
+                    exec_ns: report.exec_ns,
+                    trace_id: report.trace_id,
+                };
+                protocol::seal_output_frame(&mut buf, &frame, &meta);
+                return this.send(FrameKind::Output, OutFrame { buf, lead: frame.lead });
+            }
+            (result, open) => {
+                // A half-written OUTPUT frame is never sent; its buffer
+                // goes back to the pool for the ERROR reply and later
+                // ones.
+                if let Some((buf, _)) = open {
+                    this.ctx.shared.pool.give(buf);
+                }
+                match result {
+                    Ok(_) => (ErrorCode::InternalError, "reply frame was never opened"),
+                    // The worker caught the panic; only this request
+                    // is lost and the connection keeps being served.
+                    Err(JobError::Failed) => (ErrorCode::InternalError, "job execution panicked"),
+                    // The server never cancels its own jobs; defensive
+                    // arm.
+                    Err(JobError::Cancelled) => (ErrorCode::JobFailed, "job cancelled"),
+                    Err(JobError::DeadlineExceeded) => {
+                        (ErrorCode::DeadlineExceeded, "request deadline exceeded in queue")
+                    }
+                }
+            }
+        };
+        this.refuse(code, msg);
+    }
+}
+
+/// Offer one typed request to the engine's non-blocking frame path: a
+/// [`ReplyFrame`] for its `n` elements of `T` is written by the worker
+/// and pushed to the hub. A reply the `u32` length prefix could not
+/// cover is refused here, before the job runs.
+fn submit<T: WireElem>(
+    engine: &Engine,
+    req: Request<Vec<T>>,
+    opts: JobOptions,
+    ctx: ReplyCtx,
+) -> Result<(), SubmitError> {
+    let reply = ReplyFrame { ctx, n: req.len(), elem_bytes: T::BYTES, open: None };
+    let frame_len = protocol::FRAME_HEADER_MAX + protocol::output_body_len::<T>(reply.n);
+    if u32::try_from(frame_len).is_err() {
+        reply.refuse(ErrorCode::InternalError, "reply exceeds the u32 frame length");
+        return Ok(());
+    }
+    engine.try_submit_frame(req, opts, Box::new(reply)).map(|_job_id| ())
 }
 
 /// Where a job's list comes from: decoded inline off the frame, or a
@@ -796,8 +884,7 @@ fn submit_job(
     sharded: bool,
     opts: JobOptions,
     ctx: ReplyCtx,
-    hub: Arc<Hub>,
-) -> Result<u64, SubmitError> {
+) -> Result<(), SubmitError> {
     fn scan<T, Op>(
         src: &ListSource,
         values: Vec<T>,
@@ -806,20 +893,16 @@ fn submit_job(
         sharded: bool,
     ) -> Request<Vec<T>>
     where
-        T: Copy + Send + Sync + 'static,
+        T: WireElem + Send + Sync + 'static,
         Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
     {
-        let (list, values) = (src.list(), Arc::new(values));
-        let req = match starts {
-            Some(s) => Request::segmented_scan(list, values, Arc::new(s), op),
-            None => Request::scan(list, values, op),
-        };
+        let req = Request::wire_scan(src.list(), Arc::new(values), starts.map(Arc::new), op);
         src.finish(req, sharded)
     }
     let (op, values, starts) = match job {
         Job::Rank => {
             let req = src.finish(Request::rank(src.list()), sharded);
-            return submit(engine, req, opts, ctx, hub);
+            return submit(engine, req, opts, ctx);
         }
         Job::Scan { op, values } => (op, values, None),
         Job::SegScan { op, starts, values } => (op, values, Some(starts)),
@@ -827,19 +910,19 @@ fn submit_job(
     let src = &src;
     match (op, values) {
         (WireOp::Add, WireValues::I64(v)) => {
-            submit(engine, scan(src, v, starts, AddOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, AddOp, sharded), opts, ctx)
         }
         (WireOp::Max, WireValues::I64(v)) => {
-            submit(engine, scan(src, v, starts, MaxOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, MaxOp, sharded), opts, ctx)
         }
         (WireOp::Min, WireValues::I64(v)) => {
-            submit(engine, scan(src, v, starts, MinOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, MinOp, sharded), opts, ctx)
         }
         (WireOp::Xor, WireValues::U64(v)) => {
-            submit(engine, scan(src, v, starts, XorOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, XorOp, sharded), opts, ctx)
         }
         (WireOp::Affine, WireValues::Affine(v)) => {
-            submit(engine, scan(src, v, starts, AffineOp, sharded), opts, ctx, hub)
+            submit(engine, scan(src, v, starts, AffineOp, sharded), opts, ctx)
         }
         // decode_values types the array by the operator, so a
         // mismatch cannot be constructed.
@@ -857,8 +940,8 @@ struct Conn {
     rbuf: Vec<u8>,
     rpos: usize,
     /// Whole reply frames not yet fully written, oldest first; `wpos`
-    /// marks how far the socket accepted the front one.
-    wq: VecDeque<Vec<u8>>,
+    /// marks how far the socket accepted the front one's wire bytes.
+    wq: VecDeque<OutFrame>,
     wpos: usize,
     /// Whether a HELLO has been accepted on this connection.
     greeted: bool,
@@ -908,7 +991,7 @@ impl Conn {
     }
 
     fn pending_bytes(&self) -> usize {
-        self.wq.iter().map(Vec::len).sum::<usize>() - self.wpos
+        self.wq.iter().map(|f| f.wire().len()).sum::<usize>() - self.wpos
     }
 
     /// Whether the reactor should poll this connection for input.
@@ -930,7 +1013,7 @@ impl Conn {
     /// Queue one whole reply frame behind any pending bytes and account
     /// it. The buffer is moved, never copied, and goes back to the pool
     /// once written.
-    fn push_frame(&mut self, shared: &Shared, frame: Vec<u8>, is_error: bool) {
+    fn push_frame(&mut self, shared: &Shared, frame: OutFrame, is_error: bool) {
         if self.dead {
             return;
         }
@@ -938,7 +1021,7 @@ impl Conn {
             self.write_progress = Instant::now();
         }
         shared.frames_out.fetch_add(1, Ordering::Relaxed);
-        shared.bytes_out.fetch_add(frame.len() as u64, Ordering::Relaxed);
+        shared.bytes_out.fetch_add(frame.wire().len() as u64, Ordering::Relaxed);
         if is_error {
             shared.errors_sent.fetch_add(1, Ordering::Relaxed);
         }
@@ -948,18 +1031,11 @@ impl Conn {
     /// Frame a reply the reactor answers itself (handshake, store,
     /// stats and refusals) into a pooled buffer and queue it, in the
     /// pipelined envelope when `request_id` is set.
-    fn enqueue(
-        &mut self,
-        shared: &Shared,
-        pool: &BufPool,
-        kind: FrameKind,
-        request_id: Option<u64>,
-        body: &[u8],
-    ) {
+    fn enqueue(&mut self, shared: &Shared, kind: FrameKind, request_id: Option<u64>, body: &[u8]) {
         if self.dead {
             return;
         }
-        match frame_reply(pool, kind, request_id, body.len(), |f| f.extend_from_slice(body)) {
+        match frame_reply(&shared.pool, kind, request_id, body) {
             Some(frame) => self.push_frame(shared, frame, kind == FrameKind::Error),
             None => self.dead = true,
         }
@@ -969,7 +1045,7 @@ impl Conn {
     /// many frames per vectored write. Fault injection happens once per
     /// attempt, before any bytes move: a disabled plane is a single
     /// branch.
-    fn flush(&mut self, shared: &Shared, pool: &BufPool) {
+    fn flush(&mut self, shared: &Shared) {
         if self.dead {
             return;
         }
@@ -987,7 +1063,7 @@ impl Conn {
                 self.dead = true;
                 return;
             }
-            let front = &self.wq[0][self.wpos..];
+            let front = &self.wq[0].wire()[self.wpos..];
             if front.len() > 1 && shared.fault.short_write() {
                 // Leak a prefix of the front frame onto the wire, then
                 // fail: the frame is truncated mid-body exactly as a
@@ -1001,7 +1077,8 @@ impl Conn {
             let mut iov = [IoSlice::new(&[]); MAX_IOV];
             let mut n = 0;
             for (slot, frame) in iov.iter_mut().zip(&self.wq) {
-                *slot = IoSlice::new(if n == 0 { &frame[self.wpos..] } else { frame });
+                let wire = frame.wire();
+                *slot = IoSlice::new(if n == 0 { &wire[self.wpos..] } else { wire });
                 n += 1;
             }
             match self.sock.write_vectored(&iov[..n]) {
@@ -1010,7 +1087,7 @@ impl Conn {
                     return;
                 }
                 Ok(k) => {
-                    self.retire(k, pool);
+                    self.retire(k, &shared.pool);
                     self.write_progress = Instant::now();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -1030,14 +1107,14 @@ impl Conn {
     /// queue; every frame now fully written goes back to the pool.
     fn retire(&mut self, mut k: usize, pool: &BufPool) {
         while let Some(front) = self.wq.front() {
-            let rest = front.len() - self.wpos;
+            let rest = front.wire().len() - self.wpos;
             if k < rest {
                 self.wpos += k;
                 return;
             }
             k -= rest;
             self.wpos = 0;
-            pool.give(self.wq.pop_front().expect("front frame"));
+            pool.give(self.wq.pop_front().expect("front frame").buf);
         }
     }
 }
@@ -1169,7 +1246,7 @@ impl Reactor {
             let now_drained = shared.drain_expired();
             for conn in self.conns.values_mut() {
                 if !conn.dead && conn.pending_write() {
-                    conn.flush(&shared, &self.hub.pool);
+                    conn.flush(&shared);
                 }
                 if !conn.dead && conn.pending_write() {
                     let limit =
@@ -1224,16 +1301,14 @@ impl Reactor {
             self.shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
             self.shared.errors_sent.fetch_add(1, Ordering::Relaxed);
             let body = error_body(ErrorCode::Busy, "server at max clients");
-            let frame = frame_reply(&self.hub.pool, FrameKind::Error, None, body.len(), |f| {
-                f.extend_from_slice(&body)
-            })
-            .expect("a short error body fits the length prefix");
+            let frame = frame_reply(&self.shared.pool, FrameKind::Error, None, &body)
+                .expect("a short error body fits the length prefix");
             let _ = sock.set_nonblocking(false);
-            if sock.write_all(&frame).is_ok() {
+            if sock.write_all(frame.wire()).is_ok() {
                 self.shared.frames_out.fetch_add(1, Ordering::Relaxed);
-                self.shared.bytes_out.fetch_add(frame.len() as u64, Ordering::Relaxed);
+                self.shared.bytes_out.fetch_add(frame.wire().len() as u64, Ordering::Relaxed);
             }
-            self.hub.pool.give(frame);
+            self.shared.pool.give(frame.buf);
             return;
         }
         // The connection id doubles as the dataset-store ownership key
@@ -1328,7 +1403,6 @@ impl Reactor {
                 if len > max_frame {
                     conn.enqueue(
                         &shared,
-                        &self.hub.pool,
                         FrameKind::Error,
                         None,
                         &error_body(
@@ -1392,8 +1466,8 @@ impl Reactor {
     ) {
         let shared = Arc::clone(&self.shared);
         if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.enqueue(&shared, &self.hub.pool, kind, request_id, body);
-            conn.flush(&shared, &self.hub.pool);
+            conn.enqueue(&shared, kind, request_id, body);
+            conn.flush(&shared);
         }
     }
 
@@ -1672,6 +1746,8 @@ impl Reactor {
             s
         };
         let mut ctx = ReplyCtx {
+            shared: Arc::clone(&self.shared),
+            hub: Arc::clone(&self.hub),
             conn: conn_id,
             request_id: flags.request_id,
             arrival_seq,
@@ -1689,9 +1765,8 @@ impl Reactor {
             }
         };
         let request_id = flags.request_id;
-        let hub = Arc::clone(&self.hub);
-        let err = match submit_job(&self.engine, src, job, flags.sharded, opts, ctx, hub) {
-            Ok(_job_id) => {
+        let err = match submit_job(&self.engine, src, job, flags.sharded, opts, ctx) {
+            Ok(()) => {
                 let Some(conn) = self.conns.get_mut(&conn_id) else { return };
                 conn.inflight.insert(request_id, arrival_seq);
                 if request_id.is_some() {
@@ -1767,9 +1842,9 @@ impl Reactor {
             shared.reply_reorders.fetch_add(1, Ordering::Relaxed);
         }
         let t_reply = Instant::now();
-        let bytes = c.frame.len();
+        let bytes = c.frame.wire().len();
         conn.push_frame(&shared, c.frame, c.kind == FrameKind::Error);
-        conn.flush(&shared, &self.hub.pool);
+        conn.flush(&shared);
         if c.kind != FrameKind::Error {
             let reply_ns = t_reply.elapsed().as_nanos() as u64;
             self.engine.telemetry().record_phase(Phase::ReplyWrite, reply_ns);
@@ -1926,6 +2001,7 @@ fn store_error_code(e: StoreError) -> ErrorCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::OutputMeta;
 
     fn completion() -> Completion {
         Completion {
@@ -1933,7 +2009,7 @@ mod tests {
             request_id: None,
             arrival_seq: 0,
             kind: FrameKind::Output,
-            frame: Vec::new(),
+            frame: OutFrame { buf: Vec::new(), lead: 0 },
             trace_id: 0,
         }
     }
@@ -1963,16 +2039,14 @@ mod tests {
         assert_eq!(take_wakes(&wake_rx), 1, "the first push after a drain wakes again");
     }
 
-    /// A whole frame of `len` bytes whose every byte is `fill`.
-    fn frame_of(pool: &BufPool, len: usize, fill: u8) -> Vec<u8> {
-        let mut frame = pool.take(len);
-        frame.resize(len, fill);
-        frame
-    }
-
-    fn held(pool: &BufPool) -> (usize, usize) {
-        let bufs = pool.bufs.lock().expect("reply pool");
-        (bufs.len(), bufs.iter().map(Vec::capacity).sum())
+    /// A whole frame of `len` wire bytes whose every byte is `fill`,
+    /// behind a `lead` of bytes that must never reach the socket.
+    fn frame_of(pool: &BufPool, lead: usize, len: usize, fill: u8) -> OutFrame {
+        let mut buf = pool.take(lead + len);
+        buf.clear();
+        buf.resize(lead, 0xEE);
+        buf.resize(lead + len, fill);
+        OutFrame { buf, lead }
     }
 
     #[test]
@@ -1980,20 +2054,21 @@ mod tests {
         let (server_end, mut peer) = UnixStream::pair().expect("socket pair");
         server_end.set_nonblocking(true).expect("nonblocking");
         let shared = Shared::new(&ServeConfig::new("/nonexistent/unused.sock"));
-        let pool = BufPool::default();
+        let pool = &shared.pool;
         let mut conn = Conn::new(1, Transport::Unix(server_end));
 
         // Large enough that the socket takes the first frame only in
-        // part, so the second lands behind pending bytes.
-        let first = frame_of(&pool, 4 << 20, 0xA1);
-        let second = frame_of(&pool, 3 << 20, 0xB2);
-        let ptrs = [first.as_ptr(), second.as_ptr()];
+        // part, so the second lands behind pending bytes. Both carry a
+        // lead skip, as a job's OUTPUT frame does.
+        let first = frame_of(pool, 2, 4 << 20, 0xA1);
+        let second = frame_of(pool, 5, 3 << 20, 0xB2);
+        let ptrs = [first.buf.as_ptr(), second.buf.as_ptr()];
         conn.push_frame(&shared, first, false);
-        assert_eq!(conn.wq[0].as_ptr(), ptrs[0], "queued on an idle connection, not copied");
-        conn.flush(&shared, &pool);
+        assert_eq!(conn.wq[0].buf.as_ptr(), ptrs[0], "queued on an idle connection, not copied");
+        conn.flush(&shared);
         assert!(conn.wpos > 0 && conn.wq.len() == 1, "the socket took part of the first frame");
         conn.push_frame(&shared, second, false);
-        assert_eq!(conn.wq[1].as_ptr(), ptrs[1], "queued behind pending bytes, not copied");
+        assert_eq!(conn.wq[1].buf.as_ptr(), ptrs[1], "queued behind pending bytes, not copied");
 
         let reader = std::thread::spawn(move || {
             let mut got = vec![0u8; 7 << 20];
@@ -2003,16 +2078,16 @@ mod tests {
         while conn.pending_write() {
             // Each frame is written from the buffer it was queued in.
             let front = conn.wq.len();
-            assert_eq!(conn.wq[0].as_ptr(), ptrs[2 - front]);
-            conn.flush(&shared, &pool);
+            assert_eq!(conn.wq[0].buf.as_ptr(), ptrs[2 - front]);
+            conn.flush(&shared);
             assert!(!conn.dead, "the peer is reading");
-            let (count, bytes) = held(&pool);
+            let (count, bytes) = pool.held();
             assert!(count <= POOL_MAX_BUFS && bytes <= POOL_MAX_BYTES);
         }
         let got = reader.join().expect("reader thread");
         assert!(got[..4 << 20].iter().all(|&b| b == 0xA1), "first frame intact");
         assert!(got[4 << 20..].iter().all(|&b| b == 0xB2), "second frame intact, in order");
-        assert_eq!(held(&pool).0, 2, "both written buffers went back to the pool");
+        assert_eq!(pool.held().0, 2, "both written buffers went back to the pool");
         assert_eq!(shared.stats().bytes_out, 7 << 20);
 
         // The pool keeps at most its bound, in count and in bytes.
@@ -2020,9 +2095,156 @@ mod tests {
             pool.give(Vec::with_capacity(1024));
             pool.give(Vec::with_capacity(POOL_MAX_BYTES / 3));
         }
-        let (count, bytes) = held(&pool);
+        let (count, bytes) = pool.held();
         assert!(count <= POOL_MAX_BUFS, "{count} buffers pooled");
         assert!(bytes <= POOL_MAX_BYTES, "{bytes} bytes pooled");
+    }
+
+    /// The frame a typed result encodes to: [`protocol::reply_frame_into`]
+    /// around [`protocol::output_body_into`].
+    fn typed_frame<T: WireElem>(
+        meta: &OutputMeta,
+        values: &[T],
+        request_id: Option<u64>,
+    ) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let len = protocol::output_body_len::<T>(values.len());
+        protocol::reply_frame_into(&mut frame, FrameKind::Output, request_id, len, |b| {
+            protocol::output_body_into(meta, values, b)
+        })
+        .expect("frame fits");
+        frame
+    }
+
+    /// Check one worker-written OUTPUT frame against the typed
+    /// encoding of `want`, and that its payload sits 8-aligned in the
+    /// buffer; returns the frame's metadata.
+    fn check_frame<T: WireElem>(
+        c: &Completion,
+        request_id: Option<u64>,
+        want: &[T],
+        case: &str,
+    ) -> OutputMeta {
+        assert_eq!(c.kind, FrameKind::Output, "{case}: reply kind");
+        assert_eq!(c.request_id, request_id, "{case}: routed id");
+        let header = if request_id.is_some() { 13 } else { 5 };
+        let payload = &c.frame.buf[c.frame.lead + header + protocol::OUTPUT_META_BYTES..];
+        assert_eq!(payload.as_ptr() as usize % 8, 0, "{case}: payload 8-aligned");
+        let wire = c.frame.wire();
+        let frame =
+            protocol::read_frame(&mut &wire[..], u32::MAX).expect("frame").expect("one frame");
+        let body = match request_id {
+            Some(id) => {
+                let (echoed, inner) = protocol::decode_pipelined(&frame.body).expect("envelope");
+                assert_eq!(echoed, id, "{case}: echoed id");
+                inner
+            }
+            None => &frame.body[..],
+        };
+        let (meta, _) = protocol::decode_output::<T>(body).expect("OUTPUT body");
+        assert!(wire == typed_frame(&meta, want, request_id), "{case}: frame bytes differ");
+        meta
+    }
+
+    #[test]
+    fn worker_written_frames_are_the_typed_encoding_with_an_aligned_payload() {
+        use crate::engine::EngineConfig;
+        use listkit::ops::Affine;
+        use listkit::segmented;
+        use listrank::Algorithm;
+
+        let n = 20_000;
+        let engine = Engine::new(
+            EngineConfig::default().with_workers(1).with_inner_threads(2).with_shard_budget(4096),
+        );
+        let shared = Arc::new(Shared::new(&ServeConfig::new("/nonexistent/unused.sock")));
+        let (wake_tx, _wake_rx) = UnixStream::pair().expect("socket pair");
+        let hub = Arc::new(Hub::new(wake_tx));
+        let list = Arc::new(listkit::gen::random_list(n, 0x21));
+        let handle = shared.store.put(1, Arc::clone(&list)).expect("PUT").handle;
+
+        let i64s: Vec<i64> = (0..n as i64).map(|i| i % 23 - 11).collect();
+        let u64s: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let affs: Vec<Affine> = (0..n as i64).map(|i| Affine::new(i % 5 - 2, i % 7 - 3)).collect();
+        let starts: Vec<bool> = (0..n).map(|v| v % 97 == 0).collect();
+        let serial = |op: WireOp| match op {
+            WireOp::Add => listkit::serial::scan(&list, &i64s, &AddOp),
+            WireOp::Max => listkit::serial::scan(&list, &i64s, &MaxOp),
+            WireOp::Min => listkit::serial::scan(&list, &i64s, &MinOp),
+            _ => unreachable!("i64 operators only"),
+        };
+        let ranks = listkit::serial::rank(&list);
+        let seg = segmented::serial_segmented_scan(&list, &i64s, &starts, &AddOp);
+        let i64_jobs = [WireOp::Add, WireOp::Max, WireOp::Min]
+            .map(|op| (Job::Scan { op, values: WireValues::I64(i64s.clone()) }, serial(op)));
+
+        let routes: [(&str, bool, Option<Algorithm>, bool); 5] = [
+            ("serial", false, Some(Algorithm::Serial), false),
+            ("reid-miller", false, Some(Algorithm::ReidMiller), false),
+            ("wyllie", false, Some(Algorithm::Wyllie), false),
+            ("sharded inline", true, None, false),
+            ("sharded resident", true, None, true),
+        ];
+        let mut served = 0;
+        for (route, sharded, pin, resident) in routes {
+            for request_id in [None, Some(7u64)] {
+                let run = |job: Job| -> Completion {
+                    let src = if resident {
+                        ListSource::Resident(Arc::new(shared.store.get(handle, 1).expect("get")))
+                    } else {
+                        ListSource::Inline(Arc::clone(&list))
+                    };
+                    let ctx = ReplyCtx {
+                        shared: Arc::clone(&shared),
+                        hub: Arc::clone(&hub),
+                        conn: 1,
+                        request_id,
+                        arrival_seq: 0,
+                        trace_id: 99,
+                        _pin: None,
+                    };
+                    let opts =
+                        JobOptions { algorithm: pin, ..JobOptions::default() }.with_trace_id(99);
+                    submit_job(&engine, src, job, sharded, opts, ctx).expect("submit");
+                    loop {
+                        let mut done = hub.drain();
+                        if let Some(c) = done.pop() {
+                            assert!(done.is_empty(), "one job, one reply");
+                            return c;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                };
+                let case = |what: &str| format!("{route} {what} (request id {request_id:?})");
+                let mut metas =
+                    vec![check_frame(&run(Job::Rank), request_id, &ranks, &case("rank"))];
+                for (job, want) in &i64_jobs {
+                    metas.push(check_frame(&run(job.clone()), request_id, want, &case("i64 scan")));
+                }
+                let xor = Job::Scan { op: WireOp::Xor, values: WireValues::U64(u64s.clone()) };
+                let want = listkit::serial::scan(&list, &u64s, &XorOp);
+                metas.push(check_frame(&run(xor), request_id, &want, &case("xor")));
+                let aff =
+                    Job::Scan { op: WireOp::Affine, values: WireValues::Affine(affs.clone()) };
+                let want = listkit::serial::scan(&list, &affs, &AffineOp);
+                metas.push(check_frame(&run(aff), request_id, &want, &case("affine")));
+                let segj = Job::SegScan {
+                    op: WireOp::Add,
+                    starts: starts.clone(),
+                    values: WireValues::I64(i64s.clone()),
+                };
+                metas.push(check_frame(&run(segj), request_id, &seg, &case("segmented add")));
+                for meta in &metas {
+                    assert_eq!(meta.trace_id, 99, "{route}: trace id sealed in");
+                    match pin {
+                        Some(alg) => assert_eq!((meta.algorithm, meta.shards), (alg, 0), "{route}"),
+                        None => assert!(meta.shards > 1, "{route}: ran sharded"),
+                    }
+                }
+                served += metas.len();
+            }
+        }
+        assert_eq!(served, 5 * 2 * 7);
     }
 
     #[test]
@@ -2034,6 +2256,6 @@ mod tests {
         assert_eq!(pool.take(100).capacity(), 4096);
         assert_eq!(pool.take(1 << 20).capacity(), 1 << 20);
         assert!(pool.take(2 << 20).capacity() >= 2 << 20, "nothing fits: a fresh buffer");
-        assert_eq!(held(&pool).0, 1, "the 64-byte buffer stays pooled");
+        assert_eq!(pool.held().0, 1, "the 64-byte buffer stays pooled");
     }
 }

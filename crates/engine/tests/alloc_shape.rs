@@ -1,0 +1,147 @@
+//! Latency-shape invariant: no request-path work that scales with `n`
+//! outside exec. A served job writes its elements straight into its
+//! pooled reply frame, so once a warm-up request has grown the pools, a
+//! served `RANK_H` on a resident 2¹⁸ list allocates nothing of `8·n`
+//! bytes or more on any daemon thread — no output `Vec`, no fresh
+//! frame.
+//!
+//! `SCAN_H` is pinned the same way with one named exception: its
+//! request carries `n` values, which the reactor decodes into one fresh
+//! `Vec` of exactly `8·n` bytes for the job to own. Moving that decode
+//! off the reactor is a separate change; this test fails if anything
+//! else of that size appears, or if the decode moves or grows.
+//!
+//! A counting global allocator records every allocation at or above a
+//! threshold together with the kind of thread that made it: the test's
+//! client thread, the reactor thread, or any other (the engine's
+//! workers and their inner pool threads).
+#![cfg(unix)]
+
+use engine::client::{Call, Client};
+use engine::server::{ServeConfig, Server};
+use engine::{Engine, EngineConfig};
+use listkit::gen;
+use listkit::ops::AddOp;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Which side of the socket a thread is on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Side {
+    /// An engine worker or inner pool thread.
+    Engine,
+    /// The test's client thread.
+    Client,
+    /// The server's reactor thread.
+    Reactor,
+}
+
+thread_local! {
+    static SIDE: Cell<Side> = const { Cell::new(Side::Engine) };
+}
+
+/// Allocations below this many bytes are not recorded.
+static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
+const SLOTS: usize = 64;
+static SEEN: AtomicUsize = AtomicUsize::new(0);
+static SIZES: [AtomicUsize; SLOTS] = [const { AtomicUsize::new(0) }; SLOTS];
+static SIDES: [AtomicUsize; SLOTS] = [const { AtomicUsize::new(0) }; SLOTS];
+
+fn note(size: usize) {
+    if size >= THRESHOLD.load(Ordering::Relaxed) {
+        let slot = SEEN.fetch_add(1, Ordering::Relaxed);
+        if slot < SLOTS {
+            SIZES[slot].store(size, Ordering::Relaxed);
+            SIDES[slot].store(SIDE.with(Cell::get) as usize, Ordering::Relaxed);
+        }
+    }
+}
+
+struct Counting;
+
+// SAFETY: every call forwards unchanged to the system allocator; the
+// bookkeeping touches only atomics and a const-initialized thread local
+// and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Record allocations of at least `bytes` while `f` runs; returns the
+/// ones made off the client thread.
+fn daemon_allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
+    SEEN.store(0, Ordering::Relaxed);
+    THRESHOLD.store(bytes, Ordering::Relaxed);
+    f();
+    THRESHOLD.store(usize::MAX, Ordering::Relaxed);
+    let seen = SEEN.load(Ordering::Relaxed);
+    assert!(seen <= SLOTS, "{seen} large allocations overflow the record");
+    let side = |s: usize| [Side::Engine, Side::Client, Side::Reactor][s];
+    (0..seen)
+        .map(|i| (SIZES[i].load(Ordering::Relaxed), side(SIDES[i].load(Ordering::Relaxed))))
+        .filter(|&(_, s)| s != Side::Client)
+        .collect()
+}
+
+#[test]
+fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
+    const N: usize = 1 << 18;
+    SIDE.with(|s| s.set(Side::Client));
+    let path = std::env::temp_dir().join(format!("rankd-alloc-shape-{}.sock", std::process::id()));
+    let engine = Arc::new(Engine::new(EngineConfig::default().with_workers(2)));
+    let server = Server::bind(engine, ServeConfig::new(&path)).expect("bind");
+    let control = server.control();
+    let join = std::thread::spawn(move || {
+        SIDE.with(|s| s.set(Side::Reactor));
+        server.run()
+    });
+
+    let list = gen::random_list(N, 0xa110c);
+    let values: Vec<i64> = (0..N as i64).map(|i| i % 31 - 15).collect();
+    let ranks = listkit::serial::rank(&list);
+    let sums = listkit::serial::scan(&list, &values, &AddOp);
+    let mut client = Client::connect(&path).expect("connect");
+    let handle = client.put(&list).expect("PUT").handle;
+    let rank = Call::rank(handle);
+    let scan = Call::scan(handle, &values, AddOp);
+    // Warm-up: grows the reply pool, the read buffer and the scratch
+    // pool to this size.
+    assert!(client.call(&rank).expect("warm rank").output == ranks);
+    assert!(client.call(&scan).expect("warm scan").output == sums);
+
+    let big = 8 * N;
+    let mut served = None;
+    let during = daemon_allocs_during(big, || served = Some(client.call(&rank).expect("rank")));
+    assert!(served.expect("served").output == ranks, "rank diverged from the serial oracle");
+    assert_eq!(during, [], "a served RANK_H allocated O(n) bytes outside exec");
+
+    let mut served = None;
+    let during = daemon_allocs_during(big, || served = Some(client.call(&scan).expect("scan")));
+    assert!(served.expect("served").output == sums, "scan diverged from the serial oracle");
+    assert_eq!(during, [(big, Side::Reactor)], "only the request's value array may be O(n)");
+
+    control.request_shutdown();
+    drop(client);
+    join.join().expect("server thread").expect("server run");
+}

@@ -69,12 +69,20 @@ pub fn unwrap_exclusive<T: Copy, Op: ScanOp<T>>(
     starts: &[bool],
     op: &Op,
 ) -> Vec<T> {
-    assert_eq!(scanned.len(), starts.len());
-    scanned
-        .iter()
-        .zip(starts)
-        .map(|(s, &is_start)| if is_start { op.identity() } else { s.value })
-        .collect()
+    let mut out: Vec<T> = scanned.iter().map(|s| s.value).collect();
+    restart_segments(&mut out, starts, op.identity());
+    out
+}
+
+/// The restart half of [`unwrap_exclusive`], in place over any output
+/// region: every segment-start slot gets `identity`. A scan mapped
+/// through `|s| encode(s.value)` followed by this pass equals the
+/// encoded unwrap, with no `Vec<T>` in between.
+pub fn restart_segments<O: Copy>(out: &mut [O], starts: &[bool], identity: O) {
+    assert_eq!(out.len(), starts.len());
+    for (o, _) in out.iter_mut().zip(starts).filter(|(_, &is_start)| is_start) {
+        *o = identity;
+    }
 }
 
 /// Serial reference: exclusive segmented scan (each vertex gets the

@@ -20,8 +20,18 @@ pub fn rank(list: &LinkedList) -> Vec<u64> {
 pub fn rank_into(list: &LinkedList, out: &mut Vec<u64>) {
     out.clear();
     out.resize(list.len(), 0);
+    rank_mapped(list, out, |r| r);
+}
+
+/// [`rank`] through an output sink: `out[v] = map(rank of v)`. `out`
+/// must hold one slot per vertex; every slot is written exactly once,
+/// so a caller can hand in any initialized region — a reply frame's
+/// payload viewed as little-endian words, say — and skip the typed
+/// copy.
+pub fn rank_mapped<O>(list: &LinkedList, out: &mut [O], map: impl Fn(u64) -> O) {
+    assert_eq!(out.len(), list.len(), "output length mismatch");
     for (r, v) in list.iter().enumerate() {
-        out[v as usize] = r as u64;
+        out[v as usize] = map(r as u64);
     }
 }
 
@@ -41,12 +51,25 @@ pub fn scan_into<T: Copy, Op: ScanOp<T>>(
     op: &Op,
     out: &mut Vec<T>,
 ) {
-    assert_eq!(values.len(), list.len(), "value array length mismatch");
     out.clear();
     out.resize(list.len(), op.identity());
+    scan_mapped(list, values, op, out, |x| x);
+}
+
+/// [`scan`] through an output sink: `out[v] = map(exclusive prefix at
+/// v)`, every slot written exactly once (see [`rank_mapped`]).
+pub fn scan_mapped<T: Copy, Op: ScanOp<T>, O>(
+    list: &LinkedList,
+    values: &[T],
+    op: &Op,
+    out: &mut [O],
+    map: impl Fn(T) -> O,
+) {
+    assert_eq!(values.len(), list.len(), "value array length mismatch");
+    assert_eq!(out.len(), list.len(), "output length mismatch");
     let mut acc = op.identity();
     for v in list.iter() {
-        out[v as usize] = acc;
+        out[v as usize] = map(acc);
         acc = op.combine(acc, values[v as usize]);
     }
 }

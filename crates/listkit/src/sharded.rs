@@ -497,27 +497,35 @@ impl ShardedList {
     /// [`Self::rank`] into a caller-provided buffer.
     pub fn rank_into(&self, out: &mut Vec<u64>) {
         let prefix = self.boundary.serial_prefix();
-        self.rank_into_with_prefix(&prefix, out);
+        out.clear();
+        out.resize(self.n, 0);
+        self.rank_mapped_with_prefix(&prefix, out, |r| r);
     }
 
     /// Shard-local rank + broadcast, given the stitch result: `prefix[f]`
     /// must be the global rank of fragment `f`'s first vertex (as
     /// produced by [`BoundaryTable::serial_prefix`] or by any scan of
     /// [`BoundaryTable::lens`] along [`BoundaryTable::to_list`]).
+    /// Writes `out[v] = map(rank of v)` for every vertex, so `out` may
+    /// be any initialized region of one slot per vertex.
     ///
     /// Shards run in parallel; each writes exactly its contiguous slice
     /// of `out`.
-    pub fn rank_into_with_prefix(&self, prefix: &[u64], out: &mut Vec<u64>) {
+    pub fn rank_mapped_with_prefix<O: Send>(
+        &self,
+        prefix: &[u64],
+        out: &mut [O],
+        map: impl Fn(u64) -> O + Sync,
+    ) {
         assert_eq!(
             prefix.len(),
             self.boundary.fragment_count(),
             "stitch prefix length must equal the fragment count"
         );
-        out.clear();
-        out.resize(self.n, 0);
+        assert_eq!(out.len(), self.n, "output length mismatch");
         let boundary = &self.boundary;
-        let (policy, telemetry) = (self.policy, &self.telemetry);
-        let work: Vec<(&Shard, &mut [u64])> =
+        let (policy, telemetry, map) = (self.policy, &self.telemetry, &map);
+        let work: Vec<(&Shard, &mut [O])> =
             self.shards.iter().zip(out.chunks_mut(self.shard_size)).collect();
         work.into_par_iter().with_min_len(1).for_each(|(shard, chunk)| {
             // K-lane interleaved fragment walk: fragment `j` starts at
@@ -534,6 +542,7 @@ impl ShardedList {
                 seeds,
                 policy,
                 chunk,
+                map,
                 &mut stats,
             );
             telemetry.add(&stats);
@@ -604,7 +613,9 @@ impl ShardedList {
     {
         let totals = self.fragment_totals(values, op);
         let prefix = self.boundary.serial_exclusive(&totals, op);
-        self.scan_into_with_prefix(values, op, &prefix, out);
+        out.clear();
+        out.resize(self.n, op.identity());
+        self.scan_mapped_with_prefix(values, op, &prefix, out, |x| x);
     }
 
     /// Phase 3 of the generic scan, given the stitch result:
@@ -613,16 +624,19 @@ impl ShardedList {
     /// serial_exclusive`] or any scan backend run over
     /// [`BoundaryTable::to_list`]). Each shard re-walks its local list
     /// seeding every fragment with its global prefix — one fused pass,
-    /// no per-vertex fragment map.
-    pub fn scan_into_with_prefix<T, Op>(
+    /// no per-vertex fragment map. Writes `out[v] = map(prefix at v)`
+    /// for every vertex (see [`Self::rank_mapped_with_prefix`]).
+    pub fn scan_mapped_with_prefix<T, Op, O>(
         &self,
         values: &[T],
         op: &Op,
         prefix: &[T],
-        out: &mut Vec<T>,
+        out: &mut [O],
+        map: impl Fn(T) -> O + Sync,
     ) where
         T: Copy + Send + Sync,
         Op: ScanOp<T>,
+        O: Send,
     {
         assert_eq!(values.len(), self.n, "value array length mismatch");
         assert_eq!(
@@ -630,11 +644,10 @@ impl ShardedList {
             self.boundary.fragment_count(),
             "stitch prefix length must equal the fragment count"
         );
-        out.clear();
-        out.resize(self.n, op.identity());
+        assert_eq!(out.len(), self.n, "output length mismatch");
         let boundary = &self.boundary;
-        let (policy, telemetry) = (self.policy, &self.telemetry);
-        let work: Vec<((usize, &Shard), &mut [T])> =
+        let (policy, telemetry, map) = (self.policy, &self.telemetry, &map);
+        let work: Vec<((usize, &Shard), &mut [O])> =
             self.shards.iter().enumerate().zip(out.chunks_mut(self.shard_size)).collect();
         work.into_par_iter().with_min_len(1).for_each(|((s, shard), chunk)| {
             let lo = s * self.shard_size;
@@ -651,6 +664,7 @@ impl ShardedList {
                 seeds,
                 policy,
                 chunk,
+                map,
                 &mut stats,
             );
             telemetry.add(&stats);
@@ -796,9 +810,13 @@ mod tests {
         let scanned = crate::serial::scan(&contracted, &lens, &crate::ops::AddOp);
         let prefix: Vec<u64> = scanned.iter().map(|&x| x as u64).collect();
         assert_eq!(prefix, bt.serial_prefix());
-        let mut out = Vec::new();
-        sharded.rank_into_with_prefix(&prefix, &mut out);
-        assert_eq!(out, crate::serial::rank(&list));
+        // Mapped straight into little-endian words, as a reply frame
+        // payload takes them.
+        let mut out = vec![[0u8; 8]; list.len()];
+        sharded.rank_mapped_with_prefix(&prefix, &mut out, u64::to_le_bytes);
+        let want: Vec<[u8; 8]> =
+            crate::serial::rank(&list).into_iter().map(u64::to_le_bytes).collect();
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -878,7 +896,7 @@ mod tests {
         // Stitch the generic scan through an external backend path
         // (scan fragment totals along the contracted list) and feed the
         // prefix back — the route
-        // `listrank::host::scan_sharded_prebuilt_into` takes.
+        // `listrank::host::scan_sharded_prebuilt_mapped` takes.
         use crate::ops::AddOp;
         let list = gen::list_with_layout(4000, Layout::Blocked(50), 21);
         let values: Vec<i64> = (0..4000).map(|i| (i % 13) as i64).collect();
@@ -887,8 +905,8 @@ mod tests {
         let contracted = sharded.boundary().to_list();
         let prefix = crate::serial::scan(&contracted, &totals, &AddOp);
         assert_eq!(prefix, sharded.boundary().serial_exclusive(&totals, &AddOp));
-        let mut out = Vec::new();
-        sharded.scan_into_with_prefix(&values, &AddOp, &prefix, &mut out);
+        let mut out = vec![0i64; list.len()];
+        sharded.scan_mapped_with_prefix(&values, &AddOp, &prefix, &mut out, |x| x);
         assert_eq!(out, crate::serial::scan(&list, &values, &AddOp));
     }
 
@@ -1016,7 +1034,7 @@ mod tests {
     fn wrong_prefix_length_rejected() {
         let list = gen::sequential_list(100);
         let sharded = ShardedList::build(&list, 10);
-        let mut out = Vec::new();
-        sharded.rank_into_with_prefix(&[0], &mut out);
+        let mut out = vec![0u64; 100];
+        sharded.rank_mapped_with_prefix(&[0], &mut out, |r| r);
     }
 }

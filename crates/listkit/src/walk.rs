@@ -688,11 +688,11 @@ pub fn reduce_runs<T, Op>(
 
 /// Length-terminated expand: run `i` starts at `heads[i]` with prefix
 /// `seeds[i]`; each visited local vertex `v` gets
-/// `out[v] = prefix-so-far`, extended by `values[v]`. `out` is indexed
-/// by local vertex and must cover the local list; runs partition their
-/// vertices, so each slot is written at most once.
+/// `out[v] = map(prefix-so-far)`, extended by `values[v]`. `out` is
+/// indexed by local vertex and must cover the local list; runs
+/// partition their vertices, so each slot is written at most once.
 #[allow(clippy::too_many_arguments)]
-pub fn expand_runs<T, Op>(
+pub fn expand_runs<T, Op, O>(
     local: &LinkedList,
     values: &[T],
     op: &Op,
@@ -700,7 +700,8 @@ pub fn expand_runs<T, Op>(
     lens: &[u32],
     seeds: &[T],
     policy: WalkPolicy,
-    out: &mut [T],
+    out: &mut [O],
+    map: impl Fn(T) -> O,
     stats: &mut LaneStats,
 ) where
     T: Copy,
@@ -720,7 +721,7 @@ pub fn expand_runs<T, Op>(
         |acc, v| {
             // SAFETY: v < local.len() == out.len() == values.len().
             unsafe {
-                *out_ptr.get_unchecked_mut(v) = *acc;
+                *out_ptr.get_unchecked_mut(v) = map(*acc);
                 *acc = op.combine(*acc, *values.get_unchecked(v));
             }
         },
@@ -730,16 +731,18 @@ pub fn expand_runs<T, Op>(
 }
 
 /// Length-terminated rank expand: run `i` starts at rank `seeds[i]`;
-/// each visited local vertex `v` gets `out[v] = rank`, incrementing
-/// along the run. The shard-local half of sharded ranking.
+/// each visited local vertex `v` gets `out[v] = map(rank)`,
+/// incrementing along the run. The shard-local half of sharded
+/// ranking.
 #[allow(clippy::too_many_arguments)]
-pub fn expand_rank_runs(
+pub fn expand_rank_runs<O>(
     local: &LinkedList,
     heads: &[Idx],
     lens: &[u32],
     seeds: &[u64],
     policy: WalkPolicy,
-    out: &mut [u64],
+    out: &mut [O],
+    map: impl Fn(u64) -> O,
     stats: &mut LaneStats,
 ) {
     assert_eq!(out.len(), local.len(), "output is indexed by local vertex");
@@ -754,7 +757,7 @@ pub fn expand_rank_runs(
         |i| seeds[i],
         |r, v| {
             // SAFETY: v < local.len() == out.len().
-            unsafe { *out_ptr.get_unchecked_mut(v) = *r };
+            unsafe { *out_ptr.get_unchecked_mut(v) = map(*r) };
             *r += 1;
         },
         |_, _| {},

@@ -613,6 +613,82 @@ fn short_write_behind_large_pipelined_replies_truncates_and_closes() {
     drop(engine);
 }
 
+/// A served job whose exec panics after the worker has opened its
+/// reply frame is answered with a well-formed ERROR_P(internal_error),
+/// never the half-written OUTPUT_P; the frame's buffer goes back to
+/// the reply pool (the held count does not drop), and the next request
+/// on the same connection is oracle-exact.
+#[test]
+fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
+    const N: usize = 1 << 18;
+    quiet_injected_panics();
+    // Only exec panics draw from the plane, so a seed fixes the three
+    // requests' fates: served, panicked, served.
+    let spec = |seed| FaultConfig { exec_panic: 0.5, seed, ..FaultConfig::default() };
+    let fates = |seed| {
+        let plane = FaultPlane::new(spec(seed));
+        [plane.exec_panic(), plane.exec_panic(), plane.exec_panic()]
+    };
+    let seed = (0..).find(|&seed| fates(seed) == [false, true, false]).expect("a seed");
+    let plane = Arc::new(FaultPlane::new(spec(seed)));
+    let path = std::env::temp_dir()
+        .join(format!("rankd-chaos-midframe-{}.sock", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let engine = Arc::new(Engine::new(
+        EngineConfig::default().with_workers(1).with_fault(Arc::clone(&plane)),
+    ));
+    let cfg = ServeConfig::new(&path).with_fault(Arc::clone(&plane));
+    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
+    let control = server.control();
+    let join = std::thread::spawn(move || server.run());
+    // A written reply returns to the pool right after the socket took
+    // it, which can trail the client's read by a moment: wait until the
+    // pool holds a buffer that fits a reply and at least `bufs` in all.
+    let frame_bytes = 8 * N as u64;
+    let pool_holds = |bufs: u64| {
+        let t0 = Instant::now();
+        loop {
+            let s = control.stats();
+            if s.reply_bytes_pooled >= frame_bytes && s.reply_bufs_pooled >= bufs {
+                return true;
+            }
+            if t0.elapsed() > Duration::from_secs(5) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    let list = gen::random_list(N, 0x9a71c);
+    let want = listkit::serial::rank(&list);
+    let mut client = Client::connect(&path).expect("connect");
+    let mut rank = |id: u64| {
+        client.send(&Call::rank(&list).id(id)).expect("send");
+        let (echoed, reply) = client.recv_pipelined::<u64>().expect("a whole reply frame");
+        assert_eq!(echoed, id, "reply routed to its request");
+        reply
+    };
+    let warm = rank(1).expect("warm-up served");
+    assert!(warm.output == want, "warm-up rank diverged from the serial oracle");
+    assert!(pool_holds(1), "the warm-up frame went back to the pool");
+    let held = control.stats().reply_bufs_pooled;
+
+    match rank(2) {
+        Err(e) => assert_eq!(e.server_code(), Some(ErrorCode::InternalError), "{e}"),
+        Ok(_) => panic!("a job that panicked mid-frame must not answer OUTPUT"),
+    }
+    assert_eq!(plane.snapshot().exec_panics, 1);
+    assert!(pool_holds(held), "the panicked job's frame buffer was lost to the pool");
+
+    let after = rank(3).expect("the connection keeps serving");
+    assert!(after.output == want, "rank after the panic diverged from the serial oracle");
+
+    control.request_shutdown();
+    drop(client);
+    join.join().expect("server thread").expect("server run");
+}
+
 /// The nightly long soak (`cargo test -- --include-ignored`): a
 /// sustained storm at elevated rates, large enough that every fault
 /// kind fires many times.
