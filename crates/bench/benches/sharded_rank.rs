@@ -1,8 +1,8 @@
 //! Criterion: shard-parallel huge-list ranking vs the monolithic
-//! backends on the same list — the `rankd --sharded-scenario` shape,
-//! scaled down so the benchmark converges quickly. Topology locality
-//! (the blocked-layout block size) is swept because it decides the
-//! contracted boundary list's length and with it the stitch cost.
+//! backends on one 2^21-vertex list (the engine test
+//! `sharded_scenario_passes_agree` checks the same comparison's bytes).
+//! Topology locality (the blocked-layout block size) is swept because
+//! it decides the contracted boundary list's length and stitch cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use listkit::gen::{self, Layout};

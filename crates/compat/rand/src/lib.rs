@@ -2,7 +2,7 @@
 //!
 //! Provides [`rngs::StdRng`] (xoshiro256++ seeded via SplitMix64),
 //! [`SeedableRng::seed_from_u64`] and [`RngExt::random_range`] over
-//! integer and float ranges. The generator is deterministic per seed and
+//! integer ranges. The generator is deterministic per seed and
 //! stable across releases — a property the experiment harness relies on
 //! (the real `rand` changes `StdRng` between versions).
 
@@ -116,37 +116,12 @@ macro_rules! impl_int_range {
 
 impl_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-macro_rules! impl_float_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for Range<$t> {
-            #[inline]
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "empty range");
-                let unit = (rng.next_u64() >> 11) as $t / (1u64 << 53) as $t;
-                let v = self.start + unit * (self.end - self.start);
-                // `start + unit*(end-start)` can round up to `end` when
-                // ulp(start) exceeds the residual gap; keep the range
-                // half-open like the real crate does.
-                v.min(self.end.next_down())
-            }
-        }
-    )*};
-}
-
-impl_float_range!(f32, f64);
-
 /// Convenience sampling methods, implemented for every [`RngCore`].
 pub trait RngExt: RngCore {
     /// A value drawn uniformly from `range`.
     #[inline]
     fn random_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_from(self)
-    }
-
-    /// A uniform boolean.
-    #[inline]
-    fn random_bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
     }
 }
 
@@ -176,8 +151,6 @@ mod tests {
             assert!((10..20).contains(&v));
             let w = rng.random_range(-5i64..=5);
             assert!((-5..=5).contains(&w));
-            let f = rng.random_range(0.25f64..0.75);
-            assert!((0.25..0.75).contains(&f));
         }
     }
 

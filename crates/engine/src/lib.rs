@@ -80,7 +80,6 @@ pub mod server;
 pub mod stats;
 pub mod store;
 pub mod telemetry;
-pub mod workload;
 
 pub use crate::engine::{Engine, EngineConfig};
 #[cfg(unix)]

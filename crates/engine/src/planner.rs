@@ -26,7 +26,7 @@ use crate::op::OpKind;
 use crate::telemetry::log::Level;
 use crate::telemetry::{AtomicHistogram, Histogram, Ring};
 use listrank::Algorithm;
-use rankmodel::predict::{default_lanes, predict_best, predict_patch, AlgChoice};
+use rankmodel::predict::{default_lanes, predict_best, predict_patch, predicted_cost, AlgChoice};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -41,6 +41,11 @@ const ALPHA: f64 = 0.25;
 /// Probe the unmeasured contender once in this many dispatches per
 /// bucket, so measured history covers both candidates.
 const PROBE_EVERY: u64 = 16;
+
+/// The algorithm contest never probes a contender the cost model
+/// prices at more than this multiple of the prior's pick: such a probe
+/// costs a request several times its normal latency and cannot win.
+const PROBE_CEILING: f64 = 2.0;
 
 /// The algorithm contest's slots. Only these two keep history: above
 /// the cutoff, Reid-Miller is the host's only work-efficient parallel
@@ -158,12 +163,20 @@ impl Contest {
     }
 
     /// Pick a slot for `key`: the `prior` while the prior is
-    /// unmeasured; the unmeasured slot when `tick` (default: the key's
-    /// own pick count) lands on the probe cadence; otherwise the
-    /// cheaper measured slot, slot 0 winning ties. `units` scales each
-    /// slot's per-unit cost to this decision. Returns the slot and its
-    /// predicted cost, `0.0` while that slot is unmeasured.
-    fn pick(&self, key: usize, prior: usize, tick: Option<u64>, units: [f64; 2]) -> (usize, f64) {
+    /// unmeasured; the unmeasured slot when `probe` allows it and
+    /// `tick` (default: the key's own pick count) lands on the probe
+    /// cadence; otherwise the cheaper measured slot, slot 0 winning
+    /// ties. `units` scales each slot's per-unit cost to this decision.
+    /// Returns the slot and its predicted cost, `0.0` while that slot
+    /// is unmeasured.
+    fn pick(
+        &self,
+        key: usize,
+        prior: usize,
+        probe: bool,
+        tick: Option<u64>,
+        units: [f64; 2],
+    ) -> (usize, f64) {
         let mut rows = self.rows.lock().expect("planner poisoned");
         let row = &mut rows[key];
         let tick = tick.unwrap_or(row.picks);
@@ -172,7 +185,7 @@ impl Contest {
         let slot = if row.ewma[prior].samples == 0 {
             prior
         } else if a.samples == 0 || b.samples == 0 {
-            if tick % PROBE_EVERY == PROBE_EVERY - 1 {
+            if probe && tick % PROBE_EVERY == PROBE_EVERY - 1 {
                 1 - prior
             } else {
                 prior
@@ -300,6 +313,12 @@ impl Planner {
     /// over to Reid-Miller even on one thread for large lists —
     /// interleaved chains are the single-core parallelism the paper's
     /// vector pipeline provided.
+    ///
+    /// The unmeasured contender is probed on the `PROBE_EVERY` cadence
+    /// only while the model prices it within `PROBE_CEILING`× the
+    /// prior's pick at the same (n, p, value width, lanes): a Serial
+    /// walk of a 2²² list on two threads is priced 3.5× Reid-Miller,
+    /// so it is never probed there.
     pub fn choose(
         &self,
         n: usize,
@@ -311,12 +330,17 @@ impl Planner {
         let key = alg_key(n, op);
         let (algorithm, predicted_ns_per_elem) = match pinned {
             None if n > self.serial_cutoff => {
-                let prior = match predict_best(n, self.p, elem_bytes, default_lanes(n)) {
+                let lanes = default_lanes(n);
+                let prior = match predict_best(n, self.p, elem_bytes, lanes) {
                     AlgChoice::Serial => 0,
                     _ => 1,
                 };
+                let cost = [AlgChoice::Serial, AlgChoice::ReidMiller]
+                    .map(|alg| predicted_cost(alg, n, self.p, elem_bytes, lanes));
+                let probe = cost[1 - prior] <= PROBE_CEILING * cost[prior];
                 let tick = self.dispatched[b].iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                let (slot, predicted) = self.algorithms.pick(key, prior, Some(tick), [1.0; 2]);
+                let (slot, predicted) =
+                    self.algorithms.pick(key, prior, probe, Some(tick), [1.0; 2]);
                 (CONTENDERS[slot], predicted)
             }
             _ => {
@@ -448,7 +472,7 @@ impl Planner {
         } else {
             let lanes = default_lanes(shard_size.min(n));
             let patch = predict_patch(n, shard_size, fragments, dirty, self.p, lanes);
-            self.maintenance.pick(b, usize::from(patch), None, units)
+            self.maintenance.pick(b, usize::from(patch), true, None, units)
         };
         let incremental = slot == PATCH;
         if crate::telemetry::log::enabled(Level::Debug) {
@@ -654,17 +678,26 @@ mod tests {
         );
     }
 
-    #[test]
-    fn probing_still_exercises_the_unmeasured_contender() {
-        // Prior (Reid-Miller at this size / parallelism) measured, the
-        // contender not: every PROBE_EVERY-th dispatch in the bucket
-        // must go to the unmeasured algorithm so history covers both.
-        let planner = Planner::new(4);
-        let n = 2_000_000;
+    /// The model's Serial/Reid-Miller cost ratio for an `n`-vertex rank
+    /// on `p` threads, and the picks of `2 · PROBE_EVERY` dispatches on
+    /// a planner whose Reid-Miller slot is measured and Serial's is not.
+    fn probe_run(p: usize, n: usize) -> (f64, Vec<Algorithm>) {
+        let [serial, rm] = [AlgChoice::Serial, AlgChoice::ReidMiller]
+            .map(|alg| predicted_cost(alg, n, p, RB, default_lanes(n)));
+        let planner = Planner::new(p);
         assert_eq!(choose1(&planner, n, None).algorithm, Algorithm::ReidMiller);
         planner.record(n, RANK, Algorithm::ReidMiller, 1_000);
-        let picks: Vec<Algorithm> =
-            (0..2 * PROBE_EVERY).map(|_| choose1(&planner, n, None).algorithm).collect();
+        (serial / rm, (0..2 * PROBE_EVERY).map(|_| choose1(&planner, n, None).algorithm).collect())
+    }
+
+    #[test]
+    fn probing_still_exercises_the_unmeasured_contender() {
+        // Prior (Reid-Miller at this size on one thread) measured, the
+        // contender not, and Serial priced within the probe ceiling
+        // (1.75×): every PROBE_EVERY-th dispatch in the bucket must go
+        // to the unmeasured algorithm so history covers both.
+        let (ratio, picks) = probe_run(1, 2_000_000);
+        assert!(ratio <= PROBE_CEILING, "Serial priced {ratio:.2}× at p = 1");
         let serial = picks.iter().filter(|&&a| a == Algorithm::Serial).count();
         assert!(serial >= 1, "no probe of the unmeasured contender in {picks:?}");
         assert!(
@@ -672,6 +705,15 @@ mod tests {
             "probing should be rare: {serial} of {} dispatches",
             picks.len()
         );
+    }
+
+    #[test]
+    fn no_probe_of_a_contender_priced_over_the_ceiling() {
+        // Four threads at the same size: the model prices Serial at
+        // 6.7× Reid-Miller, so the contest never spends a request on it.
+        let (ratio, picks) = probe_run(4, 2_000_000);
+        assert!(ratio > PROBE_CEILING, "Serial priced {ratio:.2}× at p = 4");
+        assert!(picks.iter().all(|&a| a == Algorithm::ReidMiller), "a probe ran: {picks:?}");
     }
 
     #[test]
@@ -870,8 +912,8 @@ mod tests {
         let contest = Contest::new(1);
         contest.fold(0, 0, 2.0);
         contest.fold(0, 1, 2.0);
-        assert_eq!(contest.pick(0, 1, None, [1.0; 2]), (0, 2.0));
-        assert_eq!(contest.pick(0, 0, None, [3.0, 1.0]), (1, 2.0));
+        assert_eq!(contest.pick(0, 1, true, None, [1.0; 2]), (0, 2.0));
+        assert_eq!(contest.pick(0, 0, true, None, [3.0, 1.0]), (1, 2.0));
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl WireOp {
         }
     }
 
-    /// Lower-case operator name (matches `rankd --op` spellings).
+    /// Lower-case operator name (as `OpKind::name` spells it).
     pub fn name(self) -> &'static str {
         match self {
             WireOp::Add => "add",

@@ -7,10 +7,12 @@
 use engine::{Engine, EngineConfig, JobError, JobOptions, OpKind, Request};
 use listkit::gen;
 use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
-use listkit::segmented;
+use listkit::segmented::{self, SegOp};
+use listkit::LinkedList;
 use listrank::{Algorithm, HostRunner};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 fn shared_engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
@@ -420,20 +422,43 @@ fn rank_sharded_pinned_algorithm_forces_monolithic() {
     engine.shutdown();
 }
 
+/// Rank one blocked-layout list `jobs` times through the sharded path,
+/// then `jobs` times monolithically: every output must equal the serial
+/// oracle, only the sharded pass may shard, and every sharded job must
+/// time its stitch.
+fn sharded_and_monolithic_agree(engine: Engine, n: usize, block: usize, jobs: usize) {
+    let list = Arc::new(gen::list_with_layout(n, gen::Layout::Blocked(block), 0xC90));
+    let expected = listkit::serial::rank(&list);
+    for sharded in [true, false] {
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| Request::rank(Arc::clone(&list)))
+            .map(|r| engine.submit(if sharded { r.sharded() } else { r }).expect("submit"))
+            .collect();
+        for h in handles {
+            let report = h.wait().expect("job completes");
+            assert!(report.output == expected, "sharded = {sharded}: ranks diverged");
+            assert_eq!(report.shards > 0, sharded, "{} shards", report.shards);
+        }
+    }
+    let stats = engine.shutdown();
+    assert_eq!(stats.sharded_jobs, jobs as u64);
+    assert!(stats.stitch_ns > 0, "stitch time is measured");
+}
+
 #[test]
 fn sharded_scenario_passes_agree() {
-    use engine::workload::{run_sharded_scenario, HugeListConfig};
-    let engine = Engine::new(
-        EngineConfig::default().with_workers(1).with_inner_threads(2).with_shard_budget(8192),
-    );
-    let cfg = HugeListConfig { n: 60_000, jobs: 2, block: 256, seed: 7 };
-    let cmp = run_sharded_scenario(&engine, &cfg); // panics on divergence
-    assert_eq!(cmp.sharded.jobs, 2);
-    assert_eq!(cmp.monolithic.jobs, 2);
-    assert_eq!(cmp.sharded.checksum, cmp.monolithic.checksum);
-    let stats = engine.shutdown();
-    assert_eq!(stats.sharded_jobs, 2);
-    assert!(stats.stitch_ns > 0, "stitch time is measured");
+    // One worker, so each job gets the whole thread budget, and a shard
+    // budget well below the list: 2·10^6 vertices in 512-vertex blocks.
+    let engine = Engine::new(EngineConfig::default().with_workers(1).with_shard_budget(250_000));
+    sharded_and_monolithic_agree(engine, 2_000_000, 512, 2);
+}
+
+#[test]
+#[ignore = "2^24 vertices: run by the nightly --include-ignored pass"]
+fn sharded_scenario_passes_agree_at_2_24_vertices() {
+    // The huge-list shape at the default shard budget (2^21 vertices).
+    let engine = Engine::new(EngineConfig::default().with_workers(1));
+    sharded_and_monolithic_agree(engine, 1 << 24, 4096, 2);
 }
 
 #[test]
@@ -476,35 +501,188 @@ fn backpressure_rejects_when_full() {
     assert_eq!(stats.rejected_full, rejected);
 }
 
+/// One list with every payload a job over it may scan.
+struct Inputs {
+    list: Arc<LinkedList>,
+    i64s: Arc<Vec<i64>>,
+    u64s: Arc<Vec<u64>>,
+    affines: Arc<Vec<Affine>>,
+    starts: Arc<Vec<bool>>,
+}
+
+impl Inputs {
+    fn new(n: usize, seed: u64) -> Arc<Self> {
+        Arc::new(Inputs {
+            list: Arc::new(gen::random_list(n, seed)),
+            i64s: values_for(n),
+            u64s: Arc::new(
+                (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i).collect(),
+            ),
+            affines: Arc::new(
+                (0..n as i64).map(|i| Affine::new((i % 5) - 2, (i % 7) - 3)).collect(),
+            ),
+            starts: Arc::new((0..n).map(|v| v % 64 == 0).collect()),
+        })
+    }
+}
+
+/// A job: the inputs it reads and what it computes over them.
+type Job = (Arc<Inputs>, OpKind);
+
+/// A job's output, whatever its element type.
+#[derive(PartialEq)]
+enum Output {
+    U64(Vec<u64>),
+    I64(Vec<i64>),
+    Affine(Vec<Affine>),
+}
+
+/// A submitted job: waiting on it yields its output.
+type Pending = Box<dyn FnOnce() -> Output>;
+
+/// A mixed batch over lists of 10^2 to 10^5 vertices. Decade `e` gets
+/// `elems_per_decade / 10^e` jobs (1 to `max_jobs` of them) over two
+/// lists; every fourth job is a scan, rotating through the six scan
+/// kinds, and submission takes the decades round-robin.
+fn mixed_jobs(elems_per_decade: usize, max_jobs: usize) -> Vec<Job> {
+    let mut jobs = Vec::new();
+    for e in 2..=5u32 {
+        let base = 10usize.pow(e);
+        let lists = [Inputs::new(base, e as u64), Inputs::new(base * 17 / 10, e as u64 + 100)];
+        for j in 0..(elems_per_decade / base).clamp(1, max_jobs) {
+            let kind = if j % 4 == 1 { OpKind::ALL[1 + j / 4 % 6] } else { OpKind::Rank };
+            jobs.push((j, (Arc::clone(&lists[j % 2]), kind)));
+        }
+    }
+    jobs.sort_by_key(|&(j, _)| j);
+    jobs.into_iter().map(|(_, job)| job).collect()
+}
+
+/// Submit one job; waiting on it also checks the report's op kind.
+fn submit(engine: &Engine, (inputs, kind): &Job) -> Pending {
+    fn go<R: Send + 'static>(
+        engine: &Engine,
+        kind: OpKind,
+        request: Request<R>,
+        out: fn(R) -> Output,
+    ) -> Pending {
+        let handle = engine.submit(request).expect("engine accepts the job");
+        Box::new(move || {
+            let report = handle.wait().expect("job completes");
+            assert_eq!(report.op, kind);
+            out(report.output)
+        })
+    }
+    let (list, i64s, kind) = (Arc::clone(&inputs.list), Arc::clone(&inputs.i64s), *kind);
+    match kind {
+        OpKind::Rank => go(engine, kind, Request::rank(list), Output::U64),
+        OpKind::Add => go(engine, kind, Request::scan(list, i64s, AddOp), Output::I64),
+        OpKind::Max => go(engine, kind, Request::scan(list, i64s, MaxOp), Output::I64),
+        OpKind::Min => go(engine, kind, Request::scan(list, i64s, MinOp), Output::I64),
+        OpKind::Xor => {
+            go(engine, kind, Request::scan(list, Arc::clone(&inputs.u64s), XorOp), Output::U64)
+        }
+        OpKind::Affine => {
+            let affines = Arc::clone(&inputs.affines);
+            go(engine, kind, Request::scan(list, affines, AffineOp), Output::Affine)
+        }
+        OpKind::Segmented => {
+            let starts = Arc::clone(&inputs.starts);
+            go(engine, kind, Request::segmented_scan(list, i64s, starts, AddOp), Output::I64)
+        }
+        OpKind::Other => unreachable!("mixed batches use the built-in operators"),
+    }
+}
+
+/// Submit every job, then wait for them all in order.
+fn run_engine(engine: &Engine, jobs: &[Job]) -> Vec<Output> {
+    let pending: Vec<Pending> = jobs.iter().map(|job| submit(engine, job)).collect();
+    pending.into_iter().map(|wait| wait()).collect()
+}
+
+/// One job solved directly on `runner`, with fresh allocations.
+fn solve(runner: &HostRunner, (inputs, kind): &Job) -> Output {
+    let (list, i64s) = (&inputs.list, &inputs.i64s);
+    match kind {
+        OpKind::Rank => Output::U64(runner.rank(list)),
+        OpKind::Add => Output::I64(runner.scan(list, i64s, &AddOp)),
+        OpKind::Max => Output::I64(runner.scan(list, i64s, &MaxOp)),
+        OpKind::Min => Output::I64(runner.scan(list, i64s, &MinOp)),
+        OpKind::Xor => Output::U64(runner.scan(list, &inputs.u64s, &XorOp)),
+        OpKind::Affine => Output::Affine(runner.scan(list, &inputs.affines, &AffineOp)),
+        OpKind::Segmented => {
+            let wrapped = segmented::wrap(i64s, &inputs.starts);
+            let scanned = runner.scan(list, &wrapped, &SegOp(AddOp));
+            Output::I64(segmented::unwrap_exclusive(&scanned, &inputs.starts, &AddOp))
+        }
+        OpKind::Other => unreachable!("mixed batches use the built-in operators"),
+    }
+}
+
+/// Every output must be byte-equal to the sequential solve of its job.
+fn assert_parity(jobs: &[Job], got: &[Output], want: &[Output], pass: &str) {
+    assert_eq!(got.len(), jobs.len(), "{pass}: job count");
+    for (i, ((inputs, kind), (got, want))) in jobs.iter().zip(got.iter().zip(want)).enumerate() {
+        assert!(got == want, "{pass}: job {i} ({kind:?}, n = {}) diverged", inputs.list.len());
+    }
+}
+
+#[test]
+fn mixed_batch_fills_the_stats_surface() {
+    // Every job kind over three decades of sizes, on a planner that
+    // gives each job four threads: lists at or below the serial cutoff
+    // run Serial, the 10^5 decade Reid-Miller. The stats report must
+    // count every job and fill the exec phase row.
+    let jobs = mixed_jobs(200_000, 300);
+    let engine = Engine::new(EngineConfig::default().with_inner_threads(4));
+    let outputs = run_engine(&engine, &jobs);
+    let serial = HostRunner::new(Algorithm::Serial);
+    let expected: Vec<Output> = jobs.iter().map(|job| solve(&serial, job)).collect();
+    assert_parity(&jobs, &outputs, &expected, "four threads");
+
+    let stats = engine.stats();
+    let report = stats.to_string();
+    assert!(report.starts_with(&format!("jobs: {} completed", jobs.len())), "{report}");
+    let exec_row = report.lines().find_map(|line| line.trim_start().strip_prefix("exec "));
+    let samples = exec_row.and_then(|row| row.split_whitespace().next()?.parse::<u64>().ok());
+    assert!(samples.is_some_and(|c| c > 0), "exec row in\n{report}");
+    let dispatched = |alg| stats.dispatch[Algorithm::ALL.iter().position(|&a| a == alg).unwrap()];
+    assert!(dispatched(Algorithm::Serial) > 0, "no Serial dispatch in\n{report}");
+    assert!(dispatched(Algorithm::ReidMiller) > 0, "no Reid-Miller dispatch in\n{report}");
+    engine.shutdown();
+}
+
 #[test]
 fn engine_beats_naive_sequential_baseline() {
-    use engine::workload::{run_baseline, run_engine, OpSelect, Workload, WorkloadConfig};
-    // Modest workload so the test stays quick; sizes still span three
-    // decades so both planner regimes engage, and the op rotation is on.
-    let cfg = WorkloadConfig {
-        min_exp: 2,
-        max_exp: 5,
-        elems_per_decade: 300_000,
-        max_jobs_per_decade: 500,
-        scan_frac: 0.25,
-        op: OpSelect::Mixed,
-        seed: 0xC90,
-        lists_per_decade: 2,
-    };
-    let workload = Workload::generate(&cfg);
+    // The naive baseline: each job in order through a one-shot
+    // fixed-algorithm HostRunner with fresh allocations. Sizes span
+    // three decades so both planner regimes engage, and every operator
+    // is in the mix.
+    let jobs = mixed_jobs(300_000, 500);
+    let elements: usize = jobs.iter().map(|(inputs, _)| inputs.list.len()).sum();
     let engine = Engine::with_defaults();
     // Warm pass (planner measurements, pool population), then the
     // measured pass — mirroring a server's steady state.
-    run_engine(&engine, &workload);
-    let eng = run_engine(&engine, &workload);
-    let base = run_baseline(&workload);
-    assert_eq!(eng.checksum, base.checksum, "executors diverged");
+    let warm = run_engine(&engine, &jobs);
+    let t0 = Instant::now();
+    let measured = run_engine(&engine, &jobs);
+    let engine_rate = elements as f64 / t0.elapsed().as_secs_f64();
+    engine.shutdown();
+    let runner = HostRunner::new(Algorithm::ReidMiller);
+    let t0 = Instant::now();
+    let expected: Vec<Output> = jobs.iter().map(|job| solve(&runner, job)).collect();
+    let baseline_rate = elements as f64 / t0.elapsed().as_secs_f64();
+    assert_parity(&jobs, &warm, &expected, "default config, warm pass");
+    assert_parity(&jobs, &measured, &expected, "default config, measured pass");
     assert!(
-        eng.elements_per_sec() >= base.elements_per_sec() * 0.9,
+        engine_rate >= baseline_rate * 0.9,
         "engine ({:.1} Melem/s) should at least match the naive baseline ({:.1} Melem/s)",
-        eng.elements_per_sec() / 1e6,
-        base.elements_per_sec() / 1e6
+        engine_rate / 1e6,
+        baseline_rate / 1e6
     );
+    // Parity holds on a two-thread budget too.
+    let engine = Engine::new(EngineConfig::default().with_inner_threads(2));
+    assert_parity(&jobs, &run_engine(&engine, &jobs), &expected, "two threads");
     engine.shutdown();
 }
 

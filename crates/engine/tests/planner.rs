@@ -115,16 +115,13 @@ fn replay_exec_ns(op: OpKind, alg: Algorithm) -> u64 {
     }
 }
 
-#[test]
-fn resident_big_replay_probes_serial_once_and_runs_model_lanes() {
-    // The `resident_big` closed loop: one client alternating RANK_H and
-    // an add SCAN_H on a resident 2^22 list, one thread per job. The
-    // contest probes Serial once, on the add at the bucket's 16th
-    // dispatch (no rank lands on the probe tick), measures it slower
-    // and stays on Reid-Miller; every Reid-Miller walk uses the model's
-    // lane count, with no lane probes.
+/// Replay the `resident_big` closed loop on a `p`-thread planner: one
+/// client alternating RANK_H and an add SCAN_H on a resident 2^22 list.
+/// Every Reid-Miller walk must use the model's lane count, with no lane
+/// probes; returns the dispatch indices that ran Serial.
+fn resident_big_serial_dispatches(p: usize) -> Vec<usize> {
     let n = 1usize << 22;
-    let planner = Planner::new(1);
+    let planner = Planner::new(p);
     let mut serial = Vec::new();
     for i in 0..128 {
         let op = if i % 2 == 0 { OpKind::Rank } else { OpKind::Add };
@@ -136,5 +133,22 @@ fn resident_big_replay_probes_serial_once_and_runs_model_lanes() {
         }
         planner.record(n, op, plan.algorithm, replay_exec_ns(op, plan.algorithm));
     }
-    assert_eq!(serial, [15], "one Serial probe, on an add");
+    serial
+}
+
+#[test]
+fn resident_big_replay_probes_serial_once_and_runs_model_lanes() {
+    // One thread per job: the model prices Serial at 1.76× Reid-Miller,
+    // inside the probe ceiling. The contest probes Serial once, on the
+    // add at the bucket's 16th dispatch (no rank lands on the probe
+    // tick), measures it slower and stays on Reid-Miller.
+    assert_eq!(resident_big_serial_dispatches(1), [15], "one Serial probe, on an add");
+}
+
+#[test]
+fn resident_big_replay_on_two_threads_never_probes_serial() {
+    // Two threads per job, as a default daemon on a 2-CPU host plans:
+    // the model prices Serial at 3.5× Reid-Miller, over the probe
+    // ceiling, so no request pays for a Serial walk of 2^22 vertices.
+    assert_eq!(resident_big_serial_dispatches(2), [] as [usize; 0], "no Serial probe");
 }
