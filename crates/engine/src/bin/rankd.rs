@@ -151,11 +151,11 @@ as write errors on their own connection only).
 
 Logging: set RANKD_LOG=error|warn|info|debug|trace   [default warn]";
 
-    /// Parse a serve flag's number, or report it and exit with the usage.
-    fn num<T: FromStr>(flag: &str, s: String) -> T {
+    /// Parse a flag's number, or report it and exit with `usage`.
+    fn num<T: FromStr>(flag: &str, s: String, usage: &str) -> T {
         s.parse().unwrap_or_else(|_| {
             eprintln!("bad value for {flag}");
-            exit_usage(SERVE_USAGE)
+            exit_usage(usage)
         })
     }
 
@@ -182,24 +182,24 @@ Logging: set RANKD_LOG=error|warn|info|debug|trace   [default warn]";
             match flag.as_str() {
                 "--socket" => cfg.socket = val().into(),
                 "--tcp" => cfg = cfg.with_tcp(Some(val())),
-                "--inflight-quota" => cfg = cfg.with_inflight_quota(num(&flag, val())),
+                "--inflight-quota" => cfg = cfg.with_inflight_quota(num(&flag, val(), SERVE_USAGE)),
                 "--store-quota" => cfg = cfg.with_store_quota(bytes(&flag, val())),
-                "--max-clients" => cfg = cfg.with_max_clients(num(&flag, val())),
+                "--max-clients" => cfg = cfg.with_max_clients(num(&flag, val(), SERVE_USAGE)),
                 "--serve-secs" => {
-                    let s: u64 = num(&flag, val());
+                    let s: u64 = num(&flag, val(), SERVE_USAGE);
                     cfg = cfg.with_serve_secs((s > 0).then_some(s));
                 }
                 "--store-budget" => cfg = cfg.with_store_budget(bytes(&flag, val())),
                 "--fault" => fault_spec = Some(val()),
-                "--shed-queue" => cfg = cfg.with_shed_queue_depth(num(&flag, val())),
+                "--shed-queue" => cfg = cfg.with_shed_queue_depth(num(&flag, val(), SERVE_USAGE)),
                 "--shed-store" => cfg = cfg.with_shed_store_bytes(bytes(&flag, val())),
-                "--workers" => engine.workers = num(&flag, val()),
-                "--inner-threads" => engine.inner_threads = num(&flag, val()),
-                "--queue-cap" => engine.queue_capacity = num(&flag, val()),
-                "--small-cutoff" => engine.small_cutoff = num(&flag, val()),
-                "--batch-max" => engine.batch_max = num(&flag, val()),
-                "--shard-budget" => engine.shard_budget = num(&flag, val()),
-                "--slow-ms" => engine.slow_request_ms = Some(num(&flag, val())),
+                "--workers" => engine.workers = num(&flag, val(), SERVE_USAGE),
+                "--inner-threads" => engine.inner_threads = num(&flag, val(), SERVE_USAGE),
+                "--queue-cap" => engine.queue_capacity = num(&flag, val(), SERVE_USAGE),
+                "--small-cutoff" => engine.small_cutoff = num(&flag, val(), SERVE_USAGE),
+                "--batch-max" => engine.batch_max = num(&flag, val(), SERVE_USAGE),
+                "--shard-budget" => engine.shard_budget = num(&flag, val(), SERVE_USAGE),
+                "--slow-ms" => engine.slow_request_ms = Some(num(&flag, val(), SERVE_USAGE)),
                 "--help" | "-h" => exit_usage(SERVE_USAGE),
                 other => {
                     eprintln!("unknown flag {other}");
@@ -305,18 +305,15 @@ planner's dispatch matrix.
         let mut socket = "/tmp/rankd.sock".to_string();
         let mut watch = None;
         while let Some(flag) = it.next() {
-            let mut val = |name: &str| -> String {
+            let mut val = || {
                 it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
+                    eprintln!("missing value for {flag}");
                     exit_usage(STATS_USAGE)
                 })
             };
             match flag.as_str() {
-                "--socket" => socket = val("--socket"),
-                "--watch" => {
-                    let n: u64 = val("--watch").parse().unwrap_or_else(|_| exit_usage(STATS_USAGE));
-                    watch = Some(n.max(1));
-                }
+                "--socket" => socket = val(),
+                "--watch" => watch = Some(num::<u64>(&flag, val(), STATS_USAGE).max(1)),
                 "--help" | "-h" => exit_usage(STATS_USAGE),
                 other => {
                     eprintln!("unknown flag {other}");

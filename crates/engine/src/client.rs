@@ -27,7 +27,7 @@
 //! except the handshake failures and [`ErrorCode::FrameTooLarge`]).
 //!
 //! This is the same codec the server uses, so the integration tests
-//! and the `serve_bench` driver exercise the real wire format, not a
+//! and the benchmark harness exercise the real wire format, not a
 //! shortcut.
 //!
 //! ## Transports

@@ -4,12 +4,13 @@
 //! serving stack consults at four points: socket reads/writes (I/O
 //! errors, artificial delays, short writes), worker job execution
 //! (panics), and store admission (transient rejections). It exists so
-//! the chaos harness (`examples/chaos_soak.rs`) and the CI chaos smoke
-//! job can drive the daemon through real failure paths — panic
-//! isolation, client retry, typed overload — on demand and
-//! *reproducibly*: every decision is a pure function of the seed and a
-//! global decision counter, so a given spec replays the same fault
-//! pattern run after run (modulo thread interleaving of the counter).
+//! the chaos tests (`crates/engine/tests/chaos.rs`, in process and
+//! against the `rankd serve --fault` binary) can drive the daemon
+//! through real failure paths — panic isolation, client retry, typed
+//! overload — on demand and *reproducibly*: every decision is a pure
+//! function of the seed and a global decision counter, so a given spec
+//! replays the same fault pattern run after run (modulo thread
+//! interleaving of the counter).
 //!
 //! The plane is **off by default and zero-cost when disabled**: every
 //! decision method starts with one branch on a plain `bool` and touches

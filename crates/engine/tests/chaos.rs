@@ -1,9 +1,8 @@
 //! Chaos tests: the serving stack under deterministic fault injection.
 //!
-//! A compact in-process version of `examples/chaos_soak`: N clients
-//! drive a fault-armed daemon with a mixed PUT / rank-by-handle /
-//! mutate workload, and three invariants must hold no matter what the
-//! fault plane does:
+//! N clients drive a fault-armed daemon with a mixed PUT /
+//! rank-by-handle / mutate workload, and three invariants must hold no
+//! matter what the fault plane does:
 //!
 //! 1. every successful reply is byte-identical to a serial oracle;
 //! 2. every failure is *typed* (an injected transport error or a
@@ -18,19 +17,26 @@
 //! full window outstanding — after which the store must be empty and
 //! the scheduler's in-flight gauges must drain to zero.
 //!
+//! The soaks take the address of the daemon they drive, so one storm
+//! runs against an in-process server and against the real `rankd
+//! serve` binary with its fault plane armed from the command line.
 //! The quick soaks ride every CI run; the heavy ones are `#[ignore]`d
 //! and picked up by the nightly `--include-ignored` pass.
 #![cfg(unix)]
 
 use engine::client::{Call, Client, ClientError, RetryPolicy};
-use engine::protocol::{self, ErrorCode, FrameKind};
-use engine::server::{ServeConfig, Server};
-use engine::{Engine, EngineConfig, FaultConfig, FaultPlane};
-use listkit::dynamic::{Edit, MutableList};
+use engine::protocol::{self, ErrorCode, FrameKind, WireStatsV2};
+use engine::{EngineConfig, FaultConfig, FaultPlane};
+use listkit::dynamic::MutableList;
 use listkit::gen;
 use listrank::{Algorithm, HostRunner};
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::{count_then, line_after, start, Daemon, EditStream, Running};
 
 /// Silence the default panic report for *injected* worker panics (they
 /// are caught and recovered by design); real panics keep reporting.
@@ -53,6 +59,58 @@ fn quiet_injected_panics() {
     });
 }
 
+/// Where a soak's clients connect: a daemon's Unix socket or its TCP
+/// listener.
+#[derive(Clone)]
+enum Target {
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
+impl Target {
+    /// Connect with the library's retry policy, jittered by `seed`.
+    fn connect(&self, seed: u64) -> Client {
+        let policy = RetryPolicy::default().with_seed(seed);
+        match self {
+            Target::Unix(path) => Client::connect_with_retry(path, policy).expect("connect"),
+            Target::Tcp(addr) => {
+                Client::connect_tcp_with_retry(addr.to_string(), policy).expect("connect tcp")
+            }
+        }
+    }
+}
+
+/// An in-process daemon (2 workers) with `spec`'s fault plane armed in
+/// both the serving layer and the engine, optionally on TCP too.
+fn faulted(tag: &str, spec: &str, tcp: bool) -> (Running, Arc<FaultPlane>) {
+    quiet_injected_panics();
+    let plane = Arc::new(FaultPlane::new(FaultConfig::parse(spec).expect("valid fault spec")));
+    let engine_cfg = EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane));
+    let server = start(tag, engine_cfg, |c| {
+        let c = c.with_fault(Arc::clone(&plane));
+        if tcp {
+            c.with_tcp(Some("127.0.0.1:0".to_string()))
+        } else {
+            c
+        }
+    });
+    (server, plane)
+}
+
+/// Run `storm` against a faulted in-process daemon, then require its
+/// clean exit. Returns the injected-fault total so callers can assert
+/// the storm was real.
+fn in_process(tag: &str, spec: &str, tcp: bool, storm: impl FnOnce(&Target)) -> u64 {
+    let (server, plane) = faulted(tag, spec, tcp);
+    let target = match server.tcp {
+        Some(addr) => Target::Tcp(addr),
+        None => Target::Unix(server.path.clone()),
+    };
+    storm(&target);
+    server.stop();
+    plane.snapshot().total()
+}
+
 /// Upload the mirror under a fresh handle, riding out injected faults.
 fn reput(client: &mut Client, mirror: &MutableList) -> u64 {
     let snapshot = mirror.snapshot();
@@ -71,57 +129,58 @@ fn reput(client: &mut Client, mirror: &MutableList) -> u64 {
     panic!("PUT could not be placed in 200 attempts");
 }
 
-/// Run the soak; panics on any broken invariant. Returns the total
-/// injected-fault count so callers can assert the storm was real.
-fn soak(tag: &str, clients: usize, requests: usize, n: usize, spec: &str) -> u64 {
-    quiet_injected_panics();
-    let plane = Arc::new(FaultPlane::new(FaultConfig::parse(spec).expect("valid fault spec")));
-    let path = std::env::temp_dir()
-        .join(format!("rankd-chaos-{tag}-{}.sock", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let engine = Arc::new(Engine::new(
-        EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane)),
-    ));
-    let server =
-        Server::bind(Arc::clone(&engine), ServeConfig::new(&path).with_fault(Arc::clone(&plane)))
-            .expect("bind chaos socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
+/// Exact store and scheduler accounting once every client has
+/// disconnected: no resident dataset or byte, and both in-flight gauges
+/// drained. The probe goes through the fault plane too, so a failed
+/// STATS is retried, up to 20 times.
+fn settle(target: &Target) -> WireStatsV2 {
+    let mut probe = target.connect(0x960BE);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut failures = 0;
+    let v2 = loop {
+        match probe.stats_v2() {
+            Ok(v2)
+                if v2.sched.inflight_interactive == 0 && v2.sched.inflight_batch == 0
+                    || Instant::now() >= deadline =>
+            {
+                break v2
+            }
+            Ok(_) => std::thread::sleep(Duration::from_millis(20)),
+            Err(e) => {
+                failures += 1;
+                assert!(failures < 20, "stats probe could not get through: {e}");
+                let _ = probe.reconnect();
+            }
+        }
+    };
+    assert_eq!(v2.store.resident_count, 0, "resident datasets after full disconnect");
+    assert_eq!(v2.store.resident_bytes, 0, "resident bytes after full disconnect");
+    assert_eq!(v2.sched.inflight_interactive, 0, "interactive in-flight gauge must drain");
+    assert_eq!(v2.sched.inflight_batch, 0, "batch in-flight gauge must drain");
+    v2
+}
 
+/// The serial storm: every client PUTs a list, then ranks it by handle
+/// (every third request with a deadline) and sends a MUTATE batch every
+/// fifth request. Panics on any broken invariant.
+fn soak(target: &Target, clients: usize, requests: usize, n: usize) {
     let threads: Vec<_> = (0..clients)
         .map(|c| {
-            let path = path.clone();
+            let target = target.clone();
             std::thread::spawn(move || {
-                let policy = RetryPolicy::default().with_seed(0xC4A05 ^ (c as u64) << 8);
-                let mut client = Client::connect_with_retry(&path, policy).expect("connect");
+                let mut client = target.connect(0xC4A05 ^ (c as u64) << 8);
                 let runner = HostRunner::new(Algorithm::ReidMiller);
                 let fixed = gen::random_list(n, c as u64 * 7919);
                 let mut mirror = MutableList::from_list(&fixed);
                 let mut expected = runner.rank(&fixed);
-                let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (c as u64) << 17;
-                let mut pick = move |m: u64| {
-                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (rng >> 33) % m.max(1)
-                };
+                let mut batches = EditStream::new(c);
                 let mut handle = reput(&mut client, &mirror);
                 for r in 0..requests {
                     if r % 5 == 4 {
                         // MUTATE: never retried; the mirror advances
                         // only on a confirmed apply, any failure
                         // resyncs from the unchanged mirror.
-                        let len = mirror.len() as u64;
-                        let a = pick(len) as u32;
-                        let mut b = pick(len) as u32;
-                        if b == a {
-                            b = (a + 1) % len as u32;
-                        }
-                        let after = if pick(8) == 0 { None } else { Some(b) };
-                        let edits = [
-                            Edit::Splice { first: a, last: a, after },
-                            Edit::Delete { v: pick(len) as u32 },
-                            Edit::Append { count: 1 + pick(8) as u32 },
-                        ];
+                        let edits = batches.batch(mirror.len());
                         let body = protocol::mutate_body(handle, &edits);
                         match client.mutate_encoded(&body) {
                             Ok(reply) if reply.applied as usize == edits.len() => {
@@ -175,20 +234,7 @@ fn soak(tag: &str, clients: usize, requests: usize, n: usize, spec: &str) -> u64
     for t in threads {
         t.join().expect("chaos client must uphold the oracle");
     }
-
-    // Exact store accounting once every connection is gone.
-    let mut probe = Client::connect_with_retry(&path, RetryPolicy::default().with_seed(0x960BE))
-        .expect("probe");
-    let v2 = probe.stats_v2().expect("stats_v2");
-    assert_eq!(v2.store.resident_count, 0, "resident datasets after full disconnect");
-    assert_eq!(v2.store.resident_bytes, 0, "resident bytes after full disconnect");
-    drop(probe);
-
-    // Clean daemon exit.
-    control.request_shutdown();
-    join.join().expect("server thread").expect("server run");
-    drop(engine);
-    plane.snapshot().total()
+    settle(target);
 }
 
 /// The pipelined storm: every client keeps up to `depth` request-id
@@ -198,50 +244,13 @@ fn soak(tag: &str, clients: usize, requests: usize, n: usize, spec: &str) -> u64
 /// killed by a fault forfeits its outstanding window (those replies
 /// are gone with the socket), and the client must be able to resync —
 /// reconnect, re-PUT, restart the pipeline — without the oracle ever
-/// drifting. Runs over the Unix socket or the TCP listener.
-fn pipelined_soak(
-    tag: &str,
-    clients: usize,
-    requests: usize,
-    n: usize,
-    spec: &str,
-    depth: usize,
-    tcp: bool,
-) -> u64 {
-    quiet_injected_panics();
-    let plane = Arc::new(FaultPlane::new(FaultConfig::parse(spec).expect("valid fault spec")));
-    let path = std::env::temp_dir()
-        .join(format!("rankd-chaos-{tag}-{}.sock", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let engine = Arc::new(Engine::new(
-        EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane)),
-    ));
-    let mut cfg = ServeConfig::new(&path).with_fault(Arc::clone(&plane));
-    if tcp {
-        cfg = cfg.with_tcp(Some("127.0.0.1:0".to_string()));
-    }
-    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
-    let tcp_addr = server.tcp_local_addr().map(|a| a.to_string());
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
-
-    let connect = move |path: &str, tcp_addr: &Option<String>, seed: u64| -> Client {
-        let policy = RetryPolicy::default().with_seed(seed);
-        match tcp_addr {
-            Some(addr) => {
-                Client::connect_tcp_with_retry(addr.as_str(), policy).expect("connect tcp")
-            }
-            None => Client::connect_with_retry(path, policy).expect("connect"),
-        }
-    };
-
+/// drifting.
+fn pipelined_soak(target: &Target, clients: usize, requests: usize, n: usize, depth: usize) {
     let threads: Vec<_> = (0..clients)
         .map(|c| {
-            let path = path.clone();
-            let tcp_addr = tcp_addr.clone();
+            let target = target.clone();
             std::thread::spawn(move || {
-                let mut client = connect(&path, &tcp_addr, 0xC4A05 ^ (c as u64) << 8);
+                let mut client = target.connect(0xC4A05 ^ (c as u64) << 8);
                 let runner = HostRunner::new(Algorithm::ReidMiller);
                 let fixed = gen::random_list(n, c as u64 * 7919);
                 let mirror = MutableList::from_list(&fixed);
@@ -312,40 +321,13 @@ fn pipelined_soak(
     for t in threads {
         t.join().expect("pipelined chaos client must uphold the oracle");
     }
-
-    // Exact store + scheduler accounting once every connection is gone:
-    // no resident bytes, and the in-flight gauges fully drained.
-    let mut probe = connect(&path, &tcp_addr, 0x960BE);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let v2 = loop {
-        match probe.stats_v2() {
-            Ok(v2) if v2.sched.inflight_interactive == 0 && v2.sched.inflight_batch == 0 => {
-                break v2
-            }
-            Ok(_) | Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-                let _ = probe.reconnect();
-            }
-            Ok(v2) => break v2,
-            Err(e) => panic!("stats probe could not get through: {e}"),
-        }
-    };
-    assert_eq!(v2.store.resident_count, 0, "resident datasets after full disconnect");
-    assert_eq!(v2.store.resident_bytes, 0, "resident bytes after full disconnect");
-    assert_eq!(v2.sched.inflight_interactive, 0, "interactive in-flight gauge must drain");
-    assert_eq!(v2.sched.inflight_batch, 0, "batch in-flight gauge must drain");
+    let v2 = settle(target);
     assert!(v2.sched.pipelined_requests > 0, "the storm must actually have pipelined");
-    drop(probe);
-
-    control.request_shutdown();
-    join.join().expect("server thread").expect("server run");
-    drop(engine);
-    plane.snapshot().total()
 }
 
 #[test]
 fn quick_soak_under_default_fault_rates() {
-    let injected = soak("quick", 3, 40, 600, "default");
+    let injected = in_process("quick", "default", false, |t| soak(t, 3, 40, 600));
     assert!(injected >= 1, "default rates over 120 requests must inject something");
 }
 
@@ -353,7 +335,8 @@ fn quick_soak_under_default_fault_rates() {
 fn quick_soak_with_heavy_exec_panics() {
     // Panic-dominated storm: every ~20th job blows up in the worker;
     // the oracle and the store accounting must be untouched.
-    let injected = soak("panics", 3, 40, 400, "exec_panic=0.05,io_err=0.01,short_write=0.01");
+    let spec = "exec_panic=0.05,io_err=0.01,short_write=0.01";
+    let injected = in_process("panics", spec, false, |t| soak(t, 3, 40, 400));
     assert!(injected >= 1);
 }
 
@@ -361,15 +344,8 @@ fn quick_soak_with_heavy_exec_panics() {
 fn quick_pipelined_soak_under_faults_unix() {
     // Short reads/writes and I/O errors landing mid-pipeline over the
     // Unix socket; depth-8 windows.
-    let injected = pipelined_soak(
-        "pipe-unix",
-        3,
-        60,
-        600,
-        "io_err=0.01,short_write=0.03,delay=1ms@0.03,seed=11",
-        8,
-        false,
-    );
+    let spec = "io_err=0.01,short_write=0.03,delay=1ms@0.03,seed=11";
+    let injected = in_process("pipe-unix", spec, false, |t| pipelined_soak(t, 3, 60, 600, 8));
     assert!(injected >= 1, "the pipelined storm must inject something");
 }
 
@@ -377,16 +353,40 @@ fn quick_pipelined_soak_under_faults_unix() {
 fn quick_pipelined_soak_under_faults_tcp() {
     // Same storm through the TCP listener: one reactor, two transports,
     // identical invariants.
-    let injected = pipelined_soak(
-        "pipe-tcp",
-        3,
-        60,
-        600,
-        "io_err=0.01,short_write=0.03,exec_panic=0.02,seed=13",
-        8,
-        true,
-    );
+    let spec = "io_err=0.01,short_write=0.03,exec_panic=0.02,seed=13";
+    let injected = in_process("pipe-tcp", spec, true, |t| pipelined_soak(t, 3, 60, 600, 8));
     assert!(injected >= 1, "the pipelined storm must inject something");
+}
+
+/// The real binary under fault injection armed from its command line,
+/// worker panics and store errors included, so batches unwind while
+/// holding their thread grant. Three soaks: serial, pipelined, and
+/// serial on 20 000-vertex lists, above the 2048-vertex serial cutoff,
+/// so Reid-Miller's parallel phases run on granted threads. Then the
+/// dashboard must show the storm (the subcommand rides the fault plane
+/// too, so it gets five tries), and SIGTERM must still drain to exit 0.
+#[test]
+fn fault_armed_rankd_survives_the_soaks() {
+    let faults = "io_err=0.02,delay=2ms@0.05,short_write=0.02,exec_panic=0.05,worker_panic=0.02,store_err=0.02";
+    let args = ["--serve-secs", "180", "--workers", "2", "--fault", faults];
+    let daemon = Daemon::spawn("chaos-rankd", &args);
+    let target = Target::Unix(daemon.path.clone());
+    soak(&target, 4, 80, 2_000);
+    pipelined_soak(&target, 4, 80, 2_000, 8);
+    soak(&target, 4, 80, 20_000);
+
+    let dash = (0..5)
+        .find_map(|attempt| {
+            if attempt > 0 {
+                std::thread::sleep(Duration::from_secs(1));
+            }
+            daemon.dashboard()
+        })
+        .expect("rankd stats got through in 5 attempts");
+    assert!(count_then(line_after(&dash, "faults: "), " injected") > Some(0), "{dash}");
+    let resilience = line_after(&dash, "resilience: ");
+    assert!(count_then(resilience, " panics recovered") > Some(0), "{dash}");
+    daemon.terminate();
 }
 
 /// A client killed with a full window of 8 frames in flight: the
@@ -396,17 +396,9 @@ fn quick_pipelined_soak_under_faults_tcp() {
 /// so the accounting must be *exact*, not approximate.
 #[test]
 fn client_killed_with_eight_frames_in_flight_settles_accounting() {
-    let path = std::env::temp_dir()
-        .join(format!("rankd-chaos-kill8-{}.sock", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let engine = Arc::new(Engine::new(EngineConfig::default().with_workers(2)));
-    let server = Server::bind(Arc::clone(&engine), ServeConfig::new(&path).with_inflight_quota(8))
-        .expect("bind chaos socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
-
-    let mut client = Client::connect(&path).expect("connect");
+    let server =
+        start("kill8", EngineConfig::default().with_workers(2), |c| c.with_inflight_quota(8));
+    let mut client = Client::connect(&server.path).expect("connect");
     let fixed = gen::random_list(60_000, 9);
     let handle = client.put(&fixed).expect("put").handle;
     for id in 1..=8u64 {
@@ -415,7 +407,7 @@ fn client_killed_with_eight_frames_in_flight_settles_accounting() {
     // Kill the connection with the full window outstanding.
     drop(client);
 
-    let mut probe = Client::connect(&path).expect("probe");
+    let mut probe = Client::connect(&server.path).expect("probe");
     let deadline = Instant::now() + Duration::from_secs(10);
     let v2 = loop {
         let v2 = probe.stats_v2().expect("stats_v2");
@@ -434,10 +426,7 @@ fn client_killed_with_eight_frames_in_flight_settles_accounting() {
     assert_eq!(v2.sched.pipelined_requests, 8, "all eight frames were admitted");
     assert_eq!(v2.sched.quota_rejected_inflight, 0, "the window exactly fills the quota");
     drop(probe);
-
-    control.request_shutdown();
-    join.join().expect("server thread").expect("server run");
-    drop(engine);
+    server.stop();
 }
 
 /// The deterministic form of the kill above: a peer that hangs up with
@@ -453,20 +442,11 @@ fn peer_reset_with_a_reply_unread_still_admits_its_buffered_frames() {
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    let path = std::env::temp_dir()
-        .join(format!("rankd-chaos-reset-{}.sock", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
     let plane = Arc::new(FaultPlane::new(FaultConfig::parse("delay=300ms@1.0").expect("spec")));
-    let engine = Arc::new(Engine::new(
-        EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane)),
-    ));
-    let cfg = ServeConfig::new(&path).with_inflight_quota(8).with_fault(plane);
-    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
+    let engine_cfg = EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane));
+    let server = start("reset", engine_cfg, |c| c.with_inflight_quota(8).with_fault(plane));
 
-    let mut stream = UnixStream::connect(&path).expect("connect");
+    let mut stream = UnixStream::connect(&server.path).expect("connect");
     let mut wire = Vec::new();
     protocol::write_frame(&mut wire, FrameKind::Hello as u8, &protocol::hello_body()).unwrap();
     let list = gen::random_list(60_000, 9);
@@ -491,7 +471,7 @@ fn peer_reset_with_a_reply_unread_still_admits_its_buffered_frames() {
     stream.write_all(&window).expect("write the window");
     drop(stream);
 
-    let mut probe = Client::connect(&path).expect("probe");
+    let mut probe = Client::connect(&server.path).expect("probe");
     let deadline = Instant::now() + Duration::from_secs(20);
     let v2 = loop {
         let v2 = probe.stats_v2().expect("stats_v2");
@@ -504,10 +484,7 @@ fn peer_reset_with_a_reply_unread_still_admits_its_buffered_frames() {
     assert_eq!(v2.sched.pipelined_requests, 8, "all eight buffered frames were admitted");
     assert_eq!(v2.store.resident_count, 0, "the hung-up peer's handle must be released");
     drop(probe);
-
-    control.request_shutdown();
-    join.join().expect("server thread").expect("server run");
-    drop(engine);
+    server.stop();
 }
 
 /// A short write that lands while a connection's queue holds large
@@ -522,20 +499,7 @@ fn short_write_behind_large_pipelined_replies_truncates_and_closes() {
     use std::os::unix::net::UnixStream;
     const N: usize = 1 << 18;
 
-    let path = std::env::temp_dir()
-        .join(format!("rankd-chaos-shortbig-{}.sock", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let plane = Arc::new(FaultPlane::new(
-        FaultConfig::parse("short_write=0.3,seed=23").expect("fault spec"),
-    ));
-    let engine = Arc::new(Engine::new(
-        EngineConfig::default().with_workers(2).with_fault(Arc::clone(&plane)),
-    ));
-    let cfg = ServeConfig::new(&path).with_fault(Arc::clone(&plane));
-    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
+    let (server, plane) = faulted("shortbig", "short_write=0.3,seed=23", false);
 
     let list = gen::random_list(N, 0x5407);
     let values: Vec<i64> = (0..N as i64).map(|i| i % 97 - 48).collect();
@@ -556,7 +520,7 @@ fn short_write_behind_large_pipelined_replies_truncates_and_closes() {
         if truncated == 3 {
             break;
         }
-        let mut stream = UnixStream::connect(&path).expect("connect");
+        let mut stream = UnixStream::connect(&server.path).expect("connect");
         protocol::write_frame(&mut stream, FrameKind::Hello as u8, &protocol::hello_body())
             .expect("HELLO");
         match protocol::read_frame(&mut stream, u32::MAX) {
@@ -607,10 +571,7 @@ fn short_write_behind_large_pipelined_replies_truncates_and_closes() {
     }
     assert_eq!(truncated, 3, "short writes must have cut large replies short");
     assert!(plane.snapshot().short_writes >= 3);
-
-    control.request_shutdown();
-    join.join().expect("server thread").expect("server run");
-    drop(engine);
+    server.stop();
 }
 
 /// A served job whose exec panics after the worker has opened its
@@ -631,17 +592,8 @@ fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
     };
     let seed = (0..).find(|&seed| fates(seed) == [false, true, false]).expect("a seed");
     let plane = Arc::new(FaultPlane::new(spec(seed)));
-    let path = std::env::temp_dir()
-        .join(format!("rankd-chaos-midframe-{}.sock", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let engine = Arc::new(Engine::new(
-        EngineConfig::default().with_workers(1).with_fault(Arc::clone(&plane)),
-    ));
-    let cfg = ServeConfig::new(&path).with_fault(Arc::clone(&plane));
-    let server = Server::bind(Arc::clone(&engine), cfg).expect("bind chaos socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
+    let engine_cfg = EngineConfig::default().with_workers(1).with_fault(Arc::clone(&plane));
+    let server = start("midframe", engine_cfg, |c| c.with_fault(Arc::clone(&plane)));
     // A written reply returns to the pool right after the socket took
     // it, which can trail the client's read by a moment: wait until the
     // pool holds a buffer that fits a reply and at least `bufs` in all.
@@ -649,7 +601,7 @@ fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
     let pool_holds = |bufs: u64| {
         let t0 = Instant::now();
         loop {
-            let s = control.stats();
+            let s = server.control.stats();
             if s.reply_bytes_pooled >= frame_bytes && s.reply_bufs_pooled >= bufs {
                 return true;
             }
@@ -662,7 +614,7 @@ fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
 
     let list = gen::random_list(N, 0x9a71c);
     let want = listkit::serial::rank(&list);
-    let mut client = Client::connect(&path).expect("connect");
+    let mut client = Client::connect(&server.path).expect("connect");
     let mut rank = |id: u64| {
         client.send(&Call::rank(&list).id(id)).expect("send");
         let (echoed, reply) = client.recv_pipelined::<u64>().expect("a whole reply frame");
@@ -672,7 +624,7 @@ fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
     let warm = rank(1).expect("warm-up served");
     assert!(warm.output == want, "warm-up rank diverged from the serial oracle");
     assert!(pool_holds(1), "the warm-up frame went back to the pool");
-    let held = control.stats().reply_bufs_pooled;
+    let held = server.control.stats().reply_bufs_pooled;
 
     match rank(2) {
         Err(e) => assert_eq!(e.server_code(), Some(ErrorCode::InternalError), "{e}"),
@@ -683,10 +635,8 @@ fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
 
     let after = rank(3).expect("the connection keeps serving");
     assert!(after.output == want, "rank after the panic diverged from the serial oracle");
-
-    control.request_shutdown();
     drop(client);
-    join.join().expect("server thread").expect("server run");
+    server.stop();
 }
 
 /// The nightly long soak (`cargo test -- --include-ignored`): a
@@ -695,13 +645,8 @@ fn exec_panic_mid_frame_answers_a_typed_error_and_recycles_its_buffer() {
 #[test]
 #[ignore = "long soak; nightly runs it via --include-ignored"]
 fn long_soak_at_elevated_rates() {
-    let injected = soak(
-        "nightly",
-        8,
-        400,
-        2_000,
-        "io_err=0.02,delay=2ms@0.05,short_write=0.02,exec_panic=0.02,store_err=0.01,seed=7",
-    );
+    let spec = "io_err=0.02,delay=2ms@0.05,short_write=0.02,exec_panic=0.02,store_err=0.01,seed=7";
+    let injected = in_process("nightly", spec, false, |t| soak(t, 8, 400, 2_000));
     assert!(injected >= 100, "an hour of storm must show a real fault count, got {injected}");
 }
 
@@ -711,14 +656,7 @@ fn long_soak_at_elevated_rates() {
 #[test]
 #[ignore = "long pipelined storm; nightly runs it via --include-ignored"]
 fn long_pipelined_storm_over_tcp() {
-    let injected = pipelined_soak(
-        "pipe-nightly",
-        8,
-        400,
-        2_000,
-        "io_err=0.02,delay=2ms@0.05,short_write=0.04,exec_panic=0.02,seed=17",
-        8,
-        true,
-    );
+    let spec = "io_err=0.02,delay=2ms@0.05,short_write=0.04,exec_panic=0.02,seed=17";
+    let injected = in_process("pipe-nightly", spec, true, |t| pipelined_soak(t, 8, 400, 2_000, 8));
     assert!(injected >= 100, "a real storm must show a real fault count, got {injected}");
 }

@@ -13,8 +13,8 @@
 
 use engine::client::{Call, Client};
 use engine::protocol::{self, ErrorCode, Frame, FrameKind, MAX_FRAME_DEFAULT};
-use engine::server::{ServeConfig, Server, ServerControl, ServerStats};
-use engine::{Engine, EngineConfig};
+use engine::server::{ServeConfig, Server};
+use engine::Engine;
 use listkit::dynamic::Edit;
 use listkit::gen;
 use listkit::ops::AddOp;
@@ -23,12 +23,11 @@ use listrank::{Algorithm, HostRunner};
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
+mod common;
+use common::{small_engine, sock_path, start};
 
 /// Deterministic per-test randomness (splitmix64 finalizer).
 fn splitmix64(mut x: u64) -> u64 {
@@ -36,42 +35,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn sock_path(tag: &str) -> PathBuf {
-    let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("rankd-pipe-{}-{tag}-{seq}.sock", std::process::id()))
-}
-
-struct Running {
-    control: ServerControl,
-    path: PathBuf,
-    join: std::thread::JoinHandle<std::io::Result<ServerStats>>,
-}
-
-impl Running {
-    fn stop(self) -> ServerStats {
-        self.control.request_shutdown();
-        self.join.join().expect("server thread").expect("server run")
-    }
-}
-
-fn start(
-    tag: &str,
-    engine_cfg: EngineConfig,
-    tune: impl FnOnce(ServeConfig) -> ServeConfig,
-) -> Running {
-    let path = sock_path(tag);
-    let cfg = tune(ServeConfig::new(&path).with_drain_grace(Duration::from_secs(10)));
-    let engine = Arc::new(Engine::new(engine_cfg));
-    let server = Server::bind(engine, cfg).expect("bind test socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
-    Running { control, path, join }
-}
-
-fn small_engine() -> EngineConfig {
-    EngineConfig::default().with_workers(2).with_inner_threads(1)
 }
 
 /// Raw v6 handshake on a bare stream.
@@ -551,20 +514,13 @@ fn store_quota_answers_typed_quota_exceeded() {
 /// matches the Unix-socket serial answers exactly.
 #[test]
 fn client_pipeline_api_over_tcp_matches_unix_serial() {
-    let path = sock_path("tcp");
-    let engine = Arc::new(Engine::new(small_engine()));
-    let cfg = ServeConfig::new(&path)
-        .with_tcp(Some("127.0.0.1:0".to_string()))
-        .with_drain_grace(Duration::from_secs(10));
-    let server = Server::bind(engine, cfg).expect("bind");
-    let addr = server.tcp_local_addr().expect("tcp listener bound");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
+    let server = start("tcp", small_engine(), |c| c.with_tcp(Some("127.0.0.1:0".to_string())));
+    let addr = server.tcp.expect("tcp listener bound");
 
     let lists: Vec<LinkedList> =
         (0..4).map(|i| gen::random_list(500 + i * 131, i as u64)).collect();
 
-    let mut serial = Client::connect(&path).expect("unix connect");
+    let mut serial = Client::connect(&server.path).expect("unix connect");
     let want: Vec<Vec<u64>> =
         lists.iter().map(|l| serial.call(&Call::rank(l)).expect("serial rank").output).collect();
 
@@ -583,8 +539,7 @@ fn client_pipeline_api_over_tcp_matches_unix_serial() {
 
     drop(serial);
     drop(tcp);
-    control.request_shutdown();
-    join.join().expect("server thread").expect("server run");
+    server.stop();
 }
 
 /// Four pipelined 2¹⁸-vertex requests — add-scans and ranks of one

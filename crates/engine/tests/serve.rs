@@ -5,57 +5,18 @@
 
 use engine::client::{Call, Client, ClientError};
 use engine::protocol::{self, ErrorCode, FrameKind, ReadFrameError, WireOp, MAX_FRAME_DEFAULT};
-use engine::server::{ServeConfig, Server, ServerControl, ServerStats};
+use engine::server::{ServeConfig, Server};
 use engine::{Engine, EngineConfig};
 use listkit::gen;
 use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::segmented::{self, SegOp};
 use listrank::{Algorithm, HostRunner};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A per-test socket path that cannot collide across parallel tests or
-/// stale runs.
-fn sock_path(tag: &str) -> PathBuf {
-    let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("rankd-test-{}-{tag}-{seq}.sock", std::process::id()))
-}
-
-struct Running {
-    control: ServerControl,
-    path: PathBuf,
-    join: std::thread::JoinHandle<std::io::Result<ServerStats>>,
-}
-
-impl Running {
-    fn stop(self) -> ServerStats {
-        self.control.request_shutdown();
-        self.join.join().expect("server thread").expect("server run")
-    }
-}
-
-fn start(
-    tag: &str,
-    engine_cfg: EngineConfig,
-    tune: impl FnOnce(ServeConfig) -> ServeConfig,
-) -> Running {
-    let path = sock_path(tag);
-    let cfg = tune(ServeConfig::new(&path).with_drain_grace(Duration::from_secs(10)));
-    let engine = Arc::new(Engine::new(engine_cfg));
-    let server = Server::bind(engine, cfg).expect("bind test socket");
-    let control = server.control();
-    let join = std::thread::spawn(move || server.run());
-    Running { control, path, join }
-}
-
-fn small_engine() -> EngineConfig {
-    EngineConfig::default().with_workers(2).with_inner_threads(1)
-}
+mod common;
+use common::{small_engine, sock_path, start, Daemon};
 
 /// Raw-socket helper: write one frame, read one frame.
 fn roundtrip(stream: &mut UnixStream, kind: u8, body: &[u8]) -> protocol::Frame {
@@ -1276,38 +1237,17 @@ fn client_killed_mid_reply_leaves_daemon_serving() {
 fn sigterm_drains_the_rankd_daemon_gracefully() {
     // The real binary: SIGTERM must drain and exit 0, exactly like a
     // SHUTDOWN frame — not die with the default signal disposition.
-    let path = sock_path("sigterm");
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_rankd"))
-        .args(["serve", "--socket"])
-        .arg(&path)
-        .args(["--workers", "1"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn rankd serve");
-    // Wait for the socket, prove it serves, then TERM it.
-    let mut client = None;
-    for _ in 0..100 {
-        if let Ok(c) = Client::connect(&path) {
-            client = Some(c);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    let mut client = client.expect("daemon came up within 5s");
+    let daemon = Daemon::spawn("sigterm", &["--workers", "1"]);
+    let path = daemon.path.clone();
+    // Prove it serves, then TERM it.
+    let mut client = Client::connect(&path).expect("connect to rankd serve");
     let list = gen::random_list(1000, 11);
     assert_eq!(
         client.call(&Call::rank(&list)).expect("pre-TERM rank").output,
         HostRunner::new(Algorithm::ReidMiller).rank(&list)
     );
     drop(client);
-    let term = std::process::Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("send SIGTERM");
-    assert!(term.success(), "kill -TERM delivered");
-    let status = child.wait().expect("daemon exit");
-    assert!(status.success(), "SIGTERM is a graceful drain, got {status:?}");
+    daemon.terminate();
     assert!(Client::connect(&path).is_err(), "socket withdrawn after drain");
 }
 

@@ -60,7 +60,7 @@ proptest! {
     }
 
     /// Merge is associative and commutative, so concurrent collectors
-    /// can be folded in any order (serve_bench relies on this).
+    /// can be folded in any order.
     #[test]
     fn merge_is_associative_and_commutative(
         a in proptest::collection::vec(any::<u64>(), 0..50),

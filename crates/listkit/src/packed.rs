@@ -79,12 +79,6 @@ impl PackedList {
         self.head
     }
 
-    /// The packed words (mutable access for in-place algorithms).
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// The packed words.
     #[inline]
     pub fn words(&self) -> &[u64] {

@@ -94,13 +94,6 @@ impl VectorProc {
         idx.iter().map(|&i| src[i as usize]).collect()
     }
 
-    /// Gather into an existing buffer (avoids allocation in hot loops).
-    pub fn gather_into<T: Copy>(&mut self, src: &[T], idx: &[u32], out: &mut Vec<T>) {
-        self.charge_op(OpKind::Gather, idx.len());
-        out.clear();
-        out.extend(idx.iter().map(|&i| src[i as usize]));
-    }
-
     /// Scatter: `dst[idx[i]] = vals[i]`. Indices must be distinct (EREW);
     /// enforced in debug builds.
     pub fn scatter<T: Copy>(&mut self, dst: &mut [T], idx: &[u32], vals: &[T]) {
