@@ -45,7 +45,11 @@
 //! each job with a nonzero request id ([`Call::id`]), write many frames
 //! back to back with [`Client::send`], and collect the replies — which
 //! arrive in *completion* order, not submission order — with
-//! [`Client::recv_pipelined`]. Pipelined sends are never retried by
+//! [`Client::recv_pipelined`]. Sends are queued and a window leaves in
+//! one write, and replies are read through one 64 KiB buffer, so a
+//! pipelined request costs a fraction of a syscall at each end (see
+//! [`Client::send`] for when the queue is written). Pipelined sends
+//! are never retried by
 //! the [`RetryPolicy`]: a reconnect would silently drop every other
 //! in-flight request, so any failure mid-pipeline surfaces immediately
 //! and the caller decides what to replay.
@@ -69,7 +73,7 @@ pub use crate::protocol::{Call, Source};
 use crate::store::PutReceipt;
 use listkit::dynamic::Edit;
 use listkit::LinkedList;
-use std::io::{Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -120,6 +124,15 @@ impl Write for Stream {
         match self {
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    /// Forwarded so a frame's header and body leave in one `writev`:
+    /// the trait's default would write only the first slice.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Unix(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -287,9 +300,19 @@ pub struct ServedOutput<T> {
     pub meta: OutputMeta,
 }
 
+/// Capacity of a client's reply read buffer, and the most request
+/// bytes [`Client::send`] queues before writing them.
+const IO_BUF: usize = 64 * 1024;
+
 /// A connected, handshaken `rankd serve` client.
 pub struct Client {
-    stream: Stream,
+    /// The connection, read through an [`IO_BUF`] buffer so that replies
+    /// arriving together cost one `read`. A reply body larger than the
+    /// buffer bypasses it and is read straight into `reply`.
+    stream: BufReader<Stream>,
+    /// Pipelined request frames [`Client::send`] queued and not yet
+    /// written, at most [`IO_BUF`] bytes of them.
+    sends: Vec<u8>,
     /// The dialed endpoint, kept for retry-driven reconnects.
     endpoint: Endpoint,
     retry: RetryPolicy,
@@ -309,9 +332,9 @@ fn protocol_error(e: WireError) -> ClientError {
 
 impl Client {
     fn connect_endpoint(endpoint: Endpoint) -> Result<Client, ClientError> {
-        let stream = endpoint.open()?;
         let mut client = Client {
-            stream,
+            stream: BufReader::with_capacity(IO_BUF, endpoint.open()?),
+            sends: Vec::new(),
             endpoint,
             retry: RetryPolicy::none(),
             server_version: 0,
@@ -400,7 +423,9 @@ impl Client {
     /// re-PUT after a reconnect, which surfaces to them as
     /// [`ErrorCode::StaleHandle`] on the next handle op.
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
-        self.stream = self.endpoint.open()?;
+        // Queued sends were meant for the dead connection.
+        self.sends.clear();
+        self.stream = BufReader::with_capacity(IO_BUF, self.endpoint.open()?);
         self.handshake()
     }
 
@@ -451,10 +476,26 @@ impl Client {
         }
     }
 
+    /// Write every queued pipelined frame in one write. The queue is
+    /// emptied either way: after a failed write the connection is dead.
+    fn flush_sends(&mut self) -> Result<(), ClientError> {
+        if self.sends.is_empty() {
+            return Ok(());
+        }
+        let wrote = self.stream.get_mut().write_all(&self.sends);
+        self.sends.clear();
+        Ok(wrote?)
+    }
+
     /// Read one reply frame off the stream into `self.reply` and return
     /// its kind byte (no error-frame conversion; EOF and oversized
-    /// replies surface as errors).
+    /// replies surface as errors). Queued sends go out first unless the
+    /// read buffer already holds a whole frame: a read that would block
+    /// must not wait on requests the server has not been sent.
     fn read_reply_frame(&mut self) -> Result<u8, ClientError> {
+        if !whole_frame(self.stream.buffer()) {
+            self.flush_sends()?;
+        }
         let reply_cap = self.reply_cap();
         match read_frame_into(&mut self.stream, reply_cap, &mut self.reply) {
             Ok(Some(kind)) => Ok(kind),
@@ -470,7 +511,8 @@ impl Client {
     /// One round trip: write a frame, read the reply, surface error
     /// frames as [`ClientError::Server`].
     fn call_once(&mut self, kind: FrameKind, body: &[u8]) -> Result<u8, ClientError> {
-        write_frame(&mut self.stream, kind as u8, body)?;
+        self.flush_sends()?;
+        write_frame(self.stream.get_mut(), kind as u8, body)?;
         let reply_kind = self.read_reply_frame()?;
         if FrameKind::from_u8(reply_kind) == Some(FrameKind::Error) {
             return Err(server_error(&self.reply)?);
@@ -478,14 +520,22 @@ impl Client {
         Ok(reply_kind)
     }
 
-    /// Write one pre-encoded request frame **without** waiting for its
-    /// reply — the pipelined send half under [`Client::send`]. The
-    /// body should carry a nonzero `request_id` so the
-    /// completion-ordered reply can be matched back; collect replies
-    /// with [`Client::recv_pipelined`]. Never retried: a reconnect
-    /// would orphan the rest of the pipeline.
+    /// Queue one pre-encoded request frame **without** waiting for its
+    /// reply — the pipelined send half under [`Client::send`], and
+    /// queued the same way. The body should carry a nonzero
+    /// `request_id` so the completion-ordered reply can be matched
+    /// back; collect replies with [`Client::recv_pipelined`]. Never
+    /// retried: a reconnect would orphan the rest of the pipeline.
     pub fn send_encoded(&mut self, kind: FrameKind, body: &[u8]) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, kind as u8, body)?;
+        let frame = protocol::FRAME_HEADER_MAX + body.len();
+        if self.sends.len() + frame > IO_BUF {
+            self.flush_sends()?;
+        }
+        if frame > IO_BUF {
+            write_frame(self.stream.get_mut(), kind as u8, body)?;
+        } else {
+            write_frame(&mut self.sends, kind as u8, body)?;
+        }
         Ok(())
     }
 
@@ -531,9 +581,17 @@ impl Client {
         self.request_encoded(kind, &body)
     }
 
-    /// Pipelined [`Client::call`]: write the request without waiting
+    /// Pipelined [`Client::call`]: send the request without waiting
     /// for its reply, and collect the reply with
     /// [`Client::recv_pipelined`].
+    ///
+    /// Sends are queued, so that a window of small requests leaves in
+    /// one write: the queue goes out once it would pass 64 KiB, when a
+    /// receive would otherwise wait on the socket, before any round
+    /// trip ([`Client::call`], [`Client::put`], …) and when the client
+    /// is dropped. A frame larger than that is written at once. Because
+    /// of the queue, a dead peer usually surfaces at the receive, not
+    /// at the send.
     ///
     /// # Panics
     /// Panics if the call carries no request id ([`Call::id`]): without
@@ -639,6 +697,23 @@ impl Client {
             Some(FrameKind::ShutdownOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected SHUTDOWN_OK, got {other:?}"))),
         }
+    }
+}
+
+impl Drop for Client {
+    /// Queued sends still reach the server: a client dropped with
+    /// requests in flight leaves them to be served and counted, as an
+    /// unbuffered one would.
+    fn drop(&mut self) {
+        let _ = self.flush_sends();
+    }
+}
+
+/// Whether `buf` starts with a whole frame (length prefix included).
+fn whole_frame(buf: &[u8]) -> bool {
+    match buf.get(..4) {
+        Some(len) => buf.len() - 4 >= u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize,
+        None => false,
     }
 }
 

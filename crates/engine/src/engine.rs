@@ -2,8 +2,8 @@
 
 use crate::fault::FaultPlane;
 use crate::job::{
-    FrameReply, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob, Request, Responder,
-    Run,
+    BatchReplies, FrameReply, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob,
+    Request, Responder, Run,
 };
 use crate::planner::{Planner, ShardDecision};
 use crate::pool::ScratchPool;
@@ -439,6 +439,9 @@ fn worker_loop(shared: &Shared) {
             .expect("engine inner pool");
         let mut scratch = shared.pool.acquire();
         inner_pool.install(|| {
+            // Declared before the loop, so dropped after it: the batch's
+            // reply frames settle once its last job has run.
+            let mut replies = BatchReplies::new(batch.len());
             for mut job in batch {
                 if job.responder.is_settled() {
                     shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
@@ -451,7 +454,7 @@ fn worker_loop(shared: &Shared) {
                 if let Some(deadline_ms) = job.opts.deadline_ms {
                     if crate::fault::deadline_expired(job.enqueued.elapsed(), deadline_ms) {
                         shared.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                        job.responder.settle(Err(JobError::DeadlineExceeded));
+                        job.responder.settle(Err(JobError::DeadlineExceeded), &mut replies);
                         shared.queue.note_finished(job.opts.priority);
                         continue;
                     }
@@ -529,7 +532,7 @@ fn worker_loop(shared: &Shared) {
                     Err(_) => {
                         shared.counters.failed.fetch_add(1, Ordering::Relaxed);
                         shared.counters.panics_recovered.fetch_add(1, Ordering::Relaxed);
-                        job.responder.settle(Err(JobError::Failed));
+                        job.responder.settle(Err(JobError::Failed), &mut replies);
                         shared.queue.note_finished(job.opts.priority);
                         continue;
                     }
@@ -542,7 +545,7 @@ fn worker_loop(shared: &Shared) {
                     shared.planner.record(n, op, done.algorithm, exec_ns);
                 }
                 let trace_id = job.opts.trace_id.unwrap_or(0);
-                let landed = job.responder.settle(Ok(JobReport {
+                let report = JobReport {
                     id: job.id,
                     trace_id,
                     n,
@@ -557,7 +560,8 @@ fn worker_loop(shared: &Shared) {
                     exec_ns,
                     // A served job's elements are in its reply frame.
                     output: typed.unwrap_or_else(|| Box::new(())),
-                }));
+                };
+                let landed = job.responder.settle(Ok(report), &mut replies);
                 shared.queue.note_finished(job.opts.priority);
                 if landed {
                     shared.counters.elements.fetch_add(n as u64, Ordering::Relaxed);

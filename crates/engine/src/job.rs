@@ -827,13 +827,19 @@ impl Responder {
     }
 
     /// Deliver the result. First settle wins (a cancelled cell drops
-    /// later results); returns whether this call's result landed.
-    pub(crate) fn settle(&mut self, result: Result<JobReport<ErasedOutput>, JobError>) -> bool {
+    /// later results); returns whether this call's result landed. A
+    /// cell completes at once; a reply frame settles through `replies`,
+    /// which may hold it back until its batch ends.
+    pub(crate) fn settle(
+        &mut self,
+        result: Result<JobReport<ErasedOutput>, JobError>,
+        replies: &mut BatchReplies,
+    ) -> bool {
         match self {
             Responder::Cell(cell) => cell.complete(result),
             Responder::Frame(frame) => match frame.take() {
                 Some(frame) => {
-                    frame.settle(result);
+                    replies.settle(frame, result);
                     true
                 }
                 None => false,
@@ -847,6 +853,43 @@ impl Responder {
         match self {
             Responder::Cell(cell) => cell.is_settled(),
             Responder::Frame(frame) => frame.is_none(),
+        }
+    }
+}
+
+/// The reply frames of one worker batch. In a batch of more than one
+/// job they are held until its last job has run and then settle
+/// together, so that the reactor gets them in one burst behind one
+/// wake; a lone job's reply settles at once. Dropping it settles
+/// whatever is held — at the batch's end, or when the worker unwinds
+/// first, so no caller is stranded.
+pub(crate) struct BatchReplies {
+    hold: bool,
+    held: Vec<(Box<dyn FrameReply>, Settled)>,
+}
+
+/// A served job's result, as its reply frame settles it.
+type Settled = Result<JobReport<ErasedOutput>, JobError>;
+
+impl BatchReplies {
+    /// Replies for a batch of `jobs` jobs.
+    pub(crate) fn new(jobs: usize) -> Self {
+        BatchReplies { hold: jobs > 1, held: Vec::new() }
+    }
+
+    fn settle(&mut self, frame: Box<dyn FrameReply>, result: Settled) {
+        if self.hold {
+            self.held.push((frame, result));
+        } else {
+            frame.settle(result);
+        }
+    }
+}
+
+impl Drop for BatchReplies {
+    fn drop(&mut self) {
+        for (frame, result) in self.held.drain(..) {
+            frame.settle(result);
         }
     }
 }

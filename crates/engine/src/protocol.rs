@@ -38,7 +38,7 @@ use listkit::dynamic::Edit;
 use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
 use listrank::Algorithm;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::ops::Range;
 
 /// Handshake magic: the bytes `"RNKD"` read as a little-endian `u32`.
@@ -495,17 +495,37 @@ pub fn reply_frame_into(
 }
 
 /// Write one frame; returns the total bytes put on the wire
-/// (`4 + 1 + body.len()`). The body is written from the caller's slice,
-/// never copied. A body whose length cannot be represented in the `u32`
-/// prefix is an [`std::io::ErrorKind::InvalidInput`] error at the
-/// sender — never a silently wrapped prefix that would desync the peer.
+/// (`4 + 1 + body.len()`). Header and body go out in one vectored
+/// write — one syscall, and over TCP one segment, for a small frame —
+/// and the body is written from the caller's slice, never copied. A
+/// writer that takes less continues where it stopped. A body whose
+/// length cannot be represented in the `u32` prefix is an
+/// [`std::io::ErrorKind::InvalidInput`] error at the sender — never a
+/// silently wrapped prefix that would desync the peer.
 pub fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> std::io::Result<u64> {
-    let mut header = Vec::with_capacity(FRAME_HEADER_MAX);
-    put_frame_header(&mut header, kind, None, body.len())?;
-    w.write_all(&header)?;
-    w.write_all(body)?;
+    let (header, head_len) = frame_header(kind, None, body.len())?;
+    let total = head_len + body.len();
+    let mut done = 0;
+    while done < total {
+        let wrote = if done < head_len {
+            w.write_vectored(&[IoSlice::new(&header[done..head_len]), IoSlice::new(body)])
+        } else {
+            w.write(&body[done - head_len..])
+        };
+        match wrote {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(k) => done += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()?;
-    Ok((header.len() + body.len()) as u64)
+    Ok(total as u64)
 }
 
 /// Read one frame. `Ok(None)` means the peer closed the stream cleanly

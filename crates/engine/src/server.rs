@@ -14,6 +14,12 @@
 //! on the connection and writes it as it is. No thread is parked per
 //! in-flight request, which is what makes pipelining scale:
 //!
+//! * **One write per connection per tick.** Replies — a job's, or one
+//!   the reactor answers itself — are only queued while the tick
+//!   handles completions and requests; the tick ends by writing each
+//!   connection once, up to 32 frames per `writev`. A worker
+//!   batch's replies reach the hub together, behind one wake.
+//!
 //! * **Pipelining (v6).** A request carrying
 //!   [`protocol::FLAG_REQUEST_ID`] does not serialize the connection:
 //!   many ids may be in flight at once, and replies come back as
@@ -43,8 +49,8 @@
 //!   [`ErrorCode::QuotaExceeded`] refusals.
 //! * **Backpressure without deadlock.** A connection past its write
 //!   high-watermark (a pipelining client that stops reading replies)
-//!   simply stops being *read*; completions still flush
-//!   opportunistically, so the reactor never blocks on a slow client,
+//!   simply stops being *read*; its replies are still written as the
+//!   socket takes them, so the reactor never blocks on a slow client,
 //!   and a client that never drains is reclaimed by the write-stall
 //!   limit.
 //!
@@ -75,7 +81,7 @@ use crate::rankd_log;
 use crate::sched::{Priority, QuotaTable};
 use crate::store::{DatasetRef, DatasetStore, StoreError, DEFAULT_STORE_BUDGET};
 use crate::telemetry::log::Level;
-use crate::telemetry::{self, AtomicHistogram, Phase};
+use crate::telemetry::{self, AtomicHistogram, Phase, Telemetry};
 use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
 use std::collections::{HashMap, VecDeque};
@@ -259,6 +265,10 @@ pub struct ServerStats {
     pub reply_bufs_pooled: u64,
     /// Bytes of capacity those pooled buffers hold.
     pub reply_bytes_pooled: u64,
+    /// Vectored writes that moved reply bytes. The reactor writes each
+    /// connection once per tick, many frames per write, so at pipeline
+    /// depth this stays below [`ServerStats::frames_out`].
+    pub writes: u64,
 }
 
 impl std::fmt::Display for ServerStats {
@@ -296,6 +306,7 @@ struct Shared {
     bytes_out: AtomicU64,
     errors_sent: AtomicU64,
     busy_rejected: AtomicU64,
+    writes: AtomicU64,
     /// The resident dataset store, shared by every connection.
     store: Arc<DatasetStore>,
     /// The fault-injection plane (disabled = every probe is one
@@ -340,6 +351,7 @@ impl Shared {
             bytes_out: AtomicU64::new(0),
             errors_sent: AtomicU64::new(0),
             busy_rejected: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             store: Arc::new(DatasetStore::new(cfg.store_budget)),
             fault: Arc::clone(&cfg.fault),
             shed_queue_depth: cfg.shed_queue_depth,
@@ -389,6 +401,7 @@ impl Shared {
             busy_rejected: self.busy_rejected.load(Ordering::Relaxed),
             reply_bufs_pooled: held.0 as u64,
             reply_bytes_pooled: held.1 as u64,
+            writes: self.writes.load(Ordering::Relaxed),
         }
     }
 }
@@ -652,6 +665,10 @@ impl BufPool {
 struct OutFrame {
     buf: Vec<u8>,
     lead: usize,
+    /// For a job's OUTPUT: when the reactor drained its completion, and
+    /// its trace id. The first write that carries the frame's bytes
+    /// takes it and records [`Phase::ReplyWrite`].
+    drained: Option<(Instant, u64)>,
 }
 
 impl OutFrame {
@@ -675,7 +692,7 @@ fn frame_reply(
         f.extend_from_slice(body)
     })
     .ok()?;
-    Some(OutFrame { buf, lead: 0 })
+    Some(OutFrame { buf, lead: 0, drained: None })
 }
 
 /// A settled job's reply, written by its worker and drained by the
@@ -801,7 +818,8 @@ impl FrameReply for ReplyFrame {
                     trace_id: report.trace_id,
                 };
                 protocol::seal_output_frame(&mut buf, &frame, &meta);
-                return this.send(FrameKind::Output, OutFrame { buf, lead: frame.lead });
+                let frame = OutFrame { buf, lead: frame.lead, drained: None };
+                return this.send(FrameKind::Output, frame);
             }
             (result, open) => {
                 // A half-written OUTPUT frame is never sent; its buffer
@@ -1042,10 +1060,10 @@ impl Conn {
     }
 
     /// Push queued reply frames at the socket until it would block,
-    /// many frames per vectored write. Fault injection happens once per
-    /// attempt, before any bytes move: a disabled plane is a single
-    /// branch.
-    fn flush(&mut self, shared: &Shared) {
+    /// up to [`MAX_IOV`] frames per vectored write. Fault injection
+    /// happens once per attempt, before any bytes move: a disabled
+    /// plane is a single branch.
+    fn flush(&mut self, shared: &Shared, telemetry: &Telemetry) {
         if self.dead {
             return;
         }
@@ -1087,7 +1105,8 @@ impl Conn {
                     return;
                 }
                 Ok(k) => {
-                    self.retire(k, &shared.pool);
+                    shared.writes.fetch_add(1, Ordering::Relaxed);
+                    self.retire(k, &shared.pool, telemetry);
                     self.write_progress = Instant::now();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -1104,9 +1123,25 @@ impl Conn {
     }
 
     /// Account `k` bytes the socket accepted from the front of the
-    /// queue; every frame now fully written goes back to the pool.
-    fn retire(&mut self, mut k: usize, pool: &BufPool) {
-        while let Some(front) = self.wq.front() {
+    /// queue; every frame now fully written goes back to the pool, and
+    /// every job's OUTPUT these bytes first reached records its
+    /// [`Phase::ReplyWrite`].
+    fn retire(&mut self, mut k: usize, pool: &BufPool, telemetry: &Telemetry) {
+        while let Some(front) = self.wq.front_mut() {
+            if k == 0 {
+                return;
+            }
+            if let Some((drained, trace_id)) = front.drained.take() {
+                let reply_ns = drained.elapsed().as_nanos() as u64;
+                telemetry.record_phase(Phase::ReplyWrite, reply_ns);
+                rankd_log!(
+                    Level::Trace,
+                    "server",
+                    "reply trace={trace_id} bytes={} reply-write={:.3}ms",
+                    front.wire().len(),
+                    reply_ns as f64 / 1e6
+                );
+            }
             let rest = front.wire().len() - self.wpos;
             if k < rest {
                 self.wpos += k;
@@ -1244,9 +1279,10 @@ impl Reactor {
             // and settle EOF/drain closes.
             let shared = Arc::clone(&self.shared);
             let now_drained = shared.drain_expired();
+            let telemetry = self.engine.telemetry();
             for conn in self.conns.values_mut() {
                 if !conn.dead && conn.pending_write() {
-                    conn.flush(&shared);
+                    conn.flush(&shared, telemetry);
                 }
                 if !conn.dead && conn.pending_write() {
                     let limit =
@@ -1456,7 +1492,7 @@ impl Reactor {
     }
 
     /// Queue one reply frame on a connection (pipelined when
-    /// `request_id` is set) and flush opportunistically.
+    /// `request_id` is set); the tick's end writes it.
     fn enqueue_reply(
         &mut self,
         conn_id: u64,
@@ -1464,10 +1500,8 @@ impl Reactor {
         request_id: Option<u64>,
         body: &[u8],
     ) {
-        let shared = Arc::clone(&self.shared);
         if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.enqueue(&shared, kind, request_id, body);
-            conn.flush(&shared);
+            conn.enqueue(&self.shared, kind, request_id, body);
         }
     }
 
@@ -1825,9 +1859,9 @@ impl Reactor {
     }
 
     /// Deliver one settled job's reply: settle the quota and in-flight
-    /// ledgers, queue the frame, and resume parsing (the completion
-    /// may let a waiting frame through).
-    fn handle_completion(&mut self, c: Completion) {
+    /// ledgers, queue the frame for the tick's end to write, and resume
+    /// parsing (the completion may let a waiting frame through).
+    fn handle_completion(&mut self, mut c: Completion) {
         // A completion for a reaped connection is discarded: its
         // `drop_tenant` already settled the quota ledger, and the
         // reply has nowhere to go.
@@ -1841,21 +1875,10 @@ impl Reactor {
         if conn.inflight.values().any(|&seq| seq < c.arrival_seq) {
             shared.reply_reorders.fetch_add(1, Ordering::Relaxed);
         }
-        let t_reply = Instant::now();
-        let bytes = c.frame.wire().len();
-        conn.push_frame(&shared, c.frame, c.kind == FrameKind::Error);
-        conn.flush(&shared);
         if c.kind != FrameKind::Error {
-            let reply_ns = t_reply.elapsed().as_nanos() as u64;
-            self.engine.telemetry().record_phase(Phase::ReplyWrite, reply_ns);
-            rankd_log!(
-                Level::Trace,
-                "server",
-                "reply trace={} bytes={bytes} reply-write={:.3}ms",
-                c.trace_id,
-                reply_ns as f64 / 1e6
-            );
+            c.frame.drained = Some((Instant::now(), c.trace_id));
         }
+        conn.push_frame(&shared, c.frame, c.kind == FrameKind::Error);
         self.parse_conn(c.conn);
     }
 
@@ -2009,7 +2032,7 @@ mod tests {
             request_id: None,
             arrival_seq: 0,
             kind: FrameKind::Output,
-            frame: OutFrame { buf: Vec::new(), lead: 0 },
+            frame: OutFrame { buf: Vec::new(), lead: 0, drained: None },
             trace_id: 0,
         }
     }
@@ -2046,7 +2069,7 @@ mod tests {
         buf.clear();
         buf.resize(lead, 0xEE);
         buf.resize(lead + len, fill);
-        OutFrame { buf, lead }
+        OutFrame { buf, lead, drained: None }
     }
 
     #[test]
@@ -2056,17 +2079,23 @@ mod tests {
         let shared = Shared::new(&ServeConfig::new("/nonexistent/unused.sock"));
         let pool = &shared.pool;
         let mut conn = Conn::new(1, Transport::Unix(server_end));
+        let telemetry = Telemetry::new(None);
+        let reply_writes = || telemetry.phase_snapshot(Phase::ReplyWrite).count();
 
         // Large enough that the socket takes the first frame only in
         // part, so the second lands behind pending bytes. Both carry a
-        // lead skip, as a job's OUTPUT frame does.
-        let first = frame_of(pool, 2, 4 << 20, 0xA1);
-        let second = frame_of(pool, 5, 3 << 20, 0xB2);
+        // lead skip, as a job's OUTPUT frame does, and a drain stamp.
+        let mut first = frame_of(pool, 2, 4 << 20, 0xA1);
+        let mut second = frame_of(pool, 5, 3 << 20, 0xB2);
+        first.drained = Some((Instant::now(), 1));
+        second.drained = Some((Instant::now(), 2));
         let ptrs = [first.buf.as_ptr(), second.buf.as_ptr()];
         conn.push_frame(&shared, first, false);
         assert_eq!(conn.wq[0].buf.as_ptr(), ptrs[0], "queued on an idle connection, not copied");
-        conn.flush(&shared);
+        conn.flush(&shared, &telemetry);
         assert!(conn.wpos > 0 && conn.wq.len() == 1, "the socket took part of the first frame");
+        assert_eq!(reply_writes(), 1, "the first write that carries a frame records it");
+        assert_eq!(shared.stats().writes, 1);
         conn.push_frame(&shared, second, false);
         assert_eq!(conn.wq[1].buf.as_ptr(), ptrs[1], "queued behind pending bytes, not copied");
 
@@ -2079,7 +2108,7 @@ mod tests {
             // Each frame is written from the buffer it was queued in.
             let front = conn.wq.len();
             assert_eq!(conn.wq[0].buf.as_ptr(), ptrs[2 - front]);
-            conn.flush(&shared);
+            conn.flush(&shared, &telemetry);
             assert!(!conn.dead, "the peer is reading");
             let (count, bytes) = pool.held();
             assert!(count <= POOL_MAX_BUFS && bytes <= POOL_MAX_BYTES);
@@ -2088,6 +2117,7 @@ mod tests {
         assert!(got[..4 << 20].iter().all(|&b| b == 0xA1), "first frame intact");
         assert!(got[4 << 20..].iter().all(|&b| b == 0xB2), "second frame intact, in order");
         assert_eq!(pool.held().0, 2, "both written buffers went back to the pool");
+        assert_eq!(reply_writes(), 2, "each frame recorded once, however many writes it took");
         assert_eq!(shared.stats().bytes_out, 7 << 20);
 
         // The pool keeps at most its bound, in count and in bytes.

@@ -9,11 +9,9 @@
 //!
 //! Two flavors share the same bucket math:
 //!
-//! * [`Histogram`] — plain, single-owner, mergeable. This is the math
-//!   type: it records with `&mut self`, merges with saturating
-//!   arithmetic (associative and commutative — pinned by proptests in
-//!   `crates/engine/tests/telemetry.rs`), travels over the wire in the
-//!   `STATS_V2` frame, and renders percentiles.
+//! * [`Histogram`] — plain and single-owner. This is the math type: it
+//!   records with `&mut self` under saturating arithmetic, travels over
+//!   the wire in the `STATS_V2` frame, and renders percentiles.
 //! * [`AtomicHistogram`] — the lock-free concurrent recorder used on
 //!   the engine's hot paths. Bucket slots are plain `AtomicU64`s;
 //!   `count`/`sum` go through a [`Striped`] counter so concurrent
@@ -139,14 +137,8 @@ impl Default for Striped {
     }
 }
 
-/// A plain, mergeable log₂/sub-bucket histogram (see module docs).
-///
-/// All arithmetic saturates at `u64::MAX`; saturating unsigned addition
-/// is `min(a + b, MAX)` over the naturals, which keeps [`merge`]
-/// associative and commutative even at the overflow boundary
-/// (proptest-pinned).
-///
-/// [`merge`]: Histogram::merge
+/// A plain log₂/sub-bucket histogram (see module docs). All arithmetic
+/// saturates at `u64::MAX`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -207,17 +199,6 @@ impl Histogram {
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Fold another histogram into this one (element-wise saturating
-    /// add). Associative and commutative.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// The bucket `(lower, upper)` bounds containing the `p`-th
@@ -322,7 +303,7 @@ impl AtomicHistogram {
         self.count.get()
     }
 
-    /// Collapse into a plain [`Histogram`] for math/merge/encode.
+    /// Collapse into a plain [`Histogram`] for math/encode.
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
         h.count = self.count.get();
@@ -415,28 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        a.record(1000);
-        b.record(10);
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.sum(), 1020);
-        assert_eq!(m.max(), 1000);
-    }
-
-    #[test]
     fn saturation_does_not_wrap() {
         let mut h = Histogram::new();
         h.record_n(7, u64::MAX);
         h.record_n(7, 5);
-        assert_eq!(h.count(), u64::MAX);
-        let mut other = Histogram::new();
-        other.record_n(7, u64::MAX);
-        h.merge(&other);
         assert_eq!(h.count(), u64::MAX);
         assert_eq!(h.sum(), u64::MAX);
     }

@@ -32,7 +32,8 @@ pub enum Phase {
     Exec,
     /// The sharded path's boundary-list stitch (0 for monolithic runs).
     Stitch,
-    /// Writing the OUTPUT reply back to the client (server).
+    /// The OUTPUT reply from the reactor draining it to the first write
+    /// that carries its bytes: queue + first write (server).
     ReplyWrite,
 }
 

@@ -8,11 +8,13 @@
 //! never the reactor), a serial request parked behind a pipelined
 //! window, duplicate / zero request ids rejected as typed malformed,
 //! and both per-tenant quotas (in-flight jobs, resident store bytes)
-//! answering typed `quota_exceeded`.
+//! answering typed `quota_exceeded`. The transport batches at both
+//! ends: the server shares writes among replies at depth, and the
+//! client decodes replies however they arrive.
 #![cfg(unix)]
 
 use engine::client::{Call, Client};
-use engine::protocol::{self, ErrorCode, Frame, FrameKind, MAX_FRAME_DEFAULT};
+use engine::protocol::{self, ErrorCode, Frame, FrameKind, OutputMeta, MAX_FRAME_DEFAULT};
 use engine::server::{ServeConfig, Server};
 use engine::Engine;
 use listkit::dynamic::Edit;
@@ -22,7 +24,7 @@ use listkit::LinkedList;
 use listrank::{Algorithm, HostRunner};
 use std::collections::HashMap;
 use std::io::Write;
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -609,4 +611,98 @@ fn large_pipelined_replies_queue_behind_one_another_intact() {
     drop(stream);
     control.request_shutdown();
     join.join().expect("server thread").expect("server run");
+}
+
+/// The reactor writes each connection once per tick, many frames per
+/// `writev`, and a worker batch's replies reach it together: over TCP
+/// at depth 8, the server needs fewer writes than the OUTPUT frames it
+/// sends.
+#[test]
+fn replies_at_depth_eight_share_writes() {
+    const DEPTH: u64 = 8;
+    const ROUNDS: u64 = 100;
+    let server = start("writes", small_engine(), |c| c.with_tcp(Some("127.0.0.1:0".to_string())));
+    let addr = server.tcp.expect("tcp listener bound");
+    let list = gen::random_list(256, 0x3117E);
+    let want = listkit::serial::rank(&list);
+
+    let mut client = Client::connect_tcp(addr.to_string()).expect("tcp connect");
+    let before = server.control.stats();
+    for _ in 0..ROUNDS {
+        for id in 1..=DEPTH {
+            client.send(&Call::rank(&list).id(id)).expect("pipelined send");
+        }
+        for _ in 0..DEPTH {
+            let (_, res) = client.recv_pipelined::<u64>().expect("pipelined recv");
+            assert!(res.expect("served").output == want, "rank diverged from the serial oracle");
+        }
+    }
+    let after = server.control.stats();
+    let outputs = after.frames_out - before.frames_out;
+    let writes = after.writes - before.writes;
+    assert_eq!(outputs, DEPTH * ROUNDS, "one OUTPUT_P per request");
+    assert!(writes < outputs, "{writes} writes for {outputs} OUTPUT frames");
+
+    drop(client);
+    server.stop();
+}
+
+/// A whole OUTPUT_P frame for request `id` carrying `ranks`.
+fn output_p_frame(id: u64, ranks: &[u64]) -> Vec<u8> {
+    let meta = OutputMeta {
+        algorithm: Algorithm::Serial,
+        shards: 0,
+        queued_ns: 1,
+        exec_ns: 2,
+        trace_id: 3,
+    };
+    let body = protocol::output_body(&meta, ranks);
+    let mut frame = Vec::new();
+    protocol::reply_frame_into(&mut frame, FrameKind::Output, Some(id), body.len(), |f| {
+        f.extend_from_slice(&body)
+    })
+    .expect("frame fits");
+    frame
+}
+
+/// The client reads replies through one buffer: three replies that
+/// arrive in one write and a fourth that arrives a byte at a time all
+/// decode, in order, through `recv_pipelined`. The two sends queued
+/// before the first receive reach the server before that receive
+/// waits, or the server would never answer.
+#[test]
+fn client_decodes_coalesced_and_trickled_replies_in_order() {
+    let path = sock_path("fake");
+    let listener = UnixListener::bind(&path).expect("bind the fake server");
+    let list = gen::random_list(100, 0xFA4E);
+    let ranks = listkit::serial::rank(&list);
+    let served = ranks.clone();
+    let fake = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        // A client that never writes its queue fails the test, not hangs it.
+        conn.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        assert_eq!(read_one(&mut conn).kind, FrameKind::Hello as u8);
+        let hello_ok = protocol::hello_ok_body(protocol::VERSION, MAX_FRAME_DEFAULT);
+        protocol::write_frame(&mut conn, FrameKind::HelloOk as u8, &hello_ok).expect("HELLO_OK");
+        for _ in 0..2 {
+            assert_eq!(read_one(&mut conn).kind, FrameKind::Rank as u8, "a queued send");
+        }
+        let three: Vec<u8> = (1..=3).flat_map(|id| output_p_frame(id, &served)).collect();
+        conn.write_all(&three).expect("three replies in one write");
+        for byte in output_p_frame(4, &served) {
+            conn.write_all(&[byte]).expect("one byte");
+        }
+    });
+
+    let mut client = Client::connect(&path).expect("connect to the fake server");
+    for id in 1..=2 {
+        client.send(&Call::rank(&list).id(id)).expect("queued send");
+    }
+    for want in 1..=4 {
+        let (id, res) = client.recv_pipelined::<u64>().expect("reply decodes");
+        assert_eq!(id, want, "replies decode in the order they were sent");
+        assert!(res.expect("an OUTPUT_P").output == ranks, "reply {id} payload intact");
+    }
+    fake.join().expect("fake server");
+    let _ = std::fs::remove_file(&path);
 }

@@ -1230,6 +1230,60 @@ fn read_frame_into_reuses_one_buffer_across_frames() {
     }
 }
 
+/// A writer that records its input and counts the calls it took, with
+/// at most `per_call` bytes accepted per call. Only `write_vectored`
+/// is overridden, and only to take every slice: with a cap the trait's
+/// default (first non-empty slice through `write`) applies.
+struct Recorder {
+    bytes: Vec<u8>,
+    calls: usize,
+    per_call: Option<usize>,
+}
+
+impl std::io::Write for Recorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let k = buf.len().min(self.per_call.unwrap_or(usize::MAX));
+        self.bytes.extend_from_slice(&buf[..k]);
+        Ok(k)
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        if self.per_call.is_some() {
+            let first = bufs.iter().find(|b| !b.is_empty()).map_or(&[][..], |b| &**b);
+            return self.write(first);
+        }
+        self.calls += 1;
+        bufs.iter().for_each(|b| self.bytes.extend_from_slice(b));
+        Ok(bufs.iter().map(|b| b.len()).sum())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `write_frame` puts a frame's header and body on the wire in one
+/// vectored write, and a writer that takes a few bytes at a time still
+/// receives exactly the frame's bytes.
+#[test]
+fn write_frame_is_one_write_and_survives_short_writes() {
+    let (kind, body) = Call::rank(&example_list()).encode();
+    let want = [&(body.len() as u32 + 1).to_le_bytes()[..], &[kind as u8], &body].concat();
+    let mut whole = Recorder { bytes: Vec::new(), calls: 0, per_call: None };
+    for _ in 0..3 {
+        protocol::write_frame(&mut whole, kind as u8, &body).expect("write");
+    }
+    assert_eq!(whole.calls, 3, "one write call per frame");
+    assert_eq!(whole.bytes, want.repeat(3));
+
+    let mut trickle = Recorder { bytes: Vec::new(), calls: 0, per_call: Some(3) };
+    let wrote = protocol::write_frame(&mut trickle, kind as u8, &body).expect("write");
+    assert_eq!(wrote, want.len() as u64);
+    assert_eq!(trickle.bytes, want, "a 3-byte writer receives the exact frame");
+    assert_eq!(trickle.calls, want.len().div_ceil(3));
+}
+
 /// The documented pipelined conversation against a live daemon
 /// (protocol v6): both RANK frames written back-to-back before any
 /// reply is read, the two OUTPUT_P replies matched *by id* (the
