@@ -10,6 +10,7 @@
 pub mod anderson_miller;
 pub mod miller_reif;
 pub mod prev;
+pub mod ranked;
 pub mod reid_miller;
 pub mod scratch;
 pub mod serial;
@@ -18,6 +19,7 @@ pub mod wyllie;
 
 pub use anderson_miller::AndersonMiller;
 pub use miller_reif::MillerReif;
+pub use ranked::RankArray;
 pub use reid_miller::ReidMiller;
 pub use scratch::RankScratch;
 pub use sharded::{

@@ -379,26 +379,7 @@ planner's dispatch matrix.
         );
         let m = &v2.mutate;
         if m.mutations > 0 {
-            let passes = m.incremental + m.full;
-            let patch_rate = if m.incremental > 0 {
-                format!(
-                    "{:.1} dirty shards/patch",
-                    m.dirty_shards_patched as f64 / m.incremental as f64
-                )
-            } else {
-                "-".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "mutations: {} batches ({} edits)   maintenance: {} incremental / {} full of {} passes   {}   artifacts patched: {}",
-                m.mutations,
-                m.edits,
-                m.incremental,
-                m.full,
-                passes,
-                patch_rate,
-                m.artifacts_patched
-            );
+            let _ = writeln!(out, "mutations: {} batches ({} edits)", m.mutations, m.edits);
         }
         let fg = &v2.fault;
         let injected = fg.injected_io_errors

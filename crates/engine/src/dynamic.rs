@@ -2,40 +2,21 @@
 //!
 //! A resident dataset ([`crate::DatasetStore`]) is no longer frozen at
 //! PUT time: clients send batches of splice / delete / append edits
-//! against a handle and keep querying, and the dataset's one cached
-//! sharded artifact is brought up to date *incrementally*, at its own
-//! shard size — only the shards a batch dirtied are re-derived
-//! ([`ShardedList::rebuild_dirty`]), the clean ones are shared with the
-//! pre-mutation artifact by `Arc`. Shards are positional, so a batch
-//! that changes the length dirties only the shards it reaches and the
-//! next sharded query reuses the maintained artifact. That is the
-//! paper's economics transplanted to a dynamic setting: Reid-Miller's
-//! three-phase decomposition localizes all per-shard state, so an edit
-//! that touches few shards invalidates few shards, and the stitch over
-//! the contracted list is the only global work left.
-//!
-//! Incremental is not always cheaper. A batch that dirties most shards
-//! pays nearly the full build *plus* the serial boundary re-assembly,
-//! and a fragment-heavy (random-permutation) topology makes that serial
-//! term dominate outright. The choice is therefore a planner decision
-//! ([`crate::Planner::choose_maintenance`]): the
-//! [`rankmodel::predict::predict_patch`] cost model is the cold-start
-//! prior, and measured maintenance times (their own EWMA history,
-//! separate from query dispatch) migrate the crossover to wherever this
-//! machine actually puts it.
+//! against a handle and keep querying. A batch publishes a new snapshot
+//! and drops the rank array kept for the old one, in O(1); the next
+//! query on the dataset ranks the new snapshot once and keeps that
+//! array ([`crate::store`]). Nothing in the batch itself scales with
+//! the list beyond the edit mirror's own bookkeeping.
 //!
 //! Correctness contract, same as everywhere else in this repo: after a
-//! mutation, ranking the dataset is **byte-identical** to ranking a
-//! from-scratch serial pass over the post-mutation list — at every lane
-//! count and shard budget. `tests/differential.rs` enforces it with
-//! random edit sequences over the topology zoo.
+//! mutation, ranking or scanning the dataset is **byte-identical** to a
+//! from-scratch serial pass over the post-mutation list.
+//! `tests/differential.rs` enforces it with random edit sequences over
+//! the topology zoo.
 
-use crate::planner::Planner;
 use crate::store::{DatasetStore, StoreError};
 use listkit::dynamic::{Edit, EditError};
-use listkit::sharded::ShardedList;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Why a mutation request was refused. The dataset is untouched in
@@ -91,80 +72,32 @@ pub struct MutationOutcome {
     pub applied: u32,
     /// Post-mutation dataset length.
     pub len: u64,
-    /// `true` when the dataset's artifact was patched in place (also
-    /// when there was none to maintain); `false` when it took the
-    /// full-recompute fallback.
-    pub incremental: bool,
-    /// Dirty shards patched by the incremental pass.
-    pub dirty_shards: u32,
-    /// Artifacts brought up to date: 1 when the dataset held an
-    /// artifact of the pre-batch snapshot, else 0.
-    pub artifacts: u32,
-    /// Wall-clock of apply + maintenance, in nanoseconds.
+    /// Wall-clock of the apply, in nanoseconds.
     pub exec_ns: u64,
 }
 
 /// Apply one batch of edits to the dataset `handle` owned by
-/// connection `conn`, then bring its cached sharded artifact up to
-/// date under planner control (patch dirty shards or rebuild, per
-/// [`Planner::choose_maintenance`]). The result is cached only if the
-/// batch's snapshot is still current.
+/// connection `conn`, publishing the post-batch snapshot and dropping
+/// the rank array kept for the old one.
 ///
 /// The batch is atomic: any invalid edit rejects the whole batch with
-/// the dataset, its artifact, and its budget charges untouched.
+/// the dataset, its rank array, and its budget charges untouched.
 /// Queries racing the mutation are linearized by the snapshot swap —
 /// each one ranks either the full pre-batch or the full post-batch
 /// list, never a half-applied state.
 pub fn mutate(
     store: &DatasetStore,
-    planner: &Planner,
     handle: u64,
     conn: u64,
     edits: &[Edit],
 ) -> Result<MutationOutcome, MutateError> {
     let started = Instant::now();
     let dataset = store.get(handle, conn)?;
-    let (report, snapshot, old) = dataset.apply_edits(edits)?;
-    let n = snapshot.len();
-
-    // Maintenance now, not lazily: the handle's next sharded query
-    // should pay stitch + walk, not a surprise rebuild.
-    let (mut incremental, mut dirty_patched) = (true, 0);
-    if let Some(old) = &old {
-        let shard_size = old.shard_size();
-        let dirty = report.dirty_shards(shard_size);
-        let fragments = old.fragment_count();
-        let decision = planner.choose_maintenance(n, shard_size, fragments, dirty.len());
-        let pass = Instant::now();
-        let rebuilt = if decision.incremental {
-            old.rebuild_dirty(&snapshot, &dirty)
-        } else {
-            ShardedList::build(&snapshot, shard_size).with_lanes(old.policy().lanes)
-        };
-        planner.record_maintenance(
-            n,
-            shard_size,
-            fragments,
-            decision.dirty,
-            decision.incremental,
-            pass.elapsed().as_nanos() as u64,
-        );
-        incremental = decision.incremental;
-        if incremental {
-            dirty_patched = decision.dirty;
-        }
-        dataset.artifacts().install(&snapshot, &Arc::new(rebuilt));
-    }
-    let artifacts = u64::from(old.is_some());
-    let full = u64::from(!incremental);
-    store.note_mutation(report.applied as u64, artifacts - full, full, dirty_patched as u64);
-
+    let (report, snapshot) = dataset.apply_edits(edits)?;
+    store.note_mutation(report.applied as u64);
     Ok(MutationOutcome {
         applied: report.applied as u32,
-        len: n as u64,
-        incremental,
-        dirty_shards: dirty_patched.min(u32::MAX as usize) as u32,
-        artifacts: artifacts as u32,
+        len: snapshot.len() as u64,
         exec_ns: started.elapsed().as_nanos() as u64,
     })
 }
@@ -172,8 +105,10 @@ pub fn mutate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use listkit::serial;
     use listkit::LinkedList;
+    use listrank::host::RankScratch;
+    use listrank::{Algorithm, HostRunner};
+    use std::sync::Arc;
 
     fn ring_list(n: usize) -> Arc<LinkedList> {
         let order: Vec<u32> = (0..n as u32).rev().collect();
@@ -184,25 +119,19 @@ mod tests {
         store.put(7, ring_list(n)).expect("fits").handle
     }
 
-    fn serial_ranks(list: &LinkedList) -> Vec<u64> {
-        let mut out = Vec::new();
-        serial::rank_into(list, &mut out);
-        out
-    }
-
     #[test]
-    fn mutate_patches_cached_artifacts_byte_identically() {
+    fn mutate_drops_the_kept_ranks_and_the_next_build_sees_the_edits() {
         let store = Arc::new(DatasetStore::new(u64::MAX));
-        let planner = Planner::new(4);
         let h = put(&store, 5000);
-        // Prime an artifact, as a handle query would.
+        let runner = HostRunner::new(Algorithm::ReidMiller);
+        let mut scratch = RankScratch::default();
+        // Keep a rank array, as a handle query would.
         let ds = store.get(h, 7).unwrap();
-        ds.artifacts().get_or_build(&ds.list(), 512, 4);
-        drop(ds);
+        ds.artifacts().get_or_build(&ds.list(), &runner, &mut scratch);
+        let kept = store.stats().resident_bytes;
 
         let out = mutate(
             &store,
-            &planner,
             h,
             7,
             &[
@@ -212,75 +141,52 @@ mod tests {
             ],
         )
         .expect("valid batch");
-        assert_eq!(out.applied, 3);
-        assert_eq!(out.len, 5000 - 1 + 64);
-        assert_eq!(out.artifacts, 1);
-
-        // The patched artifact ranks byte-identically to a serial pass
-        // over the post-mutation list.
-        let ds = store.get(h, 7).unwrap();
+        assert_eq!((out.applied, out.len), (3, 5000 - 1 + 64));
         let list = ds.list();
         assert_eq!(list.len(), out.len as usize);
-        let sharded = ds.artifacts().get_or_build(&list, 512, 4);
-        let mut got = Vec::new();
-        sharded.rank_into(&mut got);
-        assert_eq!(got, serial_ranks(&list), "patched artifact must match serial");
-        // And it was a maintenance pass, not a cache rebuild from
-        // scratch via get_or_build (which would count artifacts_built).
-        assert_eq!(store.stats().artifacts_built, 1, "only the priming build");
-        let m = store.mutation_stats();
-        assert_eq!(m.mutations, 1);
-        assert_eq!(m.edits, 3);
-        assert_eq!(m.incremental + m.full, 1);
-    }
+        assert!(ds.artifacts().kept(&list).is_none(), "the batch dropped the array");
+        assert_eq!(ds.snapshot().1.map(|r| r.len()), None, "nothing kept for any snapshot");
 
-    #[test]
-    fn mutate_without_artifacts_is_incremental_with_nothing_patched() {
-        let store = Arc::new(DatasetStore::new(u64::MAX));
-        let planner = Planner::new(2);
-        let h = put(&store, 100);
-        let out = mutate(&store, &planner, h, 7, &[Edit::Append { count: 1 }]).unwrap();
-        assert!(out.incremental);
-        assert_eq!((out.artifacts, out.dirty_shards), (0, 0));
-        assert_eq!(out.len, 101);
+        // The next build ranks the post-mutation list and is kept.
+        let ranks = ds.artifacts().get_or_build(&list, &runner, &mut scratch).0;
+        let mut got = vec![0u64; list.len()];
+        ranks.rank_mapped(&mut got, |r| r);
+        assert_eq!(got, listkit::serial::rank(&list), "rebuilt ranks must match serial");
+        assert!(Arc::ptr_eq(&ds.artifacts().kept(&list).expect("kept"), &ranks));
+        let st = store.stats();
+        assert_eq!((st.artifacts_built, st.artifacts_reused), (2, 0));
+        assert!(st.resident_bytes > kept, "the new array and the mirror are charged");
+        let m = store.mutation_stats();
+        assert_eq!((m.mutations, m.edits), (1, 3));
     }
 
     #[test]
     fn mutate_refusals_are_typed_and_leave_the_dataset_alone() {
         let store = Arc::new(DatasetStore::new(u64::MAX));
-        let planner = Planner::new(2);
         let h = put(&store, 50);
         // Unknown handle and foreign connection are both stale.
-        assert_eq!(
-            mutate(&store, &planner, h + 1, 7, &[Edit::Append { count: 1 }]),
-            Err(MutateError::Stale)
-        );
-        assert_eq!(
-            mutate(&store, &planner, h, 8, &[Edit::Append { count: 1 }]),
-            Err(MutateError::Stale)
-        );
+        assert_eq!(mutate(&store, h + 1, 7, &[Edit::Append { count: 1 }]), Err(MutateError::Stale));
+        assert_eq!(mutate(&store, h, 8, &[Edit::Append { count: 1 }]), Err(MutateError::Stale));
         // A bad edit anywhere in the batch rejects the whole batch.
         let before = store.get(h, 7).unwrap().list();
-        let err =
-            mutate(&store, &planner, h, 7, &[Edit::Append { count: 9 }, Edit::Delete { v: 999 }])
-                .unwrap_err();
+        let err = mutate(&store, h, 7, &[Edit::Append { count: 9 }, Edit::Delete { v: 999 }])
+            .unwrap_err();
         assert!(matches!(err, MutateError::Edit(EditError::VertexOutOfRange { .. })), "{err}");
         let after = store.get(h, 7).unwrap().list();
         assert_eq!(after.len(), before.len(), "atomic batch: nothing applied");
         assert_eq!(store.mutation_stats().mutations, 0);
         // Empty batches are typed too.
-        let err = mutate(&store, &planner, h, 7, &[]).unwrap_err();
+        let err = mutate(&store, h, 7, &[]).unwrap_err();
         assert!(matches!(err, MutateError::Edit(EditError::EmptyBatch)));
     }
 
     #[test]
     fn queries_pinned_before_a_mutation_keep_their_snapshot() {
         let store = Arc::new(DatasetStore::new(u64::MAX));
-        let planner = Planner::new(2);
         let h = put(&store, 200);
         let ds = store.get(h, 7).unwrap();
         let pinned = ds.list();
-        mutate(&store, &planner, h, 7, &[Edit::Delete { v: 3 }]).unwrap();
+        mutate(&store, h, 7, &[Edit::Delete { v: 3 }]).unwrap();
         assert_eq!(pinned.len(), 200, "pre-mutation snapshot survives");
         assert_eq!(ds.list().len(), 199, "re-reading sees the new snapshot");
     }

@@ -2,15 +2,17 @@
 
 use crate::fault::FaultPlane;
 use crate::job::{
-    BatchReplies, FrameReply, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob,
-    Request, Responder, Run,
+    BatchReplies, FrameReply, JobCell, JobError, JobExec, JobHandle, JobOptions, JobReport, Out,
+    QueuedJob, Request, Responder, Run,
 };
-use crate::planner::{Planner, ShardDecision};
+use crate::op::OpKind;
+use crate::planner::{Plan, Planner, ShardDecision};
 use crate::pool::ScratchPool;
 use crate::queue::{JobQueue, SubmitError};
 use crate::stats::{Counters, EngineStats};
 use crate::telemetry::{self, Phase, Span, Telemetry};
 use listkit::sharded::ShardedList;
+use listrank::host::{RankArray, RankScratch, ShardedReport};
 use listrank::HostRunner;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -317,10 +319,9 @@ impl Engine {
         &self.shared.telemetry
     }
 
-    /// The engine's adaptive planner — shared with the mutation plane
-    /// ([`crate::dynamic`]) so maintenance decisions draw on the same
-    /// per-bucket history as query dispatch.
-    pub(crate) fn planner(&self) -> &Planner {
+    /// The engine's adaptive planner, for introspection: its measured
+    /// per-bucket costs ([`Planner::estimate`]) and recent decisions.
+    pub fn planner(&self) -> &Planner {
         &self.shared.planner
     }
 
@@ -364,12 +365,59 @@ impl Drop for Engine {
     }
 }
 
-/// Outcome of one job execution (either path), fed into the report and
-/// the counters.
+/// Outcome of one job execution (any path), fed into the report, the
+/// counters and the planner.
 struct Executed {
     algorithm: listrank::Algorithm,
     shards: usize,
     stitch_ns: u64,
+    sample: Sample,
+}
+
+/// What a run adds to the planner's Serial vs Reid-Miller history.
+/// Only whole monolithic kernels are samples: a sharded run is a
+/// composite, and a run served from a kept rank array chases no link,
+/// so either would poison its algorithm's bucket.
+enum Sample {
+    /// The job's own exec time.
+    Exec,
+    /// The nanoseconds a rank-array build spent in its kernel, which is
+    /// a monolithic rank.
+    Build(u64),
+    /// Nothing.
+    None,
+}
+
+/// Where a job runs.
+enum Route {
+    /// The planner's monolithic pick.
+    Monolithic(Plan),
+    /// The shard-parallel path, on a decomposition built for the job.
+    Sharded { shard_size: usize, lanes: usize },
+    /// From the rank array its dataset kept for the job's list.
+    Kept(Arc<RankArray>),
+    /// Build the dataset's rank array with the plan's rank (unless a
+    /// build kept one since the job was resolved), offer it to the slot,
+    /// and serve the job from it.
+    Build(Plan),
+}
+
+/// Bytes per element of a rank, the planner key a rank-array build is
+/// planned and recorded under.
+const RANK_BYTES: usize = std::mem::size_of::<u64>();
+
+/// Run a job's body: [`JobExec::run_once`] when the queued job holds
+/// the only reference to it (every served request), else shared.
+fn run_job(
+    exec: &mut Arc<dyn JobExec>,
+    how: Run<'_>,
+    scratch: &mut RankScratch,
+    out: Out<'_>,
+) -> Option<ShardedReport> {
+    match Arc::get_mut(exec) {
+        Some(exec) => exec.run_once(how, scratch, out),
+        None => exec.run(how, scratch, out),
+    }
 }
 
 /// One worker's share of a `budget` of threads while `busy` workers
@@ -459,20 +507,37 @@ fn worker_loop(shared: &Shared) {
                         continue;
                     }
                 }
-                let (list, exec, seed) = (&job.spec.list, &job.spec.exec, job.opts.seed);
+                let (list, seed) = (&job.spec.list, job.opts.seed);
                 let n = list.len();
-                let op = exec.op_kind();
+                let op = job.spec.exec.op_kind();
                 let queued_ns = job.enqueued.elapsed().as_nanos() as u64;
-                // Sharded requests get the budget-aware plan branch;
-                // all others (and sharded requests that fit the budget)
-                // take the ordinary monolithic dispatch. Both are keyed
-                // on the op kind and value width.
+                // A handle query is served from its dataset's rank
+                // array: the one kept for its list, or one it builds
+                // with a planned rank (a pinned algorithm runs its
+                // kernel instead). Other sharded requests get the
+                // budget-aware plan branch; the rest (and sharded
+                // requests that fit the budget) take the ordinary
+                // monolithic dispatch, keyed on the op kind and value
+                // width.
                 let t_plan = Instant::now();
-                let (bytes, pinned) = (exec.elem_bytes(), job.opts.algorithm);
-                let decision = if job.spec.sharded {
-                    shared.planner.choose_sharded(n, shared.cfg.shard_budget, op, bytes, pinned)
-                } else {
-                    ShardDecision::Monolithic(shared.planner.choose(n, op, bytes, pinned))
+                let (bytes, pinned) = (job.spec.exec.elem_bytes(), job.opts.algorithm);
+                let route = match (&job.spec.warm, pinned) {
+                    (Some(warm), None) => match &warm.kept {
+                        Some(ranks) => Route::Kept(Arc::clone(ranks)),
+                        None => {
+                            Route::Build(shared.planner.choose(n, OpKind::Rank, RANK_BYTES, None))
+                        }
+                    },
+                    _ if job.spec.sharded => {
+                        let budget = shared.cfg.shard_budget;
+                        match shared.planner.choose_sharded(n, budget, op, bytes, pinned) {
+                            ShardDecision::Monolithic(plan) => Route::Monolithic(plan),
+                            ShardDecision::Sharded { shard_size, lanes, .. } => {
+                                Route::Sharded { shard_size, lanes }
+                            }
+                        }
+                    }
+                    _ => Route::Monolithic(shared.planner.choose(n, op, bytes, pinned)),
                 };
                 let plan_ns = t_plan.elapsed().as_nanos() as u64;
                 let t0 = Instant::now();
@@ -492,34 +557,48 @@ fn worker_loop(shared: &Shared) {
                     if shared.cfg.fault.exec_panic() {
                         panic!("injected exec panic (fault plane)");
                     }
-                    match decision {
-                        ShardDecision::Monolithic(plan) => {
-                            let runner = HostRunner::new(plan.algorithm)
-                                .with_seed(seed)
-                                .with_lanes(plan.lanes);
-                            exec.run(Run::Monolithic { runner: &runner, list }, &mut scratch, out);
-                            Executed { algorithm: plan.algorithm, shards: 0, stitch_ns: 0 }
+                    let runner = |plan: Plan| {
+                        HostRunner::new(plan.algorithm).with_seed(seed).with_lanes(plan.lanes)
+                    };
+                    let exec = &mut job.spec.exec;
+                    match route {
+                        Route::Monolithic(plan) => {
+                            let how = Run::Monolithic { runner: &runner(plan), list };
+                            run_job(exec, how, &mut scratch, out);
+                            let algorithm = plan.algorithm;
+                            Executed { algorithm, shards: 0, stitch_ns: 0, sample: Sample::Exec }
                         }
-                        ShardDecision::Sharded { shard_size, lanes, .. } => {
-                            // Resident-dataset fast path: reuse (or
-                            // build and cache) the dataset's artifact
-                            // instead of rebuilding per job; inline
-                            // jobs build their own.
-                            let sharded = match &job.spec.warm {
-                                Some(cache) => cache.get_or_build(list, shard_size, lanes),
-                                None => {
-                                    Arc::new(ShardedList::build(list, shard_size).with_lanes(lanes))
-                                }
-                            };
+                        Route::Sharded { shard_size, lanes } => {
+                            let sharded = ShardedList::build(list, shard_size).with_lanes(lanes);
                             let how = Run::Sharded { sharded: &sharded, seed };
-                            let report = exec
-                                .run(how, &mut scratch, out)
+                            let report = run_job(exec, how, &mut scratch, out)
                                 .expect("a sharded run reports its stitch");
                             Executed {
                                 algorithm: report.stitch_algorithm,
                                 shards: report.shards,
                                 stitch_ns: report.stitch_ns,
+                                sample: Sample::None,
                             }
+                        }
+                        Route::Kept(ranks) => {
+                            if let Some(warm) = &job.spec.warm {
+                                warm.cache.count_reuse();
+                            }
+                            run_job(exec, Run::Ranked { ranks: &ranks }, &mut scratch, out);
+                            let algorithm = ranks.algorithm();
+                            Executed { algorithm, shards: 0, stitch_ns: 0, sample: Sample::None }
+                        }
+                        Route::Build(plan) => {
+                            // A build that finished after this job was
+                            // resolved is reused, and only a job that
+                            // ranked the list feeds the planner.
+                            let warm = job.spec.warm.as_ref().expect("a build has a slot");
+                            let (ranks, built) =
+                                warm.cache.get_or_build(list, &runner(plan), &mut scratch);
+                            let sample = built.map_or(Sample::None, Sample::Build);
+                            run_job(exec, Run::Ranked { ranks: &ranks }, &mut scratch, out);
+                            let algorithm = ranks.algorithm();
+                            Executed { algorithm, shards: 0, stitch_ns: 0, sample }
                         }
                     }
                 }));
@@ -537,12 +616,11 @@ fn worker_loop(shared: &Shared) {
                         continue;
                     }
                 };
-                // The measurement is valid regardless of a late cancel
-                // — but only monolithic runs feed the per-algorithm
-                // history (a sharded run is a composite; folding it
-                // into one algorithm's EWMA would poison the bucket).
-                if done.shards == 0 {
-                    shared.planner.record(n, op, done.algorithm, exec_ns);
+                // The measurement is valid regardless of a late cancel.
+                match done.sample {
+                    Sample::Exec => shared.planner.record(n, op, done.algorithm, exec_ns),
+                    Sample::Build(ns) => shared.planner.record(n, OpKind::Rank, done.algorithm, ns),
+                    Sample::None => {}
                 }
                 let trace_id = job.opts.trace_id.unwrap_or(0);
                 let report = JobReport {

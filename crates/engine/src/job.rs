@@ -20,7 +20,8 @@ use crate::store::ArtifactCache;
 use listkit::segmented::{self, SegOp, Segmented};
 use listkit::sharded::ShardedList;
 use listkit::{LinkedList, ScanOp};
-use listrank::host::{RankScratch, ShardedReport};
+use listrank::host::ranked::{self, PositionFlags};
+use listrank::host::{RankArray, RankScratch, ShardedReport};
 use listrank::{Algorithm, HostRunner};
 use std::any::Any;
 use std::marker::PhantomData;
@@ -30,15 +31,18 @@ use std::sync::{Arc, Condvar, Mutex};
 /// it.
 pub(crate) type ErasedOutput = Box<dyn Any + Send>;
 
-/// How a job runs: the planner's monolithic pick, or the stitched
-/// shard-parallel path.
+/// How a job runs: the planner's monolithic pick, the stitched
+/// shard-parallel path, or array passes over a resident dataset's kept
+/// ranks.
 #[derive(Clone, Copy)]
 pub(crate) enum Run<'a> {
     /// Through the planner-configured runner.
     Monolithic { runner: &'a HostRunner, list: &'a LinkedList },
-    /// Against a built sharded representation: the resident dataset's
-    /// cached artifact, or one the worker built for this job.
+    /// Against a sharded representation the worker built for this job.
     Sharded { sharded: &'a ShardedList, seed: u64 },
+    /// From the job list's rank array: a rank widens it, a scan
+    /// scatters, prefixes and gathers ([`listrank::host::ranked`]).
+    Ranked { ranks: &'a RankArray },
 }
 
 impl Run<'_> {
@@ -47,6 +51,7 @@ impl Run<'_> {
         match self {
             Run::Monolithic { list, .. } => list.len(),
             Run::Sharded { sharded, .. } => sharded.len(),
+            Run::Ranked { ranks } => ranks.len(),
         }
     }
 }
@@ -63,10 +68,17 @@ pub(crate) enum Out<'a> {
     Wire(&'a mut [u8]),
 }
 
-/// A job's body with its element type's wire encoding fixed, so it can
-/// fill a reply frame's payload. Captured by the builders that know the
-/// element type is a [`WireElem`]; the erased job calls it.
-type WireFill<J> = fn(&J, Run<'_>, &mut RankScratch, &mut [u8]) -> Option<ShardedReport>;
+/// A job's bodies with its element type's wire encoding fixed, so they
+/// can fill a reply frame's payload. Captured by the builders that know
+/// the element type is a [`WireElem`]; the erased job calls them.
+struct Wire<J> {
+    /// The payload from any run.
+    fill: fn(&J, Run<'_>, &mut RankScratch, &mut [u8]) -> Option<ShardedReport>,
+    /// The payload from a rank array, with the job's own values as the
+    /// gather buffer ([`in_place`]); `false`, and nothing written, when
+    /// another request shares them.
+    ranked: fn(&mut J, &RankArray, &mut [u8]) -> bool,
+}
 
 /// The executable body of a job with its output, operator and value
 /// types erased: the worker hands it the planner's [`Run`] and an
@@ -80,6 +92,63 @@ pub(crate) trait JobExec: Send + Sync {
     fn check(&self, list: &LinkedList) -> bool;
     /// Execute, writing every element into `out`.
     fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport>;
+    /// [`Self::run`] for a job no other request shares. A served scan
+    /// from a rank array then gathers into the job's own values instead
+    /// of a fresh list-sized buffer, which uses them up: the job cannot
+    /// run again.
+    fn run_once(
+        &mut self,
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        out: Out<'_>,
+    ) -> Option<ShardedReport> {
+        self.run(how, scratch, out)
+    }
+}
+
+/// [`JobExec::run_once`] for a job with a [`Wire`] body: a payload
+/// filled from a rank array goes through [`Wire::ranked`].
+fn run_once_wire<J: JobExec>(
+    job: &mut J,
+    wire: impl Fn(&J) -> Option<&Wire<J>>,
+    how: Run<'_>,
+    scratch: &mut RankScratch,
+    mut out: Out<'_>,
+) -> Option<ShardedReport> {
+    if let (Run::Ranked { ranks }, Out::Wire(bytes), Some(ranked)) =
+        (how, &mut out, wire(job).map(|w| w.ranked))
+    {
+        if ranked(job, ranks, bytes) {
+            return None;
+        }
+    }
+    job.run(how, scratch, out)
+}
+
+/// A served scan from a rank array, in the job's two list-sized
+/// buffers: `values[v]`'s scan element is scattered into the reply
+/// payload in position order, the payload is scanned in place (with the
+/// segment restarts `flags` holds), the prefixes are gathered back into
+/// `values` (`back` rebuilds an element), and `values` is encoded into
+/// the payload.
+fn in_place<V, T, Op>(
+    ranks: &RankArray,
+    values: &mut [V],
+    get: impl Fn(&V) -> T + Sync,
+    back: impl Fn(T) -> V + Sync,
+    flags: Option<&PositionFlags>,
+    op: &Op,
+    bytes: &mut [u8],
+) where
+    V: Send + Sync,
+    T: WireElem + Send + Sync,
+    Op: ScanOp<T>,
+{
+    let pos = T::le_chunks_mut(bytes);
+    ranks.scatter(values, pos, |v| get(v).to_wire());
+    ranked::prefix(pos, op, flags, |&p| T::from_wire(p), T::to_wire);
+    ranks.gather(pos, values, |&p| back(T::from_wire(p)));
+    ranked::map_into(values, pos, |v| get(v).to_wire());
 }
 
 /// Fill a fresh `Vec` that starts as `n` copies of `init` and park it,
@@ -119,6 +188,10 @@ where
         Run::Sharded { sharded, seed } => Some(listrank::host::scan_sharded_prebuilt_mapped(
             sharded, values, op, seed, scratch, out, map,
         )),
+        Run::Ranked { ranks } => {
+            ranks.scan_mapped(values, op, out, map);
+            None
+        }
     }
 }
 
@@ -140,6 +213,10 @@ impl RankJob {
             }
             Run::Sharded { sharded, seed } => {
                 Some(listrank::host::rank_sharded_prebuilt_mapped(sharded, seed, scratch, out, map))
+            }
+            Run::Ranked { ranks } => {
+                ranks.rank_mapped(out, map);
+                None
             }
         }
     }
@@ -173,8 +250,8 @@ struct ScanJob<T, Op> {
     values: Arc<Vec<T>>,
     op: Op,
     kind: OpKind,
-    /// The wire body, when the builder knew `T` is a [`WireElem`].
-    wire: Option<WireFill<Self>>,
+    /// The wire bodies, when the builder knew `T` is a [`WireElem`].
+    wire: Option<Wire<Self>>,
 }
 
 impl<T, Op> ScanJob<T, Op>
@@ -182,6 +259,8 @@ where
     T: WireElem + Send + Sync,
     Op: ScanOp<T>,
 {
+    const WIRE: Wire<Self> = Wire { fill: Self::fill_wire, ranked: Self::ranked_wire };
+
     fn fill_wire(
         &self,
         how: Run<'_>,
@@ -189,6 +268,12 @@ where
         bytes: &mut [u8],
     ) -> Option<ShardedReport> {
         scan_run(how, &self.values, &self.op, scratch, T::le_chunks_mut(bytes), T::to_wire)
+    }
+
+    fn ranked_wire(&mut self, ranks: &RankArray, bytes: &mut [u8]) -> bool {
+        let Some(values) = Arc::get_mut(&mut self.values) else { return false };
+        in_place(ranks, values, |&x| x, |x| x, None, &self.op, bytes);
+        true
     }
 }
 
@@ -214,8 +299,17 @@ where
             Out::Typed(slot) => typed(slot, how.len(), self.op.identity(), |v| {
                 scan_run(how, &self.values, &self.op, scratch, v, |x| x)
             }),
-            Out::Wire(bytes) => wire_fill(self.wire)(self, how, scratch, bytes),
+            Out::Wire(bytes) => (wire_body(&self.wire).fill)(self, how, scratch, bytes),
         }
+    }
+
+    fn run_once(
+        &mut self,
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        out: Out<'_>,
+    ) -> Option<ShardedReport> {
+        run_once_wire(self, |job| job.wire.as_ref(), how, scratch, out)
     }
 }
 
@@ -230,8 +324,8 @@ struct SegScanJob<T, Op> {
     wrapped: Arc<Vec<Segmented<T>>>,
     starts: Arc<Vec<bool>>,
     op: Op,
-    /// The wire body, when the builder knew `T` is a [`WireElem`].
-    wire: Option<WireFill<Self>>,
+    /// The wire bodies, when the builder knew `T` is a [`WireElem`].
+    wire: Option<Wire<Self>>,
 }
 
 impl<T, Op> SegScanJob<T, Op>
@@ -263,6 +357,28 @@ where
     {
         self.fill(how, scratch, T::le_chunks_mut(bytes), T::to_wire)
     }
+
+    /// The restarts travel to position order as an n-bit set
+    /// ([`RankArray::flags`]), so the scan element is the bare value
+    /// and the payload holds it.
+    fn ranked_wire(&mut self, ranks: &RankArray, bytes: &mut [u8]) -> bool
+    where
+        T: WireElem,
+    {
+        let Some(wrapped) = Arc::get_mut(&mut self.wrapped) else { return false };
+        let flags = ranks.flags(wrapped, |s| s.flag);
+        let back = |value| Segmented { flag: false, value };
+        in_place(ranks, wrapped, |s| s.value, back, Some(&flags), &self.op, bytes);
+        true
+    }
+}
+
+impl<T, Op> SegScanJob<T, Op>
+where
+    T: WireElem + Send + Sync,
+    Op: ScanOp<T> + Clone,
+{
+    const WIRE: Wire<Self> = Wire { fill: Self::fill_wire, ranked: Self::ranked_wire };
 }
 
 impl<T, Op> JobExec for SegScanJob<T, Op>
@@ -287,15 +403,24 @@ where
             Out::Typed(slot) => {
                 typed(slot, how.len(), self.op.identity(), |v| self.fill(how, scratch, v, |x| x))
             }
-            Out::Wire(bytes) => wire_fill(self.wire)(self, how, scratch, bytes),
+            Out::Wire(bytes) => (wire_body(&self.wire).fill)(self, how, scratch, bytes),
         }
+    }
+
+    fn run_once(
+        &mut self,
+        how: Run<'_>,
+        scratch: &mut RankScratch,
+        out: Out<'_>,
+    ) -> Option<ShardedReport> {
+        run_once_wire(self, |job| job.wire.as_ref(), how, scratch, out)
     }
 }
 
-/// A job's wire body. Only the server asks for wire output, and it
+/// A job's wire bodies. Only the server asks for wire output, and it
 /// builds every job with [`Request::wire_scan`] or [`Request::rank`].
-fn wire_fill<J>(wire: Option<WireFill<J>>) -> WireFill<J> {
-    wire.expect("wire output is only requested of jobs built with a wire encoding")
+fn wire_body<J>(wire: &Option<Wire<J>>) -> &Wire<J> {
+    wire.as_ref().expect("wire output is only requested of jobs built with a wire encoding")
 }
 
 /// What a job computes (internal, type-erased). Constructed only
@@ -311,10 +436,23 @@ pub(crate) struct JobSpec {
     pub(crate) exec: Arc<dyn JobExec>,
     /// Route through the budget-aware shard-parallel plan branch.
     pub(crate) sharded: bool,
-    /// Resident-dataset artifact slot: the sharded arm reuses (or
-    /// builds and caches) the dataset's `ShardedList` here instead of
-    /// rebuilding per job. `None` for inline requests.
-    pub(crate) warm: Option<Arc<ArtifactCache>>,
+    /// A resident dataset's artifact slot, and the rank array it kept
+    /// for this job's list when the request was resolved. `None` for
+    /// inline requests.
+    pub(crate) warm: Option<Warm>,
+}
+
+/// A handle query's hold on its dataset's [`ArtifactCache`]: the job is
+/// served from `kept` when the slot held a rank array for the job's list
+/// at resolve time. Otherwise its worker asks the slot again
+/// ([`ArtifactCache::get_or_build`]), which reuses an array a build kept
+/// since and builds one only if there is still none. Resolving reads the
+/// list and the array under one lock, so a worker serving a kept array
+/// takes no store lock at all.
+#[derive(Clone)]
+pub(crate) struct Warm {
+    pub(crate) cache: Arc<ArtifactCache>,
+    pub(crate) kept: Option<Arc<RankArray>>,
 }
 
 impl std::fmt::Debug for JobSpec {
@@ -398,20 +536,27 @@ impl<R> Request<R> {
     /// `EngineConfig::shard_budget` split into cache-resident shards
     /// (stitched by the generic scan, which preserves non-commutative
     /// and segmented operators); smaller ones run monolithically
-    /// exactly like the unsharded request.
+    /// exactly like the unsharded request. A request with artifacts
+    /// attached is served from its dataset's rank array instead.
     pub fn sharded(mut self) -> Self {
         self.spec.sharded = true;
         self
     }
 
-    /// Attach a resident dataset's [`ArtifactCache`]: if the planner
-    /// routes the job to the sharded arm, the worker reuses the
-    /// dataset's `ShardedList` when it was built from this request's
-    /// list (building and caching it on first use) instead of
-    /// rebuilding it per job. Used by the server for
-    /// handle-routed queries ([`crate::DatasetRef::artifacts`]).
-    pub fn with_artifacts(mut self, cache: Arc<ArtifactCache>) -> Self {
-        self.spec.warm = Some(cache);
+    /// Attach a resident dataset's [`ArtifactCache`]: the job is served
+    /// from the rank array the dataset keeps for this request's list,
+    /// and the first job on a snapshot builds that array and offers it
+    /// to the slot. A job with a pinned algorithm runs that kernel
+    /// instead. The server resolves handle-routed queries this way
+    /// ([`crate::DatasetRef::artifacts`]).
+    pub fn with_artifacts(self, cache: Arc<ArtifactCache>) -> Self {
+        let kept = cache.kept(&self.spec.list);
+        self.with_warm(Warm { cache, kept })
+    }
+
+    /// Attach an already resolved [`Warm`] slot.
+    pub(crate) fn with_warm(mut self, warm: Warm) -> Self {
+        self.spec.warm = Some(warm);
         self
     }
 }
@@ -460,7 +605,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         list: Arc<LinkedList>,
         values: Arc<Vec<T>>,
         op: Op,
-        wire: Option<WireFill<ScanJob<T, Op>>>,
+        wire: Option<Wire<ScanJob<T, Op>>>,
     ) -> Self
     where
         Op: ScanOp<T> + Send + Sync + 'static,
@@ -474,7 +619,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
         values: Arc<Vec<T>>,
         starts: Arc<Vec<bool>>,
         op: Op,
-        wire: Option<WireFill<SegScanJob<T, Op>>>,
+        wire: Option<Wire<SegScanJob<T, Op>>>,
     ) -> Self
     where
         Op: ScanOp<T> + Clone + Send + Sync + 'static,
@@ -504,14 +649,8 @@ impl<T: WireElem + Send + Sync + 'static> Request<Vec<T>> {
         Op: ScanOp<T> + Clone + Send + Sync + 'static,
     {
         match starts {
-            Some(starts) => {
-                let wire: WireFill<SegScanJob<T, Op>> = SegScanJob::fill_wire;
-                Self::segmented_job(list, values, starts, op, Some(wire))
-            }
-            None => {
-                let wire: WireFill<ScanJob<T, Op>> = ScanJob::fill_wire;
-                Self::scan_job(list, values, op, Some(wire))
-            }
+            Some(starts) => Self::segmented_job(list, values, starts, op, Some(SegScanJob::WIRE)),
+            None => Self::scan_job(list, values, op, Some(ScanJob::WIRE)),
         }
     }
 }

@@ -24,10 +24,13 @@
 //! * **small-job batching**, **[`ScratchPool`]** buffer reuse, and
 //!   **[`EngineStats`]** — throughput, queue depth, dispatch matrices
 //!   by size and by op kind, per-op throughput.
+//! * **[`store`]** — resident datasets: a client PUTs a list once and
+//!   queries it by handle; the first query on a snapshot keeps its
+//!   `u32` rank array, and later ranks and scans of that snapshot are
+//!   array passes instead of list walks.
 //! * **[`dynamic`]** — the mutation plane: splice / delete / append
-//!   batches against resident datasets, with cached sharded artifacts
-//!   maintained incrementally (dirty shards patched, clean shards
-//!   shared) or rebuilt, per planner decision.
+//!   batches against resident datasets; a batch drops the kept rank
+//!   array, and the next query ranks the new snapshot.
 //! * **`rankd serve`** — the socket front-end: a [`Server`] accepts
 //!   concurrent clients over a Unix domain socket speaking the
 //!   length-prefixed binary [`protocol`] (spec: `docs/PROTOCOL.md`),
@@ -88,7 +91,7 @@ pub use dynamic::{MutateError, MutationOutcome};
 pub use fault::{FaultConfig, FaultPlane, FaultSnapshot};
 pub use job::{JobError, JobHandle, JobOptions, JobReport, Request};
 pub use op::OpKind;
-pub use planner::{MutateDecision, Plan, PlanDecision, Planner, ShardDecision};
+pub use planner::{Plan, PlanDecision, Planner, ShardDecision};
 pub use pool::{PoolStats, ScratchPool};
 pub use queue::SubmitError;
 pub use sched::{Priority, QuotaTable, SchedSnapshot};

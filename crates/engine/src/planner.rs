@@ -1,13 +1,11 @@
 //! Adaptive algorithm selection: model prior + measured history.
 //!
-//! The planner makes two decisions, each a `Contest` between two
-//! candidates: Serial vs Reid-Miller for every query, keyed by (size
-//! bucket × **op kind**), and rebuild vs patch for every mutated
-//! sharded artifact, keyed by size bucket. A closed-form cost model is
-//! each contest's prior ([`rankmodel::predict::predict_best`],
-//! keyed on the job's value width, and
-//! [`rankmodel::predict::predict_patch`]); as jobs complete the planner
-//! folds measured costs into per-key EWMAs, so the dispatch threshold
+//! The planner's decision is a `Contest` between two candidates:
+//! Serial vs Reid-Miller for every query, keyed by (size bucket × **op
+//! kind**). A closed-form cost model is the contest's prior
+//! ([`rankmodel::predict::predict_best`], keyed on the job's value
+//! width); as jobs complete the planner folds measured costs into
+//! per-key EWMAs, so the dispatch threshold
 //! migrates to wherever *this* machine's crossover actually sits **for
 //! that operator** — a wide affine-composition scan moves twice the
 //! memory of a ranking and can cross over at a different size, and
@@ -26,7 +24,7 @@ use crate::op::OpKind;
 use crate::telemetry::log::Level;
 use crate::telemetry::{AtomicHistogram, Histogram, Ring};
 use listrank::Algorithm;
-use rankmodel::predict::{default_lanes, predict_best, predict_patch, predicted_cost, AlgChoice};
+use rankmodel::predict::{default_lanes, predict_best, predicted_cost, AlgChoice};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -52,11 +50,6 @@ const PROBE_CEILING: f64 = 2.0;
 /// algorithm, so a pinned run of any other algorithm is not recorded.
 const CONTENDERS: [Algorithm; 2] = [Algorithm::Serial, Algorithm::ReidMiller];
 
-/// The maintenance contest's slots: rebuild the decomposition from
-/// scratch, or patch the dirty shards in place.
-const REBUILD: usize = 0;
-const PATCH: usize = 1;
-
 fn bucket_of(n: usize) -> usize {
     (usize::BITS - n.leading_zeros()) as usize
 }
@@ -73,15 +66,6 @@ fn contender_slot(alg: Algorithm) -> Option<usize> {
 /// The algorithm contest's key: (size bucket, op kind).
 fn alg_key(n: usize, op: OpKind) -> usize {
     bucket_of(n) * OPS + op.index()
-}
-
-/// The work-unit count a maintenance EWMA normalizes by: the vertices
-/// actually re-derived plus the contracted rows re-assembled. Using
-/// per-unit times (rather than per-job) lets one bucket's history
-/// predict across different dirty fractions.
-fn maint_units(n: usize, shard_size: usize, fragments: usize, dirty: usize, slot: usize) -> f64 {
-    let touched = if slot == PATCH { (dirty * shard_size.max(1)).min(n) } else { n };
-    (touched + fragments).max(1) as f64
 }
 
 /// One dispatch decision.
@@ -117,23 +101,6 @@ pub enum ShardDecision {
     },
 }
 
-/// The maintenance decision for one mutated artifact: patch the dirty
-/// shards in place, or rebuild the decomposition from scratch. Returned
-/// by [`Planner::choose_maintenance`].
-#[derive(Clone, Copy, Debug)]
-pub struct MutateDecision {
-    /// `true` = patch dirty shards incrementally; `false` = rebuild.
-    pub incremental: bool,
-    /// Dirty shards the decision was made for.
-    pub dirty: usize,
-    /// Total shards of the decomposition.
-    pub shards: usize,
-    /// The EWMA's predicted ns for the chosen strategy at decision
-    /// time, or `0.0` when the bucket had no measurement yet
-    /// (prior-driven decision).
-    pub predicted_ns: f64,
-}
-
 /// A measured per-unit cost; `cost` is `0.0` until the first sample.
 #[derive(Clone, Copy, Default)]
 struct Ewma {
@@ -142,17 +109,15 @@ struct Ewma {
 }
 
 /// One contest key's history: the two candidates' measured per-unit
-/// costs and the number of picks made for the key.
+/// costs.
 #[derive(Clone, Copy, Default)]
 struct Row {
     ewma: [Ewma; 2],
-    picks: u64,
 }
 
 /// A two-candidate cost contest per key: measured per-unit costs
-/// behind one lock, and the pick rule both planner decisions share.
-/// Callers evaluate the cost-model prior before they call in, so no
-/// model ever runs under the lock.
+/// behind one lock, and the pick rule. Callers evaluate the cost-model
+/// prior before they call in, so no model ever runs under the lock.
 struct Contest {
     rows: Mutex<Vec<Row>>,
 }
@@ -164,23 +129,12 @@ impl Contest {
 
     /// Pick a slot for `key`: the `prior` while the prior is
     /// unmeasured; the unmeasured slot when `probe` allows it and
-    /// `tick` (default: the key's own pick count) lands on the probe
-    /// cadence; otherwise the cheaper measured slot, slot 0 winning
-    /// ties. `units` scales each slot's per-unit cost to this decision.
-    /// Returns the slot and its predicted cost, `0.0` while that slot
-    /// is unmeasured.
-    fn pick(
-        &self,
-        key: usize,
-        prior: usize,
-        probe: bool,
-        tick: Option<u64>,
-        units: [f64; 2],
-    ) -> (usize, f64) {
-        let mut rows = self.rows.lock().expect("planner poisoned");
-        let row = &mut rows[key];
-        let tick = tick.unwrap_or(row.picks);
-        row.picks += 1;
+    /// `tick` lands on the probe cadence; otherwise the cheaper measured
+    /// slot, slot 0 winning ties. Returns the slot and its predicted
+    /// cost, `0.0` while that slot is unmeasured.
+    fn pick(&self, key: usize, prior: usize, probe: bool, tick: u64) -> (usize, f64) {
+        let rows = self.rows.lock().expect("planner poisoned");
+        let row = &rows[key];
         let [a, b] = row.ewma;
         let slot = if row.ewma[prior].samples == 0 {
             prior
@@ -191,9 +145,9 @@ impl Contest {
                 prior
             }
         } else {
-            usize::from(a.cost * units[0] > b.cost * units[1])
+            usize::from(a.cost > b.cost)
         };
-        (slot, row.ewma[slot].cost * units[slot])
+        (slot, row.ewma[slot].cost)
     }
 
     /// Fold one measured per-unit cost into `(key, slot)`. Returns the
@@ -271,12 +225,6 @@ pub struct Planner {
     /// [`MISPREDICT_SCALE`]. A tight mode at the scale value means the
     /// EWMA layer predicts well; heavy tails mean it is being surprised.
     mispredict: AtomicHistogram,
-    /// Rebuild vs patch, keyed by bucket, in ns per maintenance unit
-    /// (see `maint_units`). Kept apart from the query contest —
-    /// maintenance touches different code (shard builds and boundary
-    /// stitching, no ranking) and its history must not contaminate
-    /// dispatch.
-    maintenance: Contest,
 }
 
 impl Planner {
@@ -294,7 +242,6 @@ impl Planner {
                 .collect(),
             decisions: Ring::new(DECISION_RING_CAPACITY),
             mispredict: AtomicHistogram::new(),
-            maintenance: Contest::new(BUCKETS),
         }
     }
 
@@ -327,7 +274,6 @@ impl Planner {
         pinned: Option<Algorithm>,
     ) -> Plan {
         let b = bucket_of(n);
-        let key = alg_key(n, op);
         let (algorithm, predicted_ns_per_elem) = match pinned {
             None if n > self.serial_cutoff => {
                 let lanes = default_lanes(n);
@@ -339,14 +285,12 @@ impl Planner {
                     .map(|alg| predicted_cost(alg, n, self.p, elem_bytes, lanes));
                 let probe = cost[1 - prior] <= PROBE_CEILING * cost[prior];
                 let tick = self.dispatched[b].iter().map(|c| c.load(Ordering::Relaxed)).sum();
-                let (slot, predicted) =
-                    self.algorithms.pick(key, prior, probe, Some(tick), [1.0; 2]);
+                let (slot, predicted) = self.algorithms.pick(alg_key(n, op), prior, probe, tick);
                 (CONTENDERS[slot], predicted)
             }
             _ => {
                 let algorithm = pinned.unwrap_or(Algorithm::Serial);
-                let predicted = contender_slot(algorithm).map(|s| self.algorithms.estimate(key, s));
-                (algorithm, predicted.unwrap_or(0.0))
+                (algorithm, self.estimate(n, op, algorithm))
             }
         };
         self.dispatched[b][alg_index(algorithm)].fetch_add(1, Ordering::Relaxed);
@@ -441,71 +385,10 @@ impl Planner {
         }
     }
 
-    /// Choose how to bring an `n`-vertex sharded decomposition
-    /// (`shards` shards of `shard_size`, `fragments` contracted rows)
-    /// up to date after a mutation batch dirtied `dirty` shards: patch
-    /// the dirty shards in place, or rebuild from scratch.
-    ///
-    /// Same contest as [`Self::choose`]: the cost model
-    /// ([`rankmodel::predict::predict_patch`]) is the cold-start prior;
-    /// once the size bucket has measured history for both strategies,
-    /// the cheaper expected time wins; with one strategy unmeasured,
-    /// the measured one runs but the other is probed on the
-    /// `PROBE_EVERY` cadence of the bucket's own decisions so history
-    /// covers both sides of the crossover.
-    pub fn choose_maintenance(
-        &self,
-        n: usize,
-        shard_size: usize,
-        fragments: usize,
-        dirty: usize,
-    ) -> MutateDecision {
-        let shards = n.div_ceil(shard_size.max(1)).max(1);
-        let dirty = dirty.min(shards);
-        let b = bucket_of(n);
-        let units = [REBUILD, PATCH].map(|s| maint_units(n, shard_size, fragments, dirty, s));
-        let (slot, predicted_ns) = if dirty >= shards {
-            // A fully-dirty batch has nothing clean to reuse: patching
-            // is a rebuild with extra bookkeeping, so there is no
-            // contest.
-            (REBUILD, self.maintenance.estimate(b, REBUILD) * units[REBUILD])
-        } else {
-            let lanes = default_lanes(shard_size.min(n));
-            let patch = predict_patch(n, shard_size, fragments, dirty, self.p, lanes);
-            self.maintenance.pick(b, usize::from(patch), true, None, units)
-        };
-        let incremental = slot == PATCH;
-        if crate::telemetry::log::enabled(Level::Debug) {
-            crate::telemetry::log::write(
-                Level::Debug,
-                "planner",
-                &format!(
-                    "maintenance n={n} shard_size={shard_size} dirty={dirty}/{shards} \
-                     fragments={fragments} -> {} predicted_ns={predicted_ns:.0}",
-                    if incremental { "incremental" } else { "rebuild" }
-                ),
-            );
-        }
-        MutateDecision { incremental, dirty, shards, predicted_ns }
-    }
-
-    /// Fold one completed maintenance pass into the (bucket, strategy)
-    /// history.
-    pub fn record_maintenance(
-        &self,
-        n: usize,
-        shard_size: usize,
-        fragments: usize,
-        dirty: usize,
-        incremental: bool,
-        exec_ns: u64,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let slot = usize::from(incremental);
-        let units = maint_units(n, shard_size, fragments, dirty, slot);
-        self.maintenance.fold(bucket_of(n), slot, exec_ns as f64 / units);
+    /// The measured ns per element of `alg` on `(n, op)`'s key: `0.0`
+    /// while unmeasured, and for algorithms outside the contest.
+    pub fn estimate(&self, n: usize, op: OpKind, alg: Algorithm) -> f64 {
+        contender_slot(alg).map_or(0.0, |slot| self.algorithms.estimate(alg_key(n, op), slot))
     }
 
     /// Dispatch counts per algorithm, summed over all size buckets
@@ -823,97 +706,15 @@ mod tests {
         assert!(last[0].shards > 1, "sharded decision logged: {:?}", last[0]);
     }
 
-    /// The paper-scale dynamic case the rankmodel prior is pinned on:
-    /// 2^22 vertices, 64 shards of 2^16, blocked-topology fragments.
-    const MAINT_N: usize = 1 << 22;
-    const MAINT_SHARD: usize = 1 << 16;
-    const MAINT_FRAGS: usize = MAINT_N / 4096;
-
-    #[test]
-    fn maintenance_prior_pins_both_crossover_sides() {
-        let planner = Planner::new(8);
-        let shards = MAINT_N / MAINT_SHARD;
-        // ≤ 5% dirty: patch in place.
-        let mut decisions = Vec::new();
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, shards / 20);
-        assert!(d.incremental, "low dirty fraction must go incremental: {d:?}");
-        assert_eq!((d.dirty, d.shards), (shards / 20, shards));
-        assert_eq!(d.predicted_ns, 0.0, "cold bucket has no EWMA prediction");
-        decisions.push(d);
-        // Most shards dirty: fall back to a from-scratch build.
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, (9 * shards) / 10);
-        assert!(!d.incremental, "high dirty fraction must rebuild: {d:?}");
-        decisions.push(d);
-        // Fully dirty short-circuits (nothing clean to reuse).
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, shards);
-        assert!(!d.incremental);
-        decisions.push(d);
-        // Fragment-heavy topologies pay the serial re-assembly: rebuild
-        // even at one dirty shard.
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_N, 1);
-        assert!(!d.incremental, "fragment-heavy must rebuild: {d:?}");
-        decisions.push(d);
-        let incr = decisions.iter().filter(|d| d.incremental).count();
-        assert_eq!((incr, decisions.len() - incr), (1, 3));
-    }
-
-    #[test]
-    fn maintenance_history_overrides_prior_in_both_directions() {
-        let shards = MAINT_N / MAINT_SHARD;
-        // Measured history claiming patching is ruinously slow must
-        // flip a prior-incremental bucket to rebuild...
-        let planner = Planner::new(8);
-        for _ in 0..8 {
-            planner.record_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 3, true, u64::MAX >> 20);
-            planner.record_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, shards, false, 1_000);
-        }
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 3);
-        assert!(!d.incremental, "measured-slow patching must fall back: {d:?}");
-        assert!(d.predicted_ns > 0.0, "measured bucket reports its prediction");
-        // ...and cheap measured patching must rescue a prior-rebuild
-        // dirty fraction.
-        let planner = Planner::new(8);
-        for _ in 0..8 {
-            planner.record_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 57, true, 1_000);
-            planner.record_maintenance(
-                MAINT_N,
-                MAINT_SHARD,
-                MAINT_FRAGS,
-                shards,
-                false,
-                u64::MAX >> 20,
-            );
-        }
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, (9 * shards) / 10);
-        assert!(d.incremental, "measured-cheap patching must win: {d:?}");
-        // But never on a fully-dirty batch, whatever the history says.
-        let d = planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, shards);
-        assert!(!d.incremental, "fully dirty is a rebuild by construction");
-    }
-
-    #[test]
-    fn maintenance_probes_the_unmeasured_strategy() {
-        let planner = Planner::new(8);
-        // Only the prior side (incremental at 3/64 dirty) measured:
-        // the probe cadence must still exercise rebuild.
-        planner.record_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 3, true, 1_000);
-        let picks: Vec<bool> = (0..2 * PROBE_EVERY)
-            .map(|_| planner.choose_maintenance(MAINT_N, MAINT_SHARD, MAINT_FRAGS, 3).incremental)
-            .collect();
-        let rebuilds = picks.iter().filter(|&&i| !i).count();
-        assert!(rebuilds >= 1, "no probe of the unmeasured rebuild in {picks:?}");
-        assert!(rebuilds <= 4, "probing should be rare: {rebuilds} of {}", picks.len());
-    }
-
     #[test]
     fn contest_ties_go_to_slot_zero() {
-        // Equal measured costs pick slot 0 (Serial, Rebuild) whatever
-        // the prior; unequal units break the tie.
+        // Equal measured costs pick slot 0 (Serial) whatever the prior.
         let contest = Contest::new(1);
         contest.fold(0, 0, 2.0);
         contest.fold(0, 1, 2.0);
-        assert_eq!(contest.pick(0, 1, true, None, [1.0; 2]), (0, 2.0));
-        assert_eq!(contest.pick(0, 0, true, None, [3.0, 1.0]), (1, 2.0));
+        assert_eq!(contest.pick(0, 1, true, 0), (0, 2.0));
+        contest.fold(0, 0, 6.0);
+        assert_eq!(contest.pick(0, 0, true, 0), (1, 2.0));
     }
 
     #[test]

@@ -69,7 +69,7 @@
 use crate::dynamic::MutateError;
 use crate::engine::Engine;
 use crate::fault::FaultPlane;
-use crate::job::{ErasedOutput, FrameReply, JobError, JobOptions, JobReport, Request};
+use crate::job::{ErasedOutput, FrameReply, JobError, JobOptions, JobReport, Request, Warm};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
     self, error_body, ErrorCode, FaultGauges, FrameKind, Job, JobFrame, MutGauges, SchedGauges,
@@ -866,17 +866,22 @@ fn submit<T: WireElem>(
 }
 
 /// Where a job's list comes from: decoded inline off the frame, or a
-/// pinned resident dataset (whose artifacts warm the sharded arm).
+/// pinned resident dataset's snapshot, resolved with its artifact slot
+/// and the rank array kept for it under one lock.
 enum ListSource {
     Inline(Arc<LinkedList>),
-    Resident(Arc<DatasetRef>),
+    Resident(Arc<LinkedList>, Warm),
 }
 
 impl ListSource {
+    fn resident(dataset: &DatasetRef) -> Self {
+        let (list, kept) = dataset.snapshot();
+        ListSource::Resident(list, Warm { cache: dataset.artifacts(), kept })
+    }
+
     fn list(&self) -> Arc<LinkedList> {
         match self {
-            ListSource::Inline(l) => Arc::clone(l),
-            ListSource::Resident(e) => e.list(),
+            ListSource::Inline(l) | ListSource::Resident(l, _) => Arc::clone(l),
         }
     }
 
@@ -886,7 +891,7 @@ impl ListSource {
         let req = if sharded { req.sharded() } else { req };
         match self {
             ListSource::Inline(_) => req,
-            ListSource::Resident(e) => req.with_artifacts(e.artifacts()),
+            ListSource::Resident(_, warm) => req.with_warm(warm.clone()),
         }
     }
 }
@@ -1659,36 +1664,27 @@ impl Reactor {
 
     /// Apply one mutation batch inline. Mutations run on the reactor
     /// thread, not through the job queue: they hold the dataset's
-    /// mutation lock anyway, so queueing them would only add latency,
-    /// and the engine's planner is still consulted for the maintenance
-    /// strategy.
+    /// mutation lock anyway, so queueing them would only add latency.
+    /// A batch only drops the dataset's rank array, so MUTATE_OK reads
+    /// mode 1 ("full") with no shards and no artifacts brought up to
+    /// date; the wire keeps those fields until its next version.
     fn do_mutate(&mut self, conn_id: u64, handle: u64, edits: &[listkit::dynamic::Edit]) {
-        match crate::dynamic::mutate(
-            &self.shared.store,
-            self.engine.planner(),
-            handle,
-            conn_id,
-            edits,
-        ) {
+        match crate::dynamic::mutate(&self.shared.store, handle, conn_id, edits) {
             Ok(out) => {
                 rankd_log!(
                     Level::Debug,
                     "server",
-                    "conn {conn_id} MUTATE handle={handle} applied={} len={} {} \
-                     dirty={} artifacts={} in {:.3}ms",
+                    "conn {conn_id} MUTATE handle={handle} applied={} len={} in {:.3}ms",
                     out.applied,
                     out.len,
-                    if out.incremental { "incremental" } else { "full" },
-                    out.dirty_shards,
-                    out.artifacts,
                     out.exec_ns as f64 / 1e6
                 );
                 let body = protocol::mutate_ok_body(&WireMutateOk {
                     applied: out.applied,
                     len: out.len,
-                    incremental: out.incremental,
-                    dirty_shards: out.dirty_shards,
-                    artifacts: out.artifacts,
+                    incremental: false,
+                    dirty_shards: 0,
+                    artifacts: 0,
                     exec_ns: out.exec_ns,
                 });
                 self.enqueue_reply(conn_id, FrameKind::MutateOk, None, &body);
@@ -1794,8 +1790,9 @@ impl Reactor {
                 let Some(pin) = self.resolve_pin(conn_id, handle, flags.request_id) else {
                     return;
                 };
-                ctx._pin = Some(Arc::clone(&pin));
-                ListSource::Resident(pin)
+                let src = ListSource::resident(&pin);
+                ctx._pin = Some(pin);
+                src
             }
         };
         let request_id = flags.request_id;
@@ -1972,13 +1969,15 @@ impl Reactor {
                 artifacts_built: st.artifacts_built,
                 artifacts_reused: st.artifacts_reused,
             },
+            // No artifact is maintained across a batch any more; the
+            // maintenance gauges read 0 until the next wire version.
             mutate: MutGauges {
                 mutations: ms.mutations,
                 edits: ms.edits,
-                incremental: ms.incremental,
-                full: ms.full,
-                dirty_shards_patched: ms.dirty_shards_patched,
-                artifacts_patched: ms.incremental + ms.full,
+                incremental: 0,
+                full: 0,
+                dirty_shards_patched: 0,
+                artifacts_patched: 0,
             },
             fault: {
                 let fs = self.shared.fault.snapshot();
@@ -2220,7 +2219,7 @@ mod tests {
             for request_id in [None, Some(7u64)] {
                 let run = |job: Job| -> Completion {
                     let src = if resident {
-                        ListSource::Resident(Arc::new(shared.store.get(handle, 1).expect("get")))
+                        ListSource::resident(&shared.store.get(handle, 1).expect("get"))
                     } else {
                         ListSource::Inline(Arc::clone(&list))
                     };
@@ -2266,9 +2265,18 @@ mod tests {
                 metas.push(check_frame(&run(segj), request_id, &seg, &case("segmented add")));
                 for meta in &metas {
                     assert_eq!(meta.trace_id, 99, "{route}: trace id sealed in");
-                    match pin {
-                        Some(alg) => assert_eq!((meta.algorithm, meta.shards), (alg, 0), "{route}"),
-                        None => assert!(meta.shards > 1, "{route}: ran sharded"),
+                    match (pin, resident) {
+                        (Some(alg), _) => {
+                            assert_eq!((meta.algorithm, meta.shards), (alg, 0), "{route}")
+                        }
+                        // Served from the dataset's kept rank array,
+                        // under the algorithm that built it.
+                        (None, true) => {
+                            let (_, kept) = shared.store.get(handle, 1).expect("get").snapshot();
+                            let built = kept.expect("the first query kept the ranks").algorithm();
+                            assert_eq!((meta.algorithm, meta.shards), (built, 0), "{route}");
+                        }
+                        (None, false) => assert!(meta.shards > 1, "{route}: ran sharded"),
                     }
                 }
                 served += metas.len();

@@ -11,18 +11,23 @@
 //! * **Validated once** — the O(n) structural validation in
 //!   [`LinkedList::new`] runs at PUT; handle queries skip decode and
 //!   validation entirely.
-//! * **One artifact per dataset** — the first sharded query against a
-//!   dataset builds a [`ShardedList`] (shard decomposition + boundary
-//!   table + lane policy) and caches it in the dataset's one slot,
-//!   bound to the snapshot it was built from ([`ArtifactCache`]);
-//!   later sharded queries on that snapshot reuse it, whatever shard
-//!   size they ask for, and pay only stitch + walk.
-//! * **Byte-budgeted LRU** — resident bytes (lists + cached artifacts)
+//! * **The rank is kept** — the first query on a dataset's snapshot
+//!   ranks it once, writing `u32` ranks into a [`RankArray`], and keeps
+//!   the array in the dataset's one artifact slot, bound to the
+//!   snapshot it was built from ([`ArtifactCache`]). Ranks reorder the
+//!   list into an array (the paper's §2), so every later query on that
+//!   snapshot is an array pass: `RANK_H` widens the kept ranks, and
+//!   `SCAN_H`/`SEGSCAN_H` scatter, prefix and gather
+//!   ([`listrank::host::ranked`]). Sharded queries by handle are served
+//!   the same way.
+//! * **Byte-budgeted LRU** — resident bytes (lists + kept rank arrays)
 //!   never exceed the configured budget. PUT evicts idle
 //!   least-recently-used datasets to make room and fails with
-//!   [`StoreError::StoreFull`] when the budget cannot be met; an
-//!   artifact that doesn't fit is still used for its query, just not
-//!   cached (build–use–discard).
+//!   [`StoreError::StoreFull`] when the budget cannot be met. A rank
+//!   array is kept only if its 4 bytes per vertex fit as the budget
+//!   stands — it never evicts a dataset; one that does not fit still
+//!   serves the query that built it, and is then discarded
+//!   (build–use–discard).
 //! * **Refcounted eviction** — every resolved query holds a
 //!   [`DatasetRef`] guard; entries with live guards are never evicted,
 //!   so eviction cannot free a dataset mid-query. `Arc` semantics back
@@ -38,22 +43,24 @@
 //!   the entry keeps an editable next+prev mirror, the query-visible
 //!   list is an atomically swapped snapshot (in-flight queries finish
 //!   on the pre-mutation `Arc`), and footprint deltas are re-charged
-//!   against the budget. The snapshot and its artifact share one lock,
-//!   so publishing a snapshot takes the old artifact out with it. The
-//!   incremental artifact maintenance built on top lives in
-//!   [`crate::dynamic`].
+//!   against the budget. The snapshot and its rank array share one
+//!   lock, so publishing a snapshot drops the old array with it, in
+//!   O(1); the next query ranks the new snapshot. The mutation plane
+//!   built on top lives in [`crate::dynamic`].
 //!
 //! The store is transport-agnostic (no sockets here); `engine::server`
 //! shares one instance across client handlers, and `tests/store.rs`
 //! property-tests the invariants directly.
 
 use listkit::dynamic::{Edit, EditError, EditReport, MutableList};
-use listkit::sharded::ShardedList;
 use listkit::LinkedList;
+use listrank::host::{RankArray, RankScratch};
+use listrank::HostRunner;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 /// Default byte budget for resident datasets and artifacts (1 GiB).
 pub const DEFAULT_STORE_BUDGET: u64 = 1 << 30;
@@ -126,11 +133,11 @@ pub struct StoreStats {
     pub evictions: u64,
     /// PUTs refused because the budget could not be met.
     pub put_rejected: u64,
-    /// Sharded artifacts built by queries whose snapshot had none
-    /// cached. Maintenance after a mutation is counted in
-    /// [`MutationStats`], not here.
+    /// Rank arrays built by handle queries whose snapshot had none
+    /// kept (kept or not: a build the budget cannot take still counts).
     pub artifacts_built: u64,
-    /// Sharded queries served the artifact cached for their snapshot.
+    /// Handle queries served from the rank array kept for their
+    /// snapshot.
     pub artifacts_reused: u64,
 }
 
@@ -142,12 +149,6 @@ pub struct MutationStats {
     pub mutations: u64,
     /// Individual edits applied (batches sum their edit counts).
     pub edits: u64,
-    /// Artifact maintenance passes that patched dirty shards in place.
-    pub incremental: u64,
-    /// Artifact maintenance passes that rebuilt from scratch.
-    pub full: u64,
-    /// Dirty shards patched by incremental passes.
-    pub dirty_shards_patched: u64,
 }
 
 /// Estimated resident footprint of a validated list: the `u32`
@@ -158,14 +159,10 @@ pub fn list_footprint(list: &LinkedList) -> u64 {
     4 * list.len() as u64 + 96
 }
 
-/// Estimated resident footprint of a built sharded artifact: shard-
-/// local successor arrays (≈4 B/vertex), boundary-table rows, and
-/// per-shard headers.
-pub fn artifact_footprint(sharded: &ShardedList) -> u64 {
-    4 * sharded.len() as u64
-        + 16 * sharded.fragment_count() as u64
-        + 64 * sharded.shard_count() as u64
-        + 96
+/// Resident footprint of a kept rank array: one `u32` per vertex plus
+/// fixed header overhead.
+pub fn artifact_footprint(ranks: &RankArray) -> u64 {
+    4 * ranks.len() as u64 + 96
 }
 
 struct DatasetEntry {
@@ -190,7 +187,7 @@ struct DatasetEntry {
     /// the lock) skips any entry it observes in use, so the race only
     /// ever delays an eviction, never frees a dataset mid-query.
     in_use: AtomicU64,
-    /// The query-visible snapshot and the artifact built from it.
+    /// The query-visible snapshot and the rank array kept for it.
     artifacts: Arc<ArtifactCache>,
 }
 
@@ -227,9 +224,6 @@ pub struct DatasetStore {
     artifacts_reused: AtomicU64,
     mutations: AtomicU64,
     edits: AtomicU64,
-    mutate_incremental: AtomicU64,
-    mutate_full: AtomicU64,
-    dirty_shards_patched: AtomicU64,
 }
 
 impl fmt::Debug for DatasetStore {
@@ -265,9 +259,6 @@ impl DatasetStore {
             artifacts_reused: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
             edits: AtomicU64::new(0),
-            mutate_incremental: AtomicU64::new(0),
-            mutate_full: AtomicU64::new(0),
-            dirty_shards_patched: AtomicU64::new(0),
         }
     }
 
@@ -303,7 +294,8 @@ impl DatasetStore {
             artifacts: Arc::new(ArtifactCache {
                 handle,
                 store: Arc::downgrade(self),
-                slot: Mutex::new(Slot { list, artifact: None }),
+                slot: Mutex::new(Slot { list, ranks: None }),
+                building: Mutex::new(()),
             }),
         });
         inner.entries.insert(handle, entry);
@@ -415,26 +407,14 @@ impl DatasetStore {
         MutationStats {
             mutations: self.mutations.load(Ordering::Relaxed),
             edits: self.edits.load(Ordering::Relaxed),
-            incremental: self.mutate_incremental.load(Ordering::Relaxed),
-            full: self.mutate_full.load(Ordering::Relaxed),
-            dirty_shards_patched: self.dirty_shards_patched.load(Ordering::Relaxed),
         }
     }
 
-    /// Count one applied mutation batch and its artifact maintenance
-    /// passes (called by [`crate::dynamic`] after the batch lands).
-    pub(crate) fn note_mutation(
-        &self,
-        edits: u64,
-        incremental_passes: u64,
-        full_passes: u64,
-        dirty_shards: u64,
-    ) {
+    /// Count one applied mutation batch of `edits` edits (called by
+    /// [`crate::dynamic`] after the batch lands).
+    pub(crate) fn note_mutation(&self, edits: u64) {
         self.mutations.fetch_add(1, Ordering::Relaxed);
         self.edits.fetch_add(edits, Ordering::Relaxed);
-        self.mutate_incremental.fetch_add(incremental_passes, Ordering::Relaxed);
-        self.mutate_full.fetch_add(full_passes, Ordering::Relaxed);
-        self.dirty_shards_patched.fetch_add(dirty_shards, Ordering::Relaxed);
     }
 
     /// Evict idle LRU entries (skipping `exclude`) until `need` more
@@ -456,15 +436,16 @@ impl DatasetStore {
         true
     }
 
-    /// Charge `bytes` of freshly built artifact to `handle`, evicting
-    /// idle entries (never `handle` itself) to stay within budget.
-    /// `false` means the artifact should not be cached.
+    /// Charge `bytes` of freshly built rank array to `handle` if they
+    /// fit under the budget as it stands. A kept array only caches what
+    /// its dataset can recompute, so it never evicts a dataset: `false`
+    /// means the array should not be kept.
     fn try_charge(&self, handle: u64, bytes: u64) -> bool {
         let mut inner = lock_unpoisoned(&self.inner);
         let Some(entry) = inner.entries.get(&handle).map(Arc::clone) else {
             return false;
         };
-        if !self.evict_to_fit(&mut inner, bytes, Some(handle)) {
+        if inner.resident_bytes + bytes > self.budget {
             return false;
         }
         inner.resident_bytes += bytes;
@@ -473,7 +454,7 @@ impl DatasetStore {
     }
 
     /// Move one of `handle`'s charged-byte accounts (list, mirror, or
-    /// artifact — chosen by `account`) from `old` to `new` bytes,
+    /// rank array — chosen by `account`) from `old` to `new` bytes,
     /// evicting idle entries on growth. Mutations are applied in
     /// place, so unlike PUT this never fails: if nothing idle can be
     /// evicted the store runs transiently over budget and the next PUT
@@ -483,7 +464,7 @@ impl DatasetStore {
     /// a DROP (or eviction) subtracts the entry's *current*
     /// `total_bytes()`, which includes every charge made so far, so
     /// re-charging a removed entry would double-count. `tests/store.rs`
-    /// races drops against artifact builds to pin the end state (all
+    /// races drops against rank-array builds to pin the end state (all
     /// handles dropped ⇒ zero resident bytes).
     fn recharge(
         &self,
@@ -528,6 +509,13 @@ impl DatasetRef {
         Arc::clone(&lock_unpoisoned(&self.entry.artifacts.slot).list)
     }
 
+    /// The current snapshot and the rank array kept for it, read under
+    /// one lock: what a handle query resolves.
+    pub fn snapshot(&self) -> (Arc<LinkedList>, Option<Arc<RankArray>>) {
+        let slot = lock_unpoisoned(&self.entry.artifacts.slot);
+        (Arc::clone(&slot.list), slot.ranks.clone())
+    }
+
     /// Vertices in the dataset (its current snapshot).
     pub fn len(&self) -> usize {
         self.list().len()
@@ -549,18 +537,16 @@ impl DatasetRef {
     /// materialize the editable next+prev mirror on first use, apply
     /// the batch (all-or-nothing — a rejected edit leaves the dataset
     /// untouched), publish the post-edit snapshot, and re-charge
-    /// footprint deltas against the budget. Publishing takes the
-    /// pre-edit snapshot's artifact out of the slot and uncharges it in
-    /// the same critical section, so no artifact outlives its list.
-    /// Returns the edit report, the new snapshot and the old artifact.
+    /// footprint deltas against the budget. Publishing drops the
+    /// pre-edit snapshot's rank array from the slot and uncharges it in
+    /// the same critical section, so no kept array outlives its list.
+    /// Returns the edit report and the new snapshot.
     ///
     /// Concurrent batches against the same handle serialize on the
     /// mirror lock; queries resolved before the swap complete on their
-    /// pre-mutation snapshot (`Arc` semantics, same rule as DROP).
-    /// Bringing the old artifact up to date is the caller's job — see
-    /// [`crate::dynamic`], which patches dirty shards or rebuilds under
-    /// planner control.
-    pub fn apply_edits(&self, edits: &[Edit]) -> Result<Published, EditError> {
+    /// pre-mutation snapshot and its array (`Arc` semantics, same rule
+    /// as DROP).
+    pub fn apply_edits(&self, edits: &[Edit]) -> Result<(EditReport, Arc<LinkedList>), EditError> {
         let entry = &self.entry;
         let mut dynamic = lock_unpoisoned(&entry.dynamic);
         let store = entry.artifacts.store.upgrade();
@@ -576,15 +562,13 @@ impl DatasetRef {
         let report = mirror.apply(edits)?;
         let snapshot = Arc::new(mirror.snapshot());
         let old_list_bytes = entry.list_bytes.load(Ordering::Relaxed);
-        let old_artifact = {
+        {
             let mut slot = lock_unpoisoned(&entry.artifacts.slot);
             slot.list = Arc::clone(&snapshot);
-            let old = slot.artifact.take();
-            if let (Some(store), Some(old)) = (&store, &old) {
-                store.recharge(entry.handle, |e| &e.artifact_bytes, artifact_footprint(old), 0);
+            if let (Some(store), Some(old)) = (&store, slot.ranks.take()) {
+                store.recharge(entry.handle, |e| &e.artifact_bytes, artifact_footprint(&old), 0);
             }
-            old
-        };
+        }
         if let Some(store) = &store {
             store.recharge(
                 entry.handle,
@@ -599,7 +583,7 @@ impl DatasetRef {
                 mirror.footprint(),
             );
         }
-        Ok((report, snapshot, old_artifact))
+        Ok((report, snapshot))
     }
 }
 
@@ -618,73 +602,85 @@ impl fmt::Debug for DatasetRef {
     }
 }
 
-/// What [`DatasetRef::apply_edits`] returns: the edit report, the new
-/// snapshot, and the artifact the slot held for the old one.
-pub type Published = (EditReport, Arc<LinkedList>, Option<Arc<ShardedList>>);
-
-/// A dataset's query-visible snapshot and the one artifact built from
-/// it, under one lock so the two always change together.
+/// A dataset's query-visible snapshot and the rank array kept for it,
+/// under one lock so the two always change together.
 struct Slot {
     list: Arc<LinkedList>,
-    artifact: Option<Arc<ShardedList>>,
+    ranks: Option<Arc<RankArray>>,
 }
 
-/// A resident dataset's current snapshot and its one cached
-/// [`ShardedList`] artifact. Workers call
-/// [`get_or_build`](ArtifactCache::get_or_build) from the engine's
-/// sharded execution arm; the artifact's bytes are charged through the
-/// owning store, so it competes for the same budget as the lists. The
-/// artifact is bound to its snapshot: a job pinned to an older
-/// snapshot can neither reuse nor cache an artifact for the dataset.
+/// A resident dataset's current snapshot and its one kept
+/// [`RankArray`]. The array's bytes are charged through the owning
+/// store, so it competes for the same budget as the lists. It is bound
+/// to its snapshot: a job pinned to an older snapshot can neither use
+/// nor keep an array for the dataset.
 pub struct ArtifactCache {
     handle: u64,
     store: Weak<DatasetStore>,
     slot: Mutex<Slot>,
+    /// Held for the length of a build, so queries that find no array
+    /// kept build one at a time, and each one after the first finds the
+    /// array its predecessor kept. Separate from `slot`, which the
+    /// reactor takes to resolve every handle query.
+    building: Mutex<()>,
 }
 
 impl ArtifactCache {
-    /// The sharded artifact of `list`: the cached one when `list` is
-    /// the dataset's current snapshot and has one, else a fresh build.
-    /// `shard_size` and `lanes` shape only a fresh build. The build is
-    /// cached if `list` is still current, the slot is still empty and
-    /// the budget can be met; otherwise it serves this query uncached.
+    /// The rank array kept for `list`, when `list` is the dataset's
+    /// current snapshot and one is kept.
+    pub fn kept(&self, list: &Arc<LinkedList>) -> Option<Arc<RankArray>> {
+        let slot = lock_unpoisoned(&self.slot);
+        slot.ranks.clone().filter(|_| Arc::ptr_eq(&slot.list, list))
+    }
+
+    /// The rank array of `list`, and the nanoseconds this call spent
+    /// ranking when it had to build it.
+    ///
+    /// The kept array is reused when there is one. Otherwise the call
+    /// waits for any build in progress on this dataset and looks
+    /// again, so queries resolved before the first build finished
+    /// share its array instead of each ranking the list. Only then does
+    /// it rank `list` with `runner` into a fresh array. It keeps that
+    /// array if `list` is still the current snapshot, none is kept yet,
+    /// and its bytes can be charged. The charge happens under the slot
+    /// lock, so a lost race never charges at all. An array that is not
+    /// kept still serves its caller.
     pub fn get_or_build(
         &self,
         list: &Arc<LinkedList>,
-        shard_size: usize,
-        lanes: usize,
-    ) -> Arc<ShardedList> {
-        let store = self.store.upgrade();
-        let hit = {
-            let slot = lock_unpoisoned(&self.slot);
-            slot.artifact.clone().filter(|_| Arc::ptr_eq(&slot.list, list))
+        runner: &HostRunner,
+        scratch: &mut RankScratch,
+    ) -> (Arc<RankArray>, Option<u64>) {
+        let reuse = |ranks| {
+            self.count_reuse();
+            (ranks, None)
         };
-        if let Some(hit) = hit {
-            if let Some(store) = &store {
-                store.artifacts_reused.fetch_add(1, Ordering::Relaxed);
-            }
-            return hit;
+        if let Some(ranks) = self.kept(list) {
+            return reuse(ranks);
         }
-        let built = Arc::new(ShardedList::build(list, shard_size).with_lanes(lanes));
-        if let Some(store) = &store {
-            store.artifacts_built.fetch_add(1, Ordering::Relaxed);
+        let _building = lock_unpoisoned(&self.building);
+        if let Some(ranks) = self.kept(list) {
+            return reuse(ranks);
         }
-        self.install(list, &built);
-        built
-    }
-
-    /// Cache `artifact`, built from `list`, if `list` is still the
-    /// current snapshot, the slot is empty, and its bytes can be
-    /// charged. The charge happens under the slot lock, so a lost race
-    /// never charges at all.
-    pub(crate) fn install(&self, list: &Arc<LinkedList>, artifact: &Arc<ShardedList>) {
-        let Some(store) = self.store.upgrade() else { return };
+        let t = Instant::now();
+        let ranks = Arc::new(RankArray::build(runner, list, scratch));
+        let build_ns = t.elapsed().as_nanos() as u64;
+        let Some(store) = self.store.upgrade() else { return (ranks, Some(build_ns)) };
+        store.artifacts_built.fetch_add(1, Ordering::Relaxed);
         let mut slot = lock_unpoisoned(&self.slot);
         if Arc::ptr_eq(&slot.list, list)
-            && slot.artifact.is_none()
-            && store.try_charge(self.handle, artifact_footprint(artifact))
+            && slot.ranks.is_none()
+            && store.try_charge(self.handle, artifact_footprint(&ranks))
         {
-            slot.artifact = Some(Arc::clone(artifact));
+            slot.ranks = Some(Arc::clone(&ranks));
+        }
+        (ranks, Some(build_ns))
+    }
+
+    /// Count one query served from a kept array.
+    pub(crate) fn count_reuse(&self) {
+        if let Some(store) = self.store.upgrade() {
+            store.artifacts_reused.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -693,7 +689,7 @@ impl fmt::Debug for ArtifactCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ArtifactCache")
             .field("handle", &self.handle)
-            .field("cached", &lock_unpoisoned(&self.slot).artifact.is_some())
+            .field("kept", &lock_unpoisoned(&self.slot).ranks.is_some())
             .finish()
     }
 }

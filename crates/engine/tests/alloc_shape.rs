@@ -1,15 +1,20 @@
 //! Latency-shape invariant: no request-path work that scales with `n`
 //! outside exec. A served job writes its elements straight into its
-//! pooled reply frame, so once a warm-up request has grown the pools, a
-//! served `RANK_H` on a resident 2¹⁸ list allocates nothing of `8·n`
-//! bytes or more on any daemon thread — no output `Vec`, no fresh
-//! frame.
+//! pooled reply frame, so once a warm-up request has grown the pools and
+//! kept the dataset's rank array, a served `RANK_H` on a resident 2¹⁸
+//! list allocates nothing of `8·n` bytes or more on any daemon thread —
+//! no output `Vec`, no fresh frame.
 //!
 //! `SCAN_H` is pinned the same way with one named exception: its
 //! request carries `n` values, which the reactor decodes into one fresh
-//! `Vec` of exactly `8·n` bytes for the job to own. Moving that decode
-//! off the reactor is a separate change; this test fails if anything
-//! else of that size appears, or if the decode moves or grows.
+//! `Vec` of exactly `8·n` bytes for the job to own. Served from the kept
+//! ranks, the scan uses that array and the reply payload as its two
+//! buffers, so no worker allocates a third. Moving the decode off the
+//! reactor is a separate change; this test fails if anything else of
+//! that size appears, or if the decode moves or grows.
+//!
+//! The first query on a snapshot builds its rank array: exactly one
+//! allocation of `4·n` bytes or more, the `u32` ranks themselves.
 //!
 //! A counting global allocator records every allocation at or above a
 //! threshold together with the kind of thread that made it: the test's
@@ -136,10 +141,28 @@ fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     assert!(served.expect("served").output == ranks, "rank diverged from the serial oracle");
     assert_eq!(during, [], "a served RANK_H allocated O(n) bytes outside exec");
 
+    let reused = client.stats_v2().expect("stats").store.artifacts_reused;
     let mut served = None;
     let during = daemon_allocs_during(big, || served = Some(client.call(&scan).expect("scan")));
     assert!(served.expect("served").output == sums, "scan diverged from the serial oracle");
     assert_eq!(during, [(big, Side::Reactor)], "only the request's value array may be O(n)");
+    let st = client.stats_v2().expect("stats").store;
+    assert_eq!(st.artifacts_reused, reused + 1, "the scan was served from the kept ranks");
+
+    // A second dataset of the same size: its first query builds the
+    // array, and nothing else of 4·n bytes or more is allocated.
+    let other = gen::random_list(N, 0xb111d);
+    let other_handle = client.put(&other).expect("PUT").handle;
+    let built = st.artifacts_built;
+    let mut served = None;
+    let during = daemon_allocs_during(4 * N, || {
+        served = Some(client.call(&Call::rank(other_handle)).expect("first rank"))
+    });
+    let want = listkit::serial::rank(&other);
+    assert!(served.expect("served").output == want, "the build's rank diverged");
+    assert_eq!(during, [(4 * N, Side::Engine)], "the build allocates the u32 ranks only");
+    let st = client.stats_v2().expect("stats").store;
+    assert_eq!(st.artifacts_built, built + 1, "the first query built the array");
 
     control.request_shutdown();
     drop(client);

@@ -129,12 +129,13 @@ fn handle_queries_hit_the_store_every_time() {
 
 /// Each of 2 clients PUTs a 20 000-vertex list, then sends 24 requests:
 /// an edit batch every fourth, sharded ranks by handle otherwise, each
-/// checked against a mirror of the list that took the same edits. With
-/// a shard budget of 4096 every dataset builds its one artifact once,
-/// every later sharded rank reuses it, and every batch after the build
-/// patches it.
+/// checked against a mirror of the list that took the same edits. A
+/// sharded rank by handle is served from the dataset's kept rank array.
+/// Every batch drops that array, so the rank after it builds a new one
+/// and the two after that reuse it: per client 6 batches, 6 builds and
+/// 12 reuses.
 #[test]
-fn mutations_patch_the_sharded_artifact() {
+fn mutations_drop_the_kept_rank_array() {
     let args = ["--serve-secs", "120", "--workers", "2", "--shard-budget", "4096"];
     let daemon = Daemon::spawn("mutate", &args);
     let n = 20_000;
@@ -153,22 +154,25 @@ fn mutations_patch_the_sharded_artifact() {
                 let reply = client.mutate(handle, &edits).expect("mutate");
                 assert_eq!(reply.applied, 3, "whole batch applied");
                 assert_eq!(reply.len, mirror.len() as u64, "length parity");
+                let maintained = (reply.incremental, reply.dirty_shards, reply.artifacts);
+                assert_eq!(maintained, (false, 0, 0), "a batch only drops the array");
                 expected = runner.rank(&mirror.snapshot());
             } else {
                 let served = client.call(&Call::rank(handle).sharded()).expect("sharded rank_h");
                 assert!(served.output == expected, "post-mutation rank parity");
+                assert_eq!(served.meta.shards, 0, "served from the kept ranks");
             }
         }
         client.drop_handle(handle).expect("drop handle");
     });
 
     let v2 = Client::connect(&daemon.path).expect("connect").stats_v2().expect("stats_v2");
-    assert!(v2.mutate.mutations > 0, "STATS_V2 counts the batches");
+    assert_eq!((v2.mutate.mutations, v2.mutate.edits), (12, 36), "STATS_V2 counts the batches");
+    assert_eq!(v2.mutate.artifacts_patched, 0, "nothing is maintained across a batch");
     let artifacts = (v2.store.artifacts_built, v2.store.artifacts_reused);
-    assert_eq!(artifacts, (2, 34), "artifacts built, reused");
+    assert_eq!(artifacts, (12, 24), "rank arrays built, reused");
     let dash = daemon.dashboard().expect("rankd stats");
-    assert!(count_then(line_after(&dash, "mutations: "), " batches") > Some(0), "{dash}");
-    assert!(dash.lines().any(|line| line.ends_with("artifacts patched: 10")), "{dash}");
+    assert_eq!(line_after(&dash, "mutations: "), "12 batches (36 edits)", "{dash}");
     daemon.terminate();
 }
 

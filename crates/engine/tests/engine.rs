@@ -462,6 +462,44 @@ fn sharded_scenario_passes_agree_at_2_24_vertices() {
 }
 
 #[test]
+fn array_served_ranks_leave_the_planner_history_alone() {
+    // The first handle query on a resident 2^17 list builds the rank
+    // array with a real monolithic rank, which is the bucket's one
+    // sample. The ranks served from the kept array after it chase no
+    // link: folding their exec time in as that algorithm's would poison
+    // the bucket inline jobs use, so the estimate must not move and no
+    // prediction may be scored. An inline rank then does both.
+    use engine::DatasetStore;
+    let n = 1 << 17;
+    let engine = Engine::new(EngineConfig::default().with_workers(1));
+    let store = Arc::new(DatasetStore::new(1 << 30));
+    let list = Arc::new(gen::random_list(n, 17));
+    let handle = store.put(1, Arc::clone(&list)).expect("put").handle;
+    let dataset = store.get(handle, 1).expect("get");
+    let served = || {
+        let req = Request::rank(dataset.list()).with_artifacts(dataset.artifacts());
+        engine.submit(req).expect("submit").wait().expect("rank")
+    };
+    let build = served();
+    assert_eq!(build.output, listkit::serial::rank(&list));
+    let alg = build.algorithm;
+    let estimate = engine.planner().estimate(n, OpKind::Rank, alg);
+    assert!(estimate > 0.0, "the build is a sample of {alg}");
+    let scored = engine.stats().mispredict.count();
+    for _ in 0..8 {
+        let report = served();
+        assert_eq!((report.algorithm, report.shards), (alg, 0), "served from the array");
+        assert_eq!(report.output, build.output);
+    }
+    assert_eq!(store.stats().artifacts_reused, 8);
+    assert_eq!(engine.planner().estimate(n, OpKind::Rank, alg), estimate, "estimate moved");
+    assert_eq!(engine.stats().mispredict.count(), scored, "a served rank was scored");
+    let opts = JobOptions { algorithm: Some(alg), ..Default::default() };
+    engine.submit_with(Request::rank(list), opts).expect("submit").wait().expect("inline");
+    assert_eq!(engine.stats().mispredict.count(), scored + 1, "the inline rank is a sample");
+}
+
+#[test]
 fn cancellation_before_execution() {
     let engine = Engine::new(EngineConfig::default().with_workers(1));
     // Worker is busy with this one...

@@ -706,3 +706,27 @@ fn client_decodes_coalesced_and_trickled_replies_in_order() {
     fake.join().expect("fake server");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Four RANK_H on a fresh handle, all in flight before the first runs,
+/// rank the list once: the jobs resolved with no array kept wait for
+/// the one build and are served from its array. Two workers pull them,
+/// so two builds would start at once if nothing held them apart.
+#[test]
+fn pipelined_ranks_on_a_fresh_handle_build_one_array() {
+    let server = start("one-build", small_engine(), |c| c);
+    let mut client = Client::connect(&server.path).expect("connect");
+    let list = gen::random_list(1 << 16, 0xB11D);
+    let expected = listkit::serial::rank(&list);
+    let handle = client.put(&list).expect("put").handle;
+    for id in 1..=4 {
+        client.send(&Call::rank(handle).id(id)).expect("pipelined send");
+    }
+    for _ in 0..4 {
+        let (id, res) = client.recv_pipelined::<u64>().expect("reply");
+        assert!(res.expect("rank served").output == expected, "rank {id} diverged");
+    }
+    let store = client.stats_v2().expect("stats").store;
+    assert_eq!((store.artifacts_built, store.artifacts_reused), (1, 3), "built, reused");
+    drop(client);
+    server.stop();
+}

@@ -872,16 +872,15 @@ const DOC_MUTATE: &[u8] = &[
 ];
 
 /// PROTOCOL.md §"A worked mutation round trip": the MUTATE_OK reply.
-/// Both edits applied, the dataset is 4 vertices long, and with no
-/// sharded artifacts cached for a 3-vertex list the maintenance sweep
-/// is vacuously incremental (mode 0, zero shards, zero artifacts).
-/// `exec_ns` is the document's placeholder, 3000.
+/// Both edits applied, the dataset is 4 vertices long, and a batch
+/// only drops the dataset's kept rank array (mode 1, zero shards, zero
+/// artifacts). `exec_ns` is the document's placeholder, 3000.
 const DOC_MUTATE_OK: &[u8] = &[
     0x1E, 0x00, 0x00, 0x00, // len = 30
     0x8A, // kind = MUTATE_OK
     0x02, 0x00, 0x00, 0x00, // applied = 2
     0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // len = 4
-    0x00, // mode = 0 (fully incremental maintenance)
+    0x01, // mode = 1 (full: the kept ranks are dropped)
     0x00, 0x00, 0x00, 0x00, // dirty_shards = 0
     0x00, 0x00, 0x00, 0x00, // artifacts = 0
     0xB8, 0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // exec_ns = 3000
@@ -904,7 +903,7 @@ fn documented_mutate_bytes_round_trip() {
     let ok = protocol::WireMutateOk {
         applied: 2,
         len: 4,
-        incremental: true,
+        incremental: false,
         dirty_shards: 0,
         artifacts: 0,
         exec_ns: 3000,

@@ -912,7 +912,7 @@ fn mutations_then_handle_queries_are_byte_identical_to_serial() {
     assert_eq!(
         v2.mutate.incremental + v2.mutate.full,
         0,
-        "no sharded artifacts existed at these sizes, so no maintenance passes"
+        "a batch drops the kept ranks; nothing is maintained"
     );
     drop(client);
     server.stop();

@@ -10,14 +10,16 @@
 //! the tape visible. `store_model_deep` re-runs the same check over a
 //! much larger tape population and is `#[ignore]`d for nightly CI
 //! (`--include-ignored`). The artifact tests pin the one snapshot-bound
-//! artifact slot per dataset, two of them end to end through `Engine`
+//! rank-array slot per dataset, two of them end to end through `Engine`
 //! and MUTATE.
 
 use engine::dynamic::mutate;
 use engine::store::{artifact_footprint, list_footprint, DatasetStore, StoreError};
-use engine::{Engine, EngineConfig, Planner, Request};
+use engine::{Engine, EngineConfig, Request};
 use listkit::dynamic::Edit;
 use listkit::{gen, serial, LinkedList};
+use listrank::host::RankScratch;
+use listrank::{Algorithm, HostRunner};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -269,32 +271,45 @@ fn a_pin_can_force_store_full_and_releases_on_drop() {
     assert_eq!(store.get(first.handle, 1).expect_err("first was evicted"), StoreError::StaleHandle);
 }
 
+/// The planner's rank for a rank-array build, and a scratch for it.
+fn rank_runner() -> (HostRunner, RankScratch) {
+    (HostRunner::new(Algorithm::ReidMiller), RankScratch::default())
+}
+
 #[test]
 fn artifact_cache_builds_once_reuses_and_charges_the_budget() {
     let store = Arc::new(DatasetStore::new(100_000));
     let list = Arc::new(gen::random_list(1_000, 9));
     let receipt = store.put(1, Arc::clone(&list)).expect("put");
     let entry = store.get(receipt.handle, 1).expect("get");
+    let (runner, mut scratch) = rank_runner();
 
     let base = store.stats().resident_bytes;
-    let a1 = entry.artifacts().get_or_build(&list, 64, 2);
+    let (a1, built) = entry.artifacts().get_or_build(&list, &runner, &mut scratch);
+    assert!(built.is_some(), "the first call ranks the list");
     let st = store.stats();
     assert_eq!((st.artifacts_built, st.artifacts_reused), (1, 0));
-    assert_eq!(st.resident_bytes, base + artifact_footprint(&a1), "cached artifact is charged");
+    assert_eq!(artifact_footprint(&a1), 4 * 1_000 + 96, "one u32 per vertex");
+    assert_eq!(st.resident_bytes, base + artifact_footprint(&a1), "kept array is charged");
+    let want: Vec<u32> = serial::rank(&list).into_iter().map(|r| r as u32).collect();
+    assert_eq!(a1.as_slice(), &want[..], "the kept ranks are the list's ranks");
 
-    let a2 = entry.artifacts().get_or_build(&list, 64, 2);
-    assert!(Arc::ptr_eq(&a1, &a2), "same snapshot returns the cached artifact");
+    let (a2, built) = entry.artifacts().get_or_build(&list, &runner, &mut scratch);
+    assert!(Arc::ptr_eq(&a1, &a2), "same snapshot returns the kept array");
+    assert!(built.is_none(), "a reuse ranks nothing");
     assert_eq!(store.stats().artifacts_reused, 1);
 
-    // One artifact per dataset: a second shard size asked for the same
+    // One array per dataset: another runner asking for the same
     // snapshot reuses the slot instead of building and charging again.
-    let a3 = entry.artifacts().get_or_build(&list, 128, 2);
-    assert!(Arc::ptr_eq(&a1, &a3), "the shard size shapes only a cold build");
+    let serial_runner = HostRunner::new(Algorithm::Serial);
+    let a3 = entry.artifacts().get_or_build(&list, &serial_runner, &mut scratch).0;
+    assert!(Arc::ptr_eq(&a1, &a3), "the runner shapes only a cold build");
+    assert_eq!(a3.algorithm(), Algorithm::ReidMiller, "built by the first runner");
     let st = store.stats();
     assert_eq!((st.artifacts_built, st.artifacts_reused), (1, 2));
     assert_eq!(st.resident_bytes, base + artifact_footprint(&a1), "charged once");
 
-    // Dropping the dataset releases the list *and* its artifact.
+    // Dropping the dataset releases the list *and* its array.
     drop(entry);
     store.drop_dataset(receipt.handle, 1).expect("drop");
     assert_eq!(store.stats().resident_bytes, 0);
@@ -302,22 +317,24 @@ fn artifact_cache_builds_once_reuses_and_charges_the_budget() {
 
 #[test]
 fn artifact_that_cannot_be_charged_is_used_uncached() {
-    // The budget fits the list with no room for its artifact (the
-    // entry itself is never evicted to make room for its own
-    // artifact): the build must still be returned, just not cached.
+    // The budget fits the list with no room for its rank array (the
+    // entry itself is never evicted to make room for its own array):
+    // the build must still be returned, just not kept.
     let list = Arc::new(gen::random_list(1_000, 9));
     let budget = list_footprint(&list) + 64;
     let store = Arc::new(DatasetStore::new(budget));
     let receipt = store.put(1, Arc::clone(&list)).expect("put");
     let entry = store.get(receipt.handle, 1).expect("get");
+    let (runner, mut scratch) = rank_runner();
 
-    let built = entry.artifacts().get_or_build(&list, 64, 2);
-    assert_eq!(built.len(), 1_000, "uncacheable artifact still serves the query");
+    let built = entry.artifacts().get_or_build(&list, &runner, &mut scratch).0;
+    assert_eq!(built.len(), 1_000, "an array that is not kept still serves the query");
     assert_eq!(store.stats().resident_bytes, list_footprint(&list), "nothing was charged");
+    assert!(entry.artifacts().kept(&list).is_none());
 
-    // Nothing was cached, so the next query builds again.
-    let again = entry.artifacts().get_or_build(&list, 64, 2);
-    assert!(!Arc::ptr_eq(&built, &again), "an uncached build is never reused");
+    // Nothing was kept, so the next query builds again.
+    let again = entry.artifacts().get_or_build(&list, &runner, &mut scratch).0;
+    assert!(!Arc::ptr_eq(&built, &again), "a build that was not kept is never reused");
     let st = store.stats();
     assert_eq!((st.artifacts_built, st.artifacts_reused), (2, 0));
     assert_eq!(st.resident_bytes, list_footprint(&list), "budget never exceeded");
@@ -325,43 +342,58 @@ fn artifact_that_cannot_be_charged_is_used_uncached() {
 
 #[test]
 fn sharded_rank_resolved_before_a_splice_never_poisons_the_artifact() {
-    // A job resolved before a length-preserving splice but run after
-    // it ranks its own (pre-splice) snapshot. Its build must not be
-    // cached for the dataset: the next sharded rank resolves the
-    // post-splice list and must match the serial oracle over it.
+    // Two jobs resolved before a length-preserving splice but run after
+    // it: one whose snapshot had its ranks kept, one whose had none.
+    // Each ranks its own (pre-splice) snapshot. Neither may use or keep
+    // an array for the dataset: the next rank resolves the post-splice
+    // list, builds its array, and must match the serial oracle over it.
     const CONN: u64 = 3;
     let engine = Engine::new(EngineConfig::default().with_workers(1).with_shard_budget(1024));
-    let planner = Planner::new(1);
     let store = Arc::new(DatasetStore::new(1 << 30));
-    let list = Arc::new(gen::random_list(20_000, 5));
-    let receipt = store.put(CONN, Arc::clone(&list)).expect("put");
-    let entry = store.get(receipt.handle, CONN).expect("get");
+    let order = |list: &LinkedList| list.order();
+    for keep_first in [false, true] {
+        let list = Arc::new(gen::random_list(20_000, 5));
+        let receipt = store.put(CONN, Arc::clone(&list)).expect("put");
+        let entry = store.get(receipt.handle, CONN).expect("get");
+        let rank = |list: Arc<LinkedList>| {
+            let req = Request::rank(list).sharded().with_artifacts(entry.artifacts());
+            engine.submit(req).expect("submit").wait().expect("rank")
+        };
+        if keep_first {
+            assert_eq!(rank(entry.list()).output, serial::rank(&list), "the first rank");
+        }
+        let stale = Request::rank(entry.list()).sharded().with_artifacts(entry.artifacts());
+        let o = order(&list);
+        let splice = Edit::Splice { first: o[1], last: o[2], after: Some(o[15_000]) };
+        let out = mutate(&store, receipt.handle, CONN, &[splice]).expect("splice");
+        assert_eq!(out.len, 20_000, "the splice preserves the length");
 
-    let stale = Request::rank(entry.list()).sharded().with_artifacts(entry.artifacts());
-    let order = list.order();
-    let splice = Edit::Splice { first: order[1], last: order[2], after: Some(order[15_000]) };
-    let out = mutate(&store, &planner, receipt.handle, CONN, &[splice]).expect("splice");
-    assert_eq!(out.len, 20_000, "the splice preserves the length");
+        let built = store.stats().artifacts_built;
+        let ranked = engine.submit(stale).expect("submit").wait().expect("stale rank");
+        assert_eq!(ranked.output, serial::rank(&list), "the stale job ranks its own snapshot");
+        assert_eq!(ranked.shards, 0, "served from a rank array");
+        let stale_builds = u64::from(!keep_first);
+        assert_eq!(store.stats().artifacts_built, built + stale_builds, "keep_first {keep_first}");
 
-    let ranked = engine.submit(stale).expect("submit").wait().expect("stale rank");
-    assert_eq!(ranked.output, serial::rank(&list), "the stale job ranks its own snapshot");
-
-    let current = entry.list();
-    assert!(!Arc::ptr_eq(&current, &list), "the splice published a new snapshot");
-    let fresh = Request::rank(Arc::clone(&current)).sharded().with_artifacts(entry.artifacts());
-    let ranked = engine.submit(fresh).expect("submit").wait().expect("fresh rank");
-    assert_eq!(ranked.output, serial::rank(&current), "next rank must see the splice");
+        let current = entry.list();
+        assert!(!Arc::ptr_eq(&current, &list), "the splice published a new snapshot");
+        assert!(entry.artifacts().kept(&current).is_none(), "the stale job kept nothing");
+        assert_eq!(rank(Arc::clone(&current)).output, serial::rank(&current), "sees the splice");
+        assert_eq!(store.stats().artifacts_built, built + stale_builds + 1, "the next rank built");
+        assert!(entry.artifacts().kept(&current).is_some(), "and kept its array");
+        drop(entry);
+        store.drop_dataset(receipt.handle, CONN).expect("drop");
+    }
+    assert_eq!(store.stats().resident_bytes, 0, "lists, mirrors and arrays released");
     engine.shutdown();
 }
 
 #[test]
-fn length_changing_mutations_keep_the_one_artifact_reusable() {
-    // Shard sizes follow `n`, so an append asks for a different shard
-    // size than the artifact was built with. The maintained artifact
-    // must still serve the next sharded rank: one build, then reuse.
+fn mutations_drop_the_array_and_the_next_rank_rebuilds_it() {
+    // Every batch drops the kept array in O(1): the first rank after it
+    // builds the post-batch snapshot's array, the second reuses it.
     const CONN: u64 = 4;
     let engine = Engine::new(EngineConfig::default().with_workers(1).with_shard_budget(1 << 16));
-    let planner = Planner::new(1);
     let store = Arc::new(DatasetStore::new(1 << 30));
     let receipt = store.put(CONN, Arc::new(gen::random_list(1 << 20, 6))).expect("put");
     let entry = store.get(receipt.handle, CONN).expect("get");
@@ -372,25 +404,24 @@ fn length_changing_mutations_keep_the_one_artifact_reusable() {
     rank();
     assert_eq!(store.stats().artifacts_built, 1);
     for append in 1..=3u64 {
-        let out = mutate(&store, &planner, receipt.handle, CONN, &[Edit::Append { count: 1 }])
-            .expect("append");
-        assert_eq!(out.artifacts, 1, "append {append}: the one artifact is maintained");
+        mutate(&store, receipt.handle, CONN, &[Edit::Append { count: 1 }]).expect("append");
+        assert!(entry.snapshot().1.is_none(), "append {append}: the array was dropped");
         assert_eq!(rank(), serial::rank(&entry.list()), "append {append}: rank diverged");
+        assert_eq!(rank(), serial::rank(&entry.list()), "append {append}: reuse diverged");
         let st = store.stats();
-        assert_eq!(st.artifacts_built, 1, "append {append}: the next rank rebuilt");
-        assert_eq!(st.artifacts_reused, append, "append {append}: the next rank reused");
+        assert_eq!(st.artifacts_built, 1 + append, "append {append}: the next rank rebuilt");
+        assert_eq!(st.artifacts_reused, append, "append {append}: the one after reused");
     }
     engine.shutdown();
 }
 
 #[test]
 fn drop_during_artifact_build_never_leaks_budget() {
-    // Artifact builds race optimistically: the charge lands before the
-    // map insert, and a losing build uncharges. A DROP that fires in
-    // that window subtracts the entry's total (which already includes
-    // every in-flight charge), so the loser's uncharge must become a
-    // no-op — uncharging again would double-credit the budget, and
-    // keeping the charge would leak it. Race two same-key builders
+    // A build charges its array to the entry under the slot lock, and
+    // only while the entry is resident. A DROP subtracts the entry's
+    // total (which includes every charge made so far), so a charge
+    // landing after it would leak, and a charge counted twice would
+    // double-credit the budget. Race two same-snapshot builders
     // against a drop over many rounds and pin the only observable
     // invariant: once every handle is dropped, zero bytes are
     // resident, no matter where the drop landed.
@@ -408,10 +439,11 @@ fn drop_during_artifact_build_never_leaks_budget() {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    // Same plan key: the slower build loses the insert
-                    // race and must return its charge — unless the
-                    // drop already did.
-                    let built = cache.get_or_build(&list, 64, 2);
+                    // Same snapshot: the second builder waits for the
+                    // first and reuses its array, and a build that lands
+                    // after the drop finds no entry to charge.
+                    let (runner, mut scratch) = rank_runner();
+                    let built = cache.get_or_build(&list, &runner, &mut scratch).0;
                     assert_eq!(built.len(), 2_000, "build serves even when uncached");
                 })
             })

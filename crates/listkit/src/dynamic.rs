@@ -5,9 +5,9 @@
 //! [`Edit::Append`] — apply in time proportional to the edit, not the
 //! list. Every batch is **atomic** (an invalid edit anywhere in the
 //! batch leaves the list untouched) and returns an [`EditReport`]
-//! recording which vertices' links or predecessors changed, which is
-//! exactly the information [`crate::sharded::ShardedList::rebuild_dirty`]
-//! needs to patch a sharded artifact instead of rebuilding it.
+//! of what it applied. A resident dataset's kept ranks do not survive a
+//! batch: the serving layer drops them and the next query ranks the new
+//! snapshot.
 //!
 //! ## The dense-vertex invariant
 //!
@@ -144,8 +144,7 @@ impl fmt::Display for EditError {
 
 impl std::error::Error for EditError {}
 
-/// What a successfully applied batch changed — the input to dirty-shard
-/// computation.
+/// What a successfully applied batch did.
 #[derive(Clone, Debug)]
 pub struct EditReport {
     /// Edits applied (the whole batch).
@@ -154,46 +153,6 @@ pub struct EditReport {
     pub old_len: usize,
     /// Length after the batch.
     pub new_len: usize,
-    /// Smallest length the list passed through while the batch applied
-    /// (deletes followed by appends recycle indices above this mark, so
-    /// everything at or past it must be treated as changed).
-    pub low_water: usize,
-    /// Vertices whose successor link or predecessor identity changed,
-    /// in post-batch numbering. May contain duplicates and indices made
-    /// stale by later shrinks; consumers filter by `new_len`.
-    pub touched: Vec<Idx>,
-}
-
-impl EditReport {
-    /// The shards (of a grid with `shard_size`-vertex shards) that a
-    /// pre-batch [`crate::sharded::ShardedList`] can **not** reuse:
-    /// shards containing a touched vertex, plus every shard whose range
-    /// reaches past the batch's low-water length (their vertex ranges
-    /// shrank, grew, or hold recycled indices). Sorted, deduplicated.
-    pub fn dirty_shards(&self, shard_size: usize) -> Vec<usize> {
-        assert!(shard_size > 0, "shard size must be positive");
-        let count = self.new_len.div_ceil(shard_size);
-        let mut dirty = vec![false; count];
-        for &t in &self.touched {
-            if (t as usize) < self.new_len {
-                dirty[t as usize / shard_size] = true;
-            }
-        }
-        for (s, d) in dirty.iter_mut().enumerate() {
-            if (s + 1) * shard_size > self.low_water {
-                *d = true;
-            }
-        }
-        dirty.iter().enumerate().filter_map(|(s, &d)| d.then_some(s)).collect()
-    }
-
-    /// Fold another report (a later batch) into this one.
-    pub fn merge(&mut self, later: &EditReport) {
-        self.applied += later.applied;
-        self.new_len = later.new_len;
-        self.low_water = self.low_water.min(later.low_water);
-        self.touched.extend_from_slice(&later.touched);
-    }
 }
 
 /// A list under mutation: successor and predecessor arrays plus head
@@ -251,26 +210,17 @@ impl MutableList {
     }
 
     /// Apply a batch of edits atomically: either every edit applies (in
-    /// order, each validated against the state its predecessors left)
-    /// and the report describes the damage, or the first invalid edit
-    /// is reported and the list is untouched.
+    /// order, each validated against the state its predecessors left),
+    /// or the first invalid edit is reported and the list is untouched.
     pub fn apply(&mut self, edits: &[Edit]) -> Result<EditReport, EditError> {
         if edits.is_empty() {
             return Err(EditError::EmptyBatch);
         }
         let mut work = self.clone();
-        let mut report = EditReport {
-            applied: edits.len(),
-            old_len: self.len(),
-            new_len: self.len(),
-            low_water: self.len(),
-            touched: Vec::new(),
-        };
         for (index, &edit) in edits.iter().enumerate() {
-            work.apply_one(index, edit, &mut report.touched)?;
-            report.low_water = report.low_water.min(work.len());
+            work.apply_one(index, edit)?;
         }
-        report.new_len = work.len();
+        let report = EditReport { applied: edits.len(), old_len: self.len(), new_len: work.len() };
         *self = work;
         Ok(report)
     }
@@ -283,16 +233,11 @@ impl MutableList {
         }
     }
 
-    fn apply_one(
-        &mut self,
-        index: usize,
-        edit: Edit,
-        touched: &mut Vec<Idx>,
-    ) -> Result<(), EditError> {
+    fn apply_one(&mut self, index: usize, edit: Edit) -> Result<(), EditError> {
         match edit {
-            Edit::Splice { first, last, after } => self.splice(index, first, last, after, touched),
-            Edit::Delete { v } => self.delete(index, v, touched),
-            Edit::Append { count } => self.append(index, count, touched),
+            Edit::Splice { first, last, after } => self.splice(index, first, last, after),
+            Edit::Delete { v } => self.delete(index, v),
+            Edit::Append { count } => self.append(index, count),
         }
     }
 
@@ -302,7 +247,6 @@ impl MutableList {
         first: Idx,
         last: Idx,
         after: Option<Idx>,
-        touched: &mut Vec<Idx>,
     ) -> Result<(), EditError> {
         self.check(index, first)?;
         self.check(index, last)?;
@@ -357,7 +301,6 @@ impl MutableList {
                 self.prev[old_head as usize] = last;
                 self.prev[first as usize] = first;
                 self.head = first;
-                touched.push(old_head);
             }
             Some(a) => {
                 let sa = (a != self.tail).then(|| self.next[a as usize]);
@@ -367,24 +310,18 @@ impl MutableList {
                     Some(sa) => {
                         self.next[last as usize] = sa;
                         self.prev[sa as usize] = last;
-                        touched.push(sa);
                     }
                     None => {
                         self.next[last as usize] = last;
                         self.tail = last;
                     }
                 }
-                touched.push(a);
             }
         }
-        touched.extend(p);
-        touched.extend(s);
-        touched.push(first);
-        touched.push(last);
         Ok(())
     }
 
-    fn delete(&mut self, index: usize, v: Idx, touched: &mut Vec<Idx>) -> Result<(), EditError> {
+    fn delete(&mut self, index: usize, v: Idx) -> Result<(), EditError> {
         self.check(index, v)?;
         if self.len() == 1 {
             return Err(EditError::DeleteLastVertex { index });
@@ -407,8 +344,6 @@ impl MutableList {
             }
             (None, None) => unreachable!("singleton delete rejected above"),
         }
-        touched.extend(p);
-        touched.extend(s);
         // Swap-remove: rename the last vertex into slot v.
         let w = (self.len() - 1) as Idx;
         if v != w {
@@ -418,11 +353,9 @@ impl MutableList {
             self.prev[v as usize] = if let Some(pw) = pw { pw } else { v };
             if let Some(pw) = pw {
                 self.next[pw as usize] = v;
-                touched.push(pw);
             }
             if let Some(sw) = sw {
                 self.prev[sw as usize] = v;
-                touched.push(sw);
             }
             if self.head == w {
                 self.head = v;
@@ -430,19 +363,13 @@ impl MutableList {
             if self.tail == w {
                 self.tail = v;
             }
-            touched.push(v);
         }
         self.next.pop();
         self.prev.pop();
         Ok(())
     }
 
-    fn append(
-        &mut self,
-        index: usize,
-        count: u32,
-        touched: &mut Vec<Idx>,
-    ) -> Result<(), EditError> {
+    fn append(&mut self, index: usize, count: u32) -> Result<(), EditError> {
         if count == 0 {
             return Err(EditError::ZeroAppend { index });
         }
@@ -461,7 +388,6 @@ impl MutableList {
         self.next[new_tail as usize] = new_tail;
         self.next[old_tail as usize] = first_new;
         self.tail = new_tail;
-        touched.push(old_tail);
         Ok(())
     }
 }
@@ -535,13 +461,10 @@ mod tests {
     #[test]
     fn noop_splices_touch_nothing() {
         let list = LinkedList::from_order(&[0, 1, 2, 3]).unwrap();
-        let (_, report) = check(&list, &[Edit::Splice { first: 1, last: 2, after: Some(0) }]);
-        assert!(report.touched.is_empty());
-        let (_, report) = check(&list, &[Edit::Splice { first: 0, last: 1, after: None }]);
-        assert!(report.touched.is_empty());
+        check(&list, &[Edit::Splice { first: 1, last: 2, after: Some(0) }]);
+        check(&list, &[Edit::Splice { first: 0, last: 1, after: None }]);
         // Whole-list splice to the front is also a no-op.
-        let (_, report) = check(&list, &[Edit::Splice { first: 0, last: 3, after: None }]);
-        assert!(report.touched.is_empty());
+        check(&list, &[Edit::Splice { first: 0, last: 3, after: None }]);
     }
 
     #[test]
@@ -624,45 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn report_tracks_lengths_and_low_water() {
+    fn report_tracks_lengths() {
         let list = gen::sequential_list(10);
         let mut m = MutableList::from_list(&list);
         let report = m
             .apply(&[Edit::Delete { v: 0 }, Edit::Delete { v: 1 }, Edit::Append { count: 5 }])
             .unwrap();
-        assert_eq!((report.old_len, report.new_len, report.low_water), (10, 13, 8));
-        assert_eq!(report.applied, 3);
-    }
-
-    #[test]
-    fn dirty_shards_cover_touched_and_resized_regions() {
-        // Pure splice deep inside one shard: only that shard (plus the
-        // shards of the re-attachment point) can be dirty.
-        let list = gen::sequential_list(100);
-        let mut m = MutableList::from_list(&list);
-        let report = m.apply(&[Edit::Splice { first: 12, last: 14, after: Some(17) }]).unwrap();
-        assert_eq!(report.dirty_shards(10), vec![1]);
-        // Appending dirties every shard past the old length.
-        let mut m = MutableList::from_list(&list);
-        let report = m.apply(&[Edit::Append { count: 25 }]).unwrap();
-        let dirty = report.dirty_shards(10);
-        assert!(dirty.contains(&9) && dirty.contains(&10) && dirty.contains(&12));
-        assert!(!dirty.contains(&5), "untouched interior shard stays clean");
-        // A delete dirties the shard of the removed slot, the renamed
-        // vertex's neighbors, and the truncated tail shard.
-        let mut m = MutableList::from_list(&list);
-        let report = m.apply(&[Edit::Delete { v: 42 }]).unwrap();
-        let dirty = report.dirty_shards(10);
-        assert!(dirty.contains(&4) && dirty.contains(&9));
-    }
-
-    #[test]
-    fn merge_accumulates_reports() {
-        let list = gen::sequential_list(20);
-        let mut m = MutableList::from_list(&list);
-        let mut a = m.apply(&[Edit::Delete { v: 3 }]).unwrap();
-        let b = m.apply(&[Edit::Append { count: 2 }]).unwrap();
-        a.merge(&b);
-        assert_eq!((a.applied, a.old_len, a.new_len, a.low_water), (2, 20, 21, 19));
+        assert_eq!((report.applied, report.old_len, report.new_len), (3, 10, 13));
     }
 }

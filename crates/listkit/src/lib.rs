@@ -18,8 +18,7 @@
 //!   scratch budget: shard-local ranking plus a contracted boundary
 //!   list for the cross-shard stitch;
 //! * [`dynamic`] — mutable list editing (splice / delete / append)
-//!   with touched-vertex tracking, feeding
-//!   [`sharded::ShardedList::rebuild_dirty`]'s incremental maintenance;
+//!   applied as atomic batches;
 //! * [`packed`] — the one-gather encoding of (value, link) in a single
 //!   64-bit word (paper §3, the list-ranking fast path);
 //! * [`walk`] — the K-lane interleaved traversal engine: the modern

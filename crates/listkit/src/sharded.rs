@@ -42,7 +42,6 @@ use crate::list::{Idx, LinkedList};
 use crate::ops::ScanOp;
 use crate::walk::{self, LaneStats, LaneTelemetry, WalkPolicy};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// The contracted list of fragments: one vertex per fragment, linked by
 /// the cross-shard edges, weighted by fragment length.
@@ -158,10 +157,8 @@ impl BoundaryTable {
 #[derive(Clone, Debug)]
 struct Shard {
     /// Per-shard successor array: the shard's fragments chained
-    /// head-to-tail in discovery order, over local indices. Shared
-    /// (`Arc`) so [`ShardedList::rebuild_dirty`] can reuse a clean
-    /// shard's structure without copying its link array.
-    local: Arc<LinkedList>,
+    /// head-to-tail in discovery order, over local indices.
+    local: LinkedList,
     /// Local head vertex of each fragment, discovery order — the chain
     /// seeds the K-lane fragment walker interleaves over.
     frag_heads_local: Vec<Idx>,
@@ -249,11 +246,7 @@ impl ShardedList {
             let frag_heads_local =
                 b.frag_heads.iter().map(|&h| (h as usize - shard_lo) as Idx).collect();
             shards.push(Shard {
-                local: Arc::new(LinkedList::from_raw_trusted(
-                    b.local_next,
-                    b.local_head,
-                    b.local_tail,
-                )),
+                local: LinkedList::from_raw_trusted(b.local_next, b.local_head, b.local_tail),
                 frag_heads_local,
                 frag_off: off,
                 frag_cnt,
@@ -321,168 +314,6 @@ impl ShardedList {
     /// The contracted boundary list.
     pub fn boundary(&self) -> &BoundaryTable {
         &self.boundary
-    }
-
-    /// Rebuild this decomposition against a mutated `list`, re-deriving
-    /// only the shards named in `dirty` and **sharing** every other
-    /// shard's local structure (the `Arc`'d link array, fragment heads
-    /// and fragment rows are reused as-is). The boundary table is
-    /// re-assembled by resolving each fragment's exit vertex to a new
-    /// fragment id: in `O(fragments · log)` through the (ascending)
-    /// head list of its target shard when fragments are sparse, or via
-    /// an `O(n)` direct head map (the same structure `build` uses) when
-    /// fragments are dense enough that per-exit binary searches would
-    /// cost more than one pass over the vertices.
-    ///
-    /// `dirty` must name every shard whose vertex range or restricted
-    /// link structure differs from build time
-    /// ([`crate::dynamic::EditReport::dirty_shards`] computes exactly
-    /// this set); shards past the old grid are rebuilt unconditionally,
-    /// and stale indices past the new grid are ignored. The result is
-    /// byte-identical to `ShardedList::build(list, shard_size)` — the
-    /// incremental path is an optimization, never a semantic.
-    ///
-    /// # Panics
-    /// Panics if a shard whose vertex range changed (the list grew or
-    /// shrank across its boundary) is not marked dirty.
-    pub fn rebuild_dirty(&self, list: &LinkedList, dirty: &[usize]) -> ShardedList {
-        let n = list.len();
-        let shard_size = self.shard_size;
-        let new_count = n.div_ceil(shard_size);
-        let mut is_dirty = vec![false; new_count];
-        for &s in dirty {
-            if s < new_count {
-                is_dirty[s] = true;
-            }
-        }
-        for flag in is_dirty.iter_mut().skip(self.shards.len()) {
-            *flag = true; // shards beyond the old grid are new
-        }
-        for (s, flag) in is_dirty.iter().enumerate() {
-            if !flag {
-                let hi = ((s + 1) * shard_size).min(n);
-                let old_hi = ((s + 1) * shard_size).min(self.n);
-                assert!(hi == old_hi, "shard {s}: vertex range changed but not marked dirty");
-            }
-        }
-        // Old fragment id -> head vertex, to recover reused shards'
-        // exit vertices from the old boundary rows.
-        let mut old_head_vertex = vec![0 as Idx; self.boundary.fragment_count()];
-        for (s, shard) in self.shards.iter().enumerate() {
-            let lo = (s * shard_size) as Idx;
-            for (j, &h) in shard.frag_heads_local.iter().enumerate() {
-                old_head_vertex[shard.frag_off + j] = lo + h;
-            }
-        }
-        // Re-derive dirty shards in parallel (same builder as `build`).
-        let todo: Vec<usize> = (0..new_count).filter(|&s| is_dirty[s]).collect();
-        let fresh: Vec<ShardBuild> = todo
-            .par_iter()
-            .with_min_len(1)
-            .map(|&s| {
-                let lo = s * shard_size;
-                build_shard(list, lo, (lo + shard_size).min(n))
-            })
-            .collect();
-        // Stitch reused and fresh shards into the new id space,
-        // collecting per-fragment lengths and exit *vertices* (resolved
-        // to fragment ids once every head list exists).
-        let mut shards = Vec::with_capacity(new_count);
-        let mut lens: Vec<u32> = Vec::new();
-        let mut exits: Vec<Idx> = Vec::new();
-        let mut off = 0usize;
-        let mut fresh = fresh.into_iter();
-        for (s, &rebuild) in is_dirty.iter().enumerate() {
-            if rebuild {
-                let b = fresh.next().expect("one build per dirty shard");
-                let shard_lo = s * shard_size;
-                let frag_cnt = b.frag_heads.len();
-                lens.extend_from_slice(&b.frag_lens);
-                exits.extend_from_slice(&b.frag_exits);
-                let frag_heads_local =
-                    b.frag_heads.iter().map(|&h| (h as usize - shard_lo) as Idx).collect();
-                shards.push(Shard {
-                    local: Arc::new(LinkedList::from_raw_trusted(
-                        b.local_next,
-                        b.local_head,
-                        b.local_tail,
-                    )),
-                    frag_heads_local,
-                    frag_off: off,
-                    frag_cnt,
-                });
-                off += frag_cnt;
-            } else {
-                let old = &self.shards[s];
-                for f in old.frag_off..old.frag_off + old.frag_cnt {
-                    lens.push(self.boundary.lens[f]);
-                    let g = self.boundary.next[f] as usize;
-                    exits.push(if g == f { Idx::MAX } else { old_head_vertex[g] });
-                }
-                shards.push(Shard {
-                    local: Arc::clone(&old.local),
-                    frag_heads_local: old.frag_heads_local.clone(),
-                    frag_off: off,
-                    frag_cnt: old.frag_cnt,
-                });
-                off += old.frag_cnt;
-            }
-        }
-        let resolve = |v: Idx| -> Idx {
-            let s = v as usize / shard_size;
-            let local = (v as usize - s * shard_size) as Idx;
-            let j = shards[s]
-                .frag_heads_local
-                .binary_search(&local)
-                .expect("cross-shard edges land on fragment heads");
-            (shards[s].frag_off + j) as Idx
-        };
-        // Boundary-heavy topologies have O(n) fragments, so the exit
-        // resolution is the patch's dominant cost. Per-exit binary
-        // searches touch `fragments · log(shard heads)` cache lines;
-        // once that exceeds one pass over the vertices it is cheaper to
-        // materialize the same O(n) head map `build` uses and resolve
-        // each exit with a single read. Either way, run it in parallel.
-        let total_frags = lens.len();
-        let next: Vec<Idx> = if total_frags.saturating_mul(16) >= n {
-            let mut head_frag = vec![Idx::MAX; n];
-            for (s, shard) in shards.iter().enumerate() {
-                let lo = s * shard_size;
-                for (j, &h) in shard.frag_heads_local.iter().enumerate() {
-                    head_frag[lo + h as usize] = (shard.frag_off + j) as Idx;
-                }
-            }
-            exits
-                .par_iter()
-                .with_min_len(4096)
-                .enumerate()
-                .map(
-                    |(f, &exit)| {
-                        if exit == Idx::MAX {
-                            f as Idx
-                        } else {
-                            head_frag[exit as usize]
-                        }
-                    },
-                )
-                .collect()
-        } else {
-            exits
-                .par_iter()
-                .with_min_len(4096)
-                .enumerate()
-                .map(|(f, &exit)| if exit == Idx::MAX { f as Idx } else { resolve(exit) })
-                .collect()
-        };
-        let head = resolve(list.head());
-        ShardedList {
-            n,
-            shard_size,
-            shards,
-            boundary: BoundaryTable { next, head, lens },
-            policy: self.policy,
-            telemetry: LaneTelemetry::new(),
-        }
     }
 
     /// Rank the list: shard-local ranking and broadcast run in
@@ -908,118 +739,6 @@ mod tests {
         let mut out = vec![0i64; list.len()];
         sharded.scan_mapped_with_prefix(&values, &AddOp, &prefix, &mut out, |x| x);
         assert_eq!(out, crate::serial::scan(&list, &values, &AddOp));
-    }
-
-    /// Boundary-table equality for tests: the public views must agree
-    /// row for row (rank parity alone could mask id-space skew).
-    fn assert_boundary_eq(a: &ShardedList, b: &ShardedList) {
-        assert_eq!(a.boundary().links(), b.boundary().links());
-        assert_eq!(a.boundary().lens(), b.boundary().lens());
-        assert_eq!(a.boundary().head(), b.boundary().head());
-    }
-
-    #[test]
-    fn rebuild_dirty_matches_fresh_build_across_edits() {
-        use crate::dynamic::{Edit, MutableList};
-        for layout in [Layout::Sequential, Layout::Reversed, Layout::Random, Layout::Blocked(16)] {
-            let list = gen::list_with_layout(500, layout, 41);
-            for shard_size in [7usize, 64, 500, 1000] {
-                let base = ShardedList::build(&list, shard_size);
-                let mut m = MutableList::from_list(&list);
-                let report = m
-                    .apply(&[
-                        Edit::Splice { first: 13, last: 13, after: Some(400) },
-                        Edit::Delete { v: 77 },
-                        Edit::Append { count: 9 },
-                        Edit::Splice { first: 501, last: 505, after: None },
-                    ])
-                    .unwrap();
-                let mutated = m.snapshot();
-                let patched = base.rebuild_dirty(&mutated, &report.dirty_shards(shard_size));
-                let fresh = ShardedList::build(&mutated, shard_size);
-                assert_boundary_eq(&patched, &fresh);
-                assert_eq!(
-                    patched.rank(),
-                    crate::serial::rank(&mutated),
-                    "layout {layout:?}, shard_size {shard_size}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rebuild_dirty_reuses_clean_shard_memory() {
-        use crate::dynamic::{Edit, MutableList};
-        let list = gen::sequential_list(1000);
-        let base = ShardedList::build(&list, 100);
-        let mut m = MutableList::from_list(&list);
-        let report = m.apply(&[Edit::Splice { first: 210, last: 215, after: Some(230) }]).unwrap();
-        let dirty = report.dirty_shards(100);
-        assert_eq!(dirty, vec![2]);
-        let patched = base.rebuild_dirty(&m.snapshot(), &dirty);
-        for (s, (old, new)) in base.shards.iter().zip(&patched.shards).enumerate() {
-            if s == 2 {
-                assert!(!Arc::ptr_eq(&old.local, &new.local), "dirty shard must be rebuilt");
-            } else {
-                assert!(Arc::ptr_eq(&old.local, &new.local), "clean shard {s} must be shared");
-            }
-        }
-        assert_eq!(patched.rank(), crate::serial::rank(&m.snapshot()));
-    }
-
-    #[test]
-    fn rebuild_dirty_handles_growth_and_shrink() {
-        use crate::dynamic::{Edit, MutableList};
-        let list = gen::list_with_layout(256, Layout::Blocked(8), 5);
-        // Grow past the old grid.
-        let base = ShardedList::build(&list, 64);
-        let mut m = MutableList::from_list(&list);
-        let report = m.apply(&[Edit::Append { count: 200 }]).unwrap();
-        let patched = base.rebuild_dirty(&m.snapshot(), &report.dirty_shards(64));
-        assert_eq!(patched.shard_count(), 456usize.div_ceil(64));
-        assert_eq!(patched.rank(), crate::serial::rank(&m.snapshot()));
-        // Shrink below a shard boundary.
-        let mut m = MutableList::from_list(&list);
-        let mut report = m.apply(&[Edit::Delete { v: 0 }]).unwrap();
-        for _ in 0..70 {
-            let last = report.new_len;
-            let step = m.apply(&[Edit::Delete { v: (last - 1) as Idx / 2 }]).unwrap();
-            report.merge(&step);
-        }
-        let patched = base.rebuild_dirty(&m.snapshot(), &report.dirty_shards(64));
-        let fresh = ShardedList::build(&m.snapshot(), 64);
-        assert_boundary_eq(&patched, &fresh);
-        assert_eq!(patched.rank(), crate::serial::rank(&m.snapshot()));
-    }
-
-    #[test]
-    fn rebuild_dirty_scan_parity() {
-        use crate::dynamic::{Edit, MutableList};
-        use crate::ops::{Affine, AffineOp};
-        let list = gen::random_list(300, 23);
-        let base = ShardedList::build(&list, 32);
-        let mut m = MutableList::from_list(&list);
-        let report = m
-            .apply(&[Edit::Splice { first: 5, last: 5, after: None }, Edit::Delete { v: 100 }])
-            .unwrap();
-        let mutated = m.snapshot();
-        let patched = base.rebuild_dirty(&mutated, &report.dirty_shards(32));
-        let funcs: Vec<Affine> =
-            (0..mutated.len()).map(|i| Affine::new((i % 3) as i64 - 1, i as i64 % 7)).collect();
-        assert_eq!(
-            patched.scan(&funcs, &AffineOp),
-            crate::serial::scan(&mutated, &funcs, &AffineOp)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not marked dirty")]
-    fn rebuild_dirty_rejects_unmarked_resize() {
-        let list = gen::sequential_list(100);
-        let base = ShardedList::build(&list, 10);
-        let shrunk = gen::sequential_list(95);
-        // Shard 9 shrank from 10 vertices to 5 but is not marked.
-        let _ = base.rebuild_dirty(&shrunk, &[]);
     }
 
     #[test]

@@ -399,79 +399,6 @@ pub fn predicted_sharded_cost(
     streaming + local_rank + stitch + HOST_SHARD_OVERHEAD * shards / pf + HOST_JOB_OVERHEAD
 }
 
-/// Serial cost per contracted-list row of *re-assembling* a patched
-/// boundary table (copy the row, binary-search the exit's head list):
-/// streaming work over a compact array, a fraction of the
-/// unit-defining gather — but serial, which is what makes
-/// fragment-heavy topologies fall back to a full rebuild.
-const PATCH_ROW_COST: f64 = 0.25;
-
-/// Coarse predicted cost of **building** the sharded decomposition of
-/// an `n`-vertex list (no query work), in serial-element units: one
-/// streaming pass to find fragment heads, one shard-confined
-/// pointer-chase pass to walk the fragments, one streaming pass to
-/// assemble the boundary table, plus per-shard spawn overhead. This is
-/// the "from scratch" side of the dynamic-list maintenance decision.
-pub fn predicted_rebuild_cost_lanes(n: usize, shard_size: usize, p: usize, lanes: usize) -> f64 {
-    let nf = n as f64;
-    let pf = p.max(1) as f64;
-    let shard_size = shard_size.max(1);
-    let shards = n.div_ceil(shard_size) as f64;
-    let chase = SHARD_LOCAL_VISIT * lane_discount(shard_size.min(n), lanes) * nf / pf;
-    2.0 * SHARD_STREAM_PASS * nf / pf + chase + HOST_SHARD_OVERHEAD * shards / pf
-}
-
-/// Coarse predicted cost of **patching** an existing sharded
-/// decomposition after a mutation that dirtied `dirty` of its shards:
-/// the dirty shards pay the full per-vertex build cost, every clean
-/// shard is reused by reference, and the contracted list is
-/// re-assembled serially at `PATCH_ROW_COST` per fragment — the term
-/// that makes boundary-heavy topologies prefer a full rebuild no
-/// matter how few shards are dirty.
-pub fn predicted_patch_cost_lanes(
-    n: usize,
-    shard_size: usize,
-    dirty: usize,
-    fragments: usize,
-    p: usize,
-    lanes: usize,
-) -> f64 {
-    let pf = p.max(1) as f64;
-    let shard_size = shard_size.max(1);
-    let dv = (dirty * shard_size).min(n) as f64;
-    let chase = SHARD_LOCAL_VISIT * lane_discount(shard_size.min(n), lanes) * dv / pf;
-    2.0 * SHARD_STREAM_PASS * dv / pf
-        + chase
-        + HOST_SHARD_OVERHEAD * dirty as f64 / pf
-        + PATCH_ROW_COST * fragments as f64
-}
-
-/// Required predicted savings before a patch is worth dispatching: the
-/// patch path carries bookkeeping a rebuild doesn't (dirty-set upkeep,
-/// reused-shard re-offsetting, the artifact swap), so near break-even
-/// the simple full rebuild is the better engineering choice. A patch
-/// must come in below this fraction of the rebuild prediction.
-const PATCH_MIN_SAVINGS: f64 = 0.85;
-
-/// The maintenance decision prior: `true` when patching `dirty` shards
-/// of an `n`-vertex decomposition with `fragments` contracted rows is
-/// predicted at least `PATCH_MIN_SAVINGS`-cheaper than rebuilding it
-/// from scratch. Low dirty fractions on locality-friendly topologies
-/// go incremental; high dirty fractions — and fragment-heavy
-/// topologies, whose serial re-assembly swamps the saved shard walks —
-/// fall back.
-pub fn predict_patch(
-    n: usize,
-    shard_size: usize,
-    fragments: usize,
-    dirty: usize,
-    p: usize,
-    lanes: usize,
-) -> bool {
-    predicted_patch_cost_lanes(n, shard_size, dirty, fragments, p, lanes)
-        < PATCH_MIN_SAVINGS * predicted_rebuild_cost_lanes(n, shard_size, p, lanes)
-}
-
 /// Balanced shard size for an `n`-vertex list under a per-worker budget
 /// of `budget` vertices, on a `p`-thread host: take the smallest shard
 /// count that respects the budget, round it up to a multiple of `p`,
@@ -695,40 +622,6 @@ mod tests {
         }
         // Degenerate inputs normalize instead of panicking.
         assert_eq!(shard_size_for(1, 0, 0), 1);
-    }
-
-    #[test]
-    fn patch_beats_rebuild_only_at_low_dirty_fractions() {
-        // The paper-scale dynamic case: a 2^22-vertex blocked-layout
-        // list, 64 shards of 2^16, few fragments.
-        let (n, shard, p, lanes) = (1usize << 22, 1usize << 16, 8usize, 8usize);
-        let shards = n / shard;
-        let fragments = n / 4096; // blocked topology: long runs
-                                  // ≤ 5% dirty: incremental must win.
-        assert!(predict_patch(n, shard, fragments, shards / 20, p, lanes));
-        assert!(predict_patch(n, shard, fragments, 1, p, lanes));
-        // Most shards dirty: the patch pays nearly the full build plus
-        // the serial re-assembly — fall back.
-        assert!(!predict_patch(n, shard, fragments, shards, p, lanes));
-        assert!(!predict_patch(n, shard, fragments, (9 * shards) / 10, p, lanes));
-        // Monotone in dirty count.
-        let costs: Vec<f64> = (0..=shards)
-            .map(|d| predicted_patch_cost_lanes(n, shard, d, fragments, p, lanes))
-            .collect();
-        assert!(costs.windows(2).all(|w| w[0] <= w[1]));
-        // A fragment-heavy (random-permutation) topology pays a serial
-        // re-assembly of ~n rows: full rebuild wins even at 1 dirty
-        // shard.
-        assert!(!predict_patch(n, shard, n, 1, p, lanes));
-    }
-
-    #[test]
-    fn rebuild_cost_is_the_build_share_of_the_sharded_model() {
-        // Building is strictly cheaper than building-and-querying.
-        let (n, shard, p) = (1usize << 22, 1usize << 16, 8usize);
-        let build = predicted_rebuild_cost_lanes(n, shard, p, DEFAULT_LANES);
-        let full = predicted_sharded_cost(n, shard, n / 4096, p, DEFAULT_LANES);
-        assert!(build > 0.0 && build < full);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! [`engine::Client::call`]: {inline list, resident handle} × {rank,
 //! add/max/min/xor/affine scan, segmented add}, each once as sent and
 //! once routed through the shard-parallel path (`Call::sharded`; the
-//! reply's shard count is printed), then one pipelined window of 4
+//! reply's shard count is printed: inline requests shard, handle
+//! requests are served from the dataset's kept rank array and read 0),
+//! then one pipelined window of 4
 //! through `send` / `recv_pipelined`. Every reply is
 //! checked byte for byte against a local [`listrank::HostRunner`] on
 //! the same inputs. Finally it prints the daemon's STATS report and

@@ -403,19 +403,19 @@ fn topology_zoo_is_structurally_valid() {
 #[test]
 fn resident_dataset_rank_matches_serial_on_every_topology() {
     // The handle path's engine half: datasets resident in a
-    // `DatasetStore`, ranked through the prebuilt-artifact fast path
+    // `DatasetStore`, ranked with their artifact slot attached
     // (`Request::with_artifacts`), byte-compared with the serial
-    // oracle. Each dataset is ranked twice so both halves of the
-    // artifact cache — the build and the reuse — face the zoo, then a
-    // third time after a length-changing MUTATE, which must rank the
-    // maintained artifact of the post-mutation list.
-    use engine::{DatasetStore, Planner};
+    // oracle. Each dataset is ranked twice, so both the rank-array
+    // build and the rank served from the kept array face the zoo, then
+    // a third time after a length-changing MUTATE, which dropped the
+    // array: that rank builds the post-mutation list's.
+    use engine::DatasetStore;
     use listkit::dynamic::Edit;
     let engine = Engine::new(
         EngineConfig::default().with_workers(2).with_shard_budget(512).with_queue_capacity(128),
     );
-    let planner = Planner::new(2);
     let store = Arc::new(DatasetStore::new(1 << 30));
+    let mut datasets = 0;
     for n in [127usize, 1025, 20_000] {
         for (name, list) in topologies(n) {
             let receipt = store.put(1, Arc::new(list)).expect("put fits the budget");
@@ -423,8 +423,7 @@ fn resident_dataset_rank_matches_serial_on_every_topology() {
             for pass in 0..3 {
                 if pass == 2 {
                     let append = [Edit::Append { count: 3 }];
-                    engine::dynamic::mutate(&store, &planner, receipt.handle, 1, &append)
-                        .expect("append");
+                    engine::dynamic::mutate(&store, receipt.handle, 1, &append).expect("append");
                 }
                 let list = entry.list();
                 let req =
@@ -435,28 +434,101 @@ fn resident_dataset_rank_matches_serial_on_every_topology() {
                 assert_eq!(
                     report.output,
                     listkit::serial::rank(&list),
-                    "prebuilt rank diverged on {name} n={n} pass={pass}"
+                    "resident rank diverged on {name} n={n} pass={pass}"
                 );
+                assert_eq!(report.shards, 0, "{name} n={n}: served from a rank array");
             }
             store.drop_dataset(receipt.handle, 1).expect("drop");
+            datasets += 1;
         }
     }
     let st = store.stats();
-    assert!(st.artifacts_built > 0, "large zoo members built sharded artifacts");
-    assert!(st.artifacts_reused > 0, "second passes reused cached artifacts");
+    assert_eq!(st.artifacts_built, 2 * datasets, "passes 0 and 2 built");
+    assert_eq!(st.artifacts_reused, datasets, "pass 1 reused");
     engine.shutdown();
+}
+
+/// The values every resident-ops check scans: `i64`s for add, max,
+/// min and segmented add, `u64`s for xor, affine maps, start flags.
+struct OpInputs {
+    i64s: Arc<Vec<i64>>,
+    u64s: Arc<Vec<u64>>,
+    affs: Arc<Vec<listkit::ops::Affine>>,
+    starts: Arc<Vec<bool>>,
+}
+
+impl OpInputs {
+    fn new(n: usize, seed: u64) -> Self {
+        let s = seed as i64 | 1;
+        OpInputs {
+            i64s: Arc::new((0..n as i64).map(|i| (i.wrapping_mul(s) % 37) - 18).collect()),
+            u64s: Arc::new((0..n as u64).map(|i| i.wrapping_mul(seed | 1) ^ (i << 7)).collect()),
+            affs: Arc::new(
+                (0..n as i64)
+                    .map(|i| listkit::ops::Affine::new((i.wrapping_add(s) % 5) - 2, (i % 11) - 5))
+                    .collect(),
+            ),
+            starts: Arc::new((0..n as u64).map(|v| v.wrapping_mul(seed | 1) % 17 == 0).collect()),
+        }
+    }
+}
+
+/// One handle-routed round of every operator — rank, add, max, min,
+/// xor, affine and segmented add — on `list`, resolved against
+/// `entry`'s artifact slot, each byte-compared with the serial oracle.
+/// The rank goes first and alone, so that when it builds the array the
+/// six scans after it are served from the kept one.
+fn check_resident_ops(
+    engine: &Engine,
+    entry: &engine::DatasetRef,
+    list: &Arc<LinkedList>,
+    sharded: bool,
+    seed: u64,
+    ctx: &str,
+) {
+    use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
+    use listkit::segmented;
+    let l = || Arc::clone(list);
+    let OpInputs { i64s, u64s, affs, starts } = OpInputs::new(list.len(), seed);
+    fn submit<R: Send + 'static>(
+        engine: &Engine,
+        entry: &engine::DatasetRef,
+        req: Request<R>,
+        sharded: bool,
+    ) -> engine::JobHandle<R> {
+        let req = if sharded { req.sharded() } else { req };
+        engine.submit(req.with_artifacts(entry.artifacts())).expect("submit")
+    }
+    let go = |req| submit(engine, entry, req, sharded);
+    let rank = submit(engine, entry, Request::rank(l()), sharded).wait().expect("rank");
+    assert_eq!(rank.output, listkit::serial::rank(list), "{ctx}: rank");
+    assert_eq!(rank.shards, 0, "{ctx}: served from a rank array");
+    let add = go(Request::scan(l(), Arc::clone(&i64s), AddOp));
+    let max = go(Request::scan(l(), Arc::clone(&i64s), MaxOp));
+    let min = go(Request::scan(l(), Arc::clone(&i64s), MinOp));
+    let xor = submit(engine, entry, Request::scan(l(), Arc::clone(&u64s), XorOp), sharded);
+    let aff = submit(engine, entry, Request::scan(l(), Arc::clone(&affs), AffineOp), sharded);
+    let seg = go(Request::segmented_scan(l(), Arc::clone(&i64s), Arc::clone(&starts), AddOp));
+    fn out<T: 'static>(handle: engine::JobHandle<Vec<T>>) -> Vec<T> {
+        handle.wait().expect("scan").output
+    }
+    assert_eq!(out(add), listkit::serial::scan(list, &i64s, &AddOp), "{ctx}: add");
+    assert_eq!(out(max), listkit::serial::scan(list, &i64s, &MaxOp), "{ctx}: max");
+    assert_eq!(out(min), listkit::serial::scan(list, &i64s, &MinOp), "{ctx}: min");
+    assert_eq!(out(xor), listkit::serial::scan(list, &u64s, &XorOp), "{ctx}: xor");
+    assert_eq!(out(aff), listkit::serial::scan(list, &affs, &AffineOp), "{ctx}: affine");
+    let want = segmented::serial_segmented_scan(list, &i64s, &starts, &AddOp);
+    assert_eq!(out(seg), want, "{ctx}: segmented add");
 }
 
 #[test]
 fn resident_dataset_ops_match_serial_on_every_topology() {
     // Every operator (add/max/min/xor/affine/segmented) over a
-    // *resident* dataset, prebuilt artifacts attached, vs the same op
-    // submitted inline over the identical list — both must equal the
-    // serial oracle, so the handle data plane can never drift from the
-    // inline one.
+    // *resident* dataset, artifacts attached: one round that builds the
+    // rank array, one served wholly from it. Both must equal the serial
+    // oracle, so the handle data plane can never drift from the inline
+    // one.
     use engine::DatasetStore;
-    use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
-    use listkit::segmented;
     let engine = ops_engine();
     let store = Arc::new(DatasetStore::new(1 << 30));
     for n in [2usize, 129, 1025] {
@@ -464,86 +536,80 @@ fn resident_dataset_ops_match_serial_on_every_topology() {
             let receipt = store.put(7, Arc::new(list)).expect("put fits");
             let entry = store.get(receipt.handle, 7).expect("resident");
             let list = entry.list();
-            let seed = SEED ^ n as u64;
-            let s = seed as i64 | 1;
-            let i64s: Arc<Vec<i64>> =
-                Arc::new((0..n as i64).map(|i| (i.wrapping_mul(s) % 37) - 18).collect());
-            let u64s: Arc<Vec<u64>> =
-                Arc::new((0..n as u64).map(|i| i.wrapping_mul(seed | 1) ^ (i << 7)).collect());
-            let affs: Arc<Vec<listkit::ops::Affine>> = Arc::new(
-                (0..n as i64)
-                    .map(|i| listkit::ops::Affine::new((i.wrapping_add(s) % 5) - 2, (i % 11) - 5))
-                    .collect(),
-            );
-            let starts: Arc<Vec<bool>> =
-                Arc::new((0..n as u64).map(|v| v.wrapping_mul(seed | 1) % 17 == 0).collect());
-
-            let rank = Request::rank(Arc::clone(&list)).with_artifacts(entry.artifacts());
-            let add = Request::scan(Arc::clone(&list), Arc::clone(&i64s), AddOp)
-                .with_artifacts(entry.artifacts());
-            let max = Request::scan(Arc::clone(&list), Arc::clone(&i64s), MaxOp)
-                .with_artifacts(entry.artifacts());
-            let min = Request::scan(Arc::clone(&list), Arc::clone(&i64s), MinOp)
-                .with_artifacts(entry.artifacts());
-            let xor = Request::scan(Arc::clone(&list), Arc::clone(&u64s), XorOp)
-                .with_artifacts(entry.artifacts());
-            let aff = Request::scan(Arc::clone(&list), Arc::clone(&affs), AffineOp)
-                .with_artifacts(entry.artifacts());
-            let seg = Request::segmented_scan(
-                Arc::clone(&list),
-                Arc::clone(&i64s),
-                Arc::clone(&starts),
-                AddOp,
-            )
-            .with_artifacts(entry.artifacts());
-
-            let rank = engine.submit(rank).unwrap();
-            let add = engine.submit(add).unwrap();
-            let max = engine.submit(max).unwrap();
-            let min = engine.submit(min).unwrap();
-            let xor = engine.submit(xor).unwrap();
-            let aff = engine.submit(aff).unwrap();
-            let seg = engine.submit(seg).unwrap();
-
-            assert_eq!(
-                rank.wait().unwrap().output,
-                listkit::serial::rank(&list),
-                "resident rank diverged on {name} n={n}"
-            );
-            assert_eq!(
-                add.wait().unwrap().output,
-                listkit::serial::scan(&list, &i64s, &AddOp),
-                "resident add diverged on {name} n={n}"
-            );
-            assert_eq!(
-                max.wait().unwrap().output,
-                listkit::serial::scan(&list, &i64s, &MaxOp),
-                "resident max diverged on {name} n={n}"
-            );
-            assert_eq!(
-                min.wait().unwrap().output,
-                listkit::serial::scan(&list, &i64s, &MinOp),
-                "resident min diverged on {name} n={n}"
-            );
-            assert_eq!(
-                xor.wait().unwrap().output,
-                listkit::serial::scan(&list, &u64s, &XorOp),
-                "resident xor diverged on {name} n={n}"
-            );
-            assert_eq!(
-                aff.wait().unwrap().output,
-                listkit::serial::scan(&list, &affs, &AffineOp),
-                "resident affine diverged on {name} n={n}"
-            );
-            assert_eq!(
-                seg.wait().unwrap().output,
-                segmented::serial_segmented_scan(&list, &i64s, &starts, &AddOp),
-                "resident segmented diverged on {name} n={n}"
-            );
+            let built = store.stats().artifacts_built;
+            for round in ["build", "reuse"] {
+                let ctx = format!("{name} n={n} {round}");
+                check_resident_ops(engine, &entry, &list, false, SEED ^ n as u64, &ctx);
+            }
+            assert_eq!(store.stats().artifacts_built, built + 1, "{name} n={n}: one build");
             store.drop_dataset(receipt.handle, 7).expect("drop");
         }
     }
     assert_eq!(store.stats().resident_count, 0, "every dataset was dropped");
+}
+
+#[test]
+fn served_resident_ops_match_serial_on_every_topology() {
+    // The same operators through a `rankd` server over its socket: a
+    // served scan from a kept array scatters into the reply payload and
+    // gathers into the request's own values, a path in-process jobs do
+    // not take. Each dataset is queried, mutated, and queried again.
+    use engine::{Call, Client, ServeConfig, Server};
+    use listkit::dynamic::{Edit, MutableList};
+    use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
+    use listkit::segmented;
+    let dir = std::env::temp_dir().join(format!("differential-served-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("socket directory");
+    let path = dir.join("rankd.sock");
+    let engine = Arc::new(Engine::new(EngineConfig::default().with_workers(2)));
+    let server = Server::bind(engine, ServeConfig::new(&path)).expect("bind");
+    let control = server.control();
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(&path).expect("connect");
+    let mut datasets = 0;
+    for n in [1usize, 2, 129, 1025, 20_000] {
+        for (name, list) in topologies(n) {
+            datasets += 1;
+            let handle = client.put(&list).expect("put").handle;
+            let mut mirror = MutableList::from_list(&list);
+            for round in 0..4 {
+                if round == 2 {
+                    let edits = [Edit::Append { count: 5 }, Edit::Delete { v: 0 }];
+                    mirror.apply(&edits).expect("valid batch");
+                    client.mutate(handle, &edits).expect("mutate");
+                }
+                let list = mirror.snapshot();
+                let ctx = format!("{name} n={n} round {round}");
+                let OpInputs { i64s, u64s, affs, starts } =
+                    OpInputs::new(list.len(), SEED ^ n as u64);
+                let rank = client.call(&Call::rank(handle)).expect("rank_h");
+                assert_eq!(rank.output, listkit::serial::rank(&list), "{ctx}: rank");
+                assert_eq!(rank.meta.shards, 0, "{ctx}: served from a rank array");
+                let add = client.call(&Call::scan(handle, &i64s, AddOp)).expect("add").output;
+                assert_eq!(add, listkit::serial::scan(&list, &i64s, &AddOp), "{ctx}: add");
+                let max = client.call(&Call::scan(handle, &i64s, MaxOp)).expect("max").output;
+                assert_eq!(max, listkit::serial::scan(&list, &i64s, &MaxOp), "{ctx}: max");
+                let min = client.call(&Call::scan(handle, &i64s, MinOp)).expect("min").output;
+                assert_eq!(min, listkit::serial::scan(&list, &i64s, &MinOp), "{ctx}: min");
+                let xor = client.call(&Call::scan(handle, &u64s, XorOp)).expect("xor").output;
+                assert_eq!(xor, listkit::serial::scan(&list, &u64s, &XorOp), "{ctx}: xor");
+                let aff = client.call(&Call::scan(handle, &affs, AffineOp)).expect("aff").output;
+                assert_eq!(aff, listkit::serial::scan(&list, &affs, &AffineOp), "{ctx}: affine");
+                let seg = Call::segmented(handle, &i64s, &starts, AddOp).sharded();
+                let want = segmented::serial_segmented_scan(&list, &i64s, &starts, &AddOp);
+                assert_eq!(client.call(&seg).expect("segmented").output, want, "{ctx}: seg");
+            }
+            client.drop_handle(handle).expect("drop");
+        }
+    }
+    // 4 rounds of 7 queries per dataset; rounds 0 and 2 open with the
+    // rank that builds the array.
+    let st = client.stats_v2().expect("stats").store;
+    assert_eq!((st.artifacts_built, st.artifacts_reused), (2 * datasets, 26 * datasets));
+    control.request_shutdown();
+    drop(client);
+    daemon.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One valid random batch of edits against `snapshot`: a short-run
@@ -592,38 +658,28 @@ fn random_edit_batch(
     edits
 }
 
-/// The dynamic-lists oracle: one resident copy of `list` per
-/// `shard_sizes` × `lanes_set` plan, each primed with that plan's
-/// artifact, all fed the same `batches` random mutation batches. After
-/// every batch each dataset's maintained artifact (patched or rebuilt,
-/// per the planner) must be the one the next query reuses, and its rank
-/// *and* add-scan must byte-match a from-scratch serial pass over the
-/// post-mutation list.
+/// The dynamic-lists oracle: `list` resident in a store, fed `batches`
+/// random mutation batches. Before the first batch and after every one,
+/// every operator on the dataset — the round that builds the rank array
+/// and the one served from it — must byte-match a from-scratch serial
+/// pass over the mirror. Each batch also races a rank resolved before
+/// it and run after it: that job ranks its own pre-batch snapshot and
+/// must leave no array for the new one.
 fn check_mutation_sequences(
+    engine: &Engine,
+    sharded: bool,
     name: &str,
     list: LinkedList,
     seed: u64,
     batches: usize,
-    shard_sizes: &[usize],
-    lanes_set: &[usize],
 ) {
-    use engine::{DatasetStore, Planner};
+    use engine::DatasetStore;
     use listkit::dynamic::MutableList;
-    use listkit::ops::AddOp;
     const CONN: u64 = 11;
     let store = Arc::new(DatasetStore::new(1 << 30));
-    let planner = Planner::new(4);
     let mut mirror = MutableList::from_list(&list);
-    let list = Arc::new(list);
-    let mut datasets = Vec::new();
-    for &shard in shard_sizes {
-        for &lanes in lanes_set {
-            let receipt = store.put(CONN, Arc::clone(&list)).expect("put fits");
-            let entry = store.get(receipt.handle, CONN).expect("resident");
-            entry.artifacts().get_or_build(&entry.list(), shard, lanes);
-            datasets.push((shard, lanes, entry));
-        }
-    }
+    let receipt = store.put(CONN, Arc::new(list)).expect("put fits");
+    let entry = store.get(receipt.handle, CONN).expect("resident");
     let mut state = seed | 1;
     let mut rng = move || {
         state ^= state << 13;
@@ -631,51 +687,49 @@ fn check_mutation_sequences(
         state ^= state << 17;
         state
     };
-    for batch in 0..batches {
-        let edits = random_edit_batch(&mirror.snapshot(), &mut rng);
-        mirror.apply(&edits).expect("mirror accepts the batch");
-        let expected = mirror.snapshot();
-        let oracle = listkit::serial::rank(&expected);
-        let values: Vec<i64> = (0..expected.len() as i64).map(|i| (i % 29) - 14).collect();
-        let scan_oracle = listkit::serial::scan(&expected, &values, &AddOp);
-        for (shard, lanes, entry) in &datasets {
-            let ctx = format!("{name} batch {batch} shard={shard} lanes={lanes}");
-            let out = engine::dynamic::mutate(&store, &planner, entry.handle(), CONN, &edits)
+    for batch in 0..=batches {
+        let ctx = format!("{name} sharded={sharded} batch {batch}");
+        let before = entry.list();
+        if batch > 0 {
+            let edits = random_edit_batch(&mirror.snapshot(), &mut rng);
+            mirror.apply(&edits).expect("mirror accepts the batch");
+            let stale = Request::rank(Arc::clone(&before)).with_artifacts(entry.artifacts());
+            let out = engine::dynamic::mutate(&store, entry.handle(), CONN, &edits)
                 .expect("store accepts the batch");
-            assert_eq!(out.len as usize, expected.len(), "{ctx}: length drift");
-            assert_eq!(out.artifacts, 1, "{ctx}: the primed artifact is maintained");
-            let snapshot = entry.list();
-            assert_eq!(
-                snapshot.links(),
-                expected.links(),
-                "{ctx}: server and mirror applied different lists"
-            );
-            let built = store.stats().artifacts_built;
-            let a = entry.artifacts().get_or_build(&snapshot, *shard, *lanes);
-            assert_eq!(store.stats().artifacts_built, built, "{ctx}: maintained artifact unused");
-            assert_eq!(a.rank(), oracle, "{ctx}: rank diverged");
-            assert_eq!(a.scan(&values, &AddOp), scan_oracle, "{ctx}: scan diverged");
+            assert_eq!(out.len as usize, mirror.len(), "{ctx}: length drift");
+            let ranked = engine.submit(stale).expect("submit").wait().expect("stale rank");
+            assert_eq!(ranked.output, listkit::serial::rank(&before), "{ctx}: stale rank");
+            assert!(entry.snapshot().1.is_none(), "{ctx}: the stale rank kept an array");
+        }
+        let snapshot = entry.list();
+        assert_eq!(snapshot.links(), mirror.snapshot().links(), "{ctx}: server and mirror differ");
+        for round in ["build", "reuse"] {
+            check_resident_ops(engine, &entry, &snapshot, sharded, seed, &format!("{ctx} {round}"));
         }
     }
-    assert_eq!(store.mutation_stats().mutations, (batches * datasets.len()) as u64);
-    for (_, _, entry) in datasets {
-        let handle = entry.handle();
-        drop(entry);
-        store.drop_dataset(handle, CONN).expect("drop");
-    }
-    assert_eq!(store.stats().resident_bytes, 0, "drop released lists, mirrors, and artifacts");
+    assert_eq!(store.mutation_stats().mutations, batches as u64);
+    drop(entry);
+    store.drop_dataset(receipt.handle, CONN).expect("drop");
+    assert_eq!(store.stats().resident_bytes, 0, "drop released the list, mirror and array");
 }
 
 #[test]
 fn mutated_datasets_match_serial_on_every_topology_lane_and_budget() {
-    // The dynamic-lists acceptance matrix: the topology zoo × lanes
-    // {1, 4, 8} × two shard budgets, each under a random mutation
-    // sequence, byte-compared to serial after every batch. The planner
-    // is free to pick incremental or rebuild per pass — the contract
-    // is that the choice is invisible in the bytes.
+    // The dynamic-lists acceptance matrix: the topology zoo under a
+    // random mutation sequence, byte-compared to serial after every
+    // batch, on one engine whose jobs get one thread and plain requests
+    // and on one whose jobs get two threads, with sharded requests
+    // under a small shard budget. Handle requests are served from the
+    // rank array either way.
+    let engines = [
+        (Engine::new(EngineConfig::default().with_workers(2).with_inner_threads(1)), false),
+        (Engine::new(EngineConfig::default().with_workers(2).with_shard_budget(64)), true),
+    ];
     for n in [129usize, 1025, 20_000] {
         for (name, list) in topologies(n) {
-            check_mutation_sequences(&name, list, SEED ^ n as u64, 5, &[64, 512], &[1, 4, 8]);
+            for (engine, sharded) in &engines {
+                check_mutation_sequences(engine, *sharded, &name, list.clone(), SEED ^ n as u64, 5);
+            }
         }
     }
 }
@@ -684,13 +738,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Differential-oracle property for mutations: any topology, any
-    /// size, any edit sequence — every maintained artifact stays
-    /// byte-identical to a from-scratch serial solve.
+    /// size, any edit sequence — every operator on the mutated dataset
+    /// stays byte-identical to a from-scratch serial solve.
     #[test]
     fn mutation_differential(n in 4usize..1500, topo in 0usize..5, seed in any::<u64>()) {
         let zoo = topologies(n);
         let (name, list) = zoo[topo % zoo.len()].clone();
-        check_mutation_sequences(&name, list, seed, 4, &[7, 64], &[1, 4]);
+        check_mutation_sequences(ops_engine(), seed % 2 == 0, &name, list, seed, 4);
     }
 }
 
@@ -711,8 +765,7 @@ fn mutation_sweep_deep() {
         let n = 4 + (next() % 5000) as usize;
         let zoo = topologies(n);
         let (name, list) = zoo[(next() as usize) % zoo.len()].clone();
-        check_mutation_sequences(&name, list, next(), 6, &[16, 256], &[1, 4, 8]);
-        let _ = case;
+        check_mutation_sequences(ops_engine(), case % 2 == 0, &name, list, next(), 6);
     }
 }
 
