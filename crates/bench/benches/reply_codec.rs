@@ -1,9 +1,14 @@
 //! The reply codec at `resident_big`'s size, 2²² elements: where a
-//! 32 MiB reply's time goes when its buffer is fresh versus reused.
+//! 32 MiB reply's time goes when its buffer is fresh versus reused, and
+//! on 4 KiB versus 2 MiB pages.
 //!
 //! A buffer of 32 MiB or more is a fresh mapping from the allocator on
-//! every allocation, so encoding into a fresh `Vec` pays a page fault
-//! per 4 KiB touched; a reused buffer keeps its pages. Three groups:
+//! every allocation, so writing a fresh `Vec` on 4 KiB pages pays 8,192
+//! page faults; a reused buffer keeps its pages, but a random access
+//! into it still misses the TLB once the buffer outgrows the TLB's
+//! reach (a few MiB of 4 KiB pages). `listkit::pages` advises such a
+//! buffer onto 2 MiB transparent huge pages before its first touch,
+//! which cuts both. Four groups:
 //!
 //! * `exec/*`: a served rank on a random 2²² list (Reid-Miller, 2
 //!   threads) — `exec_then_encode` ranks into a fresh `Vec` and then
@@ -18,14 +23,21 @@
 //!   fresh buffer (`read_frame`) or a reused one (`read_frame_into`),
 //!   then `decode_output` the ranks; and the payload decode alone, the
 //!   per-element `chunks_exact` loop the slice codec replaced against
-//!   `protocol::decode_slice`.
+//!   `protocol::decode_slice` (which now also allocates on huge pages;
+//!   `pages/*` separates the two gains);
+//! * `pages/*`: plain `Vec` buffers against ones from
+//!   `listkit::pages::vec_with_capacity` — a fresh 2²² decode, and the
+//!   served scan's scatter of the values into the reply payload and
+//!   gather back, along the kept ranks of a random 2²² list, with both
+//!   buffers reused across iterations as the reply pool reuses them.
 //!
 //! `CRITERION_QUICK=1` shortens runs; `cargo bench -p repro --bench
 //! reply_codec` runs the full pass.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use engine::protocol::{self, FrameKind, OutputMeta, WireElem};
-use listrank::host::RankScratch;
+use listkit::pages;
+use listrank::host::{RankArray, RankScratch};
 use listrank::{Algorithm, HostRunner};
 use std::hint::black_box;
 
@@ -131,5 +143,48 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_exec, bench_encode, bench_decode);
+fn bench_pages(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reply_codec/pages");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(N as u64));
+    let words: Vec<u64> = (0..N as u64).rev().collect();
+    let body = protocol::output_body(&meta(), &words);
+    let payload = &body[body.len() - 8 * N..];
+    g.bench_function("decode_fresh_plain", |b| {
+        b.iter(|| {
+            let le = u64::le_chunks(black_box(payload));
+            black_box(le.iter().map(|&w| u64::from_wire(w)).collect::<Vec<u64>>()).len()
+        })
+    });
+    g.bench_function("decode_fresh_advised", |b| {
+        b.iter(|| black_box(protocol::decode_slice::<u64>(black_box(payload))).len())
+    });
+
+    let list = listkit::gen::random_list(N, 0x2222);
+    let runner = HostRunner::new(Algorithm::ReidMiller).with_threads(2);
+    let ranks = RankArray::build(&runner, &list, &mut RankScratch::new());
+    let values: Vec<i64> = (0..N as i64).map(|i| i % 31 - 15).collect();
+    fn fresh<T>(n: usize, advised: bool) -> Vec<T> {
+        if advised {
+            pages::vec_with_capacity(n)
+        } else {
+            Vec::with_capacity(n)
+        }
+    }
+    for (name, advised) in [("plain", false), ("advised", true)] {
+        let (mut pos, mut vals) = (fresh(8 * N, advised), fresh(N, advised));
+        pos.resize(8 * N, 0u8);
+        vals.extend_from_slice(&values);
+        g.bench_function(format!("scatter_{name}"), |b| {
+            b.iter(|| ranks.scatter(&vals, i64::le_chunks_mut(&mut pos), |v| v.to_wire()))
+        });
+        g.bench_function(format!("gather_{name}"), |b| {
+            b.iter(|| ranks.gather(i64::le_chunks(&pos), &mut vals, |&p| i64::from_wire(p)))
+        });
+        black_box((&pos, &vals));
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_exec, bench_encode, bench_decode, bench_pages);
 criterion_main!(benches);

@@ -43,13 +43,14 @@ pub struct RankArray {
 impl RankArray {
     /// Rank `list` with `runner`, writing each rank as a `u32` straight
     /// from the kernel's final pass: the array is the build's one
-    /// list-sized allocation.
+    /// list-sized allocation, on huge pages ([`listkit::pages`]).
     ///
     /// # Panics
     /// If the kernel's ranks are not a permutation of `0..n`: the
     /// scatter's memory safety rests on it.
     pub fn build(runner: &HostRunner, list: &LinkedList, scratch: &mut RankScratch) -> Self {
-        let mut ranks = vec![0u32; list.len()];
+        let mut ranks = listkit::pages::vec_with_capacity(list.len());
+        ranks.resize(list.len(), 0u32);
         runner.rank_mapped(list, scratch, &mut ranks, |r| r as u32);
         assert!(is_permutation(&ranks), "{} ranks are a permutation", runner.algorithm.name());
         RankArray { ranks, algorithm: runner.algorithm }
@@ -130,7 +131,8 @@ impl RankArray {
 
     /// Exclusive scan of `values` under `op` along the ranked list:
     /// `out[v] = map(prefix at v)`. Scatters into a fresh position-order
-    /// `Vec<T>`, scans it with [`prefix`], and gathers.
+    /// `Vec<T>` on huge pages ([`listkit::pages`]), scans it with
+    /// [`prefix`], and gathers.
     pub fn scan_mapped<T, Op, O>(
         &self,
         values: &[T],
@@ -142,7 +144,8 @@ impl RankArray {
         Op: ScanOp<T>,
         O: Send,
     {
-        let mut pos = vec![op.identity(); self.len()];
+        let mut pos = listkit::pages::vec_with_capacity(self.len());
+        pos.resize(self.len(), op.identity());
         self.scatter(values, &mut pos, |&x| x);
         prefix(&mut pos, op, None, |&x| x, |x| x);
         self.gather(&pos, out, |&x| map(x));

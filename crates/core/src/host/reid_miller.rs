@@ -254,6 +254,10 @@ impl ReidMiller {
         heads.push(list.head());
         walk::gather_links(list, &splits, WalkPolicy::with_lanes(self.lanes), heads);
         let sub_of_head = &mut scratch.sub_of_head;
+        if sub_of_head.capacity() < n {
+            // Grown as `resize` would grow it, on huge pages.
+            *sub_of_head = listkit::pages::vec_with_capacity(n.max(2 * sub_of_head.capacity()));
+        }
         sub_of_head.clear();
         sub_of_head.resize(n, u32::MAX);
         for (i, &h) in heads.iter().enumerate() {

@@ -49,7 +49,7 @@ impl RankScratch {
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self::default();
         s.boundary.reserve(n);
-        s.sub_of_head.reserve(n);
+        s.sub_of_head = listkit::pages::vec_with_capacity(n);
         s
     }
 

@@ -152,14 +152,16 @@ fn in_place<V, T, Op>(
 }
 
 /// Fill a fresh `Vec` that starts as `n` copies of `init` and park it,
-/// erased, in `slot`.
+/// erased, in `slot`. A list-sized one is on huge pages
+/// ([`listkit::pages`]).
 fn typed<T: Clone + Send + 'static>(
     slot: &mut Option<ErasedOutput>,
     n: usize,
     init: T,
     fill: impl FnOnce(&mut [T]) -> Option<ShardedReport>,
 ) -> Option<ShardedReport> {
-    let mut out = vec![init; n];
+    let mut out = listkit::pages::vec_with_capacity(n);
+    out.resize(n, init);
     let report = fill(&mut out);
     *slot = Some(Box::new(out));
     report
@@ -313,15 +315,16 @@ where
     }
 }
 
-/// A segmented scan job: values are pre-wrapped with their segment
-/// flags (once, at request construction), scanned under the
-/// [`SegOp`] transform, and unwrapped on the way out — each element
+/// A segmented scan job: a kernel run wraps the values with their
+/// segment flags (on the worker, per run), scans them under the
+/// [`SegOp`] transform, and unwraps on the way out — each element
 /// mapped from its wrapped prefix's value, then every segment start
 /// restarted at the identity ([`segmented::restart_segments`]) — so the
 /// caller's output type is `Vec<T>`, not an engine detail, and no
-/// wrapped output array is ever built.
+/// wrapped output array is ever built. A run from a rank array needs
+/// no wrapping at all.
 struct SegScanJob<T, Op> {
-    wrapped: Arc<Vec<Segmented<T>>>,
+    values: Arc<Vec<T>>,
     starts: Arc<Vec<bool>>,
     op: Op,
     /// The wire bodies, when the builder knew `T` is a [`WireElem`].
@@ -340,8 +343,9 @@ where
         out: &mut [O],
         map: impl Fn(T) -> O + Sync,
     ) -> Option<ShardedReport> {
+        let wrapped = segmented::wrap(&self.values, &self.starts);
         let seg = SegOp(self.op.clone());
-        let report = scan_run(how, &self.wrapped, &seg, scratch, out, |s| map(s.value));
+        let report = scan_run(how, &wrapped, &seg, scratch, out, |s| map(s.value));
         segmented::restart_segments(out, &self.starts, map(self.op.identity()));
         report
     }
@@ -365,10 +369,9 @@ where
     where
         T: WireElem,
     {
-        let Some(wrapped) = Arc::get_mut(&mut self.wrapped) else { return false };
-        let flags = ranks.flags(wrapped, |s| s.flag);
-        let back = |value| Segmented { flag: false, value };
-        in_place(ranks, wrapped, |s| s.value, back, Some(&flags), &self.op, bytes);
+        let Some(values) = Arc::get_mut(&mut self.values) else { return false };
+        let flags = ranks.flags(&self.starts, |&start| start);
+        in_place(ranks, values, |&x| x, |x| x, Some(&flags), &self.op, bytes);
         true
     }
 }
@@ -395,7 +398,7 @@ where
     }
 
     fn check(&self, list: &LinkedList) -> bool {
-        self.wrapped.len() == list.len() && self.starts.len() == list.len()
+        self.values.len() == list.len() && self.starts.len() == list.len()
     }
 
     fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport> {
@@ -580,9 +583,9 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
     }
 
     /// Exclusive **segmented** scan: restarts at every vertex whose
-    /// `starts` flag is set (the head always starts a segment). Values
-    /// are wrapped with their flags once here, scanned under the
-    /// flag-carrying [`SegOp`] transform, and unwrapped back, so the
+    /// `starts` flag is set (the head always starts a segment). The
+    /// worker wraps the values with their flags, scans them under the
+    /// flag-carrying [`SegOp`] transform, and unwraps them back, so the
     /// handle resolves to plain `Vec<T>`. The transform is associative
     /// (never commutative), which is exactly what the stitched
     /// [`Request::sharded`] scan preserves.
@@ -624,14 +627,7 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
     where
         Op: ScanOp<T> + Clone + Send + Sync + 'static,
     {
-        // A length mismatch cannot be wrapped; an empty wrapped array
-        // can never match a (≥ 1 vertex) list, so `validate` rejects it.
-        let wrapped = if values.len() == starts.len() {
-            Arc::new(segmented::wrap(&values, &starts))
-        } else {
-            Arc::new(Vec::new())
-        };
-        Self::new(list, Arc::new(SegScanJob { wrapped, starts, op, wire }))
+        Self::new(list, Arc::new(SegScanJob { values, starts, op, wire }))
     }
 }
 

@@ -1,6 +1,6 @@
 //! A minimal safe wrapper over `poll(2)` — the only readiness
-//! primitive the event-driven server needs, and the only FFI in the
-//! workspace.
+//! primitive the event-driven server needs, and the engine's only FFI
+//! (`listkit::pages` declares `madvise` the same way).
 //!
 //! The crate is `#![deny(unsafe_code)]`; the raw declaration and the
 //! two `unsafe` expressions live in the tiny `ffi` module below with a

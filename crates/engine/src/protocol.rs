@@ -680,9 +680,13 @@ pub(crate) fn put_slice<T: WireElem>(values: &[T], out: &mut Vec<u8>) {
     encode_slice(values, &mut out[start..]);
 }
 
-/// Decode a whole number of encodings into a fresh `Vec`.
+/// Decode a whole number of encodings into a fresh `Vec`, on huge
+/// pages when it is list-sized ([`listkit::pages`]).
 pub fn decode_slice<T: WireElem>(raw: &[u8]) -> Vec<T> {
-    T::le_chunks(raw).iter().map(|&le| T::from_wire(le)).collect()
+    let chunks = T::le_chunks(raw);
+    let mut out = listkit::pages::vec_with_capacity(chunks.len());
+    out.extend(chunks.iter().map(|&le| T::from_wire(le)));
+    out
 }
 
 /// A decoded value array, typed by the operator that owns it: `i64` for

@@ -629,7 +629,9 @@ struct BufPool {
 
 impl BufPool {
     /// A buffer with room for `need` bytes, holding stale bytes: the
-    /// smallest pooled one that fits, else a fresh one.
+    /// smallest pooled one that fits, else a fresh one on huge pages
+    /// ([`listkit::pages`]), which the served scan scatters into and
+    /// gathers from at random.
     fn take(&self, need: usize) -> Vec<u8> {
         let pooled = {
             let mut bufs = self.bufs.lock().expect("reply pool poisoned");
@@ -638,7 +640,7 @@ impl BufPool {
                 .min_by_key(|&i| bufs[i].capacity());
             best.map(|i| bufs.swap_remove(i))
         };
-        pooled.unwrap_or_else(|| Vec::with_capacity(need))
+        pooled.unwrap_or_else(|| listkit::pages::vec_with_capacity(need))
     }
 
     /// Return a written buffer; it is dropped instead when keeping it

@@ -11,7 +11,9 @@
 //! ranks, the scan uses that array and the reply payload as its two
 //! buffers, so no worker allocates a third. Moving the decode off the
 //! reactor is a separate change; this test fails if anything else of
-//! that size appears, or if the decode moves or grows.
+//! that size appears, or if the decode moves or grows. `SEGSCAN_H` is
+//! pinned to the same one decode: its segment starts travel as an n-bit
+//! set, and nothing wraps the values with their flags on the reactor.
 //!
 //! The first query on a snapshot builds its rank array: exactly one
 //! allocation of `4·n` bytes or more, the `u32` ranks themselves.
@@ -19,7 +21,9 @@
 //! A counting global allocator records every allocation at or above a
 //! threshold together with the kind of thread that made it: the test's
 //! client thread, the reactor thread, or any other (the engine's
-//! workers and their inner pool threads).
+//! workers and their inner pool threads). The sizes are exact: a
+//! list-sized buffer advised onto huge pages (`listkit::pages`) is
+//! still the one allocation `Vec::with_capacity` makes.
 #![cfg(unix)]
 
 use engine::client::{Call, Client};
@@ -126,14 +130,18 @@ fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     let values: Vec<i64> = (0..N as i64).map(|i| i % 31 - 15).collect();
     let ranks = listkit::serial::rank(&list);
     let sums = listkit::serial::scan(&list, &values, &AddOp);
+    let starts: Vec<bool> = (0..N).map(|v| v % 97 == 5).collect();
+    let seg_sums = listkit::segmented::serial_segmented_scan(&list, &values, &starts, &AddOp);
     let mut client = Client::connect(&path).expect("connect");
     let handle = client.put(&list).expect("PUT").handle;
     let rank = Call::rank(handle);
     let scan = Call::scan(handle, &values, AddOp);
+    let segscan = Call::segmented(handle, &values, &starts, AddOp);
     // Warm-up: grows the reply pool, the read buffer and the scratch
     // pool to this size.
     assert!(client.call(&rank).expect("warm rank").output == ranks);
     assert!(client.call(&scan).expect("warm scan").output == sums);
+    assert!(client.call(&segscan).expect("warm segscan").output == seg_sums);
 
     let big = 8 * N;
     let mut served = None;
@@ -148,6 +156,13 @@ fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     assert_eq!(during, [(big, Side::Reactor)], "only the request's value array may be O(n)");
     let st = client.stats_v2().expect("stats").store;
     assert_eq!(st.artifacts_reused, reused + 1, "the scan was served from the kept ranks");
+
+    let mut served = None;
+    let during = daemon_allocs_during(big, || served = Some(client.call(&segscan).expect("seg")));
+    assert!(served.expect("served").output == seg_sums, "segscan diverged from the serial oracle");
+    assert_eq!(during, [(big, Side::Reactor)], "only the request's value array may be O(n)");
+    let st = client.stats_v2().expect("stats").store;
+    assert_eq!(st.artifacts_reused, reused + 2, "the segscan was served from the kept ranks");
 
     // A second dataset of the same size: its first query builds the
     // array, and nothing else of 4·n bytes or more is allocated.

@@ -35,6 +35,7 @@
 //! ```
 
 use crate::list::{Idx, LinkedList};
+use crate::pages;
 use std::fmt;
 
 /// One structural edit against a [`MutableList`].
@@ -157,8 +158,10 @@ pub struct EditReport {
 
 /// A list under mutation: successor and predecessor arrays plus head
 /// and tail, with `prev[head] == head` mirroring the tail self-loop.
-/// See the [module docs](self) for the edit semantics.
-#[derive(Clone, Debug)]
+/// See the [module docs](self) for the edit semantics. Its arrays, and
+/// every copy of them, are on huge pages ([`crate::pages`]) once they
+/// are list-sized.
+#[derive(Debug)]
 pub struct MutableList {
     next: Vec<Idx>,
     prev: Vec<Idx>,
@@ -166,11 +169,22 @@ pub struct MutableList {
     tail: Idx,
 }
 
+impl Clone for MutableList {
+    fn clone(&self) -> Self {
+        MutableList {
+            next: pages::copied(&self.next),
+            prev: pages::copied(&self.prev),
+            head: self.head,
+            tail: self.tail,
+        }
+    }
+}
+
 impl MutableList {
     /// Start mutating a copy of `list`'s structure.
     pub fn from_list(list: &LinkedList) -> Self {
         MutableList {
-            next: list.links().to_vec(),
+            next: pages::copied(list.links()),
             prev: list.predecessors(),
             head: list.head(),
             tail: list.tail(),
@@ -206,7 +220,7 @@ impl MutableList {
     /// maintained consistent by construction, so this skips the `O(n)`
     /// validation walk (debug builds still check).
     pub fn snapshot(&self) -> LinkedList {
-        LinkedList::from_raw_trusted(self.next.clone(), self.head, self.tail)
+        LinkedList::from_raw_trusted(pages::copied(&self.next), self.head, self.tail)
     }
 
     /// Apply a batch of edits atomically: either every edit applies (in

@@ -25,7 +25,8 @@
 //!   analogue of the paper's vectorized sublist traversal, keeping K
 //!   independent cache misses in flight per worker so pointer-chasing
 //!   hot paths hide DRAM latency instead of serializing on it;
-//! * [`validate`] — structural validation with precise error reporting.
+//! * [`validate`] — structural validation with precise error reporting;
+//! * [`pages`] — list-sized buffers advised onto transparent huge pages.
 //!
 //! ## Conventions
 //!
@@ -37,8 +38,9 @@
 // `deny` rather than `forbid`: the [`walk`] module's hot loops opt in
 // to unchecked indexing (justified by `LinkedList`'s
 // validated-at-construction invariants and shadowed by debug asserts),
-// and [`validate`] drives the same loop over links it has just
-// range-checked; everything else stays unsafe-free.
+// [`validate`] drives the same loop over links it has just
+// range-checked, and [`pages`] declares `madvise`; everything else
+// stays unsafe-free.
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
@@ -47,6 +49,7 @@ pub mod gen;
 pub mod list;
 pub mod ops;
 pub mod packed;
+pub mod pages;
 pub mod segmented;
 pub mod serial;
 pub mod sharded;

@@ -125,7 +125,8 @@ impl LinkedList {
     /// `listrank` crate has a parallel scatter version.
     pub fn predecessors(&self) -> Vec<Idx> {
         let n = self.len();
-        let mut prev: Vec<Idx> = vec![0; n];
+        let mut prev: Vec<Idx> = crate::pages::vec_with_capacity(n);
+        prev.resize(n, 0);
         prev[self.head as usize] = self.head;
         for (v, &nx) in self.next.iter().enumerate() {
             if nx as usize != v {

@@ -56,10 +56,13 @@ impl<T: Copy, Op: ScanOp<T>> ScanOp<Segmented<T>> for SegOp<Op> {
     }
 }
 
-/// Wrap per-vertex values and segment-start flags for a segmented scan.
+/// Wrap per-vertex values and segment-start flags for a segmented scan,
+/// on huge pages when list-sized ([`crate::pages`]).
 pub fn wrap<T: Copy>(values: &[T], starts: &[bool]) -> Vec<Segmented<T>> {
     assert_eq!(values.len(), starts.len());
-    values.iter().zip(starts).map(|(&value, &flag)| Segmented { flag, value }).collect()
+    let mut out = crate::pages::vec_with_capacity(values.len());
+    out.extend(values.iter().zip(starts).map(|(&value, &flag)| Segmented { flag, value }));
+    out
 }
 
 /// Extract the exclusive segmented scan from a plain exclusive scan of
