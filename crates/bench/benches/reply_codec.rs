@@ -8,7 +8,7 @@
 //! into it still misses the TLB once the buffer outgrows the TLB's
 //! reach (a few MiB of 4 KiB pages). `listkit::pages` advises such a
 //! buffer onto 2 MiB transparent huge pages before its first touch,
-//! which cuts both. Four groups:
+//! which cuts both. Five groups:
 //!
 //! * `exec/*`: a served rank on a random 2²² list (Reid-Miller, 2
 //!   threads) — `exec_then_encode` ranks into a fresh `Vec` and then
@@ -25,17 +25,29 @@
 //!   per-element `chunks_exact` loop the slice codec replaced against
 //!   `protocol::decode_slice` (which now also allocates on huge pages;
 //!   `pages/*` separates the two gains);
-//! * `pages/*`: plain `Vec` buffers against ones from
-//!   `listkit::pages::vec_with_capacity` — a fresh 2²² decode, and the
-//!   served scan's scatter of the values into the reply payload and
-//!   gather back, along the kept ranks of a random 2²² list, with both
-//!   buffers reused across iterations as the reply pool reuses them.
+//! * `pages/*`: a fresh 2²² decode into a plain `Vec` against one from
+//!   `listkit::pages::vec_with_capacity`;
+//! * `ranked/*`: the served `SCAN_H` on a resident random 2²² list,
+//!   step by step, on 2 threads — `build` is the first query's
+//!   `RankArray::build` (the rank kernel, the permutation check and the
+//!   scatter of the position order); `copy_into_payload` is the
+//!   reactor's one copy of the request's 32 MiB of value encodings
+//!   into a warm, advised reply payload; `scan_in_place` is the
+//!   worker's two passes along the kept position order over that
+//!   payload (`RankArray::scan_in_place`); `copy_then_scan` is both,
+//!   the whole served scan between decode and reply. The scan it
+//!   replaced scattered the decoded values into the payload, prefixed
+//!   it, gathered back and re-encoded, after a fresh decode on the
+//!   reactor. Two quick runs on a 2-CPU x86-64 VM (THP `madvise`) read
+//!   `build` 88–97 ms, `copy_into_payload` 3.7 ms, `scan_in_place`
+//!   32–35 ms and `copy_then_scan` 35–38 ms.
 //!
 //! `CRITERION_QUICK=1` shortens runs; `cargo bench -p repro --bench
 //! reply_codec` runs the full pass.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use engine::protocol::{self, FrameKind, OutputMeta, WireElem};
+use listkit::ops::AddOp;
 use listkit::pages;
 use listrank::host::{RankArray, RankScratch};
 use listrank::{Algorithm, HostRunner};
@@ -159,32 +171,42 @@ fn bench_pages(c: &mut Criterion) {
     g.bench_function("decode_fresh_advised", |b| {
         b.iter(|| black_box(protocol::decode_slice::<u64>(black_box(payload))).len())
     });
-
-    let list = listkit::gen::random_list(N, 0x2222);
-    let runner = HostRunner::new(Algorithm::ReidMiller).with_threads(2);
-    let ranks = RankArray::build(&runner, &list, &mut RankScratch::new());
-    let values: Vec<i64> = (0..N as i64).map(|i| i % 31 - 15).collect();
-    fn fresh<T>(n: usize, advised: bool) -> Vec<T> {
-        if advised {
-            pages::vec_with_capacity(n)
-        } else {
-            Vec::with_capacity(n)
-        }
-    }
-    for (name, advised) in [("plain", false), ("advised", true)] {
-        let (mut pos, mut vals) = (fresh(8 * N, advised), fresh(N, advised));
-        pos.resize(8 * N, 0u8);
-        vals.extend_from_slice(&values);
-        g.bench_function(format!("scatter_{name}"), |b| {
-            b.iter(|| ranks.scatter(&vals, i64::le_chunks_mut(&mut pos), |v| v.to_wire()))
-        });
-        g.bench_function(format!("gather_{name}"), |b| {
-            b.iter(|| ranks.gather(i64::le_chunks(&pos), &mut vals, |&p| i64::from_wire(p)))
-        });
-        black_box((&pos, &vals));
-    }
     g.finish();
 }
 
-criterion_group!(benches, bench_exec, bench_encode, bench_decode, bench_pages);
+fn bench_ranked(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reply_codec/ranked");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(N as u64));
+    let list = listkit::gen::random_list(N, 0x2222);
+    let runner = HostRunner::new(Algorithm::ReidMiller).with_threads(2);
+    let mut scratch = RankScratch::new();
+    g.bench_function("build", |b| {
+        b.iter(|| black_box(RankArray::build(&runner, &list, &mut scratch)).len())
+    });
+    let ranks = RankArray::build(&runner, &list, &mut scratch);
+    let values: Vec<i64> = (0..N as i64).map(|i| i % 31 - 15).collect();
+    let request: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut payload = pages::vec_with_capacity(8 * N);
+    payload.extend_from_slice(&request);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("2-thread pool");
+    let scan = |payload: &mut [u8]| {
+        let words = i64::le_chunks_mut(payload);
+        ranks.scan_in_place(words, &AddOp, None, |&w| i64::from_wire(w), i64::to_wire);
+    };
+    g.bench_function("copy_into_payload", |b| {
+        b.iter(|| payload.copy_from_slice(black_box(&request)))
+    });
+    g.bench_function("scan_in_place", |b| b.iter(|| pool.install(|| scan(&mut payload))));
+    g.bench_function("copy_then_scan", |b| {
+        b.iter(|| {
+            payload.copy_from_slice(black_box(&request));
+            pool.install(|| scan(&mut payload));
+        })
+    });
+    black_box(&payload);
+    g.finish();
+}
+
+criterion_group!(benches, bench_exec, bench_encode, bench_decode, bench_pages, bench_ranked);
 criterion_main!(benches);

@@ -3,22 +3,25 @@
 //! The paper's §2 gives the reason to rank a list at all: ranks
 //! "reorder the vertices of a linked list into an array in one parallel
 //! step". Once a list's ranks are kept, a list scan along it is an array
-//! scan (Blelloch's scan primitive): scatter the values into position
-//! order, run a blocked prefix over the array, and gather the prefixes
-//! back into vertex order. No link is chased again.
+//! scan (Blelloch's scan primitive) over the vertices in position order.
+//! No link is chased again.
 //!
 //! [`RankArray`] is such a kept rank, as `u32`s — half the bytes of the
-//! `u64` ranks the kernels return. Its kernels take their buffers from
-//! the caller, and read and write elements through `load`/`store`
-//! closures, so a position-order buffer may be a typed `Vec<T>` or a
+//! `u64` ranks the kernels return — together with its inverse, the
+//! vertex at each position. A scan walks the positions in order and
+//! reads and writes each vertex's element where it lies
+//! ([`RankArray::scan_in_place`]), so the values are never moved into
+//! position order and back. Elements are read and written through
+//! `load`/`store` closures, so the buffer may be a typed `Vec<T>` or a
 //! reply frame's payload viewed as little-endian words.
 //!
-//! The scatter is the one write whose disjointness Rust cannot see, so
-//! it goes through the crate's `DisjointWriter`: every position is
-//! written once because a rank array is a permutation of `0..n`. Its
-//! fields are private and [`RankArray::build`], its only constructor,
-//! asserts the permutation (an n-bit pass), so no safe caller can hand
-//! the scatter a rank twice.
+//! The position order is the one write whose disjointness Rust cannot
+//! see, and so is the scan's second pass: both go through the crate's
+//! `DisjointWriter`, and both are sound because a rank array is a
+//! permutation of `0..n`. Its fields are private and
+//! [`RankArray::build`], its only constructor, asserts the permutation
+//! (an n-bit pass) before it writes the position order, so no safe
+//! caller can hand either pass a vertex twice.
 
 use crate::api::{Algorithm, HostRunner};
 use crate::host::RankScratch;
@@ -32,28 +35,44 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// a pass over a list this short.
 const PAR_MIN: usize = 1 << 15;
 
-/// The ranks of one list, `ranks[v]` = position of vertex `v`, kept so
-/// that later ranks are a widening copy and later scans are array scans.
+/// The ranks of one list, `ranks[v]` = position of vertex `v`, and
+/// their inverse, `order[p]` = vertex at position `p`, kept so that
+/// later ranks are a widening copy and later scans are array scans.
 #[derive(Debug)]
 pub struct RankArray {
     ranks: Vec<u32>,
+    order: Vec<u32>,
     algorithm: Algorithm,
 }
 
 impl RankArray {
     /// Rank `list` with `runner`, writing each rank as a `u32` straight
-    /// from the kernel's final pass: the array is the build's one
-    /// list-sized allocation, on huge pages ([`listkit::pages`]).
+    /// from the kernel's final pass, then scatter the position order
+    /// from the ranks. The two arrays are the build's list-sized
+    /// allocations, both on huge pages ([`listkit::pages`]).
     ///
     /// # Panics
     /// If the kernel's ranks are not a permutation of `0..n`: the
-    /// scatter's memory safety rests on it.
+    /// position order's scatter and the scans' memory safety rest on it.
     pub fn build(runner: &HostRunner, list: &LinkedList, scratch: &mut RankScratch) -> Self {
         let mut ranks = listkit::pages::vec_with_capacity(list.len());
         ranks.resize(list.len(), 0u32);
         runner.rank_mapped(list, scratch, &mut ranks, |r| r as u32);
-        assert!(is_permutation(&ranks), "{} ranks are a permutation", runner.algorithm.name());
-        RankArray { ranks, algorithm: runner.algorithm }
+        Self::from_ranks(ranks, runner.algorithm)
+    }
+
+    /// Check that `ranks` is a permutation and scatter its inverse.
+    fn from_ranks(ranks: Vec<u32>, algorithm: Algorithm) -> Self {
+        assert!(is_permutation(&ranks), "{} ranks are a permutation", algorithm.name());
+        let mut order = listkit::pages::vec_with_capacity(ranks.len());
+        order.resize(ranks.len(), 0u32);
+        let writer = DisjointWriter::new(&mut order);
+        ranks.par_iter().enumerate().with_min_len(PAR_MIN).for_each(|(v, &r)| {
+            // SAFETY: the ranks were just checked to be a permutation of
+            // `0..n`, so every position is written by exactly one vertex.
+            unsafe { writer.write(r as usize, v as u32) }
+        });
+        RankArray { ranks, order, algorithm }
     }
 
     /// Vertices ranked.
@@ -81,35 +100,6 @@ impl RankArray {
         map_into(&self.ranks, out, |&r| map(u64::from(r)));
     }
 
-    /// Scatter into position order: `pos[rank of v] = store(&values[v])`.
-    pub fn scatter<V: Sync, P: Send>(
-        &self,
-        values: &[V],
-        pos: &mut [P],
-        store: impl Fn(&V) -> P + Sync,
-    ) {
-        assert_eq!(values.len(), self.len(), "values length mismatch");
-        assert_eq!(pos.len(), self.len(), "position buffer length mismatch");
-        let writer = DisjointWriter::new(pos);
-        values.par_iter().enumerate().with_min_len(PAR_MIN).for_each(|(v, x)| {
-            // SAFETY: `build` asserted that the ranks are a permutation
-            // of `0..n`, so every position is written by exactly one
-            // vertex.
-            unsafe { writer.write(self.ranks[v] as usize, store(x)) }
-        });
-    }
-
-    /// Gather back into vertex order: `out[v] = load(&pos[rank of v])`.
-    pub fn gather<P: Sync, O: Send>(
-        &self,
-        pos: &[P],
-        out: &mut [O],
-        load: impl Fn(&P) -> O + Sync,
-    ) {
-        assert_eq!(pos.len(), self.len(), "position buffer length mismatch");
-        map_into(&self.ranks, out, |&r| load(&pos[r as usize]));
-    }
-
     /// The positions of the vertices `is_start` flags, as an n-bit set:
     /// a segmented scan's restarts in position order.
     pub fn flags<V: Sync>(
@@ -129,32 +119,106 @@ impl RankArray {
         PositionFlags(words.into_iter().map(AtomicU64::into_inner).collect())
     }
 
-    /// Exclusive scan of `values` under `op` along the ranked list:
-    /// `out[v] = map(prefix at v)`. Scatters into a fresh position-order
-    /// `Vec<T>` on huge pages ([`listkit::pages`]), scans it with
-    /// [`prefix`], and gathers.
-    pub fn scan_mapped<T, Op, O>(
+    /// Exclusive scan under `op` along the ranked list, in place in a
+    /// vertex-order buffer: `buf[v]` becomes `store` of the combination
+    /// of every `load`ed element before `v` in list order, restarting at
+    /// the identity at each position `starts` flags.
+    ///
+    /// Two passes over contiguous blocks of positions, one block per
+    /// thread, each reading `buf[order[p]]`: the first reduces each
+    /// block to its combination since its last start, a serial pass
+    /// carries the block sums in order, and the second replaces each
+    /// element with its block's running prefix from the carry. Blocks
+    /// combine left to right, so the result is exact for
+    /// non-commutative operators, and they touch disjoint vertices
+    /// because the position order is a permutation.
+    pub fn scan_in_place<B, T, Op>(
         &self,
-        values: &[T],
+        buf: &mut [B],
         op: &Op,
-        out: &mut [O],
-        map: impl Fn(T) -> O + Sync,
+        starts: Option<&PositionFlags>,
+        load: impl Fn(&B) -> T + Sync,
+        store: impl Fn(T) -> B + Sync,
     ) where
+        B: Send + Sync,
         T: Copy + Send + Sync,
         Op: ScanOp<T>,
-        O: Send,
     {
-        let mut pos = listkit::pages::vec_with_capacity(self.len());
-        pos.resize(self.len(), op.identity());
-        self.scatter(values, &mut pos, |&x| x);
-        prefix(&mut pos, op, None, |&x| x, |x| x);
-        self.gather(&pos, out, |&x| map(x));
+        let n = self.len();
+        assert_eq!(buf.len(), n, "buffer length mismatch");
+        if let Some(flags) = starts {
+            assert!(flags.0.len() * 64 >= n, "flags cover every position");
+        }
+        let is_start = |p: usize| starts.is_some_and(|flags| flags.get(p));
+        let threads =
+            if n < 2 * PAR_MIN { 1 } else { rayon::current_num_threads().clamp(1, n / PAR_MIN) };
+        let len = n.div_ceil(threads);
+        let blocks = n.div_ceil(len);
+        let block = |b: usize| (b * len, &self.order[b * len..((b + 1) * len).min(n)]);
+        if blocks == 1 {
+            let mut acc = op.identity();
+            for (p, &v) in self.order.iter().enumerate() {
+                if is_start(p) {
+                    acc = op.identity();
+                }
+                let x = std::mem::replace(&mut buf[v as usize], store(acc));
+                acc = op.combine(acc, load(&x));
+            }
+            return;
+        }
+        // Each block's combination since its last start, and whether it
+        // holds one.
+        let sums: Vec<(bool, T)> = {
+            let buf = &*buf;
+            (0..blocks)
+                .into_par_iter()
+                .with_min_len(1)
+                .map(|b| {
+                    let (lo, vertices) = block(b);
+                    vertices.iter().enumerate().fold(
+                        (false, op.identity()),
+                        |(seen, acc), (i, &v)| {
+                            let x = load(&buf[v as usize]);
+                            if is_start(lo + i) {
+                                (true, x)
+                            } else {
+                                (seen, op.combine(acc, x))
+                            }
+                        },
+                    )
+                })
+                .collect()
+        };
+        let mut carry = op.identity();
+        let carries: Vec<T> = sums
+            .iter()
+            .map(|&(restarts, sum)| {
+                let c = carry;
+                carry = if restarts { sum } else { op.combine(carry, sum) };
+                c
+            })
+            .collect();
+        let writer = DisjointWriter::new(buf);
+        (0..blocks).into_par_iter().with_min_len(1).for_each(|b| {
+            let (lo, vertices) = block(b);
+            let mut acc = carries[b];
+            for (i, &v) in vertices.iter().enumerate() {
+                if is_start(lo + i) {
+                    acc = op.identity();
+                }
+                // SAFETY: `build` checked that the ranks are a permutation
+                // and wrote `order` as their inverse, so each vertex sits
+                // at one position, in one block: only this block touches
+                // `v`.
+                let x = unsafe { writer.replace(v as usize, store(acc)) };
+                acc = op.combine(acc, load(&x));
+            }
+        });
     }
 }
 
-/// `out[i] = map(&src[i])`, in parallel: the widen, the gather, and
-/// the encode that follows a gather into a typed array.
-pub fn map_into<S: Sync, O: Send>(src: &[S], out: &mut [O], map: impl Fn(&S) -> O + Sync) {
+/// `out[i] = map(&src[i])`, in parallel: the widening copy of the ranks.
+fn map_into<S: Sync, O: Send>(src: &[S], out: &mut [O], map: impl Fn(&S) -> O + Sync) {
     assert_eq!(src.len(), out.len(), "output length mismatch");
     out.par_iter_mut().with_min_len(PAR_MIN).zip(src.par_iter()).for_each(|(o, x)| *o = map(x));
 }
@@ -185,105 +249,11 @@ impl PositionFlags {
     }
 }
 
-/// Exclusive scan of a position-order buffer under `op`, in place:
-/// each element becomes `store` of the combination of every `load`ed
-/// element before it, restarting at the identity at each position
-/// `starts` flags.
-///
-/// Two passes over contiguous blocks, one block per thread: the first
-/// reduces each block to its combination since its last start, a
-/// serial pass carries the block sums in order, and the second scans
-/// each block from its carry. Blocks combine left to right, so the result is
-/// exact for non-commutative operators.
-pub fn prefix<P, T, Op>(
-    pos: &mut [P],
-    op: &Op,
-    starts: Option<&PositionFlags>,
-    load: impl Fn(&P) -> T + Sync,
-    store: impl Fn(T) -> P + Sync,
-) where
-    P: Send + Sync,
-    T: Copy + Send + Sync,
-    Op: ScanOp<T>,
-{
-    match starts {
-        None => blocked(pos, op, |_| false, load, store),
-        Some(flags) => {
-            assert!(flags.0.len() * 64 >= pos.len(), "flags cover every position");
-            blocked(pos, op, |p| flags.get(p), load, store)
-        }
-    }
-}
-
-fn blocked<P, T, Op>(
-    pos: &mut [P],
-    op: &Op,
-    is_start: impl Fn(usize) -> bool + Sync,
-    load: impl Fn(&P) -> T + Sync,
-    store: impl Fn(T) -> P + Sync,
-) where
-    P: Send + Sync,
-    T: Copy + Send + Sync,
-    Op: ScanOp<T>,
-{
-    let n = pos.len();
-    let blocks =
-        if n < 2 * PAR_MIN { 1 } else { rayon::current_num_threads().clamp(1, n / PAR_MIN) };
-    let len = n.div_ceil(blocks).max(1);
-    let scan_block = |block: &mut [P], lo: usize, mut acc: T| {
-        for (i, p) in block.iter_mut().enumerate() {
-            let x = load(p);
-            if is_start(lo + i) {
-                acc = op.identity();
-            }
-            *p = store(acc);
-            acc = op.combine(acc, x);
-        }
-    };
-    if blocks == 1 {
-        scan_block(pos, 0, op.identity());
-        return;
-    }
-    // Each block's combination since its last start, and whether it
-    // holds one.
-    let sums: Vec<(bool, T)> = {
-        let pos = &*pos;
-        (0..blocks)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|b| {
-                let lo = b * len;
-                let block = &pos[lo..(lo + len).min(n)];
-                block.iter().enumerate().fold((false, op.identity()), |(seen, acc), (i, p)| {
-                    if is_start(lo + i) {
-                        (true, load(p))
-                    } else {
-                        (seen, op.combine(acc, load(p)))
-                    }
-                })
-            })
-            .collect()
-    };
-    let mut carry = op.identity();
-    let carries: Vec<T> = sums
-        .iter()
-        .map(|&(restarts, sum)| {
-            let c = carry;
-            carry = if restarts { sum } else { op.combine(carry, sum) };
-            c
-        })
-        .collect();
-    let work: Vec<(usize, (&mut [P], T))> = pos.chunks_mut(len).zip(carries).enumerate().collect();
-    work.into_par_iter().with_min_len(1).for_each(|(b, (block, carry))| {
-        scan_block(block, b * len, carry);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use listkit::gen;
-    use listkit::ops::{Affine, AffineOp, MaxOp};
+    use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
     use listkit::segmented::serial_segmented_scan;
     use listkit::serial;
 
@@ -300,7 +270,13 @@ mod tests {
     }
 
     #[test]
-    fn widened_ranks_equal_the_kernel_ranks() {
+    #[should_panic(expected = "ranks are a permutation")]
+    fn the_build_refuses_a_repeated_rank() {
+        RankArray::from_ranks(vec![1, 0, 1], Algorithm::Serial);
+    }
+
+    #[test]
+    fn the_position_order_inverts_the_ranks_for_every_algorithm() {
         for alg in Algorithm::ALL {
             let list = gen::random_list(3_000, 7);
             let ranks = RankArray::build(&HostRunner::new(alg), &list, &mut RankScratch::default());
@@ -308,60 +284,93 @@ mod tests {
             let mut out = vec![0u64; list.len()];
             ranks.rank_mapped(&mut out, |r| r);
             assert_eq!(out, serial::rank(&list), "{}", alg.name());
+            for (p, &v) in ranks.order.iter().enumerate() {
+                assert_eq!(ranks.ranks[v as usize] as usize, p, "{}: position {p}", alg.name());
+            }
         }
     }
 
+    /// The little-endian encoding of a value type and its decoding.
+    type Le<T, const B: usize> = (fn(T) -> [u8; B], fn([u8; B]) -> T);
+
+    /// Scan `values` in place along `ranks`, segmented at `starts` when
+    /// given, once as a typed buffer and once as little-endian words,
+    /// and check both against the serial list scan.
+    fn check<T, Op, const B: usize>(
+        list: &LinkedList,
+        ranks: &RankArray,
+        values: &[T],
+        starts: Option<(&[bool], &PositionFlags)>,
+        op: Op,
+        (to, from): Le<T, B>,
+        what: &str,
+    ) where
+        T: Copy + Send + Sync + PartialEq + std::fmt::Debug,
+        Op: ScanOp<T>,
+    {
+        let (want, flags) = match starts {
+            Some((starts, flags)) => {
+                (serial_segmented_scan(list, values, starts, &op), Some(flags))
+            }
+            None => (serial::scan(list, values, &op), None),
+        };
+        let mut typed = values.to_vec();
+        ranks.scan_in_place(&mut typed, &op, flags, |&x| x, |x| x);
+        assert_eq!(typed, want, "{what}: typed buffer");
+        let mut words: Vec<[u8; B]> = values.iter().map(|&x| to(x)).collect();
+        ranks.scan_in_place(&mut words, &op, flags, |&w| from(w), to);
+        let got: Vec<T> = words.into_iter().map(from).collect();
+        assert_eq!(got, want, "{what}: word buffer");
+    }
+
+    fn affine_le(x: Affine) -> [u8; 16] {
+        let mut le = [0u8; 16];
+        le[..8].copy_from_slice(&x.a.to_le_bytes());
+        le[8..].copy_from_slice(&x.b.to_le_bytes());
+        le
+    }
+
+    fn affine_from_le(le: [u8; 16]) -> Affine {
+        let (a, b) = le.split_at(8);
+        Affine::new(
+            i64::from_le_bytes(a.try_into().expect("8 bytes")),
+            i64::from_le_bytes(b.try_into().expect("8 bytes")),
+        )
+    }
+
     #[test]
-    fn array_scans_equal_list_scans_across_block_counts() {
+    fn in_place_scans_equal_list_scans_across_block_counts() {
         // Lengths on both sides of the inline cutoff, 1 to 3 blocks,
-        // a non-commutative operator, segmented and not.
+        // every operator (affine is not commutative), segmented and
+        // not, typed and as encoded words.
+        let i64_le: Le<i64, 8> = (i64::to_le_bytes, i64::from_le_bytes);
+        let u64_le: Le<u64, 8> = (u64::to_le_bytes, u64::from_le_bytes);
+        let aff_le: Le<Affine, 16> = (affine_le, affine_from_le);
         for (n, threads) in [(1usize, 2usize), (1_000, 2), (2 * PAR_MIN + 17, 2), (3 * PAR_MIN, 3)]
         {
             let list = gen::random_list(n, n as u64);
             let runner = HostRunner::new(Algorithm::ReidMiller);
             let ranks = RankArray::build(&runner, &list, &mut RankScratch::default());
+            let i64s: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101 - 50).collect();
+            let u64s: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
             let affs: Vec<Affine> =
                 (0..n as i64).map(|i| Affine::new(i % 3 - 1, i % 7 - 3)).collect();
-            let vals: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101 - 50).collect();
             let starts: Vec<bool> = (0..n).map(|v| v % 89 == 3).collect();
-            pool(threads).install(|| {
-                let mut out = vec![Affine::new(1, 0); n];
-                ranks.scan_mapped(&affs, &AffineOp, &mut out, |x| x);
-                assert_eq!(out, serial::scan(&list, &affs, &AffineOp), "affine n={n}");
-                let mut pos = vec![0i64; n];
-                ranks.scatter(&vals, &mut pos, |&x| x);
-                let flags = ranks.flags(&starts, |&s| s);
-                prefix(&mut pos, &MaxOp, Some(&flags), |&x| x, |x| x);
-                let mut out = vec![0i64; n];
-                ranks.gather(&pos, &mut out, |&x| x);
-                let want = serial_segmented_scan(&list, &vals, &starts, &MaxOp);
-                assert_eq!(out, want, "segmented max n={n}");
-            });
+            let flags = ranks.flags(&starts, |&s| s);
+            for threads in 1..=threads {
+                pool(threads).install(|| {
+                    for seg in [None, Some((&starts[..], &flags))] {
+                        let what = |op: &str| {
+                            format!("{op} n={n} threads={threads} seg={}", seg.is_some())
+                        };
+                        check(&list, &ranks, &i64s, seg, AddOp, i64_le, &what("add"));
+                        check(&list, &ranks, &i64s, seg, MaxOp, i64_le, &what("max"));
+                        check(&list, &ranks, &i64s, seg, MinOp, i64_le, &what("min"));
+                        check(&list, &ranks, &u64s, seg, XorOp, u64_le, &what("xor"));
+                        check(&list, &ranks, &affs, seg, AffineOp, aff_le, &what("affine"));
+                    }
+                });
+            }
         }
-    }
-
-    #[test]
-    fn a_position_buffer_can_be_encoded_words() {
-        // The buffer a served scan uses: a reply payload viewed as
-        // little-endian words, values gathered back into their array.
-        let list = gen::random_list(5_000, 3);
-        let ranks = RankArray::build(
-            &HostRunner::new(Algorithm::Serial),
-            &list,
-            &mut RankScratch::default(),
-        );
-        let mut values: Vec<i64> = (0..5_000).map(|i| i % 11 - 5).collect();
-        let want = serial::scan(&list, &values, &listkit::ops::AddOp);
-        let mut words = vec![[0u8; 8]; 5_000];
-        ranks.scatter(&values, &mut words, |x| x.to_le_bytes());
-        prefix(
-            &mut words,
-            &listkit::ops::AddOp,
-            None,
-            |w| i64::from_le_bytes(*w),
-            i64::to_le_bytes,
-        );
-        ranks.gather(&words, &mut values, |w| i64::from_le_bytes(*w));
-        assert_eq!(values, want);
     }
 }

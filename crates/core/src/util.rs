@@ -7,16 +7,18 @@ use std::cell::UnsafeCell;
 ///
 /// List ranking's output is a scatter: each sublist task writes the scan
 /// values of its own vertices, and sublists partition the vertex set, so
-/// no two tasks ever touch the same index. Rust cannot see that
+/// no two tasks ever touch the same index. An in-place scan along a
+/// kept rank array reads and replaces each vertex's element from the
+/// one block of positions that holds it. Rust cannot see that
 /// disjointness through an index set, hence this narrowly-scoped unsafe
 /// cell (the only unsafe code in the crate).
 pub struct DisjointWriter<'a, T> {
     slice: &'a [UnsafeCell<T>],
 }
 
-// SAFETY: access is only through `write`, whose contract requires callers
-// to guarantee index-disjointness across threads; with disjoint indices
-// there is no aliasing and `T: Send` suffices.
+// SAFETY: access is only through `write` and `replace`, whose contracts
+// require callers to guarantee index-disjointness across threads; with
+// disjoint indices there is no aliasing and `T: Send` suffices.
 unsafe impl<T: Send> Sync for DisjointWriter<'_, T> {}
 
 impl<'a, T> DisjointWriter<'a, T> {
@@ -54,6 +56,19 @@ impl<'a, T> DisjointWriter<'a, T> {
         // SAFETY: caller guarantees exclusive use of `index`.
         unsafe { *self.slice[index].get() = value };
     }
+
+    /// Write `value` at `index` and return the element it replaces: the
+    /// read-then-write of an in-place scan.
+    ///
+    /// # Safety
+    /// As for [`Self::write`]: no other thread may read or write `index`
+    /// for the lifetime of this writer.
+    #[inline]
+    pub unsafe fn replace(&self, index: usize, value: T) -> T {
+        // SAFETY: caller guarantees exclusive use of `index`, so this is
+        // the only reference to the element while it lives.
+        unsafe { std::mem::replace(&mut *self.slice[index].get(), value) }
+    }
 }
 
 #[cfg(test)]
@@ -77,6 +92,22 @@ mod tests {
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, i * 3);
         }
+    }
+
+    #[test]
+    fn parallel_disjoint_replaces_return_the_old_elements() {
+        let mut data: Vec<usize> = (0..10_000).collect();
+        {
+            let w = DisjointWriter::new(&mut data);
+            (0..4usize).into_par_iter().for_each(|r| {
+                for i in (r..w.len()).step_by(4) {
+                    // SAFETY: residue classes mod 4 are disjoint.
+                    let old = unsafe { w.replace(i, i * 3) };
+                    assert_eq!(old, i);
+                }
+            });
+        }
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i * 3));
     }
 
     #[test]

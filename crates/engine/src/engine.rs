@@ -2,8 +2,8 @@
 
 use crate::fault::FaultPlane;
 use crate::job::{
-    BatchReplies, FrameReply, JobCell, JobError, JobExec, JobHandle, JobOptions, JobReport, Out,
-    QueuedJob, Request, Responder, Run,
+    BatchReplies, FrameReply, JobCell, JobError, JobHandle, JobOptions, JobReport, QueuedJob,
+    Request, Responder, Run,
 };
 use crate::op::OpKind;
 use crate::planner::{Plan, Planner, ShardDecision};
@@ -12,7 +12,7 @@ use crate::queue::{JobQueue, SubmitError};
 use crate::stats::{Counters, EngineStats};
 use crate::telemetry::{self, Phase, Span, Telemetry};
 use listkit::sharded::ShardedList;
-use listrank::host::{RankArray, RankScratch, ShardedReport};
+use listrank::host::RankArray;
 use listrank::HostRunner;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -406,20 +406,6 @@ enum Route {
 /// planned and recorded under.
 const RANK_BYTES: usize = std::mem::size_of::<u64>();
 
-/// Run a job's body: [`JobExec::run_once`] when the queued job holds
-/// the only reference to it (every served request), else shared.
-fn run_job(
-    exec: &mut Arc<dyn JobExec>,
-    how: Run<'_>,
-    scratch: &mut RankScratch,
-    out: Out<'_>,
-) -> Option<ShardedReport> {
-    match Arc::get_mut(exec) {
-        Some(exec) => exec.run_once(how, scratch, out),
-        None => exec.run(how, scratch, out),
-    }
-}
-
 /// One worker's share of a `budget` of threads while `busy` workers
 /// (its own included) run a batch.
 fn split(budget: usize, busy: usize) -> usize {
@@ -560,18 +546,19 @@ fn worker_loop(shared: &Shared) {
                     let runner = |plan: Plan| {
                         HostRunner::new(plan.algorithm).with_seed(seed).with_lanes(plan.lanes)
                     };
-                    let exec = &mut job.spec.exec;
+                    let exec = &job.spec.exec;
                     match route {
                         Route::Monolithic(plan) => {
                             let how = Run::Monolithic { runner: &runner(plan), list };
-                            run_job(exec, how, &mut scratch, out);
+                            exec.run(how, &mut scratch, out);
                             let algorithm = plan.algorithm;
                             Executed { algorithm, shards: 0, stitch_ns: 0, sample: Sample::Exec }
                         }
                         Route::Sharded { shard_size, lanes } => {
                             let sharded = ShardedList::build(list, shard_size).with_lanes(lanes);
                             let how = Run::Sharded { sharded: &sharded, seed };
-                            let report = run_job(exec, how, &mut scratch, out)
+                            let report = exec
+                                .run(how, &mut scratch, out)
                                 .expect("a sharded run reports its stitch");
                             Executed {
                                 algorithm: report.stitch_algorithm,
@@ -584,7 +571,7 @@ fn worker_loop(shared: &Shared) {
                             if let Some(warm) = &job.spec.warm {
                                 warm.cache.count_reuse();
                             }
-                            run_job(exec, Run::Ranked { ranks: &ranks }, &mut scratch, out);
+                            exec.run(Run::Ranked { ranks: &ranks }, &mut scratch, out);
                             let algorithm = ranks.algorithm();
                             Executed { algorithm, shards: 0, stitch_ns: 0, sample: Sample::None }
                         }
@@ -596,7 +583,7 @@ fn worker_loop(shared: &Shared) {
                             let (ranks, built) =
                                 warm.cache.get_or_build(list, &runner(plan), &mut scratch);
                             let sample = built.map_or(Sample::None, Sample::Build);
-                            run_job(exec, Run::Ranked { ranks: &ranks }, &mut scratch, out);
+                            exec.run(Run::Ranked { ranks: &ranks }, &mut scratch, out);
                             let algorithm = ranks.algorithm();
                             Executed { algorithm, shards: 0, stitch_ns: 0, sample }
                         }

@@ -5,22 +5,21 @@
 //! `engine.submit(Request::scan(list, values, MaxOp))` and `wait()`
 //! hands back the concrete `Vec<i64>` — no closed output enum to
 //! match, no `Option` to unwrap. Internally what a job computes is
-//! erased behind the `JobExec` object — a ranking, a generic
-//! [`listkit::ScanOp`] scan or a segmented scan are its three
-//! implementors — so the queue, planner and workers stay monomorphic
-//! and carry one job spec; the handle re-types the erased output on
-//! the way out (guaranteed to succeed because only the typed builders
-//! can construct a request).
+//! erased behind the `JobExec` object — a ranking, an in-process
+//! [`listkit::ScanOp`] scan (segmented or not) and a served one, whose
+//! values are in its reply frame, are its three implementors — so the
+//! queue, planner and workers stay monomorphic and carry one job spec;
+//! the handle re-types the erased output on the way out (guaranteed to
+//! succeed because only the typed builders can construct a request).
 
 use crate::op::{classify_op, OpKind};
-use crate::protocol::WireElem;
+use crate::protocol::{self, WireElem};
 use crate::queue::SubmitError;
 use crate::sched::Priority;
 use crate::store::ArtifactCache;
 use listkit::segmented::{self, SegOp, Segmented};
 use listkit::sharded::ShardedList;
 use listkit::{LinkedList, ScanOp};
-use listrank::host::ranked::{self, PositionFlags};
 use listrank::host::{RankArray, RankScratch, ShardedReport};
 use listrank::{Algorithm, HostRunner};
 use std::any::Any;
@@ -40,8 +39,9 @@ pub(crate) enum Run<'a> {
     Monolithic { runner: &'a HostRunner, list: &'a LinkedList },
     /// Against a sharded representation the worker built for this job.
     Sharded { sharded: &'a ShardedList, seed: u64 },
-    /// From the job list's rank array: a rank widens it, a scan
-    /// scatters, prefixes and gathers ([`listrank::host::ranked`]).
+    /// From the job list's rank array: a rank widens it, a scan runs in
+    /// place along its position order
+    /// ([`RankArray::scan_in_place`]).
     Ranked { ranks: &'a RankArray },
 }
 
@@ -64,20 +64,9 @@ pub(crate) enum Out<'a> {
     /// A fresh typed `Vec`, erased, for [`JobHandle::wait`].
     Typed(&'a mut Option<ErasedOutput>),
     /// Each element's little-endian wire encoding, in place: the
-    /// payload of the reply frame a [`FrameReply`] opened.
+    /// payload of the reply frame a [`FrameReply`] opened. A served
+    /// scan's frame already holds the request's values there.
     Wire(&'a mut [u8]),
-}
-
-/// A job's bodies with its element type's wire encoding fixed, so they
-/// can fill a reply frame's payload. Captured by the builders that know
-/// the element type is a [`WireElem`]; the erased job calls them.
-struct Wire<J> {
-    /// The payload from any run.
-    fill: fn(&J, Run<'_>, &mut RankScratch, &mut [u8]) -> Option<ShardedReport>,
-    /// The payload from a rank array, with the job's own values as the
-    /// gather buffer ([`in_place`]); `false`, and nothing written, when
-    /// another request shares them.
-    ranked: fn(&mut J, &RankArray, &mut [u8]) -> bool,
 }
 
 /// The executable body of a job with its output, operator and value
@@ -92,68 +81,15 @@ pub(crate) trait JobExec: Send + Sync {
     fn check(&self, list: &LinkedList) -> bool;
     /// Execute, writing every element into `out`.
     fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport>;
-    /// [`Self::run`] for a job no other request shares. A served scan
-    /// from a rank array then gathers into the job's own values instead
-    /// of a fresh list-sized buffer, which uses them up: the job cannot
-    /// run again.
-    fn run_once(
-        &mut self,
-        how: Run<'_>,
-        scratch: &mut RankScratch,
-        out: Out<'_>,
-    ) -> Option<ShardedReport> {
-        self.run(how, scratch, out)
-    }
 }
 
-/// [`JobExec::run_once`] for a job with a [`Wire`] body: a payload
-/// filled from a rank array goes through [`Wire::ranked`].
-fn run_once_wire<J: JobExec>(
-    job: &mut J,
-    wire: impl Fn(&J) -> Option<&Wire<J>>,
-    how: Run<'_>,
-    scratch: &mut RankScratch,
-    mut out: Out<'_>,
-) -> Option<ShardedReport> {
-    if let (Run::Ranked { ranks }, Out::Wire(bytes), Some(ranked)) =
-        (how, &mut out, wire(job).map(|w| w.ranked))
-    {
-        if ranked(job, ranks, bytes) {
-            return None;
-        }
-    }
-    job.run(how, scratch, out)
+/// Park a filled `Vec`, erased, in `slot`.
+fn park<T: Send + 'static>(slot: &mut Option<ErasedOutput>, out: Vec<T>) {
+    *slot = Some(Box::new(out));
 }
 
-/// A served scan from a rank array, in the job's two list-sized
-/// buffers: `values[v]`'s scan element is scattered into the reply
-/// payload in position order, the payload is scanned in place (with the
-/// segment restarts `flags` holds), the prefixes are gathered back into
-/// `values` (`back` rebuilds an element), and `values` is encoded into
-/// the payload.
-fn in_place<V, T, Op>(
-    ranks: &RankArray,
-    values: &mut [V],
-    get: impl Fn(&V) -> T + Sync,
-    back: impl Fn(T) -> V + Sync,
-    flags: Option<&PositionFlags>,
-    op: &Op,
-    bytes: &mut [u8],
-) where
-    V: Send + Sync,
-    T: WireElem + Send + Sync,
-    Op: ScanOp<T>,
-{
-    let pos = T::le_chunks_mut(bytes);
-    ranks.scatter(values, pos, |v| get(v).to_wire());
-    ranked::prefix(pos, op, flags, |&p| T::from_wire(p), T::to_wire);
-    ranks.gather(pos, values, |&p| back(T::from_wire(p)));
-    ranked::map_into(values, pos, |v| get(v).to_wire());
-}
-
-/// Fill a fresh `Vec` that starts as `n` copies of `init` and park it,
-/// erased, in `slot`. A list-sized one is on huge pages
-/// ([`listkit::pages`]).
+/// Fill a fresh `Vec` that starts as `n` copies of `init` and park it
+/// in `slot`. A list-sized one is on huge pages ([`listkit::pages`]).
 fn typed<T: Clone + Send + 'static>(
     slot: &mut Option<ErasedOutput>,
     n: usize,
@@ -163,12 +99,12 @@ fn typed<T: Clone + Send + 'static>(
     let mut out = listkit::pages::vec_with_capacity(n);
     out.resize(n, init);
     let report = fill(&mut out);
-    *slot = Some(Box::new(out));
+    park(slot, out);
     report
 }
 
-/// The one scan body every scan job shares: `values` scanned under
-/// `op` along the run's list, `out[v] = map(prefix at v)`.
+/// `values` scanned under `op` along a kernel or sharded run's list,
+/// `out[v] = map(prefix at v)`.
 fn scan_run<T, Op, O>(
     how: Run<'_>,
     values: &[T],
@@ -190,10 +126,7 @@ where
         Run::Sharded { sharded, seed } => Some(listrank::host::scan_sharded_prebuilt_mapped(
             sharded, values, op, seed, scratch, out, map,
         )),
-        Run::Ranked { ranks } => {
-            ranks.scan_mapped(values, op, out, map);
-            None
-        }
+        Run::Ranked { .. } => unreachable!("a scan from a rank array runs in place"),
     }
 }
 
@@ -247,36 +180,88 @@ impl JobExec for RankJob {
     }
 }
 
-/// A plain generic scan job: values + operator.
-struct ScanJob<T, Op> {
-    values: Arc<Vec<T>>,
+/// What every scan job computes, wherever its values are: the exclusive
+/// scan under `op`, restarting at the identity at every vertex `starts`
+/// flags when it is segmented.
+struct Scan<Op> {
     op: Op,
+    starts: Option<Arc<Vec<bool>>>,
     kind: OpKind,
-    /// The wire bodies, when the builder knew `T` is a [`WireElem`].
-    wire: Option<Wire<Self>>,
 }
 
-impl<T, Op> ScanJob<T, Op>
-where
-    T: WireElem + Send + Sync,
-    Op: ScanOp<T>,
-{
-    const WIRE: Wire<Self> = Wire { fill: Self::fill_wire, ranked: Self::ranked_wire };
+impl<Op: 'static> Scan<Op> {
+    fn new(op: Op, starts: Option<Arc<Vec<bool>>>) -> Self {
+        let kind = if starts.is_some() { OpKind::Segmented } else { classify_op::<Op>() };
+        Scan { op, starts, kind }
+    }
 
-    fn fill_wire(
+    /// The planner's width key: a segmented kernel run scans wrapped
+    /// elements.
+    fn elem_bytes<T>(&self) -> usize {
+        match self.starts {
+            Some(_) => std::mem::size_of::<Segmented<T>>(),
+            None => std::mem::size_of::<T>(),
+        }
+    }
+
+    /// Whether the segment starts, if any, cover the list.
+    fn check(&self, list: &LinkedList) -> bool {
+        self.starts.as_ref().is_none_or(|starts| starts.len() == list.len())
+    }
+
+    /// A kernel or sharded run from `values`: `out[v] = map(prefix at
+    /// v)`. A segmented one wraps the values with their segment flags
+    /// (on the worker, per run), scans them under the [`SegOp`]
+    /// transform, and restarts every segment start at the identity on
+    /// the way out ([`segmented::restart_segments`]), so no wrapped
+    /// output array is ever built.
+    fn kernel<T, O>(
         &self,
         how: Run<'_>,
+        values: &[T],
         scratch: &mut RankScratch,
-        bytes: &mut [u8],
-    ) -> Option<ShardedReport> {
-        scan_run(how, &self.values, &self.op, scratch, T::le_chunks_mut(bytes), T::to_wire)
+        out: &mut [O],
+        map: impl Fn(T) -> O + Sync,
+    ) -> Option<ShardedReport>
+    where
+        T: Copy + Send + Sync,
+        Op: ScanOp<T>,
+        O: Copy + Send,
+    {
+        let Some(starts) = &self.starts else {
+            return scan_run(how, values, &self.op, scratch, out, map);
+        };
+        let wrapped = segmented::wrap(values, starts);
+        let report = scan_run(how, &wrapped, &SegOp(&self.op), scratch, out, |s| map(s.value));
+        segmented::restart_segments(out, starts, map(self.op.identity()));
+        report
     }
 
-    fn ranked_wire(&mut self, ranks: &RankArray, bytes: &mut [u8]) -> bool {
-        let Some(values) = Arc::get_mut(&mut self.values) else { return false };
-        in_place(ranks, values, |&x| x, |x| x, None, &self.op, bytes);
-        true
+    /// A run from a rank array, in place in `buf`, which holds the
+    /// values in vertex order. The restarts travel to position order as
+    /// an n-bit set ([`RankArray::flags`]), so nothing is wrapped.
+    fn in_place<B, T>(
+        &self,
+        ranks: &RankArray,
+        buf: &mut [B],
+        load: impl Fn(&B) -> T + Sync,
+        store: impl Fn(T) -> B + Sync,
+    ) where
+        B: Send + Sync,
+        T: Copy + Send + Sync,
+        Op: ScanOp<T>,
+    {
+        let flags = self.starts.as_ref().map(|starts| ranks.flags(starts, |&start| start));
+        ranks.scan_in_place(buf, &self.op, flags.as_ref(), load, store);
     }
+}
+
+/// An in-process scan or segmented scan: the caller's values, scanned
+/// into a fresh typed `Vec`. From a rank array that `Vec` starts as a
+/// copy of the values and is scanned in place.
+struct ScanJob<T, Op> {
+    values: Arc<Vec<T>>,
+    scan: Scan<Op>,
 }
 
 impl<T, Op> JobExec for ScanJob<T, Op>
@@ -285,145 +270,82 @@ where
     Op: ScanOp<T> + Send + Sync + 'static,
 {
     fn op_kind(&self) -> OpKind {
-        self.kind
+        self.scan.kind
     }
 
     fn elem_bytes(&self) -> usize {
-        std::mem::size_of::<T>()
+        self.scan.elem_bytes::<T>()
     }
 
     fn check(&self, list: &LinkedList) -> bool {
-        self.values.len() == list.len()
+        self.values.len() == list.len() && self.scan.check(list)
     }
 
     fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport> {
-        match out {
-            Out::Typed(slot) => typed(slot, how.len(), self.op.identity(), |v| {
-                scan_run(how, &self.values, &self.op, scratch, v, |x| x)
+        let Out::Typed(slot) = out else {
+            panic!("wire output is only requested of jobs built with Request::frame_scan")
+        };
+        let scan = &self.scan;
+        match how {
+            Run::Ranked { ranks } => {
+                let mut out = listkit::pages::copied(&self.values);
+                scan.in_place(ranks, &mut out, |&x| x, |x| x);
+                park(slot, out);
+                None
+            }
+            how => typed(slot, how.len(), scan.op.identity(), |out| {
+                scan.kernel(how, &self.values, scratch, out, |x| x)
             }),
-            Out::Wire(bytes) => (wire_body(&self.wire).fill)(self, how, scratch, bytes),
         }
     }
-
-    fn run_once(
-        &mut self,
-        how: Run<'_>,
-        scratch: &mut RankScratch,
-        out: Out<'_>,
-    ) -> Option<ShardedReport> {
-        run_once_wire(self, |job| job.wire.as_ref(), how, scratch, out)
-    }
 }
 
-/// A segmented scan job: a kernel run wraps the values with their
-/// segment flags (on the worker, per run), scans them under the
-/// [`SegOp`] transform, and unwraps on the way out — each element
-/// mapped from its wrapped prefix's value, then every segment start
-/// restarted at the identity ([`segmented::restart_segments`]) — so the
-/// caller's output type is `Vec<T>`, not an engine detail, and no
-/// wrapped output array is ever built. A run from a rank array needs
-/// no wrapping at all.
-struct SegScanJob<T, Op> {
-    values: Arc<Vec<T>>,
-    starts: Arc<Vec<bool>>,
-    op: Op,
-    /// The wire bodies, when the builder knew `T` is a [`WireElem`].
-    wire: Option<Wire<Self>>,
+/// A served scan or segmented scan. Its values arrived as wire
+/// encodings and were copied into its reply frame's payload at submit,
+/// and a scan's output has the same encoding, so a run from a rank
+/// array scans that payload in place: it is the run's one list-sized
+/// buffer. A kernel or sharded run decodes the values on the worker
+/// first.
+struct FrameScanJob<T, Op> {
+    scan: Scan<Op>,
+    _values: PhantomData<fn() -> T>,
 }
 
-impl<T, Op> SegScanJob<T, Op>
+impl<T, Op> JobExec for FrameScanJob<T, Op>
 where
-    T: Copy + Send + Sync,
-    Op: ScanOp<T> + Clone,
-{
-    fn fill<O: Copy + Send>(
-        &self,
-        how: Run<'_>,
-        scratch: &mut RankScratch,
-        out: &mut [O],
-        map: impl Fn(T) -> O + Sync,
-    ) -> Option<ShardedReport> {
-        let wrapped = segmented::wrap(&self.values, &self.starts);
-        let seg = SegOp(self.op.clone());
-        let report = scan_run(how, &wrapped, &seg, scratch, out, |s| map(s.value));
-        segmented::restart_segments(out, &self.starts, map(self.op.identity()));
-        report
-    }
-
-    fn fill_wire(
-        &self,
-        how: Run<'_>,
-        scratch: &mut RankScratch,
-        bytes: &mut [u8],
-    ) -> Option<ShardedReport>
-    where
-        T: WireElem,
-    {
-        self.fill(how, scratch, T::le_chunks_mut(bytes), T::to_wire)
-    }
-
-    /// The restarts travel to position order as an n-bit set
-    /// ([`RankArray::flags`]), so the scan element is the bare value
-    /// and the payload holds it.
-    fn ranked_wire(&mut self, ranks: &RankArray, bytes: &mut [u8]) -> bool
-    where
-        T: WireElem,
-    {
-        let Some(values) = Arc::get_mut(&mut self.values) else { return false };
-        let flags = ranks.flags(&self.starts, |&start| start);
-        in_place(ranks, values, |&x| x, |x| x, Some(&flags), &self.op, bytes);
-        true
-    }
-}
-
-impl<T, Op> SegScanJob<T, Op>
-where
-    T: WireElem + Send + Sync,
-    Op: ScanOp<T> + Clone,
-{
-    const WIRE: Wire<Self> = Wire { fill: Self::fill_wire, ranked: Self::ranked_wire };
-}
-
-impl<T, Op> JobExec for SegScanJob<T, Op>
-where
-    T: Copy + Send + Sync + 'static,
-    Op: ScanOp<T> + Clone + Send + Sync + 'static,
+    T: WireElem + Send + Sync + 'static,
+    Op: ScanOp<T> + Send + Sync + 'static,
 {
     fn op_kind(&self) -> OpKind {
-        OpKind::Segmented
+        self.scan.kind
     }
 
     fn elem_bytes(&self) -> usize {
-        std::mem::size_of::<Segmented<T>>()
+        self.scan.elem_bytes::<T>()
     }
 
     fn check(&self, list: &LinkedList) -> bool {
-        self.values.len() == list.len() && self.starts.len() == list.len()
+        self.scan.check(list)
     }
 
     fn run(&self, how: Run<'_>, scratch: &mut RankScratch, out: Out<'_>) -> Option<ShardedReport> {
-        match out {
-            Out::Typed(slot) => {
-                typed(slot, how.len(), self.op.identity(), |v| self.fill(how, scratch, v, |x| x))
+        let Out::Wire(bytes) = out else { panic!("a served scan's values are in its reply frame") };
+        match how {
+            Run::Ranked { ranks } => {
+                self.scan.in_place(
+                    ranks,
+                    T::le_chunks_mut(bytes),
+                    |&le| T::from_wire(le),
+                    T::to_wire,
+                );
+                None
             }
-            Out::Wire(bytes) => (wire_body(&self.wire).fill)(self, how, scratch, bytes),
+            how => {
+                let values = protocol::decode_slice::<T>(bytes);
+                self.scan.kernel(how, &values, scratch, T::le_chunks_mut(bytes), T::to_wire)
+            }
         }
     }
-
-    fn run_once(
-        &mut self,
-        how: Run<'_>,
-        scratch: &mut RankScratch,
-        out: Out<'_>,
-    ) -> Option<ShardedReport> {
-        run_once_wire(self, |job| job.wire.as_ref(), how, scratch, out)
-    }
-}
-
-/// A job's wire bodies. Only the server asks for wire output, and it
-/// builds every job with [`Request::wire_scan`] or [`Request::rank`].
-fn wire_body<J>(wire: &Option<Wire<J>>) -> &Wire<J> {
-    wire.as_ref().expect("wire output is only requested of jobs built with a wire encoding")
 }
 
 /// What a job computes (internal, type-erased). Constructed only
@@ -579,16 +501,16 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
     where
         Op: ScanOp<T> + Send + Sync + 'static,
     {
-        Self::scan_job(list, values, op, None)
+        Self::new(list, Arc::new(ScanJob { values, scan: Scan::new(op, None) }))
     }
 
     /// Exclusive **segmented** scan: restarts at every vertex whose
-    /// `starts` flag is set (the head always starts a segment). The
-    /// worker wraps the values with their flags, scans them under the
-    /// flag-carrying [`SegOp`] transform, and unwraps them back, so the
-    /// handle resolves to plain `Vec<T>`. The transform is associative
-    /// (never commutative), which is exactly what the stitched
-    /// [`Request::sharded`] scan preserves.
+    /// `starts` flag is set (the head always starts a segment). A
+    /// kernel run wraps the values with their flags, scans them under
+    /// the flag-carrying [`SegOp`] transform, and unwraps them back, so
+    /// the handle resolves to plain `Vec<T>`. The transform is
+    /// associative (never commutative), which is exactly what the
+    /// stitched [`Request::sharded`] scan preserves.
     ///
     /// A `values`/`starts` length mismatch is caught at submit time
     /// ([`SubmitError::Invalid`]), like every other malformed spec.
@@ -601,53 +523,25 @@ impl<T: Copy + Send + Sync + 'static> Request<Vec<T>> {
     where
         Op: ScanOp<T> + Clone + Send + Sync + 'static,
     {
-        Self::segmented_job(list, values, starts, op, None)
-    }
-
-    fn scan_job<Op>(
-        list: Arc<LinkedList>,
-        values: Arc<Vec<T>>,
-        op: Op,
-        wire: Option<Wire<ScanJob<T, Op>>>,
-    ) -> Self
-    where
-        Op: ScanOp<T> + Send + Sync + 'static,
-    {
-        let kind = classify_op::<Op>();
-        Self::new(list, Arc::new(ScanJob { values, op, kind, wire }))
-    }
-
-    fn segmented_job<Op>(
-        list: Arc<LinkedList>,
-        values: Arc<Vec<T>>,
-        starts: Arc<Vec<bool>>,
-        op: Op,
-        wire: Option<Wire<SegScanJob<T, Op>>>,
-    ) -> Self
-    where
-        Op: ScanOp<T> + Clone + Send + Sync + 'static,
-    {
-        Self::new(list, Arc::new(SegScanJob { values, starts, op, wire }))
+        Self::new(list, Arc::new(ScanJob { values, scan: Scan::new(op, Some(starts)) }))
     }
 }
 
 impl<T: WireElem + Send + Sync + 'static> Request<Vec<T>> {
     /// The server's scan builder: [`Request::scan`], or with `starts`
-    /// [`Request::segmented_scan`], whose job can also write its
-    /// elements straight into a reply frame as wire encodings.
-    pub(crate) fn wire_scan<Op>(
+    /// [`Request::segmented_scan`], over the values the request's reply
+    /// frame holds in its payload when it runs. Only wire output may be
+    /// asked of it.
+    pub(crate) fn frame_scan<Op>(
         list: Arc<LinkedList>,
-        values: Arc<Vec<T>>,
         starts: Option<Arc<Vec<bool>>>,
         op: Op,
     ) -> Self
     where
-        Op: ScanOp<T> + Clone + Send + Sync + 'static,
+        Op: ScanOp<T> + Send + Sync + 'static,
     {
-        match starts {
-            Some(starts) => Self::segmented_job(list, values, starts, op, Some(SegScanJob::WIRE)),
-            None => Self::scan_job(list, values, op, Some(ScanJob::WIRE)),
-        }
+        let scan = Scan::new(op, starts);
+        Self::new(list, Arc::new(FrameScanJob { scan, _values: PhantomData }))
     }
 }
 

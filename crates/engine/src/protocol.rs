@@ -701,16 +701,23 @@ pub enum WireValues {
     Affine(Vec<Affine>),
 }
 
-fn decode_values(op: WireOp, n: usize, d: &mut Dec<'_>) -> Result<WireValues, WireError> {
+impl WireValues {
+    /// Decode `op`'s value array from its wire encodings.
+    fn decode(op: WireOp, raw: &[u8]) -> Self {
+        match op {
+            WireOp::Add | WireOp::Max | WireOp::Min => WireValues::I64(decode_slice(raw)),
+            WireOp::Xor => WireValues::U64(decode_slice(raw)),
+            WireOp::Affine => WireValues::Affine(decode_slice(raw)),
+        }
+    }
+}
+
+/// The `n` encodings of `op`'s value array, borrowed from the body.
+fn take_values<'a>(op: WireOp, n: usize, d: &mut Dec<'a>) -> Result<&'a [u8], WireError> {
     let total = n
         .checked_mul(op.elem_bytes())
         .ok_or_else(|| WireError::malformed("value array length overflows"))?;
-    let raw = d.take(total, "value array")?;
-    Ok(match op {
-        WireOp::Add | WireOp::Max | WireOp::Min => WireValues::I64(decode_slice(raw)),
-        WireOp::Xor => WireValues::U64(decode_slice(raw)),
-        WireOp::Affine => WireValues::Affine(decode_slice(raw)),
-    })
+    d.take(total, "value array")
 }
 
 // ---------------------------------------------------------------------
@@ -873,9 +880,12 @@ impl From<u64> for Source<&LinkedList> {
 /// What a job frame computes along its [`Source`]. Ranking is the scan
 /// with no operand; a by-handle frame's value arrays are checked
 /// against the resident list's length at submit, not decode (the
-/// decoder doesn't know the dataset).
+/// decoder doesn't know the dataset). The values are typed
+/// [`WireValues`], or, as the server decodes them
+/// ([`decode_request_parts`]), their encodings borrowed from the frame
+/// body, exactly `n` elements long.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Job {
+pub enum Job<V = WireValues> {
     /// Rank the list.
     Rank,
     /// Exclusive scan of `values` under `op`.
@@ -883,7 +893,7 @@ pub enum Job {
         /// The operator (fixes the element type of `values`).
         op: WireOp,
         /// One value per vertex.
-        values: WireValues,
+        values: V,
     },
     /// Exclusive segmented scan: restarts wherever `starts` is set.
     SegScan {
@@ -892,7 +902,7 @@ pub enum Job {
         /// Unpacked segment-start flags, one per value.
         starts: Vec<bool>,
         /// One value per vertex.
-        values: WireValues,
+        values: V,
     },
 }
 
@@ -900,13 +910,13 @@ pub enum Job {
 /// SCAN_H, SEGSCAN_H. The frame kind picks the [`Source`] and the
 /// [`Job`]; [`JobFrame::kind`] maps back.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobFrame {
+pub struct JobFrame<V = WireValues> {
     /// Decoded flags prefix (routing, deadline, QoS, pipelining).
     pub flags: ReqFlags,
     /// Where the list comes from.
     pub source: Source,
     /// What to compute along it.
-    pub job: Job,
+    pub job: Job<V>,
 }
 
 /// The frame kind a job travels as: inline or by handle × rank, scan
@@ -922,7 +932,7 @@ fn job_kind(by_handle: bool, scan: bool, segmented: bool) -> FrameKind {
     }
 }
 
-impl JobFrame {
+impl<V> JobFrame<V> {
     /// The frame kind this job travels as.
     pub fn kind(&self) -> FrameKind {
         let by_handle = matches!(self.source, Source::Handle(_));
@@ -937,9 +947,10 @@ impl JobFrame {
 /// A decoded client→server request. Job-bearing frames arrive as one
 /// [`JobFrame`]; an inline successor array has already passed
 /// [`LinkedList`] construction — a structurally invalid list never
-/// gets past [`decode_request`].
+/// gets past [`decode_request`]. `V` is the job's value array, as in
+/// [`Job`].
 #[derive(Debug)]
-pub enum WireRequest {
+pub enum WireRequest<V = WireValues> {
     /// Handshake (magic and version still unchecked — the server
     /// decides how to answer).
     Hello {
@@ -949,7 +960,7 @@ pub enum WireRequest {
         version: u16,
     },
     /// Any of the six job-bearing kinds.
-    Job(JobFrame),
+    Job(JobFrame<V>),
     /// Admit a dataset into the resident store ([`FrameKind::Put`]).
     Put {
         /// The validated list to make resident.
@@ -1027,10 +1038,11 @@ fn decode_starts(n: usize, d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
 /// sequence with optional parts: flags, the operator (scans), the
 /// list or the handle, the value count (by-handle scans; an inline
 /// list's length is the count), the start bitmap (segmented), values.
-fn decode_job(
+fn decode_job<'a, V>(
     (by_handle, scan, segmented): (bool, bool, bool),
-    d: &mut Dec<'_>,
-) -> Result<JobFrame, WireError> {
+    d: &mut Dec<'a>,
+    values: impl FnOnce(WireOp, &'a [u8]) -> V,
+) -> Result<JobFrame<V>, WireError> {
     let flags = decode_flags(d)?;
     let op = if scan {
         let op_byte = d.u8("operator")?;
@@ -1050,9 +1062,9 @@ fn decode_job(
     };
     let job = if segmented {
         let starts = decode_starts(n, d)?;
-        Job::SegScan { op, starts, values: decode_values(op, n, d)? }
+        Job::SegScan { op, starts, values: values(op, take_values(op, n, d)?) }
     } else {
-        Job::Scan { op, values: decode_values(op, n, d)? }
+        Job::Scan { op, values: values(op, take_values(op, n, d)?) }
     };
     Ok(JobFrame { flags, source, job })
 }
@@ -1061,12 +1073,24 @@ fn decode_job(
 /// the [`ErrorCode`] the server should answer with; none of them are
 /// connection-fatal (the whole body was already consumed off the wire).
 pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
-    decode_request_parts(frame.kind, &frame.body)
+    decode_request_with(frame.kind, &frame.body, WireValues::decode)
 }
 
-/// [`decode_request`] of a frame's kind byte and a borrowed body, so a
-/// reader decodes straight out of its read buffer.
-pub fn decode_request_parts(kind: u8, body: &[u8]) -> Result<WireRequest, WireError> {
+/// [`decode_request`] of a frame's kind byte and a borrowed body, with
+/// a job's value array left as its encodings in that body: a server
+/// decodes straight out of its read buffer, and a scan's values, whose
+/// encoding is its output's, are copied once into its reply frame.
+pub fn decode_request_parts(kind: u8, body: &[u8]) -> Result<WireRequest<&[u8]>, WireError> {
+    decode_request_with(kind, body, |_, raw| raw)
+}
+
+/// The one request parser: `values` turns a job's operator and its
+/// value array's encodings into the request's value type.
+fn decode_request_with<'a, V>(
+    kind: u8,
+    body: &'a [u8],
+    values: impl FnOnce(WireOp, &'a [u8]) -> V,
+) -> Result<WireRequest<V>, WireError> {
     let kind = FrameKind::from_u8(kind).ok_or(WireError {
         code: ErrorCode::UnknownKind,
         message: format!("frame kind {kind:#04x}"),
@@ -1078,12 +1102,12 @@ pub fn decode_request_parts(kind: u8, body: &[u8]) -> Result<WireRequest, WireEr
             let version = d.u16("version")?;
             WireRequest::Hello { magic, version }
         }
-        FrameKind::Rank => WireRequest::Job(decode_job((false, false, false), &mut d)?),
-        FrameKind::Scan => WireRequest::Job(decode_job((false, true, false), &mut d)?),
-        FrameKind::SegScan => WireRequest::Job(decode_job((false, true, true), &mut d)?),
-        FrameKind::RankH => WireRequest::Job(decode_job((true, false, false), &mut d)?),
-        FrameKind::ScanH => WireRequest::Job(decode_job((true, true, false), &mut d)?),
-        FrameKind::SegScanH => WireRequest::Job(decode_job((true, true, true), &mut d)?),
+        FrameKind::Rank => WireRequest::Job(decode_job((false, false, false), &mut d, values)?),
+        FrameKind::Scan => WireRequest::Job(decode_job((false, true, false), &mut d, values)?),
+        FrameKind::SegScan => WireRequest::Job(decode_job((false, true, true), &mut d, values)?),
+        FrameKind::RankH => WireRequest::Job(decode_job((true, false, false), &mut d, values)?),
+        FrameKind::ScanH => WireRequest::Job(decode_job((true, true, false), &mut d, values)?),
+        FrameKind::SegScanH => WireRequest::Job(decode_job((true, true, true), &mut d, values)?),
         FrameKind::Put => {
             let flags = d.u8("flags")?;
             if flags != 0 {

@@ -74,7 +74,7 @@ use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{
     self, error_body, ErrorCode, FaultGauges, FrameKind, Job, JobFrame, MutGauges, SchedGauges,
     Source, StatsGauges, StoreGauges, WireElem, WireMutateOk, WireOp, WireRequest, WireStats,
-    WireStatsV2, WireValues, MAX_FRAME_DEFAULT,
+    WireStatsV2, MAX_FRAME_DEFAULT,
 };
 use crate::queue::SubmitError;
 use crate::rankd_log;
@@ -82,12 +82,11 @@ use crate::sched::{Priority, QuotaTable};
 use crate::store::{DatasetRef, DatasetStore, StoreError, DEFAULT_STORE_BUDGET};
 use crate::telemetry::log::Level;
 use crate::telemetry::{self, AtomicHistogram, Phase, Telemetry};
-use listkit::ops::{AddOp, AffineOp, MaxOp, MinOp, XorOp};
+use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
 use listkit::LinkedList;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::ops::Range;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -794,16 +793,27 @@ impl ReplyFrame {
 }
 
 impl FrameReply for ReplyFrame {
+    /// The payload, opening the frame in a pooled buffer the first
+    /// time: a scan's frame is opened at submit, to take its values.
     fn payload(&mut self) -> &mut [u8] {
-        let need = protocol::PAYLOAD_ALIGN
-            + protocol::FRAME_HEADER_MAX
-            + protocol::OUTPUT_META_BYTES
-            + self.n * self.elem_bytes;
-        let mut buf = self.ctx.shared.pool.take(need);
-        let frame =
-            protocol::open_output_frame(&mut buf, self.ctx.request_id, self.n, self.elem_bytes)
+        let (buf, frame) = match &mut self.open {
+            Some(open) => open,
+            open => {
+                let need = protocol::PAYLOAD_ALIGN
+                    + protocol::FRAME_HEADER_MAX
+                    + protocol::OUTPUT_META_BYTES
+                    + self.n * self.elem_bytes;
+                let mut buf = self.ctx.shared.pool.take(need);
+                let frame = protocol::open_output_frame(
+                    &mut buf,
+                    self.ctx.request_id,
+                    self.n,
+                    self.elem_bytes,
+                )
                 .expect("submit checked that the reply fits its length prefix");
-        let (buf, frame) = self.open.insert((buf, frame));
+                open.insert((buf, frame))
+            }
+        };
         let payload = frame.payload(buf.len());
         &mut buf[payload]
     }
@@ -851,18 +861,33 @@ impl FrameReply for ReplyFrame {
 /// Offer one typed request to the engine's non-blocking frame path: a
 /// [`ReplyFrame`] for its `n` elements of `T` is written by the worker
 /// and pushed to the hub. A reply the `u32` length prefix could not
-/// cover is refused here, before the job runs.
+/// cover is refused here, before the job runs. A scan's `values`, the
+/// encodings of its `n` elements, are copied into the frame's payload
+/// now, where the job scans them; the copy is part of the request's
+/// decode phase.
 fn submit<T: WireElem>(
     engine: &Engine,
     req: Request<Vec<T>>,
-    opts: JobOptions,
+    values: Option<&[u8]>,
+    mut opts: JobOptions,
     ctx: ReplyCtx,
 ) -> Result<(), SubmitError> {
-    let reply = ReplyFrame { ctx, n: req.len(), elem_bytes: T::BYTES, open: None };
+    let mut reply = ReplyFrame { ctx, n: req.len(), elem_bytes: T::BYTES, open: None };
     let frame_len = protocol::FRAME_HEADER_MAX + protocol::output_body_len::<T>(reply.n);
-    if u32::try_from(frame_len).is_err() {
+    let fits = u32::try_from(frame_len).is_ok();
+    let counted = values.is_none_or(|values| values.len() == reply.n * T::BYTES);
+    if let Some(values) = values.filter(|_| fits && counted) {
+        let t_copy = Instant::now();
+        reply.payload().copy_from_slice(values);
+        opts.decode_ns += t_copy.elapsed().as_nanos() as u64;
+    }
+    engine.telemetry().record_phase(Phase::Decode, opts.decode_ns);
+    if !fits {
         reply.refuse(ErrorCode::InternalError, "reply exceeds the u32 frame length");
         return Ok(());
+    }
+    if !counted {
+        return Err(SubmitError::Invalid);
     }
     engine.try_submit_frame(req, opts, Box::new(reply)).map(|_job_id| ())
 }
@@ -900,58 +925,45 @@ impl ListSource {
 
 /// The one typed submit path for every job frame: maps the decoded
 /// [`Job`] onto the engine's typed [`Request`] builders, built once and
-/// offered once. Scan and segmented scan share one
-/// `(WireOp, WireValues)` table.
+/// offered once. Scan and segmented scan share one operator table; the
+/// operator fixes the element type of the value encodings.
 fn submit_job(
     engine: &Engine,
     src: ListSource,
-    job: Job,
+    job: Job<&[u8]>,
     sharded: bool,
     opts: JobOptions,
     ctx: ReplyCtx,
 ) -> Result<(), SubmitError> {
+    let (op, values, starts) = match job {
+        Job::Rank => {
+            let req = src.finish(Request::rank(src.list()), sharded);
+            return submit(engine, req, None, opts, ctx);
+        }
+        Job::Scan { op, values } => (op, values, None),
+        Job::SegScan { op, starts, values } => (op, values, Some(Arc::new(starts))),
+    };
     fn scan<T, Op>(
         src: &ListSource,
-        values: Vec<T>,
-        starts: Option<Vec<bool>>,
+        starts: Option<Arc<Vec<bool>>>,
         op: Op,
         sharded: bool,
     ) -> Request<Vec<T>>
     where
         T: WireElem + Send + Sync + 'static,
-        Op: listkit::ScanOp<T> + Clone + Send + Sync + 'static,
+        Op: listkit::ScanOp<T> + Send + Sync + 'static,
     {
-        let req = Request::wire_scan(src.list(), Arc::new(values), starts.map(Arc::new), op);
-        src.finish(req, sharded)
+        src.finish(Request::frame_scan(src.list(), starts, op), sharded)
     }
-    let (op, values, starts) = match job {
-        Job::Rank => {
-            let req = src.finish(Request::rank(src.list()), sharded);
-            return submit(engine, req, opts, ctx);
+    let (src, values) = (&src, Some(values));
+    match op {
+        WireOp::Add => submit::<i64>(engine, scan(src, starts, AddOp, sharded), values, opts, ctx),
+        WireOp::Max => submit::<i64>(engine, scan(src, starts, MaxOp, sharded), values, opts, ctx),
+        WireOp::Min => submit::<i64>(engine, scan(src, starts, MinOp, sharded), values, opts, ctx),
+        WireOp::Xor => submit::<u64>(engine, scan(src, starts, XorOp, sharded), values, opts, ctx),
+        WireOp::Affine => {
+            submit::<Affine>(engine, scan(src, starts, AffineOp, sharded), values, opts, ctx)
         }
-        Job::Scan { op, values } => (op, values, None),
-        Job::SegScan { op, starts, values } => (op, values, Some(starts)),
-    };
-    let src = &src;
-    match (op, values) {
-        (WireOp::Add, WireValues::I64(v)) => {
-            submit(engine, scan(src, v, starts, AddOp, sharded), opts, ctx)
-        }
-        (WireOp::Max, WireValues::I64(v)) => {
-            submit(engine, scan(src, v, starts, MaxOp, sharded), opts, ctx)
-        }
-        (WireOp::Min, WireValues::I64(v)) => {
-            submit(engine, scan(src, v, starts, MinOp, sharded), opts, ctx)
-        }
-        (WireOp::Xor, WireValues::U64(v)) => {
-            submit(engine, scan(src, v, starts, XorOp, sharded), opts, ctx)
-        }
-        (WireOp::Affine, WireValues::Affine(v)) => {
-            submit(engine, scan(src, v, starts, AffineOp, sharded), opts, ctx)
-        }
-        // decode_values types the array by the operator, so a
-        // mismatch cannot be constructed.
-        _ => unreachable!("decoder pairs values with their operator"),
     }
 }
 
@@ -1424,7 +1436,7 @@ impl Reactor {
             if shared.drain_expired() {
                 break;
             }
-            let (kind, body) = {
+            let frame = {
                 let Some(conn) = self.conns.get_mut(&conn_id) else { return };
                 conn.blocked = false;
                 if conn.dead || conn.close_after_flush {
@@ -1468,11 +1480,17 @@ impl Reactor {
                     break;
                 }
                 conn.rpos += 4 + len;
-                (kind, body)
+                // Lent to `dispatch`, which borrows the body from it
+                // while it answers, and put back below.
+                (kind, body, std::mem::take(&mut conn.rbuf))
             };
+            let (kind, body, rbuf) = frame;
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
             shared.bytes_in.fetch_add(4 + 1 + body.len() as u64, Ordering::Relaxed);
-            self.guarded(conn_id, |r| r.dispatch(conn_id, kind, body));
+            self.guarded(conn_id, |r| r.dispatch(conn_id, kind, &rbuf[body]));
+            if let Some(conn) = self.conns.get_mut(&conn_id) {
+                conn.rbuf = rbuf;
+            }
         }
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             if conn.rpos > 0 {
@@ -1533,12 +1551,11 @@ impl Reactor {
         self.reply_error(conn_id, request_id, code, msg);
     }
 
-    /// Decode and answer one frame the wait rule let through, borrowing
-    /// its `body` bytes from the connection's read buffer.
-    fn dispatch(&mut self, conn_id: u64, kind: u8, body: Range<usize>) {
+    /// Decode and answer one frame the wait rule let through, its
+    /// `body` borrowed from the connection's read buffer.
+    fn dispatch(&mut self, conn_id: u64, kind: u8, body: &[u8]) {
         let t_decode = Instant::now();
-        let Some(conn) = self.conns.get(&conn_id) else { return };
-        let req = match protocol::decode_request_parts(kind, &conn.rbuf[body]) {
+        let req = match protocol::decode_request_parts(kind, body) {
             Ok(req) => req,
             Err(we) => {
                 // Decode failures consumed the whole body off the
@@ -1714,7 +1731,7 @@ impl Reactor {
     }
 
     /// Admission-control and submit one job-bearing request.
-    fn dispatch_job(&mut self, conn_id: u64, job: JobFrame, decode_ns: u64) {
+    fn dispatch_job(&mut self, conn_id: u64, job: JobFrame<&[u8]>, decode_ns: u64) {
         let kind = job.kind();
         let JobFrame { flags, source, job } = job;
         let dup = flags.request_id.filter(|&id| {
@@ -1757,7 +1774,6 @@ impl Reactor {
         // the earliest point the request exists as a typed value — so
         // the span covers the whole server-side pipeline.
         let trace_id = telemetry::next_trace_id();
-        self.engine.telemetry().record_phase(Phase::Decode, decode_ns);
         rankd_log!(
             Level::Trace,
             "server",
@@ -2198,6 +2214,14 @@ mod tests {
         let u64s: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
         let affs: Vec<Affine> = (0..n as i64).map(|i| Affine::new(i % 5 - 2, i % 7 - 3)).collect();
         let starts: Vec<bool> = (0..n).map(|v| v % 97 == 0).collect();
+        // A job frame's values as the reactor hands them over: their
+        // encodings, borrowed from the frame body.
+        fn wire<T: WireElem>(values: &[T]) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            protocol::put_slice(values, &mut bytes);
+            bytes
+        }
+        let (i64_le, u64_le, aff_le) = (wire(&i64s), wire(&u64s), wire(&affs));
         let serial = |op: WireOp| match op {
             WireOp::Add => listkit::serial::scan(&list, &i64s, &AddOp),
             WireOp::Max => listkit::serial::scan(&list, &i64s, &MaxOp),
@@ -2207,7 +2231,7 @@ mod tests {
         let ranks = listkit::serial::rank(&list);
         let seg = segmented::serial_segmented_scan(&list, &i64s, &starts, &AddOp);
         let i64_jobs = [WireOp::Add, WireOp::Max, WireOp::Min]
-            .map(|op| (Job::Scan { op, values: WireValues::I64(i64s.clone()) }, serial(op)));
+            .map(|op| (Job::Scan { op, values: &i64_le[..] }, serial(op)));
 
         let routes: [(&str, bool, Option<Algorithm>, bool); 5] = [
             ("serial", false, Some(Algorithm::Serial), false),
@@ -2219,7 +2243,7 @@ mod tests {
         let mut served = 0;
         for (route, sharded, pin, resident) in routes {
             for request_id in [None, Some(7u64)] {
-                let run = |job: Job| -> Completion {
+                let run = |job: Job<&[u8]>| -> Completion {
                     let src = if resident {
                         ListSource::resident(&shared.store.get(handle, 1).expect("get"))
                     } else {
@@ -2252,18 +2276,14 @@ mod tests {
                 for (job, want) in &i64_jobs {
                     metas.push(check_frame(&run(job.clone()), request_id, want, &case("i64 scan")));
                 }
-                let xor = Job::Scan { op: WireOp::Xor, values: WireValues::U64(u64s.clone()) };
+                let xor = Job::Scan { op: WireOp::Xor, values: &u64_le[..] };
                 let want = listkit::serial::scan(&list, &u64s, &XorOp);
                 metas.push(check_frame(&run(xor), request_id, &want, &case("xor")));
-                let aff =
-                    Job::Scan { op: WireOp::Affine, values: WireValues::Affine(affs.clone()) };
+                let aff = Job::Scan { op: WireOp::Affine, values: &aff_le[..] };
                 let want = listkit::serial::scan(&list, &affs, &AffineOp);
                 metas.push(check_frame(&run(aff), request_id, &want, &case("affine")));
-                let segj = Job::SegScan {
-                    op: WireOp::Add,
-                    starts: starts.clone(),
-                    values: WireValues::I64(i64s.clone()),
-                };
+                let segj =
+                    Job::SegScan { op: WireOp::Add, starts: starts.clone(), values: &i64_le[..] };
                 metas.push(check_frame(&run(segj), request_id, &seg, &case("segmented add")));
                 for meta in &metas {
                     assert_eq!(meta.trace_id, 99, "{route}: trace id sealed in");

@@ -12,19 +12,20 @@
 //!   [`LinkedList::new`] runs at PUT; handle queries skip decode and
 //!   validation entirely.
 //! * **The rank is kept** — the first query on a dataset's snapshot
-//!   ranks it once, writing `u32` ranks into a [`RankArray`], and keeps
-//!   the array in the dataset's one artifact slot, bound to the
-//!   snapshot it was built from ([`ArtifactCache`]). Ranks reorder the
+//!   ranks it once, writing `u32` ranks and their inverse, the position
+//!   order, into a [`RankArray`], and keeps the array in the dataset's
+//!   one artifact slot, bound to the snapshot it was built from
+//!   ([`ArtifactCache`]). Ranks reorder the
 //!   list into an array (the paper's §2), so every later query on that
 //!   snapshot is an array pass: `RANK_H` widens the kept ranks, and
-//!   `SCAN_H`/`SEGSCAN_H` scatter, prefix and gather
-//!   ([`listrank::host::ranked`]). Sharded queries by handle are served
-//!   the same way.
+//!   `SCAN_H`/`SEGSCAN_H` scan their values in place along the kept
+//!   position order ([`RankArray::scan_in_place`]). Sharded queries by
+//!   handle are served the same way.
 //! * **Byte-budgeted LRU** — resident bytes (lists + kept rank arrays)
 //!   never exceed the configured budget. PUT evicts idle
 //!   least-recently-used datasets to make room and fails with
 //!   [`StoreError::StoreFull`] when the budget cannot be met. A rank
-//!   array is kept only if its 4 bytes per vertex fit as the budget
+//!   array is kept only if its 8 bytes per vertex fit as the budget
 //!   stands — it never evicts a dataset; one that does not fit still
 //!   serves the query that built it, and is then discarded
 //!   (build–use–discard).
@@ -159,10 +160,10 @@ pub fn list_footprint(list: &LinkedList) -> u64 {
     4 * list.len() as u64 + 96
 }
 
-/// Resident footprint of a kept rank array: one `u32` per vertex plus
-/// fixed header overhead.
+/// Resident footprint of a kept rank array: two `u32`s per vertex, its
+/// rank and the vertex at its position, plus fixed header overhead.
 pub fn artifact_footprint(ranks: &RankArray) -> u64 {
-    4 * ranks.len() as u64 + 96
+    8 * ranks.len() as u64 + 96
 }
 
 struct DatasetEntry {

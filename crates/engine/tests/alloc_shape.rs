@@ -5,18 +5,21 @@
 //! list allocates nothing of `8·n` bytes or more on any daemon thread —
 //! no output `Vec`, no fresh frame.
 //!
-//! `SCAN_H` is pinned the same way with one named exception: its
-//! request carries `n` values, which the reactor decodes into one fresh
-//! `Vec` of exactly `8·n` bytes for the job to own. Served from the kept
-//! ranks, the scan uses that array and the reply payload as its two
-//! buffers, so no worker allocates a third. Moving the decode off the
-//! reactor is a separate change; this test fails if anything else of
-//! that size appears, or if the decode moves or grows. `SEGSCAN_H` is
-//! pinned to the same one decode: its segment starts travel as an n-bit
-//! set, and nothing wraps the values with their flags on the reactor.
+//! `SCAN_H` and `SEGSCAN_H` are pinned the same way. Their requests
+//! carry `n` values, whose encodings the reactor copies once into the
+//! pooled reply frame's payload instead of decoding them into a fresh
+//! `Vec`; served from the kept ranks, the scan runs in place in that
+//! payload, so no thread allocates a list-sized buffer at all. A
+//! segmented scan's starts travel to position order as an n-bit set,
+//! and nothing wraps the values with their flags.
 //!
-//! The first query on a snapshot builds its rank array: exactly one
-//! allocation of `4·n` bytes or more, the `u32` ranks themselves.
+//! The first query on a snapshot builds its rank array: exactly two
+//! allocations of `4·n` bytes or more, the `u32` ranks and the `u32`
+//! position order.
+//!
+//! In process, a segmented scan served from a kept rank array makes its
+//! one typed `8·n` output, a copy of the values that it scans in place:
+//! nothing of `16·n` wraps the values with their flags.
 //!
 //! A counting global allocator records every allocation at or above a
 //! threshold together with the kind of thread that made it: the test's
@@ -28,13 +31,13 @@
 
 use engine::client::{Call, Client};
 use engine::server::{ServeConfig, Server};
-use engine::{Engine, EngineConfig};
+use engine::{DatasetStore, Engine, EngineConfig, Request};
 use listkit::gen;
 use listkit::ops::AddOp;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which side of the socket a thread is on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,6 +100,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// The record is global: one test records at a time.
+static RECORDING: Mutex<()> = Mutex::new(());
+
 /// Record allocations of at least `bytes` while `f` runs; returns the
 /// ones made off the client thread.
 fn daemon_allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
@@ -116,6 +122,7 @@ fn daemon_allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
 #[test]
 fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     const N: usize = 1 << 18;
+    let _recording = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
     SIDE.with(|s| s.set(Side::Client));
     let path = std::env::temp_dir().join(format!("rankd-alloc-shape-{}.sock", std::process::id()));
     let engine = Arc::new(Engine::new(EngineConfig::default().with_workers(2)));
@@ -153,14 +160,14 @@ fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     let mut served = None;
     let during = daemon_allocs_during(big, || served = Some(client.call(&scan).expect("scan")));
     assert!(served.expect("served").output == sums, "scan diverged from the serial oracle");
-    assert_eq!(during, [(big, Side::Reactor)], "only the request's value array may be O(n)");
+    assert_eq!(during, [], "a served SCAN_H allocated O(n) bytes");
     let st = client.stats_v2().expect("stats").store;
     assert_eq!(st.artifacts_reused, reused + 1, "the scan was served from the kept ranks");
 
     let mut served = None;
     let during = daemon_allocs_during(big, || served = Some(client.call(&segscan).expect("seg")));
     assert!(served.expect("served").output == seg_sums, "segscan diverged from the serial oracle");
-    assert_eq!(during, [(big, Side::Reactor)], "only the request's value array may be O(n)");
+    assert_eq!(during, [], "a served SEGSCAN_H allocated O(n) bytes");
     let st = client.stats_v2().expect("stats").store;
     assert_eq!(st.artifacts_reused, reused + 2, "the segscan was served from the kept ranks");
 
@@ -175,11 +182,38 @@ fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     });
     let want = listkit::serial::rank(&other);
     assert!(served.expect("served").output == want, "the build's rank diverged");
-    assert_eq!(during, [(4 * N, Side::Engine)], "the build allocates the u32 ranks only");
+    let arrays = [(4 * N, Side::Engine), (4 * N, Side::Engine)];
+    assert_eq!(during, arrays, "the build allocates the u32 ranks and position order only");
     let st = client.stats_v2().expect("stats").store;
     assert_eq!(st.artifacts_built, built + 1, "the first query built the array");
 
     control.request_shutdown();
     drop(client);
     join.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn an_in_process_segmented_scan_from_kept_ranks_wraps_nothing() {
+    const N: usize = 1 << 18;
+    let _recording = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(EngineConfig::default().with_workers(1));
+    let store = Arc::new(DatasetStore::new(1 << 30));
+    let list = Arc::new(gen::random_list(N, 0x5e65));
+    let handle = store.put(1, Arc::clone(&list)).expect("put").handle;
+    let dataset = store.get(handle, 1).expect("get");
+    let values = Arc::new((0..N as i64).map(|i| i % 29 - 14).collect::<Vec<_>>());
+    let starts = Arc::new((0..N).map(|v| v % 83 == 2).collect::<Vec<_>>());
+    let want = listkit::segmented::serial_segmented_scan(&list, &values, &starts, &AddOp);
+    let segscan = || {
+        let req = Request::segmented_scan(dataset.list(), values.clone(), starts.clone(), AddOp)
+            .with_artifacts(dataset.artifacts());
+        engine.submit(req).expect("submit").wait().expect("segscan").output
+    };
+    // The first builds and keeps the rank array.
+    assert!(segscan() == want, "the build's segscan diverged from the serial oracle");
+    let mut output = None;
+    let during = daemon_allocs_during(8 * N, || output = Some(segscan()));
+    assert!(output.expect("served") == want, "segscan diverged from the serial oracle");
+    assert_eq!(store.stats().artifacts_reused, 1, "served from the kept ranks");
+    assert_eq!(during, [(8 * N, Side::Engine)], "one typed output, nothing wrapped");
 }

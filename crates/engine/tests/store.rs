@@ -289,7 +289,7 @@ fn artifact_cache_builds_once_reuses_and_charges_the_budget() {
     assert!(built.is_some(), "the first call ranks the list");
     let st = store.stats();
     assert_eq!((st.artifacts_built, st.artifacts_reused), (1, 0));
-    assert_eq!(artifact_footprint(&a1), 4 * 1_000 + 96, "one u32 per vertex");
+    assert_eq!(artifact_footprint(&a1), 8 * 1_000 + 96, "two u32s per vertex");
     assert_eq!(st.resident_bytes, base + artifact_footprint(&a1), "kept array is charged");
     let want: Vec<u32> = serial::rank(&list).into_iter().map(|r| r as u32).collect();
     assert_eq!(a1.as_slice(), &want[..], "the kept ranks are the list's ranks");

@@ -25,6 +25,22 @@ pub trait ScanOp<T: Copy>: Sync {
     fn combine(&self, a: T, b: T) -> T;
 }
 
+/// An operator by reference is the same operator, so a wrapper such as
+/// [`crate::segmented::SegOp`] can borrow one it does not own.
+impl<T: Copy, Op: ScanOp<T>> ScanOp<T> for &Op {
+    const COMMUTATIVE: bool = Op::COMMUTATIVE;
+
+    #[inline]
+    fn identity(&self) -> T {
+        (**self).identity()
+    }
+
+    #[inline]
+    fn combine(&self, a: T, b: T) -> T {
+        (**self).combine(a, b)
+    }
+}
+
 /// Wrapping 64-bit integer addition — the list-ranking operator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AddOp;
