@@ -8,7 +8,7 @@
 //! into it still misses the TLB once the buffer outgrows the TLB's
 //! reach (a few MiB of 4 KiB pages). `listkit::pages` advises such a
 //! buffer onto 2 MiB transparent huge pages before its first touch,
-//! which cuts both. Five groups:
+//! which cuts both. Six groups:
 //!
 //! * `exec/*`: a served rank on a random 2²² list (Reid-Miller, 2
 //!   threads) — `exec_then_encode` ranks into a fresh `Vec` and then
@@ -40,18 +40,34 @@
 //!   it, gathered back and re-encoded, after a fresh decode on the
 //!   reactor. Two quick runs on a 2-CPU x86-64 VM (THP `madvise`) read
 //!   `build` 88–97 ms, `copy_into_payload` 3.7 ms, `scan_in_place`
-//!   32–35 ms and `copy_then_scan` 35–38 ms.
+//!   32–35 ms and `copy_then_scan` 35–38 ms;
+//! * `client/*`: a client reading a 2²² OUTPUT off a Unix socket pair,
+//!   which a writer thread keeps full, through a 64 KiB `BufReader` as
+//!   `Client` does — `staged` reads the whole body into a reused buffer
+//!   (`read_frame_into`) and then decodes it into a fresh `Vec`
+//!   (`decode_output`), as the client did before it read payloads in
+//!   place; `one_copy_fresh` is `client::read_reply` into a fresh
+//!   buffer, the payload read straight into zeroed, advised pages, as
+//!   `Client::call` does; `one_copy_warm` reads into a buffer kept from
+//!   the last iteration, as `Client::call_into` does. Two quick runs on
+//!   a 2-CPU x86-64 VM (THP `madvise`) read `staged` 23.4–23.8 ms,
+//!   `one_copy_fresh` 16.6–17.3 ms and `one_copy_warm` 9.3–13.5 ms.
 //!
 //! `CRITERION_QUICK=1` shortens runs; `cargo bench -p repro --bench
-//! reply_codec` runs the full pass.
+//! reply_codec` runs the full pass, and a trailing word runs only the
+//! benchmarks whose name contains it
+//! (`cargo bench -p repro --bench reply_codec -- client`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use engine::client;
 use engine::protocol::{self, FrameKind, OutputMeta, WireElem};
 use listkit::ops::AddOp;
 use listkit::pages;
 use listrank::host::{RankArray, RankScratch};
 use listrank::{Algorithm, HostRunner};
 use std::hint::black_box;
+use std::io::{BufReader, Write};
+use std::os::unix::net::UnixStream;
 
 const N: usize = 1 << 22;
 
@@ -208,5 +224,53 @@ fn bench_ranked(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_exec, bench_encode, bench_decode, bench_pages, bench_ranked);
+fn bench_client(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reply_codec/client");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(N as u64));
+    let ranks: Vec<u64> = (0..N as u64).rev().collect();
+    let mut frame = Vec::new();
+    let body = protocol::output_body(&meta(), &ranks);
+    protocol::write_frame(&mut frame, FrameKind::Output as u8, &body).expect("frame to a Vec");
+    let (mut tx, rx) = UnixStream::pair().expect("a Unix socket pair");
+    // Frames back to back until the reading end closes.
+    let writer = std::thread::spawn(move || while tx.write_all(&frame).is_ok() {});
+    let mut rx = BufReader::with_capacity(64 * 1024, rx);
+    let cap = u32::MAX;
+    let mut reply = Vec::new();
+    g.bench_function("staged", |b| {
+        b.iter(|| {
+            protocol::read_frame_into(&mut rx, cap, &mut reply).expect("reads").expect("a frame");
+            protocol::decode_output::<u64>(&reply).expect("decodes").1.len()
+        })
+    });
+    g.bench_function("one_copy_fresh", |b| {
+        b.iter(|| {
+            let mut out = Vec::<u64>::new();
+            client::read_reply(&mut rx, cap, &mut reply, &mut out).expect("reads");
+            black_box(out).len()
+        })
+    });
+    let mut out = Vec::<u64>::new();
+    g.bench_function("one_copy_warm", |b| {
+        b.iter(|| {
+            client::read_reply(&mut rx, cap, &mut reply, &mut out).expect("reads");
+            black_box(&out).len()
+        })
+    });
+    assert!(out == ranks, "the payload read intact");
+    drop(rx);
+    writer.join().expect("writer thread");
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_exec,
+    bench_encode,
+    bench_decode,
+    bench_pages,
+    bench_ranked,
+    bench_client
+);
 criterion_main!(benches);

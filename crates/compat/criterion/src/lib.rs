@@ -6,6 +6,12 @@
 //! plain-text report (mean time per iteration, plus derived throughput
 //! when [`BenchmarkGroup::throughput`] was set). No statistics machinery,
 //! no HTML — enough to compare configurations locally and in CI logs.
+//!
+//! As with criterion, the first command-line argument that is not a
+//! flag filters by substring: `cargo bench --bench b -- decode` runs
+//! only the benchmarks whose `group/name` contains `decode` (a group
+//! with none prints nothing). A group's setup code outside its
+//! `bench_function` closures still runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,30 +24,42 @@ pub use std::hint::black_box;
 /// Top-level benchmark driver.
 pub struct Criterion {
     target_time: Duration,
+    /// Run only benchmarks whose full name contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         // CRITERION_QUICK=1 shortens runs (used by CI smoke builds).
         let quick = std::env::var_os("CRITERION_QUICK").is_some();
-        Criterion { target_time: Duration::from_millis(if quick { 50 } else { 400 }) }
+        Criterion {
+            target_time: Duration::from_millis(if quick { 50 } else { 400 }),
+            // `cargo bench` passes `--bench` along with the user's words.
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+        }
     }
 }
 
 impl Criterion {
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("\n== {name}");
-        BenchmarkGroup { criterion: self, name, throughput: None }
+        BenchmarkGroup { criterion: self, name: name.into(), throughput: None, announced: false }
     }
 
     /// Run a standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Into<BenchmarkId>, mut f: F) {
         let id = id.into();
+        if !self.selects(&id.0) {
+            return;
+        }
         let mut b = Bencher::new(self.target_time);
         f(&mut b);
         b.report(&id.0, None);
+    }
+
+    /// Whether the filter lets the benchmark named `label` run.
+    fn selects(&self, label: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| label.contains(f))
     }
 }
 
@@ -87,6 +105,8 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
+    /// Whether the group's heading is printed (at its first run).
+    announced: bool,
 }
 
 impl BenchmarkGroup<'_> {
@@ -109,10 +129,7 @@ impl BenchmarkGroup<'_> {
 
     /// Run one benchmark in this group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Into<BenchmarkId>, mut f: F) {
-        let id = id.into();
-        let mut b = Bencher::new(self.criterion.target_time);
-        f(&mut b);
-        b.report(&format!("{}/{}", self.name, id.0), self.throughput);
+        self.run(id.into(), |b| f(b));
     }
 
     /// Run one benchmark with an explicit input.
@@ -122,10 +139,22 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) {
-        let id = id.into();
+        self.run(id.into(), |b| f(b, input));
+    }
+
+    /// Measure and report `f` as `group/id`, unless the filter skips it.
+    fn run(&mut self, id: BenchmarkId, f: impl FnOnce(&mut Bencher)) {
+        let label = format!("{}/{}", self.name, id.0);
+        if !self.criterion.selects(&label) {
+            return;
+        }
+        if !self.announced {
+            println!("\n== {}", self.name);
+            self.announced = true;
+        }
         let mut b = Bencher::new(self.criterion.target_time);
-        f(&mut b, input);
-        b.report(&format!("{}/{}", self.name, id.0), self.throughput);
+        f(&mut b);
+        b.report(&label, self.throughput);
     }
 
     /// Close the group.
@@ -225,4 +254,51 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The names of the benchmarks that run under `filter`, out of two
+    /// groups and a standalone one.
+    fn ran(filter: Option<&str>) -> Vec<String> {
+        let mut c = Criterion {
+            target_time: Duration::from_micros(10),
+            filter: filter.map(str::to_string),
+        };
+        let mut ran = Vec::new();
+        for group in ["codec/decode", "codec/client"] {
+            let mut g = c.benchmark_group(group);
+            for name in ["staged", "one_copy"] {
+                g.bench_function(name, |b| {
+                    ran.push(format!("{group}/{name}"));
+                    b.iter(|| 1)
+                });
+            }
+            g.bench_with_input(BenchmarkId::new("input", 7), &7, |b, &i| {
+                ran.push(format!("{group}/input/{i}"));
+                b.iter(|| i)
+            });
+            g.finish();
+        }
+        c.bench_function("standalone", |b| {
+            ran.push("standalone".to_string());
+            b.iter(|| 1)
+        });
+        ran
+    }
+
+    #[test]
+    fn a_filter_runs_only_the_benchmarks_whose_name_contains_it() {
+        assert_eq!(ran(None).len(), 7, "no filter runs everything");
+        assert_eq!(
+            ran(Some("client")),
+            ["codec/client/staged", "codec/client/one_copy", "codec/client/input/7"]
+        );
+        assert_eq!(ran(Some("one_copy")), ["codec/decode/one_copy", "codec/client/one_copy"]);
+        assert_eq!(ran(Some("input/7")), ["codec/decode/input/7", "codec/client/input/7"]);
+        assert_eq!(ran(Some("standalone")), ["standalone"]);
+        assert!(ran(Some("nothing")).is_empty());
+    }
 }

@@ -5,8 +5,7 @@
 //! [`Client::call`] a [`Call`] — one typed description of any of the
 //! six job frames (rank, scan or segmented scan; inline list or
 //! resident handle; sharded, deadline, batch-class) — which writes one
-//! frame, blocks for the reply, and decodes it into a
-//! [`ServedOutput`]:
+//! frame, blocks for the reply, and reads it into a [`ServedOutput`]:
 //!
 //! ```no_run
 //! use engine::client::{Call, Client};
@@ -29,6 +28,19 @@
 //! This is the same codec the server uses, so the integration tests
 //! and the benchmark harness exercise the real wire format, not a
 //! shortcut.
+//!
+//! ## Replies
+//!
+//! An OUTPUT payload is `n` little-endian words, which is the memory of
+//! a `Vec<T>` on a little-endian target. [`read_reply`] reads the
+//! frame's header and metadata, then the payload with one `read_exact`
+//! straight into the destination `Vec`: a list-sized read bypasses the
+//! client's 64 KiB read buffer, so the kernel's copy out of the socket
+//! is the only copy, and a small pipelined reply is copied once out of
+//! that buffer. [`Client::call`] reads into a fresh buffer whose pages
+//! come zeroed from the kernel (`listkit::pages::zeroed_vec`), and
+//! [`Client::call_into`] into the caller's buffer, which a caller that
+//! keeps one pays no allocation or page fault for.
 //!
 //! ## Transports
 //!
@@ -66,13 +78,13 @@
 //! surfaced to the caller on the first failure.
 
 use crate::protocol::{
-    self, read_frame_into, write_frame, ErrorCode, FrameKind, OutputMeta, ReadFrameError, WireElem,
-    WireError, WireMutateOk, WireStats, WireStatsV2, MAX_FRAME_DEFAULT,
+    self, read_body, write_frame, ErrorCode, FrameKind, OutputMeta, ReadFrameError, WireElem,
+    WireError, WireMutateOk, WireStats, WireStatsV2, MAX_FRAME_DEFAULT, OUTPUT_META_BYTES,
 };
 pub use crate::protocol::{Call, Source};
 use crate::store::PutReceipt;
 use listkit::dynamic::Edit;
-use listkit::LinkedList;
+use listkit::{pages, LinkedList};
 use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -307,8 +319,8 @@ const IO_BUF: usize = 64 * 1024;
 /// A connected, handshaken `rankd serve` client.
 pub struct Client {
     /// The connection, read through an [`IO_BUF`] buffer so that replies
-    /// arriving together cost one `read`. A reply body larger than the
-    /// buffer bypasses it and is read straight into `reply`.
+    /// arriving together cost one `read`. An OUTPUT payload larger than
+    /// the buffer bypasses it and is read straight into its destination.
     stream: BufReader<Stream>,
     /// Pipelined request frames [`Client::send`] queued and not yet
     /// written, at most [`IO_BUF`] bytes of them.
@@ -318,9 +330,9 @@ pub struct Client {
     retry: RetryPolicy,
     server_version: u16,
     server_max_frame: u32,
-    /// The last reply's body. Its capacity is kept across replies, so
-    /// reading a reply touches no fresh memory once one as large has
-    /// been read.
+    /// The last reply's body, or for an OUTPUT / OUTPUT_P its echoed id
+    /// and metadata only (see [`read_reply`]). Its capacity is kept
+    /// across replies.
     reply: Vec<u8>,
 }
 
@@ -404,8 +416,8 @@ impl Client {
 
     /// Perform the HELLO handshake on the current stream.
     fn handshake(&mut self) -> Result<(), ClientError> {
-        let kind = self.call_once(FrameKind::Hello, &protocol::hello_body())?;
-        match FrameKind::from_u8(kind) {
+        let reply = self.call_once(FrameKind::Hello, &protocol::hello_body(), &mut no_payload())?;
+        match reply.kind() {
             Some(FrameKind::HelloOk) => {
                 let (version, max_frame) =
                     protocol::decode_hello_ok(&self.reply).map_err(protocol_error)?;
@@ -452,12 +464,18 @@ impl Client {
     /// reconnect (for transport errors) and resend, with backoff.
     /// MUTATE is never retried — its first attempt may have applied
     /// before the reply was lost, and resending would double-apply.
-    /// Returns the reply's kind byte; its body is in `self.reply`.
-    fn round_trip(&mut self, kind: FrameKind, body: &[u8]) -> Result<u8, ClientError> {
+    /// An OUTPUT payload is read into `out`, any other body into
+    /// `self.reply`.
+    fn round_trip<T: WireElem>(
+        &mut self,
+        kind: FrameKind,
+        body: &[u8],
+        out: &mut Vec<T>,
+    ) -> Result<Reply, ClientError> {
         let mut attempt = 0u32;
         loop {
-            let err = match self.call_once(kind, body) {
-                Ok(reply_kind) => return Ok(reply_kind),
+            let err = match self.call_once(kind, body, out) {
+                Ok(reply) => return Ok(reply),
                 Err(e) => e,
             };
             if kind == FrameKind::Mutate
@@ -487,37 +505,38 @@ impl Client {
         Ok(wrote?)
     }
 
-    /// Read one reply frame off the stream into `self.reply` and return
-    /// its kind byte (no error-frame conversion; EOF and oversized
-    /// replies surface as errors). Queued sends go out first unless the
+    /// A [`Client::round_trip`] whose reply carries no payload: the
+    /// reply's kind, with its body in `self.reply`.
+    fn exchange(&mut self, kind: FrameKind, body: &[u8]) -> Result<Option<FrameKind>, ClientError> {
+        Ok(self.round_trip(kind, body, &mut no_payload())?.kind())
+    }
+
+    /// Read one reply frame off the stream with [`read_reply`] (no
+    /// error-frame conversion). Queued sends go out first unless the
     /// read buffer already holds a whole frame: a read that would block
     /// must not wait on requests the server has not been sent.
-    fn read_reply_frame(&mut self) -> Result<u8, ClientError> {
+    fn next_reply<T: WireElem>(&mut self, out: &mut Vec<T>) -> Result<Reply, ClientError> {
         if !whole_frame(self.stream.buffer()) {
             self.flush_sends()?;
         }
         let reply_cap = self.reply_cap();
-        match read_frame_into(&mut self.stream, reply_cap, &mut self.reply) {
-            Ok(Some(kind)) => Ok(kind),
-            Ok(None) => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ))),
-            Err(ReadFrameError::Io(e)) => Err(ClientError::Io(e)),
-            Err(e @ ReadFrameError::TooLarge { .. }) => Err(ClientError::Protocol(e.to_string())),
-        }
+        read_reply(&mut self.stream, reply_cap, &mut self.reply, out)
     }
 
     /// One round trip: write a frame, read the reply, surface error
     /// frames as [`ClientError::Server`].
-    fn call_once(&mut self, kind: FrameKind, body: &[u8]) -> Result<u8, ClientError> {
+    fn call_once<T: WireElem>(
+        &mut self,
+        kind: FrameKind,
+        body: &[u8],
+        out: &mut Vec<T>,
+    ) -> Result<Reply, ClientError> {
         self.flush_sends()?;
         write_frame(self.stream.get_mut(), kind as u8, body)?;
-        let reply_kind = self.read_reply_frame()?;
-        if FrameKind::from_u8(reply_kind) == Some(FrameKind::Error) {
-            return Err(server_error(&self.reply)?);
+        match self.next_reply(out)? {
+            Reply::Other(k) if k == FrameKind::Error as u8 => Err(server_error(&self.reply)?),
+            reply => Ok(reply),
         }
-        Ok(reply_kind)
     }
 
     /// Queue one pre-encoded request frame **without** waiting for its
@@ -550,13 +569,12 @@ impl Client {
     pub fn recv_pipelined<T: WireElem>(
         &mut self,
     ) -> Result<(u64, Result<ServedOutput<T>, ClientError>), ClientError> {
-        let kind = self.read_reply_frame()?;
-        match FrameKind::from_u8(kind) {
-            Some(FrameKind::OutputP) => {
-                let (id, inner) =
-                    protocol::decode_pipelined(&self.reply).map_err(protocol_error)?;
-                Ok((id, Ok(served_output(inner)?)))
-            }
+        let mut output = Vec::new();
+        let reply = self.next_reply(&mut output)?;
+        if let Reply::OutputP(id, meta) = reply {
+            return Ok((id, Ok(ServedOutput { output, meta })));
+        }
+        match reply.kind() {
             Some(FrameKind::ErrorP) => {
                 let (id, inner) =
                     protocol::decode_pipelined(&self.reply).map_err(protocol_error)?;
@@ -570,7 +588,7 @@ impl Client {
     }
 
     /// Run one job on the server — any source, operator and flags
-    /// [`Call`] spells — and decode its OUTPUT into the call's element
+    /// [`Call`] spells — and read its OUTPUT into the call's element
     /// type: `u64` ranks byte-identical to a local
     /// [`listrank::HostRunner`] rank, or the scanned values.
     pub fn call<T: WireElem>(
@@ -579,6 +597,23 @@ impl Client {
     ) -> Result<ServedOutput<T>, ClientError> {
         let (kind, body) = call.encode();
         self.request_encoded(kind, &body)
+    }
+
+    /// [`Client::call`] into a buffer the caller keeps: `output` is
+    /// resized to the reply's element count and its memory overwritten
+    /// by the payload as it comes off the socket. A buffer whose
+    /// capacity already suffices is reused as it is, so a caller that
+    /// repeats a call allocates nothing and touches no fresh page; a
+    /// smaller one is replaced, not grown, since its old contents would
+    /// only be overwritten. On an error `output`'s contents are
+    /// unspecified.
+    pub fn call_into<T: WireElem>(
+        &mut self,
+        call: &Call<'_, T>,
+        output: &mut Vec<T>,
+    ) -> Result<OutputMeta, ClientError> {
+        let (kind, body) = call.encode();
+        self.request_into(kind, &body, output)
     }
 
     /// Pipelined [`Client::call`]: send the request without waiting
@@ -610,9 +645,21 @@ impl Client {
         kind: FrameKind,
         body: &[u8],
     ) -> Result<ServedOutput<T>, ClientError> {
-        match FrameKind::from_u8(self.round_trip(kind, body)?) {
-            Some(FrameKind::Output) => served_output(&self.reply),
-            other => Err(ClientError::Protocol(format!("expected OUTPUT, got {other:?}"))),
+        let mut output = Vec::new();
+        let meta = self.request_into(kind, body, &mut output)?;
+        Ok(ServedOutput { output, meta })
+    }
+
+    /// Send a pre-encoded request and read its OUTPUT into `output`.
+    fn request_into<T: WireElem>(
+        &mut self,
+        kind: FrameKind,
+        body: &[u8],
+        output: &mut Vec<T>,
+    ) -> Result<OutputMeta, ClientError> {
+        match self.round_trip(kind, body, output)? {
+            Reply::Output(meta) => Ok(meta),
+            other => Err(ClientError::Protocol(format!("expected OUTPUT, got {:?}", other.kind()))),
         }
     }
 
@@ -621,7 +668,7 @@ impl Client {
     /// [`Call`]s and the bytes charged against the store budget.
     /// Handles are scoped to this connection and die with it.
     pub fn put(&mut self, list: &LinkedList) -> Result<PutReceipt, ClientError> {
-        match FrameKind::from_u8(self.round_trip(FrameKind::Put, &protocol::put_body(list))?) {
+        match self.exchange(FrameKind::Put, &protocol::put_body(list))? {
             Some(FrameKind::PutOk) => {
                 let (handle, bytes) =
                     protocol::decode_put_ok(&self.reply).map_err(protocol_error)?;
@@ -648,7 +695,7 @@ impl Client {
     /// latency measurement, like [`Client::request_encoded`] for
     /// queries.
     pub fn mutate_encoded(&mut self, body: &[u8]) -> Result<WireMutateOk, ClientError> {
-        match FrameKind::from_u8(self.round_trip(FrameKind::Mutate, body)?) {
+        match self.exchange(FrameKind::Mutate, body)? {
             Some(FrameKind::MutateOk) => {
                 protocol::decode_mutate_ok(&self.reply).map_err(protocol_error)
             }
@@ -661,7 +708,7 @@ impl Client {
     /// owned by another connection) fails with
     /// [`ErrorCode::StaleHandle`]; the connection survives.
     pub fn drop_handle(&mut self, handle: u64) -> Result<(), ClientError> {
-        match FrameKind::from_u8(self.round_trip(FrameKind::Drop, &protocol::drop_body(handle))?) {
+        match self.exchange(FrameKind::Drop, &protocol::drop_body(handle))? {
             Some(FrameKind::DropOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected DROP_OK, got {other:?}"))),
         }
@@ -670,7 +717,7 @@ impl Client {
     /// Fetch the daemon's metrics: engine totals, the serving layer's
     /// connection/frame/byte counters, and the rendered stats report.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        match FrameKind::from_u8(self.round_trip(FrameKind::Stats, &[])?) {
+        match self.exchange(FrameKind::Stats, &[])? {
             Some(FrameKind::StatsOk) => protocol::decode_stats(&self.reply).map_err(protocol_error),
             other => Err(ClientError::Protocol(format!("expected STATS_OK, got {other:?}"))),
         }
@@ -681,7 +728,7 @@ impl Client {
     /// and dispatch matrix, and the gauge block — everything the
     /// `rankd stats` dashboard renders.
     pub fn stats_v2(&mut self) -> Result<WireStatsV2, ClientError> {
-        match FrameKind::from_u8(self.round_trip(FrameKind::StatsV2, &[])?) {
+        match self.exchange(FrameKind::StatsV2, &[])? {
             Some(FrameKind::StatsV2Ok) => {
                 protocol::decode_stats_v2(&self.reply).map_err(protocol_error)
             }
@@ -693,7 +740,7 @@ impl Client {
     /// client — the server closes this connection once it
     /// acknowledges.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
-        match FrameKind::from_u8(self.round_trip(FrameKind::Shutdown, &[])?) {
+        match self.exchange(FrameKind::Shutdown, &[])? {
             Some(FrameKind::ShutdownOk) => Ok(()),
             other => Err(ClientError::Protocol(format!("expected SHUTDOWN_OK, got {other:?}"))),
         }
@@ -717,11 +764,104 @@ fn whole_frame(buf: &[u8]) -> bool {
     }
 }
 
-/// Decode an OUTPUT body into a [`ServedOutput`]; its `output` is the
-/// one fresh allocation a reply costs.
-fn served_output<T: WireElem>(body: &[u8]) -> Result<ServedOutput<T>, ClientError> {
-    let (meta, output) = protocol::decode_output::<T>(body).map_err(protocol_error)?;
-    Ok(ServedOutput { output, meta })
+/// The destination of a reply that carries no payload. An OUTPUT that
+/// arrives in its place is read into it and then refused by kind.
+fn no_payload() -> Vec<u64> {
+    Vec::new()
+}
+
+/// One reply frame as [`read_reply`] left it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reply {
+    /// An OUTPUT frame; its payload is in the destination `Vec`.
+    Output(OutputMeta),
+    /// An OUTPUT_P frame with its echoed request id; its payload is in
+    /// the destination `Vec`.
+    OutputP(u64, OutputMeta),
+    /// Any other frame, by its kind byte; its body is in the body
+    /// buffer.
+    Other(u8),
+}
+
+impl Reply {
+    /// The frame's kind, when this client knows it.
+    pub fn kind(&self) -> Option<FrameKind> {
+        match self {
+            Reply::Output(_) => Some(FrameKind::Output),
+            Reply::OutputP(..) => Some(FrameKind::OutputP),
+            Reply::Other(kind) => FrameKind::from_u8(*kind),
+        }
+    }
+}
+
+/// Read one reply frame of at most `max_frame` bytes from `r`.
+///
+/// An OUTPUT or OUTPUT_P frame's echoed id and metadata are read into
+/// `body`, and its `n·T::BYTES` payload with one `read_exact` straight
+/// into `out`'s memory, which is resized to `n` words first (a buffer
+/// too small is replaced by a zeroed one, see
+/// [`listkit::pages::resize_zeroed`]). Through a `BufReader` a payload
+/// at least as large as its buffer bypasses the buffer, so the only
+/// copy is the kernel's. Any other frame's whole body is read into
+/// `body`.
+///
+/// A clean close before the frame and EOF inside it are both
+/// [`ClientError::Io`] with [`std::io::ErrorKind::UnexpectedEof`]; a
+/// frame over `max_frame`, an unknown algorithm code, or an OUTPUT
+/// whose length disagrees with `33 + n·T::BYTES` is a
+/// [`ClientError::Protocol`]. After a bad OUTPUT the rest of its frame
+/// is read and dropped, so the stream stays in step.
+pub fn read_reply<T: WireElem>(
+    r: &mut impl Read,
+    max_frame: u32,
+    body: &mut Vec<u8>,
+    out: &mut Vec<T>,
+) -> Result<Reply, ClientError> {
+    let (kind, len) = match protocol::read_frame_head(r, max_frame) {
+        Ok(Some(head)) => head,
+        Ok(None) => {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )))
+        }
+        Err(ReadFrameError::Io(e)) => return Err(ClientError::Io(e)),
+        Err(e @ ReadFrameError::TooLarge { .. }) => {
+            return Err(ClientError::Protocol(e.to_string()))
+        }
+    };
+    let id_len = match FrameKind::from_u8(kind) {
+        Some(FrameKind::Output) => 0,
+        Some(FrameKind::OutputP) => 8,
+        _ => {
+            read_body(r, len, body)?;
+            return Ok(Reply::Other(kind));
+        }
+    };
+    let head = id_len + OUTPUT_META_BYTES;
+    read_body(r, len.min(head), body)?;
+    let payload = len.saturating_sub(head);
+    let checked = match body.get(id_len..) {
+        Some(meta) => protocol::decode_output_meta(meta).and_then(|(meta, n)| {
+            protocol::check_output_payload::<T>(n, payload).map(|()| (meta, n))
+        }),
+        None => Err(WireError::malformed("truncated request_id")),
+    };
+    let (meta, n) = match checked {
+        Ok(checked) => checked,
+        Err(e) => {
+            std::io::copy(&mut r.take(payload as u64), &mut std::io::sink())?;
+            return Err(protocol_error(e));
+        }
+    };
+    debug_assert_eq!(T::BYTES, std::mem::size_of::<T>(), "a wire word is its memory");
+    pages::resize_zeroed(out, n);
+    r.read_exact(pages::bytes_mut(out))?;
+    pages::from_le_in_place(out);
+    Ok(match id_len {
+        0 => Reply::Output(meta),
+        _ => Reply::OutputP(u64::from_le_bytes(body[..8].try_into().expect("8-byte id")), meta),
+    })
 }
 
 /// Decode an ERROR body into the [`ClientError::Server`] it reports;

@@ -359,7 +359,7 @@ pub struct WireError {
 }
 
 impl WireError {
-    fn malformed(message: impl Into<String>) -> WireError {
+    pub(crate) fn malformed(message: impl Into<String>) -> WireError {
         WireError { code: ErrorCode::Malformed, message: message.into() }
     }
 }
@@ -545,6 +545,28 @@ pub fn read_frame_into(
     max_frame: u32,
     body: &mut Vec<u8>,
 ) -> Result<Option<u8>, ReadFrameError> {
+    let Some((kind, body_len)) = read_frame_head(r, max_frame)? else {
+        return Ok(None);
+    };
+    read_body(r, body_len, body)?;
+    Ok(Some(kind))
+}
+
+/// Read `len` body bytes into `body`, which holds exactly them after.
+pub(crate) fn read_body(r: &mut impl Read, len: usize, body: &mut Vec<u8>) -> std::io::Result<()> {
+    // Every byte is overwritten, so only growth is zero-filled.
+    body.resize(len, 0);
+    r.read_exact(body)
+}
+
+/// Read a frame's length prefix and kind byte: `Ok(Some((kind,
+/// body_len)))`, with the body left unread, or `Ok(None)` at a clean
+/// EOF (before any byte of the frame). The reader of the body decides
+/// where it goes.
+pub(crate) fn read_frame_head(
+    r: &mut impl Read,
+    max_frame: u32,
+) -> Result<Option<(u8, usize)>, ReadFrameError> {
     let mut len_buf = [0u8; 4];
     // Hand-rolled first read so a clean close is distinguishable from a
     // truncated frame.
@@ -575,26 +597,26 @@ pub fn read_frame_into(
     }
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    // Every byte is overwritten below, so only growth is zero-filled.
-    body.resize(len as usize - 1, 0);
-    r.read_exact(body)?;
-    Ok(Some(kind[0]))
+    Ok(Some((kind[0], len as usize - 1)))
 }
 
 // ---------------------------------------------------------------------
 // Element encoding
 // ---------------------------------------------------------------------
 
-/// A value type with a fixed little-endian wire encoding. Sealed in
-/// practice to the element types the wire carries: `u32` list links,
-/// the operators' `i64` and `u64`, and [`listkit::ops::Affine`].
+/// A value type with a fixed little-endian wire encoding. Sealed, by
+/// its [`listkit::pages::Word`] bound, to the element types the wire
+/// carries: `u32` list links, the operators' `i64` and `u64`, and
+/// [`listkit::ops::Affine`]. Each one's encoding is its in-memory
+/// layout on a little-endian target (`BYTES` is its size), so a client
+/// reads an OUTPUT payload straight into a `Vec<T>`'s memory.
 ///
 /// Bulk arrays never go element by element through a growing buffer:
 /// the codec's slice encoders and [`decode_slice`] view the bytes as
 /// `[u8; BYTES]` chunks ([`WireElem::le_chunks`]) and move whole
 /// arrays, and a served job writes [`WireElem::to_wire`] straight into
 /// its reply frame through the same view.
-pub trait WireElem: Copy {
+pub trait WireElem: listkit::pages::Word {
     /// Encoded size in bytes.
     const BYTES: usize;
     /// The encoding, `[u8; BYTES]`.
@@ -1662,7 +1684,16 @@ pub(crate) fn seal_output_frame(buf: &mut [u8], frame: &OutputFrame, meta: &Outp
 /// Decode an OUTPUT body; the caller supplies the element type it
 /// asked for (the request's operator determines it).
 pub fn decode_output<T: WireElem>(body: &[u8]) -> Result<(OutputMeta, Vec<T>), WireError> {
-    let mut d = Dec::new(body);
+    let (meta, n) = decode_output_meta(body.get(..OUTPUT_META_BYTES).unwrap_or(body))?;
+    let payload = &body[OUTPUT_META_BYTES..];
+    check_output_payload::<T>(n, payload.len())?;
+    Ok((meta, decode_slice(payload)))
+}
+
+/// Decode the [`OUTPUT_META_BYTES`] of metadata that open an OUTPUT
+/// body into the metadata and the payload's element count.
+pub(crate) fn decode_output_meta(head: &[u8]) -> Result<(OutputMeta, usize), WireError> {
+    let mut d = Dec::new(head);
     let code = d.u8("algorithm")? as usize;
     let algorithm = *Algorithm::ALL
         .get(code)
@@ -1672,13 +1703,20 @@ pub fn decode_output<T: WireElem>(body: &[u8]) -> Result<(OutputMeta, Vec<T>), W
     let exec_ns = d.u64("exec_ns")?;
     let trace_id = d.u64("trace_id")?;
     let n = d.u32("element count")? as usize;
-    let raw = d.take(
-        n.checked_mul(T::BYTES).ok_or_else(|| WireError::malformed("payload overflows"))?,
-        "payload",
-    )?;
     d.finish()?;
-    let values = decode_slice(raw);
-    Ok((OutputMeta { algorithm, shards, queued_ns, exec_ns, trace_id }, values))
+    Ok((OutputMeta { algorithm, shards, queued_ns, exec_ns, trace_id }, n))
+}
+
+/// An OUTPUT payload of `len` bytes must hold exactly the `n` elements
+/// of `T` its metadata counts.
+pub(crate) fn check_output_payload<T: WireElem>(n: usize, len: usize) -> Result<(), WireError> {
+    if n.checked_mul(T::BYTES) == Some(len) {
+        return Ok(());
+    }
+    Err(WireError::malformed(format!(
+        "OUTPUT payload of {len} bytes for {n} elements of {} bytes",
+        T::BYTES
+    )))
 }
 
 /// The STATS_OK payload: a fixed counter block (engine totals plus the

@@ -21,6 +21,15 @@
 //! one typed `8·n` output, a copy of the values that it scans in place:
 //! nothing of `16·n` wraps the values with their flags.
 //!
+//! The client reads an OUTPUT payload straight into its output buffer,
+//! so its own list-sized allocations are pinned too. The first
+//! `Client::call` of a `RANK_H` makes exactly one allocation of `8·n`
+//! bytes or more, the output, which comes zeroed from the allocator;
+//! the reply buffer never grows to hold the payload. A `SCAN_H` makes
+//! that one and its encoded request. `Client::call_into` a buffer that
+//! already holds `n` words makes none for a `RANK_H`, and only the
+//! encoded request for a `SCAN_H`.
+//!
 //! A counting global allocator records every allocation at or above a
 //! threshold together with the kind of thread that made it: the test's
 //! client thread, the reactor thread, or any other (the engine's
@@ -103,9 +112,9 @@ static ALLOC: Counting = Counting;
 /// The record is global: one test records at a time.
 static RECORDING: Mutex<()> = Mutex::new(());
 
-/// Record allocations of at least `bytes` while `f` runs; returns the
-/// ones made off the client thread.
-fn daemon_allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
+/// Record allocations of at least `bytes` while `f` runs, on every
+/// thread.
+fn allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
     SEEN.store(0, Ordering::Relaxed);
     THRESHOLD.store(bytes, Ordering::Relaxed);
     f();
@@ -115,8 +124,17 @@ fn daemon_allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
     let side = |s: usize| [Side::Engine, Side::Client, Side::Reactor][s];
     (0..seen)
         .map(|i| (SIZES[i].load(Ordering::Relaxed), side(SIDES[i].load(Ordering::Relaxed))))
-        .filter(|&(_, s)| s != Side::Client)
         .collect()
+}
+
+/// [`allocs_during`], keeping the ones made off the client thread.
+fn daemon_allocs_during(bytes: usize, f: impl FnOnce()) -> Vec<(usize, Side)> {
+    allocs_during(bytes, f).into_iter().filter(|&(_, s)| s != Side::Client).collect()
+}
+
+/// The sizes of the client thread's allocations among `allocs`.
+fn client_sizes(allocs: &[(usize, Side)]) -> Vec<usize> {
+    allocs.iter().filter(|&&(_, s)| s == Side::Client).map(|&(size, _)| size).collect()
 }
 
 #[test]
@@ -144,13 +162,35 @@ fn served_rank_and_scan_allocate_nothing_of_order_n_outside_exec() {
     let rank = Call::rank(handle);
     let scan = Call::scan(handle, &values, AddOp);
     let segscan = Call::segmented(handle, &values, &starts, AddOp);
-    // Warm-up: grows the reply pool, the read buffer and the scratch
-    // pool to this size.
-    assert!(client.call(&rank).expect("warm rank").output == ranks);
-    assert!(client.call(&scan).expect("warm scan").output == sums);
+    // Warm-up: grows the reply pool and the scratch pool to this size.
+    // The client's first calls allocate each output once, and the scan
+    // its encoded request; the reply buffer holds only the metadata.
+    let big = 8 * N;
+    let scan_request = scan.encode().1.capacity();
+    let mut served = None;
+    let first = allocs_during(big, || served = Some(client.call(&rank).expect("warm rank")));
+    assert!(served.expect("served").output == ranks);
+    assert_eq!(client_sizes(&first), [8 * N], "the first RANK_H allocates its output only");
+    let mut served = None;
+    let first = allocs_during(big, || served = Some(client.call(&scan).expect("warm scan")));
+    assert!(served.expect("served").output == sums);
+    assert_eq!(client_sizes(&first), [scan_request, 8 * N], "the request and the output");
     assert!(client.call(&segscan).expect("warm segscan").output == seg_sums);
 
-    let big = 8 * N;
+    // A warm buffer: call_into allocates nothing of order n.
+    let mut out = vec![0u64; N];
+    let during = allocs_during(big, || {
+        client.call_into(&rank, &mut out).expect("rank into");
+    });
+    assert!(out == ranks, "rank into a warm buffer diverged from the serial oracle");
+    assert_eq!(during, [], "a warm call_into of a RANK_H allocated O(n) bytes");
+    let mut out = vec![0i64; N];
+    let during = allocs_during(big, || {
+        client.call_into(&scan, &mut out).expect("scan into");
+    });
+    assert!(out == sums, "scan into a warm buffer diverged from the serial oracle");
+    assert_eq!(during, [(scan_request, Side::Client)], "a warm SCAN_H allocates its request");
+
     let mut served = None;
     let during = daemon_allocs_during(big, || served = Some(client.call(&rank).expect("rank")));
     assert!(served.expect("served").output == ranks, "rank diverged from the serial oracle");

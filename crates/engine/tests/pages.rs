@@ -1,13 +1,19 @@
-//! The client's decoded OUTPUT is list-sized, and it is allocated on
-//! huge pages (`listkit::pages`): the `/proc/self/smaps` mapping that
-//! holds it carries `hg` among its `VmFlags`. Whether the kernel found a
-//! free 2 MiB page (`AnonHugePages`) depends on fragmentation, so it is
-//! not asserted. Skipped where transparent huge pages are missing or set
-//! to `never`.
+//! A client's list-sized output is allocated on huge pages
+//! (`listkit::pages`), both where `decode_output` decodes a staged body
+//! and where `Client::call` reads a served OUTPUT's payload off the
+//! socket straight into it: the `/proc/self/smaps` mapping that holds it
+//! carries `hg` among its `VmFlags`. Whether the kernel found a free
+//! 2 MiB page (`AnonHugePages`) depends on fragmentation, so it is not
+//! asserted. Skipped where transparent huge pages are missing or set to
+//! `never`.
 #![cfg(target_os = "linux")]
 
+use engine::client::{Call, Client};
 use engine::protocol::{self, OutputMeta};
+use engine::server::{ServeConfig, Server};
+use engine::{Engine, EngineConfig};
 use listrank::Algorithm;
+use std::sync::Arc;
 
 fn huge_pages_enabled() -> bool {
     std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
@@ -53,4 +59,29 @@ fn decoded_output_of_a_list_sized_reply_is_advised() {
     assert_eq!(got.capacity(), got.len(), "the allocation is exact");
     let middle = got.as_ptr() as usize + 4 * got.len();
     assert!(advised(middle), "the 8 MiB decode is on huge pages");
+}
+
+#[test]
+fn a_served_output_read_by_the_client_is_advised() {
+    if !huge_pages_enabled() {
+        eprintln!("transparent huge pages unavailable; skipped");
+        return;
+    }
+    let path = std::env::temp_dir().join(format!("rankd-pages-{}.sock", std::process::id()));
+    let engine = Arc::new(Engine::new(EngineConfig::default().with_workers(1)));
+    let server = Server::bind(engine, ServeConfig::new(&path)).expect("bind");
+    let control = server.control();
+    let join = std::thread::spawn(move || server.run());
+
+    let list = listkit::gen::random_list(1 << 20, 0x9a6e);
+    let mut client = Client::connect(&path).expect("connect");
+    let got = client.call(&Call::rank(&list)).expect("rank").output;
+    assert!(got == listkit::serial::rank(&list), "the served ranks match the serial oracle");
+    assert_eq!(got.capacity(), got.len(), "the allocation is exact");
+    let middle = got.as_ptr() as usize + 4 * got.len();
+    assert!(advised(middle), "the 8 MiB output is on huge pages");
+
+    control.request_shutdown();
+    drop(client);
+    join.join().expect("server thread").expect("server run");
 }

@@ -11,15 +11,25 @@
 //! answering typed `quota_exceeded`. The transport batches at both
 //! ends: the server shares writes among replies at depth, and the
 //! client decodes replies however they arrive.
+//!
+//! The client's reply reader, against a fake daemon that scripts its
+//! replies byte for byte: an OUTPUT / OUTPUT_P payload read straight
+//! into the output buffer comes out as `decode_output` makes it,
+//! however the frame is split on the wire; an ERROR_P between two
+//! OUTPUT_P frames; a miscounted OUTPUT is a protocol error that keeps
+//! the stream in step; EOF inside a payload is `UnexpectedEof`; and
+//! `Client::call_into` reuses, shrinks and grows the caller's buffer.
 #![cfg(unix)]
 
-use engine::client::{Call, Client};
-use engine::protocol::{self, ErrorCode, Frame, FrameKind, OutputMeta, MAX_FRAME_DEFAULT};
+use engine::client::{Call, Client, ClientError};
+use engine::protocol::{
+    self, ErrorCode, Frame, FrameKind, OutputMeta, WireElem, MAX_FRAME_DEFAULT,
+};
 use engine::server::{ServeConfig, Server};
 use engine::Engine;
 use listkit::dynamic::Edit;
 use listkit::gen;
-use listkit::ops::AddOp;
+use listkit::ops::{AddOp, Affine, AffineOp, XorOp};
 use listkit::LinkedList;
 use listrank::{Algorithm, HostRunner};
 use std::collections::HashMap;
@@ -647,19 +657,20 @@ fn replies_at_depth_eight_share_writes() {
     server.stop();
 }
 
-/// A whole OUTPUT_P frame for request `id` carrying `ranks`.
-fn output_p_frame(id: u64, ranks: &[u64]) -> Vec<u8> {
-    let meta = OutputMeta {
-        algorithm: Algorithm::Serial,
-        shards: 0,
-        queued_ns: 1,
-        exec_ns: 2,
-        trace_id: 3,
-    };
-    let body = protocol::output_body(&meta, ranks);
+/// Metadata with every field set, so a misread field shows.
+const META: OutputMeta = OutputMeta {
+    algorithm: Algorithm::ReidMiller,
+    shards: 2,
+    queued_ns: 11,
+    exec_ns: 22,
+    trace_id: 33,
+};
+
+/// A whole OUTPUT frame, or OUTPUT_P for `id`, around `body`.
+fn reply_frame(id: Option<u64>, body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::new();
-    protocol::reply_frame_into(&mut frame, FrameKind::Output, Some(id), body.len(), |f| {
-        f.extend_from_slice(&body)
+    protocol::reply_frame_into(&mut frame, FrameKind::Output, id, body.len(), |f| {
+        f.extend_from_slice(body)
     })
     .expect("frame fits");
     frame
@@ -676,7 +687,7 @@ fn client_decodes_coalesced_and_trickled_replies_in_order() {
     let listener = UnixListener::bind(&path).expect("bind the fake server");
     let list = gen::random_list(100, 0xFA4E);
     let ranks = listkit::serial::rank(&list);
-    let served = ranks.clone();
+    let body = protocol::output_body(&META, &ranks);
     let fake = std::thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("accept");
         // A client that never writes its queue fails the test, not hangs it.
@@ -687,9 +698,9 @@ fn client_decodes_coalesced_and_trickled_replies_in_order() {
         for _ in 0..2 {
             assert_eq!(read_one(&mut conn).kind, FrameKind::Rank as u8, "a queued send");
         }
-        let three: Vec<u8> = (1..=3).flat_map(|id| output_p_frame(id, &served)).collect();
+        let three: Vec<u8> = (1..=3).flat_map(|id| reply_frame(Some(id), &body)).collect();
         conn.write_all(&three).expect("three replies in one write");
-        for byte in output_p_frame(4, &served) {
+        for byte in reply_frame(Some(4), &body) {
             conn.write_all(&[byte]).expect("one byte");
         }
     });
@@ -729,4 +740,261 @@ fn pipelined_ranks_on_a_fresh_handle_build_one_array() {
     assert_eq!((store.artifacts_built, store.artifacts_reused), (1, 3), "built, reused");
     drop(client);
     server.stop();
+}
+
+/// One step of a [`fake_daemon`]'s script: read `reads` request frames,
+/// then write `bytes` in pieces cut at `cuts`.
+struct Step {
+    reads: usize,
+    bytes: Vec<u8>,
+    cuts: Vec<usize>,
+}
+
+/// A fake daemon on `path`: it answers the handshake, then plays
+/// `script`, pausing a millisecond between the pieces of a step so that
+/// each piece reaches the client on its own, and closes the connection
+/// after the last step.
+fn fake_daemon(path: &std::path::Path, script: Vec<Step>) -> std::thread::JoinHandle<()> {
+    let listener = UnixListener::bind(path).expect("bind the fake daemon");
+    std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        conn.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        assert_eq!(read_one(&mut conn).kind, FrameKind::Hello as u8);
+        let hello_ok = protocol::hello_ok_body(protocol::VERSION, MAX_FRAME_DEFAULT);
+        protocol::write_frame(&mut conn, FrameKind::HelloOk as u8, &hello_ok).expect("HELLO_OK");
+        for step in script {
+            for _ in 0..step.reads {
+                read_one(&mut conn);
+            }
+            let mut from = 0;
+            for to in step.cuts.iter().copied().chain([step.bytes.len()]) {
+                conn.write_all(&step.bytes[from..to]).expect("write a piece");
+                from = to;
+                if to < step.bytes.len() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+    })
+}
+
+/// The ways the fake daemon cuts one frame of `n` words of `bytes`
+/// each: byte by byte; at each header, metadata and payload boundary
+/// alone (and in the middle of the first word); and at all of them at
+/// once.
+fn cut_plans(frame_len: usize, pipelined: bool, bytes: usize, n: usize) -> Vec<Vec<usize>> {
+    let header = if pipelined { 13 } else { 5 };
+    let meta_end = header + 33;
+    let mut bounds = vec![4, 5];
+    bounds.extend(pipelined.then_some(13));
+    bounds.extend([meta_end, meta_end + bytes / 2]);
+    bounds.extend((1..n).map(|k| meta_end + k * bytes));
+    let mut plans = vec![(1..frame_len).collect::<Vec<_>>()];
+    plans.extend(bounds.iter().map(|&b| vec![b]));
+    plans.push(bounds);
+    plans
+}
+
+/// One request's worth of reader cases for `values`: the OUTPUT and the
+/// OUTPUT_P (id `id`) that carry them, each under every cut plan.
+fn cases<T: WireElem>(values: &[T], id: u64) -> Vec<(Option<u64>, Vec<u8>, Vec<usize>)> {
+    let body = protocol::output_body(&META, values);
+    let mut cases = Vec::new();
+    for id in [None, Some(id)] {
+        let frame = reply_frame(id, &body);
+        for cuts in cut_plans(frame.len(), id.is_some(), T::BYTES, values.len()) {
+            cases.push((id, body.clone(), cuts));
+        }
+    }
+    cases
+}
+
+/// Read one scripted case back through the client: a `Client::call` for
+/// an OUTPUT, a send and `recv_pipelined` for an OUTPUT_P. The output
+/// and metadata must be what `decode_output` makes of the same body.
+fn read_back<T: WireElem + PartialEq + std::fmt::Debug>(
+    client: &mut Client,
+    call: Call<'_, T>,
+    id: Option<u64>,
+    body: &[u8],
+) {
+    let want = protocol::decode_output::<T>(body).expect("the body decodes");
+    let got = match id {
+        None => client.call(&call).expect("an OUTPUT"),
+        Some(id) => {
+            client.send(&call.id(id)).expect("pipelined send");
+            let (got_id, res) = client.recv_pipelined::<T>().expect("a reply");
+            assert_eq!(got_id, id, "the echoed id");
+            res.expect("an OUTPUT_P")
+        }
+    };
+    assert_eq!((got.meta, got.output), want);
+}
+
+/// The client reads an OUTPUT payload straight into its output buffer:
+/// however the frame is split on the wire — byte by byte, or at any
+/// header, metadata or payload boundary — a rank (`u64`) and the `i64`,
+/// `u64` and `Affine` scans, as OUTPUT and OUTPUT_P, come out equal to
+/// `decode_output` of the same body.
+#[test]
+fn client_reads_outputs_split_anywhere() {
+    let path = sock_path("split");
+    let ranks: Vec<u64> = vec![2, 0, 1];
+    let sums: Vec<i64> = vec![-7, 0, i64::MIN];
+    let xors: Vec<u64> = vec![u64::MAX, 0x0102_0304_0506_0708, 5];
+    let maps = vec![Affine::new(1, 0), Affine::new(-2, 1 << 40), Affine::new(i64::MAX, -1)];
+    let rank_cases = cases(&ranks, 1);
+    let sum_cases = cases(&sums, 2);
+    let xor_cases = cases(&xors, 3);
+    let map_cases = cases(&maps, 4);
+    let all = [&rank_cases, &sum_cases, &xor_cases, &map_cases];
+    let script = all
+        .iter()
+        .flat_map(|cases| cases.iter())
+        .map(|(id, body, cuts)| Step {
+            reads: 1,
+            bytes: reply_frame(*id, body),
+            cuts: cuts.clone(),
+        })
+        .collect();
+    let fake = fake_daemon(&path, script);
+
+    let mut client = Client::connect(&path).expect("connect to the fake daemon");
+    let h = 1u64;
+    for (id, body, _) in &rank_cases {
+        read_back(&mut client, Call::rank(h), *id, body);
+    }
+    for (id, body, _) in &sum_cases {
+        read_back(&mut client, Call::scan(h, &sums, AddOp), *id, body);
+    }
+    for (id, body, _) in &xor_cases {
+        read_back(&mut client, Call::scan(h, &xors, XorOp), *id, body);
+    }
+    for (id, body, _) in &map_cases {
+        read_back(&mut client, Call::scan(h, &maps, AffineOp), *id, body);
+    }
+    fake.join().expect("fake daemon");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An ERROR_P between two OUTPUT_P frames in one write: the error is
+/// that request's own result, and the OUTPUT_P after it still reads.
+#[test]
+fn client_reads_an_error_p_between_two_outputs() {
+    let path = sock_path("error-p");
+    let ranks: Vec<u64> = (0..100).rev().collect();
+    let body = protocol::output_body(&META, &ranks);
+    let error = protocol::error_body(ErrorCode::DeadlineExceeded, "too late");
+    let mut bytes = reply_frame(Some(1), &body);
+    protocol::reply_frame_into(&mut bytes, FrameKind::Error, Some(2), error.len(), |f| {
+        f.extend_from_slice(&error)
+    })
+    .expect("frame fits");
+    bytes.extend(reply_frame(Some(3), &body));
+    let fake = fake_daemon(&path, vec![Step { reads: 3, bytes, cuts: vec![] }]);
+
+    let mut client = Client::connect(&path).expect("connect to the fake daemon");
+    for id in 1..=3 {
+        client.send(&Call::rank(1).id(id)).expect("pipelined send");
+    }
+    let (id, res) = client.recv_pipelined::<u64>().expect("reply 1");
+    assert_eq!((id, res.expect("an OUTPUT_P").output), (1, ranks.clone()));
+    let (id, res) = client.recv_pipelined::<u64>().expect("reply 2");
+    let err = res.expect_err("an ERROR_P");
+    assert_eq!((id, err.server_code()), (2, Some(ErrorCode::DeadlineExceeded)));
+    let (id, res) = client.recv_pipelined::<u64>().expect("reply 3");
+    assert_eq!((id, res.expect("an OUTPUT_P").output), (3, ranks));
+    fake.join().expect("fake daemon");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An OUTPUT_P whose element count disagrees with its frame length is a
+/// protocol error, whether the payload is short or long; the rest of
+/// the bad frame is dropped, so the OUTPUT_P after it still reads.
+#[test]
+fn client_refuses_an_output_whose_count_disagrees_with_its_length() {
+    let path = sock_path("bad-count");
+    let ranks: Vec<u64> = (0..10).collect();
+    let good = protocol::output_body(&META, &ranks);
+    let recount = |n: u32| {
+        let mut bad = good.clone();
+        bad[29..33].copy_from_slice(&n.to_le_bytes());
+        bad
+    };
+    let mut bytes = Vec::new();
+    for (id, body) in [(1, recount(11)), (2, good.clone()), (3, recount(9)), (4, good.clone())] {
+        bytes.extend(reply_frame(Some(id), &body));
+    }
+    let fake = fake_daemon(&path, vec![Step { reads: 4, bytes, cuts: vec![] }]);
+
+    let mut client = Client::connect(&path).expect("connect to the fake daemon");
+    for id in 1..=4 {
+        client.send(&Call::rank(1).id(id)).expect("pipelined send");
+    }
+    for id in [2, 4] {
+        match client.recv_pipelined::<u64>() {
+            Err(ClientError::Protocol(m)) => assert!(m.contains("OUTPUT payload"), "{m}"),
+            other => panic!("a miscounted OUTPUT_P read as {other:?}"),
+        }
+        let (got, res) = client.recv_pipelined::<u64>().expect("the next reply");
+        assert_eq!((got, res.expect("an OUTPUT_P").output), (id, ranks.clone()));
+    }
+    fake.join().expect("fake daemon");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A connection that closes inside an OUTPUT payload is a truncated
+/// frame: `Io(UnexpectedEof)`.
+#[test]
+fn client_reports_eof_inside_a_payload() {
+    let path = sock_path("eof-payload");
+    let ranks: Vec<u64> = (0..1000).collect();
+    let mut bytes = reply_frame(None, &protocol::output_body(&META, &ranks));
+    bytes.truncate(bytes.len() - 100);
+    let fake = fake_daemon(&path, vec![Step { reads: 1, bytes, cuts: vec![] }]);
+
+    let mut client = Client::connect(&path).expect("connect to the fake daemon");
+    match client.call(&Call::rank(1)) {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+        other => panic!("a truncated OUTPUT read as {other:?}"),
+    }
+    fake.join().expect("fake daemon");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `call_into` reuses the caller's buffer: a shorter reply shrinks it
+/// in place and a longer one within its capacity regrows it there; one
+/// beyond its capacity gets an exact new buffer, and an empty reply
+/// empties it.
+#[test]
+fn call_into_shrinks_and_grows_a_reused_buffer() {
+    let path = sock_path("call-into");
+    let sizes = [50usize, 10, 30, 200, 0];
+    let outputs: Vec<Vec<u64>> =
+        sizes.iter().map(|&n| (0..n as u64).map(|i| splitmix64(i ^ n as u64)).collect()).collect();
+    let script = outputs
+        .iter()
+        .map(|o| Step {
+            reads: 1,
+            bytes: reply_frame(None, &protocol::output_body(&META, o)),
+            cuts: vec![],
+        })
+        .collect();
+    let fake = fake_daemon(&path, script);
+
+    let mut client = Client::connect(&path).expect("connect to the fake daemon");
+    let mut out = Vec::new();
+    let mut at = None;
+    for (want, &n) in outputs.iter().zip(&sizes) {
+        let meta = client.call_into(&Call::rank(1), &mut out).expect("an OUTPUT");
+        assert_eq!((meta, &out), (META, want), "reply of {n}");
+        match n {
+            50 => at = Some(out.as_ptr()),
+            10 | 30 => assert_eq!((Some(out.as_ptr()), out.capacity()), (at, 50), "kept in place"),
+            200 => assert_eq!(out.capacity(), 200, "a larger reply gets an exact buffer"),
+            _ => assert!(out.is_empty()),
+        }
+    }
+    fake.join().expect("fake daemon");
+    let _ = std::fs::remove_file(&path);
 }

@@ -123,7 +123,12 @@ impl ScanOp<u64> for XorOp {
 /// which makes scans over [`AffineOp`] a sharp correctness test: any
 /// implementation that swaps operand order (e.g. by computing a suffix
 /// and "subtracting") produces wrong results.
+///
+/// `#[repr(C)]`: two `i64` fields with no padding, so every 16-byte
+/// pattern is a valid `Affine` and a buffer of them can be read into as
+/// bytes ([`crate::pages::Word`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct Affine {
     /// Multiplicative coefficient.
     pub a: i64,

@@ -1,7 +1,7 @@
 //! `listkit::pages` on Linux: a buffer of at least
 //! [`pages::ADVISE_MIN_BYTES`] lies in a mapping the kernel marks for
 //! huge pages (`hg` among its `VmFlags` in `/proc/self/smaps`), and a
-//! smaller one does not. Whether the kernel then found a free 2 MiB page
+//! smaller one does not; a list-sized `zeroed_vec` is advised too. Whether the kernel then found a free 2 MiB page
 //! (`AnonHugePages`) depends on fragmentation, so it is not asserted.
 //! Skipped where transparent huge pages are missing or set to `never`.
 #![cfg(target_os = "linux")]
@@ -59,4 +59,8 @@ fn list_sized_buffers_are_advised_and_small_ones_are_not() {
     let copy = pages::copied(&src);
     assert_eq!(copy, src);
     assert!(advised(middle(&copy)), "a list-sized copy is advised");
+
+    let zeroed: Vec<u64> = pages::zeroed_vec((8 << 20) / 8);
+    assert_eq!(zeroed.capacity(), (8 << 20) / 8, "the allocation is exact");
+    assert!(advised(middle(&zeroed)), "a list-sized zeroed buffer is advised");
 }
