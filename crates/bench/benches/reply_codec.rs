@@ -33,14 +33,19 @@
 //!   scatter of the position order); `copy_into_payload` is the
 //!   reactor's one copy of the request's 32 MiB of value encodings
 //!   into a warm, advised reply payload; `scan_in_place` is the
-//!   worker's two passes along the kept position order over that
-//!   payload (`RankArray::scan_in_place`); `copy_then_scan` is both,
-//!   the whole served scan between decode and reply. The scan it
-//!   replaced scattered the decoded values into the payload, prefixed
-//!   it, gathered back and re-encoded, after a fresh decode on the
-//!   reactor. Two quick runs on a 2-CPU x86-64 VM (THP `madvise`) read
-//!   `build` 88–97 ms, `copy_into_payload` 3.7 ms, `scan_in_place`
-//!   32–35 ms and `copy_then_scan` 35–38 ms;
+//!   worker's add-scan of that payload (`RankArray::scan_in_place`):
+//!   a sequential pass in vertex order for the blocks' carries, then
+//!   one random pass along the kept position order, prefetching ahead;
+//!   `copy_then_scan` is both, the whole served scan between decode
+//!   and reply, and checks that the payload then holds the serial list
+//!   scan; `scan_in_place_affine` scans 2²² affine maps (16 bytes
+//!   each), a non-commutative operator, so both of its passes walk the
+//!   position order. Interleaved runs on a 2-CPU x86-64 VM (THP
+//!   `madvise`) read `build` 85–107 ms, `copy_into_payload` 4.5–6.6
+//!   ms, `scan_in_place` 18.3–19.0 ms (36.0–36.2 with two random
+//!   passes and no prefetch), `copy_then_scan` 21.6–21.8 ms and
+//!   `scan_in_place_affine` 46.7–52.4 ms (96.7–169.6 without the
+//!   prefetch);
 //! * `client/*`: a client reading a 2²² OUTPUT off a Unix socket pair,
 //!   which a writer thread keeps full, through a 64 KiB `BufReader` as
 //!   `Client` does — `staged` reads the whole body into a reused buffer
@@ -61,7 +66,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use engine::client;
 use engine::protocol::{self, FrameKind, OutputMeta, WireElem};
-use listkit::ops::AddOp;
+use listkit::ops::{AddOp, Affine, AffineOp};
 use listkit::pages;
 use listrank::host::{RankArray, RankScratch};
 use listrank::{Algorithm, HostRunner};
@@ -218,6 +223,27 @@ fn bench_ranked(c: &mut Criterion) {
         b.iter(|| {
             payload.copy_from_slice(black_box(&request));
             pool.install(|| scan(&mut payload));
+        });
+        let got: Vec<i64> = i64::le_chunks(&payload).iter().map(|&w| i64::from_wire(w)).collect();
+        assert!(got == listkit::serial::scan(&list, &values, &AddOp), "the scan is the list scan");
+    });
+    // The non-commutative scan keeps the position-order reduce.
+    let affines: Vec<u8> =
+        (0..N as i64).flat_map(|i| Affine::new(i % 3 - 1, i % 7 - 3).to_wire()).collect();
+    let mut payload = pages::vec_with_capacity(16 * N);
+    payload.extend_from_slice(&affines);
+    g.bench_function("scan_in_place_affine", |b| {
+        b.iter(|| {
+            pool.install(|| {
+                let words = Affine::le_chunks_mut(&mut payload);
+                ranks.scan_in_place(
+                    words,
+                    &AffineOp,
+                    None,
+                    |&w| Affine::from_wire(w),
+                    Affine::to_wire,
+                );
+            })
         })
     });
     black_box(&payload);
@@ -251,14 +277,14 @@ fn bench_client(c: &mut Criterion) {
             black_box(out).len()
         })
     });
-    let mut out = Vec::<u64>::new();
     g.bench_function("one_copy_warm", |b| {
+        let mut out = Vec::<u64>::new();
         b.iter(|| {
             client::read_reply(&mut rx, cap, &mut reply, &mut out).expect("reads");
             black_box(&out).len()
-        })
+        });
+        assert!(out == ranks, "the payload read intact");
     });
-    assert!(out == ranks, "the payload read intact");
     drop(rx);
     writer.join().expect("writer thread");
     g.finish();

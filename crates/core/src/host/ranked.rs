@@ -15,8 +15,17 @@
 //! `load`/`store` closures, so the buffer may be a typed `Vec<T>` or a
 //! reply frame's payload viewed as little-endian words.
 //!
+//! Each access along the positions is a random one, so the scan makes
+//! as few of those passes as its operator allows, and prefetches ahead
+//! in each. Under a commutative operator (add, max, min, xor) with no
+//! segments, the carry into each thread's block of positions is a sum
+//! over the vertices ranked before it, taken in any order, so it comes
+//! from a sequential pass over the values in vertex order, and the one
+//! random pass writes the prefixes. A non-commutative or segmented scan
+//! needs its block sums in position order: two random passes.
+//!
 //! The position order is the one write whose disjointness Rust cannot
-//! see, and so is the scan's second pass: both go through the crate's
+//! see, and so is the scan's prefix pass: both go through the crate's
 //! `DisjointWriter`, and both are sound because a rank array is a
 //! permutation of `0..n`. Its fields are private and
 //! [`RankArray::build`], its only constructor, asserts the permutation
@@ -26,6 +35,7 @@
 use crate::api::{Algorithm, HostRunner};
 use crate::host::RankScratch;
 use crate::util::DisjointWriter;
+use listkit::walk::prefetch_read;
 use listkit::{LinkedList, ScanOp};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +44,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// host's pool spawns its threads per operation, which costs more than
 /// a pass over a list this short.
 const PAR_MIN: usize = 1 << 15;
+
+/// Positions ahead of the current one whose element a position-order
+/// loop prefetches: enough random reads in flight to hide most of the
+/// memory latency. On the 2²² `reply_codec/ranked` rows, 2 threads of
+/// a 2-CPU x86-64 VM, the add-scan read 17.5–22 ms at every distance
+/// from 8 to 64, and the affine scan (16-byte elements, two random
+/// passes) 47–52 ms at 32, against 55–57 at 64 and 59–91 at 16.
+const PREFETCH_AHEAD: usize = 32;
+
+/// Vertices per tile of the vertex-order carry pass: a tile's elements
+/// and ranks stay in L1 while each block boundary folds it.
+const TILE: usize = 2048;
 
 /// The ranks of one list, `ranks[v]` = position of vertex `v`, and
 /// their inverse, `order[p]` = vertex at position `p`, kept so that
@@ -124,14 +146,30 @@ impl RankArray {
     /// of every `load`ed element before `v` in list order, restarting at
     /// the identity at each position `starts` flags.
     ///
-    /// Two passes over contiguous blocks of positions, one block per
-    /// thread, each reading `buf[order[p]]`: the first reduces each
-    /// block to its combination since its last start, a serial pass
-    /// carries the block sums in order, and the second replaces each
-    /// element with its block's running prefix from the carry. Blocks
-    /// combine left to right, so the result is exact for
-    /// non-commutative operators, and they touch disjoint vertices
-    /// because the position order is a permutation.
+    /// The positions split into contiguous blocks, one per thread. A
+    /// first pass finds each block's carry, the combination of every
+    /// element before it; a second pass walks each block's positions,
+    /// reading and replacing `buf[order[p]]` with the block's running
+    /// prefix from its carry. Each block touches its own vertices
+    /// because the position order is a permutation, and the second
+    /// pass prefetches `PREFETCH_AHEAD` positions ahead, so that many
+    /// random reads are in flight.
+    ///
+    /// How the first pass finds the carries depends on the operator:
+    /// - commutative and unsegmented (add, max, min, xor): each thread
+    ///   reads a contiguous chunk of vertices in vertex order, zipping
+    ///   `buf` with the ranks, and folds every element into the carry
+    ///   of each block past its rank. The chunks' partial carries then
+    ///   combine. This pass is sequential, not random, and it is exact
+    ///   only because the operator commutes: it combines elements out
+    ///   of list order;
+    /// - otherwise (affine, or any segmented scan): each block is
+    ///   reduced along its positions, prefetching as the second pass
+    ///   does, to its combination since its last start, and a serial
+    ///   pass carries the block sums left to right, so the result is
+    ///   exact for non-commutative operators.
+    ///
+    /// A list shorter than `2 * PAR_MIN` is scanned inline in one pass.
     pub fn scan_in_place<B, T, Op>(
         &self,
         buf: &mut [B],
@@ -150,12 +188,7 @@ impl RankArray {
             assert!(flags.0.len() * 64 >= n, "flags cover every position");
         }
         let is_start = |p: usize| starts.is_some_and(|flags| flags.get(p));
-        let threads =
-            if n < 2 * PAR_MIN { 1 } else { rayon::current_num_threads().clamp(1, n / PAR_MIN) };
-        let len = n.div_ceil(threads);
-        let blocks = n.div_ceil(len);
-        let block = |b: usize| (b * len, &self.order[b * len..((b + 1) * len).min(n)]);
-        if blocks == 1 {
+        if n < 2 * PAR_MIN {
             let mut acc = op.identity();
             for (p, &v) in self.order.iter().enumerate() {
                 if is_start(p) {
@@ -166,11 +199,18 @@ impl RankArray {
             }
             return;
         }
-        // Each block's combination since its last start, and whether it
-        // holds one.
-        let sums: Vec<(bool, T)> = {
+        let len = n.div_ceil(rayon::current_num_threads().clamp(1, n / PAR_MIN));
+        let blocks = n.div_ceil(len);
+        let block = |b: usize| (b * len, &self.order[b * len..((b + 1) * len).min(n)]);
+        let carries = if blocks == 1 {
+            vec![op.identity()]
+        } else if Op::COMMUTATIVE && starts.is_none() {
+            self.carries_by_vertex(buf, op, len, &load)
+        } else {
+            // Each block's combination since its last start, and
+            // whether it holds one.
             let buf = &*buf;
-            (0..blocks)
+            let sums: Vec<(bool, T)> = (0..blocks)
                 .into_par_iter()
                 .with_min_len(1)
                 .map(|b| {
@@ -178,6 +218,9 @@ impl RankArray {
                     vertices.iter().enumerate().fold(
                         (false, op.identity()),
                         |(seen, acc), (i, &v)| {
+                            if let Some(&ahead) = vertices.get(i + PREFETCH_AHEAD) {
+                                prefetch_read(buf, ahead as usize);
+                            }
                             let x = load(&buf[v as usize]);
                             if is_start(lo + i) {
                                 (true, x)
@@ -187,22 +230,24 @@ impl RankArray {
                         },
                     )
                 })
+                .collect();
+            let mut carry = op.identity();
+            sums.iter()
+                .map(|&(restarts, sum)| {
+                    let c = carry;
+                    carry = if restarts { sum } else { op.combine(carry, sum) };
+                    c
+                })
                 .collect()
         };
-        let mut carry = op.identity();
-        let carries: Vec<T> = sums
-            .iter()
-            .map(|&(restarts, sum)| {
-                let c = carry;
-                carry = if restarts { sum } else { op.combine(carry, sum) };
-                c
-            })
-            .collect();
         let writer = DisjointWriter::new(buf);
         (0..blocks).into_par_iter().with_min_len(1).for_each(|b| {
             let (lo, vertices) = block(b);
             let mut acc = carries[b];
             for (i, &v) in vertices.iter().enumerate() {
+                if let Some(&ahead) = vertices.get(i + PREFETCH_AHEAD) {
+                    writer.prefetch(ahead as usize);
+                }
                 if is_start(lo + i) {
                     acc = op.identity();
                 }
@@ -214,6 +259,56 @@ impl RankArray {
                 acc = op.combine(acc, load(&x));
             }
         });
+    }
+
+    /// The carry into each block of `len` positions under a commutative
+    /// `op`: `carries[b]` combines every element ranked below `b * len`.
+    ///
+    /// One sequential pass: each thread zips its chunk of `buf` with the
+    /// same chunk of the ranks, tile by tile, and folds each tile into
+    /// one register accumulator per block boundary through a select on
+    /// the rank, so the step per element has no division, no
+    /// data-dependent branch and no accumulator indexed by the rank.
+    fn carries_by_vertex<B, T, Op>(
+        &self,
+        buf: &[B],
+        op: &Op,
+        len: usize,
+        load: &(impl Fn(&B) -> T + Sync),
+    ) -> Vec<T>
+    where
+        B: Sync,
+        T: Copy + Send + Sync,
+        Op: ScanOp<T>,
+    {
+        let n = self.len();
+        let blocks = n.div_ceil(len);
+        // Ranks fit in u32, so every boundary below n does too.
+        let bounds: Vec<u32> = (1..blocks).map(|b| (b * len) as u32).collect();
+        let partials: Vec<Vec<T>> = (0..blocks)
+            .into_par_iter()
+            .with_min_len(1)
+            .map(|c| {
+                let chunk = c * len..((c + 1) * len).min(n);
+                let mut below = vec![op.identity(); bounds.len()];
+                for (xs, rs) in buf[chunk.clone()].chunks(TILE).zip(self.ranks[chunk].chunks(TILE))
+                {
+                    for (acc, &bound) in below.iter_mut().zip(&bounds) {
+                        *acc = xs.iter().zip(rs).fold(*acc, |acc, (x, &r)| {
+                            op.combine(acc, if r < bound { load(x) } else { op.identity() })
+                        });
+                    }
+                }
+                below
+            })
+            .collect();
+        let mut carries = vec![op.identity(); blocks];
+        for below in partials {
+            for (carry, part) in carries[1..].iter_mut().zip(below) {
+                *carry = op.combine(*carry, part);
+            }
+        }
+        carries
     }
 }
 
@@ -252,7 +347,7 @@ impl PositionFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use listkit::gen;
+    use listkit::gen::{self, Layout};
     use listkit::ops::{AddOp, Affine, AffineOp, MaxOp, MinOp, XorOp};
     use listkit::segmented::serial_segmented_scan;
     use listkit::serial;
@@ -340,15 +435,26 @@ mod tests {
 
     #[test]
     fn in_place_scans_equal_list_scans_across_block_counts() {
-        // Lengths on both sides of the inline cutoff, 1 to 3 blocks,
-        // every operator (affine is not commutative), segmented and
-        // not, typed and as encoded words.
+        // Lengths on both sides of the inline cutoff, 1 to 4 blocks
+        // (uneven at 4·PAR_MIN + 3), layouts whose vertex chunks hold
+        // all (sequential) or none (reversed) of their own block's
+        // positions, every operator (affine is not commutative),
+        // segmented and not, typed and as encoded words, and a segment
+        // that starts at, one before or one after a block boundary.
         let i64_le: Le<i64, 8> = (i64::to_le_bytes, i64::from_le_bytes);
         let u64_le: Le<u64, 8> = (u64::to_le_bytes, u64::from_le_bytes);
         let aff_le: Le<Affine, 16> = (affine_le, affine_from_le);
-        for (n, threads) in [(1usize, 2usize), (1_000, 2), (2 * PAR_MIN + 17, 2), (3 * PAR_MIN, 3)]
-        {
-            let list = gen::random_list(n, n as u64);
+        let cases = [
+            (1usize, 2usize, Layout::Random),
+            (1_000, 2, Layout::Random),
+            (2 * PAR_MIN + 17, 2, Layout::Random),
+            (3 * PAR_MIN, 3, Layout::Random),
+            (4 * PAR_MIN + 3, 4, Layout::Random),
+            (2 * PAR_MIN + 17, 2, Layout::Sequential),
+            (2 * PAR_MIN + 17, 2, Layout::Reversed),
+        ];
+        for (n, threads, layout) in cases {
+            let list = gen::list_with_layout(n, layout, n as u64);
             let runner = HostRunner::new(Algorithm::ReidMiller);
             let ranks = RankArray::build(&runner, &list, &mut RankScratch::default());
             let i64s: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101 - 50).collect();
@@ -358,18 +464,35 @@ mod tests {
             let starts: Vec<bool> = (0..n).map(|v| v % 89 == 3).collect();
             let flags = ranks.flags(&starts, |&s| s);
             for threads in 1..=threads {
+                let what =
+                    |op: &str, seg: &str| format!("{op} n={n} {layout:?} threads={threads} {seg}");
                 pool(threads).install(|| {
-                    for seg in [None, Some((&starts[..], &flags))] {
-                        let what = |op: &str| {
-                            format!("{op} n={n} threads={threads} seg={}", seg.is_some())
-                        };
-                        check(&list, &ranks, &i64s, seg, AddOp, i64_le, &what("add"));
-                        check(&list, &ranks, &i64s, seg, MaxOp, i64_le, &what("max"));
-                        check(&list, &ranks, &i64s, seg, MinOp, i64_le, &what("min"));
-                        check(&list, &ranks, &u64s, seg, XorOp, u64_le, &what("xor"));
-                        check(&list, &ranks, &affs, seg, AffineOp, aff_le, &what("affine"));
+                    for (seg, name) in [(None, "unsegmented"), (Some((&starts[..], &flags)), "seg")]
+                    {
+                        check(&list, &ranks, &i64s, seg, AddOp, i64_le, &what("add", name));
+                        check(&list, &ranks, &i64s, seg, MaxOp, i64_le, &what("max", name));
+                        check(&list, &ranks, &i64s, seg, MinOp, i64_le, &what("min", name));
+                        check(&list, &ranks, &u64s, seg, XorOp, u64_le, &what("xor", name));
+                        check(&list, &ranks, &affs, seg, AffineOp, aff_le, &what("affine", name));
                     }
                 });
+                if n < 2 * PAR_MIN || threads == 1 {
+                    continue;
+                }
+                // One start per case, so the blocks after it carry
+                // across it rather than restart.
+                let len = n.div_ceil(threads);
+                for (b, offset) in (1..threads).flat_map(|b| [(b, -1isize), (b, 0), (b, 1)]) {
+                    let mut starts = vec![false; n];
+                    starts[ranks.order[(b * len).strict_add_signed(offset)] as usize] = true;
+                    let flags = ranks.flags(&starts, |&s| s);
+                    let seg = Some((&starts[..], &flags));
+                    let name = format!("start at boundary {b}{offset:+}");
+                    pool(threads).install(|| {
+                        check(&list, &ranks, &i64s, seg, AddOp, i64_le, &what("add", &name));
+                        check(&list, &ranks, &affs, seg, AffineOp, aff_le, &what("affine", &name));
+                    });
+                }
             }
         }
     }

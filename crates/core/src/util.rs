@@ -57,6 +57,14 @@ impl<'a, T> DisjointWriter<'a, T> {
         unsafe { *self.slice[index].get() = value };
     }
 
+    /// Prefetch the element at `index` ahead of a later access: a cache
+    /// hint that reads and writes nothing, so it needs no exclusivity.
+    /// Out-of-range indices are ignored.
+    #[inline]
+    pub fn prefetch(&self, index: usize) {
+        listkit::walk::prefetch_read(self.slice, index);
+    }
+
     /// Write `value` at `index` and return the element it replaces: the
     /// read-then-write of an in-place scan.
     ///

@@ -475,7 +475,7 @@ fn worker_loop(shared: &Shared) {
         inner_pool.install(|| {
             // Declared before the loop, so dropped after it: the batch's
             // reply frames settle once its last job has run.
-            let mut replies = BatchReplies::new(batch.len());
+            let mut replies = BatchReplies::default();
             for mut job in batch {
                 if job.responder.is_settled() {
                     shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);

@@ -858,7 +858,7 @@ impl Responder {
     /// Deliver the result. First settle wins (a cancelled cell drops
     /// later results); returns whether this call's result landed. A
     /// cell completes at once; a reply frame settles through `replies`,
-    /// which may hold it back until its batch ends.
+    /// which holds it until its batch ends.
     pub(crate) fn settle(
         &mut self,
         result: Result<JobReport<ErasedOutput>, JobError>,
@@ -886,14 +886,14 @@ impl Responder {
     }
 }
 
-/// The reply frames of one worker batch. In a batch of more than one
-/// job they are held until its last job has run and then settle
-/// together, so that the reactor gets them in one burst behind one
-/// wake; a lone job's reply settles at once. Dropping it settles
+/// The reply frames of one worker batch, held until its last job has
+/// run and recorded its counters, then settled together: the reactor
+/// gets them in one burst behind one wake, and a STATS frame sent after
+/// a reply arrived counts that reply's job. Dropping it settles
 /// whatever is held — at the batch's end, or when the worker unwinds
 /// first, so no caller is stranded.
+#[derive(Default)]
 pub(crate) struct BatchReplies {
-    hold: bool,
     held: Vec<(Box<dyn FrameReply>, Settled)>,
 }
 
@@ -901,17 +901,8 @@ pub(crate) struct BatchReplies {
 type Settled = Result<JobReport<ErasedOutput>, JobError>;
 
 impl BatchReplies {
-    /// Replies for a batch of `jobs` jobs.
-    pub(crate) fn new(jobs: usize) -> Self {
-        BatchReplies { hold: jobs > 1, held: Vec::new() }
-    }
-
     fn settle(&mut self, frame: Box<dyn FrameReply>, result: Settled) {
-        if self.hold {
-            self.held.push((frame, result));
-        } else {
-            frame.settle(result);
-        }
+        self.held.push((frame, result));
     }
 }
 
