@@ -30,22 +30,20 @@
 //! * `ranked/*`: the served `SCAN_H` on a resident random 2²² list,
 //!   step by step, on 2 threads — `build` is the first query's
 //!   `RankArray::build` (the rank kernel, the permutation check and the
-//!   scatter of the position order); `copy_into_payload` is the
-//!   reactor's one copy of the request's 32 MiB of value encodings
-//!   into a warm, advised reply payload; `scan_in_place` is the
-//!   worker's add-scan of that payload (`RankArray::scan_in_place`):
-//!   a sequential pass in vertex order for the blocks' carries, then
-//!   one random pass along the kept position order, prefetching ahead;
-//!   `copy_then_scan` is both, the whole served scan between decode
-//!   and reply, and checks that the payload then holds the serial list
-//!   scan; `scan_in_place_affine` scans 2²² affine maps (16 bytes
-//!   each), a non-commutative operator, so both of its passes walk the
-//!   position order. Interleaved runs on a 2-CPU x86-64 VM (THP
-//!   `madvise`) read `build` 85–107 ms, `copy_into_payload` 4.5–6.6
-//!   ms, `scan_in_place` 18.3–19.0 ms (36.0–36.2 with two random
-//!   passes and no prefetch), `copy_then_scan` 21.6–21.8 ms and
-//!   `scan_in_place_affine` 46.7–52.4 ms (96.7–169.6 without the
-//!   prefetch);
+//!   scatter of the position order); `scan_in_place` is the worker's
+//!   add-scan of the request's 32 MiB of value encodings where the
+//!   daemon read them, in the buffer that becomes the reply
+//!   (`RankArray::scan_in_place`): a sequential pass in vertex order
+//!   for the blocks' carries, then one random pass along the kept
+//!   position order, prefetching ahead. It is the whole served scan
+//!   between decode and reply, and a first pass outside the timing
+//!   checks that it leaves the serial list scan;
+//!   `scan_in_place_affine` scans 2²² affine maps (16 bytes each), a
+//!   non-commutative operator, so both of its passes walk the position
+//!   order. Interleaved runs on a 2-CPU x86-64 VM (THP `madvise`) read
+//!   `build` 85–107 ms, `scan_in_place` 18.3–19.0 ms (36.0–36.2 with
+//!   two random passes and no prefetch) and `scan_in_place_affine`
+//!   46.7–52.4 ms (96.7–169.6 without the prefetch);
 //! * `client/*`: a client reading a 2²² OUTPUT off a Unix socket pair,
 //!   which a writer thread keeps full, through a 64 KiB `BufReader` as
 //!   `Client` does — `staged` reads the whole body into a reused buffer
@@ -207,26 +205,19 @@ fn bench_ranked(c: &mut Criterion) {
     });
     let ranks = RankArray::build(&runner, &list, &mut scratch);
     let values: Vec<i64> = (0..N as i64).map(|i| i % 31 - 15).collect();
-    let request: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
     let mut payload = pages::vec_with_capacity(8 * N);
-    payload.extend_from_slice(&request);
+    payload.extend(values.iter().flat_map(|v| v.to_le_bytes()));
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("2-thread pool");
     let scan = |payload: &mut [u8]| {
         let words = i64::le_chunks_mut(payload);
         ranks.scan_in_place(words, &AddOp, None, |&w| i64::from_wire(w), i64::to_wire);
     };
-    g.bench_function("copy_into_payload", |b| {
-        b.iter(|| payload.copy_from_slice(black_box(&request)))
-    });
+    // Once on the values, outside the timed loop: the payload then holds
+    // the serial list scan.
+    pool.install(|| scan(&mut payload));
+    let got: Vec<i64> = i64::le_chunks(&payload).iter().map(|&w| i64::from_wire(w)).collect();
+    assert!(got == listkit::serial::scan(&list, &values, &AddOp), "the scan is the list scan");
     g.bench_function("scan_in_place", |b| b.iter(|| pool.install(|| scan(&mut payload))));
-    g.bench_function("copy_then_scan", |b| {
-        b.iter(|| {
-            payload.copy_from_slice(black_box(&request));
-            pool.install(|| scan(&mut payload));
-        });
-        let got: Vec<i64> = i64::le_chunks(&payload).iter().map(|&w| i64::from_wire(w)).collect();
-        assert!(got == listkit::serial::scan(&list, &values, &AddOp), "the scan is the list scan");
-    });
     // The non-commutative scan keeps the position-order reduce.
     let affines: Vec<u8> =
         (0..N as i64).flat_map(|i| Affine::new(i % 3 - 1, i % 7 - 3).to_wire()).collect();

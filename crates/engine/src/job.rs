@@ -301,10 +301,10 @@ where
 }
 
 /// A served scan or segmented scan. Its values arrived as wire
-/// encodings and were copied into its reply frame's payload at submit,
-/// and a scan's output has the same encoding, so a run from a rank
-/// array scans that payload in place: it is the run's one list-sized
-/// buffer. A kernel or sharded run decodes the values on the worker
+/// encodings and are its reply frame's payload — read there, or copied
+/// there at submit — and a scan's output has the same encoding, so a
+/// run from a rank array scans that payload in place: it is the run's
+/// one list-sized buffer. A kernel or sharded run decodes the values on the worker
 /// first.
 struct FrameScanJob<T, Op> {
     scan: Scan<Op>,

@@ -494,6 +494,28 @@ pub fn reply_frame_into(
     Ok(())
 }
 
+/// Write the reply frame [`reply_frame_into`] appends for `body` at the
+/// start of `buf` instead, and return its length: a pooled buffer is
+/// overwritten where the frame goes, never cleared or regrown. A body
+/// the `u32` length prefix cannot cover is an
+/// [`std::io::ErrorKind::InvalidInput`] error that writes nothing.
+///
+/// # Panics
+/// Panics if `buf` is shorter than the frame.
+pub(crate) fn reply_frame_at(
+    buf: &mut [u8],
+    kind: FrameKind,
+    request_id: Option<u64>,
+    body: &[u8],
+) -> std::io::Result<usize> {
+    let (header, header_len) =
+        frame_header(reply_kind(kind, request_id) as u8, request_id, body.len())?;
+    let end = header_len + body.len();
+    buf[..header_len].copy_from_slice(&header[..header_len]);
+    buf[header_len..end].copy_from_slice(body);
+    Ok(end)
+}
+
 /// Write one frame; returns the total bytes put on the wire
 /// (`4 + 1 + body.len()`). Header and body go out in one vectored
 /// write — one syscall, and over TCP one segment, for a small frame —
@@ -833,6 +855,43 @@ pub fn job_header(kind: u8, body: &[u8]) -> Option<bool> {
     job.then(|| body.first().is_some_and(|flags| flags & FLAG_REQUEST_ID != 0))
 }
 
+/// The longest job-frame body prefix [`values_offset`] reads: flags,
+/// `deadline_ms`, `request_id`, the operator, then a handle and value
+/// count (by handle) or a head and vertex count (inline).
+pub const JOB_HEAD_MAX: usize = 1 + 8 + 8 + 1 + 8 + 4;
+
+/// Where a scan or segmented scan frame's values start in its body,
+/// read from the body's first bytes alone ([`JOB_HEAD_MAX`] of them, or
+/// the whole body): flags and their fields, the operator, the value
+/// count (by handle) or list length (inline), then the successor array
+/// and start bitmap that lie ahead of the values. The values are the
+/// tail of every scan body, so a server can read them straight to
+/// where its reply's payload goes. `None` for a frame with no value
+/// array, or a prefix too short or malformed to say; the full decode
+/// answers such a frame.
+pub fn values_offset(kind: u8, body_head: &[u8]) -> Option<usize> {
+    let (by_handle, segmented) = match FrameKind::from_u8(kind)? {
+        FrameKind::Scan => (false, false),
+        FrameKind::SegScan => (false, true),
+        FrameKind::ScanH => (true, false),
+        FrameKind::SegScanH => (true, true),
+        _ => return None,
+    };
+    let mut d = Dec::new(body_head);
+    decode_flags(&mut d).ok()?;
+    d.u8("operator").ok()?;
+    let (n, list_bytes) = if by_handle {
+        d.u64("handle").ok()?;
+        (d.u32("value count").ok()? as usize, 0)
+    } else {
+        d.u32("head").ok()?;
+        let n = d.u32("vertex count").ok()? as usize;
+        (n, n.checked_mul(4)?)
+    };
+    let bitmap = if segmented { n.div_ceil(8) } else { 0 };
+    d.pos.checked_add(list_bytes)?.checked_add(bitmap)
+}
+
 /// The decoded request-flags prefix shared by the six job-bearing
 /// frame kinds: the flags byte plus its optional trailing fields, in
 /// wire order.
@@ -904,8 +963,8 @@ impl From<u64> for Source<&LinkedList> {
 /// against the resident list's length at submit, not decode (the
 /// decoder doesn't know the dataset). The values are typed
 /// [`WireValues`], or, as the server decodes them
-/// ([`decode_request_parts`]), their encodings borrowed from the frame
-/// body, exactly `n` elements long.
+/// ([`decode_request_parts`]), the byte range of their encodings in the
+/// frame body, exactly `n` elements long.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Job<V = WireValues> {
     /// Rank the list.
@@ -955,6 +1014,17 @@ fn job_kind(by_handle: bool, scan: bool, segmented: bool) -> FrameKind {
 }
 
 impl<V> JobFrame<V> {
+    /// The same frame with its value array, if it has one, mapped by
+    /// `f`.
+    pub(crate) fn map_values<W>(self, f: impl FnOnce(V) -> W) -> JobFrame<W> {
+        let job = match self.job {
+            Job::Rank => Job::Rank,
+            Job::Scan { op, values } => Job::Scan { op, values: f(values) },
+            Job::SegScan { op, starts, values } => Job::SegScan { op, starts, values: f(values) },
+        };
+        JobFrame { flags: self.flags, source: self.source, job }
+    }
+
     /// The frame kind this job travels as.
     pub fn kind(&self) -> FrameKind {
         let by_handle = matches!(self.source, Source::Handle(_));
@@ -1099,11 +1169,17 @@ pub fn decode_request(frame: &Frame) -> Result<WireRequest, WireError> {
 }
 
 /// [`decode_request`] of a frame's kind byte and a borrowed body, with
-/// a job's value array left as its encodings in that body: a server
-/// decodes straight out of its read buffer, and a scan's values, whose
-/// encoding is its output's, are copied once into its reply frame.
-pub fn decode_request_parts(kind: u8, body: &[u8]) -> Result<WireRequest<&[u8]>, WireError> {
-    decode_request_with(kind, body, |_, raw| raw)
+/// a job's value array left undecoded: its value is the byte range of
+/// the array's encodings in `body`. A server decodes straight out of
+/// the buffer it read the frame into, and a scan's values, whose
+/// encoding is its output's, become its reply's payload there or are
+/// copied into it once. Nothing in the result borrows `body`.
+pub fn decode_request_parts(kind: u8, body: &[u8]) -> Result<WireRequest<Range<usize>>, WireError> {
+    let base = body.as_ptr() as usize;
+    decode_request_with(kind, body, |_, raw| {
+        let at = raw.as_ptr() as usize - base;
+        at..at + raw.len()
+    })
 }
 
 /// The one request parser: `values` turns a job's operator and its
@@ -1619,15 +1695,37 @@ fn write_output_meta(meta: &OutputMeta, n: usize, out: &mut [u8]) {
 /// across cache lines.
 pub(crate) const PAYLOAD_ALIGN: usize = 8;
 
+/// Most bytes an OUTPUT frame puts ahead of its payload: the frame
+/// header with a request id, then the metadata.
+pub(crate) const OUTPUT_HEAD_MAX: usize = FRAME_HEADER_MAX + OUTPUT_META_BYTES;
+
+/// The lead — bytes of a buffer at address `addr` left ahead of a frame
+/// — that puts the frame's byte `at` on a [`PAYLOAD_ALIGN`] boundary
+/// with at least [`OUTPUT_HEAD_MAX`] bytes of the buffer ahead of it,
+/// so an OUTPUT frame can open with its payload there
+/// ([`open_output_frame_at`]). At most [`payload_lead_max`]`(at)`.
+pub(crate) fn payload_lead(addr: usize, at: usize) -> usize {
+    let min = OUTPUT_HEAD_MAX.saturating_sub(at);
+    min + addr.wrapping_add(min + at).wrapping_neg() % PAYLOAD_ALIGN
+}
+
+/// The largest [`payload_lead`] for `at`, whatever the buffer's
+/// address: the room a buffer needs ahead of the frame.
+pub(crate) fn payload_lead_max(at: usize) -> usize {
+    OUTPUT_HEAD_MAX.saturating_sub(at) + PAYLOAD_ALIGN - 1
+}
+
 /// An OUTPUT frame laid out in a buffer by [`open_output_frame`]: the
 /// payload is the job's to write, the metadata is written last by
 /// [`seal_output_frame`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OutputFrame {
-    /// Bytes skipped ahead of the frame to put its payload on a
-    /// [`PAYLOAD_ALIGN`] boundary; the frame's wire bytes are
-    /// `buf[lead..]`.
+    /// Bytes of the buffer ahead of the frame, which put its payload on
+    /// a [`PAYLOAD_ALIGN`] boundary; the frame's wire bytes are
+    /// `buf[lead..end]`.
     pub(crate) lead: usize,
+    /// One past the frame's last byte in the buffer.
+    pub(crate) end: usize,
     /// Offset of the OUTPUT metadata in the buffer.
     meta_at: usize,
     /// Payload elements.
@@ -1636,42 +1734,54 @@ pub(crate) struct OutputFrame {
 
 impl OutputFrame {
     /// The payload's byte range in the buffer.
-    pub(crate) fn payload(&self, buf_len: usize) -> Range<usize> {
-        self.meta_at + OUTPUT_META_BYTES..buf_len
+    pub(crate) fn payload(&self) -> Range<usize> {
+        self.meta_at + OUTPUT_META_BYTES..self.end
     }
 }
 
 /// Lay out the whole OUTPUT frame (OUTPUT_P with a `request_id`) for
-/// `n` elements of `elem_bytes` in `buf`: a lead skip that puts the
-/// payload on a [`PAYLOAD_ALIGN`] boundary of `buf`'s memory, the
-/// frame header, room for the metadata and the payload itself. The
-/// bytes past the header are whatever `buf` held — the job overwrites
-/// every payload element and [`seal_output_frame`] the metadata — so a
-/// recycled buffer is never cleared. A body the `u32` length prefix
-/// cannot cover is an [`std::io::ErrorKind::InvalidInput`] error.
+/// `n` elements of `elem_bytes` in `buf`, its payload on the first
+/// [`PAYLOAD_ALIGN`] boundary of `buf`'s memory at least
+/// [`OUTPUT_HEAD_MAX`] bytes in ([`open_output_frame_at`]); `buf` needs
+/// [`payload_lead_max`]`(0)` bytes beyond the payload's.
 pub(crate) fn open_output_frame(
-    buf: &mut Vec<u8>,
+    buf: &mut [u8],
     request_id: Option<u64>,
     n: usize,
     elem_bytes: usize,
 ) -> std::io::Result<OutputFrame> {
-    let body_len = n
-        .checked_mul(elem_bytes)
-        .and_then(|p| p.checked_add(OUTPUT_META_BYTES))
-        .ok_or_else(|| std::io::Error::other("OUTPUT body length overflows"))?;
+    let payload_at = payload_lead(buf.as_ptr() as usize, 0);
+    open_output_frame_at(buf, request_id, n, elem_bytes, payload_at)
+}
+
+/// Lay out the whole OUTPUT frame (OUTPUT_P with a `request_id`) for
+/// `n` elements of `elem_bytes` in `buf` with its payload at
+/// `payload_at`: the frame header and room for the metadata end there,
+/// and the payload runs to the frame's end. Only the header is
+/// written. The payload holds whatever `buf` held — a served scan's
+/// values, which it scans in place, or stale bytes the job overwrites —
+/// and [`seal_output_frame`] writes the metadata, so a recycled buffer
+/// is never cleared. A body the `u32` length prefix cannot cover, or a
+/// frame that does not fit `buf` around `payload_at`, is an error.
+pub(crate) fn open_output_frame_at(
+    buf: &mut [u8],
+    request_id: Option<u64>,
+    n: usize,
+    elem_bytes: usize,
+    payload_at: usize,
+) -> std::io::Result<OutputFrame> {
+    let payload_len =
+        n.checked_mul(elem_bytes).ok_or_else(|| std::io::Error::other("OUTPUT overflows"))?;
     let kind = reply_kind(FrameKind::Output, request_id) as u8;
-    let (header, header_len) = frame_header(kind, request_id, body_len)?;
-    let frame_len = header_len + body_len;
-    buf.reserve((PAYLOAD_ALIGN - 1 + frame_len).saturating_sub(buf.len()));
-    let meta_end = buf.as_ptr() as usize + header_len + OUTPUT_META_BYTES;
-    let lead = meta_end.wrapping_neg() % PAYLOAD_ALIGN;
-    if buf.len() < lead + frame_len {
-        buf.resize(lead + frame_len, 0);
-    } else {
-        buf.truncate(lead + frame_len);
-    }
-    buf[lead..lead + header_len].copy_from_slice(&header[..header_len]);
-    Ok(OutputFrame { lead, meta_at: lead + header_len, n })
+    let (header, header_len) = frame_header(kind, request_id, OUTPUT_META_BYTES + payload_len)?;
+    let meta_at = payload_at.checked_sub(OUTPUT_META_BYTES);
+    let lead = meta_at.and_then(|m| m.checked_sub(header_len));
+    let end = payload_at.checked_add(payload_len).filter(|&end| end <= buf.len());
+    let (Some(meta_at), Some(lead), Some(end)) = (meta_at, lead, end) else {
+        return Err(std::io::Error::other("the OUTPUT frame does not fit its buffer"));
+    };
+    buf[lead..meta_at].copy_from_slice(&header[..header_len]);
+    Ok(OutputFrame { lead, end, meta_at, n })
 }
 
 /// Write an opened frame's metadata, once the job has filled its

@@ -4,7 +4,9 @@
 //! owns every connection fd (Unix domain socket, and optionally TCP
 //! via [`ServeConfig::with_tcp`]), multiplexes readiness with
 //! `poll(2)` ([`crate::poll`]), and decodes [`crate::protocol`] frames
-//! in place in per-connection read buffers. Job-bearing frames are
+//! in place: in per-connection read buffers, or, for a frame longer
+//! than a read chunk, in a pooled buffer it was read into, which a
+//! scan's reply then reuses around its values. Job-bearing frames are
 //! submitted through the engine's *non-blocking* frame path: the
 //! worker that runs a job takes a recycled buffer when execution
 //! starts, lays the whole OUTPUT frame out in it and has the job write
@@ -87,6 +89,7 @@ use listkit::LinkedList;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -258,9 +261,11 @@ pub struct ServerStats {
     pub errors_sent: u64,
     /// Connections turned away at [`ServeConfig::max_clients`].
     pub busy_rejected: u64,
-    /// Reply buffers the reply pool holds for reuse. A served job's
-    /// frame comes from the pool and goes back once written — or, for
-    /// a job that failed mid-write, as soon as it fails.
+    /// Frame buffers the pool holds for reuse. A served job's reply
+    /// comes from the pool and goes back once written — or, for a job
+    /// that failed mid-write, as soon as it fails; a request frame
+    /// longer than the read chunk is read into one, and a scan's reply
+    /// is written in that same buffer.
     pub reply_bufs_pooled: u64,
     /// Bytes of capacity those pooled buffers hold.
     pub reply_bytes_pooled: u64,
@@ -502,23 +507,28 @@ impl Server {
     /// drain every connection, remove the socket file, and return the
     /// final serving-layer counters.
     pub fn run(self) -> std::io::Result<ServerStats> {
+        let mut reactor = self.into_reactor()?;
+        let result = reactor.run_loop();
+        let _ = std::fs::remove_file(&reactor.cfg.socket);
+        result.map(|()| reactor.shared.stats())
+    }
+
+    /// The reactor that serves this server's listeners, with its
+    /// completion hub and self-pipe.
+    fn into_reactor(self) -> std::io::Result<Reactor> {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let hub = Arc::new(Hub::new(wake_tx));
-        let mut reactor = Reactor {
+        Ok(Reactor {
             engine: self.engine,
             cfg: self.cfg,
             shared: self.shared,
             unix: self.listener,
             tcp: self.tcp,
-            hub,
+            hub: Arc::new(Hub::new(wake_tx)),
             wake_rx,
             conns: HashMap::new(),
-        };
-        let result = reactor.run_loop();
-        let _ = std::fs::remove_file(&reactor.cfg.socket);
-        result.map(|()| reactor.shared.stats())
+        })
     }
 }
 
@@ -527,7 +537,10 @@ impl Server {
 /// readiness wake it immediately).
 const TICK_MS: i32 = 25;
 
-/// Read chunk size per `read(2)` call.
+/// Read chunk size per `read(2)` call into a connection's read buffer,
+/// and the split between the two ways a frame is read: one of this
+/// size or less arrives in the read buffer and is parsed there, a
+/// longer one is read into a pooled buffer of its own ([`FrameBuf`]).
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Most queued reply frames one vectored write hands the socket.
@@ -537,8 +550,9 @@ const MAX_IOV: usize = 32;
 const POOL_MAX_BUFS: usize = 8;
 
 /// Most bytes of capacity the [`BufPool`] keeps: one 2²²-element
-/// reply (32 MiB of `u64` ranks plus its header) fits, a second does
-/// not, so a closed-loop client at that size reuses one buffer.
+/// reply or request frame (32 MiB of `u64` ranks or values, its header
+/// and a 1/64 margin) fits, a second does not, so a closed-loop client
+/// at that size reuses one buffer for both.
 const POOL_MAX_BYTES: usize = 64 << 20;
 
 /// Per-connection pending-reply high watermark: past it the reactor
@@ -615,37 +629,43 @@ impl Write for Transport {
     }
 }
 
-/// Reply buffers recycled between the workers that write replies and
-/// the reactor that sends them. A reused buffer keeps its pages mapped,
-/// so a large reply touches no fresh memory; the pool holds at most
-/// [`POOL_MAX_BUFS`] buffers and [`POOL_MAX_BYTES`] of capacity.
-/// Buffers keep their old bytes: a job's frame overwrites every byte it
-/// sends, so a 32 MiB reply is not cleared first.
+/// Frame buffers recycled among the reactor that reads requests and
+/// sends replies and the workers that write replies. A reused buffer
+/// keeps its pages mapped, so a large frame touches no fresh memory;
+/// the pool holds at most [`POOL_MAX_BUFS`] buffers and
+/// [`POOL_MAX_BYTES`] of capacity. Every buffer is initialised to its
+/// full capacity and is never truncated, so a socket read can fill one
+/// and a frame can be laid out in one without clearing it first: each
+/// frame records the range it occupies, and whoever writes a frame
+/// writes every byte of it.
 #[derive(Default)]
 struct BufPool {
     bufs: Mutex<Vec<Vec<u8>>>,
 }
 
 impl BufPool {
-    /// A buffer with room for `need` bytes, holding stale bytes: the
-    /// smallest pooled one that fits, else a fresh one on huge pages
-    /// ([`listkit::pages`]), which the served scan scatters into and
-    /// gathers from at random.
+    /// A buffer of at least `need` bytes, holding stale bytes: the
+    /// smallest pooled one that fits, else a fresh one 1/64 longer than
+    /// asked, zeroed by the allocator and, when list-sized, on huge pages
+    /// ([`listkit::pages::zeroed_vec`]), which the served scan reads at
+    /// random. A segmented scan's start bitmap is 1/64 of its values, so
+    /// a rank reply and a scan or segmented scan frame over the same
+    /// list fit the same buffer.
     fn take(&self, need: usize) -> Vec<u8> {
         let pooled = {
-            let mut bufs = self.bufs.lock().expect("reply pool poisoned");
-            let best = (0..bufs.len())
-                .filter(|&i| bufs[i].capacity() >= need)
-                .min_by_key(|&i| bufs[i].capacity());
+            let mut bufs = self.bufs.lock().expect("frame pool poisoned");
+            let best =
+                (0..bufs.len()).filter(|&i| bufs[i].len() >= need).min_by_key(|&i| bufs[i].len());
             best.map(|i| bufs.swap_remove(i))
         };
-        pooled.unwrap_or_else(|| listkit::pages::vec_with_capacity(need))
+        pooled.unwrap_or_else(|| listkit::pages::zeroed_vec(need + need / 64))
     }
 
-    /// Return a written buffer; it is dropped instead when keeping it
-    /// would pass the pool's bound.
+    /// Return a buffer; it is dropped instead when keeping it would pass
+    /// the pool's bound.
     fn give(&self, buf: Vec<u8>) {
-        let mut bufs = self.bufs.lock().expect("reply pool poisoned");
+        debug_assert_eq!(buf.len(), buf.capacity(), "a pooled buffer is never truncated");
+        let mut bufs = self.bufs.lock().expect("frame pool poisoned");
         let held: usize = bufs.iter().map(Vec::capacity).sum();
         if bufs.len() < POOL_MAX_BUFS && held + buf.capacity() <= POOL_MAX_BYTES {
             bufs.push(buf);
@@ -654,18 +674,19 @@ impl BufPool {
 
     /// Buffers held for reuse, and their bytes of capacity.
     fn held(&self) -> (usize, usize) {
-        let bufs = self.bufs.lock().expect("reply pool poisoned");
+        let bufs = self.bufs.lock().expect("frame pool poisoned");
         (bufs.len(), bufs.iter().map(Vec::capacity).sum())
     }
 }
 
 /// One whole reply frame queued for the socket. Its wire bytes are
-/// `buf[lead..]`: a job's OUTPUT frame starts a few bytes into its
-/// buffer so that the payload the job wrote sits on an 8-byte boundary
+/// `buf[lead..end]`: a job's OUTPUT frame starts a few bytes into its
+/// buffer so that its payload sits on an 8-byte boundary
 /// ([`protocol::open_output_frame`]); every other frame has no lead.
 struct OutFrame {
     buf: Vec<u8>,
     lead: usize,
+    end: usize,
     /// For a job's OUTPUT: when the reactor drained its completion, and
     /// its trace id. The first write that carries the frame's bytes
     /// takes it and records [`Phase::ReplyWrite`].
@@ -674,12 +695,12 @@ struct OutFrame {
 
 impl OutFrame {
     fn wire(&self) -> &[u8] {
-        &self.buf[self.lead..]
+        &self.buf[self.lead..self.end]
     }
 }
 
-/// Frame one reply into a pooled buffer with
-/// [`protocol::reply_frame_into`]. `None` when the body overflows the
+/// Frame one reply at the start of a pooled buffer with
+/// [`protocol::reply_frame_at`]. `None` when the body overflows the
 /// `u32` length prefix.
 fn frame_reply(
     pool: &BufPool,
@@ -688,12 +709,8 @@ fn frame_reply(
     body: &[u8],
 ) -> Option<OutFrame> {
     let mut buf = pool.take(protocol::FRAME_HEADER_MAX + body.len());
-    buf.clear();
-    protocol::reply_frame_into(&mut buf, kind, request_id, body.len(), |f| {
-        f.extend_from_slice(body)
-    })
-    .ok()?;
-    Some(OutFrame { buf, lead: 0, drained: None })
+    let end = protocol::reply_frame_at(&mut buf, kind, request_id, body).ok()?;
+    Some(OutFrame { buf, lead: 0, end, drained: None })
 }
 
 /// A settled job's reply, written by its worker and drained by the
@@ -757,10 +774,11 @@ struct ReplyCtx {
 
 /// A served job's OUTPUT frame, written in place by the worker that
 /// runs it ([`FrameReply`]): the buffer is taken from the pool when
-/// execution starts, the job writes its `n` elements of `elem_bytes`
-/// each straight into the payload, and settling writes the metadata —
-/// or, for a failed job, reframes the same buffer as its ERROR reply —
-/// and pushes the frame to the hub.
+/// execution starts — a scan's frame opens at submit, over its values
+/// — the job writes its `n` elements of `elem_bytes` each straight
+/// into the payload, and settling writes the metadata — or, for a
+/// failed job, reframes the same buffer as its ERROR reply — and pushes
+/// the frame to the hub.
 struct ReplyFrame {
     ctx: ReplyCtx,
     n: usize,
@@ -799,10 +817,7 @@ impl FrameReply for ReplyFrame {
         let (buf, frame) = match &mut self.open {
             Some(open) => open,
             open => {
-                let need = protocol::PAYLOAD_ALIGN
-                    + protocol::FRAME_HEADER_MAX
-                    + protocol::OUTPUT_META_BYTES
-                    + self.n * self.elem_bytes;
+                let need = protocol::payload_lead_max(0) + self.n * self.elem_bytes;
                 let mut buf = self.ctx.shared.pool.take(need);
                 let frame = protocol::open_output_frame(
                     &mut buf,
@@ -814,8 +829,7 @@ impl FrameReply for ReplyFrame {
                 open.insert((buf, frame))
             }
         };
-        let payload = frame.payload(buf.len());
-        &mut buf[payload]
+        &mut buf[frame.payload()]
     }
 
     fn settle(self: Box<Self>, result: Result<JobReport<ErasedOutput>, JobError>) {
@@ -830,7 +844,7 @@ impl FrameReply for ReplyFrame {
                     trace_id: report.trace_id,
                 };
                 protocol::seal_output_frame(&mut buf, &frame, &meta);
-                let frame = OutFrame { buf, lead: frame.lead, drained: None };
+                let frame = OutFrame { buf, lead: frame.lead, end: frame.end, drained: None };
                 return this.send(FrameKind::Output, frame);
             }
             (result, open) => {
@@ -858,28 +872,64 @@ impl FrameReply for ReplyFrame {
     }
 }
 
+/// A scan's value encodings as the reactor hands them to [`submit`].
+enum Values<'a> {
+    /// In the connection's read buffer: copied into the reply frame's
+    /// payload.
+    Copy(&'a [u8]),
+    /// At this range of the request frame's own buffer ([`FrameBuf`]),
+    /// which put them on a payload boundary: the reply frame takes the
+    /// buffer and opens over them.
+    InPlace(&'a mut Vec<u8>, Range<usize>),
+}
+
+impl Values<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Values::Copy(values) => values.len(),
+            Values::InPlace(_, values) => values.len(),
+        }
+    }
+}
+
 /// Offer one typed request to the engine's non-blocking frame path: a
 /// [`ReplyFrame`] for its `n` elements of `T` is written by the worker
 /// and pushed to the hub. A reply the `u32` length prefix could not
 /// cover is refused here, before the job runs. A scan's `values`, the
-/// encodings of its `n` elements, are copied into the frame's payload
-/// now, where the job scans them; the copy is part of the request's
-/// decode phase.
+/// encodings of its `n` elements, become the frame's payload, where the
+/// job scans them: in place, or copied out of the read buffer now, a
+/// copy that is part of the request's decode phase.
 fn submit<T: WireElem>(
     engine: &Engine,
     req: Request<Vec<T>>,
-    values: Option<&[u8]>,
+    values: Option<Values<'_>>,
     mut opts: JobOptions,
     ctx: ReplyCtx,
 ) -> Result<(), SubmitError> {
     let mut reply = ReplyFrame { ctx, n: req.len(), elem_bytes: T::BYTES, open: None };
     let frame_len = protocol::FRAME_HEADER_MAX + protocol::output_body_len::<T>(reply.n);
     let fits = u32::try_from(frame_len).is_ok();
-    let counted = values.is_none_or(|values| values.len() == reply.n * T::BYTES);
-    if let Some(values) = values.filter(|_| fits && counted) {
-        let t_copy = Instant::now();
-        reply.payload().copy_from_slice(values);
-        opts.decode_ns += t_copy.elapsed().as_nanos() as u64;
+    let counted = values.as_ref().is_none_or(|values| values.len() == reply.n * T::BYTES);
+    match values.filter(|_| fits && counted) {
+        Some(Values::Copy(values)) => {
+            let t_copy = Instant::now();
+            reply.payload().copy_from_slice(values);
+            opts.decode_ns += t_copy.elapsed().as_nanos() as u64;
+        }
+        Some(Values::InPlace(buf, values)) => {
+            // The OUTPUT header goes in the lead ahead of the values, and
+            // the reply takes their buffer.
+            let frame = protocol::open_output_frame_at(
+                buf,
+                reply.ctx.request_id,
+                reply.n,
+                T::BYTES,
+                values.start,
+            )
+            .expect("the request frame's lead leaves room for the OUTPUT header");
+            reply.open = Some((std::mem::take(buf), frame));
+        }
+        None => {}
     }
     engine.telemetry().record_phase(Phase::Decode, opts.decode_ns);
     if !fits {
@@ -930,7 +980,7 @@ impl ListSource {
 fn submit_job(
     engine: &Engine,
     src: ListSource,
-    job: Job<&[u8]>,
+    job: Job<Values<'_>>,
     sharded: bool,
     opts: JobOptions,
     ctx: ReplyCtx,
@@ -967,6 +1017,26 @@ fn submit_job(
     }
 }
 
+/// A frame longer than [`READ_CHUNK`], read straight into a pooled
+/// buffer of its own: its wire bytes go to `buf[lead..end]`, of which
+/// `buf[lead..filled]` have arrived. A scan frame's lead puts its values
+/// on a payload boundary with room for the OUTPUT header ahead of them
+/// ([`protocol::payload_lead`]), so its reply opens over them where they
+/// were read; any other frame has no lead and its buffer goes back to
+/// the pool once it is answered.
+struct FrameBuf {
+    buf: Vec<u8>,
+    lead: usize,
+    filled: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    fn complete(&self) -> bool {
+        self.filled == self.end
+    }
+}
+
 /// One connection's state in the reactor: the socket, read buffer
 /// (partial and waiting frames), pending-reply frame queue,
 /// handshake state, and the in-flight set.
@@ -974,8 +1044,12 @@ struct Conn {
     id: u64,
     sock: Transport,
     /// Unparsed inbound bytes; `rpos` marks how far parsing consumed.
+    /// Stays about a chunk long: a longer frame moves to `big`.
     rbuf: Vec<u8>,
     rpos: usize,
+    /// A frame longer than [`READ_CHUNK`] in its own buffer, partial or
+    /// waiting; it comes before every byte in `rbuf`.
+    big: Option<FrameBuf>,
     /// Whole reply frames not yet fully written, oldest first; `wpos`
     /// marks how far the socket accepted the front one's wire bytes.
     wq: VecDeque<OutFrame>,
@@ -1010,6 +1084,7 @@ impl Conn {
             sock,
             rbuf: Vec::new(),
             rpos: 0,
+            big: None,
             wq: VecDeque::new(),
             wpos: 0,
             greeted: false,
@@ -1045,6 +1120,28 @@ impl Conn {
     /// does not count: past the drain grace it is abandoned.
     fn idle(&self) -> bool {
         self.inflight.is_empty() && !self.pending_write()
+    }
+
+    /// Move the partial frame at the front of the unparsed bytes, whose
+    /// length prefix says it is `frame_len` bytes long, into a pooled
+    /// buffer of its own when it is longer than [`READ_CHUNK`] and its
+    /// job header has arrived ([`protocol::JOB_HEAD_MAX`] body bytes):
+    /// what has arrived is copied once, and later reads go straight to
+    /// the rest of the frame.
+    fn promote(&mut self, pool: &BufPool, frame_len: usize) {
+        let head = &self.rbuf[self.rpos..];
+        if frame_len <= READ_CHUNK || head.len() < 5 + protocol::JOB_HEAD_MAX {
+            return;
+        }
+        let values_at = protocol::values_offset(head[4], &head[5..])
+            .map(|at| 5 + at)
+            .filter(|&at| at <= frame_len);
+        let mut buf = pool.take(values_at.map_or(0, protocol::payload_lead_max) + frame_len);
+        let lead = values_at.map_or(0, |at| protocol::payload_lead(buf.as_ptr() as usize, at));
+        let filled = lead + head.len();
+        buf[lead..filled].copy_from_slice(head);
+        self.rbuf.truncate(self.rpos);
+        self.big = Some(FrameBuf { buf, lead, filled, end: lead + frame_len });
     }
 
     /// Queue one whole reply frame behind any pending bytes and account
@@ -1380,8 +1477,13 @@ impl Reactor {
         self.conns.insert(conn_id, Conn::new(conn_id, sock));
     }
 
-    /// Pull every available byte off the socket (one fault probe per
-    /// tick, not per chunk, so idle connections aren't ground down).
+    /// Pull every available byte off the socket, parsing after each
+    /// read, until it would block or the connection stops taking input
+    /// (one fault probe per tick, not per read, so idle connections
+    /// aren't ground down). Bytes arrive a chunk at a time in the read
+    /// buffer, except the rest of a frame that parsing moved to its own
+    /// buffer ([`Conn::promote`]), which is read straight into place and
+    /// never past its end.
     fn read_conn(&mut self, conn_id: u64) {
         let shared = Arc::clone(&self.shared);
         let Some(conn) = self.conns.get_mut(&conn_id) else { return };
@@ -1397,9 +1499,20 @@ impl Reactor {
                 return;
             }
         }
-        let mut buf = [0u8; READ_CHUNK];
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match conn.sock.read(&mut buf) {
+            let Some(conn) = self.conns.get_mut(&conn_id) else { return };
+            if conn.dead || conn.eof || conn.blocked || conn.close_after_flush {
+                return;
+            }
+            let read = match &mut conn.big {
+                // Parsing answers or holds a whole frame before more
+                // bytes are read.
+                Some(big) if big.complete() => return,
+                Some(big) => conn.sock.read(&mut big.buf[big.filled..big.end]),
+                None => conn.sock.read(&mut chunk),
+            };
+            match read {
                 // EOF: no more requests will arrive, but frames
                 // already buffered still parse and their replies
                 // still flush before the connection closes. A peer
@@ -1413,7 +1526,10 @@ impl Reactor {
                     conn.eof = true;
                     return;
                 }
-                Ok(k) => conn.rbuf.extend_from_slice(&buf[..k]),
+                Ok(k) => match &mut conn.big {
+                    Some(big) => big.filled += k,
+                    None => conn.rbuf.extend_from_slice(&chunk[..k]),
+                },
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -1421,14 +1537,17 @@ impl Reactor {
                     return;
                 }
             }
+            self.parse_conn(conn_id);
         }
     }
 
-    /// Dispatch every complete frame in the read buffer, stopping at a
-    /// partial frame, at a frame the wait rule holds back (left
-    /// undecoded, `blocked` set), or once the connection is closing.
-    /// Frames are decoded where they lie; the consumed prefix is
-    /// dropped from the buffer at the end.
+    /// Dispatch every complete frame — a frame in its own buffer first,
+    /// then those in the read buffer — stopping at a partial frame, at a
+    /// frame the wait rule holds back (left undecoded, `blocked` set),
+    /// or once the connection is closing. Frames are decoded where they
+    /// lie; the consumed prefix is dropped from the read buffer at the
+    /// end. A partial frame longer than [`READ_CHUNK`] at the front
+    /// moves to its own buffer ([`Conn::promote`]).
     fn parse_conn(&mut self, conn_id: u64) {
         let max_frame = self.cfg.max_frame;
         let shared = Arc::clone(&self.shared);
@@ -1436,60 +1555,81 @@ impl Reactor {
             if shared.drain_expired() {
                 break;
             }
-            let frame = {
+            // The next frame, lent to `dispatch` and put back below: its
+            // kind, the buffer holding it, its body's range there, and
+            // whether that buffer is the frame's own.
+            let (kind, mut buf, body, own) = {
                 let Some(conn) = self.conns.get_mut(&conn_id) else { return };
                 conn.blocked = false;
                 if conn.dead || conn.close_after_flush {
                     break;
                 }
-                let avail = conn.rbuf.len() - conn.rpos;
-                if avail < 4 {
-                    break;
-                }
-                let len_bytes: [u8; 4] =
-                    conn.rbuf[conn.rpos..conn.rpos + 4].try_into().expect("4 bytes");
-                let len = u32::from_le_bytes(len_bytes);
-                if len == 0 {
-                    // Framing is broken in a way no typed reply can
-                    // describe; close silently, as a failed read would.
-                    conn.dead = true;
-                    break;
-                }
-                if len > max_frame {
-                    conn.enqueue(
-                        &shared,
-                        FrameKind::Error,
-                        None,
-                        &error_body(
-                            ErrorCode::FrameTooLarge,
-                            &format!("frame length {len} exceeds cap {max_frame}"),
-                        ),
-                    );
-                    conn.close_after_flush = true;
-                    break;
-                }
-                let len = len as usize;
-                if avail < 4 + len {
-                    break;
-                }
-                let kind = conn.rbuf[conn.rpos + 4];
-                let body = conn.rpos + 5..conn.rpos + 4 + len;
-                let header = protocol::job_header(kind, &conn.rbuf[body.clone()]);
+                // The next whole frame's range: in its own buffer, which
+                // comes before every unparsed byte, or in the read buffer.
+                let frame = match &conn.big {
+                    Some(big) if !big.complete() => break,
+                    Some(big) => big.lead..big.end,
+                    None => {
+                        let avail = conn.rbuf.len() - conn.rpos;
+                        if avail < 4 {
+                            break;
+                        }
+                        let len_bytes: [u8; 4] =
+                            conn.rbuf[conn.rpos..conn.rpos + 4].try_into().expect("4 bytes");
+                        let len = u32::from_le_bytes(len_bytes);
+                        if len == 0 {
+                            // Framing is broken in a way no typed reply
+                            // can describe; close silently, as a failed
+                            // read would.
+                            conn.dead = true;
+                            break;
+                        }
+                        if len > max_frame {
+                            conn.enqueue(
+                                &shared,
+                                FrameKind::Error,
+                                None,
+                                &error_body(
+                                    ErrorCode::FrameTooLarge,
+                                    &format!("frame length {len} exceeds cap {max_frame}"),
+                                ),
+                            );
+                            conn.close_after_flush = true;
+                            break;
+                        }
+                        let len = len as usize;
+                        if avail < 4 + len {
+                            conn.promote(&shared.pool, 4 + len);
+                            break;
+                        }
+                        conn.rpos..conn.rpos + 4 + len
+                    }
+                };
+                let bytes = conn.big.as_ref().map_or(&conn.rbuf, |big| &big.buf);
+                let (kind, body) = (bytes[frame.start + 4], frame.start + 5..frame.end);
+                let header = protocol::job_header(kind, &bytes[body.clone()]);
                 if waits(conn, header, &self.engine, shared.shed_queue_depth) {
                     conn.blocked = true;
                     break;
                 }
-                conn.rpos += 4 + len;
-                // Lent to `dispatch`, which borrows the body from it
-                // while it answers, and put back below.
-                (kind, body, std::mem::take(&mut conn.rbuf))
+                match conn.big.take() {
+                    Some(big) => (kind, big.buf, body, true),
+                    None => {
+                        conn.rpos = frame.end;
+                        (kind, std::mem::take(&mut conn.rbuf), body, false)
+                    }
+                }
             };
-            let (kind, body, rbuf) = frame;
             shared.frames_in.fetch_add(1, Ordering::Relaxed);
             shared.bytes_in.fetch_add(4 + 1 + body.len() as u64, Ordering::Relaxed);
-            self.guarded(conn_id, |r| r.dispatch(conn_id, kind, &rbuf[body]));
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.rbuf = rbuf;
+            self.guarded(conn_id, |r| r.dispatch(conn_id, kind, &mut buf, body, own));
+            if own {
+                // Back to the pool, unless a scan's reply took it.
+                if buf.capacity() > 0 {
+                    shared.pool.give(buf);
+                }
+            } else if let Some(conn) = self.conns.get_mut(&conn_id) {
+                conn.rbuf = buf;
             }
         }
         if let Some(conn) = self.conns.get_mut(&conn_id) {
@@ -1551,11 +1691,19 @@ impl Reactor {
         self.reply_error(conn_id, request_id, code, msg);
     }
 
-    /// Decode and answer one frame the wait rule let through, its
-    /// `body` borrowed from the connection's read buffer.
-    fn dispatch(&mut self, conn_id: u64, kind: u8, body: &[u8]) {
+    /// Decode and answer one frame the wait rule let through. Its body
+    /// is `buf[body]`: in the connection's read buffer or, when `own`,
+    /// in the frame's own buffer, which a scan's reply takes.
+    fn dispatch(
+        &mut self,
+        conn_id: u64,
+        kind: u8,
+        buf: &mut Vec<u8>,
+        body: Range<usize>,
+        own: bool,
+    ) {
         let t_decode = Instant::now();
-        let req = match protocol::decode_request_parts(kind, body) {
+        let req = match protocol::decode_request_parts(kind, &buf[body.clone()]) {
             Ok(req) => req,
             Err(we) => {
                 // Decode failures consumed the whole body off the
@@ -1620,7 +1768,17 @@ impl Reactor {
                 self.shared.begin_shutdown();
             }
             WireRequest::Put { list } => self.do_put(conn_id, list),
-            WireRequest::Job(job) => self.dispatch_job(conn_id, job, decode_ns),
+            WireRequest::Job(job) => {
+                let job = job.map_values(|v| {
+                    let v = body.start + v.start..body.start + v.end;
+                    if own {
+                        Values::InPlace(buf, v)
+                    } else {
+                        Values::Copy(&buf[v])
+                    }
+                });
+                self.dispatch_job(conn_id, job, decode_ns)
+            }
             WireRequest::Mutate { handle, edits } => self.do_mutate(conn_id, handle, &edits),
             WireRequest::Drop { handle } => self.do_drop(conn_id, handle),
         }
@@ -1731,7 +1889,7 @@ impl Reactor {
     }
 
     /// Admission-control and submit one job-bearing request.
-    fn dispatch_job(&mut self, conn_id: u64, job: JobFrame<&[u8]>, decode_ns: u64) {
+    fn dispatch_job(&mut self, conn_id: u64, job: JobFrame<Values<'_>>, decode_ns: u64) {
         let kind = job.kind();
         let JobFrame { flags, source, job } = job;
         let dup = flags.request_id.filter(|&id| {
@@ -1911,7 +2069,10 @@ impl Reactor {
     fn reap(&mut self) {
         let dead: Vec<u64> = self.conns.iter().filter(|(_, c)| c.dead).map(|(&id, _)| id).collect();
         for conn_id in dead {
-            self.conns.remove(&conn_id);
+            // A frame abandoned part-read leaves its buffer to the pool.
+            if let Some(big) = self.conns.remove(&conn_id).and_then(|c| c.big) {
+                self.shared.pool.give(big.buf);
+            }
             self.shared.quota.drop_tenant(conn_id);
             let dropped = self.shared.store.drop_connection(conn_id);
             if dropped > 0 {
@@ -2049,7 +2210,7 @@ mod tests {
             request_id: None,
             arrival_seq: 0,
             kind: FrameKind::Output,
-            frame: OutFrame { buf: Vec::new(), lead: 0, drained: None },
+            frame: OutFrame { buf: Vec::new(), lead: 0, end: 0, drained: None },
             trace_id: 0,
         }
     }
@@ -2083,10 +2244,9 @@ mod tests {
     /// behind a `lead` of bytes that must never reach the socket.
     fn frame_of(pool: &BufPool, lead: usize, len: usize, fill: u8) -> OutFrame {
         let mut buf = pool.take(lead + len);
-        buf.clear();
-        buf.resize(lead, 0xEE);
-        buf.resize(lead + len, fill);
-        OutFrame { buf, lead, drained: None }
+        buf[..lead].fill(0xEE);
+        buf[lead..lead + len].fill(fill);
+        OutFrame { buf, lead, end: lead + len, drained: None }
     }
 
     #[test]
@@ -2139,8 +2299,8 @@ mod tests {
 
         // The pool keeps at most its bound, in count and in bytes.
         for _ in 0..2 * POOL_MAX_BUFS {
-            pool.give(Vec::with_capacity(1024));
-            pool.give(Vec::with_capacity(POOL_MAX_BYTES / 3));
+            pool.give(vec![0; 1024]);
+            pool.give(vec![0; POOL_MAX_BYTES / 3]);
         }
         let (count, bytes) = pool.held();
         assert!(count <= POOL_MAX_BUFS, "{count} buffers pooled");
@@ -2230,8 +2390,8 @@ mod tests {
         };
         let ranks = listkit::serial::rank(&list);
         let seg = segmented::serial_segmented_scan(&list, &i64s, &starts, &AddOp);
-        let i64_jobs = [WireOp::Add, WireOp::Max, WireOp::Min]
-            .map(|op| (Job::Scan { op, values: &i64_le[..] }, serial(op)));
+        let i64_ops = [WireOp::Add, WireOp::Max, WireOp::Min].map(|op| (op, serial(op)));
+        let copied = |values| Values::Copy(values);
 
         let routes: [(&str, bool, Option<Algorithm>, bool); 5] = [
             ("serial", false, Some(Algorithm::Serial), false),
@@ -2243,7 +2403,7 @@ mod tests {
         let mut served = 0;
         for (route, sharded, pin, resident) in routes {
             for request_id in [None, Some(7u64)] {
-                let run = |job: Job<&[u8]>| -> Completion {
+                let run = |job: Job<Values<'_>>| -> Completion {
                     let src = if resident {
                         ListSource::resident(&shared.store.get(handle, 1).expect("get"))
                     } else {
@@ -2273,17 +2433,21 @@ mod tests {
                 let case = |what: &str| format!("{route} {what} (request id {request_id:?})");
                 let mut metas =
                     vec![check_frame(&run(Job::Rank), request_id, &ranks, &case("rank"))];
-                for (job, want) in &i64_jobs {
-                    metas.push(check_frame(&run(job.clone()), request_id, want, &case("i64 scan")));
+                for (op, want) in &i64_ops {
+                    let job = Job::Scan { op: *op, values: copied(&i64_le) };
+                    metas.push(check_frame(&run(job), request_id, want, &case("i64 scan")));
                 }
-                let xor = Job::Scan { op: WireOp::Xor, values: &u64_le[..] };
+                let xor = Job::Scan { op: WireOp::Xor, values: copied(&u64_le) };
                 let want = listkit::serial::scan(&list, &u64s, &XorOp);
                 metas.push(check_frame(&run(xor), request_id, &want, &case("xor")));
-                let aff = Job::Scan { op: WireOp::Affine, values: &aff_le[..] };
+                let aff = Job::Scan { op: WireOp::Affine, values: copied(&aff_le) };
                 let want = listkit::serial::scan(&list, &affs, &AffineOp);
                 metas.push(check_frame(&run(aff), request_id, &want, &case("affine")));
-                let segj =
-                    Job::SegScan { op: WireOp::Add, starts: starts.clone(), values: &i64_le[..] };
+                let segj = Job::SegScan {
+                    op: WireOp::Add,
+                    starts: starts.clone(),
+                    values: copied(&i64_le),
+                };
                 metas.push(check_frame(&run(segj), request_id, &seg, &case("segmented add")));
                 for meta in &metas {
                     assert_eq!(meta.trace_id, 99, "{route}: trace id sealed in");
@@ -2308,14 +2472,107 @@ mod tests {
     }
 
     #[test]
+    fn a_big_scan_is_answered_from_the_buffer_its_values_were_read_into() {
+        use crate::engine::EngineConfig;
+        use protocol::ReqFlags;
+
+        let path =
+            std::env::temp_dir().join(format!("rankd-unit-{}-in-place.sock", std::process::id()));
+        let engine = Engine::new(EngineConfig::default().with_workers(1).with_inner_threads(1));
+        let server = Server::bind(Arc::new(engine), ServeConfig::new(&path)).expect("bind");
+        let mut reactor = server.into_reactor().expect("reactor");
+        let (server_end, mut peer) = UnixStream::pair().expect("socket pair");
+        server_end.set_nonblocking(true).expect("nonblocking");
+        let mut conn = Conn::new(1, Transport::Unix(server_end));
+        conn.greeted = true;
+        reactor.conns.insert(1, conn);
+
+        // 256 KiB of values: four read chunks.
+        let n = 1 << 15;
+        let list = Arc::new(listkit::gen::random_list(n, 0x1b));
+        let handle = reactor.shared.store.put(1, Arc::clone(&list)).expect("PUT").handle;
+        let values: Vec<i64> = (0..n as i64).map(|i| i % 19 - 9).collect();
+        let want = listkit::serial::scan(&list, &values, &AddOp);
+        for (deadline_ms, request_id) in [(None, None), (Some(60_000), Some(3))] {
+            let flags = ReqFlags { deadline_ms, request_id, ..ReqFlags::default() };
+            let body = protocol::scan_h_body_flags(handle, &values, WireOp::Add, flags);
+            let mut frame = Vec::new();
+            protocol::write_frame(&mut frame, FrameKind::ScanH as u8, &body).expect("frame");
+            let values_at =
+                5 + protocol::values_offset(FrameKind::ScanH as u8, &body).expect("a scan");
+
+            // The first piece holds the job header: the frame moves to a
+            // buffer of its own, its values on a payload boundary.
+            peer.write_all(&frame[..4096]).expect("first piece");
+            reactor.read_conn(1);
+            let big = reactor.conns[&1].big.as_ref().expect("a frame in its own buffer");
+            let read_at = big.buf.as_ptr() as usize + big.lead + values_at;
+            assert_eq!(read_at % protocol::PAYLOAD_ALIGN, 0, "values on a payload boundary");
+            assert!(big.lead + values_at >= protocol::OUTPUT_HEAD_MAX, "room for the header");
+
+            let rest = frame[4096..].to_vec();
+            let writer = std::thread::spawn(move || {
+                peer.write_all(&rest).expect("the rest");
+                peer
+            });
+            let c = loop {
+                reactor.read_conn(1);
+                if let Some(c) = reactor.hub.drain().pop() {
+                    break c;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            peer = writer.join().expect("writer thread");
+            check_frame(&c, request_id, &want, "in-place SCAN_H");
+            let header = if request_id.is_some() { 13 } else { 5 };
+            let payload_at =
+                c.frame.buf.as_ptr() as usize + c.frame.lead + header + protocol::OUTPUT_META_BYTES;
+            assert_eq!(payload_at, read_at, "the payload is where the values were read");
+            let rbuf = reactor.conns[&1].rbuf.capacity();
+            assert!(rbuf <= READ_CHUNK, "the read buffer stayed a chunk, not {rbuf} bytes");
+            reactor.handle_completion(c);
+        }
+        drop(reactor);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn pool_hands_out_the_smallest_buffer_that_fits() {
         let pool = BufPool::default();
         for cap in [64usize, 4096, 1 << 20] {
-            pool.give(Vec::with_capacity(cap));
+            pool.give(vec![0; cap]);
         }
         assert_eq!(pool.take(100).capacity(), 4096);
         assert_eq!(pool.take(1 << 20).capacity(), 1 << 20);
-        assert!(pool.take(2 << 20).capacity() >= 2 << 20, "nothing fits: a fresh buffer");
+        let fresh = pool.take(2 << 20);
+        assert!(fresh.len() >= 2 << 20, "nothing fits: a fresh buffer");
+        assert_eq!(fresh.len(), fresh.capacity(), "initialised to its capacity");
         assert_eq!(pool.held().0, 1, "the 64-byte buffer stays pooled");
+
+        // A rank reply and a segmented scan frame over the same list fit
+        // one buffer, whichever of them took it first.
+        let n = 1 << 18;
+        let rank_reply = protocol::payload_lead_max(0) + 8 * n;
+        let segscan_frame = protocol::payload_lead_max(usize::MAX) + 4 + 1 + 14 + n / 8 + 8 * n;
+        assert!(pool.take(rank_reply).len() >= segscan_frame);
+        assert!(pool.take(segscan_frame).len() >= rank_reply);
+    }
+
+    #[test]
+    fn small_replies_leave_the_big_pooled_buffer_whole() {
+        let pool = BufPool::default();
+        let big = pool.take(4 << 20);
+        let (ptr, cap) = (big.as_ptr(), big.capacity());
+        pool.give(big);
+        let body = protocol::put_ok_body(7, 4096);
+        let frame = frame_reply(&pool, FrameKind::PutOk, None, &body).expect("a short frame");
+        assert_eq!(frame.buf.as_ptr(), ptr, "the only pooled buffer answers the small reply");
+        let mut want = Vec::new();
+        protocol::write_frame(&mut want, FrameKind::PutOk as u8, &body).expect("frame to a Vec");
+        assert_eq!(frame.wire(), &want[..], "the reply is exactly its frame");
+        pool.give(frame.buf);
+        let big = pool.take(4 << 20);
+        assert_eq!(big.as_ptr(), ptr, "the big buffer came back");
+        assert_eq!((big.len(), big.capacity()), (cap, cap), "nothing truncated it");
     }
 }

@@ -6,12 +6,16 @@
 //! no output `Vec`, no fresh frame.
 //!
 //! `SCAN_H` and `SEGSCAN_H` are pinned the same way. Their requests
-//! carry `n` values, whose encodings the reactor copies once into the
-//! pooled reply frame's payload instead of decoding them into a fresh
-//! `Vec`; served from the kept ranks, the scan runs in place in that
-//! payload, so no thread allocates a list-sized buffer at all. A
-//! segmented scan's starts travel to position order as an n-bit set,
-//! and nothing wraps the values with their flags.
+//! carry `n` values, far more than the reactor's 64 KiB read chunk, so
+//! the reactor reads each request into a pooled buffer of its own,
+//! which becomes the reply: the OUTPUT header goes ahead of the
+//! values, nothing copies or decodes them into a fresh `Vec`, and
+//! served from the kept ranks the scan runs in place in that payload,
+//! so no thread allocates a list-sized buffer at all. One pooled
+//! buffer holds a rank reply, a scan frame or a segmented scan frame
+//! for the same `n`. A segmented scan's starts travel to position
+//! order as an n-bit set, and nothing wraps the values with their
+//! flags.
 //!
 //! The first query on a snapshot builds its rank array: exactly two
 //! allocations of `4·n` bytes or more, the `u32` ranks and the `u32`

@@ -623,6 +623,60 @@ fn large_pipelined_replies_queue_behind_one_another_intact() {
     join.join().expect("server thread").expect("server run");
 }
 
+/// Frames longer than the server's read chunk are read into buffers of
+/// their own and answered from them: a by-handle scan, a segmented scan
+/// and an inline scan of 2^18 values, pipelined in one write behind a
+/// small RANK_H, each reply matched by id against the serial oracle.
+#[test]
+fn big_scans_in_one_write_behind_a_small_rank_match_the_serial_oracle() {
+    const N: usize = 1 << 18;
+    let server = start("big-one-write", small_engine(), |c| c);
+    let list = gen::random_list(N, 0xB16);
+    let small = gen::random_list(777, 0x5A11);
+    let values: Vec<i64> = (0..N as i64).map(|i| (i * 31) % 97 - 48).collect();
+    let starts: Vec<bool> = (0..N).map(|v| v % 61 == 7).collect();
+    let mut stream = UnixStream::connect(&server.path).expect("connect");
+    handshake(&mut stream);
+    let (handle, small_handle) = (put(&mut stream, &list), put(&mut stream, &small));
+
+    let sums = listkit::serial::scan(&list, &values, &AddOp);
+    let seg = listkit::segmented::serial_segmented_scan(&list, &values, &starts, &AddOp);
+    let frames = [
+        Call::rank(small_handle).id(1).encode(),
+        Call::scan(handle, &values, AddOp).deadline_ms(60_000).id(2).encode(),
+        Call::segmented(handle, &values, &starts, AddOp).id(3).encode(),
+        Call::scan(&list, &values, AddOp).deadline_ms(60_000).id(4).encode(),
+    ];
+    let mut bytes = Vec::new();
+    for (kind, body) in &frames {
+        protocol::write_frame(&mut bytes, *kind as u8, body).expect("frame to a Vec");
+    }
+    // A separate writer, as the reactor stops reading a connection whose
+    // replies pass its watermark.
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = std::thread::spawn(move || writer.write_all(&bytes).expect("one write"));
+    let mut seen = Vec::new();
+    for _ in 0..frames.len() {
+        let reply = read_one(&mut stream);
+        assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::OutputP), "reply kind");
+        let (id, inner) = protocol::decode_pipelined(&reply.body).expect("envelope decodes");
+        if id == 1 {
+            let (_, ranks) = protocol::decode_output::<u64>(inner).expect("rank OUTPUT");
+            assert!(ranks == listkit::serial::rank(&small), "the small rank diverged");
+        } else {
+            let (_, got) = protocol::decode_output::<i64>(inner).expect("scan OUTPUT");
+            let want = if id == 3 { &seg } else { &sums };
+            assert!(&got == want, "request {id} diverged from the serial oracle");
+        }
+        seen.push(id);
+    }
+    seen.sort_unstable();
+    assert_eq!(seen, [1, 2, 3, 4], "every id answered exactly once");
+    sender.join().expect("writer thread");
+    drop(stream);
+    server.stop();
+}
+
 /// The reactor writes each connection once per tick, many frames per
 /// `writev`, and a worker batch's replies reach it together: over TCP
 /// at depth 8, the server needs fewer writes than the OUTPUT frames it

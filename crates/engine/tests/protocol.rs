@@ -1523,6 +1523,57 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `values_offset`, read off the first `JOB_HEAD_MAX` body bytes,
+    /// finds a scan's values where the full decode does, and they are
+    /// the body's tail: {inline, handle} × {rank, scan, segmented scan}
+    /// × 8- and 16-byte values × all 16 flag subsets.
+    #[test]
+    fn values_offset_agrees_with_decode_request_parts(
+        n in 1usize..300,
+        seed in any::<u64>(),
+        handle in any::<u64>(),
+        deadline in any::<u64>(),
+        id in 1u64..u64::MAX,
+    ) {
+        let list = listkit::gen::random_list(n, seed);
+        let i64s: Vec<i64> = (0..n as i64).map(|i| i ^ seed as i64).collect();
+        let affs: Vec<Affine> = i64s.iter().map(|&v| Affine::new(v, -v)).collect();
+        let starts: Vec<bool> = (0..n).map(|v| (seed >> (v % 64)) & 1 == 1).collect();
+        for bits in 0..16u8 {
+            for src in [Source::Inline(&list), Source::Handle(handle)] {
+                let calls = [
+                    with_flags(Call::rank(src), bits, deadline, id).encode(),
+                    with_flags(Call::scan(src, &i64s, AddOp), bits, deadline, id).encode(),
+                    with_flags(Call::segmented(src, &i64s, &starts, MaxOp), bits, deadline, id)
+                        .encode(),
+                    with_flags(Call::scan(src, &affs, AffineOp), bits, deadline, id).encode(),
+                    with_flags(Call::segmented(src, &affs, &starts, AffineOp), bits, deadline, id)
+                        .encode(),
+                ];
+                for (kind, body) in calls {
+                    let decoded = match protocol::decode_request_parts(kind as u8, &body) {
+                        Ok(WireRequest::Job(job)) => job,
+                        other => panic!("{kind:?} decodes to a job, got {other:?}"),
+                    };
+                    let values = match decoded.job {
+                        Job::Rank => None,
+                        Job::Scan { values, .. } | Job::SegScan { values, .. } => Some(values),
+                    };
+                    if let Some(values) = &values {
+                        prop_assert_eq!(values.end, body.len(), "{:?}: values are the tail", kind);
+                    }
+                    let head = &body[..protocol::JOB_HEAD_MAX.min(body.len())];
+                    let offset = protocol::values_offset(kind as u8, head);
+                    prop_assert_eq!(offset, values.map(|v| v.start), "{:?} flags {:#06b}", kind, bits);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn start_bitmap_packs_lsb_first_with_partial_final_byte() {
     // 9 flags: 1 bit into the second byte.

@@ -434,7 +434,30 @@ fn stalled_mid_frame_client_cannot_block_shutdown() {
     stream.write_all(&100u32.to_le_bytes()).expect("partial frame");
     stream.flush().expect("flush");
 
+    // A second client starts a SCAN_H announcing 2^20 values (8 MiB,
+    // read into a frame buffer of its own), sends 4 KiB and stalls too.
+    let mut client = Client::connect(&path).expect("connect");
+    let list = gen::random_list(1000, 0x57a1);
+    let handle = client.put(&list).expect("PUT").handle;
+    let values = vec![1i64; 1 << 20];
+    let (kind, body) = Call::scan(handle, &values, AddOp).encode();
+    let mut big = UnixStream::connect(&path).expect("connect");
+    protocol::write_frame(&mut big, FrameKind::Hello as u8, &protocol::hello_body())
+        .expect("hello");
+    let _ = protocol::read_frame(&mut big, MAX_FRAME_DEFAULT).expect("hello ok");
+    let mut frame = Vec::new();
+    protocol::write_frame(&mut frame, kind as u8, &body).expect("frame to a Vec");
+    big.write_all(&frame[..4096]).expect("partial big frame");
+
+    // A third connection is served while both stall.
     std::thread::sleep(Duration::from_millis(50));
+    let got = client.call(&Call::rank(handle)).expect("rank beside stalled frames");
+    assert_eq!(got.output, listkit::serial::rank(&list));
+    // POOL_MAX_BUFS and POOL_MAX_BYTES: the pool's bounds.
+    let (bufs, bytes) = (control.stats().reply_bufs_pooled, control.stats().reply_bytes_pooled);
+    assert!(bufs <= 8 && bytes <= 64 << 20, "{bufs} buffers of {bytes} bytes pooled");
+    drop(client);
+
     let t0 = Instant::now();
     control.request_shutdown();
     let stats = join.join().expect("server thread").expect("server run");
@@ -443,7 +466,130 @@ fn stalled_mid_frame_client_cannot_block_shutdown() {
         "shutdown must not wait on a stalled mid-frame client"
     );
     assert_eq!(stats.connections_active, 0);
+    assert!(stats.reply_bufs_pooled <= 8, "{} buffers pooled", stats.reply_bufs_pooled);
+    assert!(stats.reply_bytes_pooled <= 64 << 20, "{} bytes pooled", stats.reply_bytes_pooled);
+    drop((stream, big));
+}
+
+/// Write `bytes` in uneven pieces: 3 bytes (less than any job header),
+/// then 29, each read apart, then alternately 61,441 and 4,099 bytes.
+fn write_in_pieces(stream: &mut UnixStream, bytes: &[u8]) {
+    use std::io::Write as _;
+    let pieces = [3usize, 29].into_iter().chain([61_441, 4_099].into_iter().cycle());
+    let mut at = 0;
+    for (i, len) in pieces.enumerate() {
+        if at == bytes.len() {
+            break;
+        }
+        let end = (at + len).min(bytes.len());
+        stream.write_all(&bytes[at..end]).expect("write piece");
+        at = end;
+        if i < 2 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// `call` with a one-minute deadline if asked, and the request id if
+/// any.
+fn flagged<T: protocol::WireElem>(
+    call: Call<'_, T>,
+    deadline: bool,
+    id: Option<u64>,
+) -> Call<'_, T> {
+    let call = if deadline { call.deadline_ms(60_000) } else { call };
+    match id {
+        Some(id) => call.id(id),
+        None => call,
+    }
+}
+
+/// One OUTPUT or OUTPUT_P reply's elements, checking the echoed id.
+fn output_of<T: protocol::WireElem>(frame: &protocol::Frame, id: Option<u64>) -> Vec<T> {
+    let body = match id {
+        Some(id) => {
+            assert_eq!(FrameKind::from_u8(frame.kind), Some(FrameKind::OutputP), "OUTPUT_P");
+            let (echoed, inner) = protocol::decode_pipelined(&frame.body).expect("envelope");
+            assert_eq!(echoed, id, "echoed id");
+            inner
+        }
+        None => {
+            assert_eq!(FrameKind::from_u8(frame.kind), Some(FrameKind::Output), "OUTPUT");
+            &frame.body[..]
+        }
+    };
+    protocol::decode_output::<T>(body).expect("OUTPUT body").1
+}
+
+#[test]
+fn big_scans_written_in_pieces_are_byte_identical_to_serial() {
+    // Frames longer than the server's read chunk are read into buffers
+    // of their own and answered from them: split at every header
+    // length, alone or in the same write behind a small RANK_H.
+    let n = 1 << 18;
+    let server = start("big-pieces", small_engine(), |c| c);
+    let list = gen::random_list(n, 0xb16);
+    let small = gen::random_list(1000, 0x5a11);
+    let values: Vec<i64> = (0..n as i64).map(|i| i % 29 - 14).collect();
+    let starts: Vec<bool> = (0..n).map(|v| v % 89 == 3).collect();
+    let sums = listkit::serial::scan(&list, &values, &AddOp);
+    let seg_sums = segmented::serial_segmented_scan(&list, &values, &starts, &AddOp);
+    let small_ranks = listkit::serial::rank(&small);
+
+    let mut stream = UnixStream::connect(&server.path).expect("raw connect");
+    let reply = roundtrip(&mut stream, FrameKind::Hello as u8, &protocol::hello_body());
+    assert_eq!(FrameKind::from_u8(reply.kind), Some(FrameKind::HelloOk));
+    let mut put = |list| {
+        let reply = roundtrip(&mut stream, FrameKind::Put as u8, &protocol::put_body(list));
+        protocol::decode_put_ok(&reply.body).expect("PUT_OK").0
+    };
+    let (handle, small_handle) = (put(&list), put(&small));
+    let mut next_id = 0;
+    for (what, want) in [("SCAN_H", &sums), ("SEGSCAN_H", &seg_sums), ("inline SCAN", &sums)] {
+        for (deadline, pipelined) in [(false, false), (true, false), (false, true), (true, true)] {
+            for behind_rank in [false, true] {
+                let mut id = || {
+                    next_id += 1;
+                    pipelined.then_some(next_id)
+                };
+                let (rank_id, scan_id) = (id(), id());
+                let scan = match what {
+                    "SCAN_H" => Call::scan(handle, &values, AddOp),
+                    "SEGSCAN_H" => Call::segmented(handle, &values, &starts, AddOp),
+                    _ => Call::scan(&list, &values, AddOp),
+                };
+                let (kind, body) = flagged(scan, deadline, scan_id).encode();
+                let mut bytes = Vec::new();
+                if behind_rank {
+                    let rank = flagged(Call::rank(small_handle), deadline, rank_id);
+                    let (kind, body) = rank.encode();
+                    protocol::write_frame(&mut bytes, kind as u8, &body).expect("frame");
+                }
+                protocol::write_frame(&mut bytes, kind as u8, &body).expect("frame");
+                write_in_pieces(&mut stream, &bytes);
+
+                let case =
+                    format!("{what} deadline {deadline} id {scan_id:?} behind {behind_rank}");
+                let mut replies = 0;
+                while replies < 1 + behind_rank as usize {
+                    let frame = protocol::read_frame(&mut stream, MAX_FRAME_DEFAULT)
+                        .expect("read frame")
+                        .expect("reply frame");
+                    let body_len = frame.body.len();
+                    if behind_rank && body_len < 1 << 20 {
+                        let got: Vec<u64> = output_of(&frame, rank_id);
+                        assert!(got == small_ranks, "{case}: the rank ahead diverged");
+                    } else {
+                        let got: Vec<i64> = output_of(&frame, scan_id);
+                        assert!(&got == want, "{case}: diverged from the serial oracle");
+                    }
+                    replies += 1;
+                }
+            }
+        }
+    }
     drop(stream);
+    server.stop();
 }
 
 #[test]

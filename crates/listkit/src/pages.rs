@@ -50,11 +50,11 @@ mod sealed {
     pub trait Sealed {}
 }
 
-/// A word type whose memory a `read` may fill: `u32`, `i64`, `u64` and
-/// [`Affine`] (`#[repr(C)]`, two `i64`). Each has no padding and every
-/// bit pattern of its size is a valid value, which is what
-/// [`bytes_mut`] and [`zeroed_vec`] rely on; the trait is sealed so that
-/// no other type can claim it.
+/// A word type whose memory a `read` may fill: `u8`, `u32`, `i64`,
+/// `u64` and [`Affine`] (`#[repr(C)]`, two `i64`). Each has no padding
+/// and every bit pattern of its size is a valid value, which is what
+/// [`bytes_mut`] and [`zeroed_vec`] rely on; the trait is sealed so
+/// that no other type can claim it.
 pub trait Word: Copy + sealed::Sealed {
     /// The all-zero value.
     const ZERO: Self;
@@ -75,7 +75,7 @@ macro_rules! word_int {
     )*};
 }
 
-word_int!(u32, i64, u64);
+word_int!(u8, u32, i64, u64);
 
 impl sealed::Sealed for Affine {}
 impl Word for Affine {

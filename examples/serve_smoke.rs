@@ -12,8 +12,10 @@
 //! once routed through the shard-parallel path (`Call::sharded`; the
 //! reply's shard count is printed: inline requests shard, handle
 //! requests are served from the dataset's kept rank array and read 0),
-//! then one pipelined window of 4
-//! through `send` / `recv_pipelined`. Every reply is
+//! then one pipelined window of 6 through `send` / `recv_pipelined`:
+//! four ranks, then a by-handle scan and a segmented scan whose 400 KB
+//! of values the daemon reads into buffers of their own and answers
+//! in place, one of them with a deadline. Every reply is
 //! checked byte for byte against a local [`listrank::HostRunner`] on
 //! the same inputs. Finally it prints the daemon's STATS report and
 //! sends SHUTDOWN.
@@ -107,20 +109,30 @@ fn main() {
         }
     }
 
-    // One pipelined window of 4, alternating inline and by-handle
-    // ranks; replies come back in completion order, matched by id.
+    // One pipelined window of 6: ranks alternating inline and by
+    // handle, then a by-handle add scan and segmented add scan. Replies
+    // come back in completion order, matched by id; all are 8-byte
+    // words, read as u64 and compared bit for bit.
     for id in 1..=4u64 {
         let src = if id % 2 == 0 { Source::Handle(handle) } else { Source::Inline(&list) };
         client.send(&Call::rank(src).id(id)).expect("pipelined send");
     }
-    let mut seen = [false; 4];
-    for _ in 0..4 {
+    let sums = runner.scan(&list, &i64s, &AddOp);
+    client.send(&Call::scan(handle, &i64s, AddOp).id(5)).expect("pipelined send");
+    let seg = Call::segmented(handle, &i64s, &starts, AddOp).deadline_ms(60_000).id(6);
+    client.send(&seg).expect("pipelined send");
+    let bits = |words: &[i64]| words.iter().map(|&w| w as u64).collect::<Vec<u64>>();
+    let (sums, seg_add) = (bits(&sums), bits(&seg_add));
+    let want: [&[u64]; 6] = [&ranks, &ranks, &ranks, &ranks, &sums, &seg_add];
+    let mut seen = [false; 6];
+    for _ in 0..6 {
         let (id, reply) = client.recv_pipelined::<u64>().expect("pipelined recv");
-        assert_eq!(reply.expect("pipelined rank").output, ranks, "pipelined id {id} parity");
+        let got = reply.expect("pipelined reply").output;
+        assert!(got == want[(id - 1) as usize], "pipelined id {id} must be byte-identical");
         seen[(id - 1) as usize] = true;
     }
-    assert_eq!(seen, [true; 4], "every pipelined id answered once");
-    println!("pipelined window of 4: parity OK");
+    assert_eq!(seen, [true; 6], "every pipelined id answered once");
+    println!("pipelined window of 6: parity OK");
     client.drop_handle(handle).expect("DROP");
 
     let stats = client.stats().expect("stats");
